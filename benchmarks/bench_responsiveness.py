@@ -40,6 +40,11 @@ def evaluate():
 
 
 def test_responsiveness_friendliness_tradeoff(benchmark):
+    # Warm-up: integrate_model imports scipy.integrate (and with it
+    # scipy.optimize) on first use, ~0.4 s once per process, which must
+    # not land inside the single timed round.
+    responsiveness(decomposition("lia"), rtt=[0.05], loss=[0.01],
+                   x0=[1.0], duration=1.0)
     results = run_once(benchmark, evaluate)
 
     print("\nResponsiveness (cold-start settling time, 2 equal paths):")

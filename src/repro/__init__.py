@@ -39,7 +39,9 @@ Quickstart::
     print(conn.aggregate_goodput_bps() / 1e6, "Mbps")
 """
 
-from repro.algorithms import algorithm_names, create_controller
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.errors import (
     AlgorithmError,
     ConfigurationError,
@@ -48,10 +50,22 @@ from repro.errors import (
     RoutingError,
     SimulationError,
 )
-from repro.net import MptcpConnection, Network
 from repro.units import gb, gbps, kib, mb, mbps, mib, ms, us
 
+if TYPE_CHECKING:
+    from repro.algorithms import algorithm_names, create_controller
+    from repro.net import MptcpConnection, Network
+
 __version__ = "1.0.0"
+
+# The numpy-tier names resolve on first access (PEP 562), so ``import
+# repro`` alone stays stdlib-only: ``python -m repro --help`` and
+# ``repro.transport.wire`` do not load the simulators (DESIGN.md,
+# "Start-up cost and import tiers").  errors/units are stdlib and eager.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.algorithms": ("algorithm_names", "create_controller"),
+    "repro.net": ("MptcpConnection", "Network"),
+})
 
 __all__ = [
     "AlgorithmError",

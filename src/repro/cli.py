@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 import time
@@ -39,40 +40,36 @@ from typing import Callable, Dict, List
 from repro import __version__
 
 
-def _figure_runners() -> Dict[str, Callable[[], None]]:
-    from repro.experiments import (
-        fig01_power_vs_subflows,
-        fig02_mobile_power,
-        fig03_energy_vs_throughput,
-        fig04_power_vs_delay,
-        fig06_shared_bottleneck,
-        fig07_traffic_shifting,
-        fig08_trace,
-        fig09_dts_testbed,
-        fig10_ec2,
-        fig12_14_subflows,
-        fig15_phi,
-        fig16_dc_throughput,
-        fig17_wireless,
-    )
+#: figure id -> (module under repro.experiments, entry function).  Modules
+#: load when their figure runs, so a packet figure never imports a fluid one.
+_FIGURES = {
+    "fig01": ("fig01_power_vs_subflows", "main"),
+    "fig02": ("fig02_mobile_power", "main"),
+    "fig03": ("fig03_energy_vs_throughput", "main"),
+    "fig04": ("fig04_power_vs_delay", "main"),
+    "fig06": ("fig06_shared_bottleneck", "main"),
+    "fig07": ("fig07_traffic_shifting", "main"),
+    "fig08": ("fig08_trace", "main"),
+    "fig09": ("fig09_dts_testbed", "main"),
+    "fig10": ("fig10_ec2", "main"),
+    "fig12": ("fig12_14_subflows", "run_fig12"),
+    "fig13": ("fig12_14_subflows", "run_fig13"),
+    "fig14": ("fig12_14_subflows", "run_fig14"),
+    "fig15": ("fig15_phi", "main"),
+    "fig16": ("fig16_dc_throughput", "main"),
+    "fig17": ("fig17_wireless", "main"),
+}
 
-    return {
-        "fig01": fig01_power_vs_subflows.main,
-        "fig02": fig02_mobile_power.main,
-        "fig03": fig03_energy_vs_throughput.main,
-        "fig04": fig04_power_vs_delay.main,
-        "fig06": fig06_shared_bottleneck.main,
-        "fig07": fig07_traffic_shifting.main,
-        "fig08": fig08_trace.main,
-        "fig09": fig09_dts_testbed.main,
-        "fig10": fig10_ec2.main,
-        "fig12": lambda: _print_sweep(fig12_14_subflows.run_fig12()),
-        "fig13": lambda: _print_sweep(fig12_14_subflows.run_fig13()),
-        "fig14": lambda: _print_sweep(fig12_14_subflows.run_fig14()),
-        "fig15": fig15_phi.main,
-        "fig16": fig16_dc_throughput.main,
-        "fig17": fig17_wireless.main,
-    }
+
+def _run_figure(module: str, entry: str) -> None:
+    result = getattr(importlib.import_module(f"repro.experiments.{module}"), entry)()
+    if result is not None:  # the fig12-14 run_* entries return a sweep to print
+        _print_sweep(result)
+
+
+def _figure_runners() -> Dict[str, Callable[[], None]]:
+    return {name: functools.partial(_run_figure, *target)
+            for name, target in _FIGURES.items()}
 
 
 def _print_sweep(result) -> None:

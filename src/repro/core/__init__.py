@@ -6,50 +6,90 @@
 - :mod:`repro.core.dts` -- the Eq. (5) DTS factor and Algorithm 1's
   fixed-point evaluation;
 - :mod:`repro.core.energy_price` -- the Eq. (6)-(9) energy price;
-- :mod:`repro.core.equilibrium` -- numeric equilibria of the model.
+- :mod:`repro.core.equilibrium` -- numeric equilibria of the model
+  (``solve_equilibrium``; its hybr fallback is the one place
+  ``scipy.optimize`` loads; ``solve_fluid_equilibrium`` is the
+  root-finder-free network-level route);
+- :mod:`repro.core.trajectories` -- direct ODE integration of Eq. (3) /
+  Eq. (9) (``integrate_model`` is the one place ``scipy.integrate``
+  loads) and the responsiveness metric.
+
+Every module here is closed-form numpy at import; the names below resolve
+lazily, so ``repro.algorithms`` importing ``repro.core.dts`` loads only
+that module.
 """
 
-from repro.core.conditions import (
-    Condition1Report,
-    aggregate_equilibrium_throughput,
-    check_condition1,
-    condition2_asymmetry,
-    is_pareto_optimal_candidate,
-    reno_equilibrium_throughput,
-)
-from repro.core.dts import (
-    DtsFactorConfig,
-    epsilon_exact,
-    epsilon_taylor,
-    rtt_ratio,
-    taylor_absolute_error,
-)
-from repro.core.energy_price import (
-    EnergyPriceConfig,
-    per_ack_window_drain,
-    phi,
-    price_gradient,
-    utility_ep,
-)
-from repro.core.equilibrium import (
-    EquilibriumSolution,
-    reno_window,
-    solve_equilibrium,
-)
-from repro.core.trajectories import (
-    Trajectory,
-    constant,
-    integrate_model,
-    responsiveness,
-    step,
-)
-from repro.core.model import (
-    CongestionModel,
-    ModelState,
-    decomposition,
-    decompositions,
-    make_psi_dts,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.conditions import (
+        Condition1Report,
+        aggregate_equilibrium_throughput,
+        check_condition1,
+        condition2_asymmetry,
+        is_pareto_optimal_candidate,
+        reno_equilibrium_throughput,
+    )
+    from repro.core.dts import (
+        DtsFactorConfig,
+        epsilon_exact,
+        epsilon_taylor,
+        rtt_ratio,
+        taylor_absolute_error,
+    )
+    from repro.core.energy_price import (
+        EnergyPriceConfig,
+        per_ack_window_drain,
+        phi,
+        price_gradient,
+        utility_ep,
+    )
+    from repro.core.equilibrium import (
+        EquilibriumSolution,
+        reno_window,
+        solve_equilibrium,
+    )
+    from repro.core.model import (
+        CongestionModel,
+        ModelState,
+        decomposition,
+        decompositions,
+        make_psi_dts,
+    )
+    from repro.core.trajectories import (
+        Trajectory,
+        constant,
+        integrate_model,
+        responsiveness,
+        step,
+    )
+
+# Resolved on first access (PEP 562): ``repro.algorithms`` needs only
+# ``repro.core.dts`` and must not pay for the model, solver and trajectory
+# modules beside it.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.conditions": (
+        "Condition1Report", "aggregate_equilibrium_throughput", "check_condition1",
+        "condition2_asymmetry", "is_pareto_optimal_candidate",
+        "reno_equilibrium_throughput",
+    ),
+    "repro.core.dts": (
+        "DtsFactorConfig", "epsilon_exact", "epsilon_taylor", "rtt_ratio",
+        "taylor_absolute_error",
+    ),
+    "repro.core.energy_price": (
+        "EnergyPriceConfig", "per_ack_window_drain", "phi", "price_gradient", "utility_ep",
+    ),
+    "repro.core.equilibrium": ("EquilibriumSolution", "reno_window", "solve_equilibrium"),
+    "repro.core.model": (
+        "CongestionModel", "ModelState", "decomposition", "decompositions", "make_psi_dts",
+    ),
+    "repro.core.trajectories": (
+        "Trajectory", "constant", "integrate_model", "responsiveness", "step",
+    ),
+})
 
 __all__ = [
     "Condition1Report",

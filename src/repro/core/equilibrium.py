@@ -14,11 +14,17 @@ Two solvers live under this name:
 
 - :func:`solve_equilibrium` here — the per-connection model balance for
   *given* RTTs and loss rates, returning an :class:`EquilibriumSolution`
-  with convergence diagnostics;
+  with convergence diagnostics.  Its damped fixed-point iteration is
+  plain numpy; only the hybr refinement it falls back to when that
+  iteration converges poorly imports ``scipy.optimize``, at that call
+  (once per process), so importing this module never loads scipy;
 - ``solve_fluid_equilibrium`` (re-exported lazily from
   :mod:`repro.fluidsim.equilibrium`) — the whole-network fixed point
   where loss and queueing are themselves solved for, the direct
-  alternative to time-stepping a ``FluidSimulation``.
+  alternative to time-stepping a ``FluidSimulation``.  It is the
+  ``scipy.optimize``-free route: its own damped fixed-point / dual
+  price iteration over the fluid tier's ``scipy.sparse`` routing
+  matrices, no root finder.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
+from repro._lazy import lazy_exports
 from repro.core.model import CongestionModel, ModelState
 from repro.errors import EquilibriumError
 
@@ -131,6 +137,10 @@ def solve_equilibrium(
         if step < _STEP_RTOL:
             break
     if residual_norm_of(w) > _CONVERGED_RTOL:
+        # The only scipy use in this module: loaded on the fallback, not at
+        # import, so the closed-form callers of repro.core never pay for it.
+        from scipy import optimize
+
         sol = optimize.root(residual, w, method="hybr")
         if sol.success:
             w = np.maximum(sol.x, 1e-3)
@@ -150,16 +160,11 @@ def reno_window(loss: float) -> float:
     return float(np.sqrt(2.0 / loss))
 
 
-_FLUID_EXPORTS = ("FluidEquilibrium", "solve_fluid_equilibrium",
-                  "equilibrium_supported")
-
-
-def __getattr__(name: str):
-    # Lazy re-export of the network-level solver.  Importing
-    # repro.fluidsim eagerly here would cycle back into repro.core
-    # through the fluid adapters, so resolve on first attribute access.
-    if name in _FLUID_EXPORTS:
-        from repro.fluidsim import equilibrium as _fluid_eq
-
-        return getattr(_fluid_eq, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Lazy re-export of the network-level solver.  Importing repro.fluidsim
+# eagerly here would cycle back into repro.core through the fluid adapters
+# (and pull scipy.sparse into the numpy tier), so resolve on first access.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.fluidsim.equilibrium": (
+        "FluidEquilibrium", "solve_fluid_equilibrium", "equilibrium_supported",
+    ),
+})

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.core.model import CongestionModel, ModelState
 from repro.errors import ModelError
@@ -118,6 +117,10 @@ def integrate_model(
         deriv = model.rate_derivative(state, loss_t)
         # Hold the floor: no decay below the minimum rate.
         return np.where((x <= x_floor) & (deriv < 0), 0.0, deriv)
+
+    # The only scipy use in this module: loaded here, not at import, so
+    # Trajectory/constant/step stay in the numpy tier.
+    from scipy.integrate import solve_ivp
 
     times = np.linspace(0.0, duration, n_samples)
     solution = solve_ivp(

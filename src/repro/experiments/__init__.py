@@ -1,11 +1,17 @@
 """One experiment module per figure of the paper's evaluation.
 
 Every module exposes ``run(...)`` returning a structured result object and
-``main()`` that prints the figure's rows as an ASCII table. The benchmark
-harness in ``benchmarks/`` wraps these with pytest-benchmark and asserts
-the paper's qualitative claims. Default parameters are scaled down to
-finish in seconds; each ``run`` accepts the paper's full-scale parameters
-(documented per module) for faithful reproduction runs.
+``main()`` that prints the figure's rows as an ASCII table. The
+``benchmarks/bench_*.py`` shims run these and assert the paper's
+qualitative claims (the benchmark harness proper is ``benchmarks/e2e/``).
+Default parameters are scaled down to finish in seconds; each ``run``
+accepts the paper's full-scale parameters (documented per module) for
+faithful reproduction runs.
+
+Figure modules load on first use: this package imports none of them, so
+``from repro.experiments import fig06_shared_bottleneck`` (a plain
+submodule import) loads the packet simulator and no fluid figure, and
+``scipy.sparse`` loads only with a fluid figure.
 
 ========  ==========================================================
 module    paper artifact
@@ -25,23 +31,6 @@ fig16     Fig. 16 — aggregate throughput in FatTree/VL2
 fig17     Fig. 17 — heterogeneous wireless: DTS vs LIA
 ========  ==========================================================
 """
-
-from repro.experiments import (  # noqa: F401
-    fig01_power_vs_subflows,
-    fig02_mobile_power,
-    fig03_energy_vs_throughput,
-    fig04_power_vs_delay,
-    fig06_shared_bottleneck,
-    fig07_traffic_shifting,
-    fig08_trace,
-    fig09_dts_testbed,
-    fig10_ec2,
-    fig12_14_subflows,
-    fig15_phi,
-    fig16_dc_throughput,
-    fig17_wireless,
-    paper_scale,
-)
 
 __all__ = [
     "fig01_power_vs_subflows",

@@ -10,32 +10,61 @@ subflows through a pluggable :class:`~repro.algorithms.base.CongestionController
 The public entry point is :class:`~repro.net.network.Network`.
 """
 
-from repro.net.batch import (
-    BatchConnection,
-    BatchEngine,
-    BatchPath,
-    BatchScenario,
-    OracleEngine,
-    ec2_scenario,
-)
-from repro.net.events import EventHandle, Simulator, TickCohorts
-from repro.net.link import Link
-from repro.net.monitor import FlowMonitor, LinkMonitor, PeriodicSampler
-from repro.net.mptcp import MptcpConnection
-from repro.net.network import Network
-from repro.net.node import Host, Node, Switch
-from repro.net.packet import Packet, PacketPool
-from repro.net.queues import DropTailQueue, EcnConfig, REDQueue
-from repro.net.rand import BatchedRandom
-from repro.net.routing import Route
-from repro.net.scheduler import (
-    GreedyScheduler,
-    MinRttScheduler,
-    RoundRobinScheduler,
-    create_scheduler,
-)
-from repro.net.trace import FlowTracer, TraceEvent
-from repro.net.flow import TcpReceiver, TcpSender
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.net.batch import (
+        BatchConnection,
+        BatchEngine,
+        BatchPath,
+        BatchScenario,
+        OracleEngine,
+        ec2_scenario,
+    )
+    from repro.net.events import EventHandle, Simulator, TickCohorts
+    from repro.net.flow import TcpReceiver, TcpSender
+    from repro.net.link import Link
+    from repro.net.monitor import FlowMonitor, LinkMonitor, PeriodicSampler
+    from repro.net.mptcp import MptcpConnection
+    from repro.net.network import Network
+    from repro.net.node import Host, Node, Switch
+    from repro.net.packet import Packet, PacketPool
+    from repro.net.queues import DropTailQueue, EcnConfig, REDQueue
+    from repro.net.rand import BatchedRandom
+    from repro.net.routing import Route
+    from repro.net.scheduler import (
+        GreedyScheduler,
+        MinRttScheduler,
+        RoundRobinScheduler,
+        create_scheduler,
+    )
+    from repro.net.trace import FlowTracer, TraceEvent
+
+# Resolved on first access (PEP 562): the scalar DES, the batch engine and
+# ``repro.net.flow``'s users each load only their own modules.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.net.batch": (
+        "BatchConnection", "BatchEngine", "BatchPath", "BatchScenario", "OracleEngine",
+        "ec2_scenario",
+    ),
+    "repro.net.events": ("EventHandle", "Simulator", "TickCohorts"),
+    "repro.net.flow": ("TcpReceiver", "TcpSender"),
+    "repro.net.link": ("Link",),
+    "repro.net.monitor": ("FlowMonitor", "LinkMonitor", "PeriodicSampler"),
+    "repro.net.mptcp": ("MptcpConnection",),
+    "repro.net.network": ("Network",),
+    "repro.net.node": ("Host", "Node", "Switch"),
+    "repro.net.packet": ("Packet", "PacketPool"),
+    "repro.net.queues": ("DropTailQueue", "EcnConfig", "REDQueue"),
+    "repro.net.rand": ("BatchedRandom",),
+    "repro.net.routing": ("Route",),
+    "repro.net.scheduler": (
+        "GreedyScheduler", "MinRttScheduler", "RoundRobinScheduler", "create_scheduler",
+    ),
+    "repro.net.trace": ("FlowTracer", "TraceEvent"),
+})
 
 __all__ = [
     "BatchConnection",

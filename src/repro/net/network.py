@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.algorithms import create_controller
 from repro.errors import ConfigurationError, RoutingError
 from repro.net.events import Simulator
 from repro.net.link import Link
@@ -139,8 +140,6 @@ class Network:
         ``algorithm`` is either a controller instance or a registry name such
         as ``"lia"``, ``"olia"``, ``"balia"``, ``"ecmtcp"``, ``"dts"``.
         """
-        from repro.algorithms import create_controller
-
         controller = (
             create_controller(algorithm) if isinstance(algorithm, str) else algorithm
         )

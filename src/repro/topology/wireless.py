@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.algorithms import create_controller
 from repro.net.mptcp import MptcpConnection
 from repro.net.network import Network
 from repro.net.queues import DropTailQueue
@@ -79,8 +80,6 @@ def build_wireless(
 
     wifi_route = net.route([sender, ap, receiver])
     cellular_route = net.route([sender, bs, receiver])
-
-    from repro.algorithms import create_controller
 
     controller = create_controller(algorithm, **(controller_kwargs or {}))
     conn = net.connection(

@@ -42,6 +42,14 @@ from repro.transport.wire import Segment, WireError, decode
 Addr = Tuple[str, int]
 SegmentHandler = Callable[[Segment, Addr], None]
 
+#: Receive-buffer size per ``recvfrom``: the largest datagram UDP can carry.
+#: asyncio's selector transport allocates its ``max_size`` (256 KiB) for
+#: every datagram; above glibc's 128 KiB mmap threshold that is an
+#: mmap/munmap pair per datagram (5x the syscall itself, -45% loopback
+#: goodput) unless an earlier large free happened to raise the threshold —
+#: which importing scipy used to do by accident for every process.
+RECV_BUFFER_BYTES = 64 * 1024
+
 
 class DatagramEndpoint(asyncio.DatagramProtocol):
     """One UDP socket: decode datagrams, dispatch segments, never crash.
@@ -113,6 +121,8 @@ async def open_endpoint(
         local_addr=local_addr,
         remote_addr=remote_addr,
     )
+    if hasattr(transport, "max_size"):  # selector event loops
+        transport.max_size = RECV_BUFFER_BYTES
     return transport, protocol
 
 

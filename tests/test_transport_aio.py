@@ -14,10 +14,15 @@ import urllib.request
 
 import pytest
 
-from repro.transport.aio import LossyTransport, MetricsHttpServer, open_endpoint
+from repro.transport.aio import (
+    RECV_BUFFER_BYTES,
+    LossyTransport,
+    MetricsHttpServer,
+    open_endpoint,
+)
 from repro.transport.client import fetch, loopback_selftest
 from repro.transport.server import TransportServer
-from repro.transport.wire import encode_bye
+from repro.transport.wire import MAX_PAYLOAD, encode_bye, encode_data
 
 TRANSFER_BYTES = 512 * 1024  # keep CI wall time low; CLI selftest does 4 MiB
 
@@ -161,6 +166,29 @@ def test_garbage_datagrams_are_counted_not_fatal():
             transport.close()
         finally:
             await server.stop()
+
+    asyncio.run(scenario())
+
+
+def test_receive_buffer_fits_the_largest_datagram_and_no_more():
+    """asyncio's 256 KiB default buffer is an mmap/munmap per datagram
+    (above glibc's 128 KiB threshold); ours must stay below that and
+    still take the largest segment the wire format can emit whole."""
+    async def scenario():
+        seen = []
+        rx, endpoint = await open_endpoint(
+            lambda seg, addr: seen.append(seg), local_addr=("127.0.0.1", 0))
+        tx, _ = await open_endpoint(
+            lambda seg, addr: None,
+            remote_addr=("127.0.0.1", endpoint.local_port()))
+        try:
+            assert rx.max_size == tx.max_size == RECV_BUFFER_BYTES < 128 * 1024
+            tx.sendto(encode_data(1, 0, 0, 0.0, b"x" * MAX_PAYLOAD))
+            await asyncio.sleep(0.1)
+            assert [len(seg.payload) for seg in seen] == [MAX_PAYLOAD]
+        finally:
+            tx.close()
+            rx.close()
 
     asyncio.run(scenario())
 
