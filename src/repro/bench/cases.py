@@ -187,17 +187,17 @@ def _engine_fluid_fattree(ctx: BenchContext):
     assert 450 <= fluid_fattree_step_batch() <= 512
 
 
-def fluid_largescale_network():
-    """Build (but do not run) the large-topology workload: a k=12
-    fat-tree permutation with 8 subflows per connection (~3300 subflows,
+def fluid_largescale_network(k: int = 12):
+    """Build (but do not run) the large-topology workload: a fat-tree
+    permutation with 8 subflows per connection (k=12: ~3300 subflows,
     2592 links, routing density ~0.2%) — the regime the sparse routing
-    kernels exist for."""
+    kernel exists for."""
     from repro.fluidsim import FluidNetwork
     from repro.topology import FatTree
     from repro.units import ms
     from repro.workloads.permutation import random_permutation_pairs
 
-    topo = FatTree(12, link_delay=ms(1))
+    topo = FatTree(k, link_delay=ms(1))
     net = FluidNetwork(topo, path_seed=1)
     for src, dst in random_permutation_pairs(topo.hosts,
                                              np.random.default_rng(1)):
@@ -252,6 +252,17 @@ def fluid_step_kernel_steps(sim, n_calls: int = 200):
 def _engine_fluid_largescale(ctx: BenchContext):
     # 432 hosts x 8 subflows, minus same-pod pairs with fewer ECMP paths.
     assert 3000 <= fluid_largescale_step_batch(ctx.fluid_net) <= 3456
+
+
+@register("engine.fluid_k24_build", suites=("tier1", "engine"),
+          description="fabric build alone at k=24: topology + 3456 "
+                      "add_connection (8 subflows) + finalize, no solve, "
+                      "no stepping")
+def _engine_fluid_k24_build(ctx: BenchContext):
+    net = fluid_largescale_network(24)
+    assert len(net.connections) == 3456
+    # 8 subflows each, except the few same-edge pairs (one path).
+    assert 27_000 <= net.n_subflows <= 8 * 3456
 
 
 @register("engine.fluid_step_kernel", suites=("tier1", "engine"),
@@ -331,7 +342,7 @@ def fluid_k24_sharded(n_shards: int = 4, jobs: int = 4):
 
 @register("engine.fluid_k24_sharded", suites=("tier1", "engine"),
           description="4 fat-tree k=24 shards (~41k float32 subflows): "
-                      "serial-vs-pooled equivalence + CPU-scaled speedup gate")
+                      "serial-vs-pooled equivalence + >=2x pooled at 4+ CPUs")
 def _engine_fluid_k24_sharded(ctx: BenchContext):
     import os
 
@@ -339,16 +350,16 @@ def _engine_fluid_k24_sharded(ctx: BenchContext):
     assert merged.n_shards == 4
     assert merged.n_subflows >= 30_000
     assert merged.aggregate_goodput_bps > 0
-    # The speedup a pool can deliver is bounded by the cores available;
-    # on single-core runners the equivalence assertion above is the
-    # whole gate (fan-out cannot win wall-clock there).
+    registry = obs.registry_or_new()
+    registry.gauge("bench.fluid_k24_sharded.serial_s").set(serial_s)
+    registry.gauge("bench.fluid_k24_sharded.pooled_s").set(pooled_s)
+    # Below 4 CPUs the equivalence assertion above is the whole gate: a
+    # shard builds and steps in ~0.15 s, so on 1-2 cores pool start-up
+    # and a busy neighbour decide the ratio (a >=1.2x gate at 2 CPUs
+    # failed about one run in ten on both sides of ISSUE 14).
     cpus = os.cpu_count() or 1
     if cpus >= 4:
         assert serial_s >= 2.0 * pooled_s, (
-            f"sharding only {serial_s / pooled_s:.2f}x faster pooled on "
-            f"{cpus} CPUs (serial {serial_s:.2f}s, pooled {pooled_s:.2f}s)")
-    elif cpus >= 2:
-        assert serial_s >= 1.2 * pooled_s, (
             f"sharding only {serial_s / pooled_s:.2f}x faster pooled on "
             f"{cpus} CPUs (serial {serial_s:.2f}s, pooled {pooled_s:.2f}s)")
 

@@ -81,7 +81,8 @@ def build_topology(name: str, link_delay: float = ms(1)):
         return fattree32(link_delay=link_delay)
     if name == "vl2":
         return Vl2(link_delay=link_delay)
-    raise ValueError(f"unknown topology {name!r} (known: {', '.join(KNOWN_TOPOLOGIES)})")
+    raise ConfigurationError(
+        f"cannot build topology {name!r} (can build: {', '.join(_FLUID_TOPOLOGIES)})")
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,12 @@ as the reference oracle. The default **fast path** is bit-identical to it
 — same floating-point results, same RNG stream, same trace events — but
 precomputes structure once and keeps the loop body allocation-light:
 
-* the routing products run through gather + ``np.bincount`` kernels over
-  the :class:`~repro.fluidsim.network.RoutingPlan` index arrays (scipy's
-  CSR matvec and ``bincount`` both accumulate sequentially in storage
-  order, so the results match bit for bit), falling back to the stored
-  scipy operators when the matrix is dense or carries non-unit weights;
+* the routing products call scipy's raw CSR matvec — the routine
+  ``R @ x`` dispatches to, so the results match bit for bit — on the
+  stored index arrays, falling back to the scipy operators when the
+  matrix is dense or carries non-unit weights
+  (:class:`~repro.fluidsim.network.RoutingPlan` holds those facts) or
+  when that private scipy module is missing;
 * every per-step temporary lives in a preallocated buffer reused across
   steps (``out=`` ufunc forms, ``np.copyto`` masking);
 * ``np.add.at`` on ``delivered_bits`` becomes a seeded-head ``bincount``
@@ -62,8 +63,8 @@ try:  # scipy's raw CSR matvec: y += A @ x into a preallocated vector.
     # This is the very routine scipy.sparse dispatches `R @ x` to, so
     # using it directly is bit-identical to the legacy operator while
     # skipping ~6 layers of python dispatch per product. Guarded because
-    # it is a private module; the pure-numpy kernels below take over if
-    # it ever moves.
+    # it is a private module; the scipy operators take over if it ever
+    # moves.
     from scipy.sparse import _sparsetools as _scipy_sparsetools
     _csr_matvec = _scipy_sparsetools.csr_matvec
 except Exception:  # pragma: no cover - depends on scipy internals
@@ -74,7 +75,7 @@ _EPS = 1e-12
 #: Valid values of the ``sparse_routing`` knob.
 _SPARSE_MODES = ("auto", "always", "never")
 #: Above this routing-matrix density the scipy product wins ("auto" mode
-#: keeps the dense operator; gather+bincount shines on fat-tree-like
+#: keeps the dense operator; the raw matvec shines on fat-tree-like
 #: fabrics whose density sits well below 1%).
 _SPARSE_DENSITY_THRESHOLD = 0.25
 #: Steps of loss uniforms prefetched per RNG block on the fast path.
@@ -118,11 +119,8 @@ class PowerEvaluator:
                 )
             )
         )
-        # Egress-port map as arrays for vectorized switch power.
-        egress = []
-        for s in net.topology.switches:
-            egress.extend(net.switch_egress[s])
-        self.switch_ports = np.array(egress, dtype=np.int64)
+        # Egress ports, grouped by switch, for vectorized switch power.
+        self.switch_ports = net.switch_egress
 
         # Path-model parameters for vectorized power (duck-typed from the
         # configured PathPowerModel; WiredPathPower fields are the default).
@@ -213,10 +211,10 @@ class _FastBuffers:
         "y", "overload", "link_tmp", "denom", "ratio", "p_link",
         "marked_link", "util", "qc", "full", "lossy", "mark_bool",
         "full_threshold",
-        "nnz", "fold_idx", "fold_w", "fold_head", "delivered",
+        "fold_idx", "fold_w", "fold_head", "delivered",
     )
 
-    def __init__(self, net: FluidNetwork, nnz: Optional[int],
+    def __init__(self, net: FluidNetwork,
                  dtype: np.dtype = np.dtype(np.float64)):
         n = net.n_subflows
         n_links = net.n_links
@@ -246,9 +244,6 @@ class _FastBuffers:
         #: buffer_bits * 0.999 hoisted out of the loop (the product is
         #: deterministic, so precomputing preserves bit-identity).
         self.full_threshold = (net.buffer_bits * 0.999).astype(dtype)
-        #: Scratch for the gathered-nonzero stage of the routing kernels
-        #: (R and R.T share an nnz count).
-        self.nnz = np.empty(nnz, dtype=dtype) if nnz is not None else None
         # Seeded-head bincount fold replacing np.add.at on delivered_bits:
         # the fold input lists each connection's current total first, then
         # every subflow's delivery in storage order, so each bin
@@ -269,10 +264,10 @@ class FluidSimulation:
     ``fast_path`` selects the preallocated/kernelized step loop (default);
     ``fast_path=False`` runs the legacy reference loop. Both produce
     bit-identical results. ``sparse_routing`` controls the routing-product
-    kernel on the fast path: ``"auto"`` uses the gather+bincount kernels
-    when the routing matrix has unit weights and density at most
-    ``_SPARSE_DENSITY_THRESHOLD``; ``"always"`` forces them whenever the
-    weights are unit (non-unit weights always fall back — the kernels
+    kernel on the fast path: ``"auto"`` uses the raw CSR matvec when the
+    routing matrix has unit weights and density at most
+    ``_SPARSE_DENSITY_THRESHOLD``; ``"always"`` forces it whenever the
+    weights are unit (non-unit weights always fall back — the kernel
     would be wrong); ``"never"`` keeps the scipy operators.
 
     ``dtype`` picks the step-loop precision on the fast path:
@@ -325,24 +320,18 @@ class FluidSimulation:
         self.fast_path = bool(fast_path)
         self.sparse_routing = sparse_routing
         plan = getattr(network, "routing_plan", None)
-        self._plan = plan
-        self._use_sparse = bool(
+        use_sparse = (
             sparse_routing != "never"
+            and _csr_matvec is not None
             and plan is not None
             and plan.unit_weights
             and (sparse_routing == "always"
                  or plan.density <= _SPARSE_DENSITY_THRESHOLD)
         )
         #: Which routing-product kernel the fast path will run:
-        #: ``"csr_matvec"`` (raw scipy sparsetools call), ``"bincount"``
-        #: (pure-numpy gather+bincount), or ``"dense"`` (the stored scipy
-        #: operators, also what the legacy path uses).
-        if not self._use_sparse:
-            self.kernel = "dense"
-        elif _csr_matvec is not None:
-            self.kernel = "csr_matvec"
-        else:  # pragma: no cover - depends on scipy internals
-            self.kernel = "bincount"
+        #: ``"csr_matvec"`` (raw scipy sparsetools call) or ``"dense"``
+        #: (the stored scipy operators, also what the legacy path uses).
+        self.kernel = "csr_matvec" if use_sparse else "dense"
         #: Fast-path work arrays, allocated on first _run_fast().
         self._buffers: Optional[_FastBuffers] = None
         # Registry-backed run counters (read by campaign telemetry for
@@ -631,19 +620,14 @@ class FluidSimulation:
         n_conns = len(net.connections)
 
         if self._buffers is None:
-            self._buffers = _FastBuffers(
-                net, self._plan.nnz if self.kernel == "bincount" else None,
-                self.compute_dtype)
+            self._buffers = _FastBuffers(net, self.compute_dtype)
         b = self._buffers
-        plan = self._plan
         views = self._build_cohort_views(b)
 
-        # Routing-product kernels, all bit-identical to the legacy
+        # Routing-product kernels, both bit-identical to the legacy
         # ``R @ x`` / ``Rt @ v`` (csr_matvec IS the routine those
-        # dispatch to; bincount accumulates in the same sequential
-        # order; dense delegates to the operators themselves).
-        kernel = self.kernel
-        if kernel == "csr_matvec":
+        # dispatch to; dense delegates to the operators themselves).
+        if self.kernel == "csr_matvec":
             Rp, Ri, Rx = R.indptr, R.indices, ca.routing_data
             Tp, Ti, Tx = Rt.indptr, Rt.indices, ca.routing_t_data
 
@@ -654,16 +638,6 @@ class FluidSimulation:
             def mul_Rt(v, out):
                 out.fill(0.0)
                 _csr_matvec(n, n_links, Tp, Ti, Tx, v, out)
-        elif kernel == "bincount":  # pragma: no cover - scipy-internal fallback
-            def mul_R(x, out):
-                np.take(x, plan.sub_gather, out=b.nnz)
-                np.copyto(out, np.bincount(
-                    plan.link_of_nnz, weights=b.nnz, minlength=n_links))
-
-            def mul_Rt(v, out):
-                np.take(v, plan.link_gather, out=b.nnz)
-                np.copyto(out, np.bincount(
-                    plan.sub_of_nnz, weights=b.nnz, minlength=n))
         else:
             def mul_R(x, out):
                 np.copyto(out, R @ x)

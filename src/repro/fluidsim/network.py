@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import ConfigurationError
 from repro.fluidsim.adapters import FluidAlgorithm, create_fluid_algorithm
-from repro.topology.base import DcTopology, PathSpec
+from repro.topology.base import DcTopology, PathSpec, path_specs
 from repro.units import DEFAULT_PACKET_BYTES
 
 
@@ -34,64 +34,29 @@ class ComputeArrays:
 
 @dataclass(frozen=True)
 class RoutingPlan:
-    """CSR-derived gather/scatter index arrays for the engine fast path.
+    """The facts about the routing matrix that pick the engine's
+    routing-product kernel.
 
     The routing matrix of a fat-tree-style fabric is overwhelmingly
-    sparse (k=8: ~0.8% dense), and all structural nonzeros are exactly
-    1.0, so both hot products of the step loop reduce to gathers plus
-    segmented sums::
-
-        y = R  @ x   ->  y[l] = sum of x[s] over s on link l
-        z = R.T @ v  ->  z[s] = sum of v[l] over l on subflow s
-
-    The engine evaluates them with ``np.take`` into a preallocated
-    buffer followed by ``np.bincount`` over these precomputed index
-    arrays. ``bincount`` is the one segmented reduction in numpy that
-    accumulates *sequentially in input order* — the same order scipy's
-    CSR matvec uses — so the kernel results are bit-identical to the
-    ``R @ x`` reference (``np.add.reduceat`` is not: it reduces large
-    segments pairwise and rounds differently).
+    sparse (k=8: ~0.8% dense) and all structural nonzeros are exactly
+    1.0, which is when the raw CSR matvec beats the scipy operators.
     """
 
-    n_links: int
-    n_subflows: int
     nnz: int
     #: nnz / (links * subflows); drives the auto sparse/dense choice.
     density: float
     #: True when every stored value is exactly 1.0 (a path never
-    #: repeats a link). The unit-weight kernels are only valid then.
+    #: repeats a link). The unit-weight kernel is only valid then.
     unit_weights: bool
-    #: Link index of every nonzero, link-major (CSR row order of R).
-    link_of_nnz: np.ndarray
-    #: Subflow to gather from, aligned with :attr:`link_of_nnz`.
-    sub_gather: np.ndarray
-    #: Subflow index of every nonzero, subflow-major (CSR rows of R.T).
-    sub_of_nnz: np.ndarray
-    #: Link to gather from, aligned with :attr:`sub_of_nnz`.
-    link_gather: np.ndarray
 
     @classmethod
-    def from_routing(cls, routing: sparse.csr_matrix,
-                     routing_t: sparse.csr_matrix) -> "RoutingPlan":
-        """Build the plan from the finalized routing matrix pair."""
-        for m in (routing, routing_t):
-            if not m.has_sorted_indices:  # pragma: no cover - csr is canonical
-                m.sort_indices()
-        n_links, n_subflows = routing.shape
-        nnz = int(routing.nnz)
-        cells = n_links * n_subflows
+    def from_routing(cls, routing: sparse.csr_matrix) -> "RoutingPlan":
+        """Build the plan from the finalized routing matrix."""
+        cells = routing.shape[0] * routing.shape[1]
         return cls(
-            n_links=n_links,
-            n_subflows=n_subflows,
-            nnz=nnz,
-            density=nnz / cells if cells else 0.0,
+            nnz=int(routing.nnz),
+            density=routing.nnz / cells if cells else 0.0,
             unit_weights=bool(np.all(routing.data == 1.0)),
-            link_of_nnz=np.repeat(np.arange(n_links, dtype=np.intp),
-                                  np.diff(routing.indptr)),
-            sub_gather=routing.indices.astype(np.intp),
-            sub_of_nnz=np.repeat(np.arange(n_subflows, dtype=np.intp),
-                                 np.diff(routing_t.indptr)),
-            link_gather=routing_t.indices.astype(np.intp),
         )
 
 
@@ -116,13 +81,23 @@ class FluidConnection:
     src: str
     dst: str
     algorithm_name: str
-    paths: List[PathSpec]
+    #: Link ids of the chosen paths, one row per subflow, short rows
+    #: padded with -1 (:meth:`repro.topology.base.DcTopology.path_rows`).
+    path_links: np.ndarray
+    #: Relay hosts of each chosen path.
+    relay_hosts: List[Tuple[str, ...]]
+    algorithm_kwargs: dict = field(default_factory=dict)
     #: Global subflow indices, filled at finalize().
-    subflow_ids: List[int] = field(default_factory=list)
+    subflow_ids: Sequence[int] = ()
 
     @property
     def n_subflows(self) -> int:
-        return len(self.paths)
+        return len(self.path_links)
+
+    @property
+    def paths(self) -> List[PathSpec]:
+        """The chosen paths as objects, built per access."""
+        return path_specs((self.path_links, self.relay_hosts))
 
 
 class FluidNetwork:
@@ -148,11 +123,11 @@ class FluidNetwork:
         self._path_rng = np.random.default_rng(path_seed)
         self.packet_bytes = packet_bytes
         self.packet_bits = packet_bytes * 8
-        n_links = topology.n_links
-        self.capacity = np.array([l.capacity_bps for l in topology.links])
-        self.link_delay = np.array([l.delay_s for l in topology.links])
-        self.is_swsw = np.array([l.is_switch_to_switch for l in topology.links])
-        self.buffer_bits = np.full(n_links, buffer_packets * self.packet_bits, dtype=float)
+        self.capacity = topology.link_capacity_bps
+        self.link_delay = topology.link_delay_s
+        self.is_swsw = topology.link_is_swsw
+        self.buffer_bits = np.full(
+            topology.n_links, buffer_packets * self.packet_bits, dtype=float)
         self.connections: List[FluidConnection] = []
         self._finalized = False
 
@@ -166,7 +141,11 @@ class FluidNetwork:
         self.cohorts: List[Cohort] = []
         self.host_incidence: Optional[sparse.csr_matrix] = None
         self.host_subflow_count: Optional[np.ndarray] = None
-        self.switch_egress: Dict[str, List[int]] = {}
+        #: Subflows for which each host keeps socket state (src/dst only).
+        self.host_endpoint_count: Optional[np.ndarray] = None
+        #: Switch egress ports for the switch-energy model, grouped by
+        #: switch in ``topology.switches`` order.
+        self.switch_egress: Optional[np.ndarray] = None
         #: Per-dtype copies of the hot step-loop constants, built lazily
         #: by :meth:`compute_arrays`.
         self._compute_cache: Dict[np.dtype, "ComputeArrays"] = {}
@@ -184,25 +163,34 @@ class FluidNetwork:
         path_pool: int = 64,
     ) -> FluidConnection:
         """Add a connection using up to ``n_subflows`` distinct paths,
-        sampled ECMP-style from up to ``path_pool`` enumerated paths."""
+        sampled ECMP-style from up to ``path_pool`` candidate paths."""
         if self._finalized:
             raise ConfigurationError("network already finalized")
-        candidates = self.topology.paths(src, dst, max(n_subflows, path_pool))
-        if not candidates:
+        if n_subflows < 1 or path_pool < 1:
+            raise ConfigurationError(
+                f"n_subflows and path_pool must be >= 1, got {n_subflows} and {path_pool}")
+
+        def pick(count: int) -> Sequence[int]:
+            # The draw depends on the candidate count alone, so the
+            # topology can build the kept paths only.
+            if count > n_subflows:
+                return np.sort(self._path_rng.choice(
+                    count, size=n_subflows, replace=False)).tolist()
+            return range(count)
+
+        links, relays = self.topology.path_rows(
+            src, dst, max(n_subflows, path_pool), pick)
+        if not len(links):
             raise ConfigurationError(f"no path between {src} and {dst}")
-        if len(candidates) > n_subflows:
-            chosen = self._path_rng.choice(len(candidates), size=n_subflows, replace=False)
-            paths = [candidates[int(i)] for i in sorted(chosen)]
-        else:
-            paths = candidates
         conn = FluidConnection(
             index=len(self.connections),
             src=src,
             dst=dst,
             algorithm_name=algorithm,
-            paths=paths,
+            path_links=links,
+            relay_hosts=relays,
+            algorithm_kwargs=dict(algorithm_kwargs or {}),
         )
-        conn._algorithm_kwargs = dict(algorithm_kwargs or {})  # type: ignore[attr-defined]
         self.connections.append(conn)
         return conn
 
@@ -211,88 +199,95 @@ class FluidNetwork:
         if self._finalized:
             raise ConfigurationError("network already finalized")
         self._finalized = True
-        links = self.topology.links
-        host_ids = {h: i for i, h in enumerate(self.topology.hosts)}
+        topology = self.topology
+        n_hosts = len(topology.hosts)
+        host_ids = {h: i for i, h in enumerate(topology.hosts)}
 
-        # Assign subflow ids grouped by algorithm cohort, users contiguous.
+        # Storage order: grouped by algorithm cohort (in order of first
+        # appearance), users contiguous, a user's subflows contiguous.
         by_algo: Dict[str, List[FluidConnection]] = {}
-        algo_kwargs: Dict[str, dict] = {}
         for conn in self.connections:
             by_algo.setdefault(conn.algorithm_name, []).append(conn)
-            algo_kwargs.setdefault(
-                conn.algorithm_name, getattr(conn, "_algorithm_kwargs", {})
-            )
+        ordered = [conn for conns in by_algo.values() for conn in conns]
+        counts = np.array([conn.n_subflows for conn in ordered], dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        n_subflows = int(counts.sum())
+        subflow_ids = np.arange(n_subflows, dtype=np.int64)
 
-        rows: List[int] = []  # link index
-        cols: List[int] = []  # subflow index
-        base_rtt: List[float] = []
-        switch_hops: List[float] = []
-        subflow_conn: List[int] = []
-        host_rows: List[int] = []
-        host_cols: List[int] = []
-        endpoint_count = np.zeros(len(self.topology.hosts))
+        def per_subflow(per_connection: list) -> np.ndarray:
+            return np.repeat(np.array(per_connection, dtype=np.int64), counts)
+
+        # One padded link-id row per subflow; entry -1 of the padded
+        # per-link vectors below is the pad's neutral element.
+        width = max((conn.path_links.shape[1] for conn in ordered), default=0)
+        hops = np.full((n_subflows, width), -1, dtype=np.int32)
+        for conn, start in zip(ordered, starts.tolist()):
+            rows = conn.path_links
+            hops[start:start + len(rows), :rows.shape[1]] = rows
+            conn.subflow_ids = range(start, start + len(rows))
+
         self.cohorts = []
-        next_id = 0
+        first_conn = first_sub = 0
         for algo_name, conns in by_algo.items():
-            ids: List[int] = []
-            user_starts: List[int] = []
-            for conn in conns:
-                user_starts.append(len(ids))
-                for path in conn.paths:
-                    sid = next_id
-                    next_id += 1
-                    ids.append(sid)
-                    conn.subflow_ids.append(sid)
-                    subflow_conn.append(conn.index)
-                    for li in path.link_indices:
-                        rows.append(li)
-                        cols.append(sid)
-                    base_rtt.append(path.base_rtt(links))
-                    switch_hops.append(path.switch_hops(links))
-                    # Host incidence: sender, receiver, and any relays all
-                    # burn throughput-proportional CPU for this subflow's
-                    # traffic; only the endpoints hold subflow socket state
-                    # (the per-subflow overhead of Fig. 1).
-                    touched = {conn.src, conn.dst, *path.relay_hosts}
-                    for h in touched:
-                        host_rows.append(host_ids[h])
-                        host_cols.append(sid)
-                    endpoint_count[host_ids[conn.src]] += 1
-                    endpoint_count[host_ids[conn.dst]] += 1
-            ids_arr = np.array(ids, dtype=np.int64)
-            user_of = np.zeros(len(ids), dtype=np.int64)
-            for u, start in enumerate(user_starts):
-                end = user_starts[u + 1] if u + 1 < len(user_starts) else len(ids)
-                user_of[start:end] = u
-            algorithm = create_fluid_algorithm(algo_name, **algo_kwargs[algo_name])
-            self.cohorts.append(
-                Cohort(algorithm, ids_arr, np.array(user_starts, dtype=np.int64), user_of)
-            )
+            kwargs = conns[0].algorithm_kwargs
+            if any(conn.algorithm_kwargs != kwargs for conn in conns):
+                raise ConfigurationError(
+                    f"connections running {algo_name!r} disagree on "
+                    "algorithm_kwargs; one cohort shares one algorithm instance")
+            users = counts[first_conn:first_conn + len(conns)]
+            size = int(users.sum())
+            self.cohorts.append(Cohort(
+                create_fluid_algorithm(algo_name, **kwargs),
+                subflow_ids[first_sub:first_sub + size],
+                np.cumsum(users) - users,
+                np.repeat(np.arange(len(conns), dtype=np.int64), users),
+            ))
+            first_conn += len(conns)
+            first_sub += size
 
-        n_subflows = next_id
-        data = np.ones(len(rows))
+        on_path = hops >= 0
         self.routing = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(len(links), n_subflows)
+            (np.ones(int(on_path.sum())),
+             (hops[on_path], np.nonzero(on_path)[0])),
+            shape=(topology.n_links, n_subflows),
         )
         self.routing_t = self.routing.T.tocsr()
-        self.routing_plan = RoutingPlan.from_routing(self.routing, self.routing_t)
-        self.base_rtt = np.array(base_rtt)
-        self.switch_hops = np.array(switch_hops)
-        self.subflow_conn = np.array(subflow_conn, dtype=np.int64)
+        self.routing_plan = RoutingPlan.from_routing(self.routing)
+        # Hop by hop: the same additions, in the same order, as summing
+        # each path's delays one link after the other.
+        delay = np.append(self.link_delay, 0.0)
+        one_way = np.zeros(n_subflows)
+        for hop in hops.T:
+            one_way += delay[hop]
+        self.base_rtt = 2.0 * one_way
+        self.switch_hops = np.append(self.is_swsw, False)[hops].sum(axis=1)
+        self.subflow_conn = per_subflow([conn.index for conn in ordered])
+
+        # Host incidence: sender, receiver, and any relays all burn
+        # throughput-proportional CPU for this subflow's traffic; only
+        # the endpoints hold subflow socket state (the per-subflow
+        # overhead of Fig. 1).
+        src_host = per_subflow([host_ids[conn.src] for conn in ordered])
+        dst_host = per_subflow([host_ids[conn.dst] for conn in ordered])
+        relays = np.array(
+            [(host_ids[host], sid) for conn in ordered
+             for sid, path_relays in zip(conn.subflow_ids, conn.relay_hosts)
+             for host in path_relays], dtype=np.int64).reshape(-1, 2)
         self.host_incidence = sparse.csr_matrix(
-            (np.ones(len(host_rows)), (host_rows, host_cols)),
-            shape=(len(self.topology.hosts), n_subflows),
+            (np.ones(2 * n_subflows + len(relays)),
+             (np.concatenate([src_host, dst_host, relays[:, 0]]),
+              np.concatenate([subflow_ids, subflow_ids, relays[:, 1]]))),
+            shape=(n_hosts, n_subflows),
         )
+        # A host a path touches twice still counts once.
+        self.host_incidence.data.fill(1.0)
         self.host_subflow_count = np.asarray(
             self.host_incidence.sum(axis=1)
         ).ravel()
-        #: Subflows for which each host keeps socket state (src/dst only).
-        self.host_endpoint_count = endpoint_count
-        # Switch egress ports for the switch-energy model.
-        self.switch_egress = {s: [] for s in self.topology.switches}
-        for li, spec in enumerate(links):
-            if spec.src in self.switch_egress:
-                self.switch_egress[spec.src].append(li)
+        self.host_endpoint_count = (
+            np.bincount(src_host, minlength=n_hosts)
+            + np.bincount(dst_host, minlength=n_hosts)).astype(float)
+        self.switch_egress = topology.switch_egress_ports()
 
     @property
     def n_subflows(self) -> int:

@@ -1,18 +1,40 @@
-"""Abstract datacenter topology: directed links plus multipath enumeration.
+"""Abstract datacenter topology: a directed-link table plus multipath rows.
 
 The fluid engine (:mod:`repro.fluidsim`) consumes these descriptions
 directly; small instances can also be realized on the packet engine for
 cross-validation. Links are *directed*: every physical cable contributes
-two :class:`LinkSpec` entries.
+two entries, numbered in the order they were added.
+
+**Arrays** (a fresh copy per read, one entry per directed link):
+``link_capacity_bps``, ``link_delay_s``, ``link_is_swsw``, ``link_src``
+(node ids: host ``i`` is ``i``, switch ``j`` is ``~j``),
+``switch_egress_ports()``, and the link-id matrix ``path_rows()``
+returns. **Views**, built on demand for small-fabric users (reports,
+:mod:`repro.topology.realize`): ``links`` makes one :class:`LinkSpec`
+per access, ``link_id()`` indexes the table by name on its first call,
+``paths()`` wraps ``path_rows()`` in :class:`PathSpec` objects.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import RoutingError
+import numpy as np
+
+from repro.errors import ConfigurationError, RoutingError
+
+#: Link kinds, indexed by the code the link table stores. "sw-sw" links
+#: form the set L' that the Section V.C energy price (Eq. 6) applies to.
+LINK_KINDS = ("host-sw", "sw-host", "sw-sw", "host-host")
+_SWSW = LINK_KINDS.index("sw-sw")
+
+#: ``pick(count)`` -> ascending indices of the candidate paths to keep.
+PathPick = Callable[[int], Sequence[int]]
+#: Link ids, one row per path, short rows padded with -1; and each
+#: path's relay hosts (BCube's server-centric forwarding).
+PathRows = Tuple[np.ndarray, List[Tuple[str, ...]]]
 
 
 @dataclass(frozen=True)
@@ -23,8 +45,7 @@ class LinkSpec:
     dst: str
     capacity_bps: float
     delay_s: float
-    #: "host-sw", "sw-host", "sw-sw", or "host-host" — "sw-sw" links form
-    #: the set L' that the Section V.C energy price (Eq. 6) applies to.
+    #: One of :data:`LINK_KINDS`.
     kind: str = "sw-sw"
 
     @property
@@ -53,22 +74,58 @@ class PathSpec:
         return sum(1 for i in self.link_indices if links[i].is_switch_to_switch)
 
 
+def path_specs(rows: PathRows) -> List[PathSpec]:
+    """The :class:`PathSpec` objects of a :meth:`DcTopology.path_rows` result."""
+    links, relays = rows
+    return [PathSpec(tuple(row[row >= 0].tolist()), relay)
+            for row, relay in zip(links, relays)]
+
+
+class _LinkTable(Sequence):
+    """``topology.links``: a :class:`LinkSpec` built per access."""
+
+    def __init__(self, topology: "DcTopology"):
+        self._topology = topology
+
+    def __len__(self) -> int:
+        return self._topology.n_links
+
+    def __getitem__(self, i):
+        t = self._topology
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return LinkSpec(t.node_name(t._src[i]), t.node_name(t._dst[i]),
+                        float(t._capacity[i]), float(t._delay[i]),
+                        LINK_KINDS[t._kind[i]])
+
+
 class DcTopology(ABC):
-    """Base class: named nodes, directed links, and path enumeration."""
+    """Base class: named nodes, a directed-link table, and path rows."""
 
     def __init__(self) -> None:
-        self.links: List[LinkSpec] = []
         self.hosts: List[str] = []
         self.switches: List[str] = []
-        self._link_index: Dict[Tuple[str, str], int] = {}
+        self._node_id: Dict[str, int] = {}
+        # The link table, one column per attribute: lists grown by
+        # add_duplex_link, or arrays a closed-form fabric assigns whole.
+        self._src: Sequence[int] = []
+        self._dst: Sequence[int] = []
+        self._capacity: Sequence[float] = []
+        self._delay: Sequence[float] = []
+        self._kind: Sequence[int] = []
+        #: (src name, dst name) -> link id; built by the first link_id().
+        self._link_index: Optional[Dict[Tuple[str, str], int]] = None
 
     # ----------------------------------------------------------- construction
 
     def add_host(self, name: str) -> str:
+        self._node_id[name] = len(self.hosts)
         self.hosts.append(name)
         return name
 
     def add_switch(self, name: str) -> str:
+        self._node_id[name] = ~len(self.switches)
         self.switches.append(name)
         return name
 
@@ -76,23 +133,79 @@ class DcTopology(ABC):
         self, a: str, b: str, capacity_bps: float, delay_s: float, kind_ab: str, kind_ba: str
     ) -> Tuple[int, int]:
         """Add both directions of a cable; returns their link indices."""
-        i_ab = self._add_directed(LinkSpec(a, b, capacity_bps, delay_s, kind_ab))
-        i_ba = self._add_directed(LinkSpec(b, a, capacity_bps, delay_s, kind_ba))
+        i_ab = self._add_directed(a, b, capacity_bps, delay_s, kind_ab)
+        i_ba = self._add_directed(b, a, capacity_bps, delay_s, kind_ba)
         return i_ab, i_ba
 
-    def _add_directed(self, spec: LinkSpec) -> int:
-        key = (spec.src, spec.dst)
-        if key in self._link_index:
-            raise RoutingError(f"duplicate link {spec.src}->{spec.dst}")
-        self.links.append(spec)
-        idx = len(self.links) - 1
-        self._link_index[key] = idx
+    def _add_directed(self, src: str, dst: str, capacity_bps: float,
+                      delay_s: float, kind: str) -> int:
+        index = self._indexed()
+        if (src, dst) in index:
+            raise RoutingError(f"duplicate link {src}->{dst}")
+        if kind not in LINK_KINDS:
+            raise ConfigurationError(
+                f"link kind must be one of {LINK_KINDS}, got {kind!r}")
+        for name in (src, dst):
+            if name not in self._node_id:
+                raise RoutingError(f"link {src}->{dst} names unknown node {name!r}")
+        index[(src, dst)] = idx = len(self._src)
+        self._src.append(self._node_id[src])
+        self._dst.append(self._node_id[dst])
+        self._capacity.append(capacity_bps)
+        self._delay.append(delay_s)
+        self._kind.append(LINK_KINDS.index(kind))
         return idx
+
+    def _indexed(self) -> Dict[Tuple[str, str], int]:
+        if self._link_index is None:
+            name = self.node_name
+            self._link_index = {(name(s), name(d)): i for i, (s, d)
+                                in enumerate(zip(self._src, self._dst))}
+        return self._link_index
+
+    # ------------------------------------------------------------ link table
+
+    @property
+    def n_links(self) -> int:
+        return len(self._src)
+
+    @property
+    def link_src(self) -> np.ndarray:
+        """Source node id per link (host ``i`` is ``i``, switch ``j`` is ``~j``)."""
+        return np.array(self._src, dtype=np.int64)
+
+    @property
+    def link_capacity_bps(self) -> np.ndarray:
+        return np.array(self._capacity, dtype=float)
+
+    @property
+    def link_delay_s(self) -> np.ndarray:
+        return np.array(self._delay, dtype=float)
+
+    @property
+    def link_is_swsw(self) -> np.ndarray:
+        """True on the switch-to-switch links (the L' set of Eq. 6)."""
+        return np.array(self._kind, dtype=np.int8) == _SWSW
+
+    def switch_egress_ports(self) -> np.ndarray:
+        """Ids of the links that leave a switch, grouped by switch in
+        :attr:`switches` order, by link id within a switch."""
+        src = self.link_src
+        ports = np.flatnonzero(src < 0)
+        return ports[np.argsort(~src[ports], kind="stable")]
+
+    def node_name(self, node_id: int) -> str:
+        return self.hosts[node_id] if node_id >= 0 else self.switches[~node_id]
+
+    @property
+    def links(self) -> Sequence[LinkSpec]:
+        """The link table as :class:`LinkSpec` objects, built per access."""
+        return _LinkTable(self)
 
     def link_id(self, src: str, dst: str) -> int:
         """Index of the directed link src->dst."""
         try:
-            return self._link_index[(src, dst)]
+            return self._indexed()[(src, dst)]
         except KeyError:
             raise RoutingError(f"no link {src}->{dst}") from None
 
@@ -101,19 +214,47 @@ class DcTopology(ABC):
         idx = tuple(self.link_id(a, b) for a, b in zip(nodes, nodes[1:]))
         return PathSpec(idx, tuple(relay_hosts))
 
-    # -------------------------------------------------------------- interface
+    # ------------------------------------------------------------------ paths
+
+    def path_rows(self, src_host: str, dst_host: str, limit: int,
+                  pick: Optional[PathPick] = None) -> PathRows:
+        """Link-id rows of paths between two hosts.
+
+        The candidates are the first ``limit`` of the fabric's path order.
+        Without ``pick`` every candidate is returned; with it, only the
+        candidates ``pick(count)`` names — so a fabric that knows its path
+        set in closed form builds the kept rows alone.
+        """
+        if src_host == dst_host:
+            raise ConfigurationError("src and dst must differ")
+        if limit < 1:
+            raise ConfigurationError(f"need room for at least 1 path, got {limit}")
+        return self._path_rows(src_host, dst_host, limit, pick)
 
     @abstractmethod
+    def _path_rows(self, src_host: str, dst_host: str, limit: int,
+                   pick: Optional[PathPick]) -> PathRows:
+        """:meth:`path_rows` on validated arguments: the one place a
+        fabric defines its path set."""
+
+    @staticmethod
+    def _rows_of(candidates: List[PathSpec], pick: Optional[PathPick]) -> PathRows:
+        """:meth:`_path_rows` for a fabric that enumerates its candidates."""
+        if pick is not None:
+            candidates = [candidates[i] for i in pick(len(candidates))]
+        width = max((len(p.link_indices) for p in candidates), default=0)
+        links = np.full((len(candidates), width), -1, dtype=np.int32)
+        for row, path in zip(links, candidates):
+            row[:len(path.link_indices)] = path.link_indices
+        return links, [p.relay_hosts for p in candidates]
+
     def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
         """Up to ``max_paths`` distinct forward paths between two hosts."""
-
-    @property
-    def n_links(self) -> int:
-        return len(self.links)
+        return path_specs(self.path_rows(src_host, dst_host, max_paths))
 
     def describe(self) -> str:
         """One-line summary used by experiment reports."""
         return (
             f"{type(self).__name__}: {len(self.hosts)} hosts, "
-            f"{len(self.switches)} switches, {len(self.links)} directed links"
+            f"{len(self.switches)} switches, {self.n_links} directed links"
         )

@@ -20,10 +20,10 @@ value of the first corrected digit.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.topology.base import DcTopology, PathSpec
+from repro.topology.base import DcTopology, PathPick, PathRows, PathSpec
 from repro.units import mbps, ms
 
 
@@ -112,9 +112,11 @@ class BCube(DcTopology):
 
     # -------------------------------------------------------------- interface
 
-    def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
-        if src_host == dst_host:
-            raise ConfigurationError("src and dst must differ")
+    def _path_rows(self, src_host: str, dst_host: str, limit: int,
+                   pick: Optional[PathPick]) -> PathRows:
+        return self._rows_of(self._candidates(src_host, dst_host, limit), pick)
+
+    def _candidates(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
         src = self.host_digits(src_host)
         dst = self.host_digits(dst_host)
         levels = list(range(self.k + 1))

@@ -10,10 +10,10 @@ paper caps each ENI.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.topology.base import DcTopology, PathSpec
+from repro.topology.base import DcTopology, PathPick, PathRows
 from repro.units import gbps, mbps, ms
 
 
@@ -45,12 +45,8 @@ class Ec2Cloud(DcTopology):
                                      "host-sw", "sw-host")
         self.fabric_bps = fabric_bps
 
-    def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
-        if src_host == dst_host:
-            raise ConfigurationError("src and dst must differ")
-        out: List[PathSpec] = []
-        for subnet in self.subnets[: max(1, max_paths)]:
-            out.append(self.path_from_nodes([src_host, subnet, dst_host]))
-            if len(out) >= max_paths:
-                break
-        return out
+    def _path_rows(self, src_host: str, dst_host: str, limit: int,
+                   pick: Optional[PathPick]) -> PathRows:
+        return self._rows_of(
+            [self.path_from_nodes([src_host, subnet, dst_host])
+             for subnet in self.subnets[:limit]], pick)

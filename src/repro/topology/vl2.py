@@ -14,10 +14,10 @@ host-pair paths across the fabric.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.topology.base import DcTopology, PathSpec
+from repro.topology.base import DcTopology, PathPick, PathRows, PathSpec
 from repro.units import gbps, mbps, ms
 
 
@@ -64,14 +64,15 @@ class Vl2(DcTopology):
                 self.add_duplex_link(agg, inter, fabric_bps, link_delay,
                                      "sw-sw", "sw-sw")
 
-    def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
-        if src_host == dst_host:
-            raise ConfigurationError("src and dst must differ")
+    def _path_rows(self, src_host: str, dst_host: str, limit: int,
+                   pick: Optional[PathPick]) -> PathRows:
+        return self._rows_of(self._candidates(src_host, dst_host, limit), pick)
+
+    def _candidates(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
         st, dt = self._host_tor[src_host], self._host_tor[dst_host]
         out: List[PathSpec] = []
         if st == dt:
-            out.append(self.path_from_nodes([src_host, self.tors[st], dst_host]))
-            return out[:max_paths]
+            return [self.path_from_nodes([src_host, self.tors[st], dst_host])]
         seen = set()
 
         def emit(nodes) -> bool:

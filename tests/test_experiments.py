@@ -7,6 +7,7 @@ these tests keep the harness importable and runnable in CI time.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import (
     fig01_power_vs_subflows,
     fig02_mobile_power,
@@ -140,5 +141,5 @@ def test_default_topologies_match_paper_scale():
     vl2 = fig12_14_subflows.default_topology("vl2")
     assert len(ft.hosts) == 128 and len(ft.switches) == 80
     assert len(vl2.hosts) == 128 and len(vl2.switches) == 80
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         fig12_14_subflows.default_topology("hypercube")

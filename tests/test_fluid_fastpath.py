@@ -150,13 +150,15 @@ def test_fast_path_bit_identical_to_legacy(pair_seed, algo_picks, n_subflows,
     _assert_runs_equivalent(fast, legacy)
 
 
-def test_bincount_fallback_bit_identical(monkeypatch):
-    """With scipy's private csr_matvec unavailable, the pure-numpy
-    gather+bincount kernel must still match the legacy loop exactly."""
+def test_missing_sparsetools_selects_dense_bit_identical(monkeypatch):
+    """With scipy's private csr_matvec unavailable, even
+    ``sparse_routing="always"`` runs the scipy operators, and still
+    matches the legacy loop exactly."""
     monkeypatch.setattr(engine_mod, "_csr_matvec", None)
     net = _build_net(7, ["lia", "olia", "dctcp"], 3)
-    sim = FluidSimulation(net, dt=0.004, seed=3)
-    assert sim.kernel == "bincount"
+    for mode in ("auto", "always"):
+        sim = FluidSimulation(net, dt=0.004, seed=3, sparse_routing=mode)
+        assert sim.kernel == "dense"
     fast = _run(net, fast_path=True, seed=3, n_steps=30)
     legacy = _run(_build_net(7, ["lia", "olia", "dctcp"], 3),
                   fast_path=False, seed=3, n_steps=30)
@@ -191,7 +193,7 @@ def test_sparse_routing_auto_prefers_sparse_on_fattree():
     net = _build_net(1, ["lia"], 2)
     assert net.routing_plan.density <= engine_mod._SPARSE_DENSITY_THRESHOLD
     sim = FluidSimulation(net, dt=0.004, seed=1)
-    assert sim.kernel in ("csr_matvec", "bincount")
+    assert sim.kernel == "csr_matvec"
 
 
 def test_sparse_routing_auto_falls_back_when_dense():
@@ -206,7 +208,7 @@ def test_sparse_routing_auto_falls_back_when_dense():
     assert net.routing_plan.density > engine_mod._SPARSE_DENSITY_THRESHOLD
     assert FluidSimulation(net, dt=0.004, seed=1).kernel == "dense"
     forced = FluidSimulation(net, dt=0.004, seed=1, sparse_routing="always")
-    assert forced.kernel in ("csr_matvec", "bincount")
+    assert forced.kernel == "csr_matvec"
 
 
 def test_sparse_routing_requires_unit_weights():
@@ -214,7 +216,7 @@ def test_sparse_routing_requires_unit_weights():
     "always" must fall back to dense."""
     net = _build_net(1, ["lia"], 2)
     net.routing.data[0] = 2.0
-    net.routing_plan = RoutingPlan.from_routing(net.routing, net.routing_t)
+    net.routing_plan = RoutingPlan.from_routing(net.routing)
     assert not net.routing_plan.unit_weights
     sim = FluidSimulation(net, dt=0.004, seed=1, sparse_routing="always")
     assert sim.kernel == "dense"
@@ -224,33 +226,6 @@ def test_invalid_sparse_routing_mode_rejected():
     net = _build_net(1, ["lia"], 1)
     with pytest.raises(ConfigurationError, match="sparse_routing"):
         FluidSimulation(net, dt=0.004, seed=1, sparse_routing="sometimes")
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000), n_links=st.integers(1, 12),
-       n_subflows=st.integers(1, 12))
-def test_routing_plan_kernels_match_scipy(seed, n_links, n_subflows):
-    """The gather+bincount evaluation of R@x and R.T@v over RoutingPlan
-    index arrays is bit-identical to scipy's CSR products for random
-    unit-weight incidence matrices."""
-    from scipy import sparse
-
-    rng = np.random.default_rng(seed)
-    mask = rng.random((n_links, n_subflows)) < 0.3
-    rows, cols = np.nonzero(mask)  # unique pairs by construction
-    routing = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_links, n_subflows))
-    routing_t = routing.T.tocsr()
-    plan = RoutingPlan.from_routing(routing, routing_t)
-    assert plan.unit_weights
-    x = rng.standard_normal(n_subflows) * 1e9
-    v = rng.standard_normal(n_links)
-    y = np.bincount(plan.link_of_nnz, weights=x[plan.sub_gather],
-                    minlength=n_links)
-    z = np.bincount(plan.sub_of_nnz, weights=v[plan.link_gather],
-                    minlength=n_subflows)
-    assert y.tobytes() == (routing @ x).tobytes()
-    assert z.tobytes() == (routing_t @ v).tobytes()
 
 
 # ------------------------------------------------------------- chunked RNG

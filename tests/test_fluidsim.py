@@ -144,8 +144,8 @@ def tiny_topology():
             self.add_duplex_link("a", "s", mbps(100), ms(2), "host-sw", "sw-host")
             self.add_duplex_link("s", "b", mbps(100), ms(2), "sw-host", "host-sw")
 
-        def paths(self, src, dst, n):
-            return [self.path_from_nodes([src, "s", dst])]
+        def _path_rows(self, src, dst, limit, pick):
+            return self._rows_of([self.path_from_nodes([src, "s", dst])], pick)
 
     return Pair()
 
@@ -208,8 +208,8 @@ class TestFluidNetwork:
                 self.add_host("a")
                 self.add_host("b")
 
-            def paths(self, src, dst, n):
-                return []
+            def _path_rows(self, src, dst, limit, pick):
+                return self._rows_of([], pick)
 
         net = FluidNetwork(Disconnected())
         with pytest.raises(ConfigurationError):

@@ -183,8 +183,8 @@ class TestEc2:
 class TestBaseHelpers:
     def test_duplicate_link_rejected(self):
         class Tiny(DcTopology):
-            def paths(self, a, b, n):  # pragma: no cover
-                return []
+            def _path_rows(self, a, b, limit, pick):  # pragma: no cover
+                return self._rows_of([], pick)
 
         t = Tiny()
         t.add_host("a")
@@ -195,8 +195,8 @@ class TestBaseHelpers:
 
     def test_link_id_missing(self):
         class Tiny(DcTopology):
-            def paths(self, a, b, n):  # pragma: no cover
-                return []
+            def _path_rows(self, a, b, limit, pick):  # pragma: no cover
+                return self._rows_of([], pick)
 
         t = Tiny()
         with pytest.raises(RoutingError):
