@@ -375,7 +375,8 @@ def packet_megascale(n_hosts: int = 1000, duration: float = 0.1):
     """
     import time as _time
 
-    from repro.net.batch import BatchEngine, OracleEngine, ec2_scenario
+    from repro.net.batch import BatchEngine, ec2_scenario
+    from repro.net.batch.oracle import OracleEngine
 
     scenario = ec2_scenario(n_hosts=n_hosts, n_subflows=2, algorithm="dts",
                             duration=duration, queue_segments=64, seed=3)

@@ -35,6 +35,31 @@ import repro.obs as obs
 from repro.campaign.cache import ResultCache
 from repro.campaign.spec import SCHEMA_VERSION, RunSpec, build_topology
 from repro.campaign.telemetry import CampaignTelemetry
+from repro.errors import ConfigurationError
+
+#: ``spec.params`` keys each engine accepts.  Everything else the engines
+#: take (seed, dt, duration, subflow count, the metrics registry, ...) is
+#: a RunSpec field or the executor's to supply, so any other key is a
+#: typo or a knob that no longer exists.
+_FLUID_PARAM_KEYS = ("dtype", "initial_window", "energy_sample_every",
+                     "ecn_threshold_packets")
+_SHARDED_PARAM_KEYS = ("shards", "dtype", "path_pool", "initial_window")
+#: Routed to :func:`solve_fluid_equilibrium`; the fluid keys configure
+#: the time-stepped fallback.
+_SOLVER_PARAM_KEYS = ("max_iter", "tol", "damping", "price_gain",
+                      "queue_ramp", "initial_price")
+_PACKET_PARAM_KEYS = ("n_hosts", "eni_bps", "loss_rate", "queue_segments",
+                      "rwnd_segments", "total_segments")
+
+
+def _checked_params(spec: RunSpec, accepted: Sequence[str]) -> Dict[str, Any]:
+    """A copy of ``spec.params``, after rejecting keys outside ``accepted``."""
+    unknown = sorted(set(spec.params) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"engine {spec.engine!r} does not accept params {unknown} "
+            f"(accepted: {', '.join(accepted)})")
+    return dict(spec.params)
 
 
 def execute_run(spec: RunSpec, shard_jobs: int = 1) -> Dict[str, Any]:
@@ -53,7 +78,7 @@ def execute_run(spec: RunSpec, shard_jobs: int = 1) -> Dict[str, Any]:
     CLI threads it in via ``functools.partial`` so cache hashes stay
     independent of the local core count.
     """
-    if spec.engine in ("packet-batch", "packet-oracle"):
+    if spec.engine == "packet-batch":
         return _execute_packet_run(spec)
     if spec.engine == "fluid-equilibrium":
         return _execute_equilibrium_run(spec)
@@ -64,6 +89,7 @@ def execute_run(spec: RunSpec, shard_jobs: int = 1) -> Dict[str, Any]:
     from repro.fluidsim import FluidNetwork, FluidSimulation
     from repro.workloads.permutation import random_permutation_pairs
 
+    params = _checked_params(spec, _FLUID_PARAM_KEYS)
     t0 = time.perf_counter()
     # A private registry (not the ambient session's): each run's payload
     # gets an isolated, mergeable snapshot even with jobs=1 inline runs.
@@ -75,7 +101,7 @@ def execute_run(spec: RunSpec, shard_jobs: int = 1) -> Dict[str, Any]:
         net.add_connection(src, dst, spec.algorithm, n_subflows=spec.n_subflows)
     net.finalize()
     sim = FluidSimulation(net, dt=spec.dt, seed=spec.seed, metrics=registry,
-                          **spec.params)
+                          **params)
     result = sim.run(spec.duration)
     wall_s = time.perf_counter() - t0
 
@@ -104,21 +130,17 @@ def execute_run(spec: RunSpec, shard_jobs: int = 1) -> Dict[str, Any]:
 
 
 def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
-    """Execute an EC2-scenario spec on the batched packet engine (or its
-    scalar oracle).
+    """Execute an EC2-scenario spec on the batched packet engine.
 
-    The ``metrics`` section comes straight from the engine-independent
-    result payload, so a ``packet-batch`` run and a ``packet-oracle`` run
-    of the same spec (bar the engine name) produce byte-identical
-    metrics — the property the CI ``batch-equivalence-smoke`` job gates
-    on.  Engine-private counters (vector/fallback round split,
+    The ``metrics`` section comes straight from the engine's result
+    payload; engine-private counters (vector/fallback round split,
     compactions, wall time) land in the ``obs`` section instead.
     """
-    from repro.net.batch import ENGINES, ec2_scenario
+    from repro.net.batch import BatchEngine, ec2_scenario
 
+    params = _checked_params(spec, _PACKET_PARAM_KEYS)
     t0 = time.perf_counter()
     registry = obs.MetricsRegistry()
-    params = dict(spec.params)
     scenario = ec2_scenario(
         n_hosts=int(params.pop("n_hosts", 40)),
         n_subflows=spec.n_subflows,
@@ -129,9 +151,7 @@ def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
         seed=spec.seed,
         **params,
     )
-    engine_name = spec.engine.split("-", 1)[1]
-    kwargs: Dict[str, Any] = {"metrics": registry} if engine_name == "batch" else {}
-    engine = ENGINES[engine_name](scenario, **kwargs)
+    engine = BatchEngine(scenario, metrics=registry)
     result = engine.run().result()
     wall_s = time.perf_counter() - t0
 
@@ -153,11 +173,6 @@ def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
     }
 
 
-#: ``spec.params`` keys routed to :func:`solve_fluid_equilibrium`.
-_SOLVER_PARAM_KEYS = ("max_iter", "tol", "damping", "price_gain",
-                      "queue_ramp", "initial_price")
-
-
 def _execute_equilibrium_run(spec: RunSpec) -> Dict[str, Any]:
     """Solve a fluid spec's stationary state directly (no integration).
 
@@ -176,12 +191,12 @@ def _execute_equilibrium_run(spec: RunSpec) -> Dict[str, Any]:
                                 solve_fluid_equilibrium)
     from repro.workloads.permutation import random_permutation_pairs
 
+    params = _checked_params(spec, _SOLVER_PARAM_KEYS + _FLUID_PARAM_KEYS)
     t0 = time.perf_counter()
     registry = obs.MetricsRegistry()
     topo = build_topology(spec.topology, link_delay=spec.link_delay)
     net = FluidNetwork(topo, path_seed=spec.seed)
     pairs = random_permutation_pairs(topo.hosts, np.random.default_rng(spec.seed))
-    params = dict(spec.params)
     solver_kwargs = {k: params.pop(k) for k in _SOLVER_PARAM_KEYS if k in params}
     for src, dst in pairs:
         net.add_connection(src, dst, spec.algorithm, n_subflows=spec.n_subflows)
@@ -269,20 +284,12 @@ def _execute_sharded_fluid_run(spec: RunSpec, shard_jobs: int) -> Dict[str, Any]
     detail, not a spec field); the metrics are byte-identical at any
     ``shard_jobs`` value.
     """
-    from repro.errors import ConfigurationError
     from repro.fluidsim.sharding import run_sharded
 
+    kwargs = _checked_params(spec, _SHARDED_PARAM_KEYS)
     t0 = time.perf_counter()
-    params = dict(spec.params)
-    n_shards = int(params.pop("shards"))
-    kwargs = {k: params.pop(k)
-              for k in ("dtype", "path_pool", "initial_window")
-              if k in params}
-    if params:
-        raise ConfigurationError(
-            f"unsupported params for a sharded fluid run: {sorted(params)}")
     result = run_sharded(
-        spec.topology, n_shards=n_shards, jobs=shard_jobs,
+        spec.topology, n_shards=int(kwargs.pop("shards")), jobs=shard_jobs,
         algorithm=spec.algorithm, n_subflows=spec.n_subflows,
         duration=spec.duration, dt=spec.dt, seed=spec.seed,
         link_delay=spec.link_delay, **kwargs)

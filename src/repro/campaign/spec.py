@@ -34,7 +34,7 @@ SCHEMA_VERSION = 3
 
 #: Topologies a RunSpec can name: the paper's datacenter fabrics (fluid
 #: engines), the city-scale fat-tree presets, plus the EC2-style
-#: independent-ENI scenario (packet engines).
+#: independent-ENI scenario (packet engine).
 KNOWN_TOPOLOGIES = ("bcube", "fattree", "vl2", "fattree24", "fattree32", "ec2")
 
 #: Topologies each engine accepts.
@@ -43,7 +43,6 @@ ENGINE_TOPOLOGIES = {
     "fluid": _FLUID_TOPOLOGIES,
     "fluid-equilibrium": _FLUID_TOPOLOGIES,
     "packet-batch": ("ec2",),
-    "packet-oracle": ("ec2",),
 }
 
 #: Workloads a RunSpec can name.
@@ -54,11 +53,10 @@ KNOWN_WORKLOADS = ("permutation",)
 #: merges them); ``fluid-equilibrium`` solves the same networks' fluid
 #: fixed point directly (falling back to time-stepping for algorithms
 #: the solver does not support); ``packet-batch`` is the vectorized
-#: struct-of-arrays packet engine and ``packet-oracle`` its bit-exact
-#: scalar ground truth (both over the EC2 scenario of
-#: :mod:`repro.net.batch`).  The engine name is part of the content
+#: struct-of-arrays packet engine over the EC2 scenario of
+#: :mod:`repro.net.batch`.  The engine name is part of the content
 #: hash, so new engines never collide with cached fluid runs.
-KNOWN_ENGINES = ("fluid", "fluid-equilibrium", "packet-batch", "packet-oracle")
+KNOWN_ENGINES = ("fluid", "fluid-equilibrium", "packet-batch")
 
 
 def build_topology(name: str, link_delay: float = ms(1)):
@@ -224,25 +222,19 @@ def ec2_sweep_campaign(
     loss_rate: float = 1e-3,
     duration: float = 1.0,
     tick: float = 2e-3,
-    engine: str = "packet-batch",
     name: Optional[str] = None,
 ) -> CampaignSpec:
     """The Fig. 10 shape on the packet engine: EC2-style hosts behind
-    private ENI bottlenecks, swept over subflow counts and seeds.
-
-    ``engine="packet-oracle"`` runs the same points on the scalar oracle
-    — byte-identical metrics, array-width slower — which is what the CI
-    equivalence smoke compares against.
-    """
+    private ENI bottlenecks, swept over subflow counts and seeds."""
     runs = [
         RunSpec(algorithm=algorithm, topology="ec2", workload="permutation",
                 n_subflows=nsub, seed=seed, duration=duration, dt=tick,
-                engine=engine,
+                engine="packet-batch",
                 params={"n_hosts": n_hosts, "loss_rate": loss_rate})
         for nsub in subflow_counts
         for seed in seeds
     ]
-    return CampaignSpec(name=name or f"ec2-{engine}", runs=runs)
+    return CampaignSpec(name=name or "ec2-packet-batch", runs=runs)
 
 
 #: Figure id -> topology for the campaignable (fluid-sweep) figures.

@@ -165,23 +165,10 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
                         help="seeds averaged per point (default: 1 2)")
     parser.add_argument("--subflows", type=int, nargs="+", default=None,
                         help="subflow counts swept (default: 1 2 4 8)")
-    parser.add_argument("--legacy-fluid", action="store_true",
-                        help="integrate on the legacy reference loop "
-                             "(fast_path=False; bit-identical results — "
-                             "for equivalence checks and debugging)")
     parser.add_argument("--trace", default=None, metavar="DIR", dest="trace_dir",
                         help="distributed tracing: write per-run worker "
                              "trace shards, the driver shard, and a merged "
                              "Perfetto JSON into DIR")
-
-
-def _apply_legacy_fluid(campaign, args) -> None:
-    """Rewrite a campaign's runs to request the legacy fluid loop."""
-    if getattr(args, "legacy_fluid", False):
-        campaign.runs = [
-            r.replace(params={**r.params, "fast_path": False})
-            for r in campaign.runs
-        ]
 
 
 def build_campaign_parser() -> argparse.ArgumentParser:
@@ -213,22 +200,20 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--link-delay-ms", type=float, default=1.0,
                         help="per-link one-way delay in ms (default: 1)")
     parser.add_argument("--engine", default="fluid",
-                        choices=("fluid", "fluid-equilibrium", "packet-batch",
-                                 "packet-oracle"),
+                        choices=("fluid", "fluid-equilibrium", "packet-batch"),
                         help="simulation engine (default: fluid). "
                              "'fluid-equilibrium' solves each network's "
                              "stationary state directly instead of "
                              "integrating to it (falls back to time-stepping "
-                             "for wvegas/dctcp/dts-ext). The packet "
-                             "engines run the EC2/Fig.10 scenario instead of "
-                             "the named topologies: 'packet-batch' is the "
-                             "vectorized struct-of-arrays engine, "
-                             "'packet-oracle' its bit-exact scalar reference")
+                             "for wvegas/dctcp/dts-ext). 'packet-batch', "
+                             "the vectorized struct-of-arrays packet "
+                             "engine, runs the EC2/Fig.10 scenario instead "
+                             "of the named topologies")
     parser.add_argument("--hosts", type=_positive_int, default=40, metavar="N",
                         help="EC2 hosts per packet-engine run (default: 40)")
     parser.add_argument("--loss-rate", type=float, default=1e-3, metavar="P",
                         help="per-segment loss on each ENI path "
-                             "(packet engines only; default: 1e-3)")
+                             "(packet engine only; default: 1e-3)")
     parser.add_argument("--shards", type=_positive_int, default=None,
                         metavar="S",
                         help="fluid engine only: step S independent replicas "
@@ -324,7 +309,7 @@ def _run_campaign_specs(campaign, executor, telemetry, log_path,
             print(f"[{group_name}] {sum(not o.ok for o in group)} runs failed",
                   file=sys.stderr)
             continue
-        if group[0].spec.engine.startswith("packet-"):
+        if group[0].spec.engine == "packet-batch":
             _print_packet_sweep(group_name, counts, seeds, group)
         else:
             _print_sweep(sweep_result_from_outcomes(group_name, counts, seeds,
@@ -391,7 +376,6 @@ def _campaign_main(argv: List[str]) -> int:
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    _apply_legacy_fluid(campaign, args)
 
     _, telemetry, executor, log_path, trace = _campaign_plumbing(args)
     return _run_campaign_specs(campaign, executor, telemetry, log_path, trace)
@@ -404,8 +388,8 @@ def _sweep_main(argv: List[str]) -> int:
     from repro.units import ms
 
     try:
-        if args.engine.startswith("packet-"):
-            kwargs = {"algorithm": args.algorithm, "engine": args.engine,
+        if args.engine == "packet-batch":
+            kwargs = {"algorithm": args.algorithm,
                       "n_hosts": args.hosts, "loss_rate": args.loss_rate}
             if args.subflows is not None:
                 kwargs["subflow_counts"] = args.subflows
@@ -444,7 +428,6 @@ def _sweep_main(argv: List[str]) -> int:
     except (ConfigurationError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    _apply_legacy_fluid(campaign, args)
 
     # Sharded fluid runs spend --jobs *inside* each run (one process per
     # shard) and run the specs themselves serially; shard_jobs rides in

@@ -17,33 +17,28 @@ Each step of length ``dt``:
 6. host and switch power are evaluated on the sampled state and integrated
    into energy (Eq. 2).
 
-Two implementations of the step loop coexist. The **legacy path**
-(``fast_path=False``) is the straight-line transcription above and serves
-as the reference oracle. The default **fast path** is bit-identical to it
-— same floating-point results, same RNG stream, same trace events — but
-precomputes structure once and keeps the loop body allocation-light:
+The loop body is allocation-light; ``tests/oracles/fluid_reference.py``
+holds the straight-line transcription of the six steps it must match bit
+for bit (results, RNG stream, trace events):
 
 * the routing products call scipy's raw CSR matvec — the routine
-  ``R @ x`` dispatches to, so the results match bit for bit — on the
-  stored index arrays, falling back to the scipy operators when the
-  matrix is dense or carries non-unit weights
-  (:class:`~repro.fluidsim.network.RoutingPlan` holds those facts) or
-  when that private scipy module is missing;
+  ``R @ x`` dispatches to — on the stored index arrays, and the scipy
+  operators themselves when the matrix is dense or carries non-unit
+  weights (:class:`~repro.fluidsim.network.RoutingPlan` holds those
+  facts) or when that private scipy module is missing;
 * every per-step temporary lives in a preallocated buffer reused across
   steps (``out=`` ufunc forms, ``np.copyto`` masking);
-* ``np.add.at`` on ``delivered_bits`` becomes a seeded-head ``bincount``
-  fold over a precomputed index vector;
-* cohort state is served through persistent slice views instead of
-  per-step fancy-indexed copies;
+* ``delivered_bits`` accumulates through a seeded-head ``bincount`` fold
+  over a precomputed index vector;
+* cohort state is served through persistent slice views;
 * the per-step loss uniforms are prefetched in blocks through
   :class:`~repro.net.rand.UniformBlocks`, consuming the generator stream
-  exactly as the scalar-per-step draws would.
-
-``tests/test_fluid_fastpath.py`` enforces the equivalence property-wise.
+  exactly as scalar-per-step draws would.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -61,10 +56,9 @@ from repro.net.rand import UniformBlocks
 
 try:  # scipy's raw CSR matvec: y += A @ x into a preallocated vector.
     # This is the very routine scipy.sparse dispatches `R @ x` to, so
-    # using it directly is bit-identical to the legacy operator while
-    # skipping ~6 layers of python dispatch per product. Guarded because
-    # it is a private module; the scipy operators take over if it ever
-    # moves.
+    # using it directly is bit-identical to the operator while skipping
+    # ~6 layers of python dispatch per product. Guarded because it is a
+    # private module; the scipy operators take over if it ever moves.
     from scipy.sparse import _sparsetools as _scipy_sparsetools
     _csr_matvec = _scipy_sparsetools.csr_matvec
 except Exception:  # pragma: no cover - depends on scipy internals
@@ -72,13 +66,11 @@ except Exception:  # pragma: no cover - depends on scipy internals
 
 _EPS = 1e-12
 
-#: Valid values of the ``sparse_routing`` knob.
-_SPARSE_MODES = ("auto", "always", "never")
-#: Above this routing-matrix density the scipy product wins ("auto" mode
-#: keeps the dense operator; the raw matvec shines on fat-tree-like
-#: fabrics whose density sits well below 1%).
+#: Above this routing-matrix density the scipy product wins (the raw
+#: matvec shines on fat-tree-like fabrics whose density sits well below
+#: 1%).
 _SPARSE_DENSITY_THRESHOLD = 0.25
-#: Steps of loss uniforms prefetched per RNG block on the fast path.
+#: Steps of loss uniforms prefetched per RNG block.
 _RNG_BLOCK_STEPS = 64
 
 #: Valid values of the ``dtype`` knob.
@@ -197,12 +189,12 @@ class SimulationResult:
         return self.total_energy_j / delivered_gb
 
 
-class _FastBuffers:
-    """Preallocated per-step work arrays for the fast path.
+class _StepBuffers:
+    """Preallocated per-step work arrays.
 
     One instance per simulation, sized once from the network; every step
-    of :meth:`FluidSimulation._run_fast` writes into these with ``out=``
-    forms instead of allocating temporaries.
+    of :meth:`FluidSimulation.run` writes into these with ``out=`` forms
+    instead of allocating temporaries.
     """
 
     __slots__ = (
@@ -261,25 +253,20 @@ class _FastBuffers:
 class FluidSimulation:
     """Integrates a finalized :class:`FluidNetwork`.
 
-    ``fast_path`` selects the preallocated/kernelized step loop (default);
-    ``fast_path=False`` runs the legacy reference loop. Both produce
-    bit-identical results. ``sparse_routing`` controls the routing-product
-    kernel on the fast path: ``"auto"`` uses the raw CSR matvec when the
-    routing matrix has unit weights and density at most
-    ``_SPARSE_DENSITY_THRESHOLD``; ``"always"`` forces it whenever the
-    weights are unit (non-unit weights always fall back — the kernel
-    would be wrong); ``"never"`` keeps the scipy operators.
+    :attr:`kernel` names the routing-product kernel :meth:`run` uses,
+    derived from the network's :class:`~repro.fluidsim.network.RoutingPlan`:
+    the raw CSR matvec when the routing matrix has unit weights and
+    density at most ``_SPARSE_DENSITY_THRESHOLD``, the scipy operators
+    otherwise.
 
-    ``dtype`` picks the step-loop precision on the fast path:
-    ``"float64"`` (the reference), ``"float32"`` (half the memory
-    traffic; windows and rates carry ~7 significant digits, which moves
-    per-connection goodput by well under a percent on the fleets it is
-    meant for — see USAGE.md §14 for measured drift bounds), or
-    ``"auto"`` (float32 once the network reaches
-    ``_FLOAT32_AUTO_THRESHOLD`` subflows, float64 below). Delivered
-    bits, RTT/utilization means and energy integrate in float64 in every
-    mode. ``dtype="float32"`` with ``fast_path=False`` is rejected — the
-    legacy loop is the float64 oracle.
+    ``dtype`` picks the step-loop precision: ``"float64"`` (the
+    reference), ``"float32"`` (half the memory traffic; windows and rates
+    carry ~7 significant digits, which moves per-connection goodput by
+    well under a percent on the fleets it is meant for — see USAGE.md §14
+    for measured drift bounds), or ``"auto"`` (float32 once the network
+    reaches ``_FLOAT32_AUTO_THRESHOLD`` subflows, float64 below).
+    Delivered bits, RTT/utilization means and energy integrate in float64
+    in every mode.
     """
 
     def __init__(
@@ -295,45 +282,30 @@ class FluidSimulation:
         energy_sample_every: int = 10,
         metrics: Optional["obs.MetricsRegistry"] = None,
         tracer=None,
-        fast_path: bool = True,
-        sparse_routing: str = "auto",
         dtype: str = "auto",
     ):
         if network.base_rtt is None:
             raise ConfigurationError("finalize() the FluidNetwork before simulating")
         if dt <= 0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
-        if sparse_routing not in _SPARSE_MODES:
-            raise ConfigurationError(
-                f"sparse_routing must be one of {_SPARSE_MODES}, "
-                f"got {sparse_routing!r}")
         if dtype not in _DTYPE_MODES:
             raise ConfigurationError(
                 f"dtype must be one of {_DTYPE_MODES}, got {dtype!r}")
-        if dtype == "float32" and not fast_path:
-            raise ConfigurationError(
-                "dtype='float32' requires the fast path; the legacy loop "
-                "is the float64 reference oracle")
         self.net = network
         self.dt = dt
         self.rng = np.random.default_rng(seed)
-        self.fast_path = bool(fast_path)
-        self.sparse_routing = sparse_routing
-        plan = getattr(network, "routing_plan", None)
+        plan = network.routing_plan
         use_sparse = (
-            sparse_routing != "never"
-            and _csr_matvec is not None
-            and plan is not None
+            _csr_matvec is not None
             and plan.unit_weights
-            and (sparse_routing == "always"
-                 or plan.density <= _SPARSE_DENSITY_THRESHOLD)
+            and plan.density <= _SPARSE_DENSITY_THRESHOLD
         )
-        #: Which routing-product kernel the fast path will run:
-        #: ``"csr_matvec"`` (raw scipy sparsetools call) or ``"dense"``
-        #: (the stored scipy operators, also what the legacy path uses).
+        #: Which routing-product kernel :meth:`run` uses: ``"csr_matvec"``
+        #: (raw scipy sparsetools call) or ``"dense"`` (the stored scipy
+        #: operators).
         self.kernel = "csr_matvec" if use_sparse else "dense"
-        #: Fast-path work arrays, allocated on first _run_fast().
-        self._buffers: Optional[_FastBuffers] = None
+        #: Work arrays, allocated on the first run().
+        self._buffers: Optional[_StepBuffers] = None
         # Registry-backed run counters (read by campaign telemetry for
         # steps/second without instrumenting callers) plus the per-step
         # probe instruments; :attr:`steps_taken` / :attr:`wall_time_s`
@@ -359,7 +331,7 @@ class FluidSimulation:
         #: are float64 in every mode.
         if dtype == "float32":
             self.compute_dtype = np.dtype(np.float32)
-        elif dtype == "auto" and self.fast_path and n >= _FLOAT32_AUTO_THRESHOLD:
+        elif dtype == "auto" and n >= _FLOAT32_AUTO_THRESHOLD:
             self.compute_dtype = np.dtype(np.float32)
         else:
             self.compute_dtype = np.dtype(np.float64)
@@ -369,6 +341,10 @@ class FluidSimulation:
         self.loss_events = np.zeros(n)
         self.recovery_until = np.zeros(n)
         self.delivered_bits = np.zeros(len(network.connections))
+        #: Steps integrated so far: the clock successive run() calls share
+        #: (the ``engine.steps_taken`` counter cannot serve — sims reporting
+        #: into one registry share it).
+        self._clock_steps = 0
         self.ecn_threshold_bits = (
             ecn_threshold_packets * network.packet_bits
             if ecn_threshold_packets is not None
@@ -400,169 +376,11 @@ class FluidSimulation:
             return 0.0
         return self._steps_counter.value / wall
 
-    def run(self, duration: float) -> SimulationResult:
-        """Integrate for ``duration`` seconds and return the results."""
-        if self.fast_path:
-            return self._run_fast(duration)
-        return self._run_legacy(duration)
+    def _build_cohort_views(self, b: _StepBuffers):
+        """Per-cohort :class:`CohortState`\\ s viewing the engine buffers.
 
-    # ---------------------------------------------------------- legacy path
-
-    def _run_legacy(self, duration: float) -> SimulationResult:
-        """Reference step loop: straight-line, allocating, oracle for the
-        fast path's equivalence tests."""
-        wall_start = time.perf_counter()
-        net = self.net
-        n_steps = max(1, int(round(duration / self.dt)))
-        dt = self.dt
-        pkt_bits = net.packet_bits
-        cap = net.capacity
-        buf = net.buffer_bits
-        R = net.routing
-        Rt = net.routing_t
-        inv_cap = 1.0 / cap
-
-        rtt_accum = np.zeros_like(self.w)
-        util_accum = np.zeros(net.n_links)
-        host_energy = 0.0
-        switch_energy = 0.0
-        samples_t: List[float] = []
-        samples_goodput: List[float] = []
-        samples_power: List[float] = []
-
-        tracer = self.tracer
-        traced = tracer.enabled
-        probe_span = tracer.span("fluid.run", duration=duration,
-                                 n_steps=n_steps, n_subflows=len(self.w))
-        probe_span.__enter__()
-        now = 0.0
-        steps_done = 0
-        try:
-            for step in range(n_steps):
-                now = (step + 1) * dt
-                x_pkts = self.w / self.rtt
-                x_bps = x_pkts * pkt_bits
-                y = R @ x_bps
-                # Queues and loss.
-                overload = y - cap
-                self.queue_bits += overload * dt
-                np.clip(self.queue_bits, 0.0, buf, out=self.queue_bits)
-                full = self.queue_bits >= buf * 0.999
-                p_link = np.where((overload > 0) & full,
-                                  overload / np.maximum(y, _EPS), 0.0)
-                marked_link = (self.queue_bits > self.ecn_threshold_bits).astype(float)
-                # Per-subflow path state.
-                qdelay = Rt @ (self.queue_bits * inv_cap)
-                self.rtt = net.base_rtt + qdelay
-                p_path = np.minimum(Rt @ p_link, 0.5)
-                marked_path = np.minimum(Rt @ marked_link, 1.0)
-                util = np.minimum(y * inv_cap, 1.0)
-
-                delivered = x_bps * (1.0 - p_path) * dt
-                np.add.at(self.delivered_bits, net.subflow_conn, delivered)
-
-                # Loss events: Poisson thinning, suppressed during recovery.
-                lam = p_path * x_pkts
-                can_lose = now >= self.recovery_until
-                prob = 1.0 - np.exp(-lam * dt)
-                losing = can_lose & (self.rng.random(len(self.w)) < prob)
-
-                # Per-cohort CC updates.
-                for cohort in net.cohorts:
-                    ids = cohort.ids
-                    st = CohortState(
-                        w=self.w[ids],
-                        rtt=self.rtt[ids],
-                        base_rtt=net.base_rtt[ids],
-                        loss=p_path[ids],
-                        queueing=qdelay[ids],
-                        switch_hops=net.switch_hops[ids],
-                        ecn_marked=marked_path[ids],
-                        user_starts=cohort.user_starts,
-                        user_of=cohort.user_of,
-                    )
-                    increase = cohort.algorithm.per_ack_increase(st)
-                    dw = increase * st.x_pkts * dt
-                    dw += cohort.algorithm.rate_adjustment(st, dt)
-                    new_w = st.w + dw
-                    lose_here = losing[ids]
-                    if cohort.algorithm.uses_ecn:
-                        lose_here = lose_here & (st.loss > 0)
-                    if np.any(lose_here):
-                        factor = cohort.algorithm.loss_decrease_factor(st)
-                        new_w = np.where(lose_here, st.w * factor, new_w)
-                    self.w[ids] = np.maximum(new_w, 1.0)
-                    if np.any(lose_here):
-                        gids = ids[lose_here]
-                        self.loss_events[gids] += 1
-                        self.recovery_until[gids] = now + self.rtt[gids]
-
-                rtt_accum += self.rtt
-                util_accum += util
-                steps_done += 1
-
-                # Energy + obs probes (sampled every few steps for speed).
-                if step % self.energy_sample_every == 0:
-                    # Clamp the final window: the sample stands in for the
-                    # remaining steps, which may be fewer than a full
-                    # sampling interval.
-                    window = min(self.energy_sample_every, n_steps - step)
-                    host_p = self._host_power_now(x_bps)
-                    switch_p = self._switch_power_now(util)
-                    host_energy += host_p * dt * window
-                    switch_energy += switch_p * dt * window
-                    samples_t.append(now)
-                    samples_goodput.append(float(np.sum(x_bps * (1.0 - p_path))))
-                    samples_power.append(host_p + switch_p)
-                    # Rate-vector norm and convergence residual: how far
-                    # the window vector moved since the last sample,
-                    # relative to its magnitude — near zero at the
-                    # equilibrium of the Section IV fluid model.
-                    rate_norm = float(np.linalg.norm(x_bps))
-                    self._rate_norm_hist.observe(rate_norm)
-                    if self._prev_w is not None and len(self._prev_w) == len(self.w):
-                        denom = float(np.linalg.norm(self._prev_w))
-                        residual = float(
-                            np.linalg.norm(self.w - self._prev_w) / (denom + _EPS))
-                        self._residual_gauge.set(residual)
-                    else:
-                        residual = float("nan")
-                    self._prev_w = self.w.copy()
-                    if traced:
-                        tracer.instant(
-                            "fluid.step", step=step, sim_now=round(now, 6),
-                            rate_norm_bps=rate_norm, residual=residual,
-                            power_w=host_p + switch_p)
-        finally:
-            probe_span.__exit__(None, None, None)
-            self._steps_counter.inc(steps_done)
-            self._wall_counter.inc(time.perf_counter() - wall_start)
-        goodput = self.delivered_bits / duration
-        return SimulationResult(
-            duration=duration,
-            connection_goodput_bps=goodput,
-            connection_bits=self.delivered_bits.copy(),
-            host_energy_j=host_energy,
-            switch_energy_j=switch_energy,
-            loss_events=self.loss_events.copy(),
-            mean_rtt=rtt_accum / n_steps,
-            mean_utilization=util_accum / n_steps,
-            sample_times=samples_t,
-            sample_goodput_bps=samples_goodput,
-            sample_power_w=samples_power,
-        )
-
-    # ------------------------------------------------------------ fast path
-
-    def _build_cohort_views(self, b: _FastBuffers):
-        """Persistent per-cohort :class:`CohortState`\\ s viewing the
-        engine buffers.
-
-        Cohort ids are contiguous ranges (finalize assigns them
-        sequentially), so each view is a slice — rebuilt per run, not per
-        step, because a legacy run in between may have rebound
-        ``self.rtt``. Non-contiguous cohorts (not produced by any in-tree
-        builder) fall back to per-step fancy-indexed copies.
+        ``finalize()`` stores each cohort's subflows contiguously, so
+        every view is a slice. Rebuilt per run, not per step.
         """
         views = []
         net = self.net
@@ -570,25 +388,19 @@ class FluidSimulation:
         base_adj = FluidAlgorithm.rate_adjustment
         for cohort in net.cohorts:
             ids = cohort.ids
-            sl = None
-            if len(ids) and ids[-1] - ids[0] == len(ids) - 1 \
-                    and np.array_equal(ids, np.arange(ids[0], ids[-1] + 1)):
-                sl = slice(int(ids[0]), int(ids[-1]) + 1)
-            if sl is not None:
-                st = CohortState(
-                    w=self.w[sl],
-                    rtt=self.rtt[sl],
-                    base_rtt=base_rtt[sl],
-                    loss=b.p_path[sl],
-                    queueing=b.qdelay[sl],
-                    switch_hops=net.switch_hops[sl],
-                    ecn_marked=b.marked_path[sl],
-                    user_starts=cohort.user_starts,
-                    user_of=cohort.user_of,
-                    x=b.x_pkts[sl],
-                )
-            else:  # pragma: no cover - defensive fallback
-                st = None
+            sl = slice(int(ids[0]), int(ids[-1]) + 1)
+            st = CohortState(
+                w=self.w[sl],
+                rtt=self.rtt[sl],
+                base_rtt=base_rtt[sl],
+                loss=b.p_path[sl],
+                queueing=b.qdelay[sl],
+                switch_hops=net.switch_hops[sl],
+                ecn_marked=b.marked_path[sl],
+                user_starts=cohort.user_starts,
+                user_of=cohort.user_of,
+                x=b.x_pkts[sl],
+            )
             # Algorithms still on the base-class rate_adjustment return
             # all-zeros; adding that is the identity on the eventual
             # st.w + dw (w >= 1, so the sign of a zero dw cannot show),
@@ -599,8 +411,15 @@ class FluidSimulation:
                           has_adj))
         return views
 
-    def _run_fast(self, duration: float) -> SimulationResult:
-        """Allocation-light step loop, bit-identical to :meth:`_run_legacy`."""
+    def run(self, duration: float) -> SimulationResult:
+        """Integrate for ``duration`` seconds and return the results.
+
+        Successive calls continue one trajectory; each result covers the
+        call it is returned from.
+        """
+        if not (math.isfinite(duration) and duration > 0):
+            raise ConfigurationError(
+                f"duration must be positive and finite, got {duration}")
         wall_start = time.perf_counter()
         net = self.net
         n_steps = max(1, int(round(duration / self.dt)))
@@ -618,15 +437,18 @@ class FluidSimulation:
         n = len(self.w)
         n_links = net.n_links
         n_conns = len(net.connections)
+        bits_before = self.delivered_bits.copy()
+        losses_before = self.loss_events.copy()
+        first = self._clock_steps
 
         if self._buffers is None:
-            self._buffers = _FastBuffers(net, self.compute_dtype)
+            self._buffers = _StepBuffers(net, self.compute_dtype)
         b = self._buffers
         views = self._build_cohort_views(b)
 
-        # Routing-product kernels, both bit-identical to the legacy
-        # ``R @ x`` / ``Rt @ v`` (csr_matvec IS the routine those
-        # dispatch to; dense delegates to the operators themselves).
+        # Routing-product kernels, both bit-identical to ``R @ x`` /
+        # ``Rt @ v`` (csr_matvec IS the routine those dispatch to; dense
+        # delegates to the operators themselves).
         if self.kernel == "csr_matvec":
             Rp, Ri, Rx = R.indptr, R.indices, ca.routing_data
             Tp, Ti, Tx = Rt.indptr, Rt.indices, ca.routing_t_data
@@ -645,7 +467,7 @@ class FluidSimulation:
             def mul_Rt(v, out):
                 np.copyto(out, Rt @ v)
         # Loss uniforms, prefetched in blocks. total_rows == n_steps, so
-        # the generator's final state matches the scalar-per-step path.
+        # the generator ends where scalar-per-step draws would leave it.
         uniforms = UniformBlocks(self.rng, n, n_steps,
                                  rows_per_block=_RNG_BLOCK_STEPS)
 
@@ -664,12 +486,11 @@ class FluidSimulation:
         probe_span = tracer.span("fluid.run", duration=duration,
                                  n_steps=n_steps, n_subflows=n)
         probe_span.__enter__()
-        now = 0.0
         steps_done = 0
         ese = self.energy_sample_every
         try:
             for step in range(n_steps):
-                now = (step + 1) * dt
+                now = (first + step + 1) * dt
                 np.divide(self.w, self.rtt, out=b.x_pkts)
                 np.multiply(b.x_pkts, pkt_bits, out=b.x_bps)
                 mul_R(b.x_bps, b.y)
@@ -739,24 +560,12 @@ class FluidSimulation:
                     np.logical_and(b.can_lose, b.lt, out=b.losing)
 
                 # Refresh the rate views with the *updated* RTT: the
-                # legacy loop's CohortState recomputes w/rtt lazily after
-                # the rtt assignment above, so the algorithms see
-                # current-step queueing delay, while everything up to the
-                # loss draw used start-of-step rates.
+                # algorithms see current-step queueing delay, while
+                # everything up to the loss draw used start-of-step rates.
                 np.divide(self.w, self.rtt, out=b.x_pkts)
 
                 # Per-cohort CC updates through the persistent views.
                 for cohort, st, sl, dw, has_adj in views:
-                    if st is None:  # pragma: no cover - defensive fallback
-                        ids = cohort.ids
-                        st = CohortState(
-                            w=self.w[ids], rtt=self.rtt[ids],
-                            base_rtt=net.base_rtt[ids], loss=b.p_path[ids],
-                            queueing=b.qdelay[ids],
-                            switch_hops=net.switch_hops[ids],
-                            ecn_marked=b.marked_path[ids],
-                            user_starts=cohort.user_starts,
-                            user_of=cohort.user_of)
                     algorithm = cohort.algorithm
                     increase = algorithm.per_ack_increase(st)
                     np.multiply(increase, st.x_pkts, out=dw)
@@ -767,21 +576,16 @@ class FluidSimulation:
                     new_w = dw
                     any_lose = False
                     if lossy_step:
-                        ids = cohort.ids
-                        lose_here = (b.losing[sl] if sl is not None
-                                     else b.losing[ids])
+                        lose_here = b.losing[sl]
                         if algorithm.uses_ecn:
                             lose_here = lose_here & (st.loss > 0)
                         any_lose = bool(np.any(lose_here))
                     if any_lose:
                         factor = algorithm.loss_decrease_factor(st)
                         new_w = np.where(lose_here, st.w * factor, new_w)
-                    if sl is not None:
-                        np.maximum(new_w, 1.0, out=self.w[sl])
-                    else:  # pragma: no cover - defensive fallback
-                        self.w[cohort.ids] = np.maximum(new_w, 1.0)
+                    np.maximum(new_w, 1.0, out=self.w[sl])
                     if any_lose:
-                        gids = ids[lose_here]
+                        gids = cohort.ids[lose_here]
                         self.loss_events[gids] += 1
                         self.recovery_until[gids] = now + self.rtt[gids]
 
@@ -795,8 +599,8 @@ class FluidSimulation:
                     # remaining steps, which may be fewer than a full
                     # sampling interval.
                     window = min(ese, n_steps - step)
-                    host_p = self._host_power_now(b.x_bps)
-                    switch_p = self._switch_power_now(b.util)
+                    host_p = self.power.host_power_now(b.x_bps, self.rtt)
+                    switch_p = self.power.switch_power_now(b.util)
                     host_energy += host_p * dt * window
                     switch_energy += switch_p * dt * window
                     samples_t.append(now)
@@ -822,27 +626,20 @@ class FluidSimulation:
                             power_w=host_p + switch_p)
         finally:
             probe_span.__exit__(None, None, None)
+            self._clock_steps = first + steps_done
             self._steps_counter.inc(steps_done)
             self._wall_counter.inc(time.perf_counter() - wall_start)
-        goodput = self.delivered_bits / duration
+        bits = self.delivered_bits - bits_before
         return SimulationResult(
             duration=duration,
-            connection_goodput_bps=goodput,
-            connection_bits=self.delivered_bits.copy(),
+            connection_goodput_bps=bits / duration,
+            connection_bits=bits,
             host_energy_j=host_energy,
             switch_energy_j=switch_energy,
-            loss_events=self.loss_events.copy(),
+            loss_events=self.loss_events - losses_before,
             mean_rtt=rtt_accum / n_steps,
             mean_utilization=util_accum / n_steps,
             sample_times=samples_t,
             sample_goodput_bps=samples_goodput,
             sample_power_w=samples_power,
         )
-
-    # -------------------------------------------------------------- power
-
-    def _host_power_now(self, x_bps: np.ndarray) -> float:
-        return self.power.host_power_now(x_bps, self.rtt)
-
-    def _switch_power_now(self, util: np.ndarray) -> float:
-        return self.power.switch_power_now(util)

@@ -5,12 +5,11 @@ running the same algorithm) are stored contiguously, grouped by user
 (connection), so per-user aggregates — sum of rates, max window, etc. —
 are single ``np.maximum.reduceat`` / ``np.add.reduceat`` calls.
 
-State arrays are **read-only** from the algorithms' point of view. The
-engine's legacy path hands each algorithm fresh fancy-indexed copies, but
-the fast path hands out *views* into the engine's persistent buffers and
-reuses one :class:`CohortState` instance for an entire run — an adapter
-that wrote into ``w``/``rtt``/… would corrupt the integrator state. All
-in-tree adapters honour this; new ones must too.
+State arrays are **read-only** from the algorithms' point of view: the
+engine hands out *views* into its persistent buffers and reuses one
+:class:`CohortState` instance for an entire run — an adapter that wrote
+into ``w``/``rtt``/… would corrupt the integrator state. All in-tree
+adapters honour this; new ones must too.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ class CohortState:
     user_starts: np.ndarray
     #: User index of every subflow (0..n_users-1, non-decreasing).
     user_of: np.ndarray
-    #: Optional precomputed rates w/rtt (engine fast path): the engine
-    #: already divides the full vectors once per step, so cohort views
-    #: can reuse that result instead of re-dividing per cohort.
+    #: Optional precomputed rates w/rtt: the engine already divides the
+    #: full vectors once per step, so cohort views can reuse that result
+    #: instead of re-dividing per cohort.
     x: Optional[np.ndarray] = None
     #: Cached :meth:`user_count` result — purely structural (depends only
     #: on the grouping arrays), so safe to cache per instance even when

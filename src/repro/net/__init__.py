@@ -20,7 +20,6 @@ if TYPE_CHECKING:
         BatchEngine,
         BatchPath,
         BatchScenario,
-        OracleEngine,
         ec2_scenario,
     )
     from repro.net.events import EventHandle, Simulator, TickCohorts
@@ -46,8 +45,7 @@ if TYPE_CHECKING:
 # ``repro.net.flow``'s users each load only their own modules.
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.net.batch": (
-        "BatchConnection", "BatchEngine", "BatchPath", "BatchScenario", "OracleEngine",
-        "ec2_scenario",
+        "BatchConnection", "BatchEngine", "BatchPath", "BatchScenario", "ec2_scenario",
     ),
     "repro.net.events": ("EventHandle", "Simulator", "TickCohorts"),
     "repro.net.flow": ("TcpReceiver", "TcpSender"),
@@ -73,7 +71,6 @@ __all__ = [
     "BatchScenario",
     "BatchedRandom",
     "DropTailQueue",
-    "OracleEngine",
     "TickCohorts",
     "ec2_scenario",
     "EcnConfig",

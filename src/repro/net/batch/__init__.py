@@ -1,31 +1,27 @@
 """Batched packet engine: struct-of-arrays stepping for thousands of
-TCP/MPTCP connections, with a bit-exact scalar oracle.
+TCP/MPTCP connections.
 
 Entry points:
 
 - :func:`repro.net.batch.scenario.ec2_scenario` / the scenario
   dataclasses — declare a run;
-- :class:`repro.net.batch.engine.BatchEngine` — the vectorized engine;
-- :class:`repro.net.batch.oracle.OracleEngine` — the scalar ground truth
-  (identical results, array-width slower);
-- :func:`run_scenario` — convenience dispatch by engine name.
+- :class:`repro.net.batch.engine.BatchEngine` — the vectorized engine.
 
-See :mod:`repro.net.batch.model` for the shared round semantics and the
-bit-exactness contract between the two engines.
+:class:`repro.net.batch.oracle.OracleEngine` executes the same round
+model one connection at a time: the reference the equivalence tests and
+the ``engine.packet_megascale`` bench case compare the engine with. See
+:mod:`repro.net.batch.model` for the shared round semantics and the
+bit-exactness contract between the two.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-from repro.errors import ConfigurationError
 from repro.net.batch.engine import BatchEngine
 from repro.net.batch.model import (
     MAX_VECTOR_BURST,
     MIRRORED_SENDER_FIELDS,
     VECTOR_ALGORITHMS,
 )
-from repro.net.batch.oracle import OracleEngine
 from repro.net.batch.scenario import (
     BatchConnection,
     BatchPath,
@@ -33,24 +29,7 @@ from repro.net.batch.scenario import (
     ec2_scenario,
 )
 
-#: Engine-name dispatch used by the campaign executor and CLI.
-ENGINES = {"batch": BatchEngine, "oracle": OracleEngine}
-
-
-def run_scenario(scenario: BatchScenario, engine: str = "batch",
-                 **kwargs: Any) -> Dict[str, Any]:
-    """Run ``scenario`` under the named engine and return its result payload."""
-    try:
-        cls = ENGINES[engine]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown batch engine {engine!r}; known: {', '.join(sorted(ENGINES))}"
-        ) from None
-    return cls(scenario, **kwargs).run().result()
-
-
 __all__ = [
-    "ENGINES",
     "MAX_VECTOR_BURST",
     "MIRRORED_SENDER_FIELDS",
     "VECTOR_ALGORITHMS",
@@ -58,7 +37,5 @@ __all__ = [
     "BatchEngine",
     "BatchPath",
     "BatchScenario",
-    "OracleEngine",
     "ec2_scenario",
-    "run_scenario",
 ]

@@ -69,34 +69,29 @@ class Simulator:
     tracer:
         Span tracer; defaults to the ambient session's (the shared
         no-op tracer outside a session).
-    pooling:
-        Recycle :class:`~repro.net.packet.Packet` objects through
-        :attr:`pool` instead of allocating per send (default on;
-        behaviour-preserving, see :class:`~repro.net.packet.PacketPool`).
     pool_debug:
-        Enable the pool's double-release / leak bookkeeping.
+        Enable the double-release / leak bookkeeping of :attr:`pool`.
     compact_min_stubs / compact_fraction:
         Heap compaction triggers: rebuild the event heap (dropping
         cancelled stubs) once at least ``compact_min_stubs`` stubs are
         pending *and* they exceed ``compact_fraction`` of the heap.
-        ``compact_fraction=None`` disables compaction.
     """
 
     def __init__(self, seed: Optional[int] = None, *,
                  metrics: Optional["obs.MetricsRegistry"] = None,
                  tracer=None,
-                 pooling: bool = True,
                  pool_debug: bool = False,
                  compact_min_stubs: int = _COMPACT_MIN_STUBS,
-                 compact_fraction: Optional[float] = 0.5):
+                 compact_fraction: float = 0.5):
         self.now: float = 0.0
         self.rng = np.random.default_rng(seed)
         #: Batched draw facade over :attr:`rng` — the one sanctioned way
         #: to consume simulator randomness (stream-identical to direct
         #: single draws; see :mod:`repro.net.rand`).
         self.rand = BatchedRandom(self.rng)
-        #: Free-list recycler for data/ACK packets.
-        self.pool = PacketPool(enabled=pooling, debug=pool_debug)
+        #: Free-list recycler for data/ACK packets: senders acquire every
+        #: packet here and the link layer releases it the moment it dies.
+        self.pool = PacketPool(debug=pool_debug)
         self._heap: list = []
         self._counter = itertools.count()
         self._cancelled_pending = 0
@@ -232,8 +227,7 @@ class Simulator:
                                 callback=getattr(entry[3], "__qualname__",
                                                  repr(entry[3])))
                         stubs = self._cancelled_pending
-                        if (fraction is not None and stubs >= min_stubs
-                                and stubs > fraction * len(heap)):
+                        if stubs >= min_stubs and stubs > fraction * len(heap):
                             heap = self._compact()
                     if executed >= budget:
                         raise SimulationError(f"exceeded max_events={max_events}")

@@ -203,7 +203,6 @@ class TcpSender(SenderState):
         rcv_buffer_segments: Optional[int] = None,
         ecn_capable: bool = False,
         delayed_acks: bool = False,
-        rto_coalesce: bool = True,
     ):
         super().__init__(
             mss=mss,
@@ -223,14 +222,13 @@ class TcpSender(SenderState):
         #: attached by MptcpConnection when an obs session is active.
         self.probe = None
 
-        # --- RTO timer (coalesced by default: one armed tick event,
-        # re-aimed lazily, instead of cancel+reschedule per ACK) ---
+        # --- RTO timer (coalesced: one armed tick event, re-aimed
+        # lazily, instead of cancel+reschedule per ACK) ---
         #: When the conceptual retransmission timer expires (inf = off).
         self._rto_deadline = _INF
         #: When the armed tick event fires (inf = nothing armed).
         self._rto_tick_at = _INF
         self._rto_event = None
-        self.rto_coalesce = rto_coalesce
 
         self.receiver = TcpReceiver(sim, flow_id, route, self,
                                     delayed_acks=delayed_acks)
@@ -336,31 +334,21 @@ class TcpSender(SenderState):
     def _hole_is_lost(self, seq: int) -> bool:
         return _core.hole_is_lost(self, seq)
 
-    def _compute_pipe_reference(self) -> int:
-        return _core.compute_pipe_reference(self)
-
     def _compute_pipe(self) -> int:
         return _core.compute_pipe(self)
 
     # ---------------------------------------------------------------- timers
 
     def _ensure_rto_timer(self) -> None:
-        if self.rto_coalesce:
-            if self._rto_deadline == _INF:
-                self._restart_rto_timer()
-        elif self._rto_event is None:
+        if self._rto_deadline == _INF:
             self._restart_rto_timer()
 
     def _restart_rto_timer(self) -> None:
-        deadline = self.now() + self.rto * self._rto_backoff
-        if not self.rto_coalesce:
-            self._cancel_rto_timer()
-            self._rto_event = self.sim.schedule_at(deadline, self._on_rto)
-            return
-        # Coalesced: per-ACK restart is two attribute stores. The armed
-        # tick only moves when the new deadline is *earlier* than what is
-        # armed (rare — RTO estimates shrink slowly); a later deadline is
+        # Per-ACK restart is two attribute stores. The armed tick only
+        # moves when the new deadline is *earlier* than what is armed
+        # (rare — RTO estimates shrink slowly); a later deadline is
         # handled lazily by _rto_tick re-arming itself.
+        deadline = self.now() + self.rto * self._rto_backoff
         self._rto_deadline = deadline
         if deadline < self._rto_tick_at:
             if self._rto_event is not None:
@@ -369,13 +357,8 @@ class TcpSender(SenderState):
             self._rto_tick_at = deadline
 
     def _cancel_rto_timer(self) -> None:
-        if self.rto_coalesce:
-            # The armed tick (if any) stays queued and no-ops at fire time.
-            self._rto_deadline = _INF
-            return
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
+        # The armed tick (if any) stays queued and no-ops at fire time.
+        self._rto_deadline = _INF
 
     def _rto_tick(self) -> None:
         """Fire point of the coalesced timer: re-aim or expire.
@@ -398,7 +381,6 @@ class TcpSender(SenderState):
         self._on_rto()
 
     def _on_rto(self) -> None:
-        self._rto_event = None
         _core.on_rto_expired(self)
 
     # ------------------------------------------------------------- reporting

@@ -131,7 +131,6 @@ class MptcpConnection:
         rcv_buffer_bytes: Optional[int] = None,
         scheduler: Optional[str] = None,
         delayed_acks: bool = False,
-        rto_coalesce: bool = True,
         name: str = "",
     ):
         if not routes:
@@ -164,7 +163,6 @@ class MptcpConnection:
                 rcv_buffer_segments=rcv_segments,
                 ecn_capable=controller.ecn_capable,
                 delayed_acks=delayed_acks,
-                rto_coalesce=rto_coalesce,
             )
             sender.controller = controller
             sender.subflow_index = len(self.subflows)

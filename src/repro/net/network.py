@@ -29,9 +29,8 @@ class Network:
     """Owns a simulator, the topology graph, and the connections on it."""
 
     def __init__(self, seed: Optional[int] = None, **sim_kwargs):
-        """``sim_kwargs`` pass through to :class:`Simulator` — the fast-path
-        knobs (``pooling``, ``pool_debug``, ``compact_fraction``, …) the
-        equivalence tests toggle."""
+        """``sim_kwargs`` pass through to :class:`Simulator` (``metrics``,
+        ``tracer``, ``pool_debug``, the compaction thresholds)."""
         self.sim = Simulator(seed, **sim_kwargs)
         self.hosts: List[Host] = []
         self.switches: List[Switch] = []

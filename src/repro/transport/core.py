@@ -169,33 +169,11 @@ def hole_is_lost(s, seq: int) -> bool:
     return seq <= s._max_sacked - 3
 
 
-def compute_pipe_reference(s) -> int:
-    """Per-sequence specification of :func:`compute_pipe`.
-
-    The O(window) loop the closed form below must match exactly;
-    kept as the oracle for the fast-path property tests.
-    """
-    pipe = 0
-    sacked = s._sacked
-    retx = s._retx_outstanding
-    for seq in range(s.acked, s.high_water):
-        if seq in sacked:
-            continue
-        if seq in retx:
-            pipe += 1
-        elif seq >= s.recover_point:
-            pipe += 1  # sent after the episode began; presumed in flight
-        elif not s._hole_is_lost(seq):
-            pipe += 1
-    return pipe
-
-
 def compute_pipe(s) -> int:
     """Segments currently in flight during a recovery episode.
 
-    Closed form of :func:`compute_pipe_reference` — O(|sacked| +
-    |retransmitted|) instead of O(window), by counting the three
-    disjoint contributions directly:
+    O(|sacked| + |retransmitted|) instead of a walk over the window, by
+    counting the three disjoint contributions directly:
 
     * every non-SACKed seq in [recover_point, high_water) is in flight;
     * every unacknowledged retransmission below recover_point is in
@@ -723,9 +701,6 @@ class SenderCore(SenderState):
 
     def _compute_pipe(self) -> int:
         return compute_pipe(self)
-
-    def _compute_pipe_reference(self) -> int:
-        return compute_pipe_reference(self)
 
     def _on_rto(self) -> None:
         on_rto_expired(self)

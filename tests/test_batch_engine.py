@@ -16,10 +16,9 @@ from repro.net.batch import (
     BatchEngine,
     BatchPath,
     BatchScenario,
-    OracleEngine,
     ec2_scenario,
-    run_scenario,
 )
+from repro.net.batch.oracle import OracleEngine
 from repro.net.events import TickCohorts
 
 
@@ -181,14 +180,6 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             ec2_scenario(n_hosts=0)
 
-    def test_run_scenario_dispatch(self):
-        scenario = ec2_scenario(n_hosts=2, n_subflows=1, duration=0.1)
-        a = run_scenario(scenario, engine="batch")
-        b = run_scenario(scenario, engine="oracle")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-        with pytest.raises(ConfigurationError):
-            run_scenario(scenario, engine="warp")
-
     def test_vector_algorithms_constant(self):
         assert set(VECTOR_ALGORITHMS) == {"dts", "lia"}
 
@@ -197,22 +188,32 @@ class TestScenarioValidation:
 
 
 def test_campaign_executor_packet_engines_byte_equal():
-    """execute_run for packet-batch and packet-oracle on the same point
-    (bar the engine name) returns byte-identical metrics sections —
-    the claim the CI batch-equivalence-smoke job gates on."""
+    """execute_run for a packet-batch point returns the metrics section
+    the scalar oracle yields for the scenario the spec describes, byte
+    for byte — the equivalence claim, held end to end through the
+    campaign executor."""
     from repro.campaign.executor import execute_run
     from repro.campaign.spec import RunSpec
 
-    base = dict(algorithm="dts", topology="ec2", n_subflows=2, seed=5,
-                duration=0.2, dt=2e-3, params={"n_hosts": 4,
-                                               "loss_rate": 0.01})
-    batch = execute_run(RunSpec(engine="packet-batch", **base))
-    oracle = execute_run(RunSpec(engine="packet-oracle", **base))
+    spec = RunSpec(engine="packet-batch", algorithm="dts", topology="ec2",
+                   n_subflows=2, seed=5, duration=0.2, dt=2e-3,
+                   params={"n_hosts": 4, "loss_rate": 0.01})
+    batch = execute_run(spec)
+    scenario = ec2_scenario(n_hosts=4, n_subflows=2, algorithm="dts",
+                            link_delay=spec.link_delay, loss_rate=0.01,
+                            duration=0.2, tick=2e-3, seed=5)
+    oracle = OracleEngine(scenario).run().result()
+    want = {
+        "aggregate_goodput_bps": oracle["aggregate_goodput_bps"],
+        "n_connections": oracle["n_connections"],
+        **{f"total_{k}": v for k, v in oracle["totals"].items()},
+        "connections": oracle["connections"],
+    }
     assert (json.dumps(batch["metrics"], sort_keys=True)
-            == json.dumps(oracle["metrics"], sort_keys=True))
+            == json.dumps(want, sort_keys=True))
     # Engine-private counters live in obs, not metrics.
-    assert "engine.vector_rounds" in batch["obs"]
-    assert "engine.vector_rounds" not in oracle["obs"]
+    assert batch["obs"]["engine.vector_rounds"] > 0
+    assert batch["obs"]["engine.fallback_rounds"] > 0
 
 
 def test_runspec_engine_topology_validation():
@@ -222,15 +223,17 @@ def test_runspec_engine_topology_validation():
         RunSpec(engine="fluid", topology="ec2")
     with pytest.raises(ConfigurationError):
         RunSpec(engine="packet-batch", topology="bcube")
-    spec = RunSpec(engine="packet-batch", topology="ec2")
-    assert spec.content_hash() != spec.replace(engine="packet-oracle").content_hash()
+    # The scalar oracle is a test reference, not an engine a spec can name.
+    with pytest.raises(ConfigurationError, match="unknown engine"):
+        RunSpec(engine="packet-oracle", topology="ec2")
 
 
 def test_ec2_sweep_campaign_builder():
     from repro.campaign.spec import ec2_sweep_campaign
 
     campaign = ec2_sweep_campaign(subflow_counts=(1, 2), seeds=(1,),
-                                  n_hosts=8, engine="packet-batch")
+                                  n_hosts=8)
+    assert all(r.engine == "packet-batch" for r in campaign.runs)
     assert len(campaign.runs) == 2
     assert all(r.topology == "ec2" for r in campaign.runs)
     assert all(r.params["n_hosts"] == 8 for r in campaign.runs)

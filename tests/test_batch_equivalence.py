@@ -21,9 +21,9 @@ from repro.net.batch import (
     BatchEngine,
     BatchPath,
     BatchScenario,
-    OracleEngine,
     ec2_scenario,
 )
+from repro.net.batch.oracle import OracleEngine
 
 #: Every vectorized algorithm plus a spread of scalar-resident ones
 #: (which exercise the permanent-fallback lanes alongside vector lanes).

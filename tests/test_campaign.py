@@ -339,6 +339,81 @@ def test_execute_run_payload_shape():
     json.dumps(payload)                            # JSON-serializable
 
 
+#: One cheap point per engine.
+ENGINE_POINTS = {
+    "fluid": dict(engine="fluid", **FAST),
+    "fluid-equilibrium": dict(engine="fluid-equilibrium", **FAST),
+    "packet-batch": dict(engine="packet-batch", topology="ec2",
+                         duration=0.1, dt=2e-3),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_POINTS))
+@pytest.mark.parametrize("key", [
+    "fast_pth",      # a typo
+    "fast_path",     # a knob an older spec may still carry
+    "metrics",       # supplied by the executor
+    "seed",          # a RunSpec field, not a param
+])
+def test_execute_run_rejects_params_the_engine_does_not_take(engine, key):
+    spec = RunSpec(params={key: None}, **ENGINE_POINTS[engine])
+    with pytest.raises(ConfigurationError) as exc:
+        execute_run(spec)
+    message = str(exc.value)
+    assert repr(key) in message and repr(engine) in message
+    assert "accepted: " in message
+
+
+def test_sharded_run_rejects_unknown_params():
+    spec = RunSpec(params={"shards": 2, "sparse_routing": "never"}, **FAST)
+    with pytest.raises(ConfigurationError, match="'sparse_routing'.*accepted: shards"):
+        execute_run(spec)
+
+
+def test_accepted_params_are_parameters_the_engines_have():
+    """The executor's accepted-key tables name real keyword arguments."""
+    import inspect
+
+    from repro.campaign import executor
+    from repro.fluidsim import FluidSimulation, solve_fluid_equilibrium
+    from repro.fluidsim.sharding import make_shard_specs
+    from repro.net.batch import ec2_scenario
+
+    def parameters(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert set(executor._FLUID_PARAM_KEYS) <= parameters(FluidSimulation.__init__)
+    assert set(executor._SOLVER_PARAM_KEYS) <= parameters(solve_fluid_equilibrium)
+    assert set(executor._PACKET_PARAM_KEYS) <= parameters(ec2_scenario)
+    assert (set(executor._SHARDED_PARAM_KEYS) - {"shards"}
+            <= parameters(make_shard_specs))
+    # ... and every one of them is accepted end to end.
+    for engine, params in [
+        ("fluid", {"initial_window": 4.0, "energy_sample_every": 5,
+                   "ecn_threshold_packets": 20, "dtype": "float64"}),
+        ("fluid-equilibrium", {"max_iter": 50, "initial_window": 4.0}),
+        ("packet-batch", {"n_hosts": 2, "queue_segments": 8,
+                          "rwnd_segments": 32.0, "total_segments": 50}),
+    ]:
+        payload = execute_run(RunSpec(params=params, **ENGINE_POINTS[engine]))
+        assert payload["metrics"]["aggregate_goodput_bps"] > 0
+
+
+def test_spec_hashes_survive_the_retired_engine_options():
+    """Content hashes recorded before ISSUE 15 (cached results stay
+    valid: SCHEMA_VERSION is still 3)."""
+    assert spec_mod.SCHEMA_VERSION == 3
+    assert spec_mod.KNOWN_ENGINES == ("fluid", "fluid-equilibrium",
+                                      "packet-batch")
+    recorded = {
+        "fluid": "22a2f502067a2fe3b0c5d62845d14e45edee73ae0eb3d0948b2c848997536593",
+        "fluid-equilibrium": "aeb1d52ad008af92f2de483f03e2d5058a3ea2fb75d0ae763060966fba579d15",
+        "packet-batch": "4fe1c2d8b08ff346fbe950c1c3427fc1aa06684bd40b7d066203e72b3dc41cd5",
+    }
+    for engine, digest in recorded.items():
+        assert RunSpec(**ENGINE_POINTS[engine]).content_hash() == digest
+
+
 # ------------------------------------------------------------------------ CLI
 
 def test_cli_campaign_smoke(tmp_path, capsys):

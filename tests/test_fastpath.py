@@ -1,22 +1,31 @@
-"""Equivalence tests for the packet-engine fast path.
+"""Equivalence tests for the packet engine's allocation and timer machinery.
 
-The PR-4 optimisations (packet pooling, RTO timer coalescing, heap
-compaction, batched RNG) are *behaviour-preserving*: every one of them
-must be invisible to the simulation. These tests pin that down —
-property tests compare the optimised paths against their reference
-implementations under random schedules, cancellations, and network
-conditions, and a leak check proves the pool's lifecycle bookkeeping.
+Packet pooling, RTO timer coalescing, heap compaction and the batched RNG
+are *behaviour-preserving*: every one of them must be invisible to the
+simulation. None has an off switch in ``repro.net``, so these tests build
+the un-optimised behaviour themselves — a never-reached compaction
+threshold, ``sim.pool.enabled = False``, a per-ACK cancel+reschedule
+sender — and compare under random schedules, cancellations, and network
+conditions; a leak check proves the pool's lifecycle bookkeeping.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.net.mptcp as mptcp_mod
 from repro.net.events import Simulator
+from repro.net.flow import TcpSender
 from repro.net.network import Network
 from repro.net.queues import DropTailQueue
 from repro.net.rand import BatchedRandom
 from repro.units import mbps, ms
+from tests.oracles.pipe_reference import compute_pipe_reference
+
+#: A stub count no heap reaches: compaction never triggers.
+NEVER_COMPACT = 1 << 62
 
 # --------------------------------------------------------- event-order props
 
@@ -71,7 +80,7 @@ def test_compaction_preserves_execution_order(program):
     """Aggressive heap compaction dispatches the exact event sequence the
     never-compacting simulator does, including (time, tie-break) order."""
     baseline = _run_program(
-        Simulator(seed=1, compact_fraction=None), program)
+        Simulator(seed=1, compact_min_stubs=NEVER_COMPACT), program)
     compacted_sim = Simulator(seed=1, compact_min_stubs=1,
                               compact_fraction=0.0)
     compacted = _run_program(compacted_sim, program)
@@ -174,19 +183,47 @@ def test_compute_pipe_matches_reference(data):
     sender._max_sacked = floor + data.draw(st.integers(0, 5), label="stale")
     sender._rto_recovery = data.draw(st.booleans(), label="rto")
 
-    assert sender._compute_pipe() == sender._compute_pipe_reference()
+    assert sender._compute_pipe() == compute_pipe_reference(sender)
 
 
-# ------------------------------------------------- end-to-end knob equivalence
+# ------------------------------------------------------ end-to-end equivalence
 
-def _transfer_outcome(seed, loss, queue, *, fastpath: bool):
-    """Run one lossy transfer; returns every behavioural observable."""
-    if fastpath:
-        net = Network(seed=seed)
-        conn_kwargs = {}
+class PerAckRtoSender(TcpSender):
+    """The textbook retransmission timer the coalesced one must match:
+    every restart cancels the armed event and schedules a new one."""
+
+    def _ensure_rto_timer(self) -> None:
+        if self._rto_event is None:
+            self._restart_rto_timer()
+
+    def _restart_rto_timer(self) -> None:
+        self._cancel_rto_timer()
+        self._rto_event = self.sim.schedule_at(
+            self.now() + self.rto * self._rto_backoff, self._on_rto)
+
+    def _cancel_rto_timer(self) -> None:
+        if self._rto_event is not None:
+            self._rto_event.cancel()
+            self._rto_event = None
+
+    def _on_rto(self) -> None:
+        self._rto_event = None
+        super()._on_rto()
+
+
+def _transfer_outcome(seed, loss, queue, *, reference: bool):
+    """Run one lossy transfer; returns every behavioural observable.
+
+    ``reference`` runs it with no pooling, no compaction and the per-ACK
+    timer.
+    """
+    if reference:
+        net = Network(seed=seed, compact_min_stubs=NEVER_COMPACT)
+        net.sim.pool.enabled = False
+        sender_cls = PerAckRtoSender
     else:
-        net = Network(seed=seed, pooling=False, compact_fraction=None)
-        conn_kwargs = {"rto_coalesce": False}
+        net = Network(seed=seed)
+        sender_cls = TcpSender
     a, b = net.add_host("a"), net.add_host("b")
     s = net.add_switch("s")
     net.link(a, s, rate_bps=mbps(50), delay=ms(2),
@@ -194,8 +231,10 @@ def _transfer_outcome(seed, loss, queue, *, fastpath: bool):
     net.link(s, b, rate_bps=mbps(20), delay=ms(8),
              queue_factory=lambda: DropTailQueue(limit_packets=queue),
              loss_rate=loss)
-    conn = net.tcp_connection(net.route([a, s, b]), total_bytes=400_000,
-                              delayed_acks=bool(seed % 2), **conn_kwargs)
+    with mock.patch.object(mptcp_mod, "TcpSender", sender_cls):
+        conn = net.tcp_connection(net.route([a, s, b]), total_bytes=400_000,
+                                  delayed_acks=bool(seed % 2))
+    assert type(conn.subflows[0]) is sender_cls
     conn.start()
     net.run_until_complete([conn], timeout=600)
     sf = conn.subflows[0]
@@ -222,10 +261,10 @@ def _transfer_outcome(seed, loss, queue, *, fastpath: bool):
 )
 def test_fastpath_knobs_are_behaviour_preserving(seed, loss, queue):
     """Pooling + compaction + RTO coalescing produce *identical* dynamics
-    (times, counters, loss episodes) to the un-optimised paths under any
-    random loss/queue mix — the figure-level equivalence guarantee."""
-    fast = _transfer_outcome(seed, loss, queue, fastpath=True)
-    slow = _transfer_outcome(seed, loss, queue, fastpath=False)
+    (times, counters, loss episodes) to the un-optimised behaviour under
+    any random loss/queue mix — the figure-level equivalence guarantee."""
+    fast = _transfer_outcome(seed, loss, queue, reference=False)
+    slow = _transfer_outcome(seed, loss, queue, reference=True)
     assert fast == slow
 
 

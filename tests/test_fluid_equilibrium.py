@@ -5,7 +5,7 @@ Three contracts from PR 10 are pinned here:
 * ``solve_fluid_equilibrium`` lands on the same stationary rate
   allocation a long-horizon ``FluidSimulation`` integrates to, across
   random topologies, supported-algorithm mixes, and seeds — on both the
-  fast path and the legacy reference loop.  Tolerances are calibrated
+  engine and the straight-line reference loop.  Tolerances are calibrated
   per family: the coupled algorithms agree within a few percent, while
   uncoupled AIMD (reno, ewtcp) legitimately runs hotter in the
   deterministic fluid equilibrium than the stochastic sawtooth (the
@@ -17,8 +17,7 @@ Three contracts from PR 10 are pinned here:
   solves carry convergence diagnostics.
 * The ``dtype`` knob: float32 stepping tracks the float64 reference
   within tight drift bounds, ``"auto"`` engages float32 only past the
-  size threshold on the fast path, and invalid combinations are
-  rejected.
+  size threshold, and invalid values are rejected.
 """
 
 import numpy as np
@@ -36,6 +35,7 @@ from repro.fluidsim import (
 from repro.fluidsim.adapters import create_fluid_algorithm
 from repro.topology import FatTree
 from repro.units import ms
+from tests.oracles.fluid_reference import run_reference
 
 # ------------------------------------------------------------------ helpers
 
@@ -63,15 +63,17 @@ def _build_net(pair_seed: int, algo_picks, n_subflows: int) -> FluidNetwork:
     return net
 
 
-def _engine_aggregate(net: FluidNetwork, *, fast_path: bool = True,
+def _engine_aggregate(net: FluidNetwork, *, reference: bool = False,
                       horizon: float = 8.0) -> float:
-    """Long-horizon time-stepped aggregate goodput (the solver's oracle).
+    """Long-horizon time-stepped aggregate goodput (the solver's oracle),
+    from the engine or from the straight-line reference loop.
 
     The run includes the short initial transient, which at this horizon
     perturbs the mean by well under the comparison tolerances.
     """
-    sim = FluidSimulation(net, dt=0.004, seed=1, fast_path=fast_path)
-    return sim.run(horizon).aggregate_goodput_bps
+    sim = FluidSimulation(net, dt=0.004, seed=1)
+    result = run_reference(sim, horizon) if reference else sim.run(horizon)
+    return result.aggregate_goodput_bps
 
 
 def _tolerance(algo_picks) -> float:
@@ -111,13 +113,13 @@ def test_solver_matches_time_stepped_engine(pair_seed, algo_picks,
 
 
 def test_solver_matches_legacy_reference_loop():
-    """The legacy (non-fast-path) loop is the independent oracle: the
-    solver must agree with it too, not just with the fast path."""
+    """The straight-line reference loop is the independent oracle: the
+    solver must agree with it too, not just with the engine."""
     for algos, n_sub in [(["lia", "lia", "olia"], 2), (["dts", "balia"], 3)]:
         eq = solve_fluid_equilibrium(_build_net(17, algos, n_sub))
         assert eq.converged
         legacy = _engine_aggregate(_build_net(17, algos, n_sub),
-                                   fast_path=False, horizon=6.0)
+                                   reference=True, horizon=6.0)
         rel = abs(eq.aggregate_goodput_bps - legacy) / legacy
         assert rel < _tolerance(algos), f"{algos}: {rel:.1%}"
 
@@ -254,8 +256,6 @@ def test_dtype_auto_resolution_threshold():
         engine_mod._FLOAT32_AUTO_THRESHOLD = 1
         sim = FluidSimulation(net, dt=0.004, seed=1)
         assert sim.compute_dtype == np.float32
-        legacy = FluidSimulation(net, dt=0.004, seed=1, fast_path=False)
-        assert legacy.compute_dtype == np.float64  # auto never forces f32
     finally:
         engine_mod._FLOAT32_AUTO_THRESHOLD = old
 
@@ -264,13 +264,6 @@ def test_invalid_dtype_rejected():
     net = _build_net(2, ["lia"], 1)
     with pytest.raises(ConfigurationError, match="dtype"):
         FluidSimulation(net, dt=0.004, seed=1, dtype="float16")
-
-
-def test_float32_requires_fast_path():
-    net = _build_net(2, ["lia"], 1)
-    with pytest.raises(ConfigurationError, match="float64 reference"):
-        FluidSimulation(net, dt=0.004, seed=1, dtype="float32",
-                        fast_path=False)
 
 
 def test_compute_arrays_cache_and_dtypes():

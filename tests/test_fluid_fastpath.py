@@ -1,13 +1,14 @@
-"""Equivalence tests for the fluid-engine fast path.
+"""Equivalence tests for the fluid engine's step loop.
 
-The PR-5 optimisations (sparse routing kernels, preallocated step
-buffers, chunked RNG) are *behaviour-preserving*: with the same network,
-seed, and knobs, ``fast_path=True`` must produce bit-identical results
-to the legacy reference loop — every ``SimulationResult`` array, the
-``fluid.residual`` gauge, the ``fluid.step`` trace instants, and the
-final RNG state. These tests pin that down under random topologies,
-algorithm mixes, seeds, and knob combinations, and also cover the
-kernel-selection logic and the chunked-RNG facade in isolation.
+The loop's optimisations (sparse routing kernels, preallocated step
+buffers, chunked RNG) are *behaviour-preserving*: with the same network
+and seed, ``FluidSimulation.run`` must produce bit-identical results to
+the straight-line reference loop in ``tests/oracles/fluid_reference.py``
+— every ``SimulationResult`` array, the ``fluid.residual`` gauge, the
+``fluid.step`` trace instants, and the final RNG state. These tests pin
+that down under random topologies, algorithm mixes, seeds, and both
+routing kernels, and also cover the kernel-selection logic and the
+chunked-RNG facade in isolation.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.fluidsim.network import RoutingPlan
 from repro.net.rand import UniformBlocks
 from repro.topology import FatTree
 from repro.units import ms
+from tests.oracles.fluid_reference import run_reference
 
 # ------------------------------------------------------------------ helpers
 
@@ -50,18 +52,20 @@ def _build_net(pair_seed: int, algo_picks, n_subflows: int) -> FluidNetwork:
     return net
 
 
-def _run(net: FluidNetwork, *, fast_path: bool, seed: int, n_steps: int,
-         energy_sample_every: int = 10, sparse_routing: str = "auto"):
-    """Run one sim; returns (result, registry snapshot, fluid.step records,
-    final RNG state)."""
+def _run(net: FluidNetwork, *, reference: bool, seed: int, n_steps: int,
+         energy_sample_every: int = 10, kernel=None):
+    """Run one sim, on the engine or on the reference loop; returns
+    (result, registry snapshot, fluid.step records, final RNG state).
+    ``kernel`` overrides the routing kernel the engine derived."""
     registry = obs.MetricsRegistry()
     tracer = obs.Tracer()
     dt = 0.004
     sim = FluidSimulation(net, dt=dt, seed=seed, metrics=registry,
-                          tracer=tracer, fast_path=fast_path,
-                          sparse_routing=sparse_routing,
+                          tracer=tracer,
                           energy_sample_every=energy_sample_every)
-    res = sim.run(n_steps * dt)
+    if kernel is not None:
+        sim.kernel = kernel
+    res = run_reference(sim, n_steps * dt) if reference else sim.run(n_steps * dt)
     steps = [r for r in tracer.records if r["name"] == "fluid.step"]
     return res, registry.snapshot(), steps, sim.rng.bit_generator.state
 
@@ -114,7 +118,7 @@ def _assert_runs_equivalent(fast, legacy):
     assert len(steps_f) == len(steps_l)
     for rf, rl in zip(steps_f, steps_l):
         assert _eq_args(rf["args"], rl["args"]), (rf["args"], rl["args"])
-    # The fast path must consume the RNG stream exactly like the legacy
+    # The engine must consume the RNG stream exactly like the reference's
     # per-step draws, leaving the generator in the same state.
     assert rng_f == rng_l
 
@@ -131,62 +135,50 @@ def _assert_runs_equivalent(fast, legacy):
     seed=st.integers(0, 50),
     n_steps=st.integers(2, 40),
     energy_sample_every=st.integers(1, 13),
-    sparse_routing=st.sampled_from(["auto", "always", "never"]),
+    kernel=st.sampled_from([None, "csr_matvec", "dense"]),
 )
 def test_fast_path_bit_identical_to_legacy(pair_seed, algo_picks, n_subflows,
                                            seed, n_steps,
-                                           energy_sample_every,
-                                           sparse_routing):
-    """Random topology/algorithm/seed/knob combinations: the fast path is
-    indistinguishable from the legacy loop, bit for bit."""
+                                           energy_sample_every, kernel):
+    """Random topology/algorithm/seed/kernel combinations: the engine is
+    indistinguishable from the reference loop, bit for bit."""
     fast = _run(_build_net(pair_seed, algo_picks, n_subflows),
-                fast_path=True, seed=seed, n_steps=n_steps,
-                energy_sample_every=energy_sample_every,
-                sparse_routing=sparse_routing)
+                reference=False, seed=seed, n_steps=n_steps,
+                energy_sample_every=energy_sample_every, kernel=kernel)
     legacy = _run(_build_net(pair_seed, algo_picks, n_subflows),
-                  fast_path=False, seed=seed, n_steps=n_steps,
-                  energy_sample_every=energy_sample_every,
-                  sparse_routing=sparse_routing)
+                  reference=True, seed=seed, n_steps=n_steps,
+                  energy_sample_every=energy_sample_every)
     _assert_runs_equivalent(fast, legacy)
 
 
 def test_missing_sparsetools_selects_dense_bit_identical(monkeypatch):
-    """With scipy's private csr_matvec unavailable, even
-    ``sparse_routing="always"`` runs the scipy operators, and still
-    matches the legacy loop exactly."""
+    """With scipy's private csr_matvec unavailable the engine runs the
+    scipy operators, and still matches the reference loop exactly."""
     monkeypatch.setattr(engine_mod, "_csr_matvec", None)
     net = _build_net(7, ["lia", "olia", "dctcp"], 3)
-    for mode in ("auto", "always"):
-        sim = FluidSimulation(net, dt=0.004, seed=3, sparse_routing=mode)
-        assert sim.kernel == "dense"
-    fast = _run(net, fast_path=True, seed=3, n_steps=30)
+    assert FluidSimulation(net, dt=0.004, seed=3).kernel == "dense"
+    fast = _run(net, reference=False, seed=3, n_steps=30)
     legacy = _run(_build_net(7, ["lia", "olia", "dctcp"], 3),
-                  fast_path=False, seed=3, n_steps=30)
+                  reference=True, seed=3, n_steps=30)
     _assert_runs_equivalent(fast, legacy)
 
 
 def test_interleaved_fast_and_legacy_runs_share_one_sim():
-    """run() can alternate paths on one sim object: the fast path's view
-    buffers must rebind after a legacy run rebinds self.rtt."""
+    """Successive calls continue one trajectory, whichever loop advances
+    it: run() twice, then the reference on the same sim object (which
+    rebinds ``sim.rtt`` — the engine's views must rebind after it), then
+    run() again, each result matching a sim only the reference advances."""
     net_a = _build_net(11, ["lia", "balia"], 2)
     net_b = _build_net(11, ["lia", "balia"], 2)
     sim = FluidSimulation(net_a, dt=0.004, seed=5)
-    ref = FluidSimulation(net_b, dt=0.004, seed=5, fast_path=False)
-    for _ in range(3):
-        got = sim.run(20 * 0.004)
-        want = ref.run(20 * 0.004)
+    ref = FluidSimulation(net_b, dt=0.004, seed=5)
+    for advance in (sim.run, sim.run, lambda d: run_reference(sim, d), sim.run):
+        got = advance(20 * 0.004)
+        want = run_reference(ref, 20 * 0.004)
         _assert_bit_identical(got, want)
-        # Flip the path for the next round (knob is honoured per run()).
-        sim.fast_path = not sim.fast_path
 
 
 # --------------------------------------------------------- kernel selection
-
-
-def test_sparse_routing_never_uses_dense_kernel():
-    net = _build_net(1, ["lia"], 2)
-    sim = FluidSimulation(net, dt=0.004, seed=1, sparse_routing="never")
-    assert sim.kernel == "dense"
 
 
 def test_sparse_routing_auto_prefers_sparse_on_fattree():
@@ -198,8 +190,7 @@ def test_sparse_routing_auto_prefers_sparse_on_fattree():
 
 def test_sparse_routing_auto_falls_back_when_dense():
     """Density above the threshold (tiny 2-host topology: every subflow
-    crosses most links) keeps the scipy operators in auto mode, while
-    "always" still forces the sparse kernel."""
+    crosses most links) keeps the scipy operators."""
     from tests.test_fluidsim import tiny_topology
 
     net = FluidNetwork(tiny_topology())
@@ -207,25 +198,17 @@ def test_sparse_routing_auto_falls_back_when_dense():
     net.finalize()
     assert net.routing_plan.density > engine_mod._SPARSE_DENSITY_THRESHOLD
     assert FluidSimulation(net, dt=0.004, seed=1).kernel == "dense"
-    forced = FluidSimulation(net, dt=0.004, seed=1, sparse_routing="always")
-    assert forced.kernel == "csr_matvec"
 
 
 def test_sparse_routing_requires_unit_weights():
-    """Non-unit stored weights make the gather kernels invalid; even
-    "always" must fall back to dense."""
+    """Non-unit stored weights make the gather kernels invalid: the
+    engine must pick dense."""
     net = _build_net(1, ["lia"], 2)
     net.routing.data[0] = 2.0
     net.routing_plan = RoutingPlan.from_routing(net.routing)
     assert not net.routing_plan.unit_weights
-    sim = FluidSimulation(net, dt=0.004, seed=1, sparse_routing="always")
+    sim = FluidSimulation(net, dt=0.004, seed=1)
     assert sim.kernel == "dense"
-
-
-def test_invalid_sparse_routing_mode_rejected():
-    net = _build_net(1, ["lia"], 1)
-    with pytest.raises(ConfigurationError, match="sparse_routing"):
-        FluidSimulation(net, dt=0.004, seed=1, sparse_routing="sometimes")
 
 
 # ------------------------------------------------------------- chunked RNG

@@ -15,6 +15,7 @@ from repro.fluidsim.state import CohortState
 from repro.topology import Ec2Cloud, FatTree
 from repro.topology.base import DcTopology
 from repro.units import mbps, ms
+from tests.oracles.fluid_reference import run_reference
 
 
 def cohort_state(w, rtt, base=None, user_starts=(0,), loss=None, queueing=None,
@@ -282,21 +283,69 @@ class TestFluidEngine:
         with pytest.raises(ConfigurationError):
             FluidSimulation(net, dt=0)
 
+    @pytest.mark.parametrize("duration",
+                             [0.0, -1.0, float("nan"), float("inf")])
+    def test_nonsense_durations_rejected(self, duration):
+        net = FluidNetwork(tiny_topology())
+        net.add_connection("a", "b", "lia", n_subflows=1)
+        net.finalize()
+        sim = FluidSimulation(net, dt=0.002, seed=1)
+        with pytest.raises(ConfigurationError, match="duration"):
+            sim.run(duration)
+        assert sim.steps_taken == 0
+
+    def test_each_run_call_reports_its_own_interval(self):
+        # delivered_bits / loss_events accumulate over the sim's life; a
+        # result used to divide the lifetime totals by the last call's
+        # duration (k=4 LIA: 61.5 -> 161.7 -> 261.8 Mb/s over three 2 s
+        # calls), and the step clock restarted at zero, so recovery
+        # deadlines carried over from the previous call suppressed
+        # losses. The trajectory must not depend on how calls split it:
+        # [2, 2, 2] and [4, 2] agree interval by interval up to the
+        # rounding of the running totals.
+        def k4_lia():
+            topo = FatTree(4, link_delay=ms(1))
+            net = FluidNetwork(topo, path_seed=1)
+            hosts = list(topo.hosts)
+            for i, src in enumerate(hosts):
+                net.add_connection(src, hosts[(i + 5) % len(hosts)], "lia",
+                                   n_subflows=2)
+            net.finalize()
+            return FluidSimulation(net, dt=0.004, seed=1)
+
+        split, joined = k4_lia(), k4_lia()
+        parts = [split.run(2.0) for _ in range(3)]
+        head, tail = joined.run(4.0), joined.run(2.0)
+        np.testing.assert_allclose(parts[2].connection_goodput_bps,
+                                   tail.connection_goodput_bps, rtol=1e-9)
+        np.testing.assert_allclose(
+            parts[0].connection_bits + parts[1].connection_bits,
+            head.connection_bits, rtol=1e-9)
+        np.testing.assert_allclose(
+            sum(p.connection_bits for p in parts), split.delivered_bits,
+            rtol=1e-12)
+        assert np.array_equal(sum(p.loss_events for p in parts),
+                              split.loss_events)
+        # Steady state: successive intervals carry about the same rate.
+        rates = [p.aggregate_goodput_bps for p in parts]
+        assert max(rates[1:]) < 1.25 * min(rates[1:])
+        assert parts[2].energy_per_gb() == pytest.approx(
+            parts[1].energy_per_gb(), rel=0.25)
+
     def test_rtt_floor_respected(self):
         res = self.run_pair()
         assert np.all(res.mean_rtt >= 0.008 * 0.999)
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_energy_trailing_window_clamped(self, fast_path):
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_energy_trailing_window_clamped(self, reference):
         # 15 steps sampled every 10: windows are [10, 5]. The trailing
         # partial window used to be billed as a full 10 steps.
         net = FluidNetwork(tiny_topology())
         net.add_connection("a", "b", "reno", n_subflows=1)
         net.finalize()
         dt = 0.002
-        sim = FluidSimulation(net, dt=dt, seed=1, energy_sample_every=10,
-                              fast_path=fast_path)
-        res = sim.run(15 * dt)
+        sim = FluidSimulation(net, dt=dt, seed=1, energy_sample_every=10)
+        res = run_reference(sim, 15 * dt) if reference else sim.run(15 * dt)
         assert len(res.sample_power_w) == 2
         expected = sum(p * dt * w for p, w in zip(res.sample_power_w, [10, 5]))
         assert res.total_energy_j == pytest.approx(expected, rel=1e-12)
