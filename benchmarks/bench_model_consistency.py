@@ -10,75 +10,25 @@ engines land on comparable single-bottleneck equilibria.
 import numpy as np
 from conftest import run_once
 
-from repro.core.model import ModelState, decomposition
-from repro.fluidsim.adapters import create_fluid_algorithm
-
-ALGOS = ["lia", "balia", "ecmtcp", "ewtcp", "coupled"]
-
-
-class _FakeRoute:
-    def switch_hops(self):
-        return 0
-
-
-class _FakeSubflow:
-    def __init__(self, cwnd, rtt):
-        self.cwnd = float(cwnd)
-        self.rtt = float(rtt)
-        self.latest_rtt = float(rtt)
-        self.base_rtt = float(rtt)
-        self.loss_events = 0
-        self.route = _FakeRoute()
-
-
-def _cohort_state(w, rtt):
-    from repro.fluidsim.state import CohortState
-
-    n = len(w)
-    return CohortState(
-        w=np.asarray(w, float),
-        rtt=np.asarray(rtt, float),
-        base_rtt=np.asarray(rtt, float),
-        loss=np.zeros(n),
-        queueing=np.zeros(n),
-        switch_hops=np.zeros(n),
-        ecn_marked=np.zeros(n),
-        user_starts=np.array([0], dtype=np.int64),
-        user_of=np.zeros(n, dtype=np.int64),
-    )
+from tests.test_model import (CONSISTENT, consistency_state,
+                              per_ack_increase_by_layer)
 
 
 def max_relative_disagreement(seed=0, samples=200):
-    from repro.algorithms import create_controller
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        n = int(rng.integers(2, 5))
-        w = rng.uniform(2.0, 200.0, n)
-        rtt = rng.uniform(0.01, 0.3, n)
-        st_model = ModelState(w=w.copy(), rtt=rtt.copy())
-        st_fluid = _cohort_state(list(w), list(rtt))
-        for name in ALGOS:
-            expected = decomposition(name).per_ack_increase(st_model)
-            if name == "lia":
-                expected = np.minimum(expected, 1.0 / w)
-            fluid = create_fluid_algorithm(name).per_ack_increase(st_fluid)
-            ctrl = create_controller(name)
-            subflows = [_FakeSubflow(wi, ri) for wi, ri in zip(w, rtt)]
-            ctrl.attach(subflows)
-            before = subflows[0].cwnd
-            ctrl.on_ack(subflows[0])
-            packet = subflows[0].cwnd - before
-            scale = max(abs(expected[0]), 1e-12)
-            worst = max(worst,
-                        abs(fluid[0] - expected[0]) / scale,
-                        abs(packet - expected[0]) / scale)
+        for name in CONSISTENT:
+            packet, fluid, model = per_ack_increase_by_layer(
+                name, *consistency_state(name, rng))
+            scale = max(abs(model), 1e-12)
+            worst = max(worst, abs(fluid - model) / scale,
+                        abs(packet - model) / scale)
     return worst
 
 
 def test_three_layer_consistency(benchmark):
     worst = run_once(benchmark, max_relative_disagreement)
     print(f"\nModel consistency — worst relative disagreement across "
-          f"{len(ALGOS)} algorithms x 200 random states: {worst:.2e}")
+          f"{len(CONSISTENT)} algorithms x 200 random states: {worst:.2e}")
     assert worst < 1e-6

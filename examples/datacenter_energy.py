@@ -10,22 +10,16 @@ the hierarchical fabrics do not.
 Run:  python examples/datacenter_energy.py
 """
 
-import numpy as np
-
 from repro.analysis.report import format_grouped
 from repro.fluidsim import FluidNetwork, FluidSimulation
 from repro.topology import BCube, FatTree, Vl2
 from repro.units import ms
-from repro.workloads.permutation import random_permutation_pairs
 
 
 def energy_per_gb(topology, n_subflows: int, *, duration: float = 20.0,
                   seed: int = 1) -> float:
-    net = FluidNetwork(topology, path_seed=seed)
-    pairs = random_permutation_pairs(topology.hosts, np.random.default_rng(seed))
-    for src, dst in pairs:
-        net.add_connection(src, dst, "lia", n_subflows=n_subflows)
-    net.finalize()
+    net = FluidNetwork.permutation(topology, "lia", n_subflows=n_subflows,
+                                   seed=seed)
     sim = FluidSimulation(net, dt=0.004, seed=seed)
     return sim.run(duration).energy_per_gb()
 

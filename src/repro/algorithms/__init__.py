@@ -1,11 +1,16 @@
 """Congestion-control algorithms: kernel baselines plus the paper's DTS.
 
-Every algorithm exists in two coordinated forms:
+Every algorithm but DWC (:data:`PACKET_ONLY`) exists in two coordinated
+forms that resolve names through this module's registry and aliases:
 
 1. a packet-level per-ACK controller in this subpackage (used by
    :mod:`repro.net`), and
-2. a vectorized fluid decomposition (``psi/beta/phi`` of Eq. 3) in
-   :mod:`repro.core.model` (used by :mod:`repro.fluidsim`).
+2. a vectorized fluid adapter in :mod:`repro.fluidsim.adapters` (what
+   :mod:`repro.fluidsim` steps).
+
+:mod:`repro.core.model` states the same rules a third time, as the
+``psi/beta/phi`` decompositions of Eq. 3 the analysis code integrates;
+``tests/test_model.py`` holds the three to one per-ACK increase.
 
 Use :func:`create_controller` to instantiate by name.
 """
@@ -43,6 +48,11 @@ _REGISTRY: Dict[str, Callable[..., CongestionController]] = {
     "dwc": DwcController,
 }
 
+#: Registry names with no fluid adapter: DWC's congestion grouping is
+#: per-packet state.  ``tests/test_fluidsim.py`` holds the fluid registry
+#: to exactly the others.
+PACKET_ONLY = frozenset({"dwc"})
+
 _ALIASES = {
     "tcp": "reno",
     "newreno": "reno",
@@ -76,19 +86,12 @@ def create_controller(name: str, **kwargs) -> CongestionController:
     Extra keyword arguments are forwarded to the controller constructor,
     e.g. ``create_controller("dts-ext", kappa=1e-4)``.
     """
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
-    try:
-        factory = _REGISTRY[key]
-    except KeyError:
-        raise AlgorithmError(
-            f"unknown algorithm {name!r}; known: {', '.join(algorithm_names())}"
-        ) from None
-    return factory(**kwargs)
+    return _REGISTRY[resolve_algorithm(name)](**kwargs)
 
 
 __all__ = [
     "MIN_CWND",
+    "PACKET_ONLY",
     "BaliaController",
     "CongestionController",
     "CoupledController",

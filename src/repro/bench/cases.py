@@ -16,8 +16,6 @@ from __future__ import annotations
 import gc
 import json
 
-import numpy as np
-
 import repro.obs as obs
 from repro.bench.runner import BenchContext, register
 from repro.obs.tracing import MONOTONIC_CLOCK
@@ -140,14 +138,9 @@ def fluid_fattree_step_batch():
     from repro.fluidsim import FluidNetwork, FluidSimulation
     from repro.topology import FatTree
     from repro.units import ms
-    from repro.workloads.permutation import random_permutation_pairs
 
-    topo = FatTree(8, link_delay=ms(1))
-    net = FluidNetwork(topo, path_seed=1)
-    for src, dst in random_permutation_pairs(topo.hosts,
-                                             np.random.default_rng(1)):
-        net.add_connection(src, dst, "lia", n_subflows=4)
-    net.finalize()
+    net = FluidNetwork.permutation(FatTree(8, link_delay=ms(1)), "lia",
+                                   n_subflows=4, seed=1)
     sim = FluidSimulation(net, dt=0.004, seed=1)
     sim.run(4.0)
     return net.n_subflows
@@ -195,15 +188,9 @@ def fluid_largescale_network(k: int = 12):
     from repro.fluidsim import FluidNetwork
     from repro.topology import FatTree
     from repro.units import ms
-    from repro.workloads.permutation import random_permutation_pairs
 
-    topo = FatTree(k, link_delay=ms(1))
-    net = FluidNetwork(topo, path_seed=1)
-    for src, dst in random_permutation_pairs(topo.hosts,
-                                             np.random.default_rng(1)):
-        net.add_connection(src, dst, "lia", n_subflows=8)
-    net.finalize()
-    return net
+    return FluidNetwork.permutation(FatTree(k, link_delay=ms(1)), "lia",
+                                    n_subflows=8, seed=1)
 
 
 def fluid_largescale_step_batch(net):
@@ -222,14 +209,9 @@ def fluid_step_kernel_setup():
     from repro.fluidsim import FluidNetwork, FluidSimulation
     from repro.topology import FatTree
     from repro.units import ms
-    from repro.workloads.permutation import random_permutation_pairs
 
-    topo = FatTree(4, link_delay=ms(1))
-    net = FluidNetwork(topo, path_seed=1)
-    for src, dst in random_permutation_pairs(topo.hosts,
-                                             np.random.default_rng(1)):
-        net.add_connection(src, dst, "lia", n_subflows=4)
-    net.finalize()
+    net = FluidNetwork.permutation(FatTree(4, link_delay=ms(1)), "lia",
+                                   n_subflows=4, seed=1)
     sim = FluidSimulation(net, dt=0.004, seed=1)
     sim.run(sim.dt)  # warm buffers and cohort views
     return sim

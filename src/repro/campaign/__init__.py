@@ -31,11 +31,7 @@ from repro.campaign.spec import (
     figure_campaign,
     subflow_sweep_campaign,
 )
-from repro.campaign.telemetry import (
-    CampaignTelemetry,
-    engine_throughput,
-    throughput_from_snapshot,
-)
+from repro.campaign.telemetry import CampaignTelemetry, throughput_from_snapshot
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -48,7 +44,6 @@ __all__ = [
     "RunSpec",
     "build_topology",
     "ec2_sweep_campaign",
-    "engine_throughput",
     "throughput_from_snapshot",
     "execute_run",
     "figure_campaign",

@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,15 +51,9 @@ _SOLVER_PARAM_KEYS = ("max_iter", "tol", "damping", "price_gain",
 _PACKET_PARAM_KEYS = ("n_hosts", "eni_bps", "loss_rate", "queue_segments",
                       "rwnd_segments", "total_segments")
 
-
-def _checked_params(spec: RunSpec, accepted: Sequence[str]) -> Dict[str, Any]:
-    """A copy of ``spec.params``, after rejecting keys outside ``accepted``."""
-    unknown = sorted(set(spec.params) - set(accepted))
-    if unknown:
-        raise ConfigurationError(
-            f"engine {spec.engine!r} does not accept params {unknown} "
-            f"(accepted: {', '.join(accepted)})")
-    return dict(spec.params)
+#: What a runner returns: the deterministic ``metrics`` and the ``obs``
+#: section (registry snapshot and anything else wall-clock dependent).
+RunnerResult = Tuple[Dict[str, Any], Dict[str, Any]]
 
 
 def execute_run(spec: RunSpec, shard_jobs: int = 1) -> Dict[str, Any]:
@@ -78,58 +72,57 @@ def execute_run(spec: RunSpec, shard_jobs: int = 1) -> Dict[str, Any]:
     CLI threads it in via ``functools.partial`` so cache hashes stay
     independent of the local core count.
     """
-    if spec.engine == "packet-batch":
-        return _execute_packet_run(spec)
-    if spec.engine == "fluid-equilibrium":
-        return _execute_equilibrium_run(spec)
-    if spec.engine != "fluid":  # pragma: no cover - guarded by RunSpec
-        raise ValueError(f"unsupported engine {spec.engine!r}")
-    if "shards" in spec.params:
-        return _execute_sharded_fluid_run(spec, shard_jobs)
-    from repro.fluidsim import FluidNetwork, FluidSimulation
-    from repro.workloads.permutation import random_permutation_pairs
-
-    params = _checked_params(spec, _FLUID_PARAM_KEYS)
+    runner, accepted = _RUNNERS[spec.engine]
+    if spec.engine == "fluid" and "shards" in spec.params:
+        runner = functools.partial(_run_sharded_fluid, shard_jobs=shard_jobs)
+        accepted = _SHARDED_PARAM_KEYS
+    unknown = sorted(set(spec.params) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"engine {spec.engine!r} does not accept params {unknown} "
+            f"(accepted: {', '.join(accepted)})")
     t0 = time.perf_counter()
-    # A private registry (not the ambient session's): each run's payload
-    # gets an isolated, mergeable snapshot even with jobs=1 inline runs.
-    registry = obs.MetricsRegistry()
-    topo = build_topology(spec.topology, link_delay=spec.link_delay)
-    net = FluidNetwork(topo, path_seed=spec.seed)
-    pairs = random_permutation_pairs(topo.hosts, np.random.default_rng(spec.seed))
-    for src, dst in pairs:
-        net.add_connection(src, dst, spec.algorithm, n_subflows=spec.n_subflows)
-    net.finalize()
-    sim = FluidSimulation(net, dt=spec.dt, seed=spec.seed, metrics=registry,
-                          **params)
-    result = sim.run(spec.duration)
-    wall_s = time.perf_counter() - t0
-
-    snapshot = registry.snapshot()
-    metrics = {
-        "energy_per_gb": result.energy_per_gb(),
-        "aggregate_goodput_bps": result.aggregate_goodput_bps,
-        "host_energy_j": result.host_energy_j,
-        "switch_energy_j": result.switch_energy_j,
-        "total_energy_j": result.total_energy_j,
-        "delivered_bits": float(np.sum(result.connection_bits)),
-        "loss_events": int(np.sum(result.loss_events)),
-        "mean_rtt_s": float(np.mean(result.mean_rtt)),
-        "mean_utilization": float(np.mean(result.mean_utilization)),
-        "n_connections": len(net.connections),
-        "n_subflows_total": net.n_subflows,
-        "steps_taken": int(snapshot["engine.steps_taken"]),
-    }
+    metrics, snapshot = runner(spec, dict(spec.params))
     return {
         "schema_version": SCHEMA_VERSION,
         "spec_hash": spec.content_hash(),
         "metrics": metrics,
-        "wall_s": wall_s,
+        "wall_s": time.perf_counter() - t0,
         "obs": snapshot,
     }
 
 
-def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
+def _permutation_network(spec: RunSpec):
+    """The finalized fluid network ``spec`` names."""
+    from repro.fluidsim import FluidNetwork
+
+    return FluidNetwork.permutation(
+        build_topology(spec.topology, link_delay=spec.link_delay),
+        spec.algorithm, n_subflows=spec.n_subflows, seed=spec.seed)
+
+
+def _step(net, spec: RunSpec, params: Dict[str, Any],
+          registry: "obs.MetricsRegistry") -> Dict[str, Any]:
+    """Step ``net`` for ``spec.duration``; the run's fluid metrics.
+
+    ``registry`` is the run's own (not the ambient session's), so its
+    snapshot is isolated and mergeable even for jobs=1 inline runs.
+    """
+    from repro.fluidsim import FluidSimulation, run_metrics
+
+    sim = FluidSimulation(net, dt=spec.dt, seed=spec.seed, metrics=registry,
+                          **params)
+    return run_metrics(sim, sim.run(spec.duration))
+
+
+def _run_fluid(spec: RunSpec, params: Dict[str, Any]) -> RunnerResult:
+    """Time-step the spec's permutation network."""
+    registry = obs.MetricsRegistry()
+    metrics = _step(_permutation_network(spec), spec, params, registry)
+    return metrics, registry.snapshot()
+
+
+def _run_packet(spec: RunSpec, params: Dict[str, Any]) -> RunnerResult:
     """Execute an EC2-scenario spec on the batched packet engine.
 
     The ``metrics`` section comes straight from the engine's result
@@ -138,8 +131,6 @@ def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
     """
     from repro.net.batch import BatchEngine, ec2_scenario
 
-    params = _checked_params(spec, _PACKET_PARAM_KEYS)
-    t0 = time.perf_counter()
     registry = obs.MetricsRegistry()
     scenario = ec2_scenario(
         n_hosts=int(params.pop("n_hosts", 40)),
@@ -153,7 +144,6 @@ def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
     )
     engine = BatchEngine(scenario, metrics=registry)
     result = engine.run().result()
-    wall_s = time.perf_counter() - t0
 
     snapshot = registry.snapshot()
     for name, value in engine.counters.items():
@@ -164,16 +154,10 @@ def _execute_packet_run(spec: RunSpec) -> Dict[str, Any]:
         **{f"total_{k}": v for k, v in result["totals"].items()},
         "connections": result["connections"],
     }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "spec_hash": spec.content_hash(),
-        "metrics": metrics,
-        "wall_s": wall_s,
-        "obs": snapshot,
-    }
+    return metrics, snapshot
 
 
-def _execute_equilibrium_run(spec: RunSpec) -> Dict[str, Any]:
+def _run_equilibrium(spec: RunSpec, params: Dict[str, Any]) -> RunnerResult:
     """Solve a fluid spec's stationary state directly (no integration).
 
     Produces the same ``metrics`` keys as a time-stepped fluid run —
@@ -187,134 +171,79 @@ def _execute_equilibrium_run(spec: RunSpec) -> Dict[str, Any]:
     from repro.energy.cpu import default_wired_host
     from repro.energy.switch import SwitchPowerModel
     from repro.errors import EquilibriumError
-    from repro.fluidsim import (FluidNetwork, FluidSimulation, PowerEvaluator,
+    from repro.fluidsim import (PowerEvaluator, fluid_metrics,
                                 solve_fluid_equilibrium)
-    from repro.workloads.permutation import random_permutation_pairs
 
-    params = _checked_params(spec, _SOLVER_PARAM_KEYS + _FLUID_PARAM_KEYS)
-    t0 = time.perf_counter()
-    registry = obs.MetricsRegistry()
-    topo = build_topology(spec.topology, link_delay=spec.link_delay)
-    net = FluidNetwork(topo, path_seed=spec.seed)
-    pairs = random_permutation_pairs(topo.hosts, np.random.default_rng(spec.seed))
     solver_kwargs = {k: params.pop(k) for k in _SOLVER_PARAM_KEYS if k in params}
-    for src, dst in pairs:
-        net.add_connection(src, dst, spec.algorithm, n_subflows=spec.n_subflows)
-    net.finalize()
-
-    fallback_reason = None
-    eq = None
+    registry = obs.MetricsRegistry()
+    net = _permutation_network(spec)
     try:
         eq = solve_fluid_equilibrium(net, **solver_kwargs)
-        if not eq.converged:
-            fallback_reason = (f"solver stalled at residual {eq.residual:.3g} "
-                               f"after {eq.iterations} iterations")
+        fallback_reason = None if eq.converged else (
+            f"solver stalled at residual {eq.residual:.3g} "
+            f"after {eq.iterations} iterations")
     except EquilibriumError as exc:
         fallback_reason = str(exc)
 
     if fallback_reason is not None:
-        sim = FluidSimulation(net, dt=spec.dt, seed=spec.seed,
-                              metrics=registry, **params)
-        result = sim.run(spec.duration)
-        snapshot = registry.snapshot()
-        metrics = {
-            "energy_per_gb": result.energy_per_gb(),
-            "aggregate_goodput_bps": result.aggregate_goodput_bps,
-            "host_energy_j": result.host_energy_j,
-            "switch_energy_j": result.switch_energy_j,
-            "total_energy_j": result.total_energy_j,
-            "delivered_bits": float(np.sum(result.connection_bits)),
-            "loss_events": int(np.sum(result.loss_events)),
-            "mean_rtt_s": float(np.mean(result.mean_rtt)),
-            "mean_utilization": float(np.mean(result.mean_utilization)),
-            "n_connections": len(net.connections),
-            "n_subflows_total": net.n_subflows,
-            "steps_taken": int(snapshot["engine.steps_taken"]),
-            "solver": {"fallback": True, "reason": fallback_reason},
-        }
+        metrics = _step(net, spec, params, registry)
+        metrics["solver"] = {"fallback": True, "reason": fallback_reason}
     else:
         power = PowerEvaluator(net, default_wired_host(), SwitchPowerModel())
         x_bps = eq.x_pkts * net.packet_bits
-        host_p = power.host_power_now(x_bps, eq.rtt)
-        switch_p = power.switch_power_now(eq.link_utilization)
-        host_energy = host_p * spec.duration
-        switch_energy = switch_p * spec.duration
-        delivered_bits = eq.aggregate_goodput_bps * spec.duration
         # Expected loss-event count under the engine's one-per-RTT
         # suppression (the renewal-process rate the solver balances).
         lam = eq.p_path * eq.x_pkts
         eff_rate = lam / (1.0 + lam * eq.rtt)
-        delivered_gb = delivered_bits / 8e9
-        metrics = {
-            "energy_per_gb": ((host_energy + switch_energy) / delivered_gb
-                              if delivered_gb > 0 else float("inf")),
-            "aggregate_goodput_bps": eq.aggregate_goodput_bps,
-            "host_energy_j": host_energy,
-            "switch_energy_j": switch_energy,
-            "total_energy_j": host_energy + switch_energy,
-            "delivered_bits": delivered_bits,
-            "loss_events": int(np.sum(eff_rate) * spec.duration),
-            "mean_rtt_s": float(np.mean(eq.rtt)),
-            "mean_utilization": float(np.mean(eq.link_utilization)),
-            "n_connections": len(net.connections),
-            "n_subflows_total": net.n_subflows,
-            "steps_taken": 0,
-            "solver": {
-                "fallback": False,
-                "converged": True,
-                "iterations": eq.iterations,
-                "residual": eq.residual,
-            },
+        metrics = fluid_metrics(
+            aggregate_goodput_bps=eq.aggregate_goodput_bps,
+            host_energy_j=power.host_power_now(x_bps, eq.rtt) * spec.duration,
+            switch_energy_j=(power.switch_power_now(eq.link_utilization)
+                             * spec.duration),
+            delivered_bits=eq.aggregate_goodput_bps * spec.duration,
+            loss_events=int(np.sum(eff_rate) * spec.duration),
+            mean_rtt_s=float(np.mean(eq.rtt)),
+            mean_utilization=float(np.mean(eq.link_utilization)),
+            n_connections=len(net.connections),
+            n_subflows=net.n_subflows,
+            steps_taken=0,
+        )
+        metrics["solver"] = {
+            "fallback": False,
+            "converged": True,
+            "iterations": eq.iterations,
+            "residual": eq.residual,
         }
-        snapshot = registry.snapshot()
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "spec_hash": spec.content_hash(),
-        "metrics": metrics,
-        "wall_s": time.perf_counter() - t0,
-        "obs": snapshot,
-    }
+    return metrics, registry.snapshot()
 
 
-def _execute_sharded_fluid_run(spec: RunSpec, shard_jobs: int) -> Dict[str, Any]:
-    """Step ``spec.params['shards']`` independent fabric replicas and
-    merge them (see :mod:`repro.fluidsim.sharding`).
+def _run_sharded_fluid(spec: RunSpec, params: Dict[str, Any],
+                       shard_jobs: int) -> RunnerResult:
+    """Step ``params['shards']`` independent fabric replicas and merge
+    them (see :mod:`repro.fluidsim.sharding`).
 
     Shard fan-out parallelism comes from ``shard_jobs`` (an execution
     detail, not a spec field); the metrics are byte-identical at any
     ``shard_jobs`` value.
     """
-    from repro.fluidsim.sharding import run_sharded
+    from repro.fluidsim import run_sharded
 
-    kwargs = _checked_params(spec, _SHARDED_PARAM_KEYS)
-    t0 = time.perf_counter()
     result = run_sharded(
-        spec.topology, n_shards=int(kwargs.pop("shards")), jobs=shard_jobs,
+        spec.topology, n_shards=int(params.pop("shards")), jobs=shard_jobs,
         algorithm=spec.algorithm, n_subflows=spec.n_subflows,
         duration=spec.duration, dt=spec.dt, seed=spec.seed,
-        link_delay=spec.link_delay, **kwargs)
-    metrics = {
-        "energy_per_gb": result.energy_per_gb(),
-        "aggregate_goodput_bps": result.aggregate_goodput_bps,
-        "host_energy_j": result.host_energy_j,
-        "switch_energy_j": result.switch_energy_j,
-        "total_energy_j": result.total_energy_j,
-        "delivered_bits": result.delivered_bits,
-        "loss_events": result.loss_events,
-        "mean_rtt_s": result.mean_rtt_s,
-        "mean_utilization": result.mean_utilization,
-        "n_connections": result.n_connections,
-        "n_subflows_total": result.n_subflows,
-        "steps_taken": result.steps_taken,
-        "n_shards": result.n_shards,
-    }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "spec_hash": spec.content_hash(),
-        "metrics": metrics,
-        "wall_s": time.perf_counter() - t0,
-        "obs": {"shard_wall_s": list(result.shard_wall_s)},
-    }
+        link_delay=spec.link_delay, **params)
+    return result.metrics(), {"shard_wall_s": list(result.shard_wall_s)}
+
+
+#: engine -> (runner(spec, params) -> RunnerResult, the ``spec.params``
+#: keys it accepts).
+_RUNNERS = {
+    "fluid": (_run_fluid, _FLUID_PARAM_KEYS),
+    "fluid-equilibrium": (_run_equilibrium,
+                          _SOLVER_PARAM_KEYS + _FLUID_PARAM_KEYS),
+    "packet-batch": (_run_packet, _PACKET_PARAM_KEYS),
+}
 
 
 def _traced_run(run_fn: Callable[[RunSpec], Dict[str, Any]],

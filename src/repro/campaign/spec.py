@@ -19,7 +19,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import AlgorithmError, ConfigurationError
 from repro.units import ms
 
 #: Bump whenever engine or payload changes invalidate previously cached
@@ -117,6 +117,19 @@ class RunSpec:
             raise ConfigurationError(
                 f"unknown workload {self.workload!r} "
                 f"(known: {', '.join(KNOWN_WORKLOADS)})")
+        # Checked here, not in the worker: a name no engine can run would
+        # otherwise be pickled to the pool, fail there and be retried.
+        # The field keeps its spelling, so valid specs hash as before.
+        from repro.algorithms import PACKET_ONLY, resolve_algorithm
+
+        try:
+            canonical = resolve_algorithm(self.algorithm)
+        except AlgorithmError as exc:
+            raise ConfigurationError(str(exc)) from None
+        if self.engine != "packet-batch" and canonical in PACKET_ONLY:
+            raise ConfigurationError(
+                f"engine {self.engine!r} cannot run algorithm {canonical!r} "
+                "(it has no fluid form)")
         if self.n_subflows < 1:
             raise ConfigurationError(f"n_subflows must be >= 1, got {self.n_subflows}")
         if self.duration <= 0:

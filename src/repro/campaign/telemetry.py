@@ -13,10 +13,7 @@ file, so a campaign leaves an audit trail that survives the process::
 Engine throughput comes from the obs metrics registry: worker payloads
 carry a registry snapshot under ``"obs"`` (see
 :func:`repro.campaign.executor.execute_run`) read by
-:func:`throughput_from_snapshot`; live engine objects still work through
-:func:`engine_throughput`, which duck-types their compatibility counters
-(``events_processed`` / ``steps_taken``) — themselves thin views over
-the same registry instruments.
+:func:`throughput_from_snapshot`.
 """
 
 from __future__ import annotations
@@ -26,26 +23,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict
-
-
-def engine_throughput(engine: Any, wall_s: float) -> Dict[str, float]:
-    """Throughput stats from an engine's run counters.
-
-    Duck-typed: anything exposing ``events_processed`` (the packet
-    simulator) yields ``events_per_s``; anything exposing
-    ``steps_taken`` (the fluid engine) yields ``steps_per_s``.  Objects
-    exposing both yield both.
-    """
-    out: Dict[str, float] = {}
-    if wall_s <= 0:
-        return out
-    events = getattr(engine, "events_processed", None)
-    if events is not None:
-        out["events_per_s"] = float(events) / wall_s
-    steps = getattr(engine, "steps_taken", None)
-    if steps is not None:
-        out["steps_per_s"] = float(steps) / wall_s
-    return out
 
 
 def throughput_from_snapshot(snapshot: Dict[str, Any],

@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.analysis.report import format_table
-from repro.fluidsim import FluidNetwork, FluidSimulation
+from repro.fluidsim import FluidNetwork, FluidSimulation, run_metrics
 from repro.topology.ec2 import Ec2Cloud
-from repro.workloads.permutation import random_permutation_pairs
 
 #: (label, algorithm, subflows) triples of the paper's Fig. 10.
 FIG10_CONFIGS = [
@@ -66,23 +63,12 @@ def run(
     """
     rows: List[Fig10Row] = []
     for label, algorithm, n_subflows in (configs or FIG10_CONFIGS):
-        topo = Ec2Cloud(n_hosts=n_hosts)
-        net = FluidNetwork(topo, path_seed=seed)
-        pairs = random_permutation_pairs(topo.hosts, np.random.default_rng(seed))
-        for src, dst in pairs:
-            net.add_connection(src, dst, algorithm, n_subflows=n_subflows)
-        net.finalize()
+        net = FluidNetwork.permutation(Ec2Cloud(n_hosts=n_hosts), algorithm,
+                                       n_subflows=n_subflows, seed=seed)
         sim = FluidSimulation(net, dt=dt, seed=seed)
-        res = sim.run(duration)
-        rows.append(
-            Fig10Row(
-                label=label,
-                aggregate_goodput_bps=res.aggregate_goodput_bps,
-                energy_per_gb=res.energy_per_gb(),
-                host_energy_j=res.host_energy_j,
-                switch_energy_j=res.switch_energy_j,
-            )
-        )
+        m = run_metrics(sim, sim.run(duration))
+        rows.append(Fig10Row(label, m["aggregate_goodput_bps"], m["energy_per_gb"],
+                             m["host_energy_j"], m["switch_energy_j"]))
     return Fig10Result(rows=rows)
 
 

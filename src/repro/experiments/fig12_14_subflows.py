@@ -25,18 +25,12 @@ host — the closest BCube shape to the paper's quoted counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
 from repro.campaign import CampaignExecutor, CampaignTelemetry, ResultCache, RunSpec
-from repro.campaign.spec import build_topology
 from repro.errors import SimulationError
-from repro.fluidsim import FluidNetwork, FluidSimulation
-from repro.topology.base import DcTopology
 from repro.units import ms
-from repro.workloads.permutation import random_permutation_pairs
 
 
 @dataclass
@@ -57,14 +51,7 @@ class SubflowSweepResult:
         return {p.n_subflows: p.energy_per_gb for p in self.points}
 
 
-def default_topology(name: str, link_delay: float = ms(1)) -> DcTopology:
-    """The per-figure default topology instances (see
-    :func:`repro.campaign.build_topology`, the single source of truth)."""
-    return build_topology(name, link_delay=link_delay)
-
-
 def run_sweep(
-    topology_factory: Optional[Callable[[], DcTopology]] = None,
     *,
     topology_name: str,
     subflow_counts: Optional[List[int]] = None,
@@ -85,17 +72,10 @@ def run_sweep(
     Each (subflow count, seed) point becomes a ``RunSpec`` executed
     through the campaign executor: ``jobs`` fans the points out over
     worker processes and ``cache``/``telemetry`` plug in the campaign
-    result store and JSONL run log.  Passing an explicit
-    ``topology_factory`` (a custom network shape the spec vocabulary
-    cannot name) falls back to an in-process loop without caching.
+    result store and JSONL run log.
     """
     counts = subflow_counts if subflow_counts is not None else [1, 2, 4, 8]
     seed_list = seeds if seeds is not None else [1, 2]
-
-    if topology_factory is not None:
-        return _run_sweep_with_factory(
-            topology_factory, topology_name=topology_name, counts=counts,
-            algorithm=algorithm, duration=duration, dt=dt, seeds=seed_list)
 
     specs = [
         RunSpec(algorithm=algorithm, topology=topology_name, n_subflows=nsub,
@@ -133,46 +113,6 @@ def sweep_result_from_outcomes(topology_name, counts, seeds,
                                           for m in metrics) / n,
                 host_energy_j=sum(m["host_energy_j"] for m in metrics) / n,
                 switch_energy_j=sum(m["switch_energy_j"] for m in metrics) / n,
-            )
-        )
-    return SubflowSweepResult(topology=topology_name, points=points)
-
-
-def _run_sweep_with_factory(
-    topology_factory: Callable[[], DcTopology],
-    *,
-    topology_name: str,
-    counts: List[int],
-    algorithm: str,
-    duration: float,
-    dt: float,
-    seeds: List[int],
-) -> SubflowSweepResult:
-    """Legacy in-process sweep for caller-supplied topology shapes."""
-    points: List[SubflowPoint] = []
-    for nsub in counts:
-        e_gb, goodput, e_host, e_switch = [], [], [], []
-        for seed in seeds:
-            topo = topology_factory()
-            net = FluidNetwork(topo, path_seed=seed)
-            pairs = random_permutation_pairs(topo.hosts, np.random.default_rng(seed))
-            for src, dst in pairs:
-                net.add_connection(src, dst, algorithm, n_subflows=nsub)
-            net.finalize()
-            sim = FluidSimulation(net, dt=dt, seed=seed)
-            res = sim.run(duration)
-            e_gb.append(res.energy_per_gb())
-            goodput.append(res.aggregate_goodput_bps)
-            e_host.append(res.host_energy_j)
-            e_switch.append(res.switch_energy_j)
-        n = len(seeds)
-        points.append(
-            SubflowPoint(
-                n_subflows=nsub,
-                energy_per_gb=sum(e_gb) / n,
-                aggregate_goodput_bps=sum(goodput) / n,
-                host_energy_j=sum(e_host) / n,
-                switch_energy_j=sum(e_switch) / n,
             )
         )
     return SubflowSweepResult(topology=topology_name, points=points)

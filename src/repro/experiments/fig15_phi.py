@@ -11,22 +11,21 @@ queue/retransmission load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
-import numpy as np
-
 from repro.analysis.report import format_table
+from repro.campaign.spec import build_topology
 from repro.energy.switch import SwitchPowerModel
-from repro.experiments.fig12_14_subflows import default_topology
-from repro.fluidsim import FluidNetwork, FluidSimulation
-from repro.workloads.permutation import random_permutation_pairs
+from repro.fluidsim import FluidNetwork, FluidSimulation, run_metrics
 
 FIG15_ALGORITHMS = ["lia", "dts", "dts-ext"]
 
 
 @dataclass
 class Fig15Row:
+    """A grid point, then seed means of the :func:`run_metrics` keys so named."""
+
     topology: str
     algorithm: str
     energy_per_gb: float
@@ -81,41 +80,21 @@ def run(
     rows: List[Fig15Row] = []
     for topo_name in topos:
         for alg in algs:
-            e_gb, goodput, e_host, e_switch, losses = [], [], [], [], []
+            runs = []
             for seed in seed_list:
-                topo = default_topology(topo_name)
-                net = FluidNetwork(topo, path_seed=seed)
-                pairs = random_permutation_pairs(
-                    topo.hosts, np.random.default_rng(seed)
-                )
-                kwargs = {"kappa": kappa} if alg == "dts-ext" else None
-                for src, dst in pairs:
-                    net.add_connection(
-                        src, dst, alg, n_subflows=n_subflows,
-                        algorithm_kwargs=kwargs,
-                    )
-                net.finalize()
+                net = FluidNetwork.permutation(
+                    build_topology(topo_name), alg, n_subflows=n_subflows,
+                    seed=seed,
+                    algorithm_kwargs={"kappa": kappa} if alg == "dts-ext" else None)
                 sim = FluidSimulation(
                     net, dt=dt, seed=seed, switch_power=proportional_switch_model()
                 )
-                res = sim.run(duration)
-                e_gb.append(res.energy_per_gb())
-                goodput.append(res.aggregate_goodput_bps)
-                e_host.append(res.host_energy_j)
-                e_switch.append(res.switch_energy_j)
-                losses.append(float(res.loss_events.sum()))
-            n = len(seed_list)
-            rows.append(
-                Fig15Row(
-                    topology=topo_name,
-                    algorithm=alg,
-                    energy_per_gb=sum(e_gb) / n,
-                    aggregate_goodput_bps=sum(goodput) / n,
-                    host_energy_j=sum(e_host) / n,
-                    switch_energy_j=sum(e_switch) / n,
-                    loss_events=sum(losses) / n,
-                )
-            )
+                runs.append(run_metrics(sim, sim.run(duration)))
+            rows.append(Fig15Row(
+                topology=topo_name,
+                algorithm=alg,
+                **{f.name: sum(m[f.name] for m in runs) / len(runs)
+                   for f in fields(Fig15Row)[2:]}))
     return Fig15Result(rows=rows)
 
 

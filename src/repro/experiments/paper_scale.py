@@ -53,9 +53,9 @@ FIG07 = {
 FIG10 = {"n_hosts": 40, "duration": 80.0}
 
 #: Figs. 12-14 — ten seeds, 1000 s flows. The paper's 100 ms links are
-#: configured through the topology factory (see fig12_14_subflows.
-#: default_topology(..., link_delay=ms(100))); with them, allow the
-#: dynamics tens of minutes of simulated time to converge.
+#: a RunSpec field (``link_delay``; :func:`fig12_14_campaign` sets it);
+#: with them, allow the dynamics tens of minutes of simulated time to
+#: converge.
 FIG12_14 = {
     "subflow_counts": [1, 2, 3, 4, 5, 6, 7, 8],
     "duration": 1000.0,

@@ -23,7 +23,13 @@ Two scale levers sit alongside the stepping engine:
 """
 
 from repro.fluidsim.adapters import FluidAlgorithm, create_fluid_algorithm, fluid_algorithm_names
-from repro.fluidsim.engine import FluidSimulation, PowerEvaluator, SimulationResult
+from repro.fluidsim.engine import (
+    FluidSimulation,
+    PowerEvaluator,
+    SimulationResult,
+    fluid_metrics,
+    run_metrics,
+)
 from repro.fluidsim.equilibrium import (
     FluidEquilibrium,
     equilibrium_supported,
@@ -52,8 +58,10 @@ __all__ = [
     "create_fluid_algorithm",
     "equilibrium_supported",
     "fluid_algorithm_names",
+    "fluid_metrics",
     "make_shard_specs",
     "merge_shard_payloads",
+    "run_metrics",
     "run_sharded",
     "simulate_shard",
     "solve_fluid_equilibrium",

@@ -21,6 +21,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
+from repro.algorithms import resolve_algorithm
 from repro.core.dts import DtsFactorConfig
 from repro.errors import AlgorithmError
 from repro.fluidsim.state import CohortState
@@ -284,8 +285,6 @@ _REGISTRY: Dict[str, Callable[..., FluidAlgorithm]] = {
     "dts-ext": FluidExtendedDts,
 }
 
-_ALIASES = {"tcp": "reno", "mptcp": "lia", "dts_ext": "dts-ext", "edts": "dts-ext"}
-
 
 def fluid_algorithm_names() -> List[str]:
     """Canonical fluid-adapter names, sorted."""
@@ -293,13 +292,14 @@ def fluid_algorithm_names() -> List[str]:
 
 
 def create_fluid_algorithm(name: str, **kwargs) -> FluidAlgorithm:
-    """Instantiate a fluid adapter by (case-insensitive) name."""
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
+    """Instantiate a fluid adapter by name; names and aliases are
+    :func:`repro.algorithms.resolve_algorithm`'s."""
+    key = resolve_algorithm(name)
     try:
         factory = _REGISTRY[key]
     except KeyError:
         raise AlgorithmError(
-            f"unknown fluid algorithm {name!r}; known: {', '.join(fluid_algorithm_names())}"
+            f"algorithm {key!r} has no fluid form; "
+            f"known: {', '.join(fluid_algorithm_names())}"
         ) from None
     return factory(**kwargs)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -187,6 +187,44 @@ class SimulationResult:
         if delivered_gb <= 0:
             return float("inf")
         return self.total_energy_j / delivered_gb
+
+
+def fluid_metrics(
+    *,
+    aggregate_goodput_bps: float,
+    host_energy_j: float,
+    switch_energy_j: float,
+    delivered_bits: float,
+    loss_events: int,
+    mean_rtt_s: float,
+    mean_utilization: float,
+    n_connections: int,
+    n_subflows: int,
+    steps_taken: int,
+) -> Dict[str, Any]:
+    """The deterministic ``metrics`` of one fluid run, from its totals.
+
+    The one statement of the keys campaign payloads, sweeps and reports
+    read: a stepped run reaches it through :func:`run_metrics`, a sharded
+    one after the merge, a solved equilibrium with ``steps_taken=0``.
+    """
+    total_energy_j = host_energy_j + switch_energy_j
+    delivered_gb = delivered_bits / 8e9
+    return {
+        "energy_per_gb": (total_energy_j / delivered_gb
+                          if delivered_gb > 0 else float("inf")),
+        "aggregate_goodput_bps": aggregate_goodput_bps,
+        "host_energy_j": host_energy_j,
+        "switch_energy_j": switch_energy_j,
+        "total_energy_j": total_energy_j,
+        "delivered_bits": delivered_bits,
+        "loss_events": loss_events,
+        "mean_rtt_s": mean_rtt_s,
+        "mean_utilization": mean_utilization,
+        "n_connections": n_connections,
+        "n_subflows_total": n_subflows,
+        "steps_taken": steps_taken,
+    }
 
 
 class _StepBuffers:
@@ -643,3 +681,24 @@ class FluidSimulation:
             sample_goodput_bps=samples_goodput,
             sample_power_w=samples_power,
         )
+
+
+def run_metrics(sim: FluidSimulation, result: SimulationResult) -> Dict[str, Any]:
+    """:func:`fluid_metrics` of the run ``result = sim.run(...)``.
+
+    ``steps_taken`` is the sim's registry counter, so it means this run
+    when the sim reports into its own registry (as every runner's does).
+    """
+    net = sim.net
+    return fluid_metrics(
+        aggregate_goodput_bps=result.aggregate_goodput_bps,
+        host_energy_j=result.host_energy_j,
+        switch_energy_j=result.switch_energy_j,
+        delivered_bits=float(np.sum(result.connection_bits)),
+        loss_events=int(np.sum(result.loss_events)),
+        mean_rtt_s=float(np.mean(result.mean_rtt)),
+        mean_utilization=float(np.mean(result.mean_utilization)),
+        n_connections=len(net.connections),
+        n_subflows=net.n_subflows,
+        steps_taken=sim.steps_taken,
+    )

@@ -152,6 +152,33 @@ class FluidNetwork:
 
     # ---------------------------------------------------------------- build
 
+    @classmethod
+    def permutation(
+        cls,
+        topology: DcTopology,
+        algorithm: str,
+        *,
+        n_subflows: int,
+        seed: int,
+        path_pool: int = 64,
+        algorithm_kwargs: Optional[dict] = None,
+    ) -> "FluidNetwork":
+        """The finalized network of the paper's datacenter experiment
+        (Figs. 10, 12-16): every host sends one ``algorithm`` flow of
+        ``n_subflows`` subflows to a random other host.  ``seed`` fixes
+        both the pairing and the ECMP path draw."""
+        # Local: only fluid runs pay for the workloads package (DESIGN §8).
+        from repro.workloads.permutation import random_permutation_pairs
+
+        net = cls(topology, path_seed=seed)
+        for src, dst in random_permutation_pairs(
+                topology.hosts, np.random.default_rng(seed)):
+            net.add_connection(src, dst, algorithm, n_subflows=n_subflows,
+                               algorithm_kwargs=algorithm_kwargs,
+                               path_pool=path_pool)
+        net.finalize()
+        return net
+
     def add_connection(
         self,
         src: str,

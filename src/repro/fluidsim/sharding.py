@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.fluidsim.engine import FluidSimulation, fluid_metrics, run_metrics
+from repro.fluidsim.network import FluidNetwork
 from repro.units import ms
 
 #: Multiplier folding the shard index into the base seed.  Prime and
@@ -67,29 +69,21 @@ def simulate_shard(spec: ShardSpec) -> Dict[str, Any]:
     """Build and step one shard; the pool's worker function.
 
     Derives everything from the spec (module-level so the pool can
-    pickle it) and returns a JSON-serializable summary — the arrays a
-    merged result needs are already reduced here so only scalars cross
-    the process boundary.
+    pickle it) and returns the shard's :func:`run_metrics` plus what the
+    merge weighs by — already reduced, so only scalars cross the process
+    boundary.
     """
     # Lazy: campaign.spec imports nothing from fluidsim, but keeping the
     # import local avoids making the fluid package depend on the
     # campaign layer at import time.
     import repro.obs as obs
     from repro.campaign.spec import build_topology
-    from repro.fluidsim.engine import FluidSimulation
-    from repro.fluidsim.network import FluidNetwork
-    from repro.workloads.permutation import random_permutation_pairs
 
     t0 = time.perf_counter()
-    topo = build_topology(spec.topology, link_delay=spec.link_delay)
-    net = FluidNetwork(topo, path_seed=spec.shard_seed)
-    pairs = random_permutation_pairs(
-        topo.hosts, np.random.default_rng(spec.shard_seed))
-    for src, dst in pairs:
-        net.add_connection(src, dst, spec.algorithm,
-                           n_subflows=spec.n_subflows,
-                           path_pool=spec.path_pool)
-    net.finalize()
+    net = FluidNetwork.permutation(
+        build_topology(spec.topology, link_delay=spec.link_delay),
+        spec.algorithm, n_subflows=spec.n_subflows, seed=spec.shard_seed,
+        path_pool=spec.path_pool)
     # A private registry: shards sharing an ambient obs session (or
     # forked from one) must not accumulate each other's engine counters
     # into their payloads.
@@ -97,20 +91,9 @@ def simulate_shard(spec: ShardSpec) -> Dict[str, Any]:
                           dtype=spec.dtype,
                           initial_window=spec.initial_window,
                           metrics=obs.MetricsRegistry())
-    result = sim.run(spec.duration)
     return {
-        "shard_index": spec.shard_index,
-        "n_subflows": net.n_subflows,
-        "n_connections": len(net.connections),
+        **run_metrics(sim, sim.run(spec.duration)),
         "n_links": net.n_links,
-        "aggregate_goodput_bps": result.aggregate_goodput_bps,
-        "delivered_bits": float(np.sum(result.connection_bits)),
-        "host_energy_j": result.host_energy_j,
-        "switch_energy_j": result.switch_energy_j,
-        "loss_events": int(np.sum(result.loss_events)),
-        "mean_rtt_s": float(np.mean(result.mean_rtt)),
-        "mean_utilization": float(np.mean(result.mean_utilization)),
-        "steps_taken": sim.steps_taken,
         "wall_s": time.perf_counter() - t0,
     }
 
@@ -135,16 +118,13 @@ class ShardedResult:
     #: Worker wall-clock seconds per shard, shard order.
     shard_wall_s: Tuple[float, ...]
 
-    @property
-    def total_energy_j(self) -> float:
-        return self.host_energy_j + self.switch_energy_j
-
-    def energy_per_gb(self) -> float:
-        """Joules per delivered decimal gigabyte over all shards."""
-        delivered_gb = self.delivered_bits / 8e9
-        if delivered_gb <= 0:
-            return float("inf")
-        return self.total_energy_j / delivered_gb
+    def metrics(self) -> Dict[str, Any]:
+        """:func:`fluid_metrics` of the merged totals, plus ``n_shards``
+        (the other fields are that function's arguments by name)."""
+        totals = asdict(self)
+        del totals["shard_wall_s"]
+        n_shards = totals.pop("n_shards")
+        return {**fluid_metrics(**totals), "n_shards": n_shards}
 
 
 def make_shard_specs(
@@ -182,7 +162,7 @@ def merge_shard_payloads(payloads: Sequence[Dict[str, Any]]) -> ShardedResult:
     """
     if not payloads:
         raise ConfigurationError("cannot merge zero shard payloads")
-    subflows = np.array([p["n_subflows"] for p in payloads], dtype=float)
+    subflows = np.array([p["n_subflows_total"] for p in payloads], dtype=float)
     links = np.array([p["n_links"] for p in payloads], dtype=float)
     rtts = np.array([p["mean_rtt_s"] for p in payloads])
     utils = np.array([p["mean_utilization"] for p in payloads])

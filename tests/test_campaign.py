@@ -14,10 +14,10 @@ from repro.campaign import (
     CampaignTelemetry,
     ResultCache,
     RunSpec,
-    engine_throughput,
     execute_run,
     figure_campaign,
     subflow_sweep_campaign,
+    throughput_from_snapshot,
 )
 from repro.campaign import cache as cache_mod
 from repro.campaign import spec as spec_mod
@@ -300,31 +300,35 @@ def test_telemetry_jsonl_log(tmp_path):
     assert tel.counters["runs_completed"] == len(specs)
 
 
-def test_engine_throughput_reads_engine_counters():
+def test_throughput_from_snapshot_reads_engine_counters():
+    import repro.obs as obs
     from repro.fluidsim import FluidNetwork, FluidSimulation
     from repro.net.events import Simulator
 
-    sim = Simulator(seed=1)
+    registry = obs.MetricsRegistry()
+    sim = Simulator(seed=1, metrics=registry)
     for i in range(50):
         sim.schedule(i * 0.01, lambda: None)
     sim.run()
     assert sim.events_processed == 50
     assert sim.wall_time_s > 0
     assert sim.events_per_second > 0
-    stats = engine_throughput(sim, sim.wall_time_s)
-    assert stats["events_per_s"] == pytest.approx(sim.events_per_second)
+    stats = throughput_from_snapshot(registry.snapshot(), sim.wall_time_s)
+    assert stats == {"events_per_s": pytest.approx(sim.events_per_second)}
 
     from repro.campaign.spec import build_topology
+    registry = obs.MetricsRegistry()
     net = FluidNetwork(build_topology("bcube"), path_seed=1)
     net.add_connection(net.topology.hosts[0], net.topology.hosts[1],
                        "lia", n_subflows=2)
     net.finalize()
-    fsim = FluidSimulation(net, dt=0.01, seed=1)
+    fsim = FluidSimulation(net, dt=0.01, seed=1, metrics=registry)
     fsim.run(0.2)
     assert fsim.steps_taken == 20
     assert fsim.steps_per_second > 0
-    stats = engine_throughput(fsim, fsim.wall_time_s)
-    assert stats["steps_per_s"] == pytest.approx(fsim.steps_per_second)
+    stats = throughput_from_snapshot(registry.snapshot(), fsim.wall_time_s)
+    assert stats == {"steps_per_s": pytest.approx(fsim.steps_per_second)}
+    assert throughput_from_snapshot(registry.snapshot(), 0.0) == {}
 
 
 def test_execute_run_payload_shape():
@@ -414,6 +418,31 @@ def test_spec_hashes_survive_the_retired_engine_options():
         assert RunSpec(**ENGINE_POINTS[engine]).content_hash() == digest
 
 
+def test_spec_rejects_algorithms_its_engine_cannot_run():
+    """An unknown or engine-less algorithm fails when the spec is built —
+    not in a worker, after pickling and a retry."""
+    with pytest.raises(ConfigurationError, match="unknown algorithm 'liaa'"):
+        subflow_sweep_campaign(["bcube"], algorithm="liaa")
+    for engine in ("fluid", "fluid-equilibrium"):
+        with pytest.raises(ConfigurationError, match="no fluid form"):
+            RunSpec(algorithm="dwc", engine=engine, **FAST)
+    # ...but the packet engine has a DWC controller.
+    RunSpec(algorithm="dwc", **ENGINE_POINTS["packet-batch"])
+    with pytest.raises(ConfigurationError, match="unknown algorithm"):
+        RunSpec(algorithm="nope", **ENGINE_POINTS["packet-batch"])
+
+
+def test_spec_keeps_the_algorithm_spelling_it_was_given():
+    """Validation resolves aliases but never rewrites the field: hashes
+    (so cached results) of specs that were valid before stay put."""
+    alias = RunSpec(algorithm="NewReno", n_subflows=1, seed=1, **FAST)
+    assert alias.algorithm == "NewReno"
+    assert alias.content_hash() != alias.replace(algorithm="reno").content_hash()
+    # One alias table: the fluid engines run every alias the packet tier does.
+    assert execute_run(alias)["metrics"] == execute_run(
+        alias.replace(algorithm="reno"))["metrics"]
+
+
 # ------------------------------------------------------------------------ CLI
 
 def test_cli_campaign_smoke(tmp_path, capsys):
@@ -453,6 +482,16 @@ def test_cli_sweep_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "topology: bcube" in out
     assert "2 runs" in out
+
+
+def test_cli_sweep_rejects_unknown_algorithm_before_running(tmp_path, capsys):
+    from repro.cli import main
+
+    rc = main(["sweep", "--topologies", "bcube", "--algorithm", "liaa",
+               "--jobs", "2", "--cache-dir", str(tmp_path)])
+    assert rc == 2
+    assert "unknown algorithm 'liaa'" in capsys.readouterr().err
+    assert not (tmp_path / "campaign.log.jsonl").exists()
 
 
 def test_paper_scale_campaign_spec():

@@ -7,6 +7,7 @@ these tests keep the harness importable and runnable in CI time.
 
 import pytest
 
+from repro.campaign import build_topology
 from repro.errors import ConfigurationError
 from repro.experiments import (
     fig01_power_vs_subflows,
@@ -105,8 +106,6 @@ def test_fig10_multipath_saves_energy():
 
 def test_fig12_bcube_subflows_save_energy():
     res = fig12_14_subflows.run_sweep(
-        lambda: __import__("repro.topology", fromlist=["BCube"]).BCube(4, 2,
-            link_delay=0.001),
         topology_name="bcube", subflow_counts=[1, 3], duration=10.0, seeds=[1],
     )
     series = res.energy_series()
@@ -137,9 +136,9 @@ def test_fig17_dts_saves_energy():
 
 
 def test_default_topologies_match_paper_scale():
-    ft = fig12_14_subflows.default_topology("fattree")
-    vl2 = fig12_14_subflows.default_topology("vl2")
+    ft = build_topology("fattree")
+    vl2 = build_topology("vl2")
     assert len(ft.hosts) == 128 and len(ft.switches) == 80
     assert len(vl2.hosts) == 128 and len(vl2.switches) == 80
     with pytest.raises(ConfigurationError):
-        fig12_14_subflows.default_topology("hypercube")
+        build_topology("hypercube")

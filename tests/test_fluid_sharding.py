@@ -70,7 +70,7 @@ def test_shard_spec_is_frozen_and_orderable():
 def test_merge_arithmetic_by_hand():
     def payload(i, subflows, links, rtt, util):
         return {
-            "shard_index": i, "n_subflows": subflows, "n_connections": 8,
+            "shard_index": i, "n_subflows_total": subflows, "n_connections": 8,
             "n_links": links, "aggregate_goodput_bps": 1e9,
             "delivered_bits": 8e9, "host_energy_j": 10.0,
             "switch_energy_j": 5.0, "loss_events": 3, "mean_rtt_s": rtt,
@@ -86,7 +86,6 @@ def test_merge_arithmetic_by_hand():
     assert merged.delivered_bits == pytest.approx(16e9)
     assert merged.host_energy_j == pytest.approx(20.0)
     assert merged.switch_energy_j == pytest.approx(10.0)
-    assert merged.total_energy_j == pytest.approx(30.0)
     assert merged.loss_events == 6
     assert merged.steps_taken == 40
     # Subflow-weighted RTT: (10*0.010 + 30*0.030) / 40.
@@ -94,7 +93,10 @@ def test_merge_arithmetic_by_hand():
     # Link-weighted utilization: (4*0.5 + 12*0.9) / 16.
     assert merged.mean_utilization == pytest.approx(0.8)
     # 30 J over 2 delivered decimal GB.
-    assert merged.energy_per_gb() == pytest.approx(15.0)
+    metrics = merged.metrics()
+    assert metrics["n_shards"] == 2 and metrics["n_subflows_total"] == 40
+    assert metrics["total_energy_j"] == pytest.approx(30.0)
+    assert metrics["energy_per_gb"] == pytest.approx(15.0)
 
 
 def test_merge_rejects_empty():
@@ -103,12 +105,13 @@ def test_merge_rejects_empty():
 
 
 def test_energy_per_gb_with_nothing_delivered_is_inf():
-    base = {"shard_index": 0, "n_subflows": 1, "n_connections": 1,
+    base = {"shard_index": 0, "n_subflows_total": 1, "n_connections": 1,
             "n_links": 1, "aggregate_goodput_bps": 0.0,
             "delivered_bits": 0.0, "host_energy_j": 1.0,
             "switch_energy_j": 1.0, "loss_events": 0, "mean_rtt_s": 0.01,
             "mean_utilization": 0.0, "steps_taken": 1, "wall_s": 0.1}
-    assert merge_shard_payloads([base]).energy_per_gb() == float("inf")
+    merged = merge_shard_payloads([base])
+    assert merged.metrics()["energy_per_gb"] == float("inf")
 
 
 # ------------------------------------------------------------- determinism
@@ -122,7 +125,7 @@ def test_serial_and_pooled_sharded_runs_are_identical():
     assert serial.aggregate_goodput_bps > 0
     # Two replicas of the same fabric: exactly twice one shard's subflows.
     one = simulate_shard(make_shard_specs("bcube", n_shards=2, **FAST)[0])
-    assert serial.n_subflows == 2 * one["n_subflows"]
+    assert serial.n_subflows == 2 * one["n_subflows_total"]
 
 
 def test_run_sharded_accepts_caller_pool():
@@ -157,7 +160,7 @@ def test_shard_replicas_differ_from_each_other():
 
 def test_executor_sharded_fluid_run():
     spec = RunSpec(topology="bcube", n_subflows=2, seed=3, duration=0.2,
-                   dt=0.01, params={"shards": 2, "dtype": "float64"})
+                   dt=0.01, params={"shards": 2, "dtype": "float32"})
     payload = execute_run(spec)
     m = payload["metrics"]
     assert m["n_shards"] == 2
@@ -191,7 +194,7 @@ def test_executor_equilibrium_run_metrics_parity():
     assert m_eq["solver"]["iterations"] > 10
     assert m_eq["steps_taken"] == 0
     assert m_eq["aggregate_goodput_bps"] == pytest.approx(
-        m_fluid["aggregate_goodput_bps"], rel=0.25)
+        m_fluid["aggregate_goodput_bps"], rel=0.20)
     assert m_eq["energy_per_gb"] > 0
     assert fluid.content_hash() != eq.content_hash()
 

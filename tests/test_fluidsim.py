@@ -67,8 +67,19 @@ class TestAdapters:
         assert "lia" in names and "dts-ext" in names
 
     def test_unknown_rejected(self):
-        with pytest.raises(AlgorithmError):
+        with pytest.raises(AlgorithmError, match="unknown algorithm"):
             create_fluid_algorithm("vegas-prime")
+        with pytest.raises(AlgorithmError, match="no fluid form"):
+            create_fluid_algorithm("dwc")
+
+    def test_names_and_aliases_are_the_packet_tiers(self):
+        from repro.algorithms import PACKET_ONLY, algorithm_names
+
+        assert set(fluid_algorithm_names()) == (
+            set(algorithm_names()) - PACKET_ONLY)
+        for alias, name in [("NewReno", "reno"), ("extended-dts", "dts-ext"),
+                            ("mptcp", "lia")]:
+            assert create_fluid_algorithm(alias).name == name
 
     @pytest.mark.parametrize("name", ["lia", "balia", "ecmtcp", "ewtcp", "coupled"])
     def test_adapter_matches_decomposition(self, name):
@@ -215,6 +226,50 @@ class TestFluidNetwork:
         net = FluidNetwork(Disconnected())
         with pytest.raises(ConfigurationError):
             net.add_connection("a", "b", "lia", n_subflows=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_subflows=0), dict(n_subflows=2, path_pool=0)])
+    def test_permutation_rejects_what_add_connection_rejects(self, kwargs):
+        match = "n_subflows and path_pool must be >= 1"
+        with pytest.raises(ConfigurationError, match=match):
+            FluidNetwork.permutation(tiny_topology(), "lia", seed=1, **kwargs)
+        with pytest.raises(ConfigurationError, match=match):
+            FluidNetwork(tiny_topology()).add_connection(
+                "a", "b", "lia", **kwargs)
+
+    def test_permutation_needs_two_hosts(self):
+        class Lonely(DcTopology):
+            def __init__(self):
+                super().__init__()
+                self.add_host("a")
+
+            def _path_rows(self, src, dst, limit, pick):
+                raise AssertionError("no pair to route")
+
+        with pytest.raises(ConfigurationError, match="at least two hosts"):
+            FluidNetwork.permutation(Lonely(), "lia", n_subflows=1, seed=1)
+
+    def test_permutation_is_the_hand_written_build(self):
+        """Same paths, pairing and cohort as the add_connection loop
+        (seed reaches both the ECMP draw and the derangement)."""
+        from repro.workloads.permutation import random_permutation_pairs
+
+        ft = FatTree(4)
+        built = FluidNetwork.permutation(
+            ft, "dts-ext", n_subflows=2, seed=5, path_pool=8,
+            algorithm_kwargs={"kappa": 1e-4})
+        by_hand = FluidNetwork(ft, path_seed=5)
+        for src, dst in random_permutation_pairs(
+                ft.hosts, np.random.default_rng(5)):
+            by_hand.add_connection(src, dst, "dts-ext", n_subflows=2,
+                                   path_pool=8,
+                                   algorithm_kwargs={"kappa": 1e-4})
+        by_hand.finalize()
+        assert (built.routing != by_hand.routing).nnz == 0
+        assert np.array_equal(built.base_rtt, by_hand.base_rtt)
+        assert [(c.src, c.dst) for c in built.connections] == [
+            (c.src, c.dst) for c in by_hand.connections]
+        assert built.cohorts[0].algorithm.kappa == 1e-4
 
 
 class TestFluidEngine:

@@ -84,11 +84,13 @@ NUMPY_TIER = [
     "import repro.transport.server",
     "import repro.experiments.fig06_shared_bottleneck",
     "import repro.experiments.fig17_wireless",
+    # Figs. 12-14 only build RunSpecs; the executor loads the engine.
+    "import repro.experiments.fig12_14_subflows",
 ]
 
 FLUID_TIER = [
     "import repro.fluidsim",
-    "import repro.experiments.fig12_14_subflows",
+    "import repro.experiments.fig15_phi",
 ]
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.model import (
-    CongestionModel,
     ModelState,
     decomposition,
     decompositions,
@@ -150,48 +149,71 @@ class TestCongestionModel:
             decomposition("bbr")
 
 
-class TestControllerModelConsistency:
-    """The packet-level per-ACK rules must equal the model's translation."""
+#: Algorithms whose per-ACK increase is stated three times — packet
+#: controller, fluid adapter, Eq. 3 decomposition — mapped to the name of
+#: the decomposition they must equal.  Reno is EWTCP on its one path.
+CONSISTENT = {"lia": "lia", "balia": "balia", "ecmtcp": "ecmtcp",
+              "ewtcp": "ewtcp", "coupled": "coupled", "reno": "ewtcp",
+              "dts": "dts", "olia": "olia"}
 
-    def _fake(self, w, rtt, base=None):
-        from tests.test_controllers import FakeSubflow
 
-        return [FakeSubflow(wi, ri, None if base is None else base[i])
+def consistency_state(name, rng):
+    """A random congestion-avoidance state ``(w, rtt, base_rtt)`` on which
+    the three statements of ``name`` describe the same rule."""
+    n = 1 if name == "reno" else int(rng.integers(2, 5))
+    w = rng.uniform(2.0, 200.0, n)
+    rtt = rng.uniform(0.01, 0.3, n)
+    if name == "olia":
+        # Loss-free paths of equal quality up to 1/RTT, the best of them
+        # already holding the largest window: alpha_r = 0, which is the
+        # psi_r = 1 form the paper decomposes.
+        w, rtt = np.sort(w)[::-1], np.sort(rtt)
+    base = rtt * rng.uniform(0.3, 1.0, n) if name == "dts" else None
+    return w, rtt, base
+
+
+def per_ack_increase_by_layer(name, w, rtt, base=None):
+    """Subflow 0's window increase for one ACK as each layer states it:
+    (packet ``on_ack`` delta, fluid adapter, Eq. 3 decomposition)."""
+    from repro.algorithms import create_controller
+    from repro.fluidsim import create_fluid_algorithm
+    from tests.test_controllers import FakeSubflow
+    from tests.test_fluidsim import cohort_state
+
+    subflows = [FakeSubflow(wi, ri, None if base is None else base[i])
                 for i, (wi, ri) in enumerate(zip(w, rtt))]
+    ctrl = create_controller(name)
+    ctrl.attach(subflows)
+    before = subflows[0].cwnd
+    ctrl.on_ack(subflows[0])
+    packet = subflows[0].cwnd - before
 
-    @pytest.mark.parametrize("name", ["lia", "balia", "ecmtcp", "ewtcp", "coupled"])
+    fluid = create_fluid_algorithm(name).per_ack_increase(
+        cohort_state(w, rtt, base))[0]
+
+    model = decomposition(CONSISTENT[name]).per_ack_increase(
+        state(w, rtt, base))[0]
+    if name == "lia":
+        # RFC 6356's TCP-friendliness cap sits outside psi_r.
+        model = min(model, 1.0 / w[0])
+    return packet, fluid, model
+
+
+class TestControllerModelConsistency:
+    """The packet-level per-ACK rules and the fluid adapters must equal
+    the model's translation."""
+
+    @pytest.mark.parametrize("name", sorted(CONSISTENT))
     def test_per_ack_increase_matches_decomposition(self, name):
-        from repro.algorithms import create_controller
-
-        w = [12.0, 28.0]
-        rtt = [0.03, 0.08]
-        subflows = self._fake(w, rtt)
-        ctrl = create_controller(name)
-        ctrl.attach(subflows)
-        before = [s.cwnd for s in subflows]
-        ctrl.on_ack(subflows[0])
-        measured = subflows[0].cwnd - before[0]
-
-        model = decomposition(name)
-        st = state(w, rtt)
-        expected = model.per_ack_increase(st)[0]
-        if name == "lia":
-            expected = min(expected, 1.0 / w[0])
-        assert measured == pytest.approx(expected, rel=1e-9)
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            packet, fluid, model = per_ack_increase_by_layer(
+                name, *consistency_state(name, rng))
+            assert packet == pytest.approx(model, rel=1e-9)
+            assert fluid == pytest.approx(model, rel=1e-9)
 
     def test_dts_matches_decomposition(self):
-        from repro.algorithms import create_controller
-
-        w = [12.0, 28.0]
-        rtt = [0.06, 0.08]
-        base = [0.03, 0.08]
-        subflows = self._fake(w, rtt, base)
-        ctrl = create_controller("dts")
-        ctrl.attach(subflows)
-        before = subflows[0].cwnd
-        ctrl.on_ack(subflows[0])
-        measured = subflows[0].cwnd - before
-
-        model = CongestionModel("dts", make_psi_dts())
-        expected = model.per_ack_increase(state(w, rtt, base))[0]
-        assert measured == pytest.approx(expected, rel=1e-9)
+        packet, fluid, model = per_ack_increase_by_layer(
+            "dts", [12.0, 28.0], [0.06, 0.08], [0.03, 0.08])
+        assert packet == pytest.approx(model, rel=1e-9)
+        assert fluid == pytest.approx(model, rel=1e-9)
