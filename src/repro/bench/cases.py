@@ -42,6 +42,7 @@ __all__ = [
     "spec_hash_cost",
     "trace_overhead_ratio",
     "traced_packet_transfer",
+    "transport_connection_churn",
     "transport_loopback_transfer",
 ]
 
@@ -416,6 +417,88 @@ def _transport_loopback_transfer(ctx: BenchContext):
     assert transport_loopback_transfer() >= 1024 * 1024
 
 
+def transport_connection_churn(n_fetches: int = 200):
+    """``n_fetches`` 16 KiB fetches, one after another, against one
+    long-lived server (2 UDP subflows, loopback, no loss), then what the
+    server is left holding; returns ``(seconds per fetch, registry
+    instruments beyond the idle set, traced bytes retained per finished
+    connection)``.
+
+    The seconds are timed over the first ``n_fetches`` alone. The bytes
+    come from a second stretch under ``tracemalloc``: a lead-in long
+    enough to turn the flight ring over (allocations from before tracing
+    started are invisible to it), then the growth over the following
+    ``n_fetches // 2`` connections.
+    """
+    import asyncio
+    import itertools
+    import tracemalloc
+
+    from repro.transport.client import fetch
+    from repro.transport.server import TransportServer
+
+    async def run():
+        server = TransportServer(n_ports=2, record_interval=0.05,
+                                 flight_capacity=256)
+        ports = await server.start()
+        idle = len(server.session.registry)
+        next_id = itertools.count(1)
+
+        async def churn(n: int) -> None:
+            for _ in range(n):
+                result = await fetch(
+                    "127.0.0.1", ports, controller="dts",
+                    total_bytes=16 * 1024, conn_id=next(next_id),
+                    timeout=30.0)
+                assert result.bytes_received >= 16 * 1024
+
+        try:
+            t0 = MONOTONIC_CLOCK()
+            await churn(n_fetches)
+            per_fetch = (MONOTONIC_CLOCK() - t0) / n_fetches
+            gc.collect()
+            tracemalloc.start()
+            try:
+                await churn(64)
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                await churn(n_fetches // 2)
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert not server.connections, "finished connections kept alive"
+            return (per_fetch, len(server.session.registry) - idle,
+                    grown / (n_fetches // 2))
+        finally:
+            await server.stop()
+
+    return asyncio.run(run())
+
+
+@register("transport.connection_churn", suites=("tier1", "transport"),
+          description="200 16-KiB fetches on one server: seconds per fetch, "
+                      "then instruments and bytes retained per finished "
+                      "connection (gated: one row each)")
+def _transport_connection_churn(ctx: BenchContext):
+    from repro.transport.server import RETIRED_TELEMETRY
+
+    per_fetch, instruments, retained = transport_connection_churn()
+    # Two-path connections hold 6 gauges; only the newest finishers' stay.
+    assert instruments <= 6 * RETIRED_TELEMETRY, (
+        f"{instruments} per-connection instruments outlive their connections")
+    # A frozen two-subflow /metrics row is ~2.3 KiB of dicts and floats;
+    # a kept ServedConnection with its cores, gauges and rings was 14.
+    assert retained < 6 * 1024, (
+        f"{retained:.0f} bytes retained per finished connection")
+    _record_per_call(per_fetch)
+    registry = obs.registry_or_new()
+    registry.gauge("bench.connection_churn.retained_instruments").set(
+        instruments)
+    registry.gauge(
+        "bench.connection_churn.retained_bytes_per_connection").set(retained)
+
+
 # ------------------------------------------------------------------ campaign
 
 def campaign_specs():
@@ -606,15 +689,22 @@ def _obs_histogram_observe(ctx: BenchContext):
     _record_per_call(per_call)
 
 
-def trace_overhead_ratio(repeats: int = 3):
+def trace_overhead_ratio(repeats: int = 6):
     """Overhead an enabled tracer adds to the UDP loopback transfer.
 
-    Interleaves ``repeats`` 512 KiB lossless loopback self-tests with
+    Interleaves ``repeats`` 1 MiB lossless loopback self-tests with
     tracing off (the :data:`~repro.obs.NULL_TRACER` floor) against
     ``repeats`` with a live client+server tracer pair — the full
     distributed-tracing path: span stack, handshake propagation,
     per-subflow detached spans, loss/RTO instants — and compares
     best-of-N wall times.  Returns ``(ratio, base_s, traced_s)``.
+
+    A run is all transfer (~45 ms), so its time varies with the host
+    where three quarters of it used to be two fixed waits (the server
+    noticing completion up to ``TICK_CAP`` late, the self-test
+    lingering as long again): best-of-6 is what holds the 5% gate
+    steady on a shared machine (best-of-3 at any size tripped it in
+    7 of 16 trials; this in 0 of 16).
     """
     import asyncio
 
@@ -622,20 +712,21 @@ def trace_overhead_ratio(repeats: int = 3):
 
     def run(trace: bool) -> int:
         result = asyncio.run(loopback_selftest(
-            controller="dts", subflows=2, total_bytes=512 * 1024,
+            controller="dts", subflows=2, total_bytes=total_bytes,
             loss_rate=0.0, timeout=60.0, trace=trace))
         if trace:
             assert result.client_shard is not None
             assert result.client_shard["events"]
         return result.fetch.bytes_received
 
+    total_bytes = 1024 * 1024
     base_best = traced_best = float("inf")
     for _ in range(repeats):
         t0 = MONOTONIC_CLOCK()
-        assert run(False) >= 512 * 1024
+        assert run(False) >= total_bytes
         base_best = min(base_best, MONOTONIC_CLOCK() - t0)
         t0 = MONOTONIC_CLOCK()
-        assert run(True) >= 512 * 1024
+        assert run(True) >= total_bytes
         traced_best = min(traced_best, MONOTONIC_CLOCK() - t0)
     return traced_best / base_best, base_best, traced_best
 

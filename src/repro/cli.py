@@ -938,9 +938,8 @@ def _serve_main(argv: List[str]) -> int:
         try:
             while True:
                 conn_id = await server.wait_connection_complete()
-                conn = server.connections.get(conn_id)
-                if conn is not None:
-                    snap = conn.snapshot()
+                snap = server.retired_rows.get(conn_id)
+                if snap is not None:
                     print(f"conn {conn_id} [{snap['controller']}] "
                           f"{'done' if snap['completed'] else 'dropped'}: "
                           f"{snap['acked_segments']}/{snap['total_segments']} "

@@ -61,6 +61,10 @@ class TransferEnergyAccount:
     account is passive: the caller pushes ``(throughput_bps, rtt)`` pairs
     with a timestamp whenever it likes (intervals may be irregular) and
     the account integrates ``P * dt`` trapezoidally between samples.
+
+    It keeps the last sample and two running totals, not the series: a
+    server samples every connection 20-40 times a second for as long as
+    it lives, and nothing reads the history back.
     """
 
     def __init__(self, host_model: HostPowerModel, *,
@@ -68,26 +72,30 @@ class TransferEnergyAccount:
         self.host_model = host_model
         self.n_subflows = n_subflows
         self.energy_j = 0.0
-        self.times: List[float] = []
-        self.powers: List[float] = []
+        self.samples = 0
+        self._power_sum = 0.0
+        self._last_time = 0.0
+        self._last_power = 0.0
 
     def sample(self, now: float, paths: Sequence[Tuple[float, float]]) -> float:
         """Record one power sample at wall time ``now``; returns the power."""
         power = self.host_model.power(paths, n_subflows=self.n_subflows)
-        if self.times:
-            dt = now - self.times[-1]
+        if self.samples:
+            dt = now - self._last_time
             if dt > 0:
-                self.energy_j += 0.5 * (power + self.powers[-1]) * dt
-        self.times.append(now)
-        self.powers.append(power)
+                self.energy_j += 0.5 * (power + self._last_power) * dt
+        self.samples += 1
+        self._power_sum += power
+        self._last_time = now
+        self._last_power = power
         return power
 
     @property
     def mean_power_w(self) -> float:
         """Average power over the sampled window, in watts."""
-        if not self.powers:
+        if not self.samples:
             return 0.0
-        return sum(self.powers) / len(self.powers)
+        return self._power_sum / self.samples
 
 
 class ConnectionEnergyMeter:

@@ -279,6 +279,14 @@ class MetricsRegistry:
         return self._get_or_create(name, lambda: Histogram(name, buckets),
                                    "histogram")
 
+    def remove(self, name: str) -> bool:
+        """Unregister the instrument called ``name``; True when it
+        existed. For per-entity instruments whose entity is gone (a
+        finished connection's gauges): whoever still holds the object
+        can update it, but no snapshot, exposition or recorder sees it,
+        and the next get-or-create under the name starts fresh."""
+        return self._instruments.pop(name, None) is not None
+
     # -------------------------------------------------------------- reading
 
     def get(self, name: str) -> Optional[Any]:

@@ -146,6 +146,10 @@ class SeriesRecorder:
         self.interval = interval
         self.capacity = capacity
         self.percentiles = tuple(percentiles)
+        #: (series-name suffix, source kind) of every ring an instrument
+        #: can be sampled into.
+        self._sampled_as = (("", "gauge"), (".rate", "counter")) + tuple(
+            (f".p{p:g}", "histogram") for p in self.percentiles)
         self.clock = clock
         self.series: Dict[str, TimeSeries] = {}
         self.samples_taken = 0
@@ -202,6 +206,21 @@ class SeriesRecorder:
         self._prev_t = now
         self.samples_taken += 1
         return written
+
+    def forget(self, name: str) -> int:
+        """Drop every ring sampled from the instrument called ``name``
+        (a gauge's value, a counter's ``.rate`` and its baseline, a
+        histogram's percentiles); returns the rings dropped. The
+        counterpart of :meth:`MetricsRegistry.remove`: without it a
+        removed instrument's rings outlive it at their last value."""
+        dropped = 0
+        for suffix, kind in self._sampled_as:
+            series = name + suffix
+            if self._kinds.get(series) == kind:
+                del self.series[series], self._kinds[series]
+                dropped += 1
+        self._prev_counters.pop(name, None)
+        return dropped
 
     # ------------------------------------------------------------- reporting
 

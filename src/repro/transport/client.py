@@ -402,14 +402,12 @@ async def loopback_selftest(
             timeout=timeout,
             tracer=client_tracer,
         )
-        # Wait for the server's driver to see the final ACKs and close
-        # the connection (it finishes the serve-side spans there), then
-        # linger briefly for the closing energy sample.
+        # Wait for the server to see the final ACK and retire the
+        # connection: closing energy sample, serve-side spans finished.
         try:
             await asyncio.wait_for(server.wait_connection_complete(), 5.0)
         except asyncio.TimeoutError:  # pragma: no cover - slow CI safety
             pass
-        await asyncio.sleep(0.05)
         metrics = server.metrics_snapshot()
         manifest = server.manifest_snapshot()
         result.server_metrics = metrics

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import OrderedDict
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 import repro.obs as obs
@@ -67,9 +68,19 @@ DEFAULT_PAYLOAD_BYTES = 1200
 #: A connection with no client traffic for this long is torn down.
 IDLE_TIMEOUT = 30.0
 
-#: Upper bound on how long the per-connection driver sleeps between
-#: timer checks; also the energy/metrics sampling cadence.
+#: Energy/metrics sampling cadence of a running connection, and so the
+#: longest its timer sleeps.
 TICK_CAP = 0.05
+
+#: Frozen ``snapshot()`` rows of retired connections a server keeps for
+#: ``/metrics`` and ``/manifest`` (oldest out). A constant, not an
+#: option: the one thing it trades is how far back a scrape can read.
+RETIRED_ROWS = 1024
+
+#: Most recent finishers whose gauges stay in the registry and the
+#: series recorder, so a dashboard still shows the transfer that just
+#: ended; sized to a screenful, not to a deployment.
+RETIRED_TELEMETRY = 16
 
 #: Deterministic payload template; segments slice out of it.
 _PAYLOAD_TEMPLATE = bytes(range(256)) * 256
@@ -82,7 +93,12 @@ def make_payload(seq: int, size: int) -> bytes:
 
 
 class ServedConnection:
-    """Sender-side state of one client connection (N subflow cores)."""
+    """Sender-side state of one client connection (N subflow cores).
+
+    Half-open from the first HELLO until every path is up, running from
+    :meth:`start` to :meth:`retire`; the owning server decides when each
+    transition happens and holds the timer that drives it.
+    """
 
     def __init__(
         self,
@@ -99,6 +115,7 @@ class ServedConnection:
         self.conn_id = conn_id
         self.params = params
         self.clock = clock
+        self.registry = registry
         self.flight = flight
         self.tracer = tracer
         #: Validated client trace context from the HELLO (or None): the
@@ -137,25 +154,20 @@ class ServedConnection:
         self._last_acked = [0] * n_paths
         self._last_sample: Optional[float] = None
         # Live-series gauges (one per subflow + per connection) feed the
-        # session's SeriesRecorder; None outside a recording server.
+        # session's SeriesRecorder; registered by start(), so a half-open
+        # connection costs no instruments. None outside a recording server.
         self._g_cwnd = self._g_tput = None
         self._g_energy = self._g_power = None
-        if registry is not None:
-            pref = f"transport.c{conn_id}"
-            self._g_cwnd = [registry.gauge(f"{pref}.p{i}.cwnd")
-                            for i in range(n_paths)]
-            self._g_tput = [registry.gauge(f"{pref}.p{i}.throughput_bps")
-                            for i in range(n_paths)]
-            self._g_energy = registry.gauge(f"{pref}.energy_j")
-            self._g_power = registry.gauge(f"{pref}.power_w")
         # Flight-event baselines: counter deltas become loss/rto events.
         self._fl_loss = [0] * n_paths
         self._fl_rto = [0] * n_paths
         self._fl_frtx = [0] * n_paths
         self.started_at: Optional[float] = None
+        self.finished_at: Optional[float] = None
         self.last_activity = clock()
         self.client_done = False
-        self._driver: Optional[asyncio.Task] = None
+        #: The owning server's one pending ``call_at`` for this connection.
+        self.timer: Optional[asyncio.TimerHandle] = None
 
     # ------------------------------------------------------------- control
 
@@ -165,7 +177,15 @@ class ServedConnection:
 
     @property
     def running(self) -> bool:
-        return self.started_at is not None and not self.supply.completed
+        return self.started_at is not None and self.finished_at is None
+
+    def gauge_names(self) -> List[str]:
+        """Registry names of the ``2 + 2 * n_paths`` gauges :meth:`start`
+        registered (none on a half-open connection)."""
+        if self._g_cwnd is None:
+            return []
+        return [g.name for g in (*self._g_cwnd, *self._g_tput,
+                                 self._g_energy, self._g_power)]
 
     def add_path(self, path_id: int, transport, addr: Addr) -> bool:
         """Register a HELLO'd path; True when all paths are present."""
@@ -177,6 +197,14 @@ class ServedConnection:
         """All paths are up: open every subflow window."""
         now = self.clock()
         self.started_at = now
+        if self.registry is not None:
+            pref = f"transport.c{self.conn_id}"
+            self._g_cwnd = [self.registry.gauge(f"{pref}.p{i}.cwnd")
+                            for i in range(self.n_paths)]
+            self._g_tput = [self.registry.gauge(f"{pref}.p{i}.throughput_bps")
+                            for i in range(self.n_paths)]
+            self._g_energy = self.registry.gauge(f"{pref}.energy_j")
+            self._g_power = self.registry.gauge(f"{pref}.power_w")
         if self.tracer.enabled:
             # Detached spans (finished at teardown): the connection span
             # joins the client's trace via the HELLO traceparent; each
@@ -237,18 +265,21 @@ class ServedConnection:
         self.flush()
         self._probe_flight()
 
-    def tick(self) -> float:
-        """Fire due RTOs and sample energy; returns the next deadline."""
-        deadline = float("inf")
+    def tick(self) -> None:
+        """Fire due RTOs and sample energy when a sample is due."""
         for core in self.cores:
-            deadline = min(deadline, core.on_tick())
+            core.on_tick()
         self.flush()
         self._probe_flight()
         now = self.clock()
-        if (self._last_sample is not None
-                and now - self._last_sample >= TICK_CAP / 2):
+        if now - self._last_sample >= TICK_CAP / 2:
             self._sample_energy(now)
-        return deadline
+
+    def next_deadline(self) -> float:
+        """When a running connection next needs :meth:`tick`: its
+        earliest RTO expiry or its next energy sample."""
+        return min(self._last_sample + TICK_CAP,
+                   *(core.rto_deadline for core in self.cores))
 
     def _sample_energy(self, now: float) -> None:
         """Push one (throughput, rtt)-per-path power sample at ``now``."""
@@ -306,16 +337,16 @@ class ServedConnection:
                         total=core.fast_retransmits)
                 self._fl_frtx[i] = core.fast_retransmits
 
-    def finalize(self) -> None:
-        """Take a closing energy sample so short transfers integrate too."""
+    def retire(self, outcome: str) -> dict:
+        """End a started connection: closing energy sample (so short
+        transfers integrate too), spans finished, the clock stopped;
+        returns the frozen :meth:`snapshot` row."""
         now = self.clock()
-        if self._last_sample is not None and now > self._last_sample:
+        if now > self._last_sample:
             self._sample_energy(now)
-
-    def close_spans(self, outcome: str) -> None:
-        """Finish the connection/subflow spans (idempotent)."""
-        for i, handle in enumerate(self._span_subflows):
-            core = self.cores[i]
+        self.finished_at = now
+        row = self.snapshot()
+        for handle, core in zip(self._span_subflows, self.cores):
             handle.finish(acked=core.acked,
                           retransmitted=core.retransmitted,
                           timeouts=core.timeouts,
@@ -323,16 +354,23 @@ class ServedConnection:
         if self._span_conn is not None:
             self._span_conn.finish(
                 outcome=outcome,
-                acked_segments=self.supply.acked,
-                energy_j=round(self.energy.energy_j, 6),
-                elapsed_s=round(self.elapsed(), 6))
+                acked_segments=row["acked_segments"],
+                energy_j=round(row["energy_j"], 6),
+                elapsed_s=round(row["elapsed_s"], 6))
+        # controller <-> cores is this object graph's one reference
+        # cycle; cut, the cores go when the connection's last reference
+        # does instead of waiting for a gen-2 collection.
+        for core in self.cores:
+            core.controller = None
+        return row
 
     # ------------------------------------------------------------ reporting
 
     def elapsed(self) -> float:
         if self.started_at is None:
             return 0.0
-        return max(self.clock() - self.started_at, 0.0)
+        end = self.finished_at if self.finished_at is not None else self.clock()
+        return max(end - self.started_at, 0.0)
 
     def snapshot(self) -> dict:
         """Per-subflow cwnd/throughput/energy JSON for ``/metrics``."""
@@ -407,7 +445,12 @@ class TransportServer:
         self.idle_timeout = idle_timeout
         self.record_interval = record_interval
         self.ports: List[int] = []
+        #: Live connections only (half-open or running), by conn id.
         self.connections: Dict[int, ServedConnection] = {}
+        #: conn id -> frozen row of a retired connection, oldest first.
+        self.retired_rows: "OrderedDict[int, dict]" = OrderedDict()
+        #: conn id -> gauge names of a recent finisher, oldest first.
+        self._retired_telemetry: "OrderedDict[int, List[str]]" = OrderedDict()
         self.completed_connections = 0
         self.session = obs.ObsSession(label="transport-serve", trace=trace)
         self.tracer = self.session.tracer
@@ -415,13 +458,16 @@ class TransportServer:
             interval=record_interval, capacity=series_capacity)
         self.flight = self.session.attach_flight(
             capacity=flight_capacity, dump_path=flight_dump_path)
-        self._hello_counter = self.session.registry.counter("transport.hellos")
-        self._ack_counter = self.session.registry.counter("transport.acks_received")
+        registry = self.session.registry
+        self._hello_counter = registry.counter("transport.hellos")
+        self._ack_counter = registry.counter("transport.acks_received")
+        self._live_gauge = registry.gauge("transport.connections_live")
+        self._retired_counter = registry.counter(
+            "transport.connections_retired")
         self._endpoints: List[DatagramEndpoint] = []
         self._transports: List[object] = []
         self._raw_transports: List[object] = []
         self._metrics: Optional[MetricsHttpServer] = None
-        self._drivers: Dict[int, asyncio.Task] = {}
         self._record_task: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._conn_completed: "asyncio.Queue[int]" = None  # type: ignore[assignment]
@@ -438,7 +484,7 @@ class TransportServer:
         """Bind all subflow sockets (and the metrics endpoint); returns
         the bound UDP ports, one per path."""
         self._loop = asyncio.get_running_loop()
-        self._conn_completed = asyncio.Queue()
+        self._conn_completed = asyncio.Queue(maxsize=RETIRED_ROWS)
         for i in range(self.n_ports):
             port = 0 if self.base_port == 0 else self.base_port + i
             transport, endpoint = await open_endpoint(
@@ -482,14 +528,8 @@ class TransportServer:
             except asyncio.CancelledError:
                 pass
             self._record_task = None
-        for task in list(self._drivers.values()):
-            task.cancel()
-        for task in list(self._drivers.values()):
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._drivers.clear()
+        for conn in list(self.connections.values()):
+            self._retire(conn, "server_stop")
         for transport in self._raw_transports:
             transport.close()
         self._raw_transports.clear()
@@ -500,7 +540,9 @@ class TransportServer:
             self._metrics = None
 
     async def wait_connection_complete(self) -> int:
-        """Block until some connection finishes; returns its conn id."""
+        """Block until some started connection retires; returns its conn
+        id (its row is in :attr:`retired_rows`). Completions nobody
+        waits for are dropped oldest-first beyond ``RETIRED_ROWS``."""
         return await self._conn_completed.get()
 
     async def _record_loop(self) -> None:
@@ -552,20 +594,26 @@ class TransportServer:
             if conn is not None:
                 self._ack_counter.inc()
                 conn.on_ack(segment)
+                # Set once by the ACK that completes the supply (a plain
+                # attribute: this runs per ACK).
+                if conn.supply.completion_time is not None:
+                    self._retire(conn, "done")
         elif isinstance(segment, ByeSegment):
             conn = self.connections.get(segment.conn_id)
             if conn is not None:
+                # The client is gone, but ACKs it sent before the BYE
+                # may still sit in another path's socket: they get one
+                # sampling period to land and complete the transfer
+                # before it is booked as abandoned.
                 conn.client_done = True
-                conn.last_activity = self.now()
+                self._arm(conn, self.now() + TICK_CAP)
 
     def _on_hello(self, path_index: int, segment: HelloSegment, addr: Addr) -> None:
         self._hello_counter.inc()
+        # Only live connections are looked up: a HELLO under an id that
+        # already retired (clients in fresh processes may reuse ids)
+        # opens a new connection, it does not replay the old one.
         conn = self.connections.get(segment.conn_id)
-        if (conn is not None and conn.started_at is not None
-                and segment.conn_id not in self._drivers):
-            # The transfer under this id already finished (clients in
-            # fresh processes may reuse ids): supersede, don't replay.
-            conn = None
         if conn is None:
             try:
                 n_subflows = int(segment.params["n_subflows"])
@@ -586,6 +634,10 @@ class TransportServer:
             except (KeyError, ValueError, ConfigurationError):
                 return  # malformed or unsatisfiable HELLO: ignore it
             self.connections[segment.conn_id] = conn
+            self._live_gauge.set(len(self.connections))
+            # Armed at creation, so a handshake that never finishes is
+            # reaped like any other idle connection.
+            self._arm(conn, conn.last_activity + self.idle_timeout)
         transport = self._transports[path_index]
         # HELLO is idempotent — clients retransmit until the HELLO_ACK
         # gets through; re-register the (possibly re-mapped) address.
@@ -601,52 +653,89 @@ class TransportServer:
                  "total_segments": conn.supply.total}),
             addr)
         if all_up and conn.started_at is None:
+            # Under a reused id the previous finisher's gauges give way
+            # to this connection's.
+            self._release_telemetry(conn.conn_id)
             conn.start()
             self.flight.record("conn_start", conn=conn.conn_id,
                                controller=conn.controller_name,
                                n_subflows=conn.n_paths,
                                total_segments=conn.supply.total)
-            self._drivers[conn.conn_id] = asyncio.ensure_future(
-                self._drive(conn))
+            self._arm(conn, conn.next_deadline())
 
-    # -------------------------------------------------------------- driving
+    # ------------------------------------------------------------- lifecycle
 
-    async def _drive(self, conn: ServedConnection) -> None:
-        """Per-connection loop: RTO timers, energy sampling, teardown."""
-        try:
-            while True:
-                deadline = conn.tick()
-                now = self.now()
-                if conn.supply.completed:
-                    # Tell the client (best effort) and linger briefly so
-                    # straggling ACKs don't spawn ICMP noise.
-                    conn.finalize()
-                    conn.close_spans("done")
-                    for path_id, (transport, addr) in conn.paths.items():
-                        transport.sendto(encode_bye(conn.conn_id, path_id), addr)
-                    self.completed_connections += 1
-                    self.flight.record(
-                        "conn_done", conn=conn.conn_id,
-                        elapsed_s=round(conn.elapsed(), 6),
-                        energy_j=round(conn.energy.energy_j, 6))
-                    self._conn_completed.put_nowait(conn.conn_id)
-                    return
-                if conn.client_done or (
-                    now - conn.last_activity > self.idle_timeout
-                ):
-                    conn.finalize()
-                    conn.close_spans(
-                        "client_done" if conn.client_done else "idle")
-                    self.flight.record(
-                        "conn_dropped", conn=conn.conn_id,
-                        reason="client_done" if conn.client_done else "idle",
-                        acked=conn.supply.acked, total=conn.supply.total)
-                    self._conn_completed.put_nowait(conn.conn_id)
-                    return
-                sleep_for = min(max(deadline - now, 0.001), TICK_CAP)
-                await asyncio.sleep(sleep_for)
-        finally:
-            self._drivers.pop(conn.conn_id, None)
+    def _arm(self, conn: ServedConnection, deadline: float) -> None:
+        """Aim the connection's one timer at ``deadline``. The loop's
+        timer heap is the deadline-ordered wheel: no task per connection,
+        nothing to await on the way out."""
+        if conn.timer is not None:
+            conn.timer.cancel()
+        conn.timer = self._loop.call_at(
+            max(deadline, self.now() + 0.001), self._on_timer, conn)
+
+    def _on_timer(self, conn: ServedConnection) -> None:
+        """The connection's deadline arrived: reap it if its client
+        left or went quiet, else fire due RTOs, take the due energy
+        sample and re-aim at the next deadline."""
+        expiry = conn.last_activity + self.idle_timeout
+        if conn.client_done:
+            self._retire(conn, "client_done")
+        elif self.now() >= expiry:
+            self._retire(
+                conn, "idle" if conn.started_at is not None else "half_open")
+        elif conn.started_at is not None:
+            conn.tick()
+            self._arm(conn, min(expiry, conn.next_deadline()))
+        else:
+            self._arm(conn, expiry)
+
+    def _retire(self, conn: ServedConnection, outcome: str) -> None:
+        """The one exit of a served connection, whatever ended it
+        (``done``, ``client_done``, ``idle``, ``half_open``,
+        ``server_stop``): out of :attr:`connections`, timer cancelled,
+        one flight event. A connection that ran also gets its closing
+        energy sample, finished spans, a row in :attr:`retired_rows`, a
+        place among the recent finishers whose gauges survive, and an
+        entry in the completion queue."""
+        del self.connections[conn.conn_id]
+        self._live_gauge.set(len(self.connections))
+        self._retired_counter.inc()
+        if conn.timer is not None:
+            conn.timer.cancel()
+            conn.timer = None
+        if conn.started_at is not None:
+            self.retired_rows.pop(conn.conn_id, None)  # id reuse: newest wins
+            self.retired_rows[conn.conn_id] = conn.retire(outcome)
+            if len(self.retired_rows) > RETIRED_ROWS:
+                self.retired_rows.popitem(last=False)
+            self._retired_telemetry[conn.conn_id] = conn.gauge_names()
+            if len(self._retired_telemetry) > RETIRED_TELEMETRY:
+                self._release_telemetry(next(iter(self._retired_telemetry)))
+            if self._conn_completed.full():
+                self._conn_completed.get_nowait()
+            self._conn_completed.put_nowait(conn.conn_id)
+        if outcome == "done":
+            # Tell the client (best effort); its own in-order count has
+            # already decided its completion.
+            for path_id, (transport, addr) in conn.paths.items():
+                transport.sendto(encode_bye(conn.conn_id, path_id), addr)
+            self.completed_connections += 1
+            self.flight.record(
+                "conn_done", conn=conn.conn_id,
+                elapsed_s=round(conn.elapsed(), 6),
+                energy_j=round(conn.energy.energy_j, 6))
+        else:
+            self.flight.record(
+                "conn_dropped", conn=conn.conn_id, reason=outcome,
+                acked=conn.supply.acked, total=conn.supply.total)
+
+    def _release_telemetry(self, conn_id: int) -> None:
+        """Drop a retired connection's gauges from the registry and
+        their rings from the recorder (no-op for an unknown id)."""
+        for name in self._retired_telemetry.pop(conn_id, ()):
+            self.session.registry.remove(name)
+            self.recorder.forget(name)
 
     # ------------------------------------------------------------- reporting
 
@@ -658,17 +747,29 @@ class TransportServer:
                 "loss_rate": self.loss_rate,
                 "active_connections": sum(
                     1 for c in self.connections.values() if c.running),
+                "half_open_connections": sum(
+                    1 for c in self.connections.values()
+                    if c.started_at is None),
                 "completed_connections": self.completed_connections,
+                "retired_rows": len(self.retired_rows),
+                "retired_rows_capacity": RETIRED_ROWS,
                 "bad_datagrams": sum(e.bad_datagrams for e in self._endpoints),
                 "datagrams_received": sum(
                     e.datagrams_received for e in self._endpoints),
             },
-            "connections": {
-                str(cid): conn.snapshot()
-                for cid, conn in sorted(self.connections.items())
-            },
+            "connections": self.connection_rows(),
             "registry": self.session.registry.snapshot(),
         }
+
+    def connection_rows(self) -> Dict[str, dict]:
+        """One row per connection, by conn id: the frozen rows of the
+        retired ones under the live snapshots (a half-open connection
+        under a reused id does not hide the finished transfer's row)."""
+        rows = dict(self.retired_rows)
+        for cid, conn in self.connections.items():
+            if conn.started_at is not None or cid not in rows:
+                rows[cid] = conn.snapshot()
+        return {str(cid): rows[cid] for cid in sorted(rows)}
 
     def prom_snapshot(self) -> RawResponse:
         """The ``/metrics.prom`` document: OpenMetrics text exposition."""
@@ -703,10 +804,7 @@ class TransportServer:
         self.session.annotate(
             ports=list(self.ports),
             loss_rate=self.loss_rate,
-            connections={
-                str(cid): conn.snapshot()
-                for cid, conn in sorted(self.connections.items())
-            },
+            connections=self.connection_rows(),
         )
         return self.session.manifest().to_json_dict()
 

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.energy.accounting import integrate_power, transfer_energy
+from repro.energy.accounting import (
+    TransferEnergyAccount,
+    integrate_power,
+    transfer_energy,
+)
 from repro.energy.cpu import (
     HostPowerModel,
     WiredPathPower,
@@ -235,3 +239,48 @@ class TestAccounting:
         slow = transfer_energy(mb(100), host, [(mbps(100), 0.02), (mbps(100), 0.02)])
         fast = transfer_energy(mb(100), host, [(mbps(500), 0.02), (mbps(500), 0.02)])
         assert fast < slow
+
+
+class TestTransferEnergyAccount:
+    """The account keeps totals, not the series; the numbers must be the
+    ones the series gave, bit for bit (same left-to-right additions)."""
+
+    @staticmethod
+    def _feed(samples):
+        host = default_wired_host()
+        account = TransferEnergyAccount(host)
+        powers = [account.sample(t, paths) for t, paths in samples]
+        assert powers == [host.power(paths) for _, paths in samples]
+        return account, [t for t, _ in samples], powers
+
+    def test_irregular_intervals_match_the_series_integral(self):
+        samples = [
+            (10.0, [(0.0, 0.05), (0.0, 0.05)]),
+            (10.013, [(mbps(80), 0.021), (mbps(15), 0.048)]),
+            (10.061, [(mbps(410), 0.019), (mbps(95), 0.044)]),
+            (10.0625, [(mbps(3), 0.2), (mbps(0.4), 0.3)]),
+            (10.9, [(mbps(733), 0.0007), (mbps(512), 0.0011)]),
+        ]
+        account, times, powers = self._feed(samples)
+        assert account.energy_j == integrate_power(times, powers)
+        assert account.mean_power_w == sum(powers) / len(powers)
+        assert account.samples == 5
+
+    def test_zero_dt_sample_adds_no_energy_but_counts_in_the_mean(self):
+        paths_a = [(mbps(100), 0.02)]
+        paths_b = [(mbps(900), 0.02)]
+        account, _, powers = self._feed(
+            [(1.0, paths_a), (1.5, paths_a), (1.5, paths_b), (2.0, paths_b)])
+        # The repeated timestamp is a step in power, not a negative or
+        # double-counted interval.
+        assert account.energy_j == 0.5 * powers[0] + 0.5 * powers[3]
+        assert account.mean_power_w == sum(powers) / 4
+
+    def test_single_sample_anchors_without_energy(self):
+        account, _, powers = self._feed([(3.0, [(mbps(50), 0.02)])])
+        assert account.energy_j == 0.0
+        assert account.mean_power_w == powers[0]
+
+    def test_empty_account(self):
+        account = TransferEnergyAccount(default_wired_host())
+        assert account.energy_j == 0.0 and account.mean_power_w == 0.0

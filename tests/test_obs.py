@@ -44,6 +44,20 @@ def test_registry_get_or_create_returns_same_instrument():
     assert reg.histogram("h") is reg.histogram("h")
 
 
+def test_registry_remove_unregisters_one_name():
+    reg = MetricsRegistry()
+    old = reg.gauge("conn.cwnd")
+    old.set(3.0)
+    reg.counter("hellos").inc()
+    assert reg.remove("conn.cwnd") is True
+    assert reg.remove("conn.cwnd") is False
+    assert reg.names() == ["hellos"] and len(reg) == 1
+    assert "conn.cwnd" not in reg.snapshot()
+    # The name is free again: a fresh instrument, of any kind.
+    assert reg.counter("conn.cwnd") is not old
+    assert reg.get("conn.cwnd").value == 0
+
+
 def test_registry_kind_mismatch_raises():
     reg = MetricsRegistry()
     reg.counter("x")

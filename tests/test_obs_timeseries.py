@@ -163,3 +163,41 @@ def test_last_values_returns_newest_point_per_series():
     clock.advance(1.0)
     rec.sample()
     assert rec.last_values() == {"g": 7.0}
+
+
+def test_forget_drops_an_instruments_rings_and_nothing_else():
+    clock = FakeClock()
+    reg = MetricsRegistry()
+    reg.gauge("conn.cwnd").set(4.0)
+    reg.gauge("conn.cwnd.rate").set(1.0)  # a gauge, not conn.cwnd's rate
+    reg.counter("acks").inc(3)
+    reg.histogram("rtt").observe(0.02)
+    rec = SeriesRecorder(reg, clock=clock)
+    rec.sample()
+    clock.advance(1.0)
+    rec.sample()
+    assert rec.forget("conn.cwnd") == 1
+    assert "conn.cwnd" not in rec.series
+    assert "conn.cwnd" not in rec.snapshot()["series"]
+    assert "conn.cwnd.rate" in rec.series
+    assert rec.forget("acks") == 1 and "acks.rate" not in rec.series
+    assert rec.forget("rtt") == 3
+    assert sorted(rec.series) == ["conn.cwnd.rate"]
+    assert rec.forget("never-seen") == 0
+    # A forgotten counter starts over: one look is not yet a rate.
+    clock.advance(1.0)
+    rec.sample()
+    assert "acks.rate" not in rec.series
+
+
+def test_removed_gauge_stops_being_sampled():
+    clock = FakeClock()
+    reg = MetricsRegistry()
+    gauge = reg.gauge("conn.energy_j")
+    rec = SeriesRecorder(reg, clock=clock)
+    rec.sample()
+    assert reg.remove("conn.energy_j") and rec.forget("conn.energy_j") == 1
+    gauge.set(9.0)  # a holder may still write; nobody reads it
+    clock.advance(1.0)
+    assert rec.sample() == 0
+    assert rec.series == {} and rec.last_values() == {}
