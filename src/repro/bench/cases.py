@@ -25,6 +25,7 @@ __all__ = [
     "campaign_cold_sweep",
     "campaign_specs",
     "counter_inc_cost",
+    "fluid_cold_import",
     "fluid_equilibrium_solve_vs_step",
     "fluid_fattree_step_batch",
     "fluid_k24_sharded",
@@ -246,6 +247,53 @@ def _engine_fluid_k24_build(ctx: BenchContext):
     assert len(net.connections) == 3456
     # 8 subflows each, except the few same-edge pairs (one path).
     assert 27_000 <= net.n_subflows <= 8 * 3456
+
+
+def fluid_cold_import():
+    """``import repro.fluidsim`` in a fresh interpreter — what every
+    campaign worker, shard worker and ``python -m repro fig10..16`` pays
+    before its first step.  The child asserts that neither ``scipy`` nor
+    ``scipy.sparse`` got loaded (DESIGN.md §8) and reports (modules
+    loaded, peak resident set in KiB)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    # The peak is read from VmHWM where /proc has it: ru_maxrss of an
+    # exec'd child starts at the parent's own peak (this runner's), not 0.
+    code = (
+        "import json, re, resource, sys\n"
+        "import repro.fluidsim\n"
+        "assert 'scipy' not in sys.modules, 'scipy got imported'\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse got imported'\n"
+        "try:\n"
+        "    peak = int(re.search(r'VmHWM:\\s+(\\d+) kB',\n"
+        "                         open('/proc/self/status').read()).group(1))\n"
+        "except (OSError, AttributeError):\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps([len(sys.modules), peak]))\n")
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+@register("engine.fluid_cold_import", suites=("tier1", "engine"),
+          description="fresh interpreter: start-up + `import repro.fluidsim` "
+                      "(no scipy.sparse; module count and peak RSS recorded)")
+def _engine_fluid_cold_import(ctx: BenchContext):
+    modules, maxrss_kib = fluid_cold_import()
+    # numpy + the fluid tier is ~250 modules; scipy.sparse alone adds ~350.
+    assert modules < 400, f"{modules} modules after import repro.fluidsim"
+    registry = obs.registry_or_new()
+    registry.gauge("bench.fluid_cold_import.modules").set(modules)
+    registry.gauge("bench.fluid_cold_import.maxrss_kib").set(maxrss_kib)
 
 
 @register("engine.fluid_step_kernel", suites=("tier1", "engine"),

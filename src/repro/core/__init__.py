@@ -9,7 +9,7 @@
 - :mod:`repro.core.equilibrium` -- numeric equilibria of the model
   (``solve_equilibrium``; its hybr fallback is the one place
   ``scipy.optimize`` loads; ``solve_fluid_equilibrium`` is the
-  root-finder-free network-level route);
+  root-finder-free network-level route, which imports no scipy);
 - :mod:`repro.core.trajectories` -- direct ODE integration of Eq. (3) /
   Eq. (9) (``integrate_model`` is the one place ``scipy.integrate``
   loads) and the responsiveness metric.

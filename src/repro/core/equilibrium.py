@@ -23,8 +23,9 @@ Two solvers live under this name:
   where loss and queueing are themselves solved for, the direct
   alternative to time-stepping a ``FluidSimulation``.  It is the
   ``scipy.optimize``-free route: its own damped fixed-point / dual
-  price iteration over the fluid tier's ``scipy.sparse`` routing
-  matrices, no root finder.
+  price iteration over the fluid tier's routing matrices
+  (:class:`repro.fluidsim.csr.Csr`), no root finder and no
+  ``import scipy``.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ def reno_window(loss: float) -> float:
 
 # Lazy re-export of the network-level solver.  Importing repro.fluidsim
 # eagerly here would cycle back into repro.core through the fluid adapters
-# (and pull scipy.sparse into the numpy tier), so resolve on first access.
+# (and load the engine for callers that only want the model), so resolve on
+# first access.
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.fluidsim.equilibrium": (
         "FluidEquilibrium", "solve_fluid_equilibrium", "equilibrium_supported",

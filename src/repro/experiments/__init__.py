@@ -10,8 +10,9 @@ faithful reproduction runs.
 
 Figure modules load on first use: this package imports none of them, so
 ``from repro.experiments import fig06_shared_bottleneck`` (a plain
-submodule import) loads the packet simulator and no fluid figure, and
-``scipy.sparse`` loads only with a fluid figure.
+submodule import) loads the packet simulator and no fluid figure, and a
+fluid figure loads ``repro.fluidsim`` and no packet engine.  No figure
+imports ``scipy.sparse`` (DESIGN.md §8).
 
 ========  ==========================================================
 module    paper artifact

@@ -21,11 +21,10 @@ The loop body is allocation-light; ``tests/oracles/fluid_reference.py``
 holds the straight-line transcription of the six steps it must match bit
 for bit (results, RNG stream, trace events):
 
-* the routing products call scipy's raw CSR matvec — the routine
-  ``R @ x`` dispatches to — on the stored index arrays, and the scipy
-  operators themselves when the matrix is dense or carries non-unit
-  weights (:class:`~repro.fluidsim.network.RoutingPlan` holds those
-  facts) or when that private scipy module is missing;
+* every routing product is :meth:`repro.fluidsim.csr.Csr.matvec` —
+  scipy's compiled ``csr_matvec``, the routine scipy's own ``R @ x``
+  dispatches to, written into a preallocated vector and loaded without
+  importing ``scipy.sparse``;
 * every per-step temporary lives in a preallocated buffer reused across
   steps (``out=`` ufunc forms, ``np.copyto`` masking);
 * ``delivered_bits`` accumulates through a seeded-head ``bincount`` fold
@@ -54,22 +53,8 @@ from repro.fluidsim.network import FluidNetwork
 from repro.fluidsim.state import CohortState
 from repro.net.rand import UniformBlocks
 
-try:  # scipy's raw CSR matvec: y += A @ x into a preallocated vector.
-    # This is the very routine scipy.sparse dispatches `R @ x` to, so
-    # using it directly is bit-identical to the operator while skipping
-    # ~6 layers of python dispatch per product. Guarded because it is a
-    # private module; the scipy operators take over if it ever moves.
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-    _csr_matvec = _scipy_sparsetools.csr_matvec
-except Exception:  # pragma: no cover - depends on scipy internals
-    _csr_matvec = None
-
 _EPS = 1e-12
 
-#: Above this routing-matrix density the scipy product wins (the raw
-#: matvec shines on fat-tree-like fabrics whose density sits well below
-#: 1%).
-_SPARSE_DENSITY_THRESHOLD = 0.25
 #: Steps of loss uniforms prefetched per RNG block.
 _RNG_BLOCK_STEPS = 64
 
@@ -291,12 +276,6 @@ class _StepBuffers:
 class FluidSimulation:
     """Integrates a finalized :class:`FluidNetwork`.
 
-    :attr:`kernel` names the routing-product kernel :meth:`run` uses,
-    derived from the network's :class:`~repro.fluidsim.network.RoutingPlan`:
-    the raw CSR matvec when the routing matrix has unit weights and
-    density at most ``_SPARSE_DENSITY_THRESHOLD``, the scipy operators
-    otherwise.
-
     ``dtype`` picks the step-loop precision: ``"float64"`` (the
     reference), ``"float32"`` (half the memory traffic; windows and rates
     carry ~7 significant digits, which moves per-connection goodput by
@@ -324,24 +303,17 @@ class FluidSimulation:
     ):
         if network.base_rtt is None:
             raise ConfigurationError("finalize() the FluidNetwork before simulating")
-        if dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+        if not (math.isfinite(initial_window) and initial_window >= 1):
+            raise ConfigurationError(
+                f"initial_window must be finite and >= 1 segment, got {initial_window}")
         if dtype not in _DTYPE_MODES:
             raise ConfigurationError(
                 f"dtype must be one of {_DTYPE_MODES}, got {dtype!r}")
         self.net = network
         self.dt = dt
         self.rng = np.random.default_rng(seed)
-        plan = network.routing_plan
-        use_sparse = (
-            _csr_matvec is not None
-            and plan.unit_weights
-            and plan.density <= _SPARSE_DENSITY_THRESHOLD
-        )
-        #: Which routing-product kernel :meth:`run` uses: ``"csr_matvec"``
-        #: (raw scipy sparsetools call) or ``"dense"`` (the stored scipy
-        #: operators).
-        self.kernel = "csr_matvec" if use_sparse else "dense"
         #: Work arrays, allocated on the first run().
         self._buffers: Optional[_StepBuffers] = None
         # Registry-backed run counters (read by campaign telemetry for
@@ -470,8 +442,8 @@ class FluidSimulation:
         buf = ca.buffer_bits
         base_rtt = ca.base_rtt
         inv_cap = ca.inv_capacity
-        R = net.routing
-        Rt = net.routing_t
+        mul_R, R_data = net.routing.matvec, ca.routing_data
+        mul_Rt, Rt_data = net.routing_t.matvec, ca.routing_t_data
         n = len(self.w)
         n_links = net.n_links
         n_conns = len(net.connections)
@@ -484,26 +456,6 @@ class FluidSimulation:
         b = self._buffers
         views = self._build_cohort_views(b)
 
-        # Routing-product kernels, both bit-identical to ``R @ x`` /
-        # ``Rt @ v`` (csr_matvec IS the routine those dispatch to; dense
-        # delegates to the operators themselves).
-        if self.kernel == "csr_matvec":
-            Rp, Ri, Rx = R.indptr, R.indices, ca.routing_data
-            Tp, Ti, Tx = Rt.indptr, Rt.indices, ca.routing_t_data
-
-            def mul_R(x, out):
-                out.fill(0.0)
-                _csr_matvec(n_links, n, Rp, Ri, Rx, x, out)
-
-            def mul_Rt(v, out):
-                out.fill(0.0)
-                _csr_matvec(n, n_links, Tp, Ti, Tx, v, out)
-        else:
-            def mul_R(x, out):
-                np.copyto(out, R @ x)
-
-            def mul_Rt(v, out):
-                np.copyto(out, Rt @ v)
         # Loss uniforms, prefetched in blocks. total_rows == n_steps, so
         # the generator ends where scalar-per-step draws would leave it.
         uniforms = UniformBlocks(self.rng, n, n_steps,
@@ -531,7 +483,7 @@ class FluidSimulation:
                 now = (first + step + 1) * dt
                 np.divide(self.w, self.rtt, out=b.x_pkts)
                 np.multiply(b.x_pkts, pkt_bits, out=b.x_bps)
-                mul_R(b.x_bps, b.y)
+                mul_R(b.x_bps, b.y, R_data)
                 y = b.y
                 # Queues and loss.
                 np.subtract(y, cap, out=b.overload)
@@ -558,13 +510,13 @@ class FluidSimulation:
                 np.copyto(b.marked_link, b.mark_bool, casting="unsafe")
                 # Per-subflow path state.
                 np.multiply(self.queue_bits, inv_cap, out=b.qc)
-                mul_Rt(b.qc, b.qdelay)
+                mul_Rt(b.qc, b.qdelay, Rt_data)
                 if lossy_step:
-                    mul_Rt(b.p_link, b.p_path)
+                    mul_Rt(b.p_link, b.p_path, Rt_data)
                     np.minimum(b.p_path, 0.5, out=b.p_path)
                 else:
                     b.p_path.fill(0.0)
-                mul_Rt(b.marked_link, b.marked_path)
+                mul_Rt(b.marked_link, b.marked_path, Rt_data)
                 np.minimum(b.marked_path, 1.0, out=b.marked_path)
                 np.add(base_rtt, b.qdelay, out=self.rtt)
                 np.multiply(y, inv_cap, out=b.util)

@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import ConfigurationError
 from repro.fluidsim.adapters import FluidAlgorithm, create_fluid_algorithm
+from repro.fluidsim.csr import Csr
 from repro.topology.base import DcTopology, PathSpec, path_specs
 from repro.units import DEFAULT_PACKET_BYTES
 
@@ -20,8 +20,8 @@ class ComputeArrays:
 
     :meth:`FluidNetwork.compute_arrays` hands these to the engine so a
     float32 simulation reads half-width copies of the invariant arrays
-    (and CSR data vectors for the raw matvec kernel) instead of paying
-    an upcast on every operation.
+    (and of the routing matrices' values) instead of paying an upcast on
+    every operation.
     """
 
     base_rtt: np.ndarray
@@ -30,34 +30,6 @@ class ComputeArrays:
     buffer_bits: np.ndarray
     routing_data: np.ndarray
     routing_t_data: np.ndarray
-
-
-@dataclass(frozen=True)
-class RoutingPlan:
-    """The facts about the routing matrix that pick the engine's
-    routing-product kernel.
-
-    The routing matrix of a fat-tree-style fabric is overwhelmingly
-    sparse (k=8: ~0.8% dense) and all structural nonzeros are exactly
-    1.0, which is when the raw CSR matvec beats the scipy operators.
-    """
-
-    nnz: int
-    #: nnz / (links * subflows); drives the auto sparse/dense choice.
-    density: float
-    #: True when every stored value is exactly 1.0 (a path never
-    #: repeats a link). The unit-weight kernel is only valid then.
-    unit_weights: bool
-
-    @classmethod
-    def from_routing(cls, routing: sparse.csr_matrix) -> "RoutingPlan":
-        """Build the plan from the finalized routing matrix."""
-        cells = routing.shape[0] * routing.shape[1]
-        return cls(
-            nnz=int(routing.nnz),
-            density=routing.nnz / cells if cells else 0.0,
-            unit_weights=bool(np.all(routing.data == 1.0)),
-        )
 
 
 @dataclass
@@ -132,14 +104,13 @@ class FluidNetwork:
         self._finalized = False
 
         # Filled by finalize():
-        self.routing: Optional[sparse.csr_matrix] = None  # links x subflows
-        self.routing_t: Optional[sparse.csr_matrix] = None
-        self.routing_plan: Optional[RoutingPlan] = None
+        self.routing: Optional[Csr] = None  # links x subflows
+        self.routing_t: Optional[Csr] = None
         self.base_rtt: Optional[np.ndarray] = None
         self.switch_hops: Optional[np.ndarray] = None
         self.subflow_conn: Optional[np.ndarray] = None
         self.cohorts: List[Cohort] = []
-        self.host_incidence: Optional[sparse.csr_matrix] = None
+        self.host_incidence: Optional[Csr] = None
         self.host_subflow_count: Optional[np.ndarray] = None
         #: Subflows for which each host keeps socket state (src/dst only).
         self.host_endpoint_count: Optional[np.ndarray] = None
@@ -273,13 +244,11 @@ class FluidNetwork:
             first_sub += size
 
         on_path = hops >= 0
-        self.routing = sparse.csr_matrix(
-            (np.ones(int(on_path.sum())),
-             (hops[on_path], np.nonzero(on_path)[0])),
-            shape=(topology.n_links, n_subflows),
-        )
-        self.routing_t = self.routing.T.tocsr()
-        self.routing_plan = RoutingPlan.from_routing(self.routing)
+        links, subflows = hops[on_path], np.nonzero(on_path)[0]
+        self.routing = Csr.from_pairs(
+            links, subflows, (topology.n_links, n_subflows))
+        self.routing_t = Csr.from_pairs(
+            subflows, links, (n_subflows, topology.n_links))
         # Hop by hop: the same additions, in the same order, as summing
         # each path's delays one link after the other.
         delay = np.append(self.link_delay, 0.0)
@@ -300,17 +269,13 @@ class FluidNetwork:
             [(host_ids[host], sid) for conn in ordered
              for sid, path_relays in zip(conn.subflow_ids, conn.relay_hosts)
              for host in path_relays], dtype=np.int64).reshape(-1, 2)
-        self.host_incidence = sparse.csr_matrix(
-            (np.ones(2 * n_subflows + len(relays)),
-             (np.concatenate([src_host, dst_host, relays[:, 0]]),
-              np.concatenate([subflow_ids, subflow_ids, relays[:, 1]]))),
-            shape=(n_hosts, n_subflows),
-        )
+        self.host_incidence = Csr.from_pairs(
+            np.concatenate([src_host, dst_host, relays[:, 0]]),
+            np.concatenate([subflow_ids, subflow_ids, relays[:, 1]]),
+            (n_hosts, n_subflows))
         # A host a path touches twice still counts once.
         self.host_incidence.data.fill(1.0)
-        self.host_subflow_count = np.asarray(
-            self.host_incidence.sum(axis=1)
-        ).ravel()
+        self.host_subflow_count = np.diff(self.host_incidence.indptr).astype(float)
         self.host_endpoint_count = (
             np.bincount(src_host, minlength=n_hosts)
             + np.bincount(dst_host, minlength=n_hosts)).astype(float)

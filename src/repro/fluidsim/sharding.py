@@ -25,9 +25,8 @@ out, and folds the per-shard payloads into a :class:`ShardedResult`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +34,9 @@ from repro.errors import ConfigurationError
 from repro.fluidsim.engine import FluidSimulation, fluid_metrics, run_metrics
 from repro.fluidsim.network import FluidNetwork
 from repro.units import ms
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Multiplier folding the shard index into the base seed.  Prime and
 #: far larger than any realistic shard count, so shard streams of one
@@ -202,6 +204,9 @@ def run_sharded(
     if pool is not None:
         payloads = list(pool.map(simulate_shard, specs))
     elif jobs > 1:
+        # Local: only a pooled run pays for the executor machinery (DESIGN §8).
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as px:
             payloads = list(px.map(simulate_shard, specs))
     else:

@@ -18,18 +18,38 @@ small instances):
   Fig. 10.
 """
 
-from repro.topology.base import DcTopology, LinkSpec, PathSpec
-from repro.topology.bcube import BCube
-from repro.topology.dumbbell import (
-    SharedBottleneckScenario,
-    TrafficShiftingScenario,
-    build_shared_bottleneck,
-    build_traffic_shifting,
-)
-from repro.topology.ec2 import Ec2Cloud
-from repro.topology.fattree import FatTree, fattree24, fattree32
-from repro.topology.vl2 import Vl2
-from repro.topology.wireless import HeterogeneousWirelessScenario, build_wireless
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.topology.base import DcTopology, LinkSpec, PathSpec
+    from repro.topology.bcube import BCube
+    from repro.topology.dumbbell import (
+        SharedBottleneckScenario,
+        TrafficShiftingScenario,
+        build_shared_bottleneck,
+        build_traffic_shifting,
+    )
+    from repro.topology.ec2 import Ec2Cloud
+    from repro.topology.fattree import FatTree, fattree24, fattree32
+    from repro.topology.vl2 import Vl2
+    from repro.topology.wireless import HeterogeneousWirelessScenario, build_wireless
+
+# Resolved on first access (PEP 562): a fluid process asking for a fabric
+# does not load the packet scenarios, which import the packet engine.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.topology.base": ("DcTopology", "LinkSpec", "PathSpec"),
+    "repro.topology.bcube": ("BCube",),
+    "repro.topology.dumbbell": (
+        "SharedBottleneckScenario", "TrafficShiftingScenario",
+        "build_shared_bottleneck", "build_traffic_shifting",
+    ),
+    "repro.topology.ec2": ("Ec2Cloud",),
+    "repro.topology.fattree": ("FatTree", "fattree24", "fattree32"),
+    "repro.topology.vl2": ("Vl2",),
+    "repro.topology.wireless": ("HeterogeneousWirelessScenario", "build_wireless"),
+})
 
 __all__ = [
     "BCube",

@@ -225,6 +225,10 @@ class DcTopology(ABC):
         candidates ``pick(count)`` names — so a fabric that knows its path
         set in closed form builds the kept rows alone.
         """
+        for host in (src_host, dst_host):
+            if self._node_id.get(host, -1) < 0:  # switches have negative ids
+                raise ConfigurationError(
+                    f"{host!r} is not a host of this {type(self).__name__}")
         if src_host == dst_host:
             raise ConfigurationError("src and dst must differ")
         if limit < 1:

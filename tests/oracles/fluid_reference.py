@@ -4,13 +4,16 @@ of the model. ``FluidSimulation.run`` must match it bit for bit — every
 ``SimulationResult`` array, the obs instruments, the ``fluid.step`` trace
 instants and the RNG stream; ``tests/test_fluid_fastpath.py`` holds that
 property. Lived in the engine as ``FluidSimulation._run_legacy`` until
-ISSUE 15.
+ISSUE 15. Its routing products are scipy's own ``R @ x`` on matrices
+viewing the network's CSR arrays, so the engine's kernel is held against
+the operator, not against itself.
 """
 
 import time
 from typing import List
 
 import numpy as np
+from scipy import sparse
 
 from repro.fluidsim.engine import _EPS, FluidSimulation, SimulationResult
 from repro.fluidsim.state import CohortState
@@ -30,8 +33,8 @@ def run_reference(sim: FluidSimulation, duration: float) -> SimulationResult:
     pkt_bits = net.packet_bits
     cap = net.capacity
     buf = net.buffer_bits
-    R = net.routing
-    Rt = net.routing_t
+    R, Rt = (sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+             for m in (net.routing, net.routing_t))
     inv_cap = 1.0 / cap
     bits_before = sim.delivered_bits.copy()
     losses_before = sim.loss_events.copy()

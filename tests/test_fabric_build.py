@@ -228,6 +228,20 @@ def test_paths_rejects_no_room_on_every_topology(topo, max_paths):
             topo.paths(topo.hosts[0], dst, max_paths)
 
 
+@pytest.mark.parametrize("topo", (FatTree(4), BCube(4, 1), Vl2(), Ec2Cloud()),
+                         ids=lambda t: type(t).__name__)
+def test_unknown_host_is_named_on_every_topology(topo):
+    """Was a bare KeyError (fat-tree, VL2) or int('o') ValueError (BCube);
+    a switch's name is no host either."""
+    net = FluidNetwork(topo)
+    for src, dst, culprit in (("nope", topo.hosts[0], "nope"),
+                              (topo.hosts[0], "nope", "nope"),
+                              (topo.hosts[0], topo.switches[0], topo.switches[0])):
+        with pytest.raises(ConfigurationError, match=f"'{culprit}' is not a host"):
+            net.add_connection(src, dst, "lia", n_subflows=1)
+    assert net.connections == []
+
+
 @pytest.mark.parametrize("kwargs", ({"n_subflows": 0}, {"n_subflows": -2},
                                     {"n_subflows": 1, "path_pool": 0}))
 def test_add_connection_rejects_zero_subflows_or_pool(kwargs):

@@ -1,25 +1,23 @@
 """Equivalence tests for the fluid engine's step loop.
 
-The loop's optimisations (sparse routing kernels, preallocated step
+The loop's optimisations (the raw CSR routing product, preallocated step
 buffers, chunked RNG) are *behaviour-preserving*: with the same network
 and seed, ``FluidSimulation.run`` must produce bit-identical results to
 the straight-line reference loop in ``tests/oracles/fluid_reference.py``
 — every ``SimulationResult`` array, the ``fluid.residual`` gauge, the
 ``fluid.step`` trace instants, and the final RNG state. These tests pin
-that down under random topologies, algorithm mixes, seeds, and both
-routing kernels, and also cover the kernel-selection logic and the
-chunked-RNG facade in isolation.
+that down under random topologies, algorithm mixes and seeds, on the two
+routing matrices a second kernel used to exist for (dense, non-unit
+weights), and cover the chunked-RNG facade in isolation.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import repro.fluidsim.engine as engine_mod
 import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.fluidsim import FluidNetwork, FluidSimulation
-from repro.fluidsim.network import RoutingPlan
 from repro.net.rand import UniformBlocks
 from repro.topology import FatTree
 from repro.units import ms
@@ -53,18 +51,15 @@ def _build_net(pair_seed: int, algo_picks, n_subflows: int) -> FluidNetwork:
 
 
 def _run(net: FluidNetwork, *, reference: bool, seed: int, n_steps: int,
-         energy_sample_every: int = 10, kernel=None):
+         energy_sample_every: int = 10):
     """Run one sim, on the engine or on the reference loop; returns
-    (result, registry snapshot, fluid.step records, final RNG state).
-    ``kernel`` overrides the routing kernel the engine derived."""
+    (result, registry snapshot, fluid.step records, final RNG state)."""
     registry = obs.MetricsRegistry()
     tracer = obs.Tracer()
     dt = 0.004
     sim = FluidSimulation(net, dt=dt, seed=seed, metrics=registry,
                           tracer=tracer,
                           energy_sample_every=energy_sample_every)
-    if kernel is not None:
-        sim.kernel = kernel
     res = run_reference(sim, n_steps * dt) if reference else sim.run(n_steps * dt)
     steps = [r for r in tracer.records if r["name"] == "fluid.step"]
     return res, registry.snapshot(), steps, sim.rng.bit_generator.state
@@ -135,31 +130,18 @@ def _assert_runs_equivalent(fast, legacy):
     seed=st.integers(0, 50),
     n_steps=st.integers(2, 40),
     energy_sample_every=st.integers(1, 13),
-    kernel=st.sampled_from([None, "csr_matvec", "dense"]),
 )
 def test_fast_path_bit_identical_to_legacy(pair_seed, algo_picks, n_subflows,
                                            seed, n_steps,
-                                           energy_sample_every, kernel):
-    """Random topology/algorithm/seed/kernel combinations: the engine is
+                                           energy_sample_every):
+    """Random topology/algorithm/seed combinations: the engine is
     indistinguishable from the reference loop, bit for bit."""
     fast = _run(_build_net(pair_seed, algo_picks, n_subflows),
                 reference=False, seed=seed, n_steps=n_steps,
-                energy_sample_every=energy_sample_every, kernel=kernel)
+                energy_sample_every=energy_sample_every)
     legacy = _run(_build_net(pair_seed, algo_picks, n_subflows),
                   reference=True, seed=seed, n_steps=n_steps,
                   energy_sample_every=energy_sample_every)
-    _assert_runs_equivalent(fast, legacy)
-
-
-def test_missing_sparsetools_selects_dense_bit_identical(monkeypatch):
-    """With scipy's private csr_matvec unavailable the engine runs the
-    scipy operators, and still matches the reference loop exactly."""
-    monkeypatch.setattr(engine_mod, "_csr_matvec", None)
-    net = _build_net(7, ["lia", "olia", "dctcp"], 3)
-    assert FluidSimulation(net, dt=0.004, seed=3).kernel == "dense"
-    fast = _run(net, reference=False, seed=3, n_steps=30)
-    legacy = _run(_build_net(7, ["lia", "olia", "dctcp"], 3),
-                  reference=True, seed=3, n_steps=30)
     _assert_runs_equivalent(fast, legacy)
 
 
@@ -178,37 +160,37 @@ def test_interleaved_fast_and_legacy_runs_share_one_sim():
         _assert_bit_identical(got, want)
 
 
-# --------------------------------------------------------- kernel selection
+# ------------------------------------- the matrices the second kernel served
 
 
-def test_sparse_routing_auto_prefers_sparse_on_fattree():
-    net = _build_net(1, ["lia"], 2)
-    assert net.routing_plan.density <= engine_mod._SPARSE_DENSITY_THRESHOLD
-    sim = FluidSimulation(net, dt=0.004, seed=1)
-    assert sim.kernel == "csr_matvec"
-
-
-def test_sparse_routing_auto_falls_back_when_dense():
-    """Density above the threshold (tiny 2-host topology: every subflow
-    crosses most links) keeps the scipy operators."""
+def _tiny_dense_net() -> FluidNetwork:
+    """Two hosts, one path: every subflow crosses half the links."""
     from tests.test_fluidsim import tiny_topology
 
     net = FluidNetwork(tiny_topology())
     net.add_connection("a", "b", "lia", n_subflows=1)
     net.finalize()
-    assert net.routing_plan.density > engine_mod._SPARSE_DENSITY_THRESHOLD
-    assert FluidSimulation(net, dt=0.004, seed=1).kernel == "dense"
+    assert net.routing.nnz / (net.n_links * net.n_subflows) > 0.25
+    return net
 
 
-def test_sparse_routing_requires_unit_weights():
-    """Non-unit stored weights make the gather kernels invalid: the
-    engine must pick dense."""
-    net = _build_net(1, ["lia"], 2)
+def _weighted_net() -> FluidNetwork:
+    """A stored routing weight forced to 2.0 (a path repeating a link)."""
+    net = _build_net(1, ["lia", "dctcp"], 2)
     net.routing.data[0] = 2.0
-    net.routing_plan = RoutingPlan.from_routing(net.routing)
-    assert not net.routing_plan.unit_weights
-    sim = FluidSimulation(net, dt=0.004, seed=1)
-    assert sim.kernel == "dense"
+    return net
+
+
+@pytest.mark.parametrize("build", [_tiny_dense_net, _weighted_net],
+                         ids=["dense", "weighted"])
+def test_dense_or_weighted_routing_matches_the_reference(build):
+    """The deleted ``"dense"`` arm ran scipy's ``R @ x`` on these two
+    kinds of matrix; the one kernel takes a data array and any density,
+    and still equals the reference loop's ``R @ x`` bit for bit."""
+    fast = _run(build(), reference=False, seed=1, n_steps=60)
+    legacy = _run(build(), reference=True, seed=1, n_steps=60)
+    _assert_runs_equivalent(fast, legacy)
+    assert fast[0].connection_bits.sum() > 0
 
 
 # ------------------------------------------------------------- chunked RNG

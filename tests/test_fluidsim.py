@@ -265,7 +265,10 @@ class TestFluidNetwork:
                                    path_pool=8,
                                    algorithm_kwargs={"kappa": 1e-4})
         by_hand.finalize()
-        assert (built.routing != by_hand.routing).nnz == 0
+        assert built.routing.shape == by_hand.routing.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(built.routing, part),
+                                  getattr(by_hand.routing, part))
         assert np.array_equal(built.base_rtt, by_hand.base_rtt)
         assert [(c.src, c.dst) for c in built.connections] == [
             (c.src, c.dst) for c in by_hand.connections]
@@ -337,6 +340,27 @@ class TestFluidEngine:
         net.finalize()
         with pytest.raises(ConfigurationError):
             FluidSimulation(net, dt=0)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_dt_rejected(self, dt):
+        """nan died in run() on int(nan); inf ran and reported inf goodput."""
+        net = FluidNetwork(tiny_topology())
+        net.add_connection("a", "b", "lia", n_subflows=1)
+        net.finalize()
+        with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+            FluidSimulation(net, dt=dt)
+
+    @pytest.mark.parametrize("initial_window",
+                             [float("nan"), float("inf"), -5.0, 0.5])
+    def test_nonsense_initial_window_rejected(self, initial_window):
+        """nan came back as nan goodput and nan energy without a word;
+        windows below one segment were stepped as if valid."""
+        net = FluidNetwork(tiny_topology())
+        net.add_connection("a", "b", "lia", n_subflows=1)
+        net.finalize()
+        with pytest.raises(ConfigurationError, match="initial_window"):
+            FluidSimulation(net, initial_window=initial_window)
+        assert FluidSimulation(net, initial_window=1).w[0] == 1.0
 
     @pytest.mark.parametrize("duration",
                              [0.0, -1.0, float("nan"), float("inf")])

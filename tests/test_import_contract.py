@@ -1,12 +1,14 @@
-"""The import contract: start-up cost follows use, in three tiers.
+"""The import contract: start-up cost follows use, in two tiers.
 
 DESIGN.md ("Start-up cost and import tiers") states which entry point may
 load what; this file holds it.  Each row of the table runs in a fresh
 interpreter and reports which of numpy / ``scipy.*`` ended up in
 ``sys.modules`` — module sets, never timings, so the test is
-deterministic.  The second half checks the PEP 562 lazy exports of
-``repro``, ``repro.core`` and ``repro.net`` behave like the eager
-re-exports they replaced.
+deterministic.  The fluid rows *run* the tier (a stepped run, a solve, a
+sharded run) and find nothing of scipy but the one extension file its
+routing kernel lives in.  The second half checks the PEP 562 lazy exports
+of ``repro``, ``repro.core``, ``repro.net``, ``repro.topology`` and
+``repro.workloads`` behave like the eager re-exports they replaced.
 """
 
 from __future__ import annotations
@@ -48,15 +50,29 @@ def _cli(flag: str):
     )
 
 
-def loaded_after(statement: str) -> set:
-    """numpy / scipy / scipy.<sub> modules loaded by ``statement``."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+def run_fresh(code: str) -> str:
+    """Standard output of ``code``, run to a clean exit in a fresh
+    interpreter on this source tree."""
     proc = subprocess.run(
-        [sys.executable, "-c", statement + "\n" + _REPORT],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return proc.stdout
+
+
+def loaded_after(statement: str) -> set:
+    """numpy / scipy / scipy.<sub> modules loaded by ``statement``."""
+    return set(json.loads(run_fresh(statement + "\n" + _REPORT).splitlines()[-1]))
+
+
+def modules_after(statement: str, *prefixes: str) -> set:
+    """Every loaded module that is, or lives under, one of ``prefixes``."""
+    report = (
+        "import json, sys\n"
+        "print(json.dumps([m for m in sys.modules if any("
+        f"m == p or m.startswith(p + '.') for p in {prefixes!r})]))\n")
+    return set(json.loads(run_fresh(statement + "\n" + report).splitlines()[-1]))
 
 
 STDLIB_TIER = [
@@ -86,12 +102,35 @@ NUMPY_TIER = [
     "import repro.experiments.fig17_wireless",
     # Figs. 12-14 only build RunSpecs; the executor loads the engine.
     "import repro.experiments.fig12_14_subflows",
-]
-
-FLUID_TIER = [
     "import repro.fluidsim",
     "import repro.experiments.fig15_phi",
 ]
+
+#: The fluid tier at work, not just imported.
+_FAST_SPEC = "topology='bcube', n_subflows=2, duration=0.2, dt=0.01"
+FLUID_RUNS = [
+    pytest.param("import repro.fluidsim", id="import repro.fluidsim"),
+    pytest.param(
+        "from repro.campaign import RunSpec, execute_run\n"
+        f"assert execute_run(RunSpec(engine='fluid', {_FAST_SPEC}))"
+        "['metrics']['steps_taken'] == 20",
+        id="stepped execute_run"),
+    pytest.param(
+        "from repro.campaign import build_topology\n"
+        "from repro.fluidsim import FluidNetwork, solve_fluid_equilibrium\n"
+        "net = FluidNetwork.permutation(build_topology('bcube'), 'lia',\n"
+        "                               n_subflows=2, seed=1)\n"
+        "assert solve_fluid_equilibrium(net).iterations > 10",
+        id="solve_fluid_equilibrium"),
+    pytest.param(
+        "from repro.fluidsim import run_sharded\n"
+        "assert run_sharded('bcube', n_shards=2, jobs=1, duration=0.2,\n"
+        "                   dt=0.01).steps_taken == 40",
+        id="run_sharded(jobs=1)"),
+    pytest.param("import repro.experiments.fig15_phi",
+                 id="import repro.experiments.fig15_phi"),
+]
+KERNEL_MODULE = "scipy.sparse._sparsetools"
 
 
 @pytest.mark.parametrize("statement", STDLIB_TIER)
@@ -104,11 +143,37 @@ def test_numpy_tier_loads_no_scipy(statement):
     assert loaded_after(statement) <= {"numpy"}
 
 
-@pytest.mark.parametrize("statement", FLUID_TIER)
-def test_fluid_tier_loads_scipy_sparse_only(statement):
-    loaded = loaded_after(statement)
-    assert "scipy.sparse" in loaded
-    assert not loaded & {"scipy.optimize", "scipy.integrate"}
+@pytest.mark.parametrize("statement", FLUID_RUNS)
+def test_fluid_tier_runs_on_the_kernel_file_alone(statement):
+    """Neither ``scipy`` nor ``scipy.sparse`` is in ``sys.modules``: the
+    only trace of scipy is the extension module the kernel was read from."""
+    assert modules_after(statement, "scipy") == {KERNEL_MODULE}
+
+
+def test_fluid_tier_loads_no_packet_engine():
+    """Of ``repro.net`` a fluid process keeps two leaf helpers (the RNG
+    block reader the step loop draws from, the sampler base class
+    ``repro.energy`` subclasses); neither imports the packet engine."""
+    assert modules_after(
+        "import repro.fluidsim", "repro.net", "repro.transport",
+    ) == {"repro.net", "repro.net.rand", "repro.net.monitor"}
+
+
+@pytest.mark.parametrize("first, then", [
+    ("import repro.fluidsim.csr", "import scipy.sparse, scipy.optimize"),
+    ("import scipy.sparse, scipy.optimize", "import repro.fluidsim.csr"),
+], ids=["kernel then scipy", "scipy then kernel"])
+def test_kernel_and_scipy_share_one_module(first, then):
+    """Whichever loads first, scipy and the fluid tier hold the same
+    ``_sparsetools`` module object, and scipy still works on it."""
+    run_fresh(
+        f"{first}\n{then}\n"
+        "import sys, numpy as np, scipy.sparse, repro.fluidsim.csr as csr\n"
+        "from scipy.sparse import _sparsetools\n"
+        f"assert sys.modules[{KERNEL_MODULE!r}] is _sparsetools\n"
+        "assert _sparsetools.csr_matvec is csr.csr_matvec\n"
+        "m = scipy.sparse.random(9, 7, 0.4, format='csr', random_state=1)\n"
+        "assert (m.T.tocsr() @ np.ones(9)).shape == (7,)\n")
 
 
 def test_solver_and_integrator_load_scipy_at_their_call_sites():
@@ -123,7 +188,8 @@ def test_solver_and_integrator_load_scipy_at_their_call_sites():
 
 # ------------------------------------------------------------ lazy exports
 
-LAZY_PACKAGES = ["repro", "repro.core", "repro.net"]
+LAZY_PACKAGES = ["repro", "repro.core", "repro.net", "repro.topology",
+                 "repro.workloads"]
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
