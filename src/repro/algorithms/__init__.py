@@ -4,13 +4,20 @@ Every algorithm but DWC (:data:`PACKET_ONLY`) exists in two coordinated
 forms that resolve names through this module's registry and aliases:
 
 1. a packet-level per-ACK controller in this subpackage (used by
-   :mod:`repro.net`), and
+   :mod:`repro.net` and by the live :mod:`repro.transport.server`), and
 2. a vectorized fluid adapter in :mod:`repro.fluidsim.adapters` (what
    :mod:`repro.fluidsim` steps).
 
 :mod:`repro.core.model` states the same rules a third time, as the
 ``psi/beta/phi`` decompositions of Eq. 3 the analysis code integrates;
 ``tests/test_model.py`` holds the three to one per-ACK increase.
+
+Everything here is scalar arithmetic on the standard library: a
+controller is a handful of float operations per ACK, which is what lets a
+``repro serve`` process run without numpy (DESIGN.md §8).  The array
+forms of the DTS and LIA increases (``dts_increase_array``,
+``lia_increase_array``) live in :mod:`repro.net.batch.model`, beside the
+batch engine that is their only caller.
 
 Use :func:`create_controller` to instantiate by name.
 """
@@ -23,11 +30,11 @@ from repro.algorithms.balia import BaliaController
 from repro.algorithms.base import MIN_CWND, CongestionController
 from repro.algorithms.coupled import CoupledController
 from repro.algorithms.dctcp import DctcpController
-from repro.algorithms.dts import DtsController, ExtendedDtsController, dts_increase_array
+from repro.algorithms.dts import DtsController, ExtendedDtsController
 from repro.algorithms.dwc import DwcController
 from repro.algorithms.ecmtcp import EcmtcpController
 from repro.algorithms.ewtcp import EwtcpController
-from repro.algorithms.lia import LiaController, lia_increase_array
+from repro.algorithms.lia import LiaController
 from repro.algorithms.olia import OliaController
 from repro.algorithms.reno import RenoController
 from repro.algorithms.wvegas import WvegasController
@@ -107,7 +114,5 @@ __all__ = [
     "WvegasController",
     "algorithm_names",
     "create_controller",
-    "dts_increase_array",
-    "lia_increase_array",
     "resolve_algorithm",
 ]

@@ -24,37 +24,20 @@ approximates ``dU_ep/dx_r``: the linear-energy term contributes ``rho`` per
 aggregation/core link the path crosses, and the queue-excess term
 ``(Q_l - Q)^+`` is sensed end-to-end through the queueing delay
 ``q_r = RTT_r - baseRTT_r`` exceeding a threshold.
+
+The array form of the DTS increase, ``dts_increase_array``, is a batch
+engine kernel and lives in :mod:`repro.net.batch.model`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar
 
-import numpy as np
-
 from repro.algorithms.base import MIN_CWND, CongestionController
 from repro.core.dts import DtsFactorConfig
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
-
-
-def dts_increase_array(
-    cwnd: np.ndarray,
-    rtt: np.ndarray,
-    psi: np.ndarray,
-    total_rate: np.ndarray,
-) -> np.ndarray:
-    """Vectorized form of :meth:`DtsController.on_ack` for one ACK.
-
-    Evaluates ``w + psi * (w/RTT^2) / (sum_k x_k)^2`` elementwise with
-    the same operation order as the scalar rule, so a lane of this
-    kernel is bit-identical to one ``on_ack`` call.  ``psi = c * eps``
-    is precomputed by the caller (it is constant across the ACKs of one
-    delivery round, since Eq. 5 depends only on the round's RTT sample).
-    """
-    coupled = (cwnd / (rtt * rtt)) / (total_rate * total_rate)
-    return cwnd + psi * coupled
 
 
 class DtsController(CongestionController):

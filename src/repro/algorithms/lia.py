@@ -9,35 +9,19 @@ where the ``min`` is RFC 6356's TCP-friendliness cap (never more aggressive
 than Reno on any one path). LIA is TCP-friendly by construction
 (Condition 1) but not Pareto-optimal, which is exactly the gap the paper's
 Fig. 6 experiment exposes against OLIA.
+
+The array form of the increase, ``lia_increase_array``, is a batch engine
+kernel and lives in :mod:`repro.net.batch.model`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar
 
-import numpy as np
-
 from repro.algorithms.base import MIN_CWND, CongestionController
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
-
-
-def lia_increase_array(
-    cwnd: np.ndarray,
-    best_rate: np.ndarray,
-    total_rate: np.ndarray,
-) -> np.ndarray:
-    """Vectorized form of :meth:`LiaController.on_ack` for one ACK.
-
-    ``best_rate`` is ``max_k w_k/RTT_k^2`` per connection and
-    ``total_rate`` is ``sum_k w_k/RTT_k``; the kernel applies RFC 6356's
-    capped increase ``w + min(best/(sum x)^2, 1/w)`` elementwise with the
-    same operation order as the scalar rule, so one lane is bit-identical
-    to one ``on_ack`` call.
-    """
-    alpha = best_rate / (total_rate * total_rate)
-    return cwnd + np.minimum(alpha, 1.0 / cwnd)
 
 
 class LiaController(CongestionController):

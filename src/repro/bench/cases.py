@@ -43,6 +43,7 @@ __all__ = [
     "spec_hash_cost",
     "trace_overhead_ratio",
     "traced_packet_transfer",
+    "transport_cold_import",
     "transport_connection_churn",
     "transport_loopback_transfer",
 ]
@@ -249,12 +250,11 @@ def _engine_fluid_k24_build(ctx: BenchContext):
     assert 27_000 <= net.n_subflows <= 8 * 3456
 
 
-def fluid_cold_import():
-    """``import repro.fluidsim`` in a fresh interpreter — what every
-    campaign worker, shard worker and ``python -m repro fig10..16`` pays
-    before its first step.  The child asserts that neither ``scipy`` nor
-    ``scipy.sparse`` got loaded (DESIGN.md §8) and reports (modules
-    loaded, peak resident set in KiB)."""
+def _cold_import(statement: str, absent: "tuple[str, ...]"):
+    """``statement`` in a fresh interpreter on this source tree.  The
+    child asserts that none of the modules in ``absent`` got loaded
+    (DESIGN.md §8) and reports (modules loaded, peak resident set in
+    KiB)."""
     import os
     import subprocess
     import sys
@@ -266,9 +266,9 @@ def fluid_cold_import():
     # exec'd child starts at the parent's own peak (this runner's), not 0.
     code = (
         "import json, re, resource, sys\n"
-        "import repro.fluidsim\n"
-        "assert 'scipy' not in sys.modules, 'scipy got imported'\n"
-        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse got imported'\n"
+        f"{statement}\n"
+        f"loaded = [m for m in {absent!r} if m in sys.modules]\n"
+        "assert not loaded, f'{loaded} got imported'\n"
         "try:\n"
         "    peak = int(re.search(r'VmHWM:\\s+(\\d+) kB',\n"
         "                         open('/proc/self/status').read()).group(1))\n"
@@ -282,6 +282,14 @@ def fluid_cold_import():
         env=dict(os.environ, PYTHONPATH=path), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return tuple(json.loads(proc.stdout))
+
+
+def fluid_cold_import():
+    """``import repro.fluidsim`` in a fresh interpreter — what every
+    campaign worker, shard worker and ``python -m repro fig10..16`` pays
+    before its first step; neither ``scipy`` nor ``scipy.sparse`` may get
+    loaded.  Returns (modules loaded, peak resident set in KiB)."""
+    return _cold_import("import repro.fluidsim", ("scipy", "scipy.sparse"))
 
 
 @register("engine.fluid_cold_import", suites=("tier1", "engine"),
@@ -545,6 +553,27 @@ def _transport_connection_churn(ctx: BenchContext):
         instruments)
     registry.gauge(
         "bench.connection_churn.retained_bytes_per_connection").set(retained)
+
+
+def transport_cold_import():
+    """``import repro.transport.server`` in a fresh interpreter — what a
+    ``repro serve`` process costs before its first HELLO; numpy may not
+    get loaded.  Returns (modules loaded, peak resident set in KiB)."""
+    return _cold_import("import repro.transport.server", ("numpy",))
+
+
+@register("transport.cold_import", suites=("tier1", "transport"),
+          description="fresh interpreter: start-up + `import "
+                      "repro.transport.server` (no numpy; module count and "
+                      "peak RSS recorded)")
+def _transport_cold_import(ctx: BenchContext):
+    modules, maxrss_kib = transport_cold_import()
+    # asyncio + the stdlib tier is ~200 modules; numpy alone adds ~100.
+    assert modules < 260, (
+        f"{modules} modules after import repro.transport.server")
+    registry = obs.registry_or_new()
+    registry.gauge("bench.transport_cold_import.modules").set(modules)
+    registry.gauge("bench.transport_cold_import.maxrss_kib").set(maxrss_kib)
 
 
 # ------------------------------------------------------------------ campaign

@@ -17,14 +17,17 @@ third-order Taylor expansion scaled by 100) because the Linux kernel cannot
 use floating point; :func:`epsilon_taylor` reproduces that fixed-point
 computation, including its divergence from the true sigmoid at extreme
 ratios, which the ablation bench quantifies.
+
+This module is scalar Eq. 5 on the standard library, as the per-ACK
+controllers need it.  The array form, ``epsilon_exact_array`` (which pins
+a different ``exp``), is a batch engine kernel and lives in
+:mod:`repro.net.batch.model`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ModelError
 
@@ -82,42 +85,6 @@ def epsilon_exact(
     """Eq. (5) with the exact exponential."""
     ratio = rtt_ratio(base_rtt, rtt)
     return ceiling / (1.0 + math.exp(-slope * (ratio - center)))
-
-
-def epsilon_exact_array(
-    base_rtt: np.ndarray,
-    rtt: np.ndarray,
-    *,
-    slope: float = 10.0,
-    center: float = 0.5,
-    ceiling: float = 2.0,
-) -> np.ndarray:
-    """Vectorized Eq. (5): :func:`epsilon_exact` over numpy arrays.
-
-    Elementwise this evaluates exactly the same expression as
-    :func:`epsilon_exact` with one deliberate difference: the exponential
-    is ``np.exp`` rather than ``math.exp``.  The two differ in the last
-    ulp on a few percent of inputs (both are within 1 ulp of the true
-    value, but they are *different* libms), so a bit-exact batched
-    engine cannot mix them.  Every scalar path that must agree with this
-    kernel bit-for-bit (the batch oracle in :mod:`repro.net.batch`)
-    therefore routes its sigmoid through this function with scalar
-    inputs — numpy guarantees the scalar and array ufunc results are
-    elementwise identical.
-
-    ``base_rtt`` entries that are non-positive or infinite (no valid
-    sample yet) get ratio 1.0, mirroring :func:`rtt_ratio`.  ``rtt``
-    entries must be positive.
-    """
-    base = np.asarray(base_rtt, dtype=np.float64)
-    rtt_arr = np.asarray(rtt, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(
-            (base <= 0.0) | np.isinf(base),
-            1.0,
-            np.minimum(1.0, base / rtt_arr),
-        )
-    return ceiling / (1.0 + np.exp(-slope * (ratio - center)))
 
 
 def epsilon_taylor(

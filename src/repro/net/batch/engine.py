@@ -8,8 +8,8 @@ preallocated ``[n_connections, max_subflows]`` arrays.  A
 rounds; each cohort advances in one masked pass per (subflow-slot,
 algorithm) group: a vectorized estimator update followed by a per-ACK
 mask loop whose slow-start / HyStart / congestion-avoidance lanes call
-the vector kernels in :mod:`repro.algorithms` (``dts_increase_array``,
-``lia_increase_array``).
+the vector kernels in :mod:`repro.net.batch.model`
+(``epsilon_exact_array``, ``dts_increase_array``, ``lia_increase_array``).
 
 Rare paths — any round with a loss (fast-retransmit or RTO semantics),
 bursts beyond :data:`repro.net.batch.model.MAX_VECTOR_BURST`, and every
@@ -41,10 +41,12 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 import repro.obs as obs
-from repro.algorithms.dts import dts_increase_array
-from repro.algorithms.lia import lia_increase_array
-from repro.core.dts import epsilon_exact_array
 from repro.net.batch import model
+from repro.net.batch.model import (
+    dts_increase_array,
+    epsilon_exact_array,
+    lia_increase_array,
+)
 from repro.net.batch.scenario import BatchScenario
 from repro.net.events import TickCohorts
 from repro.transport.core import MAX_RTO, MIN_RTO, PathProfile, hystart_check

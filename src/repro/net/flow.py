@@ -21,13 +21,19 @@ share a :class:`SegmentSupply` and a coupled congestion controller.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
 from repro.net.routing import Route
 from repro.transport import core as _core
-from repro.transport.core import INITIAL_RTO, MAX_RTO, MIN_RTO, SenderState
+from repro.transport.core import (
+    INITIAL_RTO,
+    MAX_RTO,
+    MIN_RTO,
+    SegmentSupply,
+    SenderState,
+)
 from repro.units import DEFAULT_MSS, DEFAULT_PACKET_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,56 +50,6 @@ __all__ = [
 ]
 
 _INF = float("inf")
-
-
-class SegmentSupply:
-    """Application data source shared by the subflows of one connection.
-
-    Counts segments granted to senders and segments cumulatively ACKed. A
-    ``total`` of ``None`` models an infinite (long-lived FTP/iperf) source.
-    """
-
-    def __init__(self, total_segments: Optional[int] = None):
-        if total_segments is not None and total_segments <= 0:
-            raise ConfigurationError(f"total_segments must be positive, got {total_segments}")
-        self.total = total_segments
-        self.assigned = 0
-        self.acked = 0
-        self.completion_time: Optional[float] = None
-        self.on_complete: Optional[Callable[[float], None]] = None
-        #: Optional subflow scheduler (see :mod:`repro.net.scheduler`);
-        #: None means greedy first-come-first-served pulls.
-        self.scheduler = None
-
-    def take(self, sender=None) -> bool:
-        """Grant one new segment to ``sender``, if any remain and the
-        scheduler (when present) does not prefer another subflow."""
-        if self.total is not None and self.assigned >= self.total:
-            return False
-        if self.scheduler is not None and sender is not None:
-            if not self.scheduler.grants(sender):
-                return False
-            if self.total is not None and self.assigned >= self.total:
-                return False  # a poked subflow consumed the remainder
-        self.assigned += 1
-        return True
-
-    def note_acked(self, n: int, now: float) -> None:
-        """Record ``n`` newly ACKed segments; fires completion once."""
-        self.acked += n
-        if (
-            self.total is not None
-            and self.acked >= self.total
-            and self.completion_time is None
-        ):
-            self.completion_time = now
-            if self.on_complete is not None:
-                self.on_complete(now)
-
-    @property
-    def completed(self) -> bool:
-        """True once every segment of a finite transfer has been ACKed."""
-        return self.total is not None and self.acked >= self.total
 
 
 class TcpReceiver:

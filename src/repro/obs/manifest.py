@@ -47,10 +47,18 @@ def git_sha() -> Optional[str]:
 
 @lru_cache(maxsize=1)
 def _numpy_version() -> Optional[str]:
+    """The numpy this process runs on or would load — read without
+    importing it: a stdlib-tier process (``repro serve``) captures its
+    manifest inside the event loop, where that import would hold every
+    connection's ACKs for 0.15-0.3 s and keep 11 MiB for good."""
+    loaded = sys.modules.get("numpy")
+    if loaded is not None:
+        return loaded.__version__
+    from importlib import metadata
+
     try:
-        import numpy
-        return numpy.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dep today
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:
         return None
 
 

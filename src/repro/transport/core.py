@@ -18,7 +18,7 @@ surface:
 host attribute / method   contract
 ========================  ==================================================
 ``SenderState`` fields    the pure transport state (see the dataclass)
-``supply``                shared :class:`~repro.net.flow.SegmentSupply`
+``supply``                shared :class:`SegmentSupply`
 ``controller``            a :class:`~repro.algorithms.base.CongestionController`
                           or None (bare Reno fallback)
 ``probe``                 per-ACK observability hook or None
@@ -56,6 +56,58 @@ MAX_RTO = 60.0
 INITIAL_RTO = 1.0
 
 _INF = float("inf")
+
+
+# -------------------------------------------------------------------- supply
+
+class SegmentSupply:
+    """Application data source shared by the subflows of one connection.
+
+    Counts segments granted to senders and segments cumulatively ACKed. A
+    ``total`` of ``None`` models an infinite (long-lived FTP/iperf) source.
+    """
+
+    def __init__(self, total_segments: Optional[int] = None):
+        if total_segments is not None and total_segments <= 0:
+            raise ConfigurationError(f"total_segments must be positive, got {total_segments}")
+        self.total = total_segments
+        self.assigned = 0
+        self.acked = 0
+        self.completion_time: Optional[float] = None
+        self.on_complete: Optional[Callable[[float], None]] = None
+        #: Optional subflow scheduler (see :mod:`repro.net.scheduler`);
+        #: None means greedy first-come-first-served pulls.
+        self.scheduler = None
+
+    def take(self, sender=None) -> bool:
+        """Grant one new segment to ``sender``, if any remain and the
+        scheduler (when present) does not prefer another subflow."""
+        if self.total is not None and self.assigned >= self.total:
+            return False
+        if self.scheduler is not None and sender is not None:
+            if not self.scheduler.grants(sender):
+                return False
+            if self.total is not None and self.assigned >= self.total:
+                return False  # a poked subflow consumed the remainder
+        self.assigned += 1
+        return True
+
+    def note_acked(self, n: int, now: float) -> None:
+        """Record ``n`` newly ACKed segments; fires completion once."""
+        self.acked += n
+        if (
+            self.total is not None
+            and self.acked >= self.total
+            and self.completion_time is None
+        ):
+            self.completion_time = now
+            if self.on_complete is not None:
+                self.on_complete(now)
+
+    @property
+    def completed(self) -> bool:
+        """True once every segment of a finite transfer has been ACKed."""
+        return self.total is not None and self.acked >= self.total
 
 
 # --------------------------------------------------------------------- state

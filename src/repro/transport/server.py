@@ -5,7 +5,7 @@ subflow path — and serves bulk transfers to fetch clients. Each client
 connection picks its own congestion controller in its HELLO (live A/B:
 two concurrent fetches may run DTS and LIA side by side), gets one
 :class:`~repro.transport.core.SenderCore` per path coupled through that
-controller and a shared :class:`~repro.net.flow.SegmentSupply`, and has
+controller and a shared :class:`~repro.transport.core.SegmentSupply`, and has
 its host energy integrated by a
 :class:`~repro.energy.accounting.TransferEnergyAccount` exactly as the
 DES meters do. A :class:`~repro.transport.aio.MetricsHttpServer`
@@ -39,8 +39,7 @@ import repro.obs.prom as prom
 from repro.algorithms import create_controller
 from repro.energy.accounting import TransferEnergyAccount
 from repro.energy.cpu import HostPowerModel, default_wired_host
-from repro.errors import ConfigurationError
-from repro.net.flow import SegmentSupply
+from repro.errors import ConfigurationError, ReproError
 from repro.obs.dashboard import render_dashboard
 from repro.transport.aio import (
     Addr,
@@ -51,7 +50,7 @@ from repro.transport.aio import (
     SseRoute,
     open_endpoint,
 )
-from repro.transport.core import PathProfile, SenderCore
+from repro.transport.core import PathProfile, SegmentSupply, SenderCore
 from repro.transport.wire import (
     AckSegment,
     ByeSegment,
@@ -460,6 +459,8 @@ class TransportServer:
             capacity=flight_capacity, dump_path=flight_dump_path)
         registry = self.session.registry
         self._hello_counter = registry.counter("transport.hellos")
+        self._hello_rejected_counter = registry.counter(
+            "transport.hellos_rejected")
         self._ack_counter = registry.counter("transport.acks_received")
         self._live_gauge = registry.gauge("transport.connections_live")
         self._retired_counter = registry.counter(
@@ -499,6 +500,11 @@ class TransportServer:
             self._endpoints.append(endpoint)
             self.ports.append(endpoint.local_port())
         if self.metrics_port is not None:
+            # A process's first manifest probes its environment (git,
+            # platform, the installed numpy; ~30 ms, then cached): paid
+            # here, before a connection exists, not by the first
+            # /manifest scrape with every connection's ACKs waiting.
+            obs.RunManifest.capture()
             self._metrics = MetricsHttpServer(
                 {
                     "/metrics": self.metrics_snapshot,
@@ -631,8 +637,17 @@ class TransportServer:
                     flight=self.flight,
                     tracer=self.tracer,
                 )
-            except (KeyError, ValueError, ConfigurationError):
-                return  # malformed or unsatisfiable HELLO: ignore it
+            except (KeyError, ValueError, TypeError, OverflowError,
+                    ReproError) as exc:
+                # Malformed or unsatisfiable HELLO (a missing, null or
+                # infinite field, an unknown controller, more subflows
+                # than ports): no state, no reply, one event.
+                self._hello_rejected_counter.inc()
+                self.flight.record(
+                    "hello_rejected", conn=segment.conn_id,
+                    path=segment.path_id,
+                    reason=f"{type(exc).__name__}: {exc}")
+                return
             self.connections[segment.conn_id] = conn
             self._live_gauge.set(len(self.connections))
             # Armed at creation, so a handshake that never finishes is

@@ -6,9 +6,11 @@ interpreter and reports which of numpy / ``scipy.*`` ended up in
 ``sys.modules`` — module sets, never timings, so the test is
 deterministic.  The fluid rows *run* the tier (a stepped run, a solve, a
 sharded run) and find nothing of scipy but the one extension file its
-routing kernel lives in.  The second half checks the PEP 562 lazy exports
-of ``repro``, ``repro.core``, ``repro.net``, ``repro.topology`` and
-``repro.workloads`` behave like the eager re-exports they replaced.
+routing kernel lives in; the transport rows run the live transport (every
+per-ACK controller, ``fetch --selftest``, a scraped server) and find no
+numpy.  The second half checks the PEP 562 lazy exports of ``repro``,
+``repro.core``, ``repro.net``, ``repro.topology``, ``repro.workloads`` and
+``repro.analysis`` behave like the eager re-exports they replaced.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -84,6 +87,11 @@ STDLIB_TIER = [
     "import repro.transport.core",
     "import repro.transport.aio",
     "import repro.transport.client",
+    "import repro.transport.server",
+    "import repro.algorithms",
+    "import repro.energy",
+    "import repro.core.dts",
+    "import repro.analysis",
     _cli("--help"),
     _cli("--version"),
     _cli("list"),
@@ -93,11 +101,9 @@ NUMPY_TIER = [
     _resolve_all("repro"),
     _resolve_all("repro.net"),
     _resolve_all("repro.core"),
-    "import repro.algorithms",
-    "import repro.energy, repro.topology, repro.workloads, repro.analysis",
+    "import repro.topology, repro.workloads",
     "import repro.net.batch",
     "import repro.campaign",
-    "import repro.transport.server",
     "import repro.experiments.fig06_shared_bottleneck",
     "import repro.experiments.fig17_wireless",
     # Figs. 12-14 only build RunSpecs; the executor loads the engine.
@@ -132,6 +138,89 @@ FLUID_RUNS = [
 ]
 KERNEL_MODULE = "scipy.sparse._sparsetools"
 
+#: The live transport at work; each row ends with numpy still absent.
+_DRIVE_CONTROLLERS = """
+from repro.algorithms import algorithm_names, create_controller
+from repro.transport.core import (
+    PathProfile, ReceiverCore, SegmentSupply, SenderCore)
+
+for name in algorithm_names():
+    now = [0.0]
+    supply = SegmentSupply(600)
+    controller = create_controller(name)
+    senders = [SenderCore(supply, clock=lambda: now[0], controller=controller,
+                          subflow_index=i, ecn_capable=controller.ecn_capable,
+                          path=PathProfile(base_rtt=0.05, switch_hops=1))
+               for i in range(2)]
+    controller.attach(senders)
+    receivers = [ReceiverCore(subflow_index=i) for i in range(2)]
+    for sender in senders:
+        sender.start()
+    acks = 0
+    while not supply.completed:
+        flights = [(s, r, s.take_emits()) for s, r in zip(senders, receivers)]
+        sent = now[0]
+        now[0] += 0.05 + 0.001 * (acks % 7)  # one RTT, some of it queueing
+        for sender, receiver, ops in flights:
+            for op in ops:
+                if op.seq == 40 and not op.is_retransmit:
+                    continue  # the one loss on each subflow
+                ack = receiver.on_data(op.seq, sent, 1200)
+                sender.on_ack(ack.ack_seq, sack_seq=ack.sack_seq,
+                              echo_time=ack.echo_time)
+                acks += 1
+            sender.on_tick()
+    assert acks >= 600 and all(s.loss_events for s in senders), name
+"""
+_SCRAPED_SERVER = """
+import asyncio, json
+from repro.transport.client import fetch
+from repro.transport.server import TransportServer
+
+async def get(port, path):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(f"GET {path} HTTP/1.0\\r\\n\\r\\n".encode())
+    await writer.drain()
+    raw = await asyncio.wait_for(reader.read(-1), timeout=10)
+    writer.close()
+    head, _, body = raw.partition(b"\\r\\n\\r\\n")
+    assert head.startswith(b"HTTP/1.1 200"), (path, head)
+    return body
+
+async def main():
+    server = TransportServer(n_ports=2, metrics_port=0, record_interval=0.05)
+    ports = await server.start()
+    try:
+        result = await fetch("127.0.0.1", ports, controller="dts",
+                             total_bytes=65536, timeout=30.0)
+        assert result.bytes_received >= 65536
+        bodies = {path: await get(server.metrics_port, path)
+                  for path in ("/metrics", "/metrics.prom", "/manifest",
+                               "/dashboard", "/series", "/events", "/healthz")}
+        assert all(bodies.values()), bodies
+        assert json.loads(bodies["/manifest"])["numpy_version"]
+    finally:
+        await server.stop()
+
+asyncio.run(main())
+"""
+
+
+def _selftest(controller: str):
+    return pytest.param(
+        "import repro.cli\n"
+        "for tail in ([], ['--json', '-']):\n"
+        "    assert repro.cli.main(['fetch', '--selftest', '--bytes', '262144',\n"
+        f"        '--loss', '0.02', '--controller', {controller!r}] + tail) == 0",
+        id=f"fetch --selftest --controller {controller}")
+
+
+TRANSPORT_RUNS = [
+    pytest.param(_DRIVE_CONTROLLERS, id="every controller, core to core"),
+    *(_selftest(name) for name in ("dts", "dts-ext", "lia", "olia")),
+    pytest.param(_SCRAPED_SERVER, id="served fetch, every route scraped"),
+]
+
 
 @pytest.mark.parametrize("statement", STDLIB_TIER)
 def test_stdlib_tier_loads_neither_numpy_nor_scipy(statement):
@@ -148,6 +237,66 @@ def test_fluid_tier_runs_on_the_kernel_file_alone(statement):
     """Neither ``scipy`` nor ``scipy.sparse`` is in ``sys.modules``: the
     only trace of scipy is the extension module the kernel was read from."""
     assert modules_after(statement, "scipy") == {KERNEL_MODULE}
+
+
+@pytest.mark.parametrize("statement", TRANSPORT_RUNS)
+def test_transport_tier_runs_without_numpy(statement):
+    run_fresh(statement + "\nimport sys\nassert 'numpy' not in sys.modules\n")
+
+
+def test_serve_process_loads_no_des_module():
+    """Of ``repro.net`` a transport server keeps the package and the
+    stdlib sampler base class ``repro.energy.accounting`` subclasses."""
+    assert modules_after(
+        "import repro.transport.server", "repro.net",
+    ) == {"repro.net", "repro.net.monitor"}
+
+
+def _code_names(path) -> set:
+    """Every identifier in the file's code (not its strings or comments)."""
+    with open(path, "rb") as handle:
+        return {token.string for token in tokenize.tokenize(handle.readline)
+                if token.type == tokenize.NAME}
+
+
+def test_array_kernels_live_with_the_batch_engine():
+    """The three vector rules sit beside the engine that calls them, so
+    the per-ACK modules cannot load numpy: their code never names it."""
+    import repro.algorithms
+    import repro.core.dts
+    import repro.net.batch.model as model
+
+    kernels = ("dts_increase_array", "lia_increase_array",
+               "epsilon_exact_array")
+    for kernel in kernels:
+        assert callable(getattr(model, kernel))
+        assert not hasattr(repro.core.dts, kernel)
+        assert not hasattr(repro.algorithms, kernel)
+        assert kernel not in repro.algorithms.__all__
+    sources = [*Path(repro.algorithms.__file__).parent.glob("*.py"),
+               Path(repro.core.dts.__file__)]
+    assert Path(repro.algorithms.lia.__file__) in sources
+    assert {"numpy", "np", *kernels} <= _code_names(model.__file__)
+    for source in sources:
+        assert not _code_names(source) & {"numpy", "np", *kernels}, source.name
+
+
+@pytest.mark.parametrize("first", ["", "import numpy"],
+                         ids=["numpy absent", "numpy loaded"])
+def test_manifest_reads_the_numpy_version_without_importing_numpy(first):
+    """``GET /manifest`` captures inside the serving event loop: the
+    version comes from the loaded module or the installed metadata,
+    the same string either way, and capturing imports nothing of numpy."""
+    run_fresh(
+        f"{first}\n"
+        "import sys\n"
+        "from importlib.metadata import version\n"
+        "from repro.obs import RunManifest\n"
+        "before = set(sys.modules)\n"
+        "assert RunManifest.capture().numpy_version == version('numpy')\n"
+        "assert 'numpy' not in set(sys.modules) - before\n"
+        "import numpy\n"
+        "assert RunManifest.capture().numpy_version == numpy.__version__\n")
 
 
 def test_fluid_tier_loads_no_packet_engine():
@@ -189,7 +338,7 @@ def test_solver_and_integrator_load_scipy_at_their_call_sites():
 # ------------------------------------------------------------ lazy exports
 
 LAZY_PACKAGES = ["repro", "repro.core", "repro.net", "repro.topology",
-                 "repro.workloads"]
+                 "repro.workloads", "repro.analysis"]
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

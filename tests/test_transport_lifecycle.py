@@ -301,6 +301,55 @@ def test_hello_flood_is_reaped():
     asyncio.run(run())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("controller", "nope"),
+    ("n_subflows", None),
+    ("total_segments", None),
+    ("payload_bytes", None),
+    ("n_subflows", 3),
+    ("total_segments", 0),
+    ("total_segments", float("inf")),
+], ids=["unknown controller", "null n_subflows", "null total_segments",
+        "null payload_bytes", "more subflows than ports", "no segments",
+        "infinite total_segments"])
+def test_hostile_hello_is_rejected_with_an_event(field, value):
+    """A HELLO the server cannot serve costs one flight event and one
+    count: no connection, no reply, nothing raised into the event loop,
+    and the next well-formed fetch is served."""
+    async def run():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context))
+        server = TransportServer(n_ports=2, record_interval=0.0)
+        ports = await server.start()
+        replies = []
+        transport, _ = await open_endpoint(
+            lambda segment, addr: replies.append(segment),
+            remote_addr=("127.0.0.1", ports[0]))
+        hello = {"controller": "dts", "n_subflows": 2,
+                 "total_segments": 14, "payload_bytes": 1200, field: value}
+        try:
+            transport.sendto(encode_hello(9, 0, hello))
+            hellos = server.session.registry.get("transport.hellos")
+            assert await _until(lambda: hellos.value == 1)
+            assert errors == []
+            assert server.connections == {}
+            assert server.session.registry.get(
+                "transport.hellos_rejected").value == 1
+            [event] = server.flight.events(kinds={"hello_rejected"})
+            assert (event.fields["conn"], event.fields["path"]) == (9, 0)
+            assert event.fields["reason"]
+            assert (await _fetch(ports, 10)).bytes_received >= SMALL
+            assert replies == []
+            assert server.flight.counts["hello_rejected"] == 1
+        finally:
+            transport.close()
+            await server.stop()
+        assert errors == []
+
+    asyncio.run(run())
+
+
 def test_stop_retires_in_flight_connections():
     async def run():
         server = TransportServer(n_ports=2, record_interval=0.0, trace=True)
