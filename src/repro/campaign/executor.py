@@ -12,8 +12,9 @@ Design points:
   order.
 * **Fault tolerance** — a run that raises (or whose worker process
   dies) is retried once on a fresh submission; a second failure is
-  reported as a failed outcome without aborting the campaign.  A broken
-  pool is rebuilt transparently.
+  reported as a failed outcome without aborting the campaign.  A worker
+  that dies hard costs only the run that killed it: the other runs of
+  the broken pool are re-executed without being charged an attempt.
 * **Timeouts** — ``run_timeout`` bounds how long the collector waits
   for any single run's result.
 """
@@ -447,12 +448,16 @@ class CampaignExecutor:
                     emit_progress: Callable[[], None] = lambda: None) -> None:
         """Fan out over a process pool, collecting results in spec order.
 
-        Each pending index gets up to ``1 + retries`` submissions; a
-        ``BrokenProcessPool`` (worker died hard) rebuilds the pool so
-        the remaining runs still execute.
+        Each pending index gets up to ``1 + retries`` submissions of its
+        own.  A worker that dies hard breaks the pool for every future
+        in it, and which run killed it cannot be told from here, so a
+        break of the shared pool charges nobody: from then on each
+        uncollected run is executed in a single-worker pool of its own,
+        where a break can only be that run's doing and is charged to it.
         """
         run_fn = self._effective_run_fn()
         pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
+        shared = True
         try:
             futures = {}
             for i in pending:
@@ -461,9 +466,15 @@ class CampaignExecutor:
             starts = {i: time.perf_counter() for i in pending}
             for i in pending:
                 attempts = 1
-                fut = futures[i]
+                fut, in_shared = futures[i], True
                 while True:
                     try:
+                        if fut is None:
+                            if not shared:
+                                pool.shutdown(wait=False, cancel_futures=True)
+                                pool = ProcessPoolExecutor(max_workers=1)
+                            in_shared = shared
+                            fut = pool.submit(run_fn, specs[i])
                         payload = fut.result(timeout=self.run_timeout)
                         outcomes[i] = RunOutcome(
                             spec=specs[i], payload=payload,
@@ -472,21 +483,14 @@ class CampaignExecutor:
                         emit_progress()
                         break
                     except Exception as exc:  # noqa: BLE001
+                        if isinstance(exc, BrokenProcessPool) and in_shared:
+                            shared, fut = False, None
+                            continue
                         if isinstance(exc, FuturesTimeoutError):
                             fut.cancel()
                             error = f"timed out after {self.run_timeout}s"
                         else:
                             error = f"{type(exc).__name__}: {exc}"
-                        if isinstance(exc, BrokenProcessPool):
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            pool = ProcessPoolExecutor(
-                                max_workers=min(self.jobs, len(pending)))
-                            # Resubmit every not-yet-collected run on the
-                            # fresh pool; their attempt counts are kept by
-                            # their own collection loops.
-                            for j in pending:
-                                if outcomes[j] is None and j != i:
-                                    futures[j] = pool.submit(run_fn, specs[j])
                         if attempts > self.retries:
                             outcomes[i] = RunOutcome(
                                 spec=specs[i], payload=None,
@@ -495,6 +499,6 @@ class CampaignExecutor:
                             emit_progress()
                             break
                         attempts += 1
-                        fut = pool.submit(run_fn, specs[i])
+                        fut = None
         finally:
             pool.shutdown(wait=False, cancel_futures=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -132,12 +133,11 @@ class RunSpec:
                 "(it has no fluid form)")
         if self.n_subflows < 1:
             raise ConfigurationError(f"n_subflows must be >= 1, got {self.n_subflows}")
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {self.duration}")
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.link_delay <= 0:
-            raise ConfigurationError(f"link_delay must be positive, got {self.link_delay}")
+        for name in ("duration", "dt", "link_delay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}")
 
     # -------------------------------------------------------- serialization
 

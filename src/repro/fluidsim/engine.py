@@ -45,7 +45,12 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 import repro.obs as obs
-from repro.energy.cpu import HostPowerModel, default_wired_host
+from repro.energy.cpu import (
+    HostPowerModel,
+    WiredPathPower,
+    WirelessPathPower,
+    default_wired_host,
+)
 from repro.energy.switch import SwitchPowerModel
 from repro.errors import ConfigurationError
 from repro.fluidsim.adapters import FluidAlgorithm
@@ -99,19 +104,25 @@ class PowerEvaluator:
         # Egress ports, grouped by switch, for vectorized switch power.
         self.switch_ports = net.switch_egress
 
-        # Path-model parameters for vectorized power (duck-typed from the
-        # configured PathPowerModel; WiredPathPower fields are the default).
+        # ``host_power_now`` evaluates the path model's formula over
+        # arrays, so it has to be one of the two it knows.
         self.pm = host_power.path_model
+        if not isinstance(self.pm, (WiredPathPower, WirelessPathPower)):
+            raise ConfigurationError(
+                "the fluid engine vectorizes WiredPathPower and "
+                f"WirelessPathPower only, got {type(self.pm).__name__}"
+            )
 
     def host_power_now(self, x_bps: np.ndarray, rtt: np.ndarray) -> float:
         """Total host CPU power: static part + per-path marginal terms."""
         pm = self.pm
         tau_mbps = x_bps / 1e6
-        if hasattr(pm, "exponent"):
+        if isinstance(pm, WiredPathPower):
             base = pm.k * np.power(np.maximum(tau_mbps, 0.0), pm.exponent)
         else:
+            duty = np.minimum(1.0, tau_mbps / pm.duty_cycle_scale_mbps)
             base = np.where(
-                tau_mbps > 0, pm.base_w + pm.slope_w_per_mbps * tau_mbps, 0.0
+                tau_mbps > 0, pm.base_w * duty + pm.slope_w_per_mbps * tau_mbps, 0.0
             )
         rtt_factor = 1.0 + pm.rtt_coefficient * np.maximum(
             0.0, rtt / pm.rtt_reference - 1.0

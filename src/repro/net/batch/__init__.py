@@ -17,11 +17,7 @@ bit-exactness contract between the two.
 from __future__ import annotations
 
 from repro.net.batch.engine import BatchEngine
-from repro.net.batch.model import (
-    MAX_VECTOR_BURST,
-    MIRRORED_SENDER_FIELDS,
-    VECTOR_ALGORITHMS,
-)
+from repro.net.batch.model import MAX_VECTOR_BURST, VECTOR_ALGORITHMS
 from repro.net.batch.scenario import (
     BatchConnection,
     BatchPath,
@@ -31,7 +27,6 @@ from repro.net.batch.scenario import (
 
 __all__ = [
     "MAX_VECTOR_BURST",
-    "MIRRORED_SENDER_FIELDS",
     "VECTOR_ALGORITHMS",
     "BatchConnection",
     "BatchEngine",

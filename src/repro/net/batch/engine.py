@@ -1,9 +1,9 @@
 """Struct-of-arrays batch engine: thousands of connections per numpy pass.
 
 All per-subflow sender state (window, RFC 6298 estimator, RTO backoff,
-burst/deadline, counters — the fields named by
-:data:`repro.net.batch.model.MIRRORED_SENDER_FIELDS`) lives in
-preallocated ``[n_connections, max_subflows]`` arrays.  A
+burst/deadline, counters) and per-connection supply state lives in
+preallocated ``[n_connections, max_subflows]`` / ``[n_connections]``
+arrays, every one of them listed once in :data:`_FIELDS`.  A
 :class:`repro.net.events.TickCohorts` scheduler groups same-deadline
 rounds; each cohort advances in one masked pass per (subflow-slot,
 algorithm) group: a vectorized estimator update followed by a per-ACK
@@ -15,9 +15,17 @@ Rare paths — any round with a loss (fast-retransmit or RTO semantics),
 bursts beyond :data:`repro.net.batch.model.MAX_VECTOR_BURST`, and every
 round of a connection whose controller has no vector rule — fall back to
 :func:`repro.net.batch.model.scalar_round`, i.e. the exact scalar
-transition path of :mod:`repro.transport.core`, operating on the arrays
-through attribute views.  The fallback is re-entrant: a connection whose
-round was lossy rejoins the vector path on its next clean round.
+transition path of :mod:`repro.transport.core`, on the oracle's own
+:class:`~repro.net.batch.model.ConnState` /
+:class:`~repro.net.batch.model.SubflowPort` objects: the connection's
+array row is copied into them before the round (:meth:`BatchEngine._load`)
+and back after it (:meth:`BatchEngine._store`).  The arrays are the
+state; the objects are scratch that is only valid between one load and
+the next vector round, so every scalar read of a connection — a
+fallback round, a trajectory record, an archive, ``result()`` — goes
+through ``_load`` (DESIGN.md §13).  The fallback is re-entrant: a
+connection whose round was lossy rejoins the vector path on its next
+clean round.
 
 Completed connections are compacted away: once enough rows have drained
 their supply, live rows are packed to the array front (their final
@@ -34,7 +42,6 @@ asserts it trajectory-step by trajectory-step.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -49,199 +56,76 @@ from repro.net.batch.model import (
 )
 from repro.net.batch.scenario import BatchScenario
 from repro.net.events import TickCohorts
-from repro.transport.core import MAX_RTO, MIN_RTO, PathProfile, hystart_check
+from repro.transport.core import MAX_RTO, MIN_RTO
 
 _KIND_DTS = 0
 _KIND_LIA = 1
 _KIND_SCALAR = 2
+#: ``model.make_controller``'s vector kind -> lane code
+_KIND_OF = {"dts": _KIND_DTS, "lia": _KIND_LIA, None: _KIND_SCALAR}
 
 
-class _ArrayConnPort:
-    """Connection-level supply state viewed through the engine arrays."""
-
-    __slots__ = ("eng", "handle")
-
-    def __init__(self, eng: "BatchEngine", handle: "_ConnHandle"):
-        self.eng = eng
-        self.handle = handle
-
-    @property
-    def gid(self) -> int:
-        return self.handle.gid
-
-    @property
-    def spec(self):
-        return self.handle.spec
-
-    @property
-    def total(self) -> Optional[int]:
-        t = int(self.eng.total[self.handle.row])
-        return None if t < 0 else t
-
-    @property
-    def assigned(self) -> int:
-        return int(self.eng.assigned[self.handle.row])
-
-    @assigned.setter
-    def assigned(self, value: int) -> None:
-        self.eng.assigned[self.handle.row] = value
-
-    @property
-    def acked(self) -> int:
-        return int(self.eng.acked[self.handle.row])
-
-    @acked.setter
-    def acked(self, value: int) -> None:
-        self.eng.acked[self.handle.row] = value
-
-    @property
-    def completion_tick(self) -> Optional[int]:
-        t = int(self.eng.completion[self.handle.row])
-        return None if t < 0 else t
-
-    @completion_tick.setter
-    def completion_tick(self, value: Optional[int]) -> None:
-        self.eng.completion[self.handle.row] = -1 if value is None else value
+def _nan_is_none(cell) -> Optional[float]:
+    return None if cell != cell else float(cell)
 
 
-def _float_slot(name: str, doc: str = ""):
-    def fget(self):
-        return float(getattr(self.eng, name)[self.handle.row, self.k])
-
-    def fset(self, value):
-        getattr(self.eng, name)[self.handle.row, self.k] = value
-
-    return property(fget, fset, doc=doc)
+def _negative_is_none(cell) -> Optional[int]:
+    return None if cell < 0 else int(cell)
 
 
-def _int_slot(name: str, doc: str = ""):
-    def fget(self):
-        return int(getattr(self.eng, name)[self.handle.row, self.k])
+#: Every engine array, once.  ``__init__`` allocates each row's array
+#: (``[n, max_subflows]`` when ``per_subflow``, else ``[n]``) filled with
+#: ``fill``; ``_maybe_compact`` packs each of them; ``_load`` / ``_store``
+#: sync the rows that name a :class:`model.SubflowPort` /
+#: :class:`model.ConnState` attribute, reading a cell back through
+#: ``read`` and storing ``None`` as ``fill``.  Rows without an attribute
+#: are written by ``__init__`` only (path constants, controller
+#: parameters, the slot mask).
+_FIELDS = (
+    # array, per_subflow, dtype, fill, scalar attribute, read
+    ("cwnd_a", True, np.float64, 0.0, "cwnd", float),
+    ("ssthresh_a", True, np.float64, 1e12, "ssthresh", float),
+    ("srtt_a", True, np.float64, np.nan, "srtt", _nan_is_none),
+    ("rttvar_a", True, np.float64, np.nan, "rttvar", _nan_is_none),
+    ("base_state_a", True, np.float64, np.inf, "base_rtt", float),
+    ("latest_a", True, np.float64, np.nan, "latest_rtt", _nan_is_none),
+    ("rto_a", True, np.float64, 1.0, "rto", float),
+    ("backoff_a", True, np.float64, 1.0, "_rto_backoff", float),
+    ("burst_a", True, np.int64, 0, "burst", int),
+    ("deadline_a", True, np.int64, -1, "deadline_tick", int),
+    ("packets_sent_a", True, np.int64, 0, "packets_sent", int),
+    ("retransmitted_a", True, np.int64, 0, "retransmitted", int),
+    ("fast_rtx_a", True, np.int64, 0, "fast_retransmits", int),
+    ("timeouts_a", True, np.int64, 0, "timeouts", int),
+    ("loss_events_a", True, np.int64, 0, "loss_events", int),
+    ("rounds_a", True, np.int64, 0, "rounds", int),
+    ("active_a", True, np.bool_, False, "active", bool),
+    ("rwnd_a", True, np.float64, 1.0, None, None),
+    ("base_path_a", True, np.float64, 1.0, None, None),
+    ("seg_time_a", True, np.float64, 0.0, None, None),
+    ("loss_p_a", True, np.float64, 0.0, None, None),
+    ("over_limit_a", True, np.int64, 0, None, None),
+    ("slot_exists_a", True, np.bool_, False, None, None),
+    ("assigned", False, np.int64, 0, "assigned", int),
+    ("acked", False, np.int64, 0, "acked", int),
+    ("completion", False, np.int64, -1, "completion_tick", _negative_is_none),
+    ("total", False, np.int64, -1, None, None),
+    ("kind", False, np.int8, _KIND_SCALAR, None, None),
+    ("dts_c", False, np.float64, 1.0, None, None),
+    ("dts_slope", False, np.float64, 10.0, None, None),
+    ("dts_center", False, np.float64, 0.5, None, None),
+    ("dts_ceiling", False, np.float64, 2.0, None, None),
+)
+_SYNCED_SUBFLOW = [f for f in _FIELDS if f[1] and f[4]]
+_SYNCED_CONN = [f for f in _FIELDS if not f[1] and f[4]]
 
-    def fset(self, value):
-        getattr(self.eng, name)[self.handle.row, self.k] = value
-
-    return property(fget, fset, doc=doc)
-
-
-def _optional_slot(name: str, doc: str = ""):
-    """NaN in the array <-> ``None`` on the scalar side."""
-
-    def fget(self):
-        v = getattr(self.eng, name)[self.handle.row, self.k]
-        return None if np.isnan(v) else float(v)
-
-    def fset(self, value):
-        getattr(self.eng, name)[self.handle.row, self.k] = (
-            np.nan if value is None else value
-        )
-
-    return property(fget, fset, doc=doc)
-
-
-class _ArraySubflowPort:
-    """One subflow-slot viewed through the arrays, quacking like
-    :class:`repro.net.batch.model.SubflowPort` for the scalar fallback."""
-
-    __slots__ = ("eng", "handle", "k", "path", "route", "sim", "subflow_index",
-                 "probe", "seg_time", "over_limit", "rwnd")
-
-    def __init__(self, eng: "BatchEngine", handle: "_ConnHandle", k: int):
-        self.eng = eng
-        self.handle = handle
-        self.k = k
-        spec = handle.spec
-        self.path = spec.paths[k]
-        self.route = PathProfile(
-            base_rtt=self.path.base_rtt, switch_hops=self.path.switch_hops
-        )
-        self.sim = eng.clock
-        self.subflow_index = k
-        self.probe = None
-        self.seg_time = self.path.seg_time(spec.packet_bytes)
-        self.over_limit = self.path.over_limit(spec.packet_bytes)
-        self.rwnd = float(spec.rwnd_segments)
-
-    cwnd = _float_slot("cwnd_a")
-    ssthresh = _float_slot("ssthresh_a")
-    srtt = _optional_slot("srtt_a")
-    rttvar = _optional_slot("rttvar_a")
-    base_rtt = _float_slot("base_state_a")
-    latest_rtt = _optional_slot("latest_a")
-    rto = _float_slot("rto_a")
-    _rto_backoff = _float_slot("backoff_a")
-    burst = _int_slot("burst_a")
-    deadline_tick = _int_slot("deadline_a")
-    packets_sent = _int_slot("packets_sent_a")
-    retransmitted = _int_slot("retransmitted_a")
-    fast_retransmits = _int_slot("fast_rtx_a")
-    timeouts = _int_slot("timeouts_a")
-    loss_events = _int_slot("loss_events_a")
-    rounds = _int_slot("rounds_a")
-
-    @property
-    def active(self) -> bool:
-        return bool(self.eng.active_a[self.handle.row, self.k])
-
-    @active.setter
-    def active(self, value: bool) -> None:
-        self.eng.active_a[self.handle.row, self.k] = value
-
-    @property
-    def controller(self):
-        return self.handle.controller
-
-    @property
-    def rtt(self) -> float:
-        srtt = self.srtt
-        if srtt is not None:
-            return srtt
-        return max(self.route.base_rtt(), 1e-6)
-
-    def _hystart_check(self) -> None:
-        hystart_check(self)
-
-
-class _ConnHandle:
-    """Per-connection bookkeeping: array row, controller, fallback ports."""
-
-    __slots__ = ("gid", "row", "spec", "kind", "_controller", "_ports", "_conn_port",
-                 "eng")
-
-    def __init__(self, eng: "BatchEngine", gid: int, row: int, spec, kind: int):
-        self.eng = eng
-        self.gid = gid
-        self.row = row
-        self.spec = spec
-        self.kind = kind
-        self._controller = None
-        self._ports: Optional[List[_ArraySubflowPort]] = None
-        self._conn_port: Optional[_ArrayConnPort] = None
-
-    @property
-    def controller(self):
-        if self._controller is None:
-            ctrl, _ = model.make_controller(
-                self.spec.algorithm, self.spec.controller_kwargs
-            )
-            ctrl.attach(self.ports)
-            self._controller = ctrl
-        return self._controller
-
-    @property
-    def ports(self) -> List[_ArraySubflowPort]:
-        if self._ports is None:
-            self._ports = [
-                _ArraySubflowPort(self.eng, self, k)
-                for k in range(self.spec.n_subflows)
-            ]
-        return self._ports
-
-    @property
-    def conn_port(self) -> _ArrayConnPort:
-        if self._conn_port is None:
-            self._conn_port = _ArrayConnPort(self.eng, self)
-        return self._conn_port
+#: ``BatchEngine.counters`` keys.  The last three split ``fallback_rounds``
+#: by cause (first match wins, in this order) and sum to it.
+_COUNTERS = (
+    "rounds", "cohort_ticks", "vector_rounds", "fallback_rounds", "compactions",
+    "fallback_rounds.scalar_controller", "fallback_rounds.oversize_burst",
+    "fallback_rounds.loss",
+)
 
 
 class BatchEngine:
@@ -263,111 +147,86 @@ class BatchEngine:
         self.clock = model._Clock()
         self.compact_fraction = compact_fraction
         self.compact_min_rows = compact_min_rows
-        self.counters: Dict[str, int] = {
-            "rounds": 0,
-            "cohort_ticks": 0,
-            "vector_rounds": 0,
-            "fallback_rounds": 0,
-            "compactions": 0,
-        }
+        #: This engine's event counts, one increment site each; ``run()``
+        #: adds what it counted to the registry as ``batch.<name>``.
+        self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
         self.metrics = metrics if metrics is not None else obs.registry_or_new()
-        self._vector_counter = self.metrics.counter("batch.vector_rounds")
-        self._fallback_counter = self.metrics.counter("batch.fallback_rounds")
-        self._wall_counter = self.metrics.counter("batch.wall_time_s")
 
         n = scenario.n_connections
-        s = scenario.max_subflows
-        self.n_slots = s
-        shape = (n, s)
-        # --- per-subflow SoA state (MIRRORED_SENDER_FIELDS + scheduling) ---
-        self.cwnd_a = np.zeros(shape)
-        self.ssthresh_a = np.full(shape, 1e12)
-        self.srtt_a = np.full(shape, np.nan)
-        self.rttvar_a = np.full(shape, np.nan)
-        self.base_state_a = np.full(shape, np.inf)
-        self.latest_a = np.full(shape, np.nan)
-        self.rto_a = np.full(shape, 1.0)
-        self.backoff_a = np.ones(shape)
-        self.rwnd_a = np.ones(shape)
-        self.base_path_a = np.ones(shape)
-        self.seg_time_a = np.zeros(shape)
-        self.loss_p_a = np.zeros(shape)
-        self.over_limit_a = np.zeros(shape, dtype=np.int64)
-        self.burst_a = np.zeros(shape, dtype=np.int64)
-        self.deadline_a = np.full(shape, -1, dtype=np.int64)
-        self.packets_sent_a = np.zeros(shape, dtype=np.int64)
-        self.retransmitted_a = np.zeros(shape, dtype=np.int64)
-        self.fast_rtx_a = np.zeros(shape, dtype=np.int64)
-        self.timeouts_a = np.zeros(shape, dtype=np.int64)
-        self.loss_events_a = np.zeros(shape, dtype=np.int64)
-        self.rounds_a = np.zeros(shape, dtype=np.int64)
-        self.active_a = np.zeros(shape, dtype=bool)
-        self.slot_exists_a = np.zeros(shape, dtype=bool)
-        # --- per-connection state ---
-        self.total = np.full(n, -1, dtype=np.int64)
-        self.assigned = np.zeros(n, dtype=np.int64)
-        self.acked = np.zeros(n, dtype=np.int64)
-        self.completion = np.full(n, -1, dtype=np.int64)
-        self.kind = np.full(n, _KIND_SCALAR, dtype=np.int8)
-        self.dts_c = np.ones(n)
-        self.dts_slope = np.full(n, 10.0)
-        self.dts_center = np.full(n, 0.5)
-        self.dts_ceiling = np.full(n, 2.0)
+        self.n_slots = scenario.max_subflows
+        for name, per_subflow, dtype, fill, _, _ in _FIELDS:
+            shape = (n, self.n_slots) if per_subflow else n
+            setattr(self, name, np.full(shape, fill, dtype=dtype))
 
-        self.handles: List[_ConnHandle] = []
-        self._row_of: Dict[int, int] = {}
+        #: gid -> (ConnState, [SubflowPort]); scratch for ``_load``, dropped
+        #: when the connection is archived.
+        self._scalar: Dict[int, tuple] = {}
+        self._row_of: Dict[int, int] = {gid: gid for gid in range(n)}
         #: row index -> original connection id (identity until compaction)
         self._gids: List[int] = list(range(n))
         self._archived: Dict[int, Dict[str, Any]] = {}
         self._archived_final: Dict[int, List[tuple]] = {}
         self.cohorts = TickCohorts()
 
-        tick = scenario.tick
         for gid, spec in enumerate(scenario.connections):
-            row = gid
-            ctrl, vector = model.make_controller(spec.algorithm, spec.controller_kwargs)
-            kind = {"dts": _KIND_DTS, "lia": _KIND_LIA, None: _KIND_SCALAR}[vector]
-            self.kind[row] = kind
-            handle = _ConnHandle(self, gid, row, spec, kind)
-            self.handles.append(handle)
-            self._row_of[gid] = row
-            if kind == _KIND_DTS:
-                self.dts_c[row] = ctrl.c
-                self.dts_slope[row] = ctrl.factor.slope
-                self.dts_center[row] = ctrl.factor.center
-                self.dts_ceiling[row] = ctrl.factor.ceiling
-            if spec.total_segments is not None:
-                self.total[row] = spec.total_segments
-            for k, path in enumerate(spec.paths):
-                self.slot_exists_a[row, k] = True
-                self.cwnd_a[row, k] = float(spec.initial_cwnd)
-                self.rwnd_a[row, k] = float(spec.rwnd_segments)
-                self.base_path_a[row, k] = path.base_rtt
-                self.seg_time_a[row, k] = path.seg_time(spec.packet_bytes)
-                self.loss_p_a[row, k] = path.loss_rate
-                self.over_limit_a[row, k] = path.over_limit(spec.packet_bytes)
-                # initial burst, identical arithmetic to model.take_burst
-                w = int(min(self.cwnd_a[row, k], self.rwnd_a[row, k]))
-                remaining = (
-                    w
-                    if spec.total_segments is None
-                    else min(w, spec.total_segments - int(self.assigned[row]))
-                )
-                if remaining <= 0:
-                    continue
-                self.assigned[row] += remaining
-                self.packets_sent_a[row, k] = remaining
-                self.burst_a[row, k] = remaining
-                self.active_a[row, k] = True
-                delay = path.base_rtt + remaining * self.seg_time_a[row, k]
-                dt = max(1, math.ceil(delay / tick))
-                self.deadline_a[row, k] = dt
-                self.cohorts.push(dt, (gid, k))
+            conn, ports, vector = model.open_connection(
+                gid, spec, self.clock, scenario.tick
+            )
+            self._scalar[gid] = (conn, ports)
+            self.kind[gid] = _KIND_OF[vector]
+            if vector == "dts":
+                ctrl = ports[0].controller
+                self.dts_c[gid] = ctrl.c
+                self.dts_slope[gid] = ctrl.factor.slope
+                self.dts_center[gid] = ctrl.factor.center
+                self.dts_ceiling[gid] = ctrl.factor.ceiling
+            if conn.total is not None:
+                self.total[gid] = conn.total
+            for k, port in enumerate(ports):
+                self.slot_exists_a[gid, k] = True
+                self.rwnd_a[gid, k] = port.rwnd
+                self.base_path_a[gid, k] = port.path.base_rtt
+                self.seg_time_a[gid, k] = port.seg_time
+                self.loss_p_a[gid, k] = port.path.loss_rate
+                self.over_limit_a[gid, k] = port.over_limit
+                if port.active:
+                    self.cohorts.push(port.deadline_tick, (gid, k))
+            self._store(gid)
+
+    # ------------------------------------------------- arrays <-> scalars
+
+    def _load(self, gid: int) -> tuple:
+        """Connection ``gid`` as ``(ConnState, [SubflowPort])``, refreshed
+        from its array row — the one way any scalar code reads a connection."""
+        conn, ports = self._scalar[gid]
+        row = self._row_of[gid]
+        for name, _, _, _, attr, read in _SYNCED_CONN:
+            setattr(conn, attr, read(getattr(self, name)[row]))
+        for name, _, _, _, attr, read in _SYNCED_SUBFLOW:
+            cells = getattr(self, name)[row]
+            for k, port in enumerate(ports):
+                setattr(port, attr, read(cells[k]))
+        return conn, ports
+
+    def _store(self, gid: int) -> None:
+        """Write connection ``gid``'s scalar objects back to its array row
+        (whole connection: a round also moves the shared supply)."""
+        conn, ports = self._scalar[gid]
+        row = self._row_of[gid]
+        for name, _, _, fill, attr, _ in _SYNCED_CONN:
+            value = getattr(conn, attr)
+            getattr(self, name)[row] = fill if value is None else value
+        for name, _, _, fill, attr, _ in _SYNCED_SUBFLOW:
+            cells = getattr(self, name)[row]
+            for k, port in enumerate(ports):
+                value = getattr(port, attr)
+                cells[k] = fill if value is None else value
 
     # -------------------------------------------------------------- run
 
     def run(self) -> "BatchEngine":
         wall_start = time.perf_counter()
+        counted = dict(self.counters)
         horizon = self.scenario.horizon_tick
         try:
             while self.cohorts:
@@ -378,7 +237,13 @@ class BatchEngine:
                 self._step_tick(tick, keys)
                 self._maybe_compact()
         finally:
-            self._wall_counter.inc(time.perf_counter() - wall_start)
+            self.metrics.counter("batch.wall_time_s").inc(
+                time.perf_counter() - wall_start
+            )
+            for name, before in counted.items():
+                self.metrics.counter(f"batch.{name}").inc(
+                    self.counters[name] - before
+                )
         return self
 
     def _step_tick(self, t: int, keys: List[Tuple[int, int]]) -> None:
@@ -401,11 +266,19 @@ class BatchEngine:
         lossy = (min_u < self.loss_p_a[rows, slots]) | (
             n_arr > self.over_limit_a[rows, slots]
         )
-        vec_ok = (
-            ~lossy
-            & (n_arr <= model.MAX_VECTOR_BURST)
-            & (self.kind[rows] != _KIND_SCALAR)
-        )
+        scalar_ctrl = self.kind[rows] == _KIND_SCALAR
+        oversize = n_arr > model.MAX_VECTOR_BURST
+        vec_ok = ~(scalar_ctrl | oversize | lossy)
+        for cause, mask in (
+            ("scalar_controller", scalar_ctrl),
+            ("oversize_burst", oversize & ~scalar_ctrl),
+            ("loss", lossy & ~scalar_ctrl & ~oversize),
+        ):
+            self.counters[f"fallback_rounds.{cause}"] += int(mask.sum())
+        n_vector = int(vec_ok.sum())
+        self.counters["vector_rounds"] += n_vector
+        self.counters["fallback_rounds"] += len(keys) - n_vector
+        horizon = self.scenario.horizon_tick
         records: List[tuple] = []
         for k in range(self.n_slots):
             in_slot = slots == k
@@ -415,31 +288,23 @@ class BatchEngine:
                 grp = in_slot & vec_ok & (self.kind[rows] == kind_code)
                 if grp.any():
                     self._vector_group(t, k, rows[grp], n_arr[grp], kind_code)
-                    self.counters["vector_rounds"] += int(grp.sum())
-                    self._vector_counter.inc(int(grp.sum()))
                     if self.record:
                         self._record_group(t, rows[grp], k, records)
-            scal = in_slot & ~vec_ok
-            if scal.any():
-                for i in np.flatnonzero(scal):
-                    gid = keys[i][0]
-                    handle = self.handles_by_gid(gid)
-                    sub = handle.ports[k]
-                    conn = handle.conn_port
-                    u = block[starts[i]:ends[i]]
-                    model.scalar_round(sub, conn, u, t, self.scenario.tick)
-                    self.counters["fallback_rounds"] += 1
-                    self._fallback_counter.inc()
-                    if sub.active and sub.deadline_tick <= self.scenario.horizon_tick:
-                        self.cohorts.push(sub.deadline_tick, (gid, k))
-                    if self.record:
-                        records.append(model.subflow_record(sub, conn, t))
+            for i in np.flatnonzero(in_slot & ~vec_ok):
+                gid = keys[i][0]
+                conn, ports = self._load(gid)
+                sub = ports[k]
+                model.scalar_round(
+                    sub, conn, block[starts[i]:ends[i]], t, self.scenario.tick
+                )
+                self._store(gid)
+                if sub.active and sub.deadline_tick <= horizon:
+                    self.cohorts.push(sub.deadline_tick, (gid, k))
+                if self.record:
+                    records.append(model.subflow_record(sub, conn, t))
         if self.record:
             records.sort(key=lambda r: (r[1], r[2]))
             self.trajectory.extend(records)
-
-    def handles_by_gid(self, gid: int) -> _ConnHandle:
-        return self.handles[gid]
 
     # ----------------------------------------------------- vector kernels
 
@@ -550,11 +415,8 @@ class BatchEngine:
     def _record_group(self, t: int, rows: np.ndarray, k: int,
                       records: List[tuple]) -> None:
         for row in rows:
-            gid = self.handles_row_gid(int(row))
-            handle = self.handles_by_gid(gid)
-            records.append(
-                model.subflow_record(handle.ports[k], handle.conn_port, t)
-            )
+            conn, ports = self._load(self.handles_row_gid(int(row)))
+            records.append(model.subflow_record(ports[k], conn, t))
 
     # -------------------------------------------------------- compaction
 
@@ -572,26 +434,22 @@ class BatchEngine:
             gid = self.handles_row_gid(int(row))
             self._archive(gid)
         # pack every array; relative order of survivors is preserved
-        for name in _COMPACTED_2D + _COMPACTED_1D:
+        for name, *_ in _FIELDS:
             setattr(self, name, getattr(self, name)[keep])
         live_gids = [
             self.handles_row_gid(int(row)) for row in np.flatnonzero(keep)
         ]
         self._gids = live_gids
         self._row_of = {gid: i for i, gid in enumerate(live_gids)}
-        for gid, row in self._row_of.items():
-            self.handles[gid].row = row
         self.counters["compactions"] += 1
 
     def _archive(self, gid: int) -> None:
-        handle = self.handles_by_gid(gid)
-        conn = handle.conn_port
-        self._archived[gid] = model.connection_snapshot(
-            conn, handle.ports, self.scenario
-        )
+        conn, ports = self._load(gid)
+        self._archived[gid] = model.connection_snapshot(conn, ports, self.scenario)
         self._archived_final[gid] = [
-            model.subflow_record(port, conn, -1) for port in handle.ports
+            model.subflow_record(port, conn, -1) for port in ports
         ]
+        del self._scalar[gid]
 
     # ------------------------------------------------------------ results
 
@@ -602,34 +460,19 @@ class BatchEngine:
             for rec in recs:
                 out[(gid, rec[2])] = rec
         for gid in self._row_of:
-            handle = self.handles_by_gid(gid)
-            conn = handle.conn_port
-            for port in handle.ports:
+            conn, ports = self._load(gid)
+            for port in ports:
                 out[(gid, port.subflow_index)] = model.subflow_record(port, conn, -1)
         return out
 
     def result(self) -> Dict[str, Any]:
         snapshots: Dict[int, Dict[str, Any]] = dict(self._archived)
         for gid in self._row_of:
-            handle = self.handles_by_gid(gid)
-            snapshots[gid] = model.connection_snapshot(
-                handle.conn_port, handle.ports, self.scenario
-            )
+            conn, ports = self._load(gid)
+            snapshots[gid] = model.connection_snapshot(conn, ports, self.scenario)
         ordered = [snapshots[gid] for gid in sorted(snapshots)]
         return model.assemble_result(ordered, self.scenario)
 
     def rng_state(self) -> Optional[dict]:
         return self.rng.bit_generator.state
 
-
-_COMPACTED_2D = [
-    "cwnd_a", "ssthresh_a", "srtt_a", "rttvar_a", "base_state_a", "latest_a",
-    "rto_a", "backoff_a", "rwnd_a", "base_path_a", "seg_time_a", "loss_p_a",
-    "over_limit_a", "burst_a", "deadline_a", "packets_sent_a",
-    "retransmitted_a", "fast_rtx_a", "timeouts_a", "loss_events_a",
-    "rounds_a", "active_a", "slot_exists_a",
-]
-_COMPACTED_1D = [
-    "total", "assigned", "acked", "completion", "kind",
-    "dts_c", "dts_slope", "dts_center", "dts_ceiling",
-]

@@ -8,9 +8,12 @@ The scalar oracle (:mod:`repro.net.batch.oracle`) runs every round
 through it; the batch engine (:mod:`repro.net.batch.engine`) runs its
 vector kernels for the common case and falls back to this exact code for
 rare paths (lossy rounds, oversized bursts, controllers without a vector
-rule), so the two engines can only diverge inside the vector kernels —
-which is precisely the surface the hypothesis equivalence suite pins
-bit-for-bit.
+rule), on the same :class:`ConnState` / :class:`SubflowPort` objects
+(:func:`open_connection` builds them for both engines; the engine copies
+a connection's array row into them before the call and back after it).
+The two engines can therefore only diverge inside the vector kernels and
+that copy — which is precisely the surface the hypothesis equivalence
+suite pins bit-for-bit.
 
 Round semantics (both engines, identical by construction):
 
@@ -71,25 +74,6 @@ VECTOR_ALGORITHMS = ("dts", "lia")
 #: per-ACK loop iterates to the cohort's largest clean burst, so one
 #: pathological window must not stall every lane.
 MAX_VECTOR_BURST = 1024
-
-#: Fields of :class:`repro.transport.core.SenderState` whose batch-engine
-#: mirror lives in a preallocated array (see ``BatchEngine``); kept here
-#: so hosts and tests can assert the contract in one place.
-MIRRORED_SENDER_FIELDS = (
-    "cwnd",
-    "ssthresh",
-    "srtt",
-    "rttvar",
-    "base_rtt",
-    "latest_rtt",
-    "rto",
-    "_rto_backoff",
-    "fast_retransmits",
-    "timeouts",
-    "loss_events",
-    "packets_sent",
-    "retransmitted",
-)
 
 
 def epsilon_exact_array(
@@ -215,7 +199,7 @@ class _Clock:
 
 
 class ConnState:
-    """Connection-level supply and completion state (oracle side)."""
+    """Connection-level supply and completion state."""
 
     __slots__ = ("gid", "spec", "total", "assigned", "acked", "completion_tick")
 
@@ -364,6 +348,32 @@ def take_burst(sub, conn) -> int:
     return m
 
 
+def open_connection(gid: int, spec: "BatchConnection", clock: _Clock, tick: float):
+    """Scalar state of one connection, its first bursts already granted.
+
+    Returns ``(conn, ports, vector_kind)``: the controller is attached to
+    the ports it will be called with for the whole run (controllers such
+    as OLIA key per-subflow state by ``id(port)``), and every subflow
+    that got a first burst carries its first ``deadline_tick``.  Both
+    engines open every connection through here, so the engine's
+    fallback and the oracle run the same objects.
+    """
+    conn = ConnState(gid, spec)
+    controller, vector = make_controller(spec.algorithm, spec.controller_kwargs)
+    ports = [
+        SubflowPort(path, spec, slot, clock) for slot, path in enumerate(spec.paths)
+    ]
+    for port in ports:
+        port.controller = controller
+    controller.attach(ports)
+    for port in ports:
+        m = take_burst(port, conn)
+        if m:
+            delay = port.path.base_rtt + m * port.seg_time
+            port.deadline_tick = max(1, math.ceil(delay / tick))
+    return conn, ports, vector
+
+
 def scalar_round(sub, conn, u: np.ndarray, now_tick: int, tick: float) -> None:
     """Advance one subflow by one delivery round (see module docstring).
 
@@ -461,8 +471,9 @@ def assemble_result(snapshots: List[Dict[str, Any]],
 
     Deliberately excludes engine-private counters (vector vs fallback
     round splits, compactions): the payload must be byte-identical
-    between the batch engine and the scalar oracle, which is what the
-    CI equivalence smoke asserts through the campaign executor.
+    between the batch engine and the scalar oracle, which is what
+    ``test_campaign_executor_packet_engines_byte_equal`` asserts through
+    the campaign executor.
     """
     total_goodput = 0.0
     totals = {

@@ -12,7 +12,6 @@ against.
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -37,24 +36,14 @@ class OracleEngine:
         #: order the RNG contract requires.
         self._heap: List[tuple] = []
         for gid, spec in enumerate(scenario.connections):
-            conn = model.ConnState(gid, spec)
-            controller, _ = model.make_controller(spec.algorithm, spec.controller_kwargs)
-            ports = [
-                model.SubflowPort(path, spec, slot, self.clock)
-                for slot, path in enumerate(spec.paths)
-            ]
-            for port in ports:
-                port.controller = controller
-            controller.attach(ports)
+            conn, ports, _ = model.open_connection(
+                gid, spec, self.clock, scenario.tick
+            )
             self.conns.append(conn)
             self.subflows.append(ports)
             for slot, port in enumerate(ports):
-                m = model.take_burst(port, conn)
-                if m == 0:
-                    continue
-                delay = port.path.base_rtt + m * port.seg_time
-                port.deadline_tick = max(1, math.ceil(delay / scenario.tick))
-                heapq.heappush(self._heap, (port.deadline_tick, gid, slot))
+                if port.active:
+                    heapq.heappush(self._heap, (port.deadline_tick, gid, slot))
 
     def run(self) -> "OracleEngine":
         """Process rounds in (tick, connection, slot) order to the horizon."""

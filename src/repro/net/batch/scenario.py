@@ -28,9 +28,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.algorithms import resolve_algorithm
+from repro.algorithms import create_controller
 from repro.errors import ConfigurationError
 from repro.units import DEFAULT_PACKET_BYTES, mbps, ms
+
+
+def _require_positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -44,10 +49,8 @@ class BatchPath:
     switch_hops: int = 1
 
     def __post_init__(self) -> None:
-        if self.base_rtt <= 0:
-            raise ConfigurationError(f"base_rtt must be positive, got {self.base_rtt}")
-        if self.rate_bps <= 0:
-            raise ConfigurationError(f"rate_bps must be positive, got {self.rate_bps}")
+        _require_positive_finite("base_rtt", self.base_rtt)
+        _require_positive_finite("rate_bps", self.rate_bps)
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ConfigurationError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
         if self.queue_segments < 0:
@@ -87,11 +90,12 @@ class BatchConnection:
             raise ConfigurationError(
                 f"total_segments must be >= 1, got {self.total_segments}"
             )
-        if self.initial_cwnd < 1.0:
+        if not (math.isfinite(self.initial_cwnd) and self.initial_cwnd >= 1.0):
             raise ConfigurationError(
-                f"initial_cwnd must be >= 1, got {self.initial_cwnd}"
+                f"initial_cwnd must be finite and >= 1, got {self.initial_cwnd}"
             )
-        if self.rwnd_segments < 1.0:
+        # "not >=" so that NaN is refused; inf is a legal "no receive window".
+        if not self.rwnd_segments >= 1.0:
             raise ConfigurationError(
                 f"rwnd_segments must be >= 1, got {self.rwnd_segments}"
             )
@@ -99,7 +103,12 @@ class BatchConnection:
             raise ConfigurationError(
                 f"packet_bytes must be positive, got {self.packet_bytes}"
             )
-        resolve_algorithm(self.algorithm)  # fail fast on unknown names
+        try:  # fail fast on unknown names and on kwargs the controller rejects
+            create_controller(self.algorithm, **self.controller_kwargs)
+        except TypeError as exc:
+            raise ConfigurationError(
+                f"controller_kwargs do not fit {self.algorithm!r}: {exc}"
+            ) from None
 
     @property
     def n_subflows(self) -> int:
@@ -118,10 +127,8 @@ class BatchScenario:
     def __post_init__(self) -> None:
         if not self.connections:
             raise ConfigurationError("scenario needs at least one connection")
-        if self.tick <= 0:
-            raise ConfigurationError(f"tick must be positive, got {self.tick}")
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be positive, got {self.duration}")
+        _require_positive_finite("tick", self.tick)
+        _require_positive_finite("duration", self.duration)
 
     @property
     def n_connections(self) -> int:

@@ -208,18 +208,6 @@ class TcpSender(SenderState):
         self.started = True
         self.sim.schedule_at(max(at, self.sim.now), self._begin)
 
-    def batch_snapshot(self) -> dict:
-        """Sender state restricted to the fields the batch engine mirrors.
-
-        Returns the :data:`repro.net.batch.model.MIRRORED_SENDER_FIELDS`
-        subset of this sender — the common vocabulary between the
-        packet-level DES sender and a batch-engine subflow lane, used by
-        tests and tooling to diff the two representations.
-        """
-        from repro.net.batch.model import MIRRORED_SENDER_FIELDS
-
-        return {name: getattr(self, name) for name in MIRRORED_SENDER_FIELDS}
-
     def _begin(self) -> None:
         self.start_time = self.now()
         self._send_available()

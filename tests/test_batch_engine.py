@@ -5,6 +5,7 @@ validation, the campaign-executor integration, and the DES hooks."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -150,6 +151,45 @@ def test_oversize_burst_uses_fallback():
     assert batch.final_state() == oracle.final_state()
 
 
+def test_counters_are_one_store_published_once():
+    """``engine.counters`` is where events are counted; ``run()`` adds
+    them to the registry as ``batch.<name>``, and the per-cause split of
+    the fallback count (first match wins: scalar controller, oversize
+    burst, loss) sums to it."""
+    import repro.obs as obs
+
+    big = float(MAX_VECTOR_BURST + 100)
+    fat = _single_path(rate_bps=10e9, base_rtt=0.02, queue_segments=10_000)
+    conns = (
+        BatchConnection(paths=(_single_path(loss_rate=0.05),), algorithm="olia"),
+        BatchConnection(paths=(fat,), algorithm="dts", initial_cwnd=big,
+                        rwnd_segments=big),
+        BatchConnection(paths=(_single_path(loss_rate=0.05),), algorithm="lia"),
+    )
+    scenario = BatchScenario(connections=conns, duration=0.3, tick=1e-3, seed=3)
+    registry = obs.MetricsRegistry()
+    batch = BatchEngine(scenario, metrics=registry).run()
+    counters = batch.counters
+    assert all(type(value) is int for value in counters.values())
+    assert counters["rounds"] == (counters["vector_rounds"]
+                                  + counters["fallback_rounds"])
+    causes = [counters[f"fallback_rounds.{cause}"] for cause in
+              ("scalar_controller", "oversize_burst", "loss")]
+    assert all(n > 0 for n in causes)
+    assert sum(causes) == counters["fallback_rounds"]
+    assert counters["vector_rounds"] > 0
+
+    def published():
+        return {name[len("batch."):]: value
+                for name, value in registry.snapshot().items()
+                if name != "batch.wall_time_s"}
+
+    assert published() == counters
+    # A finished engine has nothing left to run, or to publish again.
+    before = dict(counters)
+    assert batch.run().counters == before == published()
+
+
 # ------------------------------------------------------ scenario validation
 
 
@@ -167,6 +207,44 @@ class TestScenarioValidation:
             BatchPath(base_rtt=-1.0)
         with pytest.raises(ConfigurationError):
             BatchPath(loss_rate=1.5)
+
+    @pytest.mark.parametrize("field", ["base_rtt", "rate_bps"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_path_rejects_non_finite(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            BatchPath(**{field: bad})
+        # ...and so does the builder that derives a path from its arguments.
+        with pytest.raises(ConfigurationError, match=field):
+            ec2_scenario(**{{"base_rtt": "link_delay",
+                             "rate_bps": "eni_bps"}[field]: bad})
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"rwnd_segments": math.nan}, "rwnd_segments"),
+        ({"initial_cwnd": math.nan}, "initial_cwnd"),
+        ({"initial_cwnd": math.inf}, "initial_cwnd"),
+        ({"controller_kwargs": {"nope": 1}}, "controller_kwargs"),
+        ({"algorithm": "olia", "controller_kwargs": {"c": 2.0}},
+         "controller_kwargs"),
+    ])
+    def test_connection_rejects_what_its_engine_would_choke_on(self, kwargs,
+                                                               named):
+        with pytest.raises(ConfigurationError, match=named):
+            BatchConnection(paths=(_single_path(),), **kwargs)
+
+    def test_connection_accepts_an_unlimited_receive_window(self):
+        conn = BatchConnection(paths=(_single_path(),), algorithm="dts",
+                               rwnd_segments=math.inf,
+                               controller_kwargs={"c": 2.0})
+        scenario = BatchScenario(connections=(conn,), duration=0.2, seed=1)
+        assert (BatchEngine(scenario).run().final_state()
+                == OracleEngine(scenario).run().final_state())
+
+    @pytest.mark.parametrize("field", ["duration", "tick"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_scenario_rejects_non_finite(self, field, bad):
+        conn = BatchConnection(paths=(_single_path(),))
+        with pytest.raises(ConfigurationError, match=field):
+            BatchScenario(connections=(conn,), **{field: bad})
 
     def test_rejects_empty_scenario(self):
         with pytest.raises(ConfigurationError):
@@ -255,15 +333,6 @@ def _toy_des_connection():
     route = Route(fwd, rev)
     return MptcpConnection(sim, [route, route], create_controller("dts"),
                            total_bytes=10**6)
-
-
-def test_tcp_sender_batch_snapshot():
-    from repro.net.batch.model import MIRRORED_SENDER_FIELDS
-
-    conn = _toy_des_connection()
-    snap = conn.subflows[0].batch_snapshot()
-    assert set(snap) == set(MIRRORED_SENDER_FIELDS)
-    assert snap["cwnd"] == conn.subflows[0].cwnd
 
 
 def test_mptcp_batch_spec_projects_connection():

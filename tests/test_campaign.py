@@ -1,6 +1,7 @@
 """Campaign subsystem: specs, cache, executor, telemetry."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,6 +79,17 @@ def test_spec_validation():
         RunSpec(duration=-1.0)
     with pytest.raises(ConfigurationError):
         RunSpec.from_json_dict({"banana": 1})
+
+
+@pytest.mark.parametrize("engine", sorted(spec_mod.KNOWN_ENGINES))
+@pytest.mark.parametrize("field", ["duration", "dt", "link_delay"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spec_rejects_non_finite_times(engine, field, bad):
+    """Before any pool: ``nan <= 0`` is False, so a sign check alone lets
+    NaN through to the worker, which fails and is retried."""
+    point = {**ENGINE_POINTS[engine], field: bad}
+    with pytest.raises(ConfigurationError, match=field):
+        RunSpec(**point)
 
 
 def test_campaign_builders():
@@ -235,6 +247,37 @@ def test_retry_recovers_a_flaky_worker(tmp_path, jobs):
     outcomes = CampaignExecutor(jobs=jobs, run_fn=_flaky_run).run([spec])
     assert outcomes[0].ok
     assert outcomes[0].attempts == 2
+
+
+_KILLER_SEED = 2
+
+
+def _worker_killing_run(spec):
+    """Seed 2 takes its worker process down hard, while its pool-mates
+    are still running."""
+    if spec.seed == _KILLER_SEED:
+        time.sleep(0.2)
+        os._exit(1)
+    time.sleep(0.6)
+    return {"spec_hash": spec.content_hash(), "metrics": {"seed": spec.seed},
+            "wall_s": 0.0}
+
+
+def test_a_run_that_kills_its_worker_fails_alone():
+    """A dead worker breaks the pool for every future in it; only the
+    run that keeps breaking a pool of its own is charged and fails."""
+    import repro.obs as obs
+
+    specs = [RunSpec(seed=seed, **FAST) for seed in (1, 2, 3, 4)]
+    with obs.session() as session:
+        flight = session.attach_flight()
+        outcomes = CampaignExecutor(jobs=2, retries=1,
+                                    run_fn=_worker_killing_run).run(specs)
+    assert [o.ok for o in outcomes] == [True, False, True, True]
+    assert [o.attempts for o in outcomes] == [1, 2, 1, 1]
+    assert "BrokenProcessPool" in outcomes[1].error
+    failed = flight.events(kinds=("campaign_run_failed",))
+    assert [e.fields["seed"] for e in failed] == [_KILLER_SEED]
 
 
 def _sleepy_run(spec):
@@ -491,6 +534,16 @@ def test_cli_sweep_rejects_unknown_algorithm_before_running(tmp_path, capsys):
                "--jobs", "2", "--cache-dir", str(tmp_path)])
     assert rc == 2
     assert "unknown algorithm 'liaa'" in capsys.readouterr().err
+    assert not (tmp_path / "campaign.log.jsonl").exists()
+
+
+def test_cli_sweep_rejects_a_nan_duration_before_running(tmp_path, capsys):
+    from repro.cli import main
+
+    rc = main(["sweep", "--engine", "packet-batch", "--duration", "nan",
+               "--jobs", "2", "--cache-dir", str(tmp_path)])
+    assert rc == 2
+    assert "duration must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "campaign.log.jsonl").exists()
 
 

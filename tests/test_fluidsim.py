@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core.model import ModelState, decomposition
+from repro.energy.cpu import (
+    HostPowerModel,
+    PathPowerModel,
+    default_wired_host,
+    default_wireless_host,
+)
+from repro.energy.switch import SwitchPowerModel
 from repro.errors import AlgorithmError, ConfigurationError
 from repro.fluidsim import (
     FluidNetwork,
     FluidSimulation,
+    PowerEvaluator,
     create_fluid_algorithm,
     fluid_algorithm_names,
 )
@@ -442,6 +450,42 @@ class TestFluidEngine:
         res = sim.run(20 * dt)
         expected = sum(p * dt * 10 for p in res.sample_power_w)
         assert res.total_energy_j == pytest.approx(expected, rel=1e-12)
+
+
+class TestPowerEvaluator:
+    @staticmethod
+    def _net():
+        net = FluidNetwork(tiny_topology())
+        net.add_connection("a", "b", "lia", n_subflows=2)
+        net.add_connection("b", "a", "lia", n_subflows=1)
+        net.finalize()
+        return net
+
+    @pytest.mark.parametrize("host", [default_wired_host, default_wireless_host])
+    @pytest.mark.parametrize("rtt", [0.020, 0.080])
+    @pytest.mark.parametrize("rate_mbps", [0, 0.5, 1, 2, 5, 50])
+    def test_host_power_is_the_path_models_power(self, host, rtt, rate_mbps):
+        """The vectorized marginal term is ``path_model.power`` summed over
+        the host incidence — including the wireless duty-cycle factor,
+        which only bites below ``duty_cycle_scale_mbps``."""
+        net = self._net()
+        model = host()
+        power = PowerEvaluator(net, model, SwitchPowerModel())
+        x = np.full(net.n_subflows, mbps(rate_mbps))
+        rtts = np.full(net.n_subflows, rtt)
+        want = sum(model.path_model.power(x[s], rtts[s])
+                   for s in net.host_incidence.indices)
+        got = power.host_power_now(x, rtts) - power.host_static_w
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_unknown_path_model_is_refused_at_construction(self):
+        class Flat(PathPowerModel):
+            def marginal_power(self, throughput_bps):
+                return 1.0
+
+        with pytest.raises(ConfigurationError, match="Flat"):
+            PowerEvaluator(self._net(), HostPowerModel(path_model=Flat()),
+                           SwitchPowerModel())
 
 
 class TestCrossEngineConsistency:
