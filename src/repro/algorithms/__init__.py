@@ -14,10 +14,9 @@ forms that resolve names through this module's registry and aliases:
 
 Everything here is scalar arithmetic on the standard library: a
 controller is a handful of float operations per ACK, which is what lets a
-``repro serve`` process run without numpy (DESIGN.md §8).  The array
-forms of the DTS and LIA increases (``dts_increase_array``,
-``lia_increase_array``) live in :mod:`repro.net.batch.model`, beside the
-batch engine that is their only caller.
+``repro serve`` process run without numpy (DESIGN.md §8).  The batch
+engine's vector rounds call the same ``dts_increase`` / ``lia_increase``
+bodies on arrays.
 
 Use :func:`create_controller` to instantiate by name.
 """

@@ -25,19 +25,33 @@ aggregation/core link the path crosses, and the queue-excess term
 ``(Q_l - Q)^+`` is sensed end-to-end through the queueing delay
 ``q_r = RTT_r - baseRTT_r`` exceeding a threshold.
 
-The array form of the DTS increase, ``dts_increase_array``, is a batch
-engine kernel and lives in :mod:`repro.net.batch.model`.
+The increase is :func:`dts_increase` and the price
+:func:`repro.core.energy_price.path_price`, each written once: ``on_ack``
+calls them with floats, the batch engine's vector rounds and the fluid
+adapter with arrays.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar
 
+from repro import _scalar
 from repro.algorithms.base import MIN_CWND, CongestionController
 from repro.core.dts import DtsFactorConfig
+from repro.core.energy_price import EnergyPriceConfig, path_price
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
+
+
+def dts_increase(cwnd, rtt, psi, total_rate):
+    """The window after one ACK: ``w + psi * (w/RTT^2) / (sum_k x_k)^2``.
+
+    Plain arithmetic, so floats and arrays take the same body and one
+    array lane is bit-identical to one :meth:`DtsController.on_ack`.
+    """
+    coupled = (cwnd / (rtt * rtt)) / (total_rate * total_rate)
+    return cwnd + psi * coupled
 
 
 class DtsController(CongestionController):
@@ -60,9 +74,7 @@ class DtsController(CongestionController):
         return self.c * self.epsilon(sf)
 
     def on_ack(self, sf: "TcpSender") -> None:
-        total_rate = self.total_rate()
-        coupled = (sf.cwnd / (sf.rtt * sf.rtt)) / (total_rate * total_rate)
-        sf.cwnd += self.psi(sf) * coupled
+        sf.cwnd = dts_increase(sf.cwnd, sf.rtt, self.psi(sf), self.total_rate())
 
     def on_loss(self, sf: "TcpSender") -> None:
         sf.cwnd = max(MIN_CWND, sf.cwnd / 2)
@@ -73,48 +85,20 @@ class ExtendedDtsController(DtsController):
 
     name: ClassVar[str] = "dts-ext"
 
-    def __init__(
-        self,
-        c: float = 1.0,
-        factor: DtsFactorConfig = DtsFactorConfig(),
-        *,
-        kappa: float = 5e-5,
-        rho: float = 1.0,
-        gamma: float = 2.0,
-        delay_cost_weight: float = 1.0,
-        delay_cost_reference: float = 0.05,
-        queue_delay_threshold: float = 0.01,
-    ):
+    def __init__(self, c: float = 1.0, factor: DtsFactorConfig = DtsFactorConfig(),
+                 **price: float):
         super().__init__(c, factor)
-        self.kappa = kappa
-        self.rho = rho
-        self.gamma = gamma
-        self.delay_cost_weight = delay_cost_weight
-        self.delay_cost_reference = delay_cost_reference
-        self.queue_delay_threshold = queue_delay_threshold
+        #: ``kappa``, ``rho``, ``gamma``, ... — :class:`EnergyPriceConfig`'s fields.
+        self.price_config = EnergyPriceConfig(**price)
 
     def price(self, sf: "TcpSender") -> float:
-        """The end-to-end estimate of dU_ep/dx_r for subflow ``sf``.
-
-        Three terms: the per-hop traffic cost ``rho * |r ∩ L'|``; the
-        queue-excess indicator ``gamma * 1{q_r > Q}``; and a per-path delay
-        cost — Section III establishes that the per-unit-traffic power
-        ``P_r`` rises with ``RTT_r`` (Fig. 4), so the energy price of a
-        unit of traffic on a long-delay path is intrinsically higher.
-        """
-        hops = sf.route.switch_hops()
+        """The end-to-end estimate of dU_ep/dx_r for subflow ``sf``."""
         rtt = sf.latest_rtt if sf.latest_rtt is not None else sf.rtt
         base = sf.base_rtt if sf.base_rtt != float("inf") else rtt
-        queueing = max(0.0, rtt - base)
-        congested = 1.0 if queueing > self.queue_delay_threshold else 0.0
-        delay_cost = max(0.0, base / self.delay_cost_reference - 1.0)
-        return (
-            self.rho * hops
-            + self.gamma * congested
-            + self.delay_cost_weight * delay_cost
-        )
+        return path_price(_scalar, self.price_config, sf.route.switch_hops(),
+                          max(0.0, rtt - base), base)
 
     def on_ack(self, sf: "TcpSender") -> None:
         super().on_ack(sf)
-        drain = self.kappa * self.price(sf) * sf.cwnd
+        drain = self.price_config.kappa * self.price(sf) * sf.cwnd
         sf.cwnd = max(MIN_CWND, sf.cwnd - drain)

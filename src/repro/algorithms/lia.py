@@ -10,18 +10,30 @@ than Reno on any one path). LIA is TCP-friendly by construction
 (Condition 1) but not Pareto-optimal, which is exactly the gap the paper's
 Fig. 6 experiment exposes against OLIA.
 
-The array form of the increase, ``lia_increase_array``, is a batch engine
-kernel and lives in :mod:`repro.net.batch.model`.
+The increase is :func:`lia_increase`, written once: ``on_ack`` calls it
+with floats, the batch engine's vector rounds with arrays.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar
 
+from repro import _scalar
 from repro.algorithms.base import MIN_CWND, CongestionController
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
+
+
+def lia_increase(xp, cwnd, best_rate, total_rate):
+    """The window after one ACK: ``w + min(best / (sum_k x_k)^2, 1/w)``.
+
+    ``best_rate`` is ``max_k w_k/RTT_k^2`` and ``total_rate`` is
+    ``sum_k w_k/RTT_k`` over the connection; one array lane over ``xp`` is
+    bit-identical to one :meth:`LiaController.on_ack`.
+    """
+    alpha = best_rate / (total_rate * total_rate)
+    return cwnd + xp.minimum(alpha, 1.0 / cwnd)
 
 
 class LiaController(CongestionController):
@@ -29,14 +41,9 @@ class LiaController(CongestionController):
 
     name: ClassVar[str] = "lia"
 
-    def alpha_increase(self, sf: "TcpSender") -> float:
-        """The uncapped coupled increase term for one ACK on ``sf``."""
-        best = max(s.cwnd / (s.rtt * s.rtt) for s in self.subflows)
-        total_rate = self.total_rate()
-        return best / (total_rate * total_rate)
-
     def on_ack(self, sf: "TcpSender") -> None:
-        sf.cwnd += min(self.alpha_increase(sf), 1.0 / sf.cwnd)
+        best = max(s.cwnd / (s.rtt * s.rtt) for s in self.subflows)
+        sf.cwnd = lia_increase(_scalar, sf.cwnd, best, self.total_rate())
 
     def on_loss(self, sf: "TcpSender") -> None:
         sf.cwnd = max(MIN_CWND, sf.cwnd / 2)

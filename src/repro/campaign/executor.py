@@ -128,7 +128,8 @@ def _run_packet(spec: RunSpec, params: Dict[str, Any]) -> RunnerResult:
 
     The ``metrics`` section comes straight from the engine's result
     payload; engine-private counters (vector/fallback round split,
-    compactions, wall time) land in the ``obs`` section instead.
+    compactions, wall time) land in the ``obs`` section instead, as the
+    ``batch.<name>`` series the engine publishes to its registry.
     """
     from repro.net.batch import BatchEngine, ec2_scenario
 
@@ -143,19 +144,15 @@ def _run_packet(spec: RunSpec, params: Dict[str, Any]) -> RunnerResult:
         seed=spec.seed,
         **params,
     )
-    engine = BatchEngine(scenario, metrics=registry)
-    result = engine.run().result()
+    result = BatchEngine(scenario, metrics=registry).run().result()
 
-    snapshot = registry.snapshot()
-    for name, value in engine.counters.items():
-        snapshot[f"engine.{name}"] = value
     metrics = {
         "aggregate_goodput_bps": result["aggregate_goodput_bps"],
         "n_connections": result["n_connections"],
         **{f"total_{k}": v for k, v in result["totals"].items()},
         "connections": result["connections"],
     }
-    return metrics, snapshot
+    return metrics, registry.snapshot()
 
 
 def _run_equilibrium(spec: RunSpec, params: Dict[str, Any]) -> RunnerResult:

@@ -14,9 +14,9 @@
   Eq. (9) (``integrate_model`` is the one place ``scipy.integrate``
   loads) and the responsiveness metric.
 
-Every module here is closed-form numpy at import; the names below resolve
-lazily, so ``repro.algorithms`` importing ``repro.core.dts`` loads only
-that module.
+``dts`` and ``energy_price`` are standard library only, the rest
+closed-form numpy at import; the names below resolve lazily, so
+``repro.algorithms`` importing those two loads nothing else.
 """
 
 from typing import TYPE_CHECKING
@@ -67,8 +67,8 @@ if TYPE_CHECKING:
     )
 
 # Resolved on first access (PEP 562): ``repro.algorithms`` needs only
-# ``repro.core.dts`` and must not pay for the model, solver and trajectory
-# modules beside it.
+# ``repro.core.dts`` and ``repro.core.energy_price`` and must not pay for
+# the model, solver and trajectory modules beside them.
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.core.conditions": (
         "Condition1Report", "aggregate_equilibrium_throughput", "check_condition1",

@@ -18,17 +18,20 @@ use floating point; :func:`epsilon_taylor` reproduces that fixed-point
 computation, including its divergence from the true sigmoid at extreme
 ratios, which the ablation bench quantifies.
 
-This module is scalar Eq. 5 on the standard library, as the per-ACK
-controllers need it.  The array form, ``epsilon_exact_array`` (which pins
-a different ``exp``), is a batch engine kernel and lives in
-:mod:`repro.net.batch.model`.
+Eq. 5 has one body, :func:`dts_factor`, written over an array namespace
+(:mod:`repro._scalar`): the per-ACK controllers evaluate it on the
+standard library, the batch and fluid engines and the Section IV
+decomposition over ``numpy`` arrays.  The namespace also picks the
+exponential — ``math.exp`` and ``np.exp`` are different libms that
+disagree in the last ulp on a few percent of inputs — so two paths that
+must agree bit for bit pass the same one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro import _scalar
 from repro.errors import ModelError
 
 
@@ -56,22 +59,34 @@ class DtsFactorConfig:
         if self.use_taylor:
             return epsilon_taylor(base_rtt, rtt, slope=self.slope, center=self.center,
                                   ceiling=self.ceiling)
-        return epsilon_exact(base_rtt, rtt, slope=self.slope, center=self.center,
-                             ceiling=self.ceiling)
+        if rtt <= 0:
+            raise ModelError(f"RTT must be positive, got {rtt}")
+        return dts_factor(_scalar, base_rtt, rtt, self.slope, self.center, self.ceiling)
+
+
+def path_quality(xp, base_rtt, rtt):
+    """The path-quality ratio baseRTT/RTT, clamped to (0, 1], over ``xp``.
+
+    ``baseRTT`` is the minimum RTT observed on the path; the ratio is 1 on
+    an idle path and falls toward 0 as queueing inflates the RTT.  No
+    valid sample yet — ``base_rtt`` non-positive, or infinite, which the
+    clamp already maps to 1 — reads as an unqueued path.  ``rtt`` must be
+    positive.
+    """
+    return xp.where(base_rtt <= 0.0, 1.0, xp.minimum(1.0, base_rtt / rtt))
+
+
+def dts_factor(xp, base_rtt, rtt, slope=10.0, center=0.5, ceiling=2.0):
+    """Eq. (5) over the namespace ``xp`` — the one body every engine calls."""
+    ratio = path_quality(xp, base_rtt, rtt)
+    return ceiling / (1.0 + xp.exp(-slope * (ratio - center)))
 
 
 def rtt_ratio(base_rtt: float, rtt: float) -> float:
-    """The path-quality ratio baseRTT/RTT, clamped to (0, 1].
-
-    ``baseRTT`` is the minimum RTT observed on the path; the ratio is 1 on
-    an idle path and falls toward 0 as queueing inflates the RTT.
-    """
+    """:func:`path_quality` for one path, ``rtt`` validated."""
     if rtt <= 0:
         raise ModelError(f"RTT must be positive, got {rtt}")
-    if base_rtt <= 0 or math.isinf(base_rtt):
-        # No valid sample yet: treat the path as unqueued.
-        return 1.0
-    return min(1.0, base_rtt / rtt)
+    return path_quality(_scalar, base_rtt, rtt)
 
 
 def epsilon_exact(
@@ -82,9 +97,8 @@ def epsilon_exact(
     center: float = 0.5,
     ceiling: float = 2.0,
 ) -> float:
-    """Eq. (5) with the exact exponential."""
-    ratio = rtt_ratio(base_rtt, rtt)
-    return ceiling / (1.0 + math.exp(-slope * (ratio - center)))
+    """Eq. (5) for one path with the exact (``math``) exponential."""
+    return DtsFactorConfig(slope, center, ceiling).epsilon(base_rtt, rtt)
 
 
 def epsilon_taylor(

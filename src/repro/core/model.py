@@ -28,7 +28,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.core.dts import DtsFactorConfig
+from repro.core.dts import DtsFactorConfig, dts_factor
 from repro.errors import ModelError
 
 _EPS = 1e-12
@@ -68,6 +68,13 @@ class ModelState:
     @property
     def total_rate(self) -> float:
         return float(np.sum(self.x))
+
+
+def coupled_base(w, rtt, total_rate):
+    """The coupled term ``w_r / (RTT_r^2 (sum_k x_k)^2)`` that ``psi_r``
+    scales into a per-ACK increase — the one body the decompositions
+    below and the fluid adapters share."""
+    return w / (rtt * rtt * total_rate * total_rate + _EPS)
 
 
 #: A psi function maps a ModelState to per-path traffic-shifting values.
@@ -127,9 +134,8 @@ def make_psi_dts(c: float = 1.0, factor: DtsFactorConfig = DtsFactorConfig()) ->
     """DTS: psi_r = c * eps_r with eps_r the Eq. (5) sigmoid."""
 
     def psi(state: ModelState) -> np.ndarray:
-        ratio = np.clip(state.base_rtt / state.rtt, 0.0, 1.0)
-        eps = factor.ceiling / (1.0 + np.exp(-factor.slope * (ratio - factor.center)))
-        return c * eps
+        return c * dts_factor(np, state.base_rtt, state.rtt, factor.slope,
+                              factor.center, factor.ceiling)
 
     return psi
 
@@ -153,14 +159,11 @@ class CongestionModel:
 
     def increase_rate(self, state: ModelState) -> np.ndarray:
         """The model's increase term, in rate units (dx/dt)."""
-        x = state.x
-        total = np.sum(x)
-        return self.psi(state) * x * x / (state.rtt**2 * total * total + _EPS)
+        return self.per_ack_increase(state) * state.x / state.rtt
 
     def per_ack_increase(self, state: ModelState) -> np.ndarray:
         """The equivalent per-ACK window increase, in segments."""
-        total = np.sum(state.x)
-        return self.psi(state) * state.w / (state.rtt**2 * total * total + _EPS)
+        return self.psi(state) * coupled_base(state.w, state.rtt, np.sum(state.x))
 
     def rate_derivative(self, state: ModelState, loss: np.ndarray) -> np.ndarray:
         """Full Eq. (3) right-hand side given per-path loss rates lambda_r."""

@@ -29,6 +29,10 @@ Calibration (documented in DESIGN.md):
   paths at equal throughput.
 - Subflow overhead: ``c_subflow = 1.2 W`` per extra subflow (Fig. 1's rise
   with the ``num_subflows`` sysctl).
+
+Each per-path formula is written once over an array namespace ``xp``
+(:mod:`repro._scalar` for one path on the standard library, ``numpy`` when
+the fluid engine prices every subflow at once).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from repro import _scalar
 from repro.errors import ConfigurationError
 from repro.units import to_mbps
 
@@ -45,21 +50,26 @@ class PathPowerModel(ABC):
     """Marginal (above idle) power drawn by serving one path's traffic."""
 
     @abstractmethod
-    def marginal_power(self, throughput_bps: float) -> float:
+    def marginal_power(self, xp, throughput_bps):
         """Watts attributable to ``throughput_bps`` on this path, at the
-        reference RTT."""
+        reference RTT, over the namespace ``xp``."""
 
     rtt_coefficient: float = 0.3
     rtt_reference: float = 0.050
 
+    def path_power(self, xp, throughput_bps, rtt):
+        """Per-path power P_r(tau_r, RTT_r) of Eq. (2), in watts, over ``xp``."""
+        rtt_factor = 1.0 + self.rtt_coefficient * xp.maximum(
+            0.0, rtt / self.rtt_reference - 1.0)
+        return self.marginal_power(xp, throughput_bps) * rtt_factor
+
     def power(self, throughput_bps: float, rtt: float) -> float:
-        """Per-path power P_r(tau_r, RTT_r) of Eq. (2), in watts."""
+        """:meth:`path_power` for one path, inputs validated."""
         if throughput_bps < 0:
             raise ConfigurationError(f"negative throughput {throughput_bps}")
         if rtt < 0:
             raise ConfigurationError(f"negative RTT {rtt}")
-        rtt_factor = 1.0 + self.rtt_coefficient * max(0.0, rtt / self.rtt_reference - 1.0)
-        return self.marginal_power(throughput_bps) * rtt_factor
+        return self.path_power(_scalar, throughput_bps, rtt)
 
 
 @dataclass
@@ -71,11 +81,8 @@ class WiredPathPower(PathPowerModel):
     rtt_coefficient: float = 0.3
     rtt_reference: float = 0.050
 
-    def marginal_power(self, throughput_bps: float) -> float:
-        tau = to_mbps(throughput_bps)
-        if tau <= 0:
-            return 0.0
-        return self.k * tau**self.exponent
+    def marginal_power(self, xp, throughput_bps):
+        return self.k * xp.power(xp.maximum(to_mbps(throughput_bps), 0.0), self.exponent)
 
 
 @dataclass
@@ -97,12 +104,10 @@ class WirelessPathPower(PathPowerModel):
     rtt_reference: float = 0.050
     duty_cycle_scale_mbps: float = 2.0
 
-    def marginal_power(self, throughput_bps: float) -> float:
+    def marginal_power(self, xp, throughput_bps):
         tau = to_mbps(throughput_bps)
-        if tau <= 0:
-            return 0.0
-        duty = min(1.0, tau / self.duty_cycle_scale_mbps)
-        return self.base_w * duty + self.slope_w_per_mbps * tau
+        duty = xp.minimum(1.0, tau / self.duty_cycle_scale_mbps)
+        return xp.where(tau > 0, self.base_w * duty + self.slope_w_per_mbps * tau, 0.0)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro import _scalar
 from repro.errors import ConfigurationError
 
 
@@ -31,14 +32,16 @@ class SwitchPowerModel:
                 f"port_max_w ({self.port_max_w}) < port_idle_w ({self.port_idle_w})"
             )
 
-    def port_power(self, utilization: float) -> float:
-        """Power of a single port at the given utilization in [0, 1]."""
-        u = min(1.0, max(0.0, utilization))
+    def port_power(self, xp, utilization):
+        """Per-port power at ``utilization``, clamped to [0, 1], over the
+        array namespace ``xp`` (:mod:`repro._scalar` for one port)."""
+        u = xp.minimum(1.0, xp.maximum(0.0, utilization))
         return self.port_idle_w + (self.port_max_w - self.port_idle_w) * u
 
     def power(self, port_utilizations: Sequence[float]) -> float:
         """Whole-switch power given per-port utilizations."""
-        return self.chassis_w + sum(self.port_power(u) for u in port_utilizations)
+        return self.chassis_w + sum(
+            self.port_power(_scalar, u) for u in port_utilizations)
 
     def energy(self, port_utilizations: Sequence[float], duration: float) -> float:
         """Joules over ``duration`` seconds at steady utilizations."""

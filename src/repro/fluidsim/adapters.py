@@ -22,7 +22,9 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.algorithms import resolve_algorithm
-from repro.core.dts import DtsFactorConfig
+from repro.core.dts import DtsFactorConfig, dts_factor
+from repro.core.energy_price import EnergyPriceConfig, path_price
+from repro.core.model import coupled_base
 from repro.errors import AlgorithmError
 from repro.fluidsim.state import CohortState
 
@@ -50,8 +52,7 @@ class FluidAlgorithm(ABC):
 
     def _coupled_base(self, st: CohortState) -> np.ndarray:
         """The shared OLIA-style coupled term w_r/(RTT_r^2 (sum x)^2)."""
-        total_x = st.user_sum(st.x_pkts)
-        return st.w / (st.rtt * st.rtt * total_x * total_x + _EPS)
+        return coupled_base(st.w, st.rtt, st.user_sum(st.x_pkts))
 
 
 class FluidReno(FluidAlgorithm):
@@ -214,10 +215,9 @@ class FluidDts(FluidAlgorithm):
         self.factor = factor
 
     def epsilon(self, st: CohortState) -> np.ndarray:
-        """Vectorized Eq. (5)."""
-        ratio = np.clip(st.base_rtt / np.maximum(st.rtt, _EPS), 0.0, 1.0)
-        z = -self.factor.slope * (ratio - self.factor.center)
-        return self.factor.ceiling / (1.0 + np.exp(z))
+        """Eq. (5) over the cohort."""
+        f = self.factor
+        return dts_factor(np, st.base_rtt, st.rtt, f.slope, f.center, f.ceiling)
 
     def per_ack_increase(self, st: CohortState) -> np.ndarray:
         return self.c * self.epsilon(st) * self._coupled_base(st)
@@ -234,41 +234,21 @@ class FluidExtendedDts(FluidDts):
 
     name = "dts-ext"
 
-    def __init__(
-        self,
-        c: float = 1.0,
-        factor: DtsFactorConfig = DtsFactorConfig(),
-        *,
-        kappa: float = 5e-5,
-        rho: float = 1.0,
-        gamma: float = 2.0,
-        delay_cost_weight: float = 1.0,
-        delay_cost_reference: float = 0.05,
-        queue_delay_threshold: float = 0.01,
-    ):
+    def __init__(self, c: float = 1.0, factor: DtsFactorConfig = DtsFactorConfig(),
+                 **price: float):
         super().__init__(c, factor)
-        self.kappa = kappa
-        self.rho = rho
-        self.gamma = gamma
-        self.delay_cost_weight = delay_cost_weight
-        self.delay_cost_reference = delay_cost_reference
-        self.queue_delay_threshold = queue_delay_threshold
+        #: ``kappa``, ``rho``, ``gamma``, ... — :class:`EnergyPriceConfig`'s fields.
+        self.price_config = EnergyPriceConfig(**price)
 
     def price(self, st: CohortState) -> np.ndarray:
-        """dU_ep/dx_r for every subflow (hop cost + queue excess + the
-        per-path delay cost implied by Fig. 4's P_r rising with RTT_r)."""
-        congested = (st.queueing > self.queue_delay_threshold).astype(float)
-        delay_cost = np.maximum(0.0, st.base_rtt / self.delay_cost_reference - 1.0)
-        return (
-            self.rho * st.switch_hops
-            + self.gamma * congested
-            + self.delay_cost_weight * delay_cost
-        )
+        """dU_ep/dx_r for every subflow."""
+        return path_price(np, self.price_config, st.switch_hops, st.queueing,
+                          st.base_rtt)
 
     def rate_adjustment(self, st: CohortState, dt: float) -> np.ndarray:
         # phi_r = kappa x^2 dU/dx in rate units; as a window drain this is
         # kappa * price * w per ACK, at x_pkts ACKs per second.
-        return -self.kappa * self.price(st) * st.w * st.x_pkts * dt
+        return -self.price_config.kappa * self.price(st) * st.w * st.x_pkts * dt
 
 
 _REGISTRY: Dict[str, Callable[..., FluidAlgorithm]] = {

@@ -45,12 +45,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 import repro.obs as obs
-from repro.energy.cpu import (
-    HostPowerModel,
-    WiredPathPower,
-    WirelessPathPower,
-    default_wired_host,
-)
+from repro.energy.cpu import HostPowerModel, default_wired_host
 from repro.energy.switch import SwitchPowerModel
 from repro.errors import ConfigurationError
 from repro.fluidsim.adapters import FluidAlgorithm
@@ -76,6 +71,8 @@ class PowerEvaluator:
     Extracted from the engine so the equilibrium executor prices energy
     on a solved stationary state with exactly the arithmetic (same
     operation order, bit-identical) the time-stepped loop integrates.
+    The per-path and per-port formulas are the power models' own,
+    evaluated over ``numpy``.
     """
 
     def __init__(
@@ -104,30 +101,16 @@ class PowerEvaluator:
         # Egress ports, grouped by switch, for vectorized switch power.
         self.switch_ports = net.switch_egress
 
-        # ``host_power_now`` evaluates the path model's formula over
-        # arrays, so it has to be one of the two it knows.
-        self.pm = host_power.path_model
-        if not isinstance(self.pm, (WiredPathPower, WirelessPathPower)):
-            raise ConfigurationError(
-                "the fluid engine vectorizes WiredPathPower and "
-                f"WirelessPathPower only, got {type(self.pm).__name__}"
-            )
-
     def host_power_now(self, x_bps: np.ndarray, rtt: np.ndarray) -> float:
         """Total host CPU power: static part + per-path marginal terms."""
-        pm = self.pm
-        tau_mbps = x_bps / 1e6
-        if isinstance(pm, WiredPathPower):
-            base = pm.k * np.power(np.maximum(tau_mbps, 0.0), pm.exponent)
-        else:
-            duty = np.minimum(1.0, tau_mbps / pm.duty_cycle_scale_mbps)
-            base = np.where(
-                tau_mbps > 0, pm.base_w * duty + pm.slope_w_per_mbps * tau_mbps, 0.0
-            )
-        rtt_factor = 1.0 + pm.rtt_coefficient * np.maximum(
-            0.0, rtt / pm.rtt_reference - 1.0
-        )
-        marginal = base * rtt_factor
+        pm = self.host_power.path_model
+        try:
+            marginal = pm.path_power(np, x_bps, rtt)
+        except (TypeError, ValueError) as exc:
+            # e.g. ``if tau <= 0`` or ``math.exp(tau)`` in a user's model
+            raise ConfigurationError(
+                f"{type(pm).__name__}'s power formula cannot take arrays: {exc}"
+            ) from exc
         per_host = self.net.host_incidence @ marginal
         return self.host_static_w + float(np.sum(per_host))
 
@@ -137,8 +120,7 @@ class PowerEvaluator:
         ports = self.switch_ports
         if len(ports) == 0:
             return sp.chassis_w * len(self.net.topology.switches)
-        port_util = util[ports]
-        port_power = sp.port_idle_w + (sp.port_max_w - sp.port_idle_w) * port_util
+        port_power = sp.port_power(np, util[ports])
         return sp.chassis_w * len(self.net.topology.switches) + float(np.sum(port_power))
 
 

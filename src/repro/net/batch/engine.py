@@ -8,8 +8,9 @@ arrays, every one of them listed once in :data:`_FIELDS`.  A
 rounds; each cohort advances in one masked pass per (subflow-slot,
 algorithm) group: a vectorized estimator update followed by a per-ACK
 mask loop whose slow-start / HyStart / congestion-avoidance lanes call
-the vector kernels in :mod:`repro.net.batch.model`
-(``epsilon_exact_array``, ``dts_increase_array``, ``lia_increase_array``).
+the controllers' own rules on arrays (:func:`repro.core.dts.dts_factor`,
+:func:`repro.algorithms.dts.dts_increase`,
+:func:`repro.algorithms.lia.lia_increase`).
 
 Rare paths — any round with a loss (fast-retransmit or RTO semantics),
 bursts beyond :data:`repro.net.batch.model.MAX_VECTOR_BURST`, and every
@@ -48,12 +49,10 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 import repro.obs as obs
+from repro.algorithms.dts import dts_increase
+from repro.algorithms.lia import lia_increase
+from repro.core.dts import dts_factor
 from repro.net.batch import model
-from repro.net.batch.model import (
-    dts_increase_array,
-    epsilon_exact_array,
-    lia_increase_array,
-)
 from repro.net.batch.scenario import BatchScenario
 from repro.net.events import TickCohorts
 from repro.transport.core import MAX_RTO, MIN_RTO
@@ -349,12 +348,10 @@ class BatchEngine:
         exceed = sample > (bs + np.maximum(0.008, bs / 2))
         psi = None
         if kind_code == _KIND_DTS:
-            psi = self.dts_c[rows] * epsilon_exact_array(
-                bs,
-                sample,
-                slope=self.dts_slope[rows],
-                center=self.dts_center[rows],
-                ceiling=self.dts_ceiling[rows],
+            # constant across the round's ACKs: Eq. 5 reads only its RTT sample
+            psi = self.dts_c[rows] * dts_factor(
+                np, bs, sample, self.dts_slope[rows], self.dts_center[rows],
+                self.dts_ceiling[rows],
             )
         n_slots = self.n_slots
         maybe_ss = True
@@ -373,14 +370,14 @@ class BatchEngine:
                 for kk in range(1, n_slots):
                     tot = tot + cw_full[:, kk] / reff[:, kk]
                 if kind_code == _KIND_DTS:
-                    grown = dts_increase_array(cw, reff[:, k], psi, tot)
+                    grown = dts_increase(cw, reff[:, k], psi, tot)
                 else:
                     best = cw_full[:, 0] / (reff[:, 0] * reff[:, 0])
                     for kk in range(1, n_slots):
                         best = np.maximum(
                             best, cw_full[:, kk] / (reff[:, kk] * reff[:, kk])
                         )
-                    grown = lia_increase_array(cw, best, tot)
+                    grown = lia_increase(np, cw, best, tot)
                 cw = np.where(ca, grown, cw)
             if ss is not None and maybe_ss:
                 cw_ss = cw + 1.0

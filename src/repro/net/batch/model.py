@@ -40,17 +40,14 @@ subflow-slot) order.  ``Generator.random(n)`` produces the same stream
 whether drawn per round or in one per-tick block, so both engines
 consume identical uniforms.
 
-Bit-exactness caveat, load-bearing: the DTS sigmoid is routed through
-``np.exp`` (:func:`epsilon_exact_array`) on *both* engines, because
-``math.exp`` and ``np.exp`` are different libms that disagree in the last
-ulp on a few percent of inputs.
-
-The three array kernels of the vector path — :func:`epsilon_exact_array`,
-:func:`dts_increase_array`, :func:`lia_increase_array` — are defined
-here, next to :data:`VECTOR_ALGORITHMS`, rather than beside the scalar
-rules they mirror: the batch engine is their only caller, and
-:mod:`repro.algorithms` / :mod:`repro.core.dts` stay importable without
-numpy (DESIGN.md §8).
+Bit-exactness caveat, load-bearing: the DTS sigmoid
+(:func:`repro.core.dts.dts_factor`) is evaluated over ``np`` on *both*
+engines, because ``math.exp`` and ``np.exp`` are different libms that
+disagree in the last ulp on a few percent of inputs (numpy's scalar and
+array ufunc results are elementwise identical).  The vector path has no
+rules of its own: it calls ``dts_factor`` and the controllers'
+:func:`~repro.algorithms.dts.dts_increase` /
+:func:`~repro.algorithms.lia.lia_increase` on arrays.
 """
 
 from __future__ import annotations
@@ -62,6 +59,7 @@ import numpy as np
 
 from repro.algorithms import create_controller, resolve_algorithm
 from repro.algorithms.dts import DtsController, ExtendedDtsController
+from repro.core.dts import dts_factor
 from repro.transport import core as tcore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,89 +74,13 @@ VECTOR_ALGORITHMS = ("dts", "lia")
 MAX_VECTOR_BURST = 1024
 
 
-def epsilon_exact_array(
-    base_rtt: np.ndarray,
-    rtt: np.ndarray,
-    *,
-    slope: float = 10.0,
-    center: float = 0.5,
-    ceiling: float = 2.0,
-) -> np.ndarray:
-    """Vectorized Eq. (5): :func:`repro.core.dts.epsilon_exact` over arrays.
-
-    Elementwise this evaluates exactly the same expression as
-    :func:`~repro.core.dts.epsilon_exact` with one deliberate difference:
-    the exponential is ``np.exp`` rather than ``math.exp``.  The two
-    differ in the last ulp on a few percent of inputs (both are within
-    1 ulp of the true value, but they are *different* libms), so a
-    bit-exact batched engine cannot mix them.  Every scalar path that
-    must agree with this kernel bit-for-bit (the batch oracle, through
-    :class:`_NpSigmoidDts`) therefore routes its sigmoid through this
-    function with scalar inputs — numpy guarantees the scalar and array
-    ufunc results are elementwise identical.
-
-    ``base_rtt`` entries that are non-positive or infinite (no valid
-    sample yet) get ratio 1.0, mirroring :func:`repro.core.dts.rtt_ratio`.
-    ``rtt`` entries must be positive.
-    """
-    base = np.asarray(base_rtt, dtype=np.float64)
-    rtt_arr = np.asarray(rtt, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(
-            (base <= 0.0) | np.isinf(base),
-            1.0,
-            np.minimum(1.0, base / rtt_arr),
-        )
-    return ceiling / (1.0 + np.exp(-slope * (ratio - center)))
-
-
-def dts_increase_array(
-    cwnd: np.ndarray,
-    rtt: np.ndarray,
-    psi: np.ndarray,
-    total_rate: np.ndarray,
-) -> np.ndarray:
-    """Vectorized form of :meth:`DtsController.on_ack` for one ACK.
-
-    Evaluates ``w + psi * (w/RTT^2) / (sum_k x_k)^2`` elementwise with
-    the same operation order as the scalar rule, so a lane of this
-    kernel is bit-identical to one ``on_ack`` call.  ``psi = c * eps``
-    is precomputed by the caller (it is constant across the ACKs of one
-    delivery round, since Eq. 5 depends only on the round's RTT sample).
-    """
-    coupled = (cwnd / (rtt * rtt)) / (total_rate * total_rate)
-    return cwnd + psi * coupled
-
-
-def lia_increase_array(
-    cwnd: np.ndarray,
-    best_rate: np.ndarray,
-    total_rate: np.ndarray,
-) -> np.ndarray:
-    """Vectorized form of :meth:`repro.algorithms.lia.LiaController.on_ack`
-    for one ACK.
-
-    ``best_rate`` is ``max_k w_k/RTT_k^2`` per connection and
-    ``total_rate`` is ``sum_k w_k/RTT_k``; the kernel applies RFC 6356's
-    capped increase ``w + min(best/(sum x)^2, 1/w)`` elementwise with the
-    same operation order as the scalar rule, so one lane is bit-identical
-    to one ``on_ack`` call.
-    """
-    alpha = best_rate / (total_rate * total_rate)
-    return cwnd + np.minimum(alpha, 1.0 / cwnd)
-
-
 class _NpSigmoidDts(DtsController):
-    """DTS with Eq. (5) routed through numpy's exp (see module docstring)."""
+    """DTS with Eq. (5) evaluated over ``np`` (see module docstring)."""
 
     def epsilon(self, sf) -> float:
         rtt = sf.latest_rtt if sf.latest_rtt is not None else sf.rtt
         f = self.factor
-        return float(
-            epsilon_exact_array(
-                sf.base_rtt, rtt, slope=f.slope, center=f.center, ceiling=f.ceiling
-            )
-        )
+        return float(dts_factor(np, sf.base_rtt, rtt, f.slope, f.center, f.ceiling))
 
 
 class _NpSigmoidDtsExt(ExtendedDtsController):

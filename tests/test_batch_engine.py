@@ -290,8 +290,8 @@ def test_campaign_executor_packet_engines_byte_equal():
     assert (json.dumps(batch["metrics"], sort_keys=True)
             == json.dumps(want, sort_keys=True))
     # Engine-private counters live in obs, not metrics.
-    assert batch["obs"]["engine.vector_rounds"] > 0
-    assert batch["obs"]["engine.fallback_rounds"] > 0
+    assert batch["obs"]["batch.vector_rounds"] > 0
+    assert batch["obs"]["batch.fallback_rounds"] > 0
 
 
 def test_runspec_engine_topology_validation():

@@ -491,20 +491,18 @@ def test_spec_keeps_the_algorithm_spelling_it_was_given():
 def test_cli_campaign_smoke(tmp_path, capsys):
     from repro.cli import main
 
-    rc = main(["campaign", "fig12", "--jobs", "1", "--subflows", "1",
-               "--seeds", "1", "--duration", "0.4", "--dt", "0.01",
-               "--cache-dir", str(tmp_path)])
-    assert rc == 0
+    # Pooled, then 100% cached — the path CI's campaign-smoke job ran.
+    argv = ["campaign", "fig12", "--jobs", "2", "--subflows", "1", "2",
+            "--seeds", "1", "--duration", "0.4", "--dt", "0.01",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert "topology: bcube" in out
-    assert "1 runs, 0 cache hits" in out
+    assert "2 runs, 0 cache hits" in out
     assert (tmp_path / "campaign.log.jsonl").exists()
 
-    rc = main(["campaign", "fig12", "--jobs", "1", "--subflows", "1",
-               "--seeds", "1", "--duration", "0.4", "--dt", "0.01",
-               "--cache-dir", str(tmp_path)])
-    assert rc == 0
-    assert "1 cache hits" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "2 cache hits" in capsys.readouterr().out
 
 
 def test_cli_campaign_rejects_unknown_figure(tmp_path, capsys):

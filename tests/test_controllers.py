@@ -70,7 +70,7 @@ class TestRegistry:
 
     def test_kwargs_forwarded(self):
         ctrl = create_controller("dts-ext", kappa=0.5)
-        assert ctrl.kappa == 0.5
+        assert ctrl.price_config.kappa == 0.5
 
     def test_attach_requires_subflows(self):
         with pytest.raises(AlgorithmError):
@@ -144,7 +144,8 @@ class TestLia:
         # A tiny-window subflow next to a big one: cap 1/w must bind.
         small, big = FakeSubflow(2, 0.05), FakeSubflow(500, 0.01)
         ctrl = attach(LiaController(), small, big)
-        uncapped = ctrl.alpha_increase(small)
+        # best = 500/0.01^2; total rate = 2/0.05 + 500/0.01.
+        uncapped = (500 / 0.01**2) / (2 / 0.05 + 500 / 0.01) ** 2
         ctrl.on_ack(small)
         assert small.cwnd == pytest.approx(2 + min(uncapped, 0.5))
 

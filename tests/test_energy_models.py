@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import _scalar
 from repro.energy.accounting import (
     TransferEnergyAccount,
     integrate_power,
@@ -32,15 +33,15 @@ class TestWiredCalibration:
     def test_nonlinear_concave(self):
         model = WiredPathPower()
         # Doubling the throughput less than doubles the marginal power.
-        assert model.marginal_power(mbps(800)) < 2 * model.marginal_power(mbps(400))
+        assert model.marginal_power(_scalar, mbps(800)) < 2 * model.marginal_power(_scalar, mbps(400))
 
     def test_monotone_in_throughput(self):
         model = WiredPathPower()
-        powers = [model.marginal_power(mbps(b)) for b in (100, 300, 600, 1000)]
+        powers = [model.marginal_power(_scalar, mbps(b)) for b in (100, 300, 600, 1000)]
         assert powers == sorted(powers)
 
     def test_zero_throughput_zero_marginal(self):
-        assert WiredPathPower().marginal_power(0) == 0.0
+        assert WiredPathPower().marginal_power(_scalar, 0) == 0.0
 
 
 class TestWirelessCalibration:
@@ -53,15 +54,15 @@ class TestWirelessCalibration:
 
     def test_linear_above_duty_cycle_knee(self):
         model = WirelessPathPower()
-        p20 = model.marginal_power(mbps(20))
-        p40 = model.marginal_power(mbps(40))
-        p60 = model.marginal_power(mbps(60))
+        p20 = model.marginal_power(_scalar, mbps(20))
+        p40 = model.marginal_power(_scalar, mbps(40))
+        p60 = model.marginal_power(_scalar, mbps(60))
         assert p40 - p20 == pytest.approx(p60 - p40, rel=1e-6)
 
     def test_duty_cycle_discounts_trickle(self):
         model = WirelessPathPower()
-        trickle = model.marginal_power(mbps(0.1))
-        active = model.marginal_power(mbps(5))
+        trickle = model.marginal_power(_scalar, mbps(0.1))
+        active = model.marginal_power(_scalar, mbps(5))
         assert trickle < 0.2 * active
 
 
@@ -182,9 +183,9 @@ class TestMobileDevice:
 class TestSwitch:
     def test_port_power_bounds(self):
         model = SwitchPowerModel()
-        assert model.port_power(0.0) == model.port_idle_w
-        assert model.port_power(1.0) == model.port_max_w
-        assert model.port_power(2.0) == model.port_max_w  # clamped
+        assert model.port_power(_scalar, 0.0) == model.port_idle_w
+        assert model.port_power(_scalar, 1.0) == model.port_max_w
+        assert model.port_power(_scalar, 2.0) == model.port_max_w  # clamped
 
     def test_total_power(self):
         model = SwitchPowerModel(chassis_w=10, port_idle_w=1, port_max_w=2)

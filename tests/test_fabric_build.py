@@ -284,7 +284,7 @@ def test_uniform_algorithm_kwargs_reach_the_cohort():
         net.add_connection("h0_0_0", dst, "dts-ext", n_subflows=2,
                            algorithm_kwargs={"kappa": 0.25})
     net.finalize()
-    assert net.cohorts[0].algorithm.kappa == 0.25
+    assert net.cohorts[0].algorithm.price_config.kappa == 0.25
 
 
 def test_build_topology_error_lists_what_it_can_build():

@@ -280,7 +280,7 @@ class TestFluidNetwork:
         assert np.array_equal(built.base_rtt, by_hand.base_rtt)
         assert [(c.src, c.dst) for c in built.connections] == [
             (c.src, c.dst) for c in by_hand.connections]
-        assert built.cohorts[0].algorithm.kappa == 1e-4
+        assert built.cohorts[0].algorithm.price_config.kappa == 1e-4
 
 
 class TestFluidEngine:
@@ -478,14 +478,26 @@ class TestPowerEvaluator:
         got = power.host_power_now(x, rtts) - power.host_static_w
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_unknown_path_model_is_refused_at_construction(self):
+    def test_path_model_that_cannot_take_arrays_is_a_typed_error(self):
+        """Any ``PathPowerModel`` runs on the fluid engine through its own
+        formula; one written for floats only fails typed, never a wrong watt."""
         class Flat(PathPowerModel):
-            def marginal_power(self, throughput_bps):
+            def marginal_power(self, xp, throughput_bps):
                 return 1.0
 
-        with pytest.raises(ConfigurationError, match="Flat"):
-            PowerEvaluator(self._net(), HostPowerModel(path_model=Flat()),
-                           SwitchPowerModel())
+        class Step(PathPowerModel):
+            def marginal_power(self, xp, throughput_bps):
+                return 1.0 if throughput_bps > 0 else 0.0
+
+        net = self._net()
+        x, rtts = np.full(net.n_subflows, mbps(5)), np.full(net.n_subflows, 0.02)
+        flat = PowerEvaluator(net, HostPowerModel(path_model=Flat()), SwitchPowerModel())
+        assert flat.host_power_now(x, rtts) - flat.host_static_w == pytest.approx(
+            len(net.host_incidence.indices))
+        assert HostPowerModel(path_model=Step()).single_path_power(mbps(5), 0.02) > 20
+        step = PowerEvaluator(net, HostPowerModel(path_model=Step()), SwitchPowerModel())
+        with pytest.raises(ConfigurationError, match="Step.*cannot take arrays"):
+            step.host_power_now(x, rtts)
 
 
 class TestCrossEngineConsistency:

@@ -91,6 +91,7 @@ STDLIB_TIER = [
     "import repro.algorithms",
     "import repro.energy",
     "import repro.core.dts",
+    "import repro.core.energy_price",
     "import repro.analysis",
     _cli("--help"),
     _cli("--version"),
@@ -259,26 +260,35 @@ def _code_names(path) -> set:
                 if token.type == tokenize.NAME}
 
 
-def test_array_kernels_live_with_the_batch_engine():
-    """The three vector rules sit beside the engine that calls them, so
-    the per-ACK modules cannot load numpy: their code never names it."""
+def test_shared_rules_name_a_namespace_never_numpy():
+    """Each printed formula has one body that takes its array namespace
+    as an argument, so no stdlib-tier file names numpy in code, and the
+    batch engine's vector rounds call the controllers' own rules."""
+    import repro._scalar
     import repro.algorithms
     import repro.core.dts
+    import repro.core.energy_price
+    import repro.energy
     import repro.net.batch.model as model
+    import repro.transport
+    from repro.net.batch.engine import BatchEngine
 
-    kernels = ("dts_increase_array", "lia_increase_array",
-               "epsilon_exact_array")
-    for kernel in kernels:
-        assert callable(getattr(model, kernel))
-        assert not hasattr(repro.core.dts, kernel)
-        assert not hasattr(repro.algorithms, kernel)
-        assert kernel not in repro.algorithms.__all__
-    sources = [*Path(repro.algorithms.__file__).parent.glob("*.py"),
-               Path(repro.core.dts.__file__)]
+    sources = [Path(repro._scalar.__file__), Path(repro.core.dts.__file__),
+               Path(repro.core.energy_price.__file__)]
+    for package in (repro.algorithms, repro.energy, repro.transport):
+        sources += Path(package.__file__).parent.glob("*.py")
     assert Path(repro.algorithms.lia.__file__) in sources
-    assert {"numpy", "np", *kernels} <= _code_names(model.__file__)
+    assert {"numpy", "np"} <= _code_names(model.__file__)
     for source in sources:
-        assert not _code_names(source) & {"numpy", "np", *kernels}, source.name
+        assert not _code_names(source) & {"numpy", "np"}, source.name
+
+    rules = {"dts_factor": repro.core.dts.dts_factor,
+             "dts_increase": repro.algorithms.dts.dts_increase,
+             "lia_increase": repro.algorithms.lia.lia_increase}
+    called = set(BatchEngine._vector_group.__code__.co_names)
+    for name, rule in rules.items():
+        assert name in called
+        assert BatchEngine._vector_group.__globals__[name] is rule
 
 
 @pytest.mark.parametrize("first", ["", "import numpy"],
