@@ -239,15 +239,38 @@ def _engine_fluid_largescale(ctx: BenchContext):
     assert 3000 <= fluid_largescale_step_batch(ctx.fluid_net) <= 3456
 
 
+def fluid_build_footprint(k: int):
+    """One fat-tree build under ``tracemalloc``: (retained, peak) bytes —
+    exact counts that repeat, where the timed passes' RSS does not."""
+    import tracemalloc
+
+    fluid_largescale_network(4)  # lazy imports and caches are not the build's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = fluid_largescale_network(k)  # bound: retained is measured with it alive
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
 @register("engine.fluid_k24_build", suites=("tier1", "engine"),
           description="fabric build alone at k=24: topology + 3456 "
-                      "add_connection (8 subflows) + finalize, no solve, "
-                      "no stepping")
+                      "add_connection (8 subflows) + finalize, no solve, no "
+                      "stepping (+ tracemalloc KiB from an untimed pass)",
+          setup=lambda ctx: setattr(ctx, "k24_footprint",
+                                    fluid_build_footprint(24)))
 def _engine_fluid_k24_build(ctx: BenchContext):
     net = fluid_largescale_network(24)
     assert len(net.connections) == 3456
     # 8 subflows each, except the few same-edge pairs (one path).
     assert 27_000 <= net.n_subflows <= 8 * 3456
+    retained_kib, peak_kib = (size // 1024 for size in ctx.k24_footprint)
+    # 8,661 / 11,071 measured; two routing matrices sorted globally: 10,566 / 17,080.
+    assert retained_kib < 9_500 and peak_kib < 14_000, (retained_kib, peak_kib)
+    registry = obs.registry_or_new()
+    registry.gauge("bench.fluid_k24_build.retained_kib").set(retained_kib)
+    registry.gauge("bench.fluid_k24_build.peak_kib").set(peak_kib)
 
 
 def _cold_import(statement: str, absent: "tuple[str, ...]"):

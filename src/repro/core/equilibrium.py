@@ -23,7 +23,7 @@ Two solvers live under this name:
   where loss and queueing are themselves solved for, the direct
   alternative to time-stepping a ``FluidSimulation``.  It is the
   ``scipy.optimize``-free route: its own damped fixed-point / dual
-  price iteration over the fluid tier's routing matrices
+  price iteration over the fluid tier's path table
   (:class:`repro.fluidsim.csr.Csr`), no root finder and no
   ``import scipy``.
 """

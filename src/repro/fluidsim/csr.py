@@ -1,12 +1,12 @@
-"""The fluid tier's sparse matrices: three plain arrays and one compiled loop.
+"""The fluid tier's sparse matrix: three plain arrays and two compiled loops.
 
-Everything the fluid tier does with a routing matrix is ``y = R x`` and
-``v = R^T u`` (DESIGN.md §9), and all of scipy that serves is one C++
-routine, ``scipy.sparse._sparsetools.csr_matvec`` — the loop scipy's own
-``R @ x`` dispatches to.  :class:`Csr` owns the arrays in scipy's canonical
-form and calls that routine; :data:`csr_matvec` is taken from the
-extension *file*, so a fluid process runs it without paying for
-``import scipy.sparse`` (DESIGN.md §8).
+Everything the fluid tier does with its path table ``A`` is ``A u`` and
+``A^T x`` (DESIGN.md §9), and all of scipy that serves is two C++ routines
+of ``scipy.sparse._sparsetools`` — ``csr_matvec`` and ``csc_matvec``, the
+loops scipy's own ``@`` dispatches to, run on the same three arrays.
+:class:`Csr` owns the arrays in scipy's canonical form and calls those
+routines, taken from the extension *file*, so a fluid process runs them
+without paying for ``import scipy.sparse`` (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -56,19 +56,20 @@ def _sparsetools_by_file():
     return module
 
 
-def _load_csr_matvec():
-    """scipy's ``csr_matvec``: from the module scipy already imported, else
-    from its file, else by the ordinary import — the same function obtained
-    the slow way, never a second kernel."""
+def _load_kernels():
+    """scipy's ``csr_matvec`` and ``csc_matvec``: from the module scipy
+    already imported, else from its file, else by the ordinary import — the
+    same functions obtained the slow way, never a second kernel."""
     module = sys.modules.get(_SPARSETOOLS) or _sparsetools_by_file()
-    if module is not None:
-        return module.csr_matvec
-    from scipy.sparse._sparsetools import csr_matvec
-    return csr_matvec
+    if module is None:
+        from scipy.sparse import _sparsetools as module
+    return module.csr_matvec, module.csc_matvec
 
 
-#: ``csr_matvec(n_rows, n_cols, indptr, indices, data, x, y)``: ``y += A x``.
-csr_matvec = _load_csr_matvec()
+#: ``csr_matvec(n_rows, n_cols, indptr, indices, data, x, y)``: ``y += A x``
+#: for A in CSR; ``csc_matvec`` takes the same arguments for A in CSC, so
+#: handed a CSR's arrays with the shape swapped it adds ``A^T x`` into ``y``.
+csr_matvec, csc_matvec = _load_kernels()
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,63 +83,61 @@ class Csr:
     shape: Tuple[int, int]
 
     @classmethod
-    def from_pairs(cls, rows, cols, shape: Tuple[int, int]) -> "Csr":
-        """The matrix with a 1.0 at every ``(rows[i], cols[i])``, repeated
-        pairs summed — ``csr_matrix((ones, (rows, cols)), shape)`` after
-        ``sum_duplicates()``, array for array."""
-        n_rows, n_cols = shape
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        if max(n_rows, n_cols, len(rows)) > _INT32_MAX:
-            raise ValueError(f"{shape} with {len(rows)} entries needs int64 indices")
-        if len(rows) != len(cols) or (len(rows) and not (
-                0 <= rows.min() and rows.max() < n_rows
-                and 0 <= cols.min() and cols.max() < n_cols)):
-            raise ValueError(f"(row, column) pairs do not fit shape {shape}")
-        # One value sort of (row, column) packed into as few bits as the
-        # shape needs: numpy sorts 32-bit values twice as fast as 64-bit
-        # ones, and either several times faster than any argsort.
-        shift = max(n_cols - 1, 0).bit_length()
-        dtype = np.uint32 if n_rows << shift <= 1 << 32 else np.int64
-        cells = rows.astype(dtype) << shift
-        cells |= cols.astype(dtype)
-        cells.sort()
-        first = np.ones(len(cells), dtype=bool)
-        np.not_equal(cells[1:], cells[:-1], out=first[1:])
-        if first.all():  # the usual case: no pair repeats
-            data = np.ones(len(cells))
-        else:
-            starts = np.flatnonzero(first)
-            data = np.diff(starts, append=len(cells)).astype(np.float64)
-            cells = cells[starts]
+    def from_rows(cls, table, n_cols: int) -> "Csr":
+        """The matrix whose row ``i`` has a 1.0 at every column id in
+        ``table[i]``; ``-1`` pads short rows, and an id repeated within a row
+        is one entry holding the repeat count — ``csr_matrix((ones, (rows,
+        cols)))`` after ``sum_duplicates()``, array for array.  Rows arrive
+        in order, so sorting inside each row is the whole build."""
+        table = np.asarray(table)
+        n_rows = len(table)
+        if max(n_rows, n_cols, table.size) > _INT32_MAX:
+            raise ValueError(f"{(n_rows, n_cols)} from {table.size} ids needs int64 indices")
+        ids = np.sort(table, axis=1)  # pads first in every row
+        if ids.size and not (-1 <= ids[:, 0].min() and ids[:, -1].max() < n_cols):
+            raise ValueError(f"column ids do not fit shape {(n_rows, n_cols)}")
+        first = ids >= 0  # marks the first of each run of equal ids in a row
+        n_ids = np.count_nonzero(first)
+        first[:, 1:] &= ids[:, 1:] != ids[:, :-1]
         indptr = np.zeros(n_rows + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cells >> shift, minlength=n_rows), out=indptr[1:])
-        indices = (cells & ((1 << shift) - 1)).astype(np.int32)
+        np.cumsum(first.sum(axis=1), out=indptr[1:])
+        indices = ids[first].astype(np.int32, copy=False)
+        data = np.ones(len(indices))
+        if len(indices) != n_ids:  # some row repeats an id: entries hold run lengths
+            data[:] = np.diff(np.flatnonzero(first[ids >= 0]), append=n_ids)
         return cls(indptr, indices, data, (n_rows, n_cols))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
 
     def matvec(self, x: np.ndarray, out: np.ndarray,
                data: Optional[np.ndarray] = None) -> None:
-        """``out[:] = A @ x`` — the one routing product of the fluid tier.
+        """``out[:] = A @ x``: gathers ``x`` along each stored row.
 
         ``data`` stands in for the stored values (the step loop passes its
         compute-dtype copy).  The kernel casts ``x`` and the values up to
         ``out``'s dtype like scipy's ``@`` and rejects an ``out`` too narrow
-        for them; it checks no lengths, so they are checked here (with
+        for them; it checks no lengths, so they are checked first (with
         ``len``: this runs three to four times a step).
         """
         n_rows, n_cols = self.shape
+        self._product(csr_matvec, n_rows, n_cols, x, out, data)
+
+    def rmatvec(self, x: np.ndarray, out: np.ndarray,
+                data: Optional[np.ndarray] = None) -> None:
+        """``out[:] = A.T @ x``: scatters each ``x[i]`` along stored row ``i``,
+        rows in order — term for term the sum ``matvec`` of the canonical CSR
+        of ``A.T`` would make, without building it."""
+        n_rows, n_cols = self.shape
+        self._product(csc_matvec, n_cols, n_rows, x, out, data)
+
+    def _product(self, kernel, n_out, n_in, x, out, data) -> None:
         indices = self.indices
         if data is None:
             data = self.data
-        if len(x) != n_cols or len(out) != n_rows or len(data) != len(indices):
+        if len(x) != n_in or len(out) != n_out or len(data) != len(indices):
             raise ValueError(
-                f"matvec of shape {self.shape} with {len(indices)} entries: got "
-                f"{len(x)} inputs, {len(out)} outputs, {len(data)} values")
+                f"{kernel.__name__} on shape {self.shape} with {len(indices)} entries: "
+                f"got {len(x)} inputs, {len(out)} outputs, {len(data)} values")
         out.fill(0)
-        csr_matvec(n_rows, n_cols, self.indptr, indices, data, x, out)
+        kernel(n_out, n_in, self.indptr, indices, data, x, out)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

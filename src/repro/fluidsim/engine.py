@@ -21,10 +21,10 @@ The loop body is allocation-light; ``tests/oracles/fluid_reference.py``
 holds the straight-line transcription of the six steps it must match bit
 for bit (results, RNG stream, trace events):
 
-* every routing product is :meth:`repro.fluidsim.csr.Csr.matvec` —
-  scipy's compiled ``csr_matvec``, the routine scipy's own ``R @ x``
-  dispatches to, written into a preallocated vector and loaded without
-  importing ``scipy.sparse``;
+* every routing product is :meth:`repro.fluidsim.csr.Csr.matvec` or
+  ``rmatvec`` on the one path table — scipy's compiled ``csr_matvec`` /
+  ``csc_matvec``, the routines scipy's own ``@`` dispatches to, written
+  into a preallocated vector and loaded without importing ``scipy.sparse``;
 * every per-step temporary lives in a preallocated buffer reused across
   steps (``out=`` ufunc forms, ``np.copyto`` masking);
 * ``delivered_bits`` accumulates through a seeded-head ``bincount`` fold
@@ -100,6 +100,7 @@ class PowerEvaluator:
         )
         # Egress ports, grouped by switch, for vectorized switch power.
         self.switch_ports = net.switch_egress
+        self._per_host = np.empty(len(counts))
 
     def host_power_now(self, x_bps: np.ndarray, rtt: np.ndarray) -> float:
         """Total host CPU power: static part + per-path marginal terms."""
@@ -111,8 +112,8 @@ class PowerEvaluator:
             raise ConfigurationError(
                 f"{type(pm).__name__}'s power formula cannot take arrays: {exc}"
             ) from exc
-        per_host = self.net.host_incidence @ marginal
-        return self.host_static_w + float(np.sum(per_host))
+        self.net.hosts.rmatvec(marginal, self._per_host)
+        return self.host_static_w + float(np.sum(self._per_host))
 
     def switch_power_now(self, util: np.ndarray) -> float:
         """Total switch power: chassis + utilization-proportional ports."""
@@ -390,8 +391,7 @@ class FluidSimulation:
         base_rtt = net.compute_arrays(self.compute_dtype).base_rtt
         base_adj = FluidAlgorithm.rate_adjustment
         for cohort in net.cohorts:
-            ids = cohort.ids
-            sl = slice(int(ids[0]), int(ids[-1]) + 1)
+            sl = cohort.span
             st = CohortState(
                 w=self.w[sl],
                 rtt=self.rtt[sl],
@@ -410,7 +410,7 @@ class FluidSimulation:
             # and skipping the call + add is safe.
             has_adj = type(cohort.algorithm).rate_adjustment is not base_adj
             views.append((cohort, st, sl,
-                          np.empty(len(ids), dtype=self.compute_dtype),
+                          np.empty(len(cohort.ids), dtype=self.compute_dtype),
                           has_adj))
         return views
 
@@ -435,8 +435,7 @@ class FluidSimulation:
         buf = ca.buffer_bits
         base_rtt = ca.base_rtt
         inv_cap = ca.inv_capacity
-        mul_R, R_data = net.routing.matvec, ca.routing_data
-        mul_Rt, Rt_data = net.routing_t.matvec, ca.routing_t_data
+        mul_R, mul_Rt, R_data = net.paths.rmatvec, net.paths.matvec, ca.paths_data
         n = len(self.w)
         n_links = net.n_links
         n_conns = len(net.connections)
@@ -503,13 +502,13 @@ class FluidSimulation:
                 np.copyto(b.marked_link, b.mark_bool, casting="unsafe")
                 # Per-subflow path state.
                 np.multiply(self.queue_bits, inv_cap, out=b.qc)
-                mul_Rt(b.qc, b.qdelay, Rt_data)
+                mul_Rt(b.qc, b.qdelay, R_data)
                 if lossy_step:
-                    mul_Rt(b.p_link, b.p_path, Rt_data)
+                    mul_Rt(b.p_link, b.p_path, R_data)
                     np.minimum(b.p_path, 0.5, out=b.p_path)
                 else:
                     b.p_path.fill(0.0)
-                mul_Rt(b.marked_link, b.marked_path, Rt_data)
+                mul_Rt(b.marked_link, b.marked_path, R_data)
                 np.minimum(b.marked_path, 1.0, out=b.marked_path)
                 np.add(base_rtt, b.qdelay, out=self.rtt)
                 np.multiply(y, inv_cap, out=b.util)

@@ -70,10 +70,10 @@ engine leaves sawtooth troughs unused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
+import repro.obs as obs
 from repro.errors import EquilibriumError
 from repro.fluidsim.adapters import FluidAlgorithm
 from repro.fluidsim.network import FluidNetwork
@@ -153,19 +153,6 @@ class FluidEquilibrium:
         return len(self.w)
 
 
-def _cohort_views(net: FluidNetwork) -> List[Tuple]:
-    """(cohort, slice) pairs; finalize() assigns contiguous cohort ids."""
-    views = []
-    for cohort in net.cohorts:
-        ids = cohort.ids
-        if len(ids) and ids[-1] - ids[0] == len(ids) - 1:
-            sl = slice(int(ids[0]), int(ids[-1]) + 1)
-        else:  # pragma: no cover - not produced by any in-tree builder
-            sl = ids
-        views.append((cohort, sl))
-    return views
-
-
 def solve_fluid_equilibrium(
     net: FluidNetwork,
     *,
@@ -207,18 +194,18 @@ def solve_fluid_equilibrium(
             "no loss-balance equilibrium for algorithm(s) "
             f"{', '.join(unsupported)}; use the time-stepped engine")
 
-    R, Rt = net.routing, net.routing_t
+    paths = net.paths
     cap = net.capacity
     buf = net.buffer_bits
     pkt_bits = net.packet_bits
     base_rtt = net.base_rtt
     inv_cap = 1.0 / cap
-    views = _cohort_views(net)
     # ecn_marked is only read by ECN algorithms, all unsupported here.
     marked = np.zeros(n)
 
     w = np.full(n, float(initial_window))
     price = np.full(net.n_links, float(initial_price))
+    y = np.empty(net.n_links)
     growth = np.empty(n)
     drain = np.empty(n)
     step = np.full(n, float(damping))
@@ -229,13 +216,14 @@ def solve_fluid_equilibrium(
     for iterations in range(1, max_iter + 1):
         q_frac = np.minimum(price / queue_ramp, 1.0)
         queue_bits = q_frac * buf
-        qdelay = Rt @ (queue_bits * inv_cap)
+        qdelay = paths @ (queue_bits * inv_cap)
         rtt = base_rtt + qdelay
-        p_path = np.minimum(Rt @ price, 0.5)
+        p_path = np.minimum(paths @ price, 0.5)
         x = w / rtt
         lam = p_path * x
         eff_rate = lam / (1.0 + lam * rtt)
-        for cohort, sl in views:
+        for cohort in net.cohorts:
+            sl = cohort.span
             st = CohortState(
                 w=w[sl], rtt=rtt[sl], base_rtt=base_rtt[sl],
                 loss=p_path[sl], queueing=qdelay[sl],
@@ -259,7 +247,7 @@ def solve_fluid_equilibrium(
         # in rate terms long before their windows settle at exactly 1.
         res_w = float(np.sum(np.abs(w_new - w) / rtt) / (np.sum(x) + _EPS))
         w = w_new
-        y = R @ ((w / rtt) * pkt_bits)
+        paths.rmatvec((w / rtt) * pkt_bits, y)
         excess = (y * (1.0 - price) - cap) * inv_cap
         price = np.clip(
             price * np.exp(np.clip(price_gain * excess,
@@ -272,13 +260,23 @@ def solve_fluid_equilibrium(
 
     q_frac = np.minimum(price / queue_ramp, 1.0)
     queue_bits = q_frac * buf
-    rtt = base_rtt + Rt @ (queue_bits * inv_cap)
+    rtt = base_rtt + paths @ (queue_bits * inv_cap)
     x = w / rtt
-    p_path = np.minimum(Rt @ price, 0.5)
-    y = R @ (x * pkt_bits)
+    p_path = np.minimum(paths @ price, 0.5)
+    paths.rmatvec(x * pkt_bits, y)
     goodput_sub = x * pkt_bits * (1.0 - p_path)
     conn_goodput = np.bincount(net.subflow_conn, weights=goodput_sub,
                                minlength=len(net.connections))
+    # Why a solve ended where it did: windows pinned at the floor carry no
+    # rate, links priced at the ceiling cannot shed their excess.
+    registry = obs.registry_or_new()
+    registry.counter("fluid.equilibrium.iterations").inc(iterations)
+    registry.gauge("fluid.equilibrium.residual_window").set(res_w)
+    registry.gauge("fluid.equilibrium.residual_capacity").set(res_p)
+    registry.gauge("fluid.equilibrium.floor_bound_subflows").set(
+        int(np.count_nonzero(w <= 1.0)))
+    registry.gauge("fluid.equilibrium.ceiling_links").set(
+        int(np.count_nonzero(price >= _PRICE_CEIL)))
     return FluidEquilibrium(
         w=w,
         rtt=rtt,

@@ -20,7 +20,7 @@ class ComputeArrays:
 
     :meth:`FluidNetwork.compute_arrays` hands these to the engine so a
     float32 simulation reads half-width copies of the invariant arrays
-    (and of the routing matrices' values) instead of paying an upcast on
+    (and of the path table's values) instead of paying an upcast on
     every operation.
     """
 
@@ -28,8 +28,7 @@ class ComputeArrays:
     capacity: np.ndarray
     inv_capacity: np.ndarray
     buffer_bits: np.ndarray
-    routing_data: np.ndarray
-    routing_t_data: np.ndarray
+    paths_data: np.ndarray
 
 
 @dataclass
@@ -43,6 +42,14 @@ class Cohort:
     user_starts: np.ndarray
     #: User index (within the cohort) of each subflow.
     user_of: np.ndarray
+    #: ``ids`` as the slice of the per-subflow arrays it is.
+    span: slice = field(init=False)
+
+    def __post_init__(self):
+        self.span = slice(int(self.ids[0]), int(self.ids[-1]) + 1)
+        if self.span.stop - self.span.start != len(self.ids):
+            raise ConfigurationError(
+                f"cohort {self.algorithm.name!r} is not one contiguous slice of subflows")
 
 
 @dataclass
@@ -104,13 +111,15 @@ class FluidNetwork:
         self._finalized = False
 
         # Filled by finalize():
-        self.routing: Optional[Csr] = None  # links x subflows
-        self.routing_t: Optional[Csr] = None
+        #: Subflows x links, the chosen paths: ``matvec`` sums link prices
+        #: along each path, ``rmatvec`` loads each link with its subflows.
+        self.paths: Optional[Csr] = None
+        #: Subflows x hosts: whose CPU each subflow's traffic loads.
+        self.hosts: Optional[Csr] = None
         self.base_rtt: Optional[np.ndarray] = None
         self.switch_hops: Optional[np.ndarray] = None
         self.subflow_conn: Optional[np.ndarray] = None
         self.cohorts: List[Cohort] = []
-        self.host_incidence: Optional[Csr] = None
         self.host_subflow_count: Optional[np.ndarray] = None
         #: Subflows for which each host keeps socket state (src/dst only).
         self.host_endpoint_count: Optional[np.ndarray] = None
@@ -210,7 +219,6 @@ class FluidNetwork:
         counts = np.array([conn.n_subflows for conn in ordered], dtype=np.int64)
         starts = np.cumsum(counts) - counts
         n_subflows = int(counts.sum())
-        subflow_ids = np.arange(n_subflows, dtype=np.int64)
 
         def per_subflow(per_connection: list) -> np.ndarray:
             return np.repeat(np.array(per_connection, dtype=np.int64), counts)
@@ -236,19 +244,14 @@ class FluidNetwork:
             size = int(users.sum())
             self.cohorts.append(Cohort(
                 create_fluid_algorithm(algo_name, **kwargs),
-                subflow_ids[first_sub:first_sub + size],
+                np.arange(first_sub, first_sub + size, dtype=np.int64),
                 np.cumsum(users) - users,
                 np.repeat(np.arange(len(conns), dtype=np.int64), users),
             ))
             first_conn += len(conns)
             first_sub += size
 
-        on_path = hops >= 0
-        links, subflows = hops[on_path], np.nonzero(on_path)[0]
-        self.routing = Csr.from_pairs(
-            links, subflows, (topology.n_links, n_subflows))
-        self.routing_t = Csr.from_pairs(
-            subflows, links, (n_subflows, topology.n_links))
+        self.paths = Csr.from_rows(hops, topology.n_links)
         # Hop by hop: the same additions, in the same order, as summing
         # each path's delays one link after the other.
         delay = np.append(self.link_delay, 0.0)
@@ -266,16 +269,19 @@ class FluidNetwork:
         src_host = per_subflow([host_ids[conn.src] for conn in ordered])
         dst_host = per_subflow([host_ids[conn.dst] for conn in ordered])
         relays = np.array(
-            [(host_ids[host], sid) for conn in ordered
+            [(sid, slot, host_ids[host]) for conn in ordered
              for sid, path_relays in zip(conn.subflow_ids, conn.relay_hosts)
-             for host in path_relays], dtype=np.int64).reshape(-1, 2)
-        self.host_incidence = Csr.from_pairs(
-            np.concatenate([src_host, dst_host, relays[:, 0]]),
-            np.concatenate([subflow_ids, subflow_ids, relays[:, 1]]),
-            (n_hosts, n_subflows))
+             if path_relays for slot, host in enumerate(path_relays, 2)],
+            dtype=np.int32).reshape(-1, 3)
+        touched = np.full(
+            (n_subflows, relays[:, 1].max(initial=1) + 1), -1, dtype=np.int32)
+        touched[:, 0], touched[:, 1] = src_host, dst_host
+        touched[relays[:, 0], relays[:, 1]] = relays[:, 2]
+        self.hosts = Csr.from_rows(touched, n_hosts)
         # A host a path touches twice still counts once.
-        self.host_incidence.data.fill(1.0)
-        self.host_subflow_count = np.diff(self.host_incidence.indptr).astype(float)
+        self.hosts.data.fill(1.0)
+        self.host_subflow_count = np.bincount(
+            self.hosts.indices, minlength=n_hosts).astype(float)
         self.host_endpoint_count = (
             np.bincount(src_host, minlength=n_hosts)
             + np.bincount(dst_host, minlength=n_hosts)).astype(float)
@@ -305,23 +311,11 @@ class FluidNetwork:
         dtype = np.dtype(dtype)
         cached = self._compute_cache.get(dtype)
         if cached is None:
-            if dtype == self.base_rtt.dtype:
-                cached = ComputeArrays(
-                    base_rtt=self.base_rtt,
-                    capacity=self.capacity,
-                    inv_capacity=1.0 / self.capacity,
-                    buffer_bits=self.buffer_bits,
-                    routing_data=self.routing.data,
-                    routing_t_data=self.routing_t.data,
-                )
-            else:
-                cached = ComputeArrays(
-                    base_rtt=self.base_rtt.astype(dtype),
-                    capacity=self.capacity.astype(dtype),
-                    inv_capacity=(1.0 / self.capacity).astype(dtype),
-                    buffer_bits=self.buffer_bits.astype(dtype),
-                    routing_data=self.routing.data.astype(dtype),
-                    routing_t_data=self.routing_t.data.astype(dtype),
-                )
-            self._compute_cache[dtype] = cached
+            def cast(array):
+                return array.astype(dtype, copy=False)
+            cached = self._compute_cache[dtype] = ComputeArrays(
+                base_rtt=cast(self.base_rtt), capacity=cast(self.capacity),
+                inv_capacity=cast(1.0 / self.capacity),
+                buffer_bits=cast(self.buffer_bits),
+                paths_data=cast(self.paths.data))
         return cached

@@ -4,9 +4,10 @@ of the model. ``FluidSimulation.run`` must match it bit for bit — every
 ``SimulationResult`` array, the obs instruments, the ``fluid.step`` trace
 instants and the RNG stream; ``tests/test_fluid_fastpath.py`` holds that
 property. Lived in the engine as ``FluidSimulation._run_legacy`` until
-ISSUE 15. Its routing products are scipy's own ``R @ x`` on matrices
-viewing the network's CSR arrays, so the engine's kernel is held against
-the operator, not against itself.
+ISSUE 15. Its routing products are scipy's own ``R @ x`` on two matrices —
+``R^T`` viewing the network's path table, ``R`` scipy's transpose of it —
+so the engine's two kernels on one table are held against the operator on
+a matrix each, not against themselves.
 """
 
 import time
@@ -33,8 +34,10 @@ def run_reference(sim: FluidSimulation, duration: float) -> SimulationResult:
     pkt_bits = net.packet_bits
     cap = net.capacity
     buf = net.buffer_bits
-    R, Rt = (sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-             for m in (net.routing, net.routing_t))
+    paths = net.paths
+    Rt = sparse.csr_matrix((paths.data, paths.indices, paths.indptr),
+                           shape=paths.shape)
+    R = Rt.T.tocsr()
     inv_cap = 1.0 / cap
     bits_before = sim.delivered_bits.copy()
     losses_before = sim.loss_events.copy()

@@ -20,11 +20,13 @@ import pytest
 from repro.campaign.spec import build_topology
 from repro.errors import ConfigurationError, RoutingError
 from repro.fluidsim import FluidNetwork
+from repro.fluidsim.network import Cohort
 from repro.topology import BCube, Ec2Cloud, FatTree, Vl2
 from repro.topology.base import path_specs
 from repro.topology.realize import realize
 from repro.units import mbps, ms
 from repro.workloads.permutation import random_permutation_pairs
+from tests.test_fluid_csr import _scipy
 
 DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "fabric_digests.json").read_text())
@@ -45,20 +47,27 @@ def build_network(topo, n_subflows: int, path_pool: int, seed: int) -> FluidNetw
 
 
 def network_digest(net: FluidNetwork) -> str:
-    """sha256 over name, dtype, shape and bytes of every built array."""
+    """sha256 over name, dtype, shape and bytes of every built array.
+
+    The digests were recorded when ``finalize()`` built a link-major
+    ``routing``, its transpose and a host-major ``host_incidence``; the
+    path table is ``routing_t`` itself, and scipy's transposes of
+    ``net.paths`` / ``net.hosts`` must be the other two, array for array.
+    """
+    routing, host_incidence = _scipy(net.paths).T.tocsr(), _scipy(net.hosts).T.tocsr()
     arrays = {
-        "routing.indptr": net.routing.indptr,
-        "routing.indices": net.routing.indices,
-        "routing.data": net.routing.data,
-        "routing_t.indptr": net.routing_t.indptr,
-        "routing_t.indices": net.routing_t.indices,
-        "routing_t.data": net.routing_t.data,
+        "routing.indptr": routing.indptr,
+        "routing.indices": routing.indices,
+        "routing.data": routing.data,
+        "routing_t.indptr": net.paths.indptr,
+        "routing_t.indices": net.paths.indices,
+        "routing_t.data": net.paths.data,
         "base_rtt": net.base_rtt,
         "switch_hops": net.switch_hops,
         "subflow_conn": net.subflow_conn,
-        "host_incidence.indptr": net.host_incidence.indptr,
-        "host_incidence.indices": net.host_incidence.indices,
-        "host_incidence.data": net.host_incidence.data,
+        "host_incidence.indptr": host_incidence.indptr,
+        "host_incidence.indices": host_incidence.indices,
+        "host_incidence.data": host_incidence.data,
         "host_subflow_count": net.host_subflow_count,
         "host_endpoint_count": net.host_endpoint_count,
         "switch_egress": net.switch_egress,
@@ -276,6 +285,18 @@ def test_cohort_rejects_conflicting_algorithm_kwargs():
                        algorithm_kwargs={"kappa": 0.5})
     with pytest.raises(ConfigurationError, match="dts-ext.*algorithm_kwargs"):
         net.finalize()
+
+
+def test_cohort_is_one_slice_of_the_subflow_arrays():
+    """Engine and solver read a cohort through ``span``; ids that are not
+    one contiguous run cannot be built."""
+    net = build_network(FatTree(4), 2, 8, seed=1)
+    assert len(net.cohorts) == 3
+    for cohort in net.cohorts:
+        assert np.array_equal(np.arange(net.n_subflows)[cohort.span], cohort.ids)
+    lia = net.cohorts[0]
+    with pytest.raises(ConfigurationError, match="'lia' is not one contiguous slice"):
+        Cohort(lia.algorithm, lia.ids[::2], lia.user_starts, lia.user_of)
 
 
 def test_uniform_algorithm_kwargs_reach_the_cohort():

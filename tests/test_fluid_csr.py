@@ -1,10 +1,16 @@
-"""``repro.fluidsim.csr`` against scipy: the arrays, the product, the loader.
+"""``repro.fluidsim.csr`` against scipy: the arrays, both products, the loader.
 
-The fluid tier keeps its routing matrices as :class:`Csr` records and runs
-scipy's ``csr_matvec`` on them without importing ``scipy.sparse``.  These
-tests (which may import scipy) hold ``Csr`` to scipy's canonical CSR form
-array for array and to scipy's ``@`` bit for bit, and drive the loader
-through every way of not finding the extension file.
+The fluid tier keeps one routing structure — the chosen-path table as a
+:class:`Csr` record, subflows x links — and runs scipy's ``csr_matvec`` and
+``csc_matvec`` on it without importing ``scipy.sparse``.  These tests
+(which may import scipy) hold ``Csr`` to scipy's canonical CSR form array
+for array, hold ``matvec`` / ``rmatvec`` to scipy's ``@`` on the matrix and
+on its transpose bit for bit, and drive the loader through every way of
+not finding the extension file.
+
+Cases are drawn as (row, column) pair lists — what scipy's constructor
+takes — and laid out as the ``-1``-padded table ``Csr.from_rows`` takes, so
+both sides are built from the same pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from repro.bench.cases import fluid_build_footprint, fluid_largescale_network
+from repro.campaign.spec import build_topology
 from repro.fluidsim import FluidNetwork, FluidSimulation
 from repro.fluidsim.csr import Csr
 from repro.topology import FatTree
@@ -23,7 +31,7 @@ from tests.test_import_contract import run_fresh
 
 
 def _same_arrays(got: Csr, want: sparse.csr_matrix) -> None:
-    assert got.shape == want.shape and got.nnz == want.nnz
+    assert got.shape == want.shape
     for part in ("indptr", "indices", "data"):
         g, w = getattr(got, part), getattr(want, part)
         assert g.dtype == w.dtype, part
@@ -38,6 +46,26 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
 def _scipy(m: Csr, data=None) -> sparse.csr_matrix:
     return sparse.csr_matrix(
         (m.data if data is None else data, m.indices, m.indptr), shape=m.shape)
+
+
+def _table(rows, cols, n_rows: int, extra_pads: int = 0) -> np.ndarray:
+    """The pairs as a padded table: row ``i`` lists, in the order given,
+    every column paired with ``i``."""
+    by_row = [[] for _ in range(n_rows)]
+    for row, col in zip(rows, cols):
+        by_row[row].append(col)
+    width = max(map(len, by_row), default=0) + extra_pads
+    table = np.full((n_rows, width), -1, dtype=np.int32)
+    for row, ids in enumerate(by_row):
+        table[row, :len(ids)] = ids
+    return table
+
+
+def _scipy_from_pairs(rows, cols, shape) -> sparse.csr_matrix:
+    want = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+    want.sum_duplicates()
+    want.sort_indices()
+    return want
 
 
 @st.composite
@@ -55,57 +83,101 @@ def pair_lists(draw):
     return rows, cols, (n_rows, n_cols)
 
 
-def _check_both_orientations(rows, cols, shape) -> None:
-    want = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
-    want.sum_duplicates()
-    _same_arrays(Csr.from_pairs(rows, cols, shape), want)
-    # finalize() builds routing_t from the swapped pairs: scipy's transpose.
-    _same_arrays(Csr.from_pairs(cols, rows, shape[::-1]), want.T.tocsr())
-
-
 @settings(max_examples=150, deadline=None)
-@given(pair_lists())
-def test_from_pairs_builds_scipys_canonical_arrays(case):
-    _check_both_orientations(*case)
+@given(pair_lists(), st.integers(0, 2))
+def test_from_pairs_builds_scipys_canonical_arrays(case, extra_pads):
+    rows, cols, shape = case
+    table = _table(rows, cols, shape[0], extra_pads)
+    _same_arrays(Csr.from_rows(table, shape[1]), _scipy_from_pairs(rows, cols, shape))
 
 
-def test_from_pairs_on_shapes_too_wide_for_32_bit_keys():
-    """(row, column) is packed into 32 bits when the shape fits, 64 when
-    not; the boundary is a k=32 fat-tree at 8 subflows (16 + 16 bits)."""
-    rng = np.random.default_rng(5)
-    for shape in ((49152, 65536), (49152, 65537), (70_000, 70_000)):
-        rows = rng.integers(0, shape[0], 500)
-        cols = rng.integers(0, shape[1], 500)
-        rows[:9], cols[:9] = shape[0] - 1, shape[1] - 1  # corner, repeated
-        _check_both_orientations(rows, cols, shape)
+@pytest.mark.parametrize("table, n_cols", [
+    ([[4, 0, 2], [1, -1, -1], [-1, -1, -1], [3, 3, 0]], 5),   # ragged
+    ([[-1, 2, -1, 0]], 3),                                    # pads anywhere
+    ([[-1, -1], [-1, -1]], 4),                                # all pad
+    (np.empty((0, 3), dtype=np.int32), 4),                    # no rows
+    (np.empty((3, 0), dtype=np.int32), 4),                    # no columns
+    ([[2, 2, 2, 2], [1, 0, 1, 0], [5, -1, 5, 4]], 6),         # repeated ids
+    ([[0, 1], [0, 1]], 2),                                    # last of a row == first of the next
+], ids=["ragged", "pads anywhere", "all pad", "no rows", "no columns",
+        "repeated ids", "equal across rows"])
+def test_from_rows_on_the_tables_a_build_can_produce(table, n_cols):
+    table = np.asarray(table, dtype=np.int32)
+    rows, slots = np.nonzero(table >= 0)
+    want = _scipy_from_pairs(rows, table[rows, slots], (len(table), n_cols))
+    _same_arrays(Csr.from_rows(table, n_cols), want)
+    # The index dtype is the matrix's, not the table's.
+    _same_arrays(Csr.from_rows(table.astype(np.int64), n_cols), want)
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ([0, 1], [0, 3]), ([0, 1], [0, -2]), ([0, 0, 0], [2, 7, 1]), ([1], [-5])])
+def test_from_pairs_rejects_pairs_outside_the_shape(rows, cols):
+    table = _table(rows, cols, 2)
+    with pytest.raises(ValueError, match="do not fit shape"):
+        Csr.from_rows(table, 3)
+
+
+def test_from_rows_rejects_what_int32_indices_cannot_hold():
+    with pytest.raises(ValueError, match="needs int64 indices"):
+        Csr.from_rows(np.zeros((1, 1), dtype=np.int32), 2**31)
+    with pytest.raises(ValueError):  # a flat id list is not a table
+        Csr.from_rows(np.zeros(3, dtype=np.int32), 4)
 
 
 @settings(max_examples=150, deadline=None)
 @given(pair_lists(), st.integers(0, 2**31), st.booleans())
 def test_products_equal_scipys_bit_for_bit(case, seed, unit_weights):
     rows, cols, shape = case
-    m = Csr.from_pairs(rows, cols, shape)
+    m = Csr.from_rows(_table(rows, cols, shape[0]), shape[1])
     rng = np.random.default_rng(seed)
     if not unit_weights:
-        m.data[:] = rng.uniform(0.1, 3.0, m.nnz)
+        m.data[:] = rng.uniform(0.1, 3.0, len(m.data))
     x = rng.uniform(-1e6, 1e6, shape[1])
     # float64, and a float32 vector against the float64 matrix (upcast).
     _same_bits(m @ x, _scipy(m) @ x)
     _same_bits(m @ x.astype(np.float32), _scipy(m) @ x.astype(np.float32))
-    # The step loop's form: caller's buffer, values in the compute dtype.
+    _check_both_products(m, rng)
+
+
+def _check_both_products(m: Csr, rng) -> None:
+    """The step loop's form — caller's buffer, values in the compute dtype —
+    against scipy's ``@`` on the matrix and on its transposed copy."""
+    n_rows, n_cols = m.shape
+    along, across = rng.uniform(-1e6, 1e6, n_cols), rng.uniform(-1e6, 1e6, n_rows)
     for dtype in (np.float64, np.float32):
-        data, vec = m.data.astype(dtype), x.astype(dtype)
-        out = np.full(shape[0], np.nan, dtype=dtype)
-        m.matvec(vec, out, data)
-        _same_bits(out, _scipy(m, data) @ vec)
+        data = m.data.astype(dtype)
+        reference = _scipy(m, data)
+        out = np.full(n_rows, np.nan, dtype=dtype)
+        m.matvec(along.astype(dtype), out, data)
+        _same_bits(out, reference @ along.astype(dtype))
+        out = np.full(n_cols, np.nan, dtype=dtype)
+        m.rmatvec(across.astype(dtype), out, data)
+        _same_bits(out, reference.T.tocsr() @ across.astype(dtype))
+
+
+@pytest.fixture(scope="module", params=["fattree24", "fattree", "bcube", "vl2"])
+def fabric_net(request) -> FluidNetwork:
+    return FluidNetwork.permutation(
+        build_topology(request.param), "lia", n_subflows=8, seed=3)
+
+
+@pytest.mark.parametrize("unit_weights", [True, False], ids=["unit", "random"])
+def test_both_products_equal_scipys_on_the_fabrics(fabric_net, unit_weights):
+    """One table serves ``R^T p`` (``csr_matvec``) and ``R x``
+    (``csc_matvec``); the host incidence is read through the second only."""
+    rng = np.random.default_rng(11)
+    for m in (fabric_net.paths, fabric_net.hosts):
+        if not unit_weights:
+            m = Csr(m.indptr, m.indices, rng.uniform(0.1, 3.0, len(m.data)), m.shape)
+        _check_both_products(m, rng)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_density_one_matrix(dtype):
     """Every cell stored: the case the deleted ``"dense"`` arm was for."""
-    rows, cols = np.divmod(np.arange(6 * 5), 5)
-    m = Csr.from_pairs(rows, cols, (6, 5))
-    assert m.nnz == 30
+    m = Csr.from_rows(np.tile(np.arange(5, dtype=np.int32), (6, 1)), 5)
+    assert len(m.indices) == 30
     x = np.random.default_rng(3).uniform(0, 1e8, 5).astype(dtype)
     data = m.data.astype(dtype)
     out = np.empty(6, dtype=dtype)
@@ -114,39 +186,55 @@ def test_density_one_matrix(dtype):
 
 
 def test_matvec_checks_the_lengths_the_kernel_does_not():
-    m = Csr.from_pairs([0, 1], [1, 0], (2, 3))
+    m = Csr.from_rows([[1], [0]], 3)
     with pytest.raises(ValueError, match="got 2 inputs, 2 outputs, 2 values"):
         m.matvec(np.ones(2), np.empty(2))
     with pytest.raises(ValueError, match="got 3 inputs, 3 outputs, 2 values"):
         m.matvec(np.ones(3), np.empty(3))
     with pytest.raises(ValueError, match="got 3 inputs, 2 outputs, 1 values"):
         m.matvec(np.ones(3), np.empty(2), np.ones(1))
+    # The transposed product swaps the two lengths, nothing else.
+    with pytest.raises(ValueError, match="got 3 inputs, 2 outputs, 2 values"):
+        m.rmatvec(np.ones(3), np.empty(2))
+    with pytest.raises(ValueError, match="got 2 inputs, 3 outputs, 1 values"):
+        m.rmatvec(np.ones(2), np.empty(3), np.ones(1))
     with pytest.raises(ValueError, match="only vectors"):
         m @ np.ones((3, 1))
     # An output too narrow for the operands is the kernel's own error.
-    with pytest.raises(ValueError, match="Output dtype"):
-        m.matvec(np.ones(3), np.empty(2, dtype=np.float32))
-
-
-@pytest.mark.parametrize("rows, cols", [
-    ([0, 2], [0, 0]), ([0, -1], [0, 0]), ([0, 1], [0, 3]), ([0], [0, 1])])
-def test_from_pairs_rejects_pairs_outside_the_shape(rows, cols):
-    with pytest.raises(ValueError, match="do not fit shape"):
-        Csr.from_pairs(rows, cols, (2, 3))
+    for product, n_in, n_out in ((m.matvec, 3, 2), (m.rmatvec, 2, 3)):
+        with pytest.raises(ValueError, match="Output dtype"):
+            product(np.ones(n_in), np.empty(n_out, dtype=np.float32))
 
 
 def test_empty_network_finalizes_and_steps():
-    """No connections: ``(L, 0)`` matrices, zero traffic, idle switches."""
+    """No connections: ``(0, L)`` tables, zero traffic, idle switches."""
     net = FluidNetwork(FatTree(4))
     net.finalize()
-    assert net.routing.shape == (net.n_links, 0)
-    assert net.routing_t.shape == (0, net.n_links)
-    assert net.host_incidence.shape == (16, 0)
+    assert net.paths.shape == (0, net.n_links)
+    assert net.hosts.shape == (0, 16)
     assert not net.host_subflow_count.any()
     result = FluidSimulation(net, dt=0.01, seed=1).run(0.1)
     assert result.aggregate_goodput_bps == 0.0
     assert result.host_energy_j == 0.0 and result.switch_energy_j > 0.0
     assert not result.mean_utilization.any()
+
+
+# ------------------------------------------------------- what a build costs
+
+#: Bytes per path hop a k=8 x 8 fabric build (topology included) may keep /
+#: may reach under ``tracemalloc``.  Exact counts: 58.9 / 75.2 with the one
+#: path table; 71.0 / 111.7 when ``finalize()`` sorted (link, subflow) pairs
+#: into two matrices plus a host-major incidence.
+_RETAINED_BYTES_PER_HOP = 64.0
+_PEAK_BYTES_PER_HOP = 90.0
+
+
+def test_fabric_build_memory_per_path_hop():
+    retained, peak = fluid_build_footprint(8)  # 8 subflows a connection
+    hops = 5558
+    assert len(fluid_largescale_network(8).paths.indices) == hops
+    assert retained / hops < _RETAINED_BYTES_PER_HOP
+    assert peak / hops < _PEAK_BYTES_PER_HOP
 
 
 # ------------------------------------------------------------------ the loader

@@ -20,11 +20,14 @@ Three contracts from PR 10 are pinned here:
   size threshold, and invalid values are rejected.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.fluidsim.engine as engine_mod
+import repro.obs as obs
 from repro.errors import ConfigurationError, EquilibriumError, ModelError
 from repro.fluidsim import (
     FluidNetwork,
@@ -161,6 +164,39 @@ def test_non_converged_solve_returns_result_not_raise():
     assert not eq.converged
     assert eq.iterations == 3
     assert eq.residual >= 1e-3
+
+
+def test_solver_explains_a_stall_through_obs():
+    """ROADMAP item 6: a non-converging solve says why.  Two hundred reno
+    flows over one two-link path with one-packet buffers offer more than
+    the links can shed at the price ceiling, so both sit pinned there; the
+    two reverse links carry nothing and stay at the floor."""
+    from tests.test_fluidsim import tiny_topology
+
+    net = FluidNetwork(tiny_topology(), buffer_packets=1)
+    for _ in range(200):
+        net.add_connection("a", "b", "reno", n_subflows=1)
+    net.finalize()
+    with obs.session() as session:
+        eq = solve_fluid_equilibrium(net)
+    signals = session.registry.snapshot()
+    assert not eq.converged
+    assert signals["fluid.equilibrium.ceiling_links"] == 2
+    assert signals["fluid.equilibrium.iterations"] == eq.iterations == 400
+    assert signals["fluid.equilibrium.residual_capacity"] == eq.residual_capacity > 1
+    assert signals["fluid.equilibrium.residual_window"] == eq.residual_window
+    assert signals["fluid.equilibrium.floor_bound_subflows"] == 0
+    json.dumps(signals)  # plain numbers: a manifest can carry them
+
+    # A solve that converges pins nothing, and iterations accumulate.
+    with obs.session() as session:
+        first = solve_fluid_equilibrium(_build_net(5, ["lia", "lia"], 2))
+        second = solve_fluid_equilibrium(_build_net(5, ["lia", "lia"], 2))
+    signals = session.registry.snapshot()
+    assert signals["fluid.equilibrium.ceiling_links"] == 0
+    assert signals["fluid.equilibrium.iterations"] == first.iterations + second.iterations
+    assert signals["fluid.equilibrium.floor_bound_subflows"] == int(
+        np.count_nonzero(second.w <= 1.0))
 
 
 # --------------------------------------------------------------- typed errors

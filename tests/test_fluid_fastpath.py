@@ -170,14 +170,14 @@ def _tiny_dense_net() -> FluidNetwork:
     net = FluidNetwork(tiny_topology())
     net.add_connection("a", "b", "lia", n_subflows=1)
     net.finalize()
-    assert net.routing.nnz / (net.n_links * net.n_subflows) > 0.25
+    assert len(net.paths.indices) / (net.n_links * net.n_subflows) > 0.25
     return net
 
 
 def _weighted_net() -> FluidNetwork:
     """A stored routing weight forced to 2.0 (a path repeating a link)."""
     net = _build_net(1, ["lia", "dctcp"], 2)
-    net.routing.data[0] = 2.0
+    net.paths.data[0] = 2.0
     return net
 
 

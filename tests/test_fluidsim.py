@@ -176,7 +176,7 @@ class TestFluidNetwork:
         net.add_connection("a", "b", "lia", n_subflows=1)
         net.finalize()
         assert net.n_subflows == 1
-        assert net.routing.shape == (4, 1)
+        assert net.paths.shape == (1, 4)
         assert net.base_rtt[0] == pytest.approx(0.008)
 
     def test_add_after_finalize_rejected(self):
@@ -273,10 +273,10 @@ class TestFluidNetwork:
                                    path_pool=8,
                                    algorithm_kwargs={"kappa": 1e-4})
         by_hand.finalize()
-        assert built.routing.shape == by_hand.routing.shape
+        assert built.paths.shape == by_hand.paths.shape
         for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(built.routing, part),
-                                  getattr(by_hand.routing, part))
+            assert np.array_equal(getattr(built.paths, part),
+                                  getattr(by_hand.paths, part))
         assert np.array_equal(built.base_rtt, by_hand.base_rtt)
         assert [(c.src, c.dst) for c in built.connections] == [
             (c.src, c.dst) for c in by_hand.connections]
@@ -474,7 +474,8 @@ class TestPowerEvaluator:
         x = np.full(net.n_subflows, mbps(rate_mbps))
         rtts = np.full(net.n_subflows, rtt)
         want = sum(model.path_model.power(x[s], rtts[s])
-                   for s in net.host_incidence.indices)
+                   for s in np.repeat(np.arange(net.n_subflows),
+                                      np.diff(net.hosts.indptr)))
         got = power.host_power_now(x, rtts) - power.host_static_w
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -493,7 +494,7 @@ class TestPowerEvaluator:
         x, rtts = np.full(net.n_subflows, mbps(5)), np.full(net.n_subflows, 0.02)
         flat = PowerEvaluator(net, HostPowerModel(path_model=Flat()), SwitchPowerModel())
         assert flat.host_power_now(x, rtts) - flat.host_static_w == pytest.approx(
-            len(net.host_incidence.indices))
+            len(net.hosts.indices))
         assert HostPowerModel(path_model=Step()).single_path_power(mbps(5), 0.02) > 20
         step = PowerEvaluator(net, HostPowerModel(path_model=Step()), SwitchPowerModel())
         with pytest.raises(ConfigurationError, match="Step.*cannot take arrays"):
