@@ -11,6 +11,7 @@ mirrored here.
 import math
 
 exp = math.exp
+sqrt = math.sqrt
 minimum = min
 maximum = max
 power = pow

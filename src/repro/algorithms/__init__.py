@@ -1,22 +1,26 @@
 """Congestion-control algorithms: kernel baselines plus the paper's DTS.
 
-Every algorithm but DWC (:data:`PACKET_ONLY`) exists in two coordinated
-forms that resolve names through this module's registry and aliases:
+Each loss-based algorithm states its per-ACK increase — Section IV's
+``psi_r`` in the form a sender applies it — once, as a pure function
+beside its controller (``reno_increase``, ``ewtcp_increase``,
+``coupled_increase``, ``lia_increase``, ``olia_increase``,
+``balia_increase``, ``ecmtcp_increase``, ``dts_increase``) taking ``w``,
+``rtt`` and the connection aggregates as plain arguments:
 
-1. a packet-level per-ACK controller in this subpackage (used by
-   :mod:`repro.net` and by the live :mod:`repro.transport.server`), and
-2. a vectorized fluid adapter in :mod:`repro.fluidsim.adapters` (what
-   :mod:`repro.fluidsim` steps).
+1. the per-ACK controller here (what :mod:`repro.net` and the live
+   :mod:`repro.transport.server` run) calls it with floats,
+2. the batch engine's vector rounds and the fluid adapters
+   (:mod:`repro.fluidsim.adapters`, every name but :data:`PACKET_ONLY`)
+   call it with arrays.
 
-:mod:`repro.core.model` states the same rules a third time, as the
-``psi/beta/phi`` decompositions of Eq. 3 the analysis code integrates;
-``tests/test_model.py`` holds the three to one per-ACK increase.
+:mod:`repro.core.model` keeps the ``psi/beta/phi`` decompositions of Eq. 3
+as the paper prints them, for the analysis code; ``tests/test_model.py``
+compares the rules against them.
 
-Everything here is scalar arithmetic on the standard library: a
-controller is a handful of float operations per ACK, which is what lets a
-``repro serve`` process run without numpy (DESIGN.md §8).  The batch
-engine's vector rounds call the same ``dts_increase`` / ``lia_increase``
-bodies on arrays.
+Everything here is scalar arithmetic on the standard library (a rule that
+needs ``sqrt`` or ``minimum`` takes its namespace ``xp``: ``numpy`` from
+an engine, :mod:`repro._scalar` from ``on_ack``), which is what lets a
+``repro serve`` process run without numpy (DESIGN.md §8).
 
 Use :func:`create_controller` to instantiate by name.
 """
@@ -25,17 +29,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from repro.algorithms.balia import BaliaController
+from repro.algorithms.balia import BaliaController, balia_increase
 from repro.algorithms.base import MIN_CWND, CongestionController
-from repro.algorithms.coupled import CoupledController
+from repro.algorithms.coupled import CoupledController, coupled_increase
 from repro.algorithms.dctcp import DctcpController
-from repro.algorithms.dts import DtsController, ExtendedDtsController
+from repro.algorithms.dts import DtsController, ExtendedDtsController, dts_increase
 from repro.algorithms.dwc import DwcController
-from repro.algorithms.ecmtcp import EcmtcpController
-from repro.algorithms.ewtcp import EwtcpController
-from repro.algorithms.lia import LiaController
-from repro.algorithms.olia import OliaController
-from repro.algorithms.reno import RenoController
+from repro.algorithms.ecmtcp import EcmtcpController, ecmtcp_increase
+from repro.algorithms.ewtcp import EwtcpController, ewtcp_increase
+from repro.algorithms.lia import LiaController, lia_increase
+from repro.algorithms.olia import OliaController, olia_increase
+from repro.algorithms.reno import RenoController, reno_increase
 from repro.algorithms.wvegas import WvegasController
 from repro.errors import AlgorithmError
 
@@ -112,6 +116,14 @@ __all__ = [
     "RenoController",
     "WvegasController",
     "algorithm_names",
+    "balia_increase",
+    "coupled_increase",
     "create_controller",
+    "dts_increase",
+    "ecmtcp_increase",
+    "ewtcp_increase",
+    "lia_increase",
+    "olia_increase",
+    "reno_increase",
     "resolve_algorithm",
 ]

@@ -19,6 +19,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
 
 
+def balia_psi(alpha):
+    """``psi_r`` at ``alpha_r = max_k x_k / x_r``."""
+    return ((1 + alpha) / 2) * ((4 + alpha) / 5)
+
+
+def balia_increase(w, rtt, max_rate, total_rate):
+    """The per-ACK increase ``psi_r w_r / (RTT_r^2 (sum_k x_k)^2)``, given
+    ``max_k x_k`` and ``sum_k x_k`` over the connection."""
+    psi = balia_psi(max_rate / (w / rtt))
+    return psi * w / (rtt * rtt * total_rate * total_rate)
+
+
 class BaliaController(CongestionController):
     """Balanced linked adaptation increase/decrease."""
 
@@ -30,12 +42,10 @@ class BaliaController(CongestionController):
 
     def psi(self, sf: "TcpSender") -> float:
         """The traffic-shifting parameter psi_r at the current state."""
-        a = self._alpha(sf)
-        return ((1 + a) / 2) * ((4 + a) / 5)
+        return balia_psi(self._alpha(sf))
 
     def on_ack(self, sf: "TcpSender") -> None:
-        total_rate = self.total_rate()
-        sf.cwnd += self.psi(sf) * sf.cwnd / (sf.rtt * sf.rtt * total_rate * total_rate)
+        sf.cwnd += balia_increase(sf.cwnd, sf.rtt, self.max_rate(), self.total_rate())
 
     def on_loss(self, sf: "TcpSender") -> None:
         a = self._alpha(sf)

@@ -13,9 +13,10 @@ increase of ``delta`` on subflow r contributes ``delta * x_r / RTT_r`` to
     delta_r = psi_r(x) * w_r / (RTT_r^2 * (sum_k x_k)^2)
 
 with rates ``x_k = w_k / RTT_k`` in segments/second. Each concrete algorithm
-documents its ``psi_r`` next to its per-ACK rule; the matching vectorized
-decomposition lives in :mod:`repro.core.model`, and consistency between the
-two is covered by tests.
+documents its ``psi_r`` next to its per-ACK rule — one pure function beside
+the controller that ``on_ack``, the batch engine and the fluid adapters all
+call; the decomposition as the paper prints it lives in
+:mod:`repro.core.model`, and tests hold the rule to it.
 """
 
 from __future__ import annotations

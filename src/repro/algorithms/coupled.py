@@ -17,6 +17,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
 
 
+def coupled_increase(w, total_window):
+    """The per-ACK increase ``w_r / (sum_k w_k)^2``."""
+    return w / (total_window * total_window)
+
+
 class CoupledController(CongestionController):
     """Fully coupled: +w_r/(sum w)^2 per ACK; halve the total window on loss,
     taking the whole decrease out of the losing subflow (bounded below)."""
@@ -24,8 +29,7 @@ class CoupledController(CongestionController):
     name: ClassVar[str] = "coupled"
 
     def on_ack(self, sf: "TcpSender") -> None:
-        total_w = self.total_window()
-        sf.cwnd += sf.cwnd / (total_w * total_w)
+        sf.cwnd += coupled_increase(sf.cwnd, self.total_window())
 
     def on_loss(self, sf: "TcpSender") -> None:
         total_w = self.total_window()

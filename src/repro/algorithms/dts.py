@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, ClassVar
 
 from repro import _scalar
 from repro.algorithms.base import MIN_CWND, CongestionController
+from repro.algorithms.olia import olia_coupled_term
 from repro.core.dts import DtsFactorConfig
 from repro.core.energy_price import EnergyPriceConfig, path_price
 
@@ -44,14 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
 
 
-def dts_increase(cwnd, rtt, psi, total_rate):
-    """The window after one ACK: ``w + psi * (w/RTT^2) / (sum_k x_k)^2``.
+def dts_increase(w, rtt, psi, total_rate):
+    """The per-ACK increase ``psi * (w/RTT^2) / (sum_k x_k)^2``.
 
     Plain arithmetic, so floats and arrays take the same body and one
     array lane is bit-identical to one :meth:`DtsController.on_ack`.
     """
-    coupled = (cwnd / (rtt * rtt)) / (total_rate * total_rate)
-    return cwnd + psi * coupled
+    return psi * olia_coupled_term(w, rtt, total_rate)
 
 
 class DtsController(CongestionController):
@@ -74,7 +74,7 @@ class DtsController(CongestionController):
         return self.c * self.epsilon(sf)
 
     def on_ack(self, sf: "TcpSender") -> None:
-        sf.cwnd = dts_increase(sf.cwnd, sf.rtt, self.psi(sf), self.total_rate())
+        sf.cwnd += dts_increase(sf.cwnd, sf.rtt, self.psi(sf), self.total_rate())
 
     def on_loss(self, sf: "TcpSender") -> None:
         sf.cwnd = max(MIN_CWND, sf.cwnd / 2)

@@ -26,20 +26,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
 
 
+def ecmtcp_increase(rtt, n, min_rtt, total_window):
+    """The per-ACK increase ``RTT_r / (n min_k RTT_k sum_k w_k)``."""
+    return rtt / (n * min_rtt * total_window)
+
+
 class EcmtcpController(CongestionController):
     """Energy-aware coupled increases (Section IV decomposition)."""
 
     name: ClassVar[str] = "ecmtcp"
 
-    def _energy_cost(self, sf: "TcpSender") -> float:
-        """Per-path energy cost proxy: RTT per smoothed delivery (lossier,
-        slower paths cost more energy per useful segment). Exposed for
-        inspection and tests; the increase rule embodies the shifting."""
-        return sf.rtt * max(sf.loss_events, 1)
-
     def on_ack(self, sf: "TcpSender") -> None:
-        delta = sf.rtt / (self.n_subflows * self.min_rtt() * self.total_window())
-        sf.cwnd += delta
+        sf.cwnd += ecmtcp_increase(sf.rtt, self.n_subflows, self.min_rtt(),
+                                   self.total_window())
 
     def on_loss(self, sf: "TcpSender") -> None:
         sf.cwnd = max(MIN_CWND, sf.cwnd / 2)

@@ -7,13 +7,18 @@ each subflow runs Reno scaled by a fixed weight, with no traffic shifting.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, ClassVar
 
+from repro import _scalar
 from repro.algorithms.base import MIN_CWND, CongestionController
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
+
+
+def ewtcp_increase(xp, w, n):
+    """The per-ACK increase ``a/w`` with ``a = 1/sqrt(n)`` on ``n`` subflows."""
+    return (1.0 / xp.sqrt(n)) / w
 
 
 class EwtcpController(CongestionController):
@@ -22,8 +27,7 @@ class EwtcpController(CongestionController):
     name: ClassVar[str] = "ewtcp"
 
     def on_ack(self, sf: "TcpSender") -> None:
-        weight = 1.0 / math.sqrt(self.n_subflows)
-        sf.cwnd += weight / sf.cwnd
+        sf.cwnd += ewtcp_increase(_scalar, sf.cwnd, self.n_subflows)
 
     def on_loss(self, sf: "TcpSender") -> None:
         sf.cwnd = max(MIN_CWND, sf.cwnd / 2)

@@ -11,7 +11,8 @@ than Reno on any one path). LIA is TCP-friendly by construction
 Fig. 6 experiment exposes against OLIA.
 
 The increase is :func:`lia_increase`, written once: ``on_ack`` calls it
-with floats, the batch engine's vector rounds with arrays.
+with floats, the batch engine's vector rounds and the fluid adapter with
+arrays.
 """
 
 from __future__ import annotations
@@ -25,15 +26,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
 
 
-def lia_increase(xp, cwnd, best_rate, total_rate):
-    """The window after one ACK: ``w + min(best / (sum_k x_k)^2, 1/w)``.
+def lia_increase(xp, w, best_rate, total_rate):
+    """The per-ACK increase ``min(best / (sum_k x_k)^2, 1/w)``.
 
     ``best_rate`` is ``max_k w_k/RTT_k^2`` and ``total_rate`` is
     ``sum_k w_k/RTT_k`` over the connection; one array lane over ``xp`` is
     bit-identical to one :meth:`LiaController.on_ack`.
     """
-    alpha = best_rate / (total_rate * total_rate)
-    return cwnd + xp.minimum(alpha, 1.0 / cwnd)
+    return xp.minimum(best_rate / (total_rate * total_rate), 1.0 / w)
 
 
 class LiaController(CongestionController):
@@ -43,7 +43,7 @@ class LiaController(CongestionController):
 
     def on_ack(self, sf: "TcpSender") -> None:
         best = max(s.cwnd / (s.rtt * s.rtt) for s in self.subflows)
-        sf.cwnd = lia_increase(_scalar, sf.cwnd, best, self.total_rate())
+        sf.cwnd += lia_increase(_scalar, sf.cwnd, best, self.total_rate())
 
     def on_loss(self, sf: "TcpSender") -> None:
         sf.cwnd = max(MIN_CWND, sf.cwnd / 2)

@@ -16,6 +16,11 @@ hold the *largest* windows:
 - paths in M (largest-window) get ``alpha_r = -1/(n |M|)`` when B\\M is
   non-empty,
 - everything else gets 0.
+
+:func:`olia_coupled_term` and :func:`olia_increase` are each written once:
+``on_ack`` calls them with floats, the fluid adapter with arrays.  What the
+two hosts do *not* share is ``alpha_r`` itself: the sender estimates path
+quality from inter-loss intervals, the fluid engine from loss rates.
 """
 
 from __future__ import annotations
@@ -26,6 +31,17 @@ from repro.algorithms.base import MIN_CWND, CongestionController
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
+
+
+def olia_coupled_term(w, rtt, total_rate):
+    """Section IV's simplified OLIA, ``psi_r = 1``: the Pareto-optimal
+    coupled term ``(w_r/RTT_r^2) / (sum_k x_k)^2`` that DTS scales."""
+    return (w / (rtt * rtt)) / (total_rate * total_rate)
+
+
+def olia_increase(w, rtt, total_rate, alpha):
+    """The per-ACK increase: the coupled term plus ``alpha_r / w_r``."""
+    return olia_coupled_term(w, rtt, total_rate) + alpha / w
 
 
 class _LossIntervalEstimator:
@@ -100,9 +116,7 @@ class OliaController(CongestionController):
 
     def on_ack(self, sf: "TcpSender") -> None:
         self._loss_intervals[id(sf)].on_ack()
-        total_rate = self.total_rate()
-        coupled = (sf.cwnd / (sf.rtt * sf.rtt)) / (total_rate * total_rate)
-        delta = coupled + self.alpha(sf) / sf.cwnd
+        delta = olia_increase(sf.cwnd, sf.rtt, self.total_rate(), self.alpha(sf))
         sf.cwnd = max(MIN_CWND, sf.cwnd + delta)
 
     def on_loss(self, sf: "TcpSender") -> None:

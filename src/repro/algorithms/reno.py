@@ -10,6 +10,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.flow import TcpSender
 
 
+def reno_increase(w):
+    """The per-ACK increase ``1/w``: one segment per window of ACKs."""
+    return 1.0 / w
+
+
 class RenoController(CongestionController):
     """AIMD: +1/w per ACK in congestion avoidance, halve on loss.
 
@@ -21,7 +26,7 @@ class RenoController(CongestionController):
     name: ClassVar[str] = "reno"
 
     def on_ack(self, sf: "TcpSender") -> None:
-        sf.cwnd += 1.0 / sf.cwnd
+        sf.cwnd += reno_increase(sf.cwnd)
 
     def on_loss(self, sf: "TcpSender") -> None:
         sf.cwnd = max(MIN_CWND, sf.cwnd / 2)

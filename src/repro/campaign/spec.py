@@ -31,7 +31,10 @@ from repro.units import ms
 #: v3: the fluid engine clamps the trailing energy-integration window
 #: (runs whose step count is not a multiple of ``energy_sample_every``
 #: previously overcounted energy), so cached energies may differ.
-SCHEMA_VERSION = 3
+#: v4: the fluid adapters call the per-ACK controllers' increase rules, so
+#: ewtcp / olia / balia / dts fluid results moved in the last ulp.  Bumped
+#: with ``tests/data/run_digests.json``, which records it.
+SCHEMA_VERSION = 4
 
 #: Topologies a RunSpec can name: the paper's datacenter fabrics (fluid
 #: engines), the city-scale fat-tree presets, plus the EC2-style

@@ -71,9 +71,10 @@ class ModelState:
 
 
 def coupled_base(w, rtt, total_rate):
-    """The coupled term ``w_r / (RTT_r^2 (sum_k x_k)^2)`` that ``psi_r``
-    scales into a per-ACK increase — the one body the decompositions
-    below and the fluid adapters share."""
+    """The coupled term ``w_r / (RTT_r^2 (sum_k x_k)^2)`` that a printed
+    ``psi_r`` scales into a per-ACK increase.  Analysis only: the engines
+    run the controllers' own rules (:mod:`repro.algorithms`), which
+    ``tests/test_model.py`` compares against this translation."""
     return w / (rtt * rtt * total_rate * total_rate + _EPS)
 
 

@@ -1,165 +1,97 @@
-"""Vectorized fluid forms of every congestion-control algorithm.
+"""Fluid forms of the congestion-control algorithms, over whole cohorts.
 
-Each adapter exposes the same three quantities the packet-level controllers
-implement, but over whole arrays of subflows (see
-:class:`repro.fluidsim.state.CohortState`):
-
-- :meth:`per_ack_increase` — the congestion-avoidance increase per ACK
-  (segments), i.e. ``psi_r * w_r / (RTT_r^2 (sum_k x_k)^2)`` with the
-  algorithm's Section IV decomposition ``psi_r``;
-- :meth:`loss_decrease_factor` — the multiplicative window factor applied
-  on a loss event (``1 - beta``, 0.5 for most algorithms);
-- :meth:`rate_adjustment` — optional extra ``dw`` per step for dynamics
-  that are not per-ACK-increase shaped (wVegas' per-RTT delay steps,
-  DCTCP's proportional ECN drain, extended DTS' energy-price drain phi_r).
+An adapter hands the stepper and the solver three arrays over a
+:class:`CohortState`: the increase per ACK (they scale it by the ACK rate
+``x_r``), the window factor of a loss event, an optional extra ``dw``.
+For the loss-based algorithms the first *is* the packet controller's
+per-ACK rule: :data:`PER_ACK` gathers its connection aggregates with the
+cohort's user-wise reductions and calls the function ``on_ack`` calls, so
+Section IV's ``psi_r`` has one body.  Written here is only what has no
+per-ACK form (wVegas, DCTCP's ECN drain, the price drain ``phi_r``), two
+decrease factors, and OLIA's ``alpha_r`` off loss rates (docs/ALGORITHMS.md).
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from functools import partial
 from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.algorithms import resolve_algorithm
+from repro import algorithms as cc
 from repro.core.dts import DtsFactorConfig, dts_factor
 from repro.core.energy_price import EnergyPriceConfig, path_price
-from repro.core.model import coupled_base
 from repro.errors import AlgorithmError
 from repro.fluidsim.state import CohortState
 
-_EPS = 1e-12
+
+def _olia_alpha(st: CohortState) -> np.ndarray:
+    """OLIA's ``alpha_r`` with path quality read off the fluid loss rates:
+    l_r ~ 1/loss_r, so quality = l_r^2/RTT_r ~ 1/(loss_r^2 RTT_r)."""
+    alpha = np.zeros_like(st.w)
+    n = st.user_count()
+    multi = n > 1.5
+    if np.any(multi):
+        quality = 1.0 / ((st.loss + 1e-6) ** 2 * st.rtt)
+        is_best = quality >= st.user_max(quality) * (1 - 1e-9)
+        is_max_w = st.w >= st.user_max(st.w) * (1 - 1e-9)
+        collected = is_best & ~is_max_w
+        n_collected = st.user_sum(collected.astype(float))
+        n_max = st.user_sum(is_max_w.astype(float))
+        has_collected = n_collected > 0
+        sel_up = collected & has_collected & multi
+        alpha[sel_up] = 1.0 / (n[sel_up] * n_collected[sel_up])
+        sel_down = is_max_w & has_collected & multi
+        alpha[sel_down] -= 1.0 / (n[sel_down] * n_max[sel_down])
+    return alpha
 
 
-class FluidAlgorithm(ABC):
-    """Vectorized window dynamics for one cohort of subflows."""
+#: The per-ACK increase of each loss-based algorithm: gather the connection
+#: aggregates over the cohort, call the packet controller's rule.
+PER_ACK = {
+    "reno": lambda st: cc.reno_increase(st.w),
+    "ewtcp": lambda st: cc.ewtcp_increase(np, st.w, st.user_count()),
+    "coupled": lambda st: cc.coupled_increase(st.w, st.user_sum(st.w)),
+    "lia": lambda st: cc.lia_increase(
+        np, st.w, st.user_max(st.w / (st.rtt * st.rtt)), st.user_sum(st.x_pkts)),
+    "olia": lambda st: cc.olia_increase(
+        st.w, st.rtt, st.user_sum(st.x_pkts), _olia_alpha(st)),
+    "balia": lambda st: cc.balia_increase(
+        st.w, st.rtt, st.user_max(st.x_pkts), st.user_sum(st.x_pkts)),
+    "ecmtcp": lambda st: cc.ecmtcp_increase(
+        st.rtt, st.user_count(), st.user_min(st.rtt), st.user_sum(st.w)),
+}
+#: The window factor of a loss event, where it is not the halving.
+_DECREASE = {
+    # sum(w)/2 out of the losing subflow, floored at 0.1 of its window
+    "coupled": lambda st: np.clip(1.0 - st.user_sum(st.w) / (2.0 * st.w), 0.1, 1.0),
+    "balia": lambda st: 1.0 - np.minimum(st.user_max(st.x_pkts) / st.x_pkts, 1.5) / 2.0,
+}
 
-    name = "base"
+
+class FluidAlgorithm:
+    """Vectorized window dynamics for one cohort of subflows: as it is, the
+    loss-based algorithm ``name`` — its :data:`PER_ACK` row and nothing
+    else; the subclasses below add what has no per-ACK form."""
+
     #: Whether this algorithm reacts to ECN marks instead of (only) loss.
     uses_ecn = False
 
-    @abstractmethod
+    def __init__(self, name: str):
+        self.name = name
+
     def per_ack_increase(self, st: CohortState) -> np.ndarray:
         """Window increase per ACK, in segments (array over subflows)."""
+        return PER_ACK[self.name](st)
 
     def loss_decrease_factor(self, st: CohortState) -> np.ndarray:
         """Multiplicative factor applied to w on a loss event (default 1/2)."""
-        return np.full_like(st.w, 0.5)
+        decrease = _DECREASE.get(self.name)
+        return np.full_like(st.w, 0.5) if decrease is None else decrease(st)
 
     def rate_adjustment(self, st: CohortState, dt: float) -> np.ndarray:
         """Additional dw for this step (default none)."""
         return np.zeros_like(st.w)
-
-    def _coupled_base(self, st: CohortState) -> np.ndarray:
-        """The shared OLIA-style coupled term w_r/(RTT_r^2 (sum x)^2)."""
-        return coupled_base(st.w, st.rtt, st.user_sum(st.x_pkts))
-
-
-class FluidReno(FluidAlgorithm):
-    """Uncoupled AIMD on every subflow."""
-
-    name = "reno"
-
-    def per_ack_increase(self, st: CohortState) -> np.ndarray:
-        return 1.0 / np.maximum(st.w, 1.0)
-
-
-class FluidEwtcp(FluidAlgorithm):
-    """Equally-weighted Reno: a = 1/sqrt(n)."""
-
-    name = "ewtcp"
-
-    def per_ack_increase(self, st: CohortState) -> np.ndarray:
-        return 1.0 / (np.sqrt(st.user_count()) * np.maximum(st.w, 1.0))
-
-
-class FluidCoupled(FluidAlgorithm):
-    """Fully coupled: w_r / (sum w)^2 with a total-window halving."""
-
-    name = "coupled"
-
-    def per_ack_increase(self, st: CohortState) -> np.ndarray:
-        total_w = st.user_sum(st.w)
-        return st.w / (total_w * total_w + _EPS)
-
-    def loss_decrease_factor(self, st: CohortState) -> np.ndarray:
-        # Decrease sum(w)/2 applied to the losing subflow, expressed as a
-        # factor of that subflow's own window (floored at 0.1 of it).
-        total_w = st.user_sum(st.w)
-        return np.clip(1.0 - total_w / (2.0 * np.maximum(st.w, _EPS)), 0.1, 1.0)
-
-
-class FluidLia(FluidAlgorithm):
-    """RFC 6356 linked increases with the 1/w TCP-friendliness cap."""
-
-    name = "lia"
-
-    def per_ack_increase(self, st: CohortState) -> np.ndarray:
-        best = st.user_max(st.w / (st.rtt * st.rtt))
-        total_x = st.user_sum(st.x_pkts)
-        coupled = best / (total_x * total_x + _EPS)
-        return np.minimum(coupled, 1.0 / np.maximum(st.w, 1.0))
-
-
-class FluidOlia(FluidAlgorithm):
-    """OLIA: psi = 1 coupled term plus the opportunistic alpha_r term.
-
-    Path quality uses the fluid loss rates directly: l_r ~ 1/loss_r, so
-    quality = l_r^2/RTT_r ~ 1/(loss_r^2 RTT_r).
-    """
-
-    name = "olia"
-
-    def per_ack_increase(self, st: CohortState) -> np.ndarray:
-        increase = self._coupled_base(st)
-        n = st.user_count()
-        multi = n > 1.5
-        if np.any(multi):
-            quality = 1.0 / ((st.loss + 1e-6) ** 2 * st.rtt)
-            is_best = quality >= st.user_max(quality) * (1 - 1e-9)
-            is_max_w = st.w >= st.user_max(st.w) * (1 - 1e-9)
-            collected = is_best & ~is_max_w
-            n_collected = st.user_sum(collected.astype(float))
-            n_max = st.user_sum(is_max_w.astype(float))
-            alpha = np.zeros_like(st.w)
-            has_collected = n_collected > 0
-            sel_up = collected & has_collected & multi
-            alpha[sel_up] = 1.0 / (n[sel_up] * n_collected[sel_up])
-            sel_down = is_max_w & has_collected & multi
-            alpha[sel_down] -= 1.0 / (n[sel_down] * n_max[sel_down])
-            increase = increase + alpha / np.maximum(st.w, 1.0)
-        return increase
-
-
-class FluidBalia(FluidAlgorithm):
-    """Balia: psi = ((1+a)/2)((4+a)/5), decrease min(a, 3/2)/2."""
-
-    name = "balia"
-
-    def _alpha(self, st: CohortState) -> np.ndarray:
-        x = st.x_pkts
-        return st.user_max(x) / np.maximum(x, _EPS)
-
-    def per_ack_increase(self, st: CohortState) -> np.ndarray:
-        a = self._alpha(st)
-        psi = ((1.0 + a) / 2.0) * ((4.0 + a) / 5.0)
-        return psi * self._coupled_base(st)
-
-    def loss_decrease_factor(self, st: CohortState) -> np.ndarray:
-        a = self._alpha(st)
-        return 1.0 - np.minimum(a, 1.5) / 2.0
-
-
-class FluidEcmtcp(FluidAlgorithm):
-    """ecMTCP: delta_r = RTT_r / (n * min RTT * sum w)."""
-
-    name = "ecmtcp"
-
-    def per_ack_increase(self, st: CohortState) -> np.ndarray:
-        n = st.user_count()
-        min_rtt = st.user_min(st.rtt)
-        total_w = st.user_sum(st.w)
-        return st.rtt / (n * min_rtt * total_w + _EPS)
 
 
 class FluidWvegas(FluidAlgorithm):
@@ -175,7 +107,7 @@ class FluidWvegas(FluidAlgorithm):
 
     def rate_adjustment(self, st: CohortState, dt: float) -> np.ndarray:
         diff = st.w * st.queueing / st.rtt  # segments queued in the network
-        share = st.x_pkts / np.maximum(st.user_sum(st.x_pkts), _EPS)
+        share = st.x_pkts / np.maximum(st.user_sum(st.x_pkts), 1e-12)
         target = np.maximum(1.0, self.total_alpha * share)
         step = np.where(diff < target, 1.0, np.where(diff > target, -1.0, 0.0))
         return step * dt / st.rtt  # +-1 segment per RTT
@@ -192,7 +124,7 @@ class FluidDctcp(FluidAlgorithm):
         self._alpha: np.ndarray | None = None
 
     def per_ack_increase(self, st: CohortState) -> np.ndarray:
-        return 1.0 / np.maximum(st.w, 1.0)
+        return cc.reno_increase(st.w)
 
     def rate_adjustment(self, st: CohortState, dt: float) -> np.ndarray:
         if self._alpha is None or self._alpha.shape != st.w.shape:
@@ -211,8 +143,7 @@ class FluidDts(FluidAlgorithm):
     name = "dts"
 
     def __init__(self, c: float = 1.0, factor: DtsFactorConfig = DtsFactorConfig()):
-        self.c = c
-        self.factor = factor
+        self.c, self.factor = c, factor
 
     def epsilon(self, st: CohortState) -> np.ndarray:
         """Eq. (5) over the cohort."""
@@ -220,17 +151,14 @@ class FluidDts(FluidAlgorithm):
         return dts_factor(np, st.base_rtt, st.rtt, f.slope, f.center, f.ceiling)
 
     def per_ack_increase(self, st: CohortState) -> np.ndarray:
-        return self.c * self.epsilon(st) * self._coupled_base(st)
+        psi = self.c * self.epsilon(st)
+        return cc.dts_increase(st.w, st.rtt, psi, st.user_sum(st.x_pkts))
 
 
 class FluidExtendedDts(FluidDts):
-    """Extended DTS: adds the energy-price drain phi_r of Eq. (9).
-
-    In the fluid engine the price uses the *actual* queue and hop
-    information (Eq. 6's U_ep), not the end-to-end estimate the packet
-    controller must fall back on: dU_ep/dx_r = rho * switch_hops_r +
-    (number of over-target queues on the path, sensed via queueing delay).
-    """
+    """Extended DTS: adds the energy-price drain phi_r of Eq. (9), priced on
+    the *actual* queue and hop information (Eq. 6's U_ep), not the
+    end-to-end estimate the packet controller must fall back on."""
 
     name = "dts-ext"
 
@@ -242,8 +170,7 @@ class FluidExtendedDts(FluidDts):
 
     def price(self, st: CohortState) -> np.ndarray:
         """dU_ep/dx_r for every subflow."""
-        return path_price(np, self.price_config, st.switch_hops, st.queueing,
-                          st.base_rtt)
+        return path_price(np, self.price_config, st.switch_hops, st.queueing, st.base_rtt)
 
     def rate_adjustment(self, st: CohortState, dt: float) -> np.ndarray:
         # phi_r = kappa x^2 dU/dx in rate units; as a window drain this is
@@ -251,18 +178,10 @@ class FluidExtendedDts(FluidDts):
         return -self.price_config.kappa * self.price(st) * st.w * st.x_pkts * dt
 
 
+#: Derived: the :data:`PER_ACK` rows, then the classes under their ``name``.
 _REGISTRY: Dict[str, Callable[..., FluidAlgorithm]] = {
-    "reno": FluidReno,
-    "ewtcp": FluidEwtcp,
-    "coupled": FluidCoupled,
-    "lia": FluidLia,
-    "olia": FluidOlia,
-    "balia": FluidBalia,
-    "ecmtcp": FluidEcmtcp,
-    "wvegas": FluidWvegas,
-    "dctcp": FluidDctcp,
-    "dts": FluidDts,
-    "dts-ext": FluidExtendedDts,
+    **{name: partial(FluidAlgorithm, name) for name in PER_ACK},
+    **{cls.name: cls for cls in (FluidWvegas, FluidDctcp, FluidDts, FluidExtendedDts)},
 }
 
 
@@ -272,14 +191,9 @@ def fluid_algorithm_names() -> List[str]:
 
 
 def create_fluid_algorithm(name: str, **kwargs) -> FluidAlgorithm:
-    """Instantiate a fluid adapter by name; names and aliases are
-    :func:`repro.algorithms.resolve_algorithm`'s."""
-    key = resolve_algorithm(name)
-    try:
-        factory = _REGISTRY[key]
-    except KeyError:
-        raise AlgorithmError(
-            f"algorithm {key!r} has no fluid form; "
-            f"known: {', '.join(fluid_algorithm_names())}"
-        ) from None
-    return factory(**kwargs)
+    """Instantiate a fluid adapter by :func:`~repro.algorithms.resolve_algorithm` name."""
+    key = cc.resolve_algorithm(name)
+    if key not in _REGISTRY:
+        raise AlgorithmError(f"algorithm {key!r} has no fluid form; "
+                             f"known: {', '.join(fluid_algorithm_names())}")
+    return _REGISTRY[key](**kwargs)

@@ -171,7 +171,7 @@ def solve_fluid_equilibrium(
     to time-stepped integration when it is False).  Raises
     :class:`~repro.errors.EquilibriumError` for structurally invalid
     input: an unfinalized or empty network, an unsupported algorithm,
-    or non-positive solver parameters.
+    non-positive solver parameters, or ``initial_window`` below one segment.
     """
     if net.base_rtt is None:
         raise EquilibriumError("finalize() the FluidNetwork before solving")
@@ -181,10 +181,13 @@ def solve_fluid_equilibrium(
     for name, value in (("max_iter", max_iter), ("tol", tol),
                         ("damping", damping), ("price_gain", price_gain),
                         ("queue_ramp", queue_ramp),
-                        ("initial_price", initial_price),
-                        ("initial_window", initial_window)):
+                        ("initial_price", initial_price)):
         if value <= 0:
             raise EquilibriumError(f"{name} must be positive, got {value}")
+    if initial_window < 1:
+        # The stepper's floor: no rule is ever shown less than one segment.
+        raise EquilibriumError(
+            f"initial_window must be >= 1 segment, got {initial_window}")
     unsupported = sorted(
         cohort.algorithm.name for cohort in net.cohorts
         if not equilibrium_supported(cohort.algorithm)

@@ -370,14 +370,14 @@ class BatchEngine:
                 for kk in range(1, n_slots):
                     tot = tot + cw_full[:, kk] / reff[:, kk]
                 if kind_code == _KIND_DTS:
-                    grown = dts_increase(cw, reff[:, k], psi, tot)
+                    grown = cw + dts_increase(cw, reff[:, k], psi, tot)
                 else:
                     best = cw_full[:, 0] / (reff[:, 0] * reff[:, 0])
                     for kk in range(1, n_slots):
                         best = np.maximum(
                             best, cw_full[:, kk] / (reff[:, kk] * reff[:, kk])
                         )
-                    grown = lia_increase(np, cw, best, tot)
+                    grown = cw + lia_increase(np, cw, best, tot)
                 cw = np.where(ca, grown, cw)
             if ss is not None and maybe_ss:
                 cw_ss = cw + 1.0

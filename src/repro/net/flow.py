@@ -214,15 +214,6 @@ class TcpSender(SenderState):
 
     # ------------------------------------------------------- sending engine
 
-    def _effective_window(self) -> int:
-        return _core.effective_window(self)
-
-    def _next_hole(self) -> int:
-        return _core.next_hole(self)
-
-    def _send_available(self) -> None:
-        _core.send_available(self)
-
     def _send_segment(self, seq: int, *, is_retransmit: bool) -> None:
         pkt = self._pool.data(
             self.flow_id,
@@ -253,33 +244,6 @@ class TcpSender(SenderState):
             packet.echo_time,
             self.now(),
         )
-
-    def _take_rtt_sample(self, packet: Packet) -> None:
-        _core.take_rtt_sample(self, self.now(), packet.echo_time)
-
-    def _handle_new_ack(self, ack_seq: int) -> None:
-        _core.handle_new_ack(self, ack_seq)
-
-    def _exit_recovery(self) -> None:
-        _core.exit_recovery(self)
-
-    def _grow_window(self, newly_acked: int) -> None:
-        _core.grow_window(self, newly_acked)
-
-    def _hystart_check(self) -> None:
-        _core.hystart_check(self)
-
-    def _handle_dup_ack(self) -> None:
-        _core.handle_dup_ack(self)
-
-    def _enter_fast_recovery(self) -> None:
-        _core.enter_fast_recovery(self)
-
-    def _hole_is_lost(self, seq: int) -> bool:
-        return _core.hole_is_lost(self, seq)
-
-    def _compute_pipe(self) -> int:
-        return _core.compute_pipe(self)
 
     # ---------------------------------------------------------------- timers
 
@@ -323,9 +287,6 @@ class TcpSender(SenderState):
             return
         self._rto_deadline = _INF
         self._on_rto()
-
-    def _on_rto(self) -> None:
-        _core.on_rto_expired(self)
 
     # ------------------------------------------------------------- reporting
 

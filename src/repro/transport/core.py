@@ -36,7 +36,8 @@ is_retransmit=...)``      and transmits it, the sans-IO host appends a
 Transitions dispatch internal steps through the host's bound methods
 (``s._handle_new_ack(...)`` rather than the module function) so per-instance
 instrumentation — :class:`~repro.net.trace.FlowTracer` wraps exactly those
-methods — keeps working on both hosts.
+methods — keeps working on both hosts; :class:`SenderState` carries those
+eleven hops once for both.
 
 Nothing in this module imports the simulator, asyncio, or sockets; the
 only dependencies are error types and unit constants.
@@ -199,14 +200,47 @@ class SenderState:
         return self.high_water - self.acked - len(self._sacked)
 
     @property
-    def rate_estimate(self) -> float:
-        """Current window-based send-rate estimate x_r = w_r/RTT_r (segments/s)."""
-        return self.cwnd / self.rtt
-
-    @property
     def done(self) -> bool:
         """True once the shared transfer has fully completed."""
         return self.supply.completed  # type: ignore[attr-defined]
+
+    # --------------------------------------------- transition dispatchers
+    # Bound-method hops to the transition functions below, stated once for
+    # both hosts: a per-instance wrapper (FlowTracer-style instrumentation)
+    # on either one intercepts every internal step.
+
+    def _send_available(self) -> None:
+        send_available(self)
+
+    def _next_hole(self) -> int:
+        return next_hole(self)
+
+    def _handle_new_ack(self, ack_seq: int) -> None:
+        handle_new_ack(self, ack_seq)
+
+    def _handle_dup_ack(self) -> None:
+        handle_dup_ack(self)
+
+    def _enter_fast_recovery(self) -> None:
+        enter_fast_recovery(self)
+
+    def _exit_recovery(self) -> None:
+        exit_recovery(self)
+
+    def _grow_window(self, newly_acked: int) -> None:
+        grow_window(self, newly_acked)
+
+    def _hystart_check(self) -> None:
+        hystart_check(self)
+
+    def _hole_is_lost(self, seq: int) -> bool:
+        return hole_is_lost(self, seq)
+
+    def _compute_pipe(self) -> int:
+        return compute_pipe(self)
+
+    def _on_rto(self) -> None:
+        on_rto_expired(self)
 
 
 # --------------------------------------------------------- pipe accounting
@@ -720,42 +754,6 @@ class SenderCore(SenderState):
         """Re-fill the window (e.g. after the supply gained data)."""
         self._send_available()
 
-    # --------------------------------------------- transition dispatchers
-    # Bound-method hops so per-instance wrappers (FlowTracer-style
-    # instrumentation) intercept on this host exactly as on TcpSender.
-
-    def _send_available(self) -> None:
-        send_available(self)
-
-    def _next_hole(self) -> int:
-        return next_hole(self)
-
-    def _handle_new_ack(self, ack_seq: int) -> None:
-        handle_new_ack(self, ack_seq)
-
-    def _handle_dup_ack(self) -> None:
-        handle_dup_ack(self)
-
-    def _enter_fast_recovery(self) -> None:
-        enter_fast_recovery(self)
-
-    def _exit_recovery(self) -> None:
-        exit_recovery(self)
-
-    def _grow_window(self, newly_acked: int) -> None:
-        grow_window(self, newly_acked)
-
-    def _hystart_check(self) -> None:
-        hystart_check(self)
-
-    def _hole_is_lost(self, seq: int) -> bool:
-        return hole_is_lost(self, seq)
-
-    def _compute_pipe(self) -> int:
-        return compute_pipe(self)
-
-    def _on_rto(self) -> None:
-        on_rto_expired(self)
 
 
 class ReceiverCore(ReceiverState):

@@ -447,15 +447,16 @@ def test_accepted_params_are_parameters_the_engines_have():
 
 
 def test_spec_hashes_survive_the_retired_engine_options():
-    """Content hashes recorded before ISSUE 15 (cached results stay
-    valid: SCHEMA_VERSION is still 3)."""
-    assert spec_mod.SCHEMA_VERSION == 3
+    """Content hashes are a function of the spec and SCHEMA_VERSION alone:
+    re-recorded when ISSUE 23 bumped it to 4 (the fluid digests moved in
+    the last ulp, so results cached under 3 must miss)."""
+    assert spec_mod.SCHEMA_VERSION == 4
     assert spec_mod.KNOWN_ENGINES == ("fluid", "fluid-equilibrium",
                                       "packet-batch")
     recorded = {
-        "fluid": "22a2f502067a2fe3b0c5d62845d14e45edee73ae0eb3d0948b2c848997536593",
-        "fluid-equilibrium": "aeb1d52ad008af92f2de483f03e2d5058a3ea2fb75d0ae763060966fba579d15",
-        "packet-batch": "4fe1c2d8b08ff346fbe950c1c3427fc1aa06684bd40b7d066203e72b3dc41cd5",
+        "fluid": "440ee15ca2984aeeac9cdd0d09077121e27b212dce7a216166d2f7ea19311f60",
+        "fluid-equilibrium": "8145008a32930debdacb83db2bdef6666608e2ab8bbb4228420987be8cc9ed37",
+        "packet-batch": "a1a551adc9eb6396651fe25ad6cc017794b9ec18c2b00420cc009202433ae39d",
     }
     for engine, digest in recorded.items():
         assert RunSpec(**ENGINE_POINTS[engine]).content_hash() == digest

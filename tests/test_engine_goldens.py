@@ -161,9 +161,13 @@ CASES = {
 }
 
 
-def compute(key: str) -> str:
+def payload(key: str):
     fn, args = CASES[key]
-    return digest(fn(*args))
+    return fn(*args)
+
+
+def compute(key: str) -> str:
+    return digest(payload(key))
 
 
 # -------------------------------------------------------------------- tests

@@ -234,6 +234,44 @@ def test_nonpositive_solver_params_raise(param):
         solve_fluid_equilibrium(net, **{param: 0})
 
 
+def test_sub_segment_initial_window_raises():
+    net = _build_net(1, ["lia"], 1)
+    with pytest.raises(EquilibriumError, match="initial_window must be >= 1"):
+        solve_fluid_equilibrium(net, initial_window=0.5)
+
+
+def test_no_rule_is_ever_shown_less_than_a_segment_or_no_rate(monkeypatch):
+    """The stepper floors ``w`` at 1 every step and the solver clips to
+    ``[1, 1e7]``, so a per-ACK rule never sees ``w < 1`` nor
+    ``sum_k x_k <= 0`` — why the fluid adapters carry no ``max(w, 1)`` /
+    ``+ eps`` guards around the controllers' rules."""
+    from repro.fluidsim import adapters
+
+    seen = {"calls": 0, "min_w": np.inf, "min_total_x": np.inf}
+
+    def watching(method):
+        def watched(self, st):
+            seen["calls"] += 1
+            seen["min_w"] = min(seen["min_w"], float(st.w.min()))
+            seen["min_total_x"] = min(seen["min_total_x"],
+                                      float(st.user_sum(st.x_pkts).min()))
+            return method(self, st)
+        return watched
+
+    for cls in (adapters.FluidAlgorithm, adapters.FluidDts):
+        monkeypatch.setattr(cls, "per_ack_increase",
+                            watching(cls.per_ack_increase))
+    # A congested, lossy stepper run from the floor, then the solver from it.
+    stepped = FluidSimulation(_build_net(3, SUPPORTED * 3, 2), dt=0.004, seed=3,
+                              initial_window=1.0).run(3.0)
+    assert stepped.loss_events.sum() > 0
+    calls = seen["calls"]
+    solve_fluid_equilibrium(_build_net(3, SUPPORTED * 3, 2), initial_window=1.0)
+    assert 0 < calls < seen["calls"]
+    assert seen["min_w"] >= 1.0
+    assert seen["min_total_x"] > 0.0
+
+
 def test_equilibrium_error_is_a_model_error():
     assert issubclass(EquilibriumError, ModelError)
 

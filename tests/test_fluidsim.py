@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.olia import olia_coupled_term
 from repro.core.model import ModelState, decomposition
 from repro.energy.cpu import (
     HostPowerModel,
@@ -19,6 +20,7 @@ from repro.fluidsim import (
     create_fluid_algorithm,
     fluid_algorithm_names,
 )
+from repro.fluidsim.adapters import PER_ACK
 from repro.fluidsim.state import CohortState
 from repro.topology import Ec2Cloud, FatTree
 from repro.topology.base import DcTopology
@@ -83,8 +85,14 @@ class TestAdapters:
     def test_names_and_aliases_are_the_packet_tiers(self):
         from repro.algorithms import PACKET_ONLY, algorithm_names
 
+        # Derived, not listed: the per-ACK table's rows plus the classes
+        # that add a rate adjustment, each under the name it reports.
         assert set(fluid_algorithm_names()) == (
             set(algorithm_names()) - PACKET_ONLY)
+        assert set(PER_ACK) == set(fluid_algorithm_names()) - {
+            "dts", "dts-ext", "wvegas", "dctcp"}
+        for name in fluid_algorithm_names():
+            assert create_fluid_algorithm(name).name == name
         for alias, name in [("NewReno", "reno"), ("extended-dts", "dts-ext"),
                             ("mptcp", "lia")]:
             assert create_fluid_algorithm(alias).name == name
@@ -111,9 +119,8 @@ class TestAdapters:
     def test_olia_adds_alpha_term(self):
         # Path 1 is best (lower loss) but has the smaller window.
         st = cohort_state([10, 20], [0.05, 0.05], loss=[0.001, 0.05])
-        olia = create_fluid_algorithm("olia")
-        inc = olia.per_ack_increase(st)
-        coupled = olia._coupled_base(st)
+        inc = create_fluid_algorithm("olia").per_ack_increase(st)
+        coupled = olia_coupled_term(st.w, st.rtt, st.user_sum(st.x_pkts))
         assert inc[0] > coupled[0]  # boosted
         assert inc[1] < coupled[1]  # drained
 

@@ -149,9 +149,9 @@ class TestCongestionModel:
             decomposition("bbr")
 
 
-#: Algorithms whose per-ACK increase is stated three times — packet
-#: controller, fluid adapter, Eq. 3 decomposition — mapped to the name of
-#: the decomposition they must equal.  Reno is EWTCP on its one path.
+#: Algorithms whose per-ACK increase is one function the packet controller
+#: and the fluid adapter both call, mapped to the name of the printed Eq. 3
+#: decomposition it must equal.  Reno is EWTCP on its one path.
 CONSISTENT = {"lia": "lia", "balia": "balia", "ecmtcp": "ecmtcp",
               "ewtcp": "ewtcp", "coupled": "coupled", "reno": "ewtcp",
               "dts": "dts", "olia": "olia"}
@@ -172,9 +172,18 @@ def consistency_state(name, rng):
     return w, rtt, base
 
 
+class _RecordingWindow(float):
+    """A congestion window that remembers what ``on_ack`` added to it:
+    ``cwnd - before`` would round the increase away."""
+
+    def __add__(self, increase):
+        self.added = increase
+        return float(self) + increase
+
+
 def per_ack_increase_by_layer(name, w, rtt, base=None):
     """Subflow 0's window increase for one ACK as each layer states it:
-    (packet ``on_ack`` delta, fluid adapter, Eq. 3 decomposition)."""
+    (packet ``on_ack``'s addend, fluid adapter, Eq. 3 decomposition)."""
     from repro.algorithms import create_controller
     from repro.fluidsim import create_fluid_algorithm
     from tests.test_controllers import FakeSubflow
@@ -184,9 +193,10 @@ def per_ack_increase_by_layer(name, w, rtt, base=None):
                 for i, (wi, ri) in enumerate(zip(w, rtt))]
     ctrl = create_controller(name)
     ctrl.attach(subflows)
-    before = subflows[0].cwnd
+    subflows[0].cwnd = window = _RecordingWindow(w[0])
     ctrl.on_ack(subflows[0])
-    packet = subflows[0].cwnd - before
+    packet = window.added
+    assert subflows[0].cwnd == w[0] + packet
 
     fluid = create_fluid_algorithm(name).per_ack_increase(
         cohort_state(w, rtt, base))[0]
@@ -200,20 +210,34 @@ def per_ack_increase_by_layer(name, w, rtt, base=None):
 
 
 class TestControllerModelConsistency:
-    """The packet-level per-ACK rules and the fluid adapters must equal
-    the model's translation."""
+    """The packet controller and the fluid adapter call one rule, so they
+    agree to the bit wherever they gather the same aggregates; the rule
+    equals the model's printed translation."""
 
     @pytest.mark.parametrize("name", sorted(CONSISTENT))
-    def test_per_ack_increase_matches_decomposition(self, name):
+    def test_per_ack_increase_matches_decomposition(self, name, monkeypatch):
+        # DTS' psi_r carries Eq. 5's exponential, and ``math.exp`` (on_ack)
+        # and ``np.exp`` (a cohort) are different libms: pin one, as
+        # tests/test_one_body.py does, to compare the rule and not the libm.
+        monkeypatch.setattr("repro._scalar.exp", np.exp)
         rng = np.random.default_rng(16)
+        exact = 0
         for _ in range(100):
-            packet, fluid, model = per_ack_increase_by_layer(
-                name, *consistency_state(name, rng))
+            w, rtt, base = consistency_state(name, rng)
+            packet, fluid, model = per_ack_increase_by_layer(name, w, rtt, base)
             assert packet == pytest.approx(model, rel=1e-9)
-            assert fluid == pytest.approx(model, rel=1e-9)
+            if len(w) <= 2:
+                assert packet == fluid
+                exact += 1
+            else:
+                # Over three or more subflows ``sum()`` adds left to right
+                # and ``np.add.reduceat`` does not: sum_k x_k itself differs
+                # in the last ulp, and the rule squares it.
+                assert packet == pytest.approx(fluid, rel=1e-14)
+        assert exact >= 25
 
     def test_dts_matches_decomposition(self):
         packet, fluid, model = per_ack_increase_by_layer(
             "dts", [12.0, 28.0], [0.06, 0.08], [0.03, 0.08])
+        assert packet == pytest.approx(fluid, rel=1e-15)  # two libms
         assert packet == pytest.approx(model, rel=1e-9)
-        assert fluid == pytest.approx(model, rel=1e-9)

@@ -1,11 +1,11 @@
 """Every equation the paper prints has one body, over an array namespace.
 
 Eq. 2 (wired / wireless / switch power), Eq. 5, the Eqs. 6-9 price and
-the LIA / DTS per-ACK increases are each one function whose ``xp``
-argument is ``numpy`` on an engine's arrays and :mod:`repro._scalar` for
-one path on the standard library.  The test below evaluates each body
-element by element through the scalar namespace and once through ``np``
-on the same random inputs and compares with ``==``.
+the eight per-ACK increase rules of Section IV are each one function whose
+``xp`` argument (where it needs one) is ``numpy`` on an engine's arrays and
+:mod:`repro._scalar` for one path on the standard library.  The test below
+evaluates each body element by element through the scalar namespace and
+once through ``np`` on the same random inputs and compares with ``==``.
 
 ``math.exp`` / ``pow`` and ``np.exp`` / ``np.power`` are different libms
 that disagree in the last ulp on a few percent of inputs; choosing one is
@@ -16,7 +16,10 @@ swapped for numpy's scalar ufunc calls — and
 :func:`test_libms_agree_to_the_last_ulps` bounds what the swap hides.
 In float32 the scalar side is fed ``np.float32`` elements and parameters
 (a ``float`` has no float32), which numpy's weak Python-scalar promotion
-keeps in float32 through ``min`` / ``max`` / ``a if c else b``.
+keeps in float32 through ``min`` / ``max`` / ``a if c else b``;
+``math.sqrt`` would widen them to a ``float``, so :data:`PINNED` swaps it
+too — in float64 it *is* ``np.sqrt``, bit for bit, which
+:func:`test_sqrt_needs_no_pinning_in_float64` holds.
 """
 
 import types
@@ -25,8 +28,16 @@ import numpy as np
 import pytest
 
 from repro import _scalar
-from repro.algorithms.dts import dts_increase
-from repro.algorithms.lia import lia_increase
+from repro.algorithms import (
+    balia_increase,
+    coupled_increase,
+    dts_increase,
+    ecmtcp_increase,
+    ewtcp_increase,
+    lia_increase,
+    olia_increase,
+    reno_increase,
+)
 from repro.core.dts import dts_factor
 from repro.core.energy_price import EnergyPriceConfig, path_price
 from repro.energy.cpu import WiredPathPower, WirelessPathPower
@@ -34,7 +45,8 @@ from repro.energy.switch import SwitchPowerModel
 
 N = 20_000
 
-PINNED = types.SimpleNamespace(**{**vars(_scalar), "exp": np.exp, "power": np.power})
+PINNED = types.SimpleNamespace(**{**vars(_scalar), "exp": np.exp, "power": np.power,
+                                  "sqrt": np.sqrt})
 
 
 def _typed(model, scalar_type):
@@ -74,19 +86,62 @@ def _price(rng, t):
     return (lambda xp, h, q, b: path_price(xp, config, h, q, b)), (hops, queueing, base)
 
 
+def _subflow(rng):
+    """One subflow's ``(w, rtt)`` and the rate and window of the rest of
+    its connection (zero on a quarter of the lanes: a single path)."""
+    cwnd, rtt = rng.uniform(1.0, 500.0, N), rng.uniform(1e-3, 0.3, N)
+    alone = rng.random(N) < 0.25
+    other_w = np.where(alone, 0.0, rng.uniform(1.0, 500.0, N))
+    return cwnd, rtt, other_w / rng.uniform(1e-3, 0.3, N), other_w
+
+
+def _plain(rule):
+    """A rule that is plain arithmetic takes no namespace."""
+    return lambda xp, *args: rule(*args)
+
+
+def _reno(rng, t):
+    return _plain(reno_increase), _subflow(rng)[:1]
+
+
+def _ewtcp(rng, t):
+    return ewtcp_increase, (_subflow(rng)[0], rng.integers(1, 9, N).astype(float))
+
+
+def _coupled(rng, t):
+    cwnd, _, _, other_w = _subflow(rng)
+    return _plain(coupled_increase), (cwnd, cwnd + other_w)
+
+
 def _lia(rng, t):
-    cwnd = rng.uniform(1.0, 500.0, N)
-    rtt = rng.uniform(1e-3, 0.3, N)
-    other = rng.uniform(1.0, 500.0, N) / rng.uniform(1e-3, 0.3, N)
-    best = np.maximum(cwnd / (rtt * rtt), other * other)
-    return lia_increase, (cwnd, best, cwnd / rtt + other)
+    cwnd, rtt, other_x, _ = _subflow(rng)
+    best = np.maximum(cwnd / (rtt * rtt), other_x * other_x)
+    return lia_increase, (cwnd, best, cwnd / rtt + other_x)
+
+
+def _olia(rng, t):
+    cwnd, rtt, other_x, _ = _subflow(rng)
+    alpha = np.where(rng.random(N) < 0.5, 0.0, rng.uniform(-0.5, 0.5, N))
+    return _plain(olia_increase), (cwnd, rtt, cwnd / rtt + other_x, alpha)
+
+
+def _balia(rng, t):
+    cwnd, rtt, other_x, _ = _subflow(rng)
+    return _plain(balia_increase), (
+        cwnd, rtt, np.maximum(cwnd / rtt, other_x), cwnd / rtt + other_x)
+
+
+def _ecmtcp(rng, t):
+    cwnd, rtt, _, other_w = _subflow(rng)
+    n = rng.integers(1, 9, N).astype(float)
+    return _plain(ecmtcp_increase), (
+        rtt, n, np.minimum(rtt, rng.uniform(1e-3, 0.3, N)), cwnd + other_w)
 
 
 def _dts(rng, t):
-    cwnd = rng.uniform(1.0, 500.0, N)
-    rtt = rng.uniform(1e-3, 0.3, N)
-    total = cwnd / rtt + rng.uniform(0.0, 1e5, N)
-    return (lambda xp, *a: dts_increase(*a)), (cwnd, rtt, rng.uniform(0.01, 2.0, N), total)
+    cwnd, rtt, other_x, _ = _subflow(rng)
+    return _plain(dts_increase), (
+        cwnd, rtt, rng.uniform(0.01, 2.0, N), cwnd / rtt + other_x)
 
 
 BODIES = {
@@ -95,7 +150,13 @@ BODIES = {
     "wireless_power": _path_power(WirelessPathPower()),
     "switch_port_power": _switch,
     "energy_price": _price,
+    "reno_increase": _reno,
+    "ewtcp_increase": _ewtcp,
+    "coupled_increase": _coupled,
     "lia_increase": _lia,
+    "olia_increase": _olia,
+    "balia_increase": _balia,
+    "ecmtcp_increase": _ecmtcp,
     "dts_increase": _dts,
 }
 
@@ -127,6 +188,11 @@ def test_libms_agree_to_the_last_ulps(name):
     each, once = _both_ways(name, np.float64, _scalar)
     assert np.abs(each - once).max() <= 4 * np.spacing(once.max())
     assert (each == once).mean() > 0.8
+
+
+def test_sqrt_needs_no_pinning_in_float64():
+    each, once = _both_ways("ewtcp_increase", np.float64, _scalar)
+    assert (each == once).all()
 
 
 @pytest.mark.parametrize("namespace", [_scalar, np], ids=["scalar", "np"])

@@ -10,6 +10,12 @@ To regenerate (only ever against a checkout of the commit whose behaviour
 is being kept)::
 
     PYTHONPATH=<checkout>/src python tests/test_run_digests.py
+
+These numbers are what the campaign cache replays, so a digest that moves
+makes every cached result of the old behaviour stale: the file records the
+``campaign.spec.SCHEMA_VERSION`` it was written under, the test below holds
+the two equal, and regeneration refuses to write a *changed* digest under an
+*unchanged* version.  ``tests/golden_moves.py`` prints what moved, by how much.
 """
 
 import dataclasses
@@ -21,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.campaign import RunSpec, execute_run
+from repro.campaign import SCHEMA_VERSION, RunSpec, execute_run
 from repro.experiments import fig10_ec2, fig15_phi
 
 DIGESTS_PATH = Path(__file__).parent / "data" / "run_digests.json"
@@ -59,10 +65,17 @@ CASES = {
 }
 
 
-def compute(key: str) -> str:
+def payload(key: str):
     fn, kwargs = CASES[key]
-    return hashlib.sha256(
-        json.dumps(fn(**kwargs), sort_keys=True).encode()).hexdigest()
+    return fn(**kwargs)
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def compute(key: str) -> str:
+    return digest(payload(key))
 
 
 def _digests():
@@ -78,6 +91,11 @@ def test_run_matches_parent_digest(key):
         f"{recorded['recorded_with']} (running numpy {np.__version__})")
 
 
+def test_digests_were_recorded_under_the_current_schema_version():
+    """A moved digest and an invalid cache are one event (ROADMAP 5c)."""
+    assert _digests()["schema_version"] == SCHEMA_VERSION
+
+
 def test_solved_and_fallback_cases_take_the_branch_they_name():
     fn, kwargs = CASES["fluid-equilibrium/lia-solved"]
     assert fn(**kwargs)["solver"]["fallback"] is False
@@ -86,9 +104,18 @@ def test_solved_and_fallback_cases_take_the_branch_they_name():
 
 
 if __name__ == "__main__":
+    recorded = _digests()
+    digests = {key: compute(key) for key in sorted(CASES)}
+    moved = sorted(key for key in digests
+                   if recorded["digests"].get(key, digests[key]) != digests[key])
+    if moved and recorded.get("schema_version") == SCHEMA_VERSION:
+        sys.exit(f"{', '.join(moved)} moved but SCHEMA_VERSION is still "
+                 f"{SCHEMA_VERSION}: cached results of the old behaviour would "
+                 "replay as current; bump repro.campaign.spec.SCHEMA_VERSION")
     DIGESTS_PATH.write_text(json.dumps({
         "recorded_with": {"numpy": np.__version__,
                           "python": sys.version.split()[0]},
-        "digests": {key: compute(key) for key in sorted(CASES)},
+        "schema_version": SCHEMA_VERSION,
+        "digests": digests,
     }, indent=1) + "\n")
-    print(f"wrote {len(CASES)} digests to {DIGESTS_PATH}")
+    print(f"wrote {len(CASES)} digests ({len(moved)} moved) to {DIGESTS_PATH}")
