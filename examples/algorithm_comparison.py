@@ -37,7 +37,7 @@ def run_scenario(algorithm: str):
         for i in range(2)
     ]
     for conn in [mptcp, *tcp_flows]:
-        conn.start(at=float(net.sim.rng.uniform(0, 0.05)))
+        conn.start(at=net.sim.rand.uniform(0, 0.05))
     net.run_until_complete([mptcp, *tcp_flows], timeout=120)
     tcp_mean = sum(f.aggregate_goodput_bps() for f in tcp_flows) / len(tcp_flows)
     return mptcp.aggregate_goodput_bps(), tcp_mean

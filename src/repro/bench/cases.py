@@ -25,6 +25,7 @@ __all__ = [
     "campaign_cold_sweep",
     "campaign_specs",
     "counter_inc_cost",
+    "des_cold_import",
     "fluid_cold_import",
     "fluid_equilibrium_solve_vs_step",
     "fluid_fattree_step_batch",
@@ -325,6 +326,29 @@ def _engine_fluid_cold_import(ctx: BenchContext):
     registry = obs.registry_or_new()
     registry.gauge("bench.fluid_cold_import.modules").set(modules)
     registry.gauge("bench.fluid_cold_import.maxrss_kib").set(maxrss_kib)
+
+
+def des_cold_import():
+    """The two packet-figure modules the e2e benchmark runs, imported in a
+    fresh interpreter — what every ``python -m repro fig01..09 / fig17``
+    pays before its first event; numpy may not get loaded.  Returns
+    (modules loaded, peak resident set in KiB)."""
+    return _cold_import(
+        "from repro.experiments import fig06_shared_bottleneck, fig17_wireless",
+        ("numpy",))
+
+
+@register("engine.des_cold_import", suites=("tier1", "engine"),
+          description="fresh interpreter: start-up + the fig06 / fig17 "
+                      "experiment modules (no numpy; module count and peak "
+                      "RSS recorded)")
+def _engine_des_cold_import(ctx: BenchContext):
+    modules, maxrss_kib = des_cold_import()
+    # The scalar DES and its stdlib imports are ~180 modules; numpy adds ~100.
+    assert modules < 240, f"{modules} modules after importing fig06 + fig17"
+    registry = obs.registry_or_new()
+    registry.gauge("bench.des_cold_import.modules").set(modules)
+    registry.gauge("bench.des_cold_import.maxrss_kib").set(maxrss_kib)
 
 
 @register("engine.fluid_step_kernel", suites=("tier1", "engine"),

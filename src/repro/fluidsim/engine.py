@@ -31,7 +31,7 @@ for bit (results, RNG stream, trace events):
   over a precomputed index vector;
 * cohort state is served through persistent slice views;
 * the per-step loss uniforms are prefetched in blocks through
-  :class:`~repro.net.rand.UniformBlocks`, consuming the generator stream
+  :class:`~repro.fluidsim.rand.UniformBlocks`, consuming the generator stream
   exactly as scalar-per-step draws would.
 """
 
@@ -50,8 +50,8 @@ from repro.energy.switch import SwitchPowerModel
 from repro.errors import ConfigurationError
 from repro.fluidsim.adapters import FluidAlgorithm
 from repro.fluidsim.network import FluidNetwork
+from repro.fluidsim.rand import UniformBlocks
 from repro.fluidsim.state import CohortState
-from repro.net.rand import UniformBlocks
 
 _EPS = 1e-12
 

@@ -31,7 +31,6 @@ if TYPE_CHECKING:
     from repro.net.node import Host, Node, Switch
     from repro.net.packet import Packet, PacketPool
     from repro.net.queues import DropTailQueue, EcnConfig, REDQueue
-    from repro.net.rand import BatchedRandom
     from repro.net.routing import Route
     from repro.net.scheduler import (
         GreedyScheduler,
@@ -56,7 +55,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.net.node": ("Host", "Node", "Switch"),
     "repro.net.packet": ("Packet", "PacketPool"),
     "repro.net.queues": ("DropTailQueue", "EcnConfig", "REDQueue"),
-    "repro.net.rand": ("BatchedRandom",),
     "repro.net.routing": ("Route",),
     "repro.net.scheduler": (
         "GreedyScheduler", "MinRttScheduler", "RoundRobinScheduler", "create_scheduler",
@@ -69,7 +67,6 @@ __all__ = [
     "BatchEngine",
     "BatchPath",
     "BatchScenario",
-    "BatchedRandom",
     "DropTailQueue",
     "TickCohorts",
     "ec2_scenario",

@@ -7,12 +7,10 @@ import itertools
 import time
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 import repro.obs as obs
 from repro.errors import SimulationError
 from repro.net.packet import PacketPool
-from repro.net.rand import BatchedRandom
+from repro.net.rand import Pcg64
 
 #: Queue depth / dispatch probes fire once per this many events, keeping
 #: per-event cost at a decrement-and-test even while tracing is enabled.
@@ -58,11 +56,10 @@ class Simulator:
     Parameters
     ----------
     seed:
-        Seed for the simulator-owned random generator. All stochastic
+        Seed for the simulator-owned random generator :attr:`rand`: a
+        non-negative integer, or ``None`` for OS entropy. All stochastic
         elements of a simulation (random losses, workload arrivals) must
-        draw through :attr:`rand` (a chunk-prefetching facade over
-        :attr:`rng`) so runs are reproducible and batching stays
-        stream-exact.
+        draw through :attr:`rand` so runs are reproducible.
     metrics:
         Metrics registry to report through; defaults to the ambient obs
         session's registry, or a private one outside a session.
@@ -84,11 +81,9 @@ class Simulator:
                  compact_min_stubs: int = _COMPACT_MIN_STUBS,
                  compact_fraction: float = 0.5):
         self.now: float = 0.0
-        self.rng = np.random.default_rng(seed)
-        #: Batched draw facade over :attr:`rng` — the one sanctioned way
-        #: to consume simulator randomness (stream-identical to direct
-        #: single draws; see :mod:`repro.net.rand`).
-        self.rand = BatchedRandom(self.rng)
+        #: The simulation's one random generator (the stream of
+        #: ``numpy.random.default_rng(seed)``; see :mod:`repro.net.rand`).
+        self.rand = Pcg64(seed)
         #: Free-list recycler for data/ACK packets: senders acquire every
         #: packet here and the link layer releases it the moment it dies.
         self.pool = PacketPool(debug=pool_debug)

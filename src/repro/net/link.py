@@ -63,7 +63,7 @@ class Link:
         self.delay = delay
         self.queue = queue if queue is not None else DropTailQueue()
         self.loss_rate = loss_rate
-        self._rand = sim.rand
+        self._random = sim.rand.random
         self._pool = sim.pool
         self._busy = False
         self.bytes_sent = 0
@@ -123,7 +123,7 @@ class Link:
             self.failure_drops += 1  # was in flight when the link died
             self._pool.release(packet)
             return
-        if self.loss_rate > 0.0 and self._rand.random() < self.loss_rate:
+        if self.loss_rate > 0.0 and self._random() < self.loss_rate:
             self.random_losses += 1
             self._pool.release(packet)
             return

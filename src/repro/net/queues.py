@@ -77,11 +77,8 @@ class REDQueue:
     drop/mark probability ramps linearly up to ``max_p``, above ``max_th``
     everything is dropped (or marked, for ECN-capable packets).
 
-    ``rng`` needs only a scalar ``random()`` method. Pass ``sim.rand`` (the
-    :class:`~repro.net.rand.BatchedRandom` facade) so early-drop draws are
-    chunk-prefetched and interleave stream-exactly with the link-loss
-    draws; a raw ``numpy`` Generator also works but must then be the
-    *same* stream the facade wraps only if nothing else batches from it.
+    ``rng`` needs only a scalar ``random()`` method. Pass ``sim.rand`` so
+    early-drop draws come from the simulation's one seeded stream.
     """
 
     def __init__(
@@ -107,7 +104,7 @@ class REDQueue:
         self.max_p = max_p
         self.weight = weight
         self.use_ecn = ecn
-        self.rng = rng
+        self._random = rng.random
         self._queue: deque = deque()
         self._avg = 0.0
         self.drops = 0
@@ -136,7 +133,7 @@ class REDQueue:
             self.drops += 1
             return False
         p = self._early_action_probability()
-        if p > 0.0 and self.rng.random() < p:
+        if p > 0.0 and self._random() < p:
             if self.use_ecn and packet.ecn_capable:
                 packet.ecn_ce = True
                 self.marks += 1

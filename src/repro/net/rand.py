@@ -1,207 +1,155 @@
-"""Chunk-prefetching facade over the simulator's random generator.
+"""The simulator's random generator: PCG64 on the standard library.
 
-Per-packet loss draws (`Link`), RED early-drop draws, and workload
-arrival draws all pull single variates from one shared
-``numpy.random.Generator``. Scalar draws through the Generator API cost
-vastly more than their share of an array fill, so :class:`BatchedRandom`
-prefetches chunks and serves values one at a time.
+Per-packet loss draws (`Link`), RED early-drop draws and workload arrival
+draws all pull single variates from one generator owned by the
+:class:`~repro.net.events.Simulator`. Every figure in the repo is pinned to
+seeds recorded when that generator was ``numpy.random.default_rng(seed)``,
+so :class:`Pcg64` reproduces that stream **bit for bit** — same values, same
+final ``{"state", "inc"}`` — without importing numpy:
 
-The hard requirement is **stream identity**: every figure in the repo is
-pinned to seeds, and the comparator gate (`docs/BENCHMARKS.md`) demands
-byte-identical outputs. Batching must therefore consume the underlying
-bit stream *exactly* as the equivalent sequence of scalar draws would.
-Two facts make that possible:
+* seeding is ``SeedSequence``'s hash-mix (a pool of four 32-bit words, eight
+  output words) feeding ``pcg_setseq_128_srandom``;
+* a step is the 128-bit LCG, the output XSL-RR 128/64;
+* ``random()`` is the top 53 bits of one output, ``uniform`` an affine map of
+  it, ``exponential`` numpy's 256-layer ziggurat over numpy's own tables
+  (:mod:`repro.net._ziggurat`), ``pareto`` ``expm1`` of an exponential.
 
-* ``rng.random(n)`` (and ``rng.exponential(scale, n)``, …) advances the
-  bit generator identically to ``n`` successive scalar draws of the same
-  distribution — the array paths call the same scalar sampler in a loop;
-* the bit generator's state can be snapshotted and restored, so an
-  over-prefetched chunk can be *rewound*: restore the pre-chunk state,
-  replay exactly the ``k`` values actually served (one array draw), and
-  the generator sits precisely where unbatched code would have left it.
-
-A chunk of one distribution is live at a time. A draw from a different
-distribution (or different parameters) first :meth:`sync`\\ s the live
-chunk — rewind + replay — then proceeds directly, so arbitrary
-interleavings of draw kinds remain byte-identical to the unbatched
-stream. To avoid thrashing on alternating draw kinds (e.g. the Pareto
-burst source's interval/duration pairs), a chunk only starts once two
-consecutive draws ask for the same distribution with the same
-parameters.
-
-Code that must touch :attr:`rng` directly (e.g. ``shuffle``) should call
-:meth:`sync` first; everything inside ``repro`` draws through the facade.
+``tests/test_fastpath.py`` holds the class to ``default_rng`` value for value
+over arbitrary interleavings of the five draw kinds. numpy's compatibility
+policy (NEP 19) lets ``Generator`` method streams change between releases;
+this file does not change with them.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-import numpy as np
+import math
+import operator
+import os
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
+from repro.net._ziggurat import FE, KE, WE, ZIGGURAT_EXP_R
 
-__all__ = ["BatchedRandom", "UniformBlocks"]
+__all__ = ["Pcg64"]
 
-#: Values prefetched per chunk for the per-packet uniform stream.
-UNIFORM_CHUNK = 256
-#: Values prefetched per chunk for (rarer) workload-arrival draws.
-VARIATE_CHUNK = 64
+_M32 = (1 << 32) - 1
+_M53 = (1 << 53) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+#: PCG's default 128-bit LCG multiplier.
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_TWO_M53 = 2.0 ** -53
+
+# SeedSequence's constants (O'Neill's seed_seq_fe, as numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
 
-class BatchedRandom:
-    """Stream-exact batched draws from a ``numpy.random.Generator``."""
+def _seed_words(entropy: int) -> list:
+    """``SeedSequence(entropy).generate_state(4, uint64)`` as four ints."""
+    words = [entropy & _M32]
+    while entropy := entropy >> 32:
+        words.append(entropy & _M32)
+    hash_const = _INIT_A
 
-    __slots__ = ("rng", "_chunk", "_idx", "_n", "_kind", "_saved_state",
-                 "_last_kind", "chunk_refills", "syncs")
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._chunk: Optional[np.ndarray] = None
-        self._idx = 0
-        self._n = 0
-        #: (distribution name, params) of the live chunk, or None.
-        self._kind: Optional[Tuple] = None
-        self._saved_state = None
-        self._last_kind: Optional[Tuple] = None
-        self.chunk_refills = 0
-        self.syncs = 0
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return result ^ result >> 16
 
-    # ------------------------------------------------------------- plumbing
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
 
-    def sync(self) -> None:
-        """Rewind any live chunk so :attr:`rng` sits exactly where the
-        equivalent unbatched draw sequence would have left it.
+    hash_const = _INIT_B
+    out = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 2 * _POOL_SIZE, 2)]
 
-        Call before drawing from :attr:`rng` directly.
-        """
-        if self._kind is None:
-            return
-        self.syncs += 1
-        if self._idx < self._n:
-            self.rng.bit_generator.state = self._saved_state
-            if self._idx:
-                # Replaying as one array draw consumes the same bits as
-                # the scalar draws the unbatched code would have made.
-                self._draw_array(self._kind, self._idx)
-        # else: fully-served chunk — the state already matches unbatched.
-        self._chunk = None
-        self._idx = 0
-        self._n = 0
-        self._kind = None
-        self._saved_state = None
 
-    def _draw_array(self, kind: Tuple, n: int) -> np.ndarray:
-        name = kind[0]
-        if name == "random":
-            return self.rng.random(n)
-        if name == "exponential":
-            return self.rng.exponential(kind[1], n)
-        if name == "pareto":
-            return self.rng.pareto(kind[1], n)
-        raise ValueError(f"unbatchable distribution {name!r}")  # pragma: no cover
+class Pcg64:
+    """``numpy.random.default_rng(seed)``'s scalar draws, stdlib only.
 
-    def _next(self, kind: Tuple, chunk_size: int) -> float:
-        """Serve one value of ``kind``, chunking when the stream repeats."""
-        if self._kind == kind and self._idx < self._n:
-            value = self._chunk[self._idx]
-            self._idx += 1
-            return float(value)
-        if self._kind is not None:
-            self.sync()
-        if self._last_kind != kind:
-            # First draw of a (kind, params) run: stay unbatched until the
-            # stream proves repetitive, so alternating kinds never thrash.
-            self._last_kind = kind
-            return float(self._draw_array(kind, 1)[0])
-        self._saved_state = self.rng.bit_generator.state
-        self._chunk = self._draw_array(kind, chunk_size)
-        self._kind = kind
-        self._idx = 1
-        self._n = chunk_size
-        self.chunk_refills += 1
-        return float(self._chunk[0])
+    ``seed`` is a non-negative integer of any size, or ``None`` for 128
+    bits of OS entropy (what ``default_rng()`` takes).
+    """
 
-    # ------------------------------------------------------------------ api
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: Optional[int] = None):
+        if seed is None:
+            # What secrets.randbits(128) reads, without secrets' imports
+            # (random, hmac, hashlib and OpenSSL: ~3 MiB resident, ~5 ms).
+            seed = int.from_bytes(os.urandom(16), "little")
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ConfigurationError(
+                f"seed must be a non-negative integer or None, got {seed!r}") from None
+        if seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {seed}")
+        hi, lo, seq_hi, seq_lo = _seed_words(seed)
+        # pcg_setseq_128_srandom: state = 0, step, add the seed, step.
+        self._inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+        self._state = ((self._inc + (hi << 64 | lo)) * _MULT + self._inc) & _M128
+
+    @property
+    def state(self) -> Dict[str, int]:
+        """The position, as ``bit_generator.state["state"]`` reports it."""
+        return {"state": self._state, "inc": self._inc}
+
+    def _next64(self) -> int:
+        state = self._state = (self._state * _MULT + self._inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        # XSL-RR: rotate the folded halves right by the top six bits; the low
+        # 64 bits of (x:x) >> rot are that rotation.
+        return ((x << 64 | x) >> (state >> 122)) & _M64
 
     def random(self) -> float:
-        """One uniform draw in [0, 1) — the per-packet loss/RED hot path."""
-        return self._next(("random",), UNIFORM_CHUNK)
+        """One uniform draw in [0, 1): the top 53 bits of one output. This
+        is the per-packet loss/RED hot path, so :meth:`_next64` is written
+        out here (with the ``>> 11`` folded into the rotation's shift)."""
+        state = self._state = (self._state * _MULT + self._inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        return ((x << 64 | x) >> ((state >> 122) + 11) & _M53) * _TWO_M53
+
+    def uniform(self, low: float, high: float) -> float:
+        """One uniform draw in [low, high)."""
+        return low + (high - low) * self.random()
 
     def exponential(self, scale: float) -> float:
         """One exponential draw with the given scale (mean)."""
-        return self._next(("exponential", scale), VARIATE_CHUNK)
+        while True:
+            ri = self._next64() >> 3
+            idx = ri & 0xFF
+            ri >>= 8
+            x = ri * WE[idx]
+            if ri < KE[idx]:
+                return scale * x  # inside the layer's rectangle: ~98.9% of draws
+            if idx == 0:
+                # The tail; 1 - U keeps log away from 0 (numpy gh-13361).
+                return scale * (ZIGGURAT_EXP_R - math.log1p(-self.random()))
+            if (FE[idx - 1] - FE[idx]) * self.random() + FE[idx] < math.exp(-x):
+                return scale * x
+            # rejected in the wedge: redraw
 
     def pareto(self, shape: float) -> float:
         """One (Lomax-convention, as numpy) Pareto draw."""
-        return self._next(("pareto", shape), VARIATE_CHUNK)
-
-    def uniform(self, low: float, high: float) -> float:
-        """One uniform draw in [low, high); synced pass-through."""
-        self.sync()
-        return float(self.rng.uniform(low, high))
-
-
-class UniformBlocks:
-    """Stream-exact block prefetcher for fixed-width uniform row draws.
-
-    Generalizes :class:`BatchedRandom`'s chunking idea from scalar draws
-    to array-valued ones: a consumer that needs ``width`` uniforms per
-    step (the fluid engine's per-subflow loss thinning) is served
-    ``rows_per_block`` steps at a time from a single
-    ``rng.random(k * width)`` fill. Because the array sampler consumes
-    the bit generator exactly as ``k`` successive ``rng.random(width)``
-    calls would, every served row — and, since the prefetcher knows
-    ``total_rows`` up front and never over-draws, the generator's final
-    state too — is byte-identical to the unbatched per-step path. No
-    rewind/replay is needed, unlike :class:`BatchedRandom`, whose
-    consumers cannot announce their draw count in advance.
-
-    Rows are served as views into one preallocated block buffer, so the
-    steady-state cost is one array fill per ``rows_per_block`` rows and
-    zero per-row allocation. Treat each row as read-only and consumed
-    before the next call: the buffer is reused.
-    """
-
-    __slots__ = ("rng", "width", "rows_per_block", "_buf", "_rows_left",
-                 "_served", "_filled", "refills")
-
-    def __init__(self, rng: np.random.Generator, width: int, total_rows: int,
-                 rows_per_block: int = 64):
-        if width < 0:
-            raise ConfigurationError(f"width must be >= 0, got {width}")
-        if total_rows < 0:
-            raise ConfigurationError(
-                f"total_rows must be >= 0, got {total_rows}")
-        if rows_per_block < 1:
-            raise ConfigurationError(
-                f"rows_per_block must be >= 1, got {rows_per_block}")
-        self.rng = rng
-        self.width = width
-        self.rows_per_block = rows_per_block
-        self._buf = np.empty((min(rows_per_block, max(total_rows, 1)), width))
-        #: Rows not yet drawn from the generator.
-        self._rows_left = total_rows
-        #: Rows of the live block already handed out.
-        self._served = 0
-        #: Rows drawn into the live block.
-        self._filled = 0
-        self.refills = 0
-
-    def next_row(self) -> np.ndarray:
-        """The next ``(width,)`` row, prefetching a block when drained."""
-        if self._served == self._filled:
-            if self._rows_left == 0:
-                raise ConfigurationError(
-                    "UniformBlocks exhausted: total_rows rows already served")
-            k = min(self.rows_per_block, self._rows_left)
-            # Filling a contiguous view advances the bit generator exactly
-            # as k sequential rng.random(width) calls would.
-            self.rng.random(out=self._buf[:k].reshape(-1))
-            self._rows_left -= k
-            self._filled = k
-            self._served = 0
-            self.refills += 1
-        row = self._buf[self._served]
-        self._served += 1
-        return row
+        return math.expm1(self.exponential(1.0) / shape)

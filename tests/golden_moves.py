@@ -11,6 +11,13 @@ one row per payload field: the largest relative deviation of a float field
 an integer one (``loss_events``, ``steps_taken``, the final RNG state, ...).
 List indices are folded (``steps[*].t`` is one row), so a 500-step
 trajectory stays a table.  Exits 1 if any integer field differs.
+
+A parent from before ISSUE 24 drew through a chunk-prefetching facade, and
+its DES goldens hashed ``sim.rng`` wherever the live chunk's prefetch had
+left it, up to 255 draws past what the run consumed.  For such a parent the
+digest is still taken over that prefetched state (so a moved key is
+reported), but the ``rng`` rows compare the state after ``sim.rand.sync()``
+— the consumed position, which is what ``repro.net.rand.Pcg64`` reports.
 """
 
 import json
@@ -39,13 +46,29 @@ def dump():
     """Every case of both suites over whatever ``repro`` is on the path."""
     import importlib
 
+    from repro.net.events import Simulator
+
+    consumed = []
+    if hasattr(Simulator(seed=0).rand, "sync"):  # a parent before ISSUE 24
+        def prefetched_rng_state(sim):
+            prefetched = sim.rng.bit_generator.state
+            sim.rand.sync()
+            consumed.append(sim.rng.bit_generator.state)
+            return prefetched
+
+        importlib.import_module("tests.test_engine_goldens").des_rng_state = (
+            prefetched_rng_state)
+
     out = {}
     for suite in SUITES:
         module = importlib.import_module(f"tests.{suite}")
         for key in sorted(module.CASES):
             payload = module.payload(key)
-            out[f"{suite}:{key}"] = {"digest": module.digest(payload),
-                                     "payload": _plain(payload)}
+            entry = out[f"{suite}:{key}"] = {"digest": module.digest(payload)}
+            if consumed:
+                payload["rng"] = consumed.pop()
+                entry["rng_after_sync"] = True
+            entry["payload"] = _plain(payload)
     json.dump(out, sys.stdout)
 
 
@@ -123,6 +146,9 @@ def main(parent_checkout: str) -> int:
                                               tree[key]["payload"])
         worst_all, integers_all = max(worst_all, worst), integers_all and integers_equal
         print(f"\n{key}")
+        if parent[key].get("rng_after_sync"):
+            print("  (parent digest: over the prefetched sim.rng; "
+                  "rng rows: the parent after sim.rand.sync())")
         print(f"  {'field':<42} {'kind':<6} {'n':>6}  max rel dev")
         for field, kind, n, verdict in rows:
             print(f"  {field:<42} {kind:<6} {n:>6}  {verdict}")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     bin_series,
@@ -54,6 +54,34 @@ class TestBoxStats:
         assert stats.whisker_low >= stats.minimum
         assert stats.whisker_high <= stats.maximum
         assert stats.n == len(data)
+
+    # Sizes cross numpy's summation regimes: sequential below 8, eight
+    # accumulators to 128, recursive halving above.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1,
+                    max_size=400))
+    def test_bit_equal_to_the_numpy_expressions_it_replaced(self, samples):
+        data = np.asarray(samples, dtype=float)
+        q1, med, q3 = np.percentile(data, [25, 50, 75])
+        low_fence, high_fence = q1 - 1.5 * (q3 - q1), q3 + 1.5 * (q3 - q1)
+        inside = data[(data >= low_fence) & (data <= high_fence)]
+        outliers = data[(data < low_fence) | (data > high_fence)]
+        want = {
+            "minimum": np.min(data), "q1": q1, "median": med, "q3": q3,
+            "maximum": np.max(data),
+            "whisker_low": np.min(inside if inside.size else data),
+            "whisker_high": np.max(inside if inside.size else data),
+            "mean": np.mean(data),
+        }
+        stats = box_stats(samples)
+        for name, value in want.items():
+            assert getattr(stats, name).hex() == float(value).hex(), name
+        assert stats.outliers == np.sort(outliers).tolist()
+        assert stats.n == data.size
+        assert summarize(samples) == {
+            "mean": float(np.mean(data)), "median": float(np.median(data)),
+            "std": float(np.std(data)), "min": float(np.min(data)),
+            "max": float(np.max(data)), "n": int(data.size)}
 
     def test_summarize(self):
         summary = summarize([1.0, 2.0, 3.0])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.net.events import Simulator
 
 
@@ -92,9 +92,17 @@ def test_events_processed_counter():
 
 
 def test_rng_is_seeded_deterministically():
-    a = Simulator(seed=7).rng.random(4)
-    b = Simulator(seed=7).rng.random(4)
-    assert list(a) == list(b)
+    a, b, other = Simulator(seed=7).rand, Simulator(seed=7).rand, Simulator(seed=8).rand
+    draws = [a.random() for _ in range(4)]
+    assert draws == [b.random() for _ in range(4)]
+    assert draws != [other.random() for _ in range(4)]
+    assert Simulator().rand.state != Simulator().rand.state  # seed=None: OS entropy
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_bad_seed_is_rejected_before_any_event_runs(seed):
+    with pytest.raises(ConfigurationError, match="seed"):
+        Simulator(seed=seed)
 
 
 def test_events_can_schedule_more_events():

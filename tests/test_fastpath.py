@@ -1,12 +1,13 @@
 """Equivalence tests for the packet engine's allocation and timer machinery.
 
-Packet pooling, RTO timer coalescing, heap compaction and the batched RNG
-are *behaviour-preserving*: every one of them must be invisible to the
+Packet pooling, RTO timer coalescing and heap compaction are
+*behaviour-preserving*: every one of them must be invisible to the
 simulation. None has an off switch in ``repro.net``, so these tests build
 the un-optimised behaviour themselves — a never-reached compaction
 threshold, ``sim.pool.enabled = False``, a per-ACK cancel+reschedule
 sender — and compare under random schedules, cancellations, and network
-conditions; a leak check proves the pool's lifecycle bookkeeping.
+conditions; a leak check proves the pool's lifecycle bookkeeping. The
+simulator's stdlib generator is held to the numpy stream it reproduces.
 """
 
 from unittest import mock
@@ -20,7 +21,6 @@ from repro.net.events import Simulator
 from repro.net.flow import TcpSender
 from repro.net.network import Network
 from repro.net.queues import DropTailQueue
-from repro.net.rand import BatchedRandom
 from repro.units import mbps, ms
 from tests.oracles.pipe_reference import compute_pipe_reference
 
@@ -116,36 +116,54 @@ def test_cancelled_stub_accounting_survives_compaction():
     assert sim.pending() == 0
 
 
-# --------------------------------------------------------- batched RNG props
+# ------------------------------------------------------- generator contract
 
 rng_ops = st.lists(
     st.sampled_from(["random", "expo_a", "expo_b", "pareto", "uniform"]),
     min_size=1, max_size=300)
 
+#: 0, the 32-bit and 64-bit word boundaries of SeedSequence's entropy
+#: array, and past the four-word pool (a fifth word takes another branch).
+rng_seeds = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**70, 2**128, 2**160 + 1]),
+    st.integers(0, 2**31 - 1), st.integers(2**32, 2**192))
+
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), ops=rng_ops)
-def test_batched_random_is_stream_identical(seed, ops):
-    """Any interleaving of facade draws yields the same values *and* the
-    same final generator state as direct scalar draws."""
+@given(seed=rng_seeds, ops=rng_ops)
+def test_sim_rand_is_default_rng_stream(seed, ops):
+    """``sim.rand`` *is* ``np.random.default_rng(seed)``: any interleaving
+    of the five draw kinds yields the same values and the same final
+    bit-generator state — the stream every seeded figure and golden was
+    recorded under."""
     direct = np.random.default_rng(seed)
-    batched_rng = np.random.default_rng(seed)
-    facade = BatchedRandom(batched_rng)
+    rand = Simulator(seed=seed).rand
+    assert rand.state == direct.bit_generator.state["state"]
     for op in ops:
         if op == "random":
-            want, got = direct.random(), facade.random()
+            want, got = direct.random(), rand.random()
         elif op == "expo_a":
-            want, got = direct.exponential(2.0), facade.exponential(2.0)
+            want, got = direct.exponential(2.0), rand.exponential(2.0)
         elif op == "expo_b":
-            want, got = direct.exponential(0.5), facade.exponential(0.5)
+            want, got = direct.exponential(0.5), rand.exponential(0.5)
         elif op == "pareto":
-            want, got = direct.pareto(1.5), facade.pareto(1.5)
+            want, got = direct.pareto(1.5), rand.pareto(1.5)
         else:
-            want, got = direct.uniform(1.0, 3.0), facade.uniform(1.0, 3.0)
+            want, got = direct.uniform(1.0, 3.0), rand.uniform(1.0, 3.0)
         assert got == want
-    facade.sync()
-    assert (batched_rng.bit_generator.state
-            == direct.bit_generator.state)
+    assert rand.state == direct.bit_generator.state["state"]
+
+
+def test_exponential_matches_numpy_through_tail_and_wedge():
+    """10^6 draws reach the ziggurat's rare branches thousands of times
+    (~1.1% leave the rectangle: layer 0 is the tail, the rest the wedge
+    test and its redraw), so a wrong table entry cannot hide."""
+    n = 1_000_000
+    direct = np.random.default_rng(2**64 + 24)
+    rand = Simulator(seed=2**64 + 24).rand
+    want = direct.exponential(3.0, n)
+    assert [rand.exponential(3.0) for _ in range(n)] == want.tolist()
+    assert rand.state == direct.bit_generator.state["state"]
 
 
 # ----------------------------------------------------- pipe closed-form prop

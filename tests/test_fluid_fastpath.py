@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.fluidsim import FluidNetwork, FluidSimulation
-from repro.net.rand import UniformBlocks
+from repro.fluidsim.rand import UniformBlocks
 from repro.topology import FatTree
 from repro.units import ms
 from tests.oracles.fluid_reference import run_reference

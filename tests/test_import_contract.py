@@ -8,7 +8,9 @@ deterministic.  The fluid rows *run* the tier (a stepped run, a solve, a
 sharded run) and find nothing of scipy but the one extension file its
 routing kernel lives in; the transport rows run the live transport (every
 per-ACK controller, ``fetch --selftest``, a scraped server) and find no
-numpy.  The second half checks the PEP 562 lazy exports of ``repro``,
+numpy; the packet rows run the scalar DES (two measurement figures, a lossy
+two-route transfer under Pareto bursts, ``box_stats``) and find none
+either.  The second half checks the PEP 562 lazy exports of ``repro``,
 ``repro.core``, ``repro.net``, ``repro.topology``, ``repro.workloads`` and
 ``repro.analysis`` behave like the eager re-exports they replaced.
 """
@@ -105,6 +107,7 @@ NUMPY_TIER = [
     "import repro.topology, repro.workloads",
     "import repro.net.batch",
     "import repro.campaign",
+    # Stdlib-tier since ISSUE 24 (PACKET_RUNS holds that); `<=` still passes.
     "import repro.experiments.fig06_shared_bottleneck",
     "import repro.experiments.fig17_wireless",
     # Figs. 12-14 only build RunSpecs; the executor loads the engine.
@@ -223,6 +226,45 @@ TRANSPORT_RUNS = [
 ]
 
 
+#: The scalar packet DES at work: seeded loss and burst draws come from the
+#: stdlib generator, the box summary from stdlib arithmetic.
+_LOSSY_TRANSFER = """
+from repro.analysis import box_stats
+from repro.net import Network
+from repro.units import mbps, ms
+from repro.workloads import ParetoBurstSource
+
+net = Network(seed=24)
+a, b = net.add_host("a"), net.add_host("b")
+routes = []
+for r in range(2):
+    s = net.add_switch(f"s{r}")
+    net.link(a, s, rate_bps=mbps(50), delay=ms(2))
+    net.link(s, b, rate_bps=mbps(20), delay=ms(8 + 4 * r), loss_rate=0.01)
+    routes.append(net.route([a, s, b]))
+burst = ParetoBurstSource(net.sim, routes[0], rate_bps=mbps(10),
+                          mean_interval=0.05, mean_duration=0.02)
+burst.start()
+conn = net.connection(routes, "lia", total_bytes=1_000_000)
+conn.start()
+net.run_until_complete([conn], timeout=600)
+assert conn.completed and burst.bursts_generated > 2
+assert sum(sf.loss_events for sf in conn.subflows) > 0
+stats = box_stats(sf.srtt for sf in conn.subflows)
+assert stats.n == 2 and stats.minimum <= stats.median <= stats.maximum
+"""
+PACKET_RUNS = [
+    _cli("fig01"),
+    _cli("fig02"),
+    pytest.param(_LOSSY_TRANSFER, id="lossy two-route transfer, Pareto bursts, box_stats"),
+]
+
+
+@pytest.mark.parametrize("statement", PACKET_RUNS)
+def test_packet_tier_runs_without_numpy(statement):
+    run_fresh(statement + "\nimport sys\nassert 'numpy' not in sys.modules\n")
+
+
 @pytest.mark.parametrize("statement", STDLIB_TIER)
 def test_stdlib_tier_loads_neither_numpy_nor_scipy(statement):
     assert loaded_after(statement) == set()
@@ -266,17 +308,21 @@ def test_shared_rules_name_a_namespace_never_numpy():
     batch engine's vector rounds call the controllers' own rules."""
     import repro._scalar
     import repro.algorithms
+    import repro.analysis
     import repro.core.dts
     import repro.core.energy_price
     import repro.energy
+    import repro.net
     import repro.net.batch.model as model
     import repro.transport
     from repro.net.batch.engine import BatchEngine
 
     sources = [Path(repro._scalar.__file__), Path(repro.core.dts.__file__),
                Path(repro.core.energy_price.__file__)]
-    for package in (repro.algorithms, repro.energy, repro.transport):
+    # repro.net's top level is the scalar DES; net/batch is the array engine.
+    for package in (repro.algorithms, repro.energy, repro.transport, repro.net):
         sources += Path(package.__file__).parent.glob("*.py")
+    sources.append(Path(repro.analysis.__file__).with_name("stats.py"))
     assert Path(repro.algorithms.lia.__file__) in sources
     assert {"numpy", "np"} <= _code_names(model.__file__)
     for source in sources:
@@ -310,12 +356,11 @@ def test_manifest_reads_the_numpy_version_without_importing_numpy(first):
 
 
 def test_fluid_tier_loads_no_packet_engine():
-    """Of ``repro.net`` a fluid process keeps two leaf helpers (the RNG
-    block reader the step loop draws from, the sampler base class
-    ``repro.energy`` subclasses); neither imports the packet engine."""
+    """Of ``repro.net`` a fluid process keeps one leaf helper (the sampler
+    base class ``repro.energy`` subclasses), not the packet engine."""
     assert modules_after(
         "import repro.fluidsim", "repro.net", "repro.transport",
-    ) == {"repro.net", "repro.net.rand", "repro.net.monitor"}
+    ) == {"repro.net", "repro.net.monitor"}
 
 
 @pytest.mark.parametrize("first, then", [

@@ -15,7 +15,7 @@ def red_path(seed=1, **red_kwargs):
 
     def qf():
         return REDQueue(limit_packets=200, min_th=20, max_th=80, max_p=0.1,
-                        rng=net.sim.rng, **red_kwargs)
+                        rng=net.sim.rand, **red_kwargs)
 
     net.link(a, s, rate_bps=mbps(100), delay=ms(5), queue_factory=qf)
     net.link(s, b, rate_bps=mbps(100), delay=ms(5), queue_factory=qf)
@@ -68,7 +68,7 @@ class TestRedEndToEnd:
 
         def qf():
             return REDQueue(limit_packets=200, min_th=10, max_th=60,
-                            max_p=0.2, ecn=True, rng=net.sim.rng)
+                            max_p=0.2, ecn=True, rng=net.sim.rand)
 
         net.link(a, s, rate_bps=mbps(100), delay=ms(5), queue_factory=qf)
         net.link(s, b, rate_bps=mbps(100), delay=ms(5), queue_factory=qf)
