@@ -23,26 +23,46 @@ CLI: ``python -m repro bench {run,compare,profile,list}``; see
 docs/BENCHMARKS.md.
 """
 
-from repro.bench.compare import (
-    CaseComparison,
-    Comparison,
-    compare_documents,
-    comparison_to_dict,
-    render_comparison,
-)
-from repro.bench.profile import SamplingProfiler, capture_cprofile, \
-    parse_collapsed
-from repro.bench.results import BENCH_SCHEMA
-from repro.bench.runner import (
-    BenchCase,
-    BenchContext,
-    all_cases,
-    discover,
-    register,
-    run_suite,
-    select_cases,
-    suite_names,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.bench.compare import (
+        CaseComparison,
+        Comparison,
+        compare_documents,
+        comparison_to_dict,
+        render_comparison,
+    )
+    from repro.bench.profile import SamplingProfiler, capture_cprofile, parse_collapsed
+    from repro.bench.results import BENCH_SCHEMA
+    from repro.bench.runner import (
+        BenchCase,
+        BenchContext,
+        all_cases,
+        discover,
+        register,
+        run_suite,
+        select_cases,
+        suite_names,
+    )
+
+# Resolved on first access (PEP 562): ``obs report`` reads result files
+# through ``repro.bench.results`` and must not load the runner (and with
+# it ``hashlib`` and OpenSSL) or the profilers.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.bench.compare": (
+        "CaseComparison", "Comparison", "compare_documents", "comparison_to_dict",
+        "render_comparison",
+    ),
+    "repro.bench.profile": ("SamplingProfiler", "capture_cprofile", "parse_collapsed"),
+    "repro.bench.results": ("BENCH_SCHEMA",),
+    "repro.bench.runner": (
+        "BenchCase", "BenchContext", "all_cases", "discover", "register",
+        "run_suite", "select_cases", "suite_names",
+    ),
+})
 
 __all__ = [
     "BENCH_SCHEMA",

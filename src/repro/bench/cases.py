@@ -21,6 +21,7 @@ from repro.bench.runner import BenchContext, register
 from repro.obs.tracing import MONOTONIC_CLOCK
 
 __all__ = [
+    "array_cold_run",
     "campaign_cached_replay",
     "campaign_cold_sweep",
     "campaign_specs",
@@ -349,6 +350,36 @@ def _engine_des_cold_import(ctx: BenchContext):
     registry = obs.registry_or_new()
     registry.gauge("bench.des_cold_import.modules").set(modules)
     registry.gauge("bench.des_cold_import.maxrss_kib").set(maxrss_kib)
+
+
+def array_cold_run():
+    """A small stepped fluid run and a small packet-batch run, each
+    through ``execute_run`` (so its spec is hashed), in a fresh interpreter
+    — what a campaign worker pays; neither ``numpy.random`` nor OpenSSL's
+    ``_hashlib`` may get loaded.  Returns (modules loaded, peak resident
+    set in KiB)."""
+    return _cold_import(
+        "from repro.campaign import RunSpec, execute_run\n"
+        "execute_run(RunSpec(engine='fluid', topology='bcube', n_subflows=2,\n"
+        "                    duration=0.2, dt=0.01))\n"
+        "execute_run(RunSpec(engine='packet-batch', topology='ec2',\n"
+        "                    algorithm='dts', n_subflows=2, duration=0.2,\n"
+        "                    dt=0.002, params={'n_hosts': 8, 'loss_rate': 1e-2}))",
+        ("numpy.random", "_hashlib"))
+
+
+@register("engine.array_cold_run", suites=("tier1", "engine"),
+          description="fresh interpreter: a small fluid run + a small batch "
+                      "run (no numpy.random, no OpenSSL; module count and "
+                      "peak RSS recorded)")
+def _engine_array_cold_run(ctx: BenchContext):
+    modules, maxrss_kib = array_cold_run()
+    # Both engines and the campaign layer are ~320 modules; numpy.random
+    # and hashlib with OpenSSL add ~20.
+    assert modules < 330, f"{modules} modules after a fluid + a batch run"
+    registry = obs.registry_or_new()
+    registry.gauge("bench.array_cold_run.modules").set(modules)
+    registry.gauge("bench.array_cold_run.maxrss_kib").set(maxrss_kib)
 
 
 @register("engine.fluid_step_kernel", suites=("tier1", "engine"),

@@ -74,8 +74,8 @@ class BenchContext:
 
     #: Fresh, empty directory, discarded after the invocation.
     tmp_path: Path
-    #: The suite's pinned seed; also installed into ``random`` and
-    #: numpy's legacy global RNG before each invocation.
+    #: The suite's pinned seed; also installed into ``random`` before
+    #: each invocation.
     seed: int
     #: 0-based timed-repeat index; warmup iterations are negative.
     repeat: int
@@ -134,25 +134,16 @@ def select_cases(suite: Optional[str] = None,
 
 # ------------------------------------------------------------------- running
 
-def _seed_rngs(seed: int) -> None:
-    random.seed(seed)
-    try:
-        import numpy as np
-        np.random.seed(seed % 2**32)
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        pass
-
-
 def _invoke(case: BenchCase, seed: int, repeat: int,
             ) -> Tuple[float, Dict[str, Any]]:
     """One invocation: returns (wall seconds, metrics snapshot)."""
     clock = MONOTONIC_CLOCK
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         ctx = BenchContext(tmp_path=Path(tmp), seed=seed, repeat=repeat)
-        _seed_rngs(seed)
+        random.seed(seed)
         if case.setup is not None:
             case.setup(ctx)
-            _seed_rngs(seed)
+            random.seed(seed)
         if case.manages_session:
             t0 = clock()
             case.fn(ctx)
@@ -172,10 +163,10 @@ def _profile_case(case: BenchCase, seed: int, *, profile_dir: Path,
     def run_once() -> None:
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
             ctx = BenchContext(tmp_path=Path(tmp), seed=seed, repeat=0)
-            _seed_rngs(seed)
+            random.seed(seed)
             if case.setup is not None:
                 case.setup(ctx)
-                _seed_rngs(seed)
+                random.seed(seed)
             if case.manages_session:
                 case.fn(ctx)
             else:

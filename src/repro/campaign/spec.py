@@ -9,12 +9,13 @@ machine, which is what makes the on-disk result cache content-addressed.
 The hash is a SHA-256 over a canonical JSON encoding (sorted keys, no
 whitespace) prefixed with :data:`SCHEMA_VERSION`, so bumping the schema
 version — e.g. after an engine change that alters the numbers — busts
-every cached result at once.
+every cached result at once.  It is the interpreter's builtin SHA-256, not
+``hashlib``'s: ``import hashlib`` maps OpenSSL's libcrypto (~3.5 MiB
+resident) into every campaign process for a few hundred bytes per spec.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -22,6 +23,14 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import AlgorithmError, ConfigurationError
 from repro.units import ms
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
 
 #: Bump whenever engine or payload changes invalidate previously cached
 #: results.  Participates in every spec hash and is stored in each cache
@@ -166,7 +175,7 @@ class RunSpec:
         """Stable hex digest identifying this run (includes the schema
         version, so engine-breaking changes bust the cache)."""
         body = f"repro.campaign.runspec:{SCHEMA_VERSION}:{self.canonical_json()}"
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return sha256(body.encode("utf-8")).hexdigest()
 
     def replace(self, **changes: Any) -> "RunSpec":
         """A copy with ``changes`` applied (dataclasses.replace wrapper)."""
@@ -184,7 +193,7 @@ class CampaignSpec:
 
     def content_hash(self) -> str:
         """Digest over the ordered run hashes (and the campaign name)."""
-        h = hashlib.sha256(f"repro.campaign.campaign:{self.name}:".encode("utf-8"))
+        h = sha256(f"repro.campaign.campaign:{self.name}:".encode("utf-8"))
         for run in self.runs:
             h.update(run.content_hash().encode("ascii"))
         return h.hexdigest()

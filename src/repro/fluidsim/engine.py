@@ -30,9 +30,10 @@ for bit (results, RNG stream, trace events):
 * ``delivered_bits`` accumulates through a seeded-head ``bincount`` fold
   over a precomputed index vector;
 * cohort state is served through persistent slice views;
-* the per-step loss uniforms are prefetched in blocks through
-  :class:`~repro.fluidsim.rand.UniformBlocks`, consuming the generator stream
-  exactly as scalar-per-step draws would.
+* the per-step loss uniforms come in blocks through
+  :class:`~repro._uniforms.UniformBlocks`, which draws a block only once a
+  lossy step reads a row of it and jumps the generator over the rest,
+  leaving it exactly where one ``random(n)`` per step would.
 """
 
 from __future__ import annotations
@@ -45,13 +46,14 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 import repro.obs as obs
+from repro._uniforms import UniformBlocks
 from repro.energy.cpu import HostPowerModel, default_wired_host
 from repro.energy.switch import SwitchPowerModel
 from repro.errors import ConfigurationError
 from repro.fluidsim.adapters import FluidAlgorithm
 from repro.fluidsim.network import FluidNetwork
-from repro.fluidsim.rand import UniformBlocks
 from repro.fluidsim.state import CohortState
+from repro.net.rand import Pcg64
 
 _EPS = 1e-12
 
@@ -307,7 +309,7 @@ class FluidSimulation:
                 f"dtype must be one of {_DTYPE_MODES}, got {dtype!r}")
         self.net = network
         self.dt = dt
-        self.rng = np.random.default_rng(seed)
+        self.rng = Pcg64(seed)
         #: Work arrays, allocated on the first run().
         self._buffers: Optional[_StepBuffers] = None
         # Registry-backed run counters (read by campaign telemetry for
@@ -448,8 +450,9 @@ class FluidSimulation:
         b = self._buffers
         views = self._build_cohort_views(b)
 
-        # Loss uniforms, prefetched in blocks. total_rows == n_steps, so
-        # the generator ends where scalar-per-step draws would leave it.
+        # Loss uniforms, one row per step, read on lossy steps only.
+        # total_rows == n_steps, so the generator ends where one draw per
+        # subflow and step would leave it.
         uniforms = UniformBlocks(self.rng, n, n_steps,
                                  rows_per_block=_RNG_BLOCK_STEPS)
 
@@ -490,7 +493,7 @@ class FluidSimulation:
                 # p_path = min(Rt@0, .5) = 0, delivered = x*(1-0)*dt =
                 # x*dt bit-for-bit (x*1.0 == x), loss probability
                 # 1-exp(-0) = 0 so no subflow can lose. Only the RNG row
-                # must still be consumed to keep the stream aligned.
+                # must still be skipped to keep the stream aligned.
                 lossy_step = bool(b.lossy.any())
                 if lossy_step:
                     np.maximum(y, _EPS, out=b.denom)
@@ -530,8 +533,8 @@ class FluidSimulation:
                                       minlength=n_conns))
 
                 # Loss events: Poisson thinning, suppressed during recovery.
-                u = uniforms.next_row()
                 if lossy_step:
+                    u = uniforms.next_row()
                     np.multiply(b.p_path, b.x_pkts, out=b.lam)
                     np.greater_equal(now, self.recovery_until, out=b.can_lose)
                     np.negative(b.lam, out=b.lam)
@@ -540,6 +543,8 @@ class FluidSimulation:
                     np.subtract(1.0, b.lam, out=b.lam)  # lam now holds prob
                     np.less(u, b.lam, out=b.lt)
                     np.logical_and(b.can_lose, b.lt, out=b.losing)
+                else:
+                    uniforms.skip_row()
 
                 # Refresh the rate views with the *updated* RTT: the
                 # algorithms see current-step queueing delay, while

@@ -10,6 +10,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.fluidsim.adapters import FluidAlgorithm, create_fluid_algorithm
 from repro.fluidsim.csr import Csr
+from repro.net.rand import Pcg64
 from repro.topology.base import DcTopology, PathSpec, path_specs
 from repro.units import DEFAULT_PACKET_BYTES
 
@@ -99,7 +100,7 @@ class FluidNetwork:
         #: flows onto random equal-cost paths; always taking the first
         #: enumerated path would concentrate every single-subflow flow onto
         #: the same core links.
-        self._path_rng = np.random.default_rng(path_seed)
+        self._path_rng = Pcg64(path_seed)
         self.packet_bytes = packet_bytes
         self.packet_bits = packet_bytes * 8
         self.capacity = topology.link_capacity_bps
@@ -151,8 +152,7 @@ class FluidNetwork:
         from repro.workloads.permutation import random_permutation_pairs
 
         net = cls(topology, path_seed=seed)
-        for src, dst in random_permutation_pairs(
-                topology.hosts, np.random.default_rng(seed)):
+        for src, dst in random_permutation_pairs(topology.hosts, Pcg64(seed)):
             net.add_connection(src, dst, algorithm, n_subflows=n_subflows,
                                algorithm_kwargs=algorithm_kwargs,
                                path_pool=path_pool)
@@ -181,8 +181,7 @@ class FluidNetwork:
             # The draw depends on the candidate count alone, so the
             # topology can build the kept paths only.
             if count > n_subflows:
-                return np.sort(self._path_rng.choice(
-                    count, size=n_subflows, replace=False)).tolist()
+                return sorted(self._path_rng.choice(count, n_subflows))
             return range(count)
 
         links, relays = self.topology.path_rows(

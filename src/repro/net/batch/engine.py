@@ -49,12 +49,14 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 import repro.obs as obs
+from repro._uniforms import fill_random
 from repro.algorithms.dts import dts_increase
 from repro.algorithms.lia import lia_increase
 from repro.core.dts import dts_factor
 from repro.net.batch import model
 from repro.net.batch.scenario import BatchScenario
 from repro.net.events import TickCohorts
+from repro.net.rand import Pcg64
 from repro.transport.core import MAX_RTO, MIN_RTO
 
 _KIND_DTS = 0
@@ -140,7 +142,7 @@ class BatchEngine:
         metrics: Optional["obs.MetricsRegistry"] = None,
     ):
         self.scenario = scenario
-        self.rng = np.random.default_rng(scenario.seed)
+        self.rng = Pcg64(scenario.seed)
         self.record = record
         self.trajectory: List[tuple] = []
         self.clock = model._Clock()
@@ -258,7 +260,7 @@ class BatchEngine:
         # One uniform block per tick, consumed in (gid, slot) order — the
         # same stream the oracle draws round by round.
         total_draws = int(n_arr.sum())
-        block = self.rng.random(total_draws)
+        block = fill_random(self.rng, np.empty(total_draws))
         ends = np.cumsum(n_arr)
         starts = ends - n_arr
         min_u = np.minimum.reduceat(block, starts)
@@ -471,5 +473,5 @@ class BatchEngine:
         return model.assemble_result(ordered, self.scenario)
 
     def rng_state(self) -> Optional[dict]:
-        return self.rng.bit_generator.state
+        return self.rng.state
 

@@ -34,11 +34,12 @@ Round semantics (both engines, identical by construction):
    scheduled ``penalty + RTT(next burst)`` later, quantized up to the
    scenario tick — the quantization is what forms cohorts.
 
-RNG contract: a single ``numpy`` Generator seeded with the scenario
-seed; each round consumes exactly ``burst`` draws, in (tick, connection,
-subflow-slot) order.  ``Generator.random(n)`` produces the same stream
-whether drawn per round or in one per-tick block, so both engines
-consume identical uniforms.
+RNG contract: a single :class:`repro.net.rand.Pcg64` seeded with the
+scenario seed (``numpy.random.default_rng(seed)``'s stream, bit for bit);
+each round consumes exactly ``burst`` ``random()`` draws, in (tick,
+connection, subflow-slot) order.  :func:`repro._uniforms.fill_random`
+produces the same stream whether drawn per round (the oracle) or in one
+per-tick block (the engine), so both engines consume identical uniforms.
 
 Bit-exactness caveat, load-bearing: the DTS sigmoid
 (:func:`repro.core.dts.dts_factor`) is evaluated over ``np`` on *both*

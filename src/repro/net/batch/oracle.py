@@ -16,8 +16,10 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro._uniforms import fill_random
 from repro.net.batch import model
 from repro.net.batch.scenario import BatchScenario
+from repro.net.rand import Pcg64
 
 
 class OracleEngine:
@@ -25,7 +27,7 @@ class OracleEngine:
 
     def __init__(self, scenario: BatchScenario, *, record: bool = False):
         self.scenario = scenario
-        self.rng = np.random.default_rng(scenario.seed)
+        self.rng = Pcg64(scenario.seed)
         self.record = record
         self.trajectory: List[tuple] = []
         self.clock = model._Clock()
@@ -59,7 +61,7 @@ class OracleEngine:
                 self.clock.now = now_tick * tick
             sub = self.subflows[gid][slot]
             conn = self.conns[gid]
-            u = self.rng.random(sub.burst)
+            u = fill_random(self.rng, np.empty(sub.burst))
             model.scalar_round(sub, conn, u, now_tick, tick)
             self.counters["rounds"] += 1
             if self.record:
@@ -88,4 +90,4 @@ class OracleEngine:
         return model.assemble_result(snapshots, self.scenario)
 
     def rng_state(self) -> Optional[dict]:
-        return self.rng.bit_generator.state
+        return self.rng.state

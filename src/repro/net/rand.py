@@ -1,23 +1,30 @@
-"""The simulator's random generator: PCG64 on the standard library.
+"""The repo's random generator: PCG64 on the standard library.
 
-Per-packet loss draws (`Link`), RED early-drop draws and workload arrival
-draws all pull single variates from one generator owned by the
-:class:`~repro.net.events.Simulator`. Every figure in the repo is pinned to
-seeds recorded when that generator was ``numpy.random.default_rng(seed)``,
-so :class:`Pcg64` reproduces that stream **bit for bit** — same values, same
-final ``{"state", "inc"}`` — without importing numpy:
+Every engine draws from one :class:`Pcg64` per run: the packet DES's
+per-packet loss, RED and workload arrival draws, the fluid engine's loss
+uniforms, the batch engine's and its oracle's burst uniforms, and the
+fluid networks' host pairing and ECMP path picks. Every figure in the repo
+is pinned to seeds recorded when that generator was
+``numpy.random.default_rng(seed)``, so :class:`Pcg64` reproduces that
+stream **bit for bit** — same values, same final ``bit_generator.state``
+— without importing numpy:
 
 * seeding is ``SeedSequence``'s hash-mix (a pool of four 32-bit words, eight
   output words) feeding ``pcg_setseq_128_srandom``;
-* a step is the 128-bit LCG, the output XSL-RR 128/64;
+* a step is the 128-bit LCG, the output XSL-RR 128/64; :meth:`Pcg64.advance`
+  jumps the LCG in O(log n) steps;
 * ``random()`` is the top 53 bits of one output, ``uniform`` an affine map of
   it, ``exponential`` numpy's 256-layer ziggurat over numpy's own tables
-  (:mod:`repro.net._ziggurat`), ``pareto`` ``expm1`` of an exponential.
+  (:mod:`repro.net._ziggurat`), ``pareto`` ``expm1`` of an exponential;
+* the integer draws are numpy's buffered 32-bit halves: ``shuffle`` rejects
+  on a bit mask (``random_interval``), ``choice`` bounds by Lemire's method.
 
-``tests/test_fastpath.py`` holds the class to ``default_rng`` value for value
-over arbitrary interleavings of the five draw kinds. numpy's compatibility
-policy (NEP 19) lets ``Generator`` method streams change between releases;
-this file does not change with them.
+The array engines draw whole arrays of ``random()`` through
+:func:`repro._uniforms.fill_random`, which jumps this generator's state in
+numpy arithmetic. ``tests/test_fastpath.py`` holds both to ``default_rng``
+value for value over arbitrary interleavings of every draw kind. numpy's
+compatibility policy (NEP 19) lets ``Generator`` method streams change
+between releases; this file does not change with them.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.net._ziggurat import FE, KE, WE, ZIGGURAT_EXP_R
@@ -37,8 +44,11 @@ _M53 = (1 << 53) - 1
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 #: PCG's default 128-bit LCG multiplier.
-_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _TWO_M53 = 2.0 ** -53
+#: Above this population ``Generator.choice(replace=False)`` shuffles the
+#: tail of the whole range instead of running Floyd's algorithm.
+_CHOICE_TAIL_POP = 10_000
 
 # SeedSequence's constants (O'Neill's seed_seq_fe, as numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -88,10 +98,12 @@ class Pcg64:
     """``numpy.random.default_rng(seed)``'s scalar draws, stdlib only.
 
     ``seed`` is a non-negative integer of any size, or ``None`` for 128
-    bits of OS entropy (what ``default_rng()`` takes).
+    bits of OS entropy (what ``default_rng()`` takes). ``_state`` and
+    ``_inc`` are the LCG's; :func:`repro._uniforms.fill_random` reads and
+    moves them too.
     """
 
-    __slots__ = ("_state", "_inc")
+    __slots__ = ("_state", "_inc", "_has_uint32", "_uinteger")
 
     def __init__(self, seed: Optional[int] = None):
         if seed is None:
@@ -108,15 +120,41 @@ class Pcg64:
         hi, lo, seq_hi, seq_lo = _seed_words(seed)
         # pcg_setseq_128_srandom: state = 0, step, add the seed, step.
         self._inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
-        self._state = ((self._inc + (hi << 64 | lo)) * _MULT + self._inc) & _M128
+        self._state = ((self._inc + (hi << 64 | lo)) * MULT + self._inc) & _M128
+        #: numpy's buffered upper half of the last 64-bit output that
+        #: :meth:`next_uint32` split (``has_uint32`` / ``uinteger``).
+        self._has_uint32 = self._uinteger = 0
 
     @property
-    def state(self) -> Dict[str, int]:
-        """The position, as ``bit_generator.state["state"]`` reports it."""
-        return {"state": self._state, "inc": self._inc}
+    def state(self) -> Dict[str, Any]:
+        """The position, in the form ``bit_generator.state`` reports it."""
+        return {"bit_generator": "PCG64",
+                "state": {"state": self._state, "inc": self._inc},
+                "has_uint32": self._has_uint32, "uinteger": self._uinteger}
+
+    def advance(self, delta: int) -> None:
+        """Skip the next ``delta`` 64-bit outputs (mod 2**128) in
+        O(log delta), as ``bit_generator.advance`` does, dropping the
+        buffered 32-bit half.
+
+        ``delta`` steps of ``s -> a*s + c`` are one affine map; squaring
+        ``(a, c) -> (a*a, (a + 1)*c)`` builds it from the bits of ``delta``.
+        """
+        delta &= _M128
+        acc_mult, acc_plus = 1, 0
+        mult, plus = MULT, self._inc
+        while delta:
+            if delta & 1:
+                acc_mult = acc_mult * mult & _M128
+                acc_plus = (acc_plus * mult + plus) & _M128
+            plus = (mult + 1) * plus & _M128
+            mult = mult * mult & _M128
+            delta >>= 1
+        self._state = (acc_mult * self._state + acc_plus) & _M128
+        self._has_uint32 = self._uinteger = 0
 
     def _next64(self) -> int:
-        state = self._state = (self._state * _MULT + self._inc) & _M128
+        state = self._state = (self._state * MULT + self._inc) & _M128
         x = (state >> 64 ^ state) & _M64
         # XSL-RR: rotate the folded halves right by the top six bits; the low
         # 64 bits of (x:x) >> rot are that rotation.
@@ -126,9 +164,74 @@ class Pcg64:
         """One uniform draw in [0, 1): the top 53 bits of one output. This
         is the per-packet loss/RED hot path, so :meth:`_next64` is written
         out here (with the ``>> 11`` folded into the rotation's shift)."""
-        state = self._state = (self._state * _MULT + self._inc) & _M128
+        state = self._state = (self._state * MULT + self._inc) & _M128
         x = (state >> 64 ^ state) & _M64
         return ((x << 64 | x) >> ((state >> 122) + 11) & _M53) * _TWO_M53
+
+    def next_uint32(self) -> int:
+        """numpy's 32-bit draw: the low half of a fresh 64-bit output, whose
+        high half is buffered for the next call."""
+        if self._has_uint32:
+            self._has_uint32 = 0
+            return self._uinteger
+        x = self._next64()
+        self._has_uint32, self._uinteger = 1, x >> 32
+        return x & _M32
+
+    def _masked(self, bound: int) -> int:
+        """numpy's ``random_interval``: uniform on [0, bound] (< 2**32),
+        redrawing 32-bit values masked to ``bound``'s width."""
+        mask = (1 << bound.bit_length()) - 1
+        while (value := self.next_uint32() & mask) > bound:
+            pass
+        return value
+
+    def _lemire(self, bound: int) -> int:
+        """numpy's ``random_bounded_uint64(0, bound)`` for bound < 2**32:
+        Lemire's multiply-shift on 32-bit draws, redrawing the biased low
+        products. A zero bound draws nothing."""
+        if bound == 0:
+            return 0
+        span = bound + 1
+        m = self.next_uint32() * span
+        if m & _M32 < span:
+            threshold = (_M32 - bound) % span
+            while m & _M32 < threshold:
+                m = self.next_uint32() * span
+        return m >> 32
+
+    def shuffle(self, items: List) -> None:
+        """Permute the mutable sequence ``items`` in place, as
+        ``Generator.shuffle`` does: Fisher-Yates from the back."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self._masked(i)
+            items[i], items[j] = items[j], items[i]
+
+    def choice(self, population: int, size: int) -> List[int]:
+        """``Generator.choice(population, size, replace=False)``: ``size``
+        distinct ints below ``population``, in numpy's order."""
+        if not 0 <= size <= population:
+            raise ConfigurationError(
+                f"cannot pick {size} distinct values below {population}")
+        if population > _CHOICE_TAIL_POP and size > population // 50:
+            # Shuffle the last ``size`` places of the whole range.
+            picks = list(range(population))
+            for i in range(population - 1, max(population - size, 1) - 1, -1):
+                j = self._lemire(i)
+                picks[i], picks[j] = picks[j], picks[i]
+            return picks[population - size:]
+        # Floyd's algorithm, then a shuffle of the picks.
+        seen, picks = set(), []
+        for j in range(population - size, population):
+            value = self._lemire(j)
+            if value in seen:
+                value = j
+            seen.add(value)
+            picks.append(value)
+        for i in range(size - 1, 0, -1):
+            j = self._lemire(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
 
     def uniform(self, low: float, high: float) -> float:
         """One uniform draw in [low, high)."""

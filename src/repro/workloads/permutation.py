@@ -9,23 +9,22 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 
-def random_permutation_pairs(
-    hosts: Sequence[str], rng: np.random.Generator
-) -> List[Tuple[str, str]]:
+def random_permutation_pairs(hosts: Sequence[str], rng) -> List[Tuple[str, str]]:
     """A derangement-style pairing: each host sends to another host, no host
-    sends to itself, every host receives exactly one flow."""
+    sends to itself, every host receives exactly one flow.
+
+    ``rng`` is a :class:`repro.net.rand.Pcg64` or a numpy ``Generator``;
+    both shuffle a list with the same draws, so a seed pairs alike."""
     n = len(hosts)
     if n < 2:
         raise ConfigurationError("need at least two hosts for a permutation")
-    perm = np.arange(n)
+    perm = list(range(n))
     # Re-draw until it is a derangement (fast for n >= 2).
     while True:
         rng.shuffle(perm)
-        if not np.any(perm == np.arange(n)):
+        if all(dst != src for src, dst in enumerate(perm)):
             break
-    return [(hosts[i], hosts[int(perm[i])]) for i in range(n)]
+    return [(hosts[i], hosts[perm[i]]) for i in range(n)]

@@ -49,15 +49,22 @@ def dump():
     from repro.net.events import Simulator
 
     consumed = []
-    if hasattr(Simulator(seed=0).rand, "sync"):  # a parent before ISSUE 24
+    rand = Simulator(seed=0).rand
+    goldens = importlib.import_module("tests.test_engine_goldens")
+    if hasattr(rand, "sync"):  # a parent before ISSUE 24
         def prefetched_rng_state(sim):
             prefetched = sim.rng.bit_generator.state
             sim.rand.sync()
             consumed.append(sim.rng.bit_generator.state)
             return prefetched
 
-        importlib.import_module("tests.test_engine_goldens").des_rng_state = (
-            prefetched_rng_state)
+        goldens.des_rng_state = prefetched_rng_state
+    elif "bit_generator" not in rand.state:
+        # A parent whose Pcg64.state was only {"state", "inc"}: its DES drew
+        # no 32-bit halves, so numpy's whole form has none buffered.
+        goldens.des_rng_state = lambda sim: {
+            "bit_generator": "PCG64", "state": sim.rand.state,
+            "has_uint32": 0, "uinteger": 0}
 
     out = {}
     for suite in SUITES:

@@ -3,7 +3,10 @@ integrated with forward Euler), one allocating numpy expression per line
 of the model. ``FluidSimulation.run`` must match it bit for bit — every
 ``SimulationResult`` array, the obs instruments, the ``fluid.step`` trace
 instants and the RNG stream; ``tests/test_fluid_fastpath.py`` holds that
-property. Lived in the engine as ``FluidSimulation._run_legacy`` until
+property. The reference draws its loss uniforms from a numpy ``Generator``
+of its own, one ``random(n)`` per step, so the engine's stdlib generator,
+its array fill and its skipped rows are held against numpy's stream, not
+against themselves. Lived in the engine as ``FluidSimulation._run_legacy`` until
 ISSUE 15. Its routing products are scipy's own ``R @ x`` on two matrices —
 ``R^T`` viewing the network's path table, ``R`` scipy's transpose of it —
 so the engine's two kernels on one table are held against the operator on
@@ -20,12 +23,14 @@ from repro.fluidsim.engine import _EPS, FluidSimulation, SimulationResult
 from repro.fluidsim.state import CohortState
 
 
-def run_reference(sim: FluidSimulation, duration: float) -> SimulationResult:
-    """Advance ``sim`` by ``duration`` with the reference loop.
+def run_reference(sim: FluidSimulation, duration: float,
+                  rng: np.random.Generator) -> SimulationResult:
+    """Advance ``sim`` by ``duration`` with the reference loop, drawing
+    from ``rng`` (seeded as ``sim`` was).
 
     Reads and writes the simulation's own state (windows, RTTs, queues,
-    RNG, counters, tracer), so successive calls continue one trajectory
-    exactly as successive ``sim.run()`` calls do.
+    counters, tracer) but not its generator, so successive calls continue
+    one trajectory exactly as successive ``sim.run()`` calls do.
     """
     wall_start = time.perf_counter()
     net = sim.net
@@ -85,7 +90,7 @@ def run_reference(sim: FluidSimulation, duration: float) -> SimulationResult:
             lam = p_path * x_pkts
             can_lose = now >= sim.recovery_until
             prob = 1.0 - np.exp(-lam * dt)
-            losing = can_lose & (sim.rng.random(len(sim.w)) < prob)
+            losing = can_lose & (rng.random(len(sim.w)) < prob)
 
             # Per-cohort CC updates.
             for cohort in net.cohorts:

@@ -52,6 +52,20 @@ def test_spec_hash_is_stable_across_processes():
     assert out.stdout.strip() == spec.content_hash()
 
 
+def test_spec_hashes_are_pinned():
+    """Cache keys are committed hex strings: the SHA-256 implementation,
+    the canonical JSON or the hashed prefix cannot change under a cache
+    without this failing (the builtin module must equal ``hashlib``)."""
+    import hashlib
+
+    assert RunSpec().content_hash() == (
+        "bd74a9afeda2fc8cfba4a622a746031653cc93cb40f4681e3e2fe5e3ac6b22b7")
+    assert figure_campaign(["fig12"]).content_hash() == (
+        "0be019a1441d6984ae245c0959935db7f12181ea8d9f712686c8e6529051f06b")
+    body = b"repro.campaign.runspec"
+    assert spec_mod.sha256(body).hexdigest() == hashlib.sha256(body).hexdigest()
+
+
 def test_spec_hash_changes_with_any_field():
     base = RunSpec(**FAST)
     for changes in ({"seed": 2}, {"n_subflows": 2}, {"duration": 0.8},

@@ -9,8 +9,9 @@ a reference under ``tests/oracles``; this file is what notices the two
 drifting *together*.
 
 Digests are bit-level, so the fluid and batch ones also pin the numpy
-build (the DES draws from the stdlib ``repro.net.rand.Pcg64``): the file
-records the versions it was generated with. To regenerate (only ever against a
+build their arithmetic runs on (every engine draws from the stdlib
+``repro.net.rand.Pcg64``): the file records the versions it was generated
+with. To regenerate (only ever against a
 checkout of the commit whose behaviour is being kept)::
 
     PYTHONPATH=<checkout>/src python tests/test_engine_goldens.py
@@ -98,16 +99,20 @@ def fluid_case(topology: str, n_subflows: int, seed: int):
         "steps": [r["args"] for r in tracer.records
                   if r["name"] == "fluid.step"],
         "steps_taken": sim.steps_taken,
-        "rng": sim.rng.bit_generator.state,
+        "rng": rng_state(sim.rng),
     }
 
 
+def rng_state(rng):
+    """A generator's position in the form numpy's ``bit_generator.state``
+    has, which these goldens were recorded in: ``Pcg64.state``'s own form,
+    or, for a numpy ``Generator``, its bit generator's."""
+    return getattr(rng, "bit_generator", rng).state
+
+
 def des_rng_state(sim):
-    """The DES generator's position, in the shape numpy's
-    ``bit_generator.state`` has (what these goldens were first recorded in,
-    and what ``des/clean``, which never draws, still hashes to)."""
-    return {"bit_generator": "PCG64", "state": sim.rand.state,
-            "has_uint32": 0, "uinteger": 0}
+    """The DES generator's position (``des/clean`` never draws)."""
+    return rng_state(sim.rand)
 
 
 def des_case(seed: int, loss: float, queue: int, delayed_acks: bool,

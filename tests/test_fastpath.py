@@ -7,7 +7,8 @@ the un-optimised behaviour themselves — a never-reached compaction
 threshold, ``sim.pool.enabled = False``, a per-ACK cancel+reschedule
 sender — and compare under random schedules, cancellations, and network
 conditions; a leak check proves the pool's lifecycle bookkeeping. The
-simulator's stdlib generator is held to the numpy stream it reproduces.
+stdlib generator every engine draws from, and its array fill, are held to
+the numpy stream they reproduce.
 """
 
 from unittest import mock
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.net.mptcp as mptcp_mod
+from repro._uniforms import _SCALAR_BELOW, CHUNK, fill_random
 from repro.net.events import Simulator
 from repro.net.flow import TcpSender
 from repro.net.network import Network
@@ -118,8 +120,23 @@ def test_cancelled_stub_accounting_survives_compaction():
 
 # ------------------------------------------------------- generator contract
 
+#: Fill sizes around the scalar cutoff and the table chunk's edges.
+_FILL_EDGES = [1, _SCALAR_BELOW - 1, _SCALAR_BELOW, _SCALAR_BELOW + 1,
+               CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK - 1, 3 * CHUNK]
+
 rng_ops = st.lists(
-    st.sampled_from(["random", "expo_a", "expo_b", "pareto", "uniform"]),
+    st.one_of(
+        st.sampled_from(["random", "expo_a", "expo_b", "pareto", "uniform"]),
+        st.tuples(st.just("fill"), st.one_of(st.sampled_from(_FILL_EDGES),
+                                             st.integers(1, 3 * CHUNK))),
+        st.tuples(st.just("advance"), st.one_of(st.integers(0, 5000),
+                                                st.integers(0, 2**130))),
+        st.tuples(st.just("shuffle"), st.integers(0, 70)),
+        st.integers(1, 120).flatmap(lambda m: st.tuples(
+            st.just("choice"), st.just(m), st.integers(0, m))),
+        # Either side of numpy's switch from Floyd's algorithm to a tail shuffle.
+        st.sampled_from([("choice", 10_001, 200), ("choice", 10_001, 201),
+                         ("choice", 20_000, 1000)])),
     min_size=1, max_size=300)
 
 #: 0, the 32-bit and 64-bit word boundaries of SeedSequence's entropy
@@ -133,25 +150,40 @@ rng_seeds = st.one_of(
 @given(seed=rng_seeds, ops=rng_ops)
 def test_sim_rand_is_default_rng_stream(seed, ops):
     """``sim.rand`` *is* ``np.random.default_rng(seed)``: any interleaving
-    of the five draw kinds yields the same values and the same final
-    bit-generator state — the stream every seeded figure and golden was
+    of the scalar draws, array fills, jumps, shuffles and picks yields the
+    same values and the same final bit-generator state, buffered 32-bit
+    half included — the stream every seeded figure and golden was
     recorded under."""
     direct = np.random.default_rng(seed)
     rand = Simulator(seed=seed).rand
-    assert rand.state == direct.bit_generator.state["state"]
+    assert rand.state == direct.bit_generator.state
     for op in ops:
-        if op == "random":
+        kind = op[0] if isinstance(op, tuple) else op
+        if kind == "random":
             want, got = direct.random(), rand.random()
-        elif op == "expo_a":
+        elif kind == "expo_a":
             want, got = direct.exponential(2.0), rand.exponential(2.0)
-        elif op == "expo_b":
+        elif kind == "expo_b":
             want, got = direct.exponential(0.5), rand.exponential(0.5)
-        elif op == "pareto":
+        elif kind == "pareto":
             want, got = direct.pareto(1.5), rand.pareto(1.5)
-        else:
+        elif kind == "uniform":
             want, got = direct.uniform(1.0, 3.0), rand.uniform(1.0, 3.0)
-        assert got == want
-    assert rand.state == direct.bit_generator.state["state"]
+        elif kind == "fill":
+            want = direct.random(op[1]).tobytes()
+            got = fill_random(rand, np.empty(op[1])).tobytes()
+        elif kind == "advance":
+            direct.bit_generator.advance(op[1])
+            want, got = None, rand.advance(op[1])
+        elif kind == "shuffle":
+            want, got = list(range(op[1])), list(range(op[1]))
+            direct.shuffle(want)
+            rand.shuffle(got)
+        else:
+            want = direct.choice(op[1], op[2], replace=False).tolist()
+            got = rand.choice(op[1], op[2])
+        assert got == want, op
+    assert rand.state == direct.bit_generator.state
 
 
 def test_exponential_matches_numpy_through_tail_and_wedge():
@@ -163,7 +195,7 @@ def test_exponential_matches_numpy_through_tail_and_wedge():
     rand = Simulator(seed=2**64 + 24).rand
     want = direct.exponential(3.0, n)
     assert [rand.exponential(3.0) for _ in range(n)] == want.tolist()
-    assert rand.state == direct.bit_generator.state["state"]
+    assert rand.state == direct.bit_generator.state
 
 
 # ----------------------------------------------------- pipe closed-form prop

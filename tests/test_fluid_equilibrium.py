@@ -75,7 +75,8 @@ def _engine_aggregate(net: FluidNetwork, *, reference: bool = False,
     perturbs the mean by well under the comparison tolerances.
     """
     sim = FluidSimulation(net, dt=0.004, seed=1)
-    result = run_reference(sim, horizon) if reference else sim.run(horizon)
+    result = (run_reference(sim, horizon, np.random.default_rng(1)) if reference
+              else sim.run(horizon))
     return result.aggregate_goodput_bps
 
 

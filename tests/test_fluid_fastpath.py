@@ -1,14 +1,16 @@
 """Equivalence tests for the fluid engine's step loop.
 
 The loop's optimisations (the raw CSR routing product, preallocated step
-buffers, chunked RNG) are *behaviour-preserving*: with the same network
-and seed, ``FluidSimulation.run`` must produce bit-identical results to
-the straight-line reference loop in ``tests/oracles/fluid_reference.py``
-— every ``SimulationResult`` array, the ``fluid.residual`` gauge, the
-``fluid.step`` trace instants, and the final RNG state. These tests pin
-that down under random topologies, algorithm mixes and seeds, on the two
-routing matrices a second kernel used to exist for (dense, non-unit
-weights), and cover the chunked-RNG facade in isolation.
+buffers, loss rows drawn in blocks and skipped on loss-free steps) are
+*behaviour-preserving*: with the same network and seed,
+``FluidSimulation.run`` must produce bit-identical results to the
+straight-line reference loop in ``tests/oracles/fluid_reference.py`` —
+every ``SimulationResult`` array, the ``fluid.residual`` gauge, the
+``fluid.step`` trace instants, and the final RNG state, the engine's
+stdlib generator against the reference's own numpy ``default_rng``. These
+tests pin that down under random topologies, algorithm mixes and seeds, on
+the two routing matrices a second kernel used to exist for (dense,
+non-unit weights), and cover the block reader in isolation.
 """
 
 import numpy as np
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.obs as obs
+from repro._uniforms import UniformBlocks
 from repro.errors import ConfigurationError
 from repro.fluidsim import FluidNetwork, FluidSimulation
-from repro.fluidsim.rand import UniformBlocks
+from repro.net.rand import Pcg64
 from repro.topology import FatTree
 from repro.units import ms
 from tests.oracles.fluid_reference import run_reference
@@ -60,9 +63,15 @@ def _run(net: FluidNetwork, *, reference: bool, seed: int, n_steps: int,
     sim = FluidSimulation(net, dt=dt, seed=seed, metrics=registry,
                           tracer=tracer,
                           energy_sample_every=energy_sample_every)
-    res = run_reference(sim, n_steps * dt) if reference else sim.run(n_steps * dt)
+    if reference:
+        rng = np.random.default_rng(seed)
+        res = run_reference(sim, n_steps * dt, rng)
+        state = rng.bit_generator.state
+    else:
+        res = sim.run(n_steps * dt)
+        state = sim.rng.state
     steps = [r for r in tracer.records if r["name"] == "fluid.step"]
-    return res, registry.snapshot(), steps, sim.rng.bit_generator.state
+    return res, registry.snapshot(), steps, state
 
 
 def _assert_bit_identical(got, want):
@@ -154,10 +163,24 @@ def test_interleaved_fast_and_legacy_runs_share_one_sim():
     net_b = _build_net(11, ["lia", "balia"], 2)
     sim = FluidSimulation(net_a, dt=0.004, seed=5)
     ref = FluidSimulation(net_b, dt=0.004, seed=5)
-    for advance in (sim.run, sim.run, lambda d: run_reference(sim, d), sim.run):
-        got = advance(20 * 0.004)
-        want = run_reference(ref, 20 * 0.004)
+    ref_rng = np.random.default_rng(5)
+    steps = 20
+
+    def reference_on_sim(duration):
+        # The reference draws through numpy from where the sim's generator
+        # stands; the sim's generator then jumps over what it drew.
+        rng = np.random.default_rng()
+        rng.bit_generator.state = sim.rng.state
+        result = run_reference(sim, duration, rng)
+        sim.rng.advance(steps * net_a.n_subflows)
+        assert sim.rng.state == rng.bit_generator.state
+        return result
+
+    for advance in (sim.run, sim.run, reference_on_sim, sim.run):
+        got = advance(steps * 0.004)
+        want = run_reference(ref, steps * 0.004, ref_rng)
         _assert_bit_identical(got, want)
+    assert sim.rng.state == ref_rng.bit_generator.state
 
 
 # ------------------------------------- the matrices the second kernel served
@@ -193,35 +216,45 @@ def test_dense_or_weighted_routing_matches_the_reference(build):
     assert fast[0].connection_bits.sum() > 0
 
 
-# ------------------------------------------------------------- chunked RNG
+# ------------------------------------------------------------ block reader
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), width=st.integers(1, 20),
-       total=st.integers(1, 100), block=st.integers(1, 17))
-def test_uniform_blocks_stream_identity(seed, width, total, block):
-    """UniformBlocks yields the exact rows ``rng.random(width)`` would,
-    in order, and leaves the bit generator in the same state."""
-    blocked = UniformBlocks(np.random.default_rng(seed), width, total,
+       block=st.integers(1, 17),
+       reads=st.lists(st.booleans(), min_size=1, max_size=100))
+def test_uniform_blocks_stream_identity(seed, width, block, reads):
+    """Any interleaving of ``next_row`` and ``skip_row`` reads exactly the
+    rows of ``default_rng(seed).random((rows, width))`` it does not skip,
+    and leaves the generator where that array leaves numpy's."""
+    blocked = UniformBlocks(Pcg64(seed), width, len(reads),
                             rows_per_block=block)
     ref = np.random.default_rng(seed)
-    for _ in range(total):
-        row = blocked.next_row()
-        assert row.tobytes() == ref.random(width).tobytes()
-    assert (blocked.rng.bit_generator.state == ref.bit_generator.state)
+    rows = ref.random((len(reads), width))
+    for row, read in zip(rows, reads):
+        if read:
+            assert blocked.next_row().tobytes() == row.tobytes()
+        else:
+            blocked.skip_row()
+    assert blocked.rng.state == ref.bit_generator.state
 
 
 def test_uniform_blocks_exhaustion_and_refills():
-    blocked = UniformBlocks(np.random.default_rng(0), 4, 10, rows_per_block=4)
+    blocked = UniformBlocks(Pcg64(0), 4, 10, rows_per_block=4)
     for _ in range(10):
         blocked.next_row()
     assert blocked.refills == 3  # 4 + 4 + 2 rows
     with pytest.raises(ConfigurationError):
         blocked.next_row()
+    skipping = UniformBlocks(Pcg64(0), 4, 10, rows_per_block=4)
+    for _ in range(10):
+        skipping.skip_row()
+    assert skipping.refills == 0  # every block jumped over, none drawn
+    assert skipping.rng.state == blocked.rng.state
 
 
 def test_uniform_blocks_validates_arguments():
-    rng = np.random.default_rng(0)
+    rng = Pcg64(0)
     with pytest.raises(ConfigurationError):
         UniformBlocks(rng, -1, 10)
     with pytest.raises(ConfigurationError):

@@ -439,7 +439,8 @@ class TestFluidEngine:
         net.finalize()
         dt = 0.002
         sim = FluidSimulation(net, dt=dt, seed=1, energy_sample_every=10)
-        res = run_reference(sim, 15 * dt) if reference else sim.run(15 * dt)
+        res = (run_reference(sim, 15 * dt, np.random.default_rng(1)) if reference
+               else sim.run(15 * dt))
         assert len(res.sample_power_w) == 2
         expected = sum(p * dt * w for p, w in zip(res.sample_power_w, [10, 5]))
         assert res.total_energy_j == pytest.approx(expected, rel=1e-12)

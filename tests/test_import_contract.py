@@ -10,7 +10,9 @@ routing kernel lives in; the transport rows run the live transport (every
 per-ACK controller, ``fetch --selftest``, a scraped server) and find no
 numpy; the packet rows run the scalar DES (two measurement figures, a lossy
 two-route transfer under Pareto bursts, ``box_stats``) and find none
-either.  The second half checks the PEP 562 lazy exports of ``repro``,
+either; the array rows run each array engine and a pooled campaign plus its
+report, and find neither ``numpy.random`` nor OpenSSL (``hashlib``).  The
+second half checks the PEP 562 lazy exports of ``repro``,
 ``repro.core``, ``repro.net``, ``repro.topology``, ``repro.workloads`` and
 ``repro.analysis`` behave like the eager re-exports they replaced.
 """
@@ -95,6 +97,7 @@ STDLIB_TIER = [
     "import repro.core.dts",
     "import repro.core.energy_price",
     "import repro.analysis",
+    "import repro.workloads.permutation",
     _cli("--help"),
     _cli("--version"),
     _cli("list"),
@@ -260,9 +263,54 @@ PACKET_RUNS = [
 ]
 
 
+#: The array engines at work: their uniforms, shuffles and path picks come
+#: from the stdlib generator, spec hashes from the builtin SHA-256.
+_ARRAY_SPEC = "topology='bcube', n_subflows=2, duration=0.2, dt=0.01"
+_CAMPAIGN_AND_REPORT = """
+import contextlib, io, tempfile
+from pathlib import Path
+import repro.cli
+cache = Path(tempfile.mkdtemp())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert repro.cli.main(['campaign', 'fig12', '--jobs', '2', '--subflows', '1',
+                           '--seeds', '1', '--duration', '0.2', '--dt', '0.01',
+                           '--cache-dir', str(cache)]) == 0
+    assert repro.cli.main(['obs', 'report', str(cache / 'campaign.log.jsonl')]) == 0
+"""
+ARRAY_RUNS = [
+    pytest.param(
+        "from repro.campaign import RunSpec, execute_run\n"
+        f"assert execute_run(RunSpec(engine='fluid', {_ARRAY_SPEC}))"
+        "['metrics']['loss_events'] >= 0",
+        id="stepped fluid execute_run"),
+    pytest.param(
+        "from repro.campaign import RunSpec, execute_run\n"
+        f"assert execute_run(RunSpec(engine='fluid-equilibrium', {_ARRAY_SPEC}))"
+        "['metrics']['steps_taken'] == 0",
+        id="fluid-equilibrium execute_run"),
+    pytest.param(
+        "from repro.campaign import RunSpec, execute_run\n"
+        "assert execute_run(RunSpec(engine='packet-batch', topology='ec2',\n"
+        "    algorithm='dts', n_subflows=2, duration=0.2, dt=0.002,\n"
+        "    params={'n_hosts': 8, 'loss_rate': 1e-2}))['metrics']",
+        id="packet-batch execute_run"),
+    pytest.param(_CAMPAIGN_AND_REPORT, id="campaign fig12 --jobs 2, obs report"),
+]
+#: ``numpy.random`` pulls ``secrets`` -> ``hmac`` -> ``hashlib``, which maps
+#: OpenSSL's libcrypto through ``_hashlib``.
+_NOT_IN_ARRAY_TIER = ("numpy.random", "secrets", "hashlib", "_hashlib")
+
+
 @pytest.mark.parametrize("statement", PACKET_RUNS)
 def test_packet_tier_runs_without_numpy(statement):
     run_fresh(statement + "\nimport sys\nassert 'numpy' not in sys.modules\n")
+
+
+@pytest.mark.parametrize("statement", ARRAY_RUNS)
+def test_array_tier_runs_without_numpy_random_or_openssl(statement):
+    run_fresh(statement + "\nimport sys\n"
+              f"loaded = [m for m in {_NOT_IN_ARRAY_TIER!r} if m in sys.modules]\n"
+              "assert not loaded, loaded\n")
 
 
 @pytest.mark.parametrize("statement", STDLIB_TIER)
@@ -356,11 +404,12 @@ def test_manifest_reads_the_numpy_version_without_importing_numpy(first):
 
 
 def test_fluid_tier_loads_no_packet_engine():
-    """Of ``repro.net`` a fluid process keeps one leaf helper (the sampler
-    base class ``repro.energy`` subclasses), not the packet engine."""
+    """Of ``repro.net`` a fluid process keeps two leaves (the sampler base
+    class ``repro.energy`` subclasses, the stdlib generator every engine
+    draws from), not the packet engine."""
     assert modules_after(
         "import repro.fluidsim", "repro.net", "repro.transport",
-    ) == {"repro.net", "repro.net.monitor"}
+    ) == {"repro.net", "repro.net.monitor", "repro.net.rand", "repro.net._ziggurat"}
 
 
 @pytest.mark.parametrize("first, then", [

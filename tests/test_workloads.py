@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.net.network import Network
+from repro.net.rand import Pcg64
 from repro.units import mbps, ms
 from repro.workloads import (
     NullSink,
@@ -119,6 +120,8 @@ class TestPermutation:
         pairs = random_permutation_pairs(hosts, np.random.default_rng(seed))
         assert all(s != d for s, d in pairs)
         assert len({d for _, d in pairs}) == n
+        # The engines' stdlib generator pairs exactly as numpy's does.
+        assert random_permutation_pairs(hosts, Pcg64(seed)) == pairs
 
 
 class TestBulk:
