@@ -1,13 +1,12 @@
 """Shared benchmark plumbing.
 
-Each ``bench_figXX`` module regenerates one figure of the paper: it runs
-the corresponding ``repro.experiments`` module (scaled-down parameters),
-asserts the paper's qualitative claim, and prints the figure's rows.
-Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see the
-regenerated tables).
+The ``bench_*`` modules time the engines, the campaign path and the
+observability overhead, and check the extensions beyond the paper (DWC,
+schedulers, model consistency, responsiveness) under pytest-benchmark:
+``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see their tables).
+The paper's own claims are the rows of ``repro.experiments.claims``
+(``python -m repro claims``); ``benchmarks/e2e/`` is the end-to-end harness.
 """
-
-import pytest
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -1,8 +1,8 @@
-"""Plain-text report formatting for the benchmark harness.
+"""Plain-text report formatting.
 
-The benches cannot draw the paper's figures in a terminal, so each emits
-the figure's underlying rows/series as an aligned ASCII table; EXPERIMENTS.md
-records these against the paper's reported shapes.
+The figure modules cannot draw the paper's figures in a terminal, so each
+renders the figure's underlying rows/series as an aligned ASCII table; the
+claims ledger embeds those tables in EXPERIMENTS.md.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ Usage::
     python -m repro fig09                # regenerate one figure
     python -m repro fig12 fig13 fig14    # several in sequence
     python -m repro all                  # everything (several minutes)
+    python -m repro claims               # judge every claim; prints EXPERIMENTS.md
 
 Campaign mode (parallel, cached — see docs/USAGE.md):
 
@@ -40,47 +41,18 @@ from typing import Callable, Dict, List
 from repro import __version__
 
 
-#: figure id -> (module under repro.experiments, entry function).  Modules
-#: load when their figure runs, so a packet figure never imports a fluid one.
-_FIGURES = {
-    "fig01": ("fig01_power_vs_subflows", "main"),
-    "fig02": ("fig02_mobile_power", "main"),
-    "fig03": ("fig03_energy_vs_throughput", "main"),
-    "fig04": ("fig04_power_vs_delay", "main"),
-    "fig06": ("fig06_shared_bottleneck", "main"),
-    "fig07": ("fig07_traffic_shifting", "main"),
-    "fig08": ("fig08_trace", "main"),
-    "fig09": ("fig09_dts_testbed", "main"),
-    "fig10": ("fig10_ec2", "main"),
-    "fig12": ("fig12_14_subflows", "run_fig12"),
-    "fig13": ("fig12_14_subflows", "run_fig13"),
-    "fig14": ("fig12_14_subflows", "run_fig14"),
-    "fig15": ("fig15_phi", "main"),
-    "fig16": ("fig16_dc_throughput", "main"),
-    "fig17": ("fig17_wireless", "main"),
-}
-
-
 def _run_figure(module: str, entry: str) -> None:
-    result = getattr(importlib.import_module(f"repro.experiments.{module}"), entry)()
-    if result is not None:  # the fig12-14 run_* entries return a sweep to print
-        _print_sweep(result)
+    mod = importlib.import_module(f"repro.experiments.{module}")
+    print(mod.table(getattr(mod, entry)()))
 
 
 def _figure_runners() -> Dict[str, Callable[[], None]]:
-    return {name: functools.partial(_run_figure, *target)
-            for name, target in _FIGURES.items()}
+    """Figure id -> runner, from the claims ledger's figure table.  Modules
+    load when their figure runs, so a packet figure never imports a fluid one."""
+    from repro.experiments.claims import FIGURES
 
-
-def _print_sweep(result) -> None:
-    from repro.analysis.report import format_table
-
-    print(f"topology: {result.topology}")
-    print(format_table(
-        ["subflows", "J per GB", "goodput (Gbps)"],
-        [[p.n_subflows, p.energy_per_gb, p.aggregate_goodput_bps / 1e9]
-         for p in result.points],
-    ))
+    return {fig.id: functools.partial(_run_figure, fig.module, fig.entry)
+            for fig in FIGURES}
 
 
 def _print_packet_sweep(group_name, counts, seeds, group) -> None:
@@ -295,7 +267,7 @@ def _finish_campaign_trace(trace, campaign_name, outcomes) -> None:
 def _run_campaign_specs(campaign, executor, telemetry, log_path,
                         trace=None) -> int:
     """Execute a CampaignSpec and print per-topology tables + a summary."""
-    from repro.experiments.fig12_14_subflows import sweep_result_from_outcomes
+    from repro.experiments.fig12_14_subflows import sweep_result_from_outcomes, table
 
     start = time.time()
     outcomes = executor.run(campaign.runs, campaign_name=campaign.name)
@@ -312,8 +284,8 @@ def _run_campaign_specs(campaign, executor, telemetry, log_path,
         if group[0].spec.engine == "packet-batch":
             _print_packet_sweep(group_name, counts, seeds, group)
         else:
-            _print_sweep(sweep_result_from_outcomes(group_name, counts, seeds,
-                                                    group))
+            print(table(sweep_result_from_outcomes(group_name, counts, seeds,
+                                                   group)))
         print()
 
     summary = telemetry.summary()
@@ -1052,6 +1024,16 @@ def main(argv: List[str] | None = None) -> int:
         return _serve_main(argv[1:])
     if argv and argv[0] == "fetch":
         return _fetch_main(argv[1:])
+    if argv and argv[0] == "claims":
+        argparse.ArgumentParser(
+            prog="repro claims",
+            description="Run every figure at its defaults, judge the claims "
+                        "ledger and print EXPERIMENTS.md; exit 1 if a verdict "
+                        "class differs from its committed one.",
+        ).parse_args(argv[1:])
+        from repro.experiments import claims
+
+        return claims.main()
 
     args = build_parser().parse_args(argv)
     runners = _figure_runners()
@@ -1060,7 +1042,8 @@ def main(argv: List[str] | None = None) -> int:
         print("available figures:")
         for name in sorted(runners):
             print(f"  {name}")
-        print("subcommands: campaign, sweep (parallel cached runs), "
+        print("subcommands: claims (paper-vs-measured ledger, prints "
+              "EXPERIMENTS.md), campaign, sweep (parallel cached runs), "
               "obs (artifact reports), bench (benchmarks + regression "
               "gate), serve, fetch (real UDP transport); see --help")
         return 0

@@ -1,12 +1,14 @@
 """One experiment module per figure of the paper's evaluation.
 
-Every module exposes ``run(...)`` returning a structured result object and
-``main()`` that prints the figure's rows as an ASCII table. The
-``benchmarks/bench_*.py`` shims run these and assert the paper's
-qualitative claims (the benchmark harness proper is ``benchmarks/e2e/``).
-Default parameters are scaled down to finish in seconds; each ``run``
-accepts the paper's full-scale parameters (documented per module) for
-faithful reproduction runs.
+Every module exposes ``run(...)`` returning a structured result object,
+``table(result)`` rendering the figure's rows as an ASCII table, and
+``main()`` printing ``table(run())``. The paper's claims are rows of
+:mod:`repro.experiments.claims`, which judges them on these results
+(``python -m repro claims`` renders EXPERIMENTS.md); the ablations of
+Eq. 5's slope, Algorithm 1's Taylor form and Eq. 7's kappa are in
+:mod:`repro.experiments.ablations`. Default parameters are scaled down to
+finish in seconds; each ``run`` accepts the paper's full-scale parameters
+(:mod:`repro.experiments.paper_scale`) for faithful reproduction runs.
 
 Figure modules load on first use: this package imports none of them, so
 ``from repro.experiments import fig06_shared_bottleneck`` (a plain
@@ -34,6 +36,8 @@ fig17     Fig. 17 — heterogeneous wireless: DTS vs LIA
 """
 
 __all__ = [
+    "ablations",
+    "claims",
     "fig01_power_vs_subflows",
     "fig02_mobile_power",
     "fig03_energy_vs_throughput",

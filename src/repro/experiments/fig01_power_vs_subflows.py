@@ -79,17 +79,20 @@ def run(
     return Fig01Result(tcp=tcp, mptcp_by_subflows=mptcp_runs, subflow_counts=counts)
 
 
-def main() -> None:
-    """Print the Fig. 1 rows."""
-    result = run()
+def table(result: Fig01Result) -> str:
+    """The Fig. 1 rows."""
     rows = [["tcp (1 NIC)", 1, result.tcp.mean_power_w,
              result.tcp.goodput_bps / 1e6]]
     for n, m in zip(result.subflow_counts, result.mptcp_by_subflows):
         rows.append([f"mptcp num_subflows={n}", 2 * n, m.mean_power_w,
                      m.goodput_bps / 1e6])
-    print(format_table(
+    return format_table(
         ["configuration", "total subflows", "mean power (W)", "goodput (Mbps)"], rows
-    ))
+    )
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

@@ -108,18 +108,21 @@ def run(
     )
 
 
-def main() -> None:
-    """Print the Fig. 2 bars."""
-    result = run()
+def table(result: Fig02Result) -> str:
+    """The Fig. 2 bars."""
     rows = [
         [m.label, to_mbps(m.wifi_bps), to_mbps(m.lte_bps),
          m.device_power_w, m.transfer_energy_j]
         for m in result.measurements
     ]
-    print(format_table(
+    return format_table(
         ["configuration", "wifi (Mbps)", "lte (Mbps)", "power (W)", "energy (J)"],
         rows,
-    ))
+    )
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

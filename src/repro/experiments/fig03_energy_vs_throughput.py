@@ -90,20 +90,23 @@ def run(
     return Fig03Result(wired=wired, wireless=wireless)
 
 
-def main() -> None:
-    """Print the Fig. 3(a) and 3(b) series."""
-    result = run()
+def table(result: Fig03Result) -> str:
+    """The Fig. 3(a) and 3(b) series."""
+    parts = []
     for label, points in (("3(a) Ethernet", result.wired), ("3(b) WiFi", result.wireless)):
         rows = [
             [p.bandwidth_bps / 1e6, p.measurement.goodput_bps / 1e6,
              p.measurement.mean_power_w, p.measurement.energy_j]
             for p in points
         ]
-        print(f"Fig. {label}")
-        print(format_table(
+        parts += [f"Fig. {label}", format_table(
             ["bandwidth (Mbps)", "goodput (Mbps)", "power (W)", "energy (J)"], rows
-        ))
-        print()
+        ), ""]
+    return "\n".join(parts)
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

@@ -68,17 +68,20 @@ def run(
     return Fig04Result(points=points)
 
 
-def main() -> None:
-    """Print the Fig. 4 rows."""
-    result = run()
+def table(result: Fig04Result) -> str:
+    """The Fig. 4 rows."""
     rows = [
         [to_ms(p.path_delay_s), p.measurement.goodput_bps / 1e6,
          p.measurement.mean_power_w, p.measurement.energy_j]
         for p in result.points
     ]
-    print(format_table(
+    return format_table(
         ["path delay (ms)", "goodput (Mbps)", "power (W)", "energy (J)"], rows
-    ))
+    )
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

@@ -112,19 +112,22 @@ def run(
     return Fig06Result(cells=cells)
 
 
-def main() -> None:
-    """Print the Fig. 6 box summaries."""
-    result = run()
+def table(result: Fig06Result) -> str:
+    """The Fig. 6 box summaries."""
     rows = []
     for c in result.cells:
         s = c.stats
         rows.append([c.n_users, c.algorithm, s.mean, s.q1, s.median, s.q3,
                      len(s.outliers), c.mean_goodput_bps / 1e6])
-    print(format_table(
+    return format_table(
         ["N", "algorithm", "mean E (J)", "Q1", "median", "Q3",
          "outliers", "goodput (Mbps)"],
         rows,
-    ))
+    )
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

@@ -93,15 +93,18 @@ def run(
     return Fig07Result(rows=rows)
 
 
-def main() -> None:
-    """Print the Fig. 7 comparison."""
-    result = run()
-    print(format_table(
+def table(result: Fig07Result) -> str:
+    """The Fig. 7 comparison."""
+    return format_table(
         ["algorithm", "goodput (Mbps)", "completion (s)", "energy (J)",
          "loss events", "retransmits"],
         [[r.algorithm, r.goodput_bps / 1e6, r.completion_time, r.energy_j,
           r.loss_events, r.retransmissions] for r in result.rows],
-    ))
+    )
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

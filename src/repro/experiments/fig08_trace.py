@@ -81,9 +81,8 @@ def run(
     )
 
 
-def main() -> None:
-    """Print the binned traces and summary."""
-    result = run()
+def table(result: Fig08Result) -> str:
+    """The binned traces and summary."""
     lia, dts = result.traces["lia"], result.traces["dts"]
     rows: List[List] = []
     for i, t in enumerate(lia.times):
@@ -92,12 +91,17 @@ def main() -> None:
         row.append(lia.power_w[i] if i < len(lia.power_w) else float("nan"))
         row.append(dts.power_w[i] if i < len(dts.power_w) else float("nan"))
         rows.append(row)
-    print(format_table(
-        ["t (s)", "lia Mbps", "dts Mbps", "lia W", "dts W"], rows
-    ))
-    print(f"\ntotal energy: lia={lia.total_energy_j:.1f} J, dts={dts.total_energy_j:.1f} J")
-    print(f"mean goodput: lia={lia.mean_goodput_bps/1e6:.1f} Mbps, "
-          f"dts={dts.mean_goodput_bps/1e6:.1f} Mbps")
+    return "\n".join([
+        format_table(["t (s)", "lia Mbps", "dts Mbps", "lia W", "dts W"], rows),
+        "",
+        f"total energy: lia={lia.total_energy_j:.1f} J, dts={dts.total_energy_j:.1f} J",
+        f"mean goodput: lia={lia.mean_goodput_bps/1e6:.1f} Mbps, "
+        f"dts={dts.mean_goodput_bps/1e6:.1f} Mbps",
+    ])
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

@@ -49,8 +49,10 @@ class Fig09Result:
         return sum(r.goodput_dts_bps / r.goodput_lia_bps for r in self.runs) / len(self.runs)
 
 
-def _measure(algorithm: str, transfer_bytes: int, seed: int, timeout: float,
-             mean_burst_interval: float = 4.0, mean_burst_duration: float = 3.0):
+def measure(algorithm, transfer_bytes: int, seed: int, timeout: float,
+            mean_burst_interval: float = 4.0, mean_burst_duration: float = 3.0):
+    """(energy J, goodput bps) of one metered transfer; ``algorithm`` is a
+    registry name or a controller instance."""
     # Scaled equivalent of the paper's Fig. 5(b): denser burst cadence, a
     # burst rate that genuinely degrades the path, and bufferbloat-depth
     # queues so the delay signal DTS keys on actually appears.
@@ -80,28 +82,31 @@ def run(
     seed_list = seeds if seeds is not None else [1, 2, 3, 4]
     runs: List[Fig09Run] = []
     for seed in seed_list:
-        e_lia, g_lia = _measure("lia", transfer_bytes, seed, timeout)
-        e_dts, g_dts = _measure("dts", transfer_bytes, seed, timeout)
+        e_lia, g_lia = measure("lia", transfer_bytes, seed, timeout)
+        e_dts, g_dts = measure("dts", transfer_bytes, seed, timeout)
         runs.append(Fig09Run(seed, e_lia, e_dts, g_lia, g_dts))
     return Fig09Result(runs=runs)
 
 
-def main() -> None:
-    """Print the paired comparison."""
-    result = run()
+def table(result: Fig09Result) -> str:
+    """The paired comparison."""
     rows = [
         [r.seed, r.energy_lia_j, r.energy_dts_j, 100 * r.saving,
          r.goodput_lia_bps / 1e6, r.goodput_dts_bps / 1e6]
         for r in result.runs
     ]
-    print(format_table(
-        ["seed", "E lia (J)", "E dts (J)", "saving (%)",
-         "lia (Mbps)", "dts (Mbps)"],
-        rows,
-    ))
-    print(f"\nmean saving {100*result.mean_saving:.1f}%  "
-          f"max {100*result.max_saving:.1f}%  "
-          f"goodput ratio {result.mean_goodput_ratio:.3f}")
+    return "\n".join([
+        format_table(["seed", "E lia (J)", "E dts (J)", "saving (%)",
+                      "lia (Mbps)", "dts (Mbps)"], rows),
+        "",
+        f"mean saving {100*result.mean_saving:.1f}%  "
+        f"max {100*result.max_saving:.1f}%  "
+        f"goodput ratio {result.mean_goodput_ratio:.3f}",
+    ])
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

@@ -72,17 +72,22 @@ def run(
     return Fig10Result(rows=rows)
 
 
+def table(result: Fig10Result) -> str:
+    """The Fig. 10 comparison."""
+    return "\n".join([
+        format_table(
+            ["config", "goodput (Gbps)", "J per GB", "host E (J)", "switch E (J)"],
+            [[r.label, r.aggregate_goodput_bps / 1e9, r.energy_per_gb,
+              r.host_energy_j, r.switch_energy_j] for r in result.rows]),
+        "",
+        f"DTS saving vs TCP: {100*result.saving_vs('tcp', 'dts'):.1f}%  "
+        f"vs DCTCP: {100*result.saving_vs('dctcp', 'dts'):.1f}%  "
+        f"LIA-vs-DTS gap: {100*result.saving_vs('lia', 'dts'):.1f}%",
+    ])
+
+
 def main() -> None:
-    """Print the Fig. 10 comparison."""
-    result = run()
-    print(format_table(
-        ["config", "goodput (Gbps)", "J per GB", "host E (J)", "switch E (J)"],
-        [[r.label, r.aggregate_goodput_bps / 1e9, r.energy_per_gb,
-          r.host_energy_j, r.switch_energy_j] for r in result.rows],
-    ))
-    print(f"\nDTS saving vs TCP: {100*result.saving_vs('tcp', 'dts'):.1f}%  "
-          f"vs DCTCP: {100*result.saving_vs('dctcp', 'dts'):.1f}%  "
-          f"LIA-vs-DTS gap: {100*result.saving_vs('lia', 'dts'):.1f}%")
+    print(table(run()))
 
 
 if __name__ == "__main__":

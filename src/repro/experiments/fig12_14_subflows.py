@@ -133,17 +133,18 @@ def run_fig14(**kwargs) -> SubflowSweepResult:
     return run_sweep(topology_name="vl2", **kwargs)
 
 
+def table(result: SubflowSweepResult) -> str:
+    """One sweep: energy overhead and goodput per subflow count."""
+    return f"topology: {result.topology}\n" + format_table(
+        ["subflows", "J per GB", "goodput (Gbps)"],
+        [[p.n_subflows, p.energy_per_gb, p.aggregate_goodput_bps / 1e9]
+         for p in result.points],
+    )
+
+
 def main() -> None:
-    """Print all three sweeps."""
     for runner in (run_fig12, run_fig13, run_fig14):
-        result = runner()
-        print(f"topology: {result.topology}")
-        print(format_table(
-            ["subflows", "J per GB", "goodput (Gbps)", "host E (J)", "switch E (J)"],
-            [[p.n_subflows, p.energy_per_gb, p.aggregate_goodput_bps / 1e9,
-              p.host_energy_j, p.switch_energy_j] for p in result.points],
-        ))
-        print()
+        print(table(runner()))
 
 
 if __name__ == "__main__":

@@ -98,19 +98,20 @@ def run(
     return Fig15Result(rows=rows)
 
 
-def main() -> None:
-    """Print the Fig. 15 grid."""
-    result = run()
-    print(format_table(
+def table(result: Fig15Result) -> str:
+    """The Fig. 15 grid."""
+    return "\n".join([format_table(
         ["topology", "algorithm", "J per GB", "goodput (Gbps)",
          "host E (J)", "switch E (J)", "losses"],
         [[r.topology, r.algorithm, r.energy_per_gb,
           r.aggregate_goodput_bps / 1e9, r.host_energy_j,
           r.switch_energy_j, r.loss_events] for r in result.rows],
-    ))
-    for topo in ("fattree", "vl2"):
-        print(f"{topo}: dts-ext saving vs lia = "
-              f"{100*result.saving(topo):.1f}%")
+    )] + [f"{topo}: dts-ext saving vs lia = {100*result.saving(topo):.1f}%"
+          for topo in ("fattree", "vl2")])
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

@@ -36,16 +36,19 @@ def from_fig15(result: Fig15Result) -> Fig16Result:
     return Fig16Result(fig15=result)
 
 
-def main() -> None:
-    """Print the Fig. 16 throughput comparison."""
-    result = run()
+def table(result: Fig16Result) -> str:
+    """The Fig. 16 throughput comparison."""
     rows: List[List] = []
     for r in result.fig15.rows:
         rows.append([r.topology, r.algorithm, r.aggregate_goodput_bps / 1e9])
-    print(format_table(["topology", "algorithm", "goodput (Gbps)"], rows))
-    for topo in ("fattree", "vl2"):
-        print(f"{topo}: dts/lia throughput ratio = "
-              f"{result.throughput_ratio(topo):.3f}")
+    return "\n".join(
+        [format_table(["topology", "algorithm", "goodput (Gbps)"], rows)]
+        + [f"{topo}: dts/lia throughput ratio = {result.throughput_ratio(topo):.3f}"
+           for topo in ("fattree", "vl2")])
+
+
+def main() -> None:
+    print(table(run()))
 
 
 if __name__ == "__main__":

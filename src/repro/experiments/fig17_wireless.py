@@ -138,18 +138,23 @@ def run(
     return Fig17Result(rows=rows)
 
 
+def table(result: Fig17Result) -> str:
+    """The Fig. 17 comparison."""
+    return "\n".join([
+        format_table(
+            ["algorithm", "goodput (Mbps)", "energy (J)", "power (W)",
+             "losses", "retransmits"],
+            [[r.algorithm, r.goodput_bps / 1e6, r.energy_j, r.mean_power_w,
+              r.loss_events, r.retransmissions] for r in result.rows]),
+        "",
+        f"dts saving vs lia: mean {100*result.energy_saving():.1f}%, "
+        f"best seed {100*result.best_case_saving():.1f}%  "
+        f"throughput ratio: {result.throughput_ratio():.3f}",
+    ])
+
+
 def main() -> None:
-    """Print the Fig. 17 comparison."""
-    result = run()
-    print(format_table(
-        ["algorithm", "goodput (Mbps)", "energy (J)", "power (W)",
-         "losses", "retransmits"],
-        [[r.algorithm, r.goodput_bps / 1e6, r.energy_j, r.mean_power_w,
-          r.loss_events, r.retransmissions] for r in result.rows],
-    ))
-    print(f"\ndts saving vs lia: mean {100*result.energy_saving():.1f}%, "
-          f"best seed {100*result.best_case_saving():.1f}%  "
-          f"throughput ratio: {result.throughput_ratio():.3f}")
+    print(table(run()))
 
 
 if __name__ == "__main__":

@@ -1,73 +1,49 @@
-"""Smoke tests: every figure experiment runs at tiny scale and returns a
-sound structure with the paper's qualitative direction where cheap to check.
+"""The claims ledger at smoke scale.
 
-The full qualitative assertions (orderings, savings) live in benchmarks/;
-these tests keep the harness importable and runnable in CI time.
+Every figure and ablation of ``repro.experiments.claims`` runs once on its
+``smoke`` kwargs and must give each row its committed class (Figs. 15 and
+16 share one run). The paper's claims live in the ledger's rows; this file
+adds only structural checks, and requires EXPERIMENTS.md to have been
+rendered from the current ledger.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.campaign import build_topology
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    fig01_power_vs_subflows,
-    fig02_mobile_power,
-    fig03_energy_vs_throughput,
-    fig04_power_vs_delay,
-    fig06_shared_bottleneck,
-    fig07_traffic_shifting,
-    fig08_trace,
-    fig09_dts_testbed,
-    fig10_ec2,
-    fig12_14_subflows,
-    fig15_phi,
-    fig16_dc_throughput,
-    fig17_wireless,
-)
-from repro.units import mb
+from repro.experiments import claims
+
+LEDGER = {fig.id: fig for fig in claims.LEDGER}
+
+
+def smoke(fig_id, results=None):
+    """``fig_id``'s smoke result, after checking every row's class."""
+    fig = LEDGER[fig_id]
+    result = claims.compute(fig, "smoke", results or {})
+    assert claims.mismatches(fig, result) == []
+    return result
 
 
 def test_fig01_mptcp_beats_tcp_power_and_rises():
-    res = fig01_power_vs_subflows.run(subflow_counts=[1, 4],
-                                      transfer_bytes=mb(2))
-    tcp = res.tcp.mean_power_w
-    powers = [m.mean_power_w for m in res.mptcp_by_subflows]
-    assert all(p > tcp for p in powers)
-    assert powers[-1] > powers[0]
+    smoke("fig01")
 
 
 def test_fig02_mptcp_draws_most_power():
-    res = fig02_mobile_power.run(transfer_bytes=mb(1))
-    by = res.by_label()
-    assert by["mptcp"].device_power_w > by["tcp-wifi"].device_power_w
-    assert by["mptcp"].device_power_w > by["tcp-lte"].device_power_w
+    smoke("fig02")
 
 
 def test_fig03_energy_falls_power_rises_wired():
-    res = fig03_energy_vs_throughput.run(
-        wired_bandwidths_mbps=[200, 600], wireless_bandwidths_mbps=[10, 40],
-        wired_bytes=mb(8), wireless_bytes=mb(2),
-    )
-    assert res.wired[0].measurement.energy_j > res.wired[-1].measurement.energy_j
-    assert res.wired[0].measurement.mean_power_w < res.wired[-1].measurement.mean_power_w
-    assert (res.wireless[0].measurement.mean_power_w
-            < res.wireless[-1].measurement.mean_power_w)
+    smoke("fig03")
 
 
 def test_fig04_power_rises_with_delay():
-    res = fig04_power_vs_delay.run(path_delays_ms=[20, 120])
-    low, high = res.points
-    assert high.measurement.mean_power_w > low.measurement.mean_power_w
-    # Throughput matched within tolerance (the controlled variable).
-    assert high.measurement.goodput_bps == pytest.approx(
-        low.measurement.goodput_bps, rel=0.25
-    )
+    smoke("fig04")
 
 
 def test_fig06_structure_and_positive_energy():
-    res = fig06_shared_bottleneck.run(
-        algorithms=["lia", "olia"], user_counts=[3], transfer_bytes=mb(1)
-    )
+    res = smoke("fig06")
     assert len(res.cells) == 2
     cell = res.cell("lia", 3)
     assert len(cell.energies_j) == 3
@@ -75,15 +51,13 @@ def test_fig06_structure_and_positive_energy():
 
 
 def test_fig07_rows_complete():
-    res = fig07_traffic_shifting.run(
-        algorithms=["lia", "olia"], transfer_bytes=mb(6), seeds=[1]
-    )
+    res = smoke("fig07")
     assert set(res.by_algorithm()) == {"lia", "olia"}
     assert all(r.goodput_bps > 0 for r in res.rows)
 
 
 def test_fig08_traces_aligned():
-    res = fig08_trace.run(duration=8.0, bin_width=2.0)
+    res = smoke("fig08")
     lia = res.traces["lia"]
     assert len(lia.times) >= 3
     assert lia.total_energy_j > 0
@@ -91,48 +65,60 @@ def test_fig08_traces_aligned():
 
 
 def test_fig09_pairing():
-    res = fig09_dts_testbed.run(transfer_bytes=mb(6), seeds=[2])
+    res = smoke("fig09")
     assert len(res.runs) == 1
     assert res.runs[0].energy_lia_j > 0
     assert res.runs[0].energy_dts_j > 0
 
 
 def test_fig10_multipath_saves_energy():
-    res = fig10_ec2.run(n_hosts=8, duration=6.0)
-    by = res.by_label()
-    assert by["lia"].aggregate_goodput_bps > 1.5 * by["tcp"].aggregate_goodput_bps
-    assert res.saving_vs("tcp", "dts") > 0.2
+    smoke("fig10")
 
 
 def test_fig12_bcube_subflows_save_energy():
-    res = fig12_14_subflows.run_sweep(
-        topology_name="bcube", subflow_counts=[1, 3], duration=10.0, seeds=[1],
-    )
-    series = res.energy_series()
-    assert series[3] < series[1]
+    smoke("fig12")
+
+
+def test_fig13_fattree_subflows_stop_saving():
+    smoke("fig13")
 
 
 def test_fig14_vl2_subflows_do_not_save():
-    res = fig12_14_subflows.run_fig14(subflow_counts=[1, 8], duration=10.0,
-                                      seeds=[1])
-    series = res.energy_series()
-    assert series[8] >= series[1] * 0.95
+    smoke("fig14")
 
 
 def test_fig15_16_structure():
-    res = fig15_phi.run(topologies=["vl2"], algorithms=["lia", "dts"],
-                        n_subflows=4, duration=8.0, seeds=[1])
+    res = smoke("fig15")
     assert res.energy("vl2", "lia") > 0
-    fig16 = fig16_dc_throughput.from_fig15(res)
-    ratio = fig16.throughput_ratio("vl2")
-    assert 0.7 < ratio < 1.3
+    smoke("fig16", {"fig15": res})
 
 
 def test_fig17_dts_saves_energy():
-    res = fig17_wireless.run(algorithms=["lia", "dts"], duration=30.0,
-                             seeds=[1])
-    assert res.energy_saving() > 0.0
-    assert res.throughput_ratio() < 1.1
+    smoke("fig17")
+
+
+@pytest.mark.parametrize("fig_id", [fig.id for fig in claims.ABLATIONS])
+def test_ablation(fig_id):
+    smoke(fig_id)
+
+
+def test_experiments_md_is_rendered_from_this_ledger():
+    text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text(
+        encoding="utf-8")
+    assert f"Ledger digest: `{claims.digest()}`" in text, (
+        "the ledger changed: regenerate with "
+        "`python -m repro claims > EXPERIMENTS.md`")
+
+
+def test_verdict_classes_are_computed_by_rule():
+    row = claims.Claim("", "", lo=0.1, up_to=0.2)
+    assert claims.row_class(row, [0.16]) == "reproduced"
+    assert claims.row_class(row, [0.12]) == "direction"
+    assert claims.row_class(row, [0.3, 0.05]) == "deviation"
+    assert claims.figure_class(["reproduced", "reproduced"]) == "reproduced"
+    assert claims.figure_class(["reproduced", "direction"]) == "direction"
+    assert claims.figure_class(["deviation", "deviation"]) == "deviation"
+    assert claims.figure_class(["direction", "deviation"]) == "partial"
 
 
 def test_default_topologies_match_paper_scale():
