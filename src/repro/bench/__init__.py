@@ -7,17 +7,17 @@ slower, and where is the time going" — across PRs, as a committed
 
 * :mod:`repro.bench.runner` — declarative :class:`BenchCase` registry
   plus a runner with warmup, repeated timing under a pinned seed,
-  per-case obs metrics snapshots, and manifest provenance.
+  per-case obs metrics snapshots, and manifest provenance; a case that
+  raises is recorded by name and the suite goes on.
 * :mod:`repro.bench.results` — the ``BENCH_*`` JSON schema: raw
-  samples plus median/MAD/min per case.
+  samples plus median/MAD/min per case, or the ``error`` of a failed one.
 * :mod:`repro.bench.compare` — the noise-aware regression gate
   (relative tolerance + MAD allowance) CI runs against the committed
   baseline.
 * :mod:`repro.bench.profile` — cProfile capture and a sampling stack
   profiler whose collapsed-stack output feeds flamegraph tools.
-* :mod:`repro.bench.cases` — the built-in engine/campaign/obs cases;
-  ``benchmarks/bench_*.py`` reuse the same bodies under
-  pytest-benchmark.
+* :mod:`repro.bench.cases` — the built-in engine/transport/campaign/obs
+  cases.
 
 CLI: ``python -m repro bench {run,compare,profile,list}``; see
 docs/BENCHMARKS.md.

@@ -1,22 +1,21 @@
-"""Built-in benchmark cases: engine, campaign, and obs hot paths.
+"""Built-in benchmark cases: engine, transport, campaign, and obs hot paths.
 
-The measurement **bodies** here are the canonical ones — the
-``benchmarks/bench_engines.py`` / ``bench_campaign.py`` /
-``bench_obs_overhead.py`` pytest-benchmark wrappers import and reuse
-them, so interactive pytest runs and ``python -m repro bench run``
-measure exactly the same code.
-
-Each registered case asserts a coarse sanity bound on its result (the
-same bounds the pytest wrappers use), so a silently broken workload
-cannot masquerade as a speedup.
+Each measurement body is a plain function (importable on its own, e.g. to
+profile it by hand), and each registered case asserts a coarse sanity
+bound on its result, so a silently broken workload cannot masquerade as a
+speedup.  A bound that fails fails its case, by name; the runner goes on
+to the next one.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+from math import comb
+from time import process_time
 
 import repro.obs as obs
+from repro.bench.results import median
 from repro.bench.runner import BenchContext, register
 from repro.obs.tracing import MONOTONIC_CLOCK
 
@@ -37,13 +36,15 @@ __all__ = [
     "fluid_step_kernel_steps",
     "histogram_observe_cost",
     "null_span_cost",
+    "overhead_verdict",
     "packet_delack_churn",
     "packet_pooled_lossy",
     "packet_retransmit",
     "packet_transfer",
-    "recorder_overhead_ratio",
+    "paired_ratios",
+    "recorder_overhead_ratios",
     "spec_hash_cost",
-    "trace_overhead_ratio",
+    "trace_overhead_ratios",
     "traced_packet_transfer",
     "transport_cold_import",
     "transport_connection_churn",
@@ -53,9 +54,9 @@ __all__ = [
 
 # ------------------------------------------------------------------- engines
 
-def packet_transfer():
-    """One 4 MB TCP transfer across a 2-hop packet network; returns the
-    events processed."""
+def packet_transfer(megabytes: int = 4):
+    """One TCP transfer (4 MB unless told) across a 2-hop packet network;
+    returns the events processed."""
     from repro.net import Network
     from repro.net.queues import DropTailQueue
     from repro.units import mb, mbps, ms
@@ -67,7 +68,7 @@ def packet_transfer():
              queue_factory=lambda: DropTailQueue(limit_packets=100))
     net.link(s, b, rate_bps=mbps(100), delay=ms(5),
              queue_factory=lambda: DropTailQueue(limit_packets=100))
-    conn = net.tcp_connection(net.route([a, s, b]), total_bytes=mb(4))
+    conn = net.tcp_connection(net.route([a, s, b]), total_bytes=mb(megabytes))
     conn.start()
     net.run_until_complete([conn], timeout=60)
     return net.sim.events_processed
@@ -765,44 +766,89 @@ def histogram_observe_cost(n: int = 200_000) -> float:
     return (MONOTONIC_CLOCK() - t0) / n
 
 
-def recorder_overhead_ratio(repeats: int = 3):
+def paired_ratios(base, treated, pairs: int):
+    """``pairs`` pairs of one ``base`` and one ``treated`` run, alternating
+    which of the two goes first; returns each pair's treated / base ratio.
+
+    Both sides are timed on this process's CPU clock, not the wall clock:
+    instrumentation costs CPU, and a CPU clock does not count the time a
+    neighbour's load keeps the process descheduled.  On a shared 2-vCPU
+    host with two busy loops beside it, the quartiles of three runs of 16
+    recorder pair ratios spanned 0.61-1.57 on the wall clock and 0.94-1.14
+    on the CPU clock.
+    """
+    ratios = []
+    for i in range(pairs):
+        cost = [0.0, 0.0]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            t0 = process_time()
+            (treated if side else base)()
+            cost[side] = process_time() - t0
+        ratios.append(cost[1] / cost[0])
+    return ratios
+
+
+#: The instrumentation budget the overhead cases gate, and the sign test's
+#: significance level.
+OVERHEAD_BUDGET = 0.05
+SIGN_TEST_ALPHA = 0.05
+
+
+def overhead_verdict(ratios):
+    """Paired-difference verdict on per-pair treated / base ``ratios``.
+
+    The overhead is over budget only when the median ratio exceeds
+    ``1 + OVERHEAD_BUDGET`` *and* a one-sided sign test resolves the
+    slowdown: the chance of at least this many slower pairs with no effect
+    at all is at most ``SIGN_TEST_ALPHA`` (17 of 24 pairs, p = 0.032; 16 of
+    24 give p = 0.076).  A busy neighbour slows one side of a few pairs,
+    which moves a best-of-N ratio but hardly the median or the sign count.
+    Returns ``(over, median ratio, slower pairs, p)``.
+    """
+    n = len(ratios)
+    slower = sum(r > 1.0 for r in ratios)
+    p = sum(comb(n, k) for k in range(slower, n + 1)) / 2 ** n
+    mid = median(ratios)
+    return mid > 1.0 + OVERHEAD_BUDGET and p <= SIGN_TEST_ALPHA, mid, slower, p
+
+
+#: Pairs per overhead case: enough that the sign test resolves a slowdown
+#: with up to seven pairs reading faster.  With 10% of CPU injected into the
+#: instrumented side, 24 pairs failed 24 of 24 windows and 16 pairs 43 of 48
+#: on a shared 2-vCPU host; unchanged code passed all of them.
+OVERHEAD_PAIRS = 24
+
+
+def recorder_overhead_ratios(pairs: int = OVERHEAD_PAIRS):
     """Overhead the live-telemetry layer adds to the packet transfer.
 
-    Interleaves ``repeats`` transfers under a plain obs session (the
+    Interleaves ``pairs`` 2 MB transfers under a plain obs session (the
     pre-existing ambient-counter cost, gated separately by
-    ``obs.packet_engine_traced``) with ``repeats`` transfers whose
+    ``obs.packet_engine_traced``) with ``pairs`` transfers whose
     session carries the full live layer — a
     :class:`~repro.obs.SeriesRecorder`, a
     :class:`~repro.obs.FlightRecorder`, and a deliberately generous
-    cadence (10 series samples + 200 flight events per ~60 ms transfer,
-    nearly two orders of magnitude above the transport server's 2 Hz
-    sampling default) — and compares best-of-N wall times.  Returns
-    ``(ratio, base_s, live_s)``.
+    cadence (10 series samples + 200 flight events per ~30 ms transfer,
+    two orders of magnitude above the transport server's 2 Hz sampling
+    default; ~0.3 ms of work, ~2% of the transfer).  Returns the per-pair
+    live / plain ratios.
     """
     def base():
         with obs.session():
-            return packet_transfer()
+            assert packet_transfer(2) > 5_000
 
     def live():
         with obs.session() as session:
             recorder = session.attach_series(interval=0.0, capacity=256)
             flight = session.attach_flight(capacity=1024)
-            events = packet_transfer()
+            events = packet_transfer(2)
             for _ in range(10):
                 recorder.sample()
             for i in range(200):
                 flight.record("loss", path=i & 1, total=i)
-            return events
+            assert events > 5_000
 
-    base_best = live_best = float("inf")
-    for _ in range(repeats):
-        t0 = MONOTONIC_CLOCK()
-        assert base() > 10_000
-        base_best = min(base_best, MONOTONIC_CLOCK() - t0)
-        t0 = MONOTONIC_CLOCK()
-        assert live() > 10_000
-        live_best = min(live_best, MONOTONIC_CLOCK() - t0)
-    return live_best / base_best, base_best, live_best
+    return paired_ratios(base, live, pairs)
 
 
 def _record_per_call(per_call: float) -> None:
@@ -844,61 +890,52 @@ def _obs_histogram_observe(ctx: BenchContext):
     _record_per_call(per_call)
 
 
-def trace_overhead_ratio(repeats: int = 6):
+def trace_overhead_ratios(pairs: int = OVERHEAD_PAIRS):
     """Overhead an enabled tracer adds to the UDP loopback transfer.
 
-    Interleaves ``repeats`` 1 MiB lossless loopback self-tests with
+    Interleaves ``pairs`` 1 MiB lossless loopback self-tests with
     tracing off (the :data:`~repro.obs.NULL_TRACER` floor) against
-    ``repeats`` with a live client+server tracer pair — the full
+    ``pairs`` with a live client+server tracer pair — the full
     distributed-tracing path: span stack, handshake propagation,
-    per-subflow detached spans, loss/RTO instants — and compares
-    best-of-N wall times.  Returns ``(ratio, base_s, traced_s)``.
-
-    A run is all transfer (~45 ms), so its time varies with the host
-    where three quarters of it used to be two fixed waits (the server
-    noticing completion up to ``TICK_CAP`` late, the self-test
-    lingering as long again): best-of-6 is what holds the 5% gate
-    steady on a shared machine (best-of-3 at any size tripped it in
-    7 of 16 trials; this in 0 of 16).
+    per-subflow detached spans, loss/RTO instants.  Returns the per-pair
+    traced / untraced ratios.
     """
     import asyncio
 
     from repro.transport.client import loopback_selftest
 
-    def run(trace: bool) -> int:
+    def run(trace: bool) -> None:
         result = asyncio.run(loopback_selftest(
             controller="dts", subflows=2, total_bytes=total_bytes,
             loss_rate=0.0, timeout=60.0, trace=trace))
         if trace:
             assert result.client_shard is not None
             assert result.client_shard["events"]
-        return result.fetch.bytes_received
+        assert result.fetch.bytes_received >= total_bytes
 
     total_bytes = 1024 * 1024
-    base_best = traced_best = float("inf")
-    for _ in range(repeats):
-        t0 = MONOTONIC_CLOCK()
-        assert run(False) >= total_bytes
-        base_best = min(base_best, MONOTONIC_CLOCK() - t0)
-        t0 = MONOTONIC_CLOCK()
-        assert run(True) >= total_bytes
-        traced_best = min(traced_best, MONOTONIC_CLOCK() - t0)
-    return traced_best / base_best, base_best, traced_best
+    return paired_ratios(lambda: run(False), lambda: run(True), pairs)
+
+
+def _gate_overhead(what: str, ratios) -> None:
+    over, mid, slower, p = overhead_verdict(ratios)
+    assert not over, (
+        f"{what} overhead {mid - 1:.1%} (median of {len(ratios)} pairs), "
+        f"{slower}/{len(ratios)} pairs slower, sign test p={p:.3f}: "
+        f"over {OVERHEAD_BUDGET:.0%}")
 
 
 @register("obs.recorder_overhead", suites=("tier1", "obs"),
           description="series+flight recorder drag on the packet transfer "
-                      "(gated <5%)",
+                      "(paired verdict: gated <5%)",
           manages_session=True)
 def _obs_recorder_overhead(ctx: BenchContext):
-    ratio, _, _ = recorder_overhead_ratio()
-    assert ratio < 1.05, f"live-telemetry overhead {ratio:.3f}x exceeds 5%"
+    _gate_overhead("live-telemetry", recorder_overhead_ratios())
 
 
 @register("obs.trace_overhead", suites=("tier1", "obs"),
           description="tracer drag on the UDP loopback transfer "
-                      "(gated <5%)",
+                      "(paired verdict: gated <5%)",
           manages_session=True)
 def _obs_trace_overhead(ctx: BenchContext):
-    ratio, _, _ = trace_overhead_ratio()
-    assert ratio < 1.05, f"tracing overhead {ratio:.3f}x exceeds 5%"
+    _gate_overhead("tracing", trace_overhead_ratios())

@@ -17,6 +17,10 @@ the threshold passes, so the boundary is usable as a contract.
 Symmetrically, medians below ``baseline * (1 - tolerance) - mad_k*MAD``
 are reported as improvements (informational — they never gate, but they
 are the cue to re-baseline so the win is locked in).
+
+A case that raised in the current run is ``failed`` and fails the gate
+by name, whatever its timings; one that raised only in the baseline has
+nothing to gate on and reads ``new``.
 """
 
 from __future__ import annotations
@@ -38,13 +42,15 @@ class CaseComparison:
     """Verdict for one case."""
 
     name: str
-    #: "ok" | "regression" | "improvement" | "new" | "missing"
+    #: "ok" | "regression" | "improvement" | "new" | "missing" | "failed"
     status: str
     current_median_s: Optional[float] = None
     baseline_median_s: Optional[float] = None
     threshold_s: Optional[float] = None
     #: current/baseline median ratio (None without both sides).
     ratio: Optional[float] = None
+    #: what a failed case raised (None unless status is "failed").
+    error: Optional[str] = None
 
 
 @dataclass
@@ -65,9 +71,13 @@ class Comparison:
         return [c for c in self.cases if c.status == "missing"]
 
     @property
+    def failed(self) -> List[CaseComparison]:
+        return [c for c in self.cases if c.status == "failed"]
+
+    @property
     def ok(self) -> bool:
         """True when the gate passes."""
-        if self.regressions:
+        if self.regressions or self.failed:
             return False
         if self.missing and not self.allow_missing:
             return False
@@ -127,17 +137,20 @@ def compare_documents(
 
     cases: List[CaseComparison] = []
     for name in sorted(set(cur_cases) | set(base_cases)):
-        if name not in base_cases:
-            cases.append(CaseComparison(
-                name=name, status="new",
-                current_median_s=float(cur_cases[name]["median_s"])))
-        elif name not in cur_cases:
+        cur, base = cur_cases.get(name), base_cases.get(name)
+        if cur is not None and "error" in cur:
+            cases.append(CaseComparison(name=name, status="failed",
+                                        error=cur["error"]))
+        elif cur is None:
             cases.append(CaseComparison(
                 name=name, status="missing",
-                baseline_median_s=float(base_cases[name]["median_s"])))
+                baseline_median_s=base.get("median_s")))
+        elif base is None or "error" in base:
+            cases.append(CaseComparison(
+                name=name, status="new",
+                current_median_s=float(cur["median_s"])))
         else:
-            cases.append(_compare_case(name, cur_cases[name],
-                                       base_cases[name], tolerance, mad_k))
+            cases.append(_compare_case(name, cur, base, tolerance, mad_k))
     return Comparison(cases=cases, tolerance=tolerance, mad_k=mad_k,
                       allow_missing=allow_missing)
 
@@ -164,6 +177,7 @@ def comparison_to_dict(comparison: Comparison) -> Dict[str, Any]:
                                  if c.status == "improvement"]),
             "missing": len(comparison.missing),
             "new": len([c for c in comparison.cases if c.status == "new"]),
+            "failed": len(comparison.failed),
         },
         "cases": {
             c.name: {
@@ -172,6 +186,7 @@ def comparison_to_dict(comparison: Comparison) -> Dict[str, Any]:
                 "baseline_median_s": c.baseline_median_s,
                 "threshold_s": c.threshold_s,
                 "ratio": c.ratio,
+                "error": c.error,
             }
             for c in comparison.cases
         },
@@ -196,6 +211,7 @@ def render_comparison(comparison: Comparison) -> str:
     n_missing = len(comparison.missing)
     verdict = "PASS" if comparison.ok else "FAIL"
     tail = (f"{verdict}: {len(comparison.cases)} cases, {n_reg} regressions, "
-            f"{n_missing} missing (tolerance={comparison.tolerance:g}, "
-            f"mad_k={comparison.mad_k:g})")
-    return table + "\n" + tail
+            f"{n_missing} missing, {len(comparison.failed)} failed "
+            f"(tolerance={comparison.tolerance:g}, mad_k={comparison.mad_k:g})")
+    return "\n".join([table, *(f"failed: {c.name}: {c.error}"
+                               for c in comparison.failed), tail])

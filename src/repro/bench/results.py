@@ -8,6 +8,11 @@ statistics — median and MAD (median absolute deviation), which unlike
 mean/stddev are not dragged around by the occasional scheduler hiccup —
 and the run's :class:`~repro.obs.manifest.RunManifest` provenance, since
 a wall-time number without its host/toolchain context is noise.
+
+A case that raised is still a case of the document: it carries ``error``
+(the exception and where it was raised), its ``traceback`` and whatever
+samples it finished, but no statistics, and :func:`failures` lists it by
+name.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Sequence
 
 __all__ = ["BENCH_SCHEMA", "build_document", "case_stats",
-           "default_output_name", "load", "mad", "median", "summary_rows",
-           "validate", "write"]
+           "default_output_name", "failures", "load", "mad", "median",
+           "summary_rows", "validate", "write"]
 
 #: Bump when the result document shape changes.
 BENCH_SCHEMA = "repro.bench/1"
@@ -97,15 +102,24 @@ def validate(doc: Any) -> Dict[str, Any]:
     for name, case in doc["cases"].items():
         if not isinstance(case, dict):
             raise ValueError(f"case {name!r} must be an object")
-        for key in _CASE_REQUIRED:
+        failed = "error" in case
+        if failed and not isinstance(case["error"], str):
+            raise ValueError(f"case {name!r} error must be a string")
+        for key in ("samples_s",) if failed else _CASE_REQUIRED:
             if key not in case:
                 raise ValueError(f"case {name!r} missing {key!r}")
         samples = case["samples_s"]
-        if (not isinstance(samples, list) or not samples
+        if (not isinstance(samples, list) or not (samples or failed)
                 or not all(isinstance(s, (int, float)) for s in samples)):
             raise ValueError(f"case {name!r} samples_s must be a non-empty "
                              f"list of numbers")
     return doc
+
+
+def failures(doc: Dict[str, Any]) -> Dict[str, str]:
+    """``{case name: error}`` for every case that raised, name-sorted."""
+    return {name: case["error"] for name, case in sorted(doc["cases"].items())
+            if "error" in case}
 
 
 def write(doc: Dict[str, Any], path: "str | Path") -> Path:
@@ -131,11 +145,15 @@ def load(path: "str | Path") -> Dict[str, Any]:
 
 
 def summary_rows(doc: Dict[str, Any]) -> List[List[Any]]:
-    """Per-case table rows (name, n, median/mad/min ms) for reports."""
+    """Per-case table rows (name, n, median/mad/min ms) for reports; a
+    failed case reads FAILED in place of its median."""
     rows: List[List[Any]] = []
     for name in sorted(doc["cases"]):
         case = doc["cases"][name]
-        rows.append([name, len(case["samples_s"]),
-                     case["median_s"] * 1e3, case["mad_s"] * 1e3,
-                     case["min_s"] * 1e3])
+        n = len(case["samples_s"])
+        if "error" in case:
+            rows.append([name, n, "FAILED", "", ""])
+        else:
+            rows.append([name, n, case["median_s"] * 1e3,
+                         case["mad_s"] * 1e3, case["min_s"] * 1e3])
     return rows

@@ -23,9 +23,13 @@ return value is ignored.  Cases that open their own ``obs.session``
 (e.g. tracing-overhead benchmarks) declare ``manages_session=True`` and
 the runner stays out of their way.
 
+A case that raises is a failed *case*, not a failed suite: the runner
+records the exception and where it was raised under the case's name, keeps
+the samples it finished, and goes on to the next case
+(:func:`repro.bench.results.failures` lists them; ``bench run`` exits 1).
+
 ``discover()`` imports :mod:`repro.bench.cases`, where the built-in
-engine/campaign/obs cases live; ``benchmarks/bench_*.py`` wrap the same
-case bodies for pytest-benchmark use.
+engine/transport/campaign/obs cases live.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import random
 import tempfile
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -155,6 +160,16 @@ def _invoke(case: BenchCase, seed: int, repeat: int,
         return elapsed, session.registry.snapshot()
 
 
+def _describe(exc: BaseException) -> str:
+    """``Type: message (file:line in function)`` of the innermost frame."""
+    frames = traceback.extract_tb(exc.__traceback__)
+    where = ""
+    if frames:
+        frame = frames[-1]
+        where = f" ({Path(frame.filename).name}:{frame.lineno} in {frame.name})"
+    return f"{type(exc).__name__}: {exc}{where}"
+
+
 def _profile_case(case: BenchCase, seed: int, *, profile_dir: Path,
                   interval: float, top_n: int) -> Dict[str, Any]:
     """Untimed extra passes: one sampled, one under cProfile."""
@@ -208,8 +223,10 @@ def run_suite(
     Each case runs ``warmup`` throwaway iterations (caches, imports, JIT
     warm paths) then ``repeats`` timed ones; with ``profile=True`` two
     extra untimed passes capture sampled stacks (written to
-    ``profile_dir``) and cProfile hot frames.  The caller decides where
-    the document goes (:func:`repro.bench.results.write`).
+    ``profile_dir``) and cProfile hot frames.  A case that raises is
+    recorded with its ``error`` and the suite goes on.
+    The caller decides where the document goes
+    (:func:`repro.bench.results.write`).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -230,22 +247,28 @@ def run_suite(
             progress(f"bench {case.name} ...")
         samples: List[float] = []
         metrics: Dict[str, Any] = {}
-        for i in range(-warmup, repeats):
-            elapsed, snapshot = _invoke(case, seed, i)
-            if i >= 0:
-                samples.append(elapsed)
-                metrics = snapshot  # keep the last timed repeat's view
         doc: Dict[str, Any] = {
             "description": case.description,
             "suites": list(case.suites),
             "samples_s": samples,
-            "metrics": metrics,
         }
-        doc.update(_results.case_stats(samples))
-        if profile:
-            doc["profile"] = _profile_case(
-                case, seed, profile_dir=Path(profile_dir),
-                interval=profile_interval, top_n=profile_top_n)
+        try:
+            for i in range(-warmup, repeats):
+                elapsed, snapshot = _invoke(case, seed, i)
+                if i >= 0:
+                    samples.append(elapsed)
+                    metrics = snapshot  # keep the last timed repeat's view
+            doc.update(_results.case_stats(samples))
+            if profile:
+                doc["profile"] = _profile_case(
+                    case, seed, profile_dir=Path(profile_dir),
+                    interval=profile_interval, top_n=profile_top_n)
+        except Exception as exc:  # the case failed, not the suite
+            doc["error"] = _describe(exc)
+            doc["traceback"] = traceback.format_exc()
+            if progress is not None:
+                progress(f"bench {case.name} FAILED: {doc['error']}")
+        doc["metrics"] = metrics
         case_docs[case.name] = doc
 
     spec_hash = hashlib.sha256(

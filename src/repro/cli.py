@@ -700,7 +700,10 @@ def _bench_run(args, profile: bool) -> int:
                 print(f"{name}: {sampling.get('samples', 0)} samples, "
                       f"hot: {hot}")
     print(f"results: {out}")
-    return 0
+    failed = bench_results.failures(doc)
+    for name, error in failed.items():
+        print(f"FAILED {name}: {error}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _bench_compare(args) -> int:

@@ -5,7 +5,8 @@ Every module exposes ``run(...)`` returning a structured result object,
 ``main()`` printing ``table(run())``. The paper's claims are rows of
 :mod:`repro.experiments.claims`, which judges them on these results
 (``python -m repro claims`` renders EXPERIMENTS.md); the ablations of
-Eq. 5's slope, Algorithm 1's Taylor form and Eq. 7's kappa are in
+Eq. 5's slope, Algorithm 1's Taylor form and Eq. 7's kappa, Section V.A's
+friendliness/responsiveness tradeoff and DWC's grouping are in
 :mod:`repro.experiments.ablations`. Default parameters are scaled down to
 finish in seconds; each ``run`` accepts the paper's full-scale parameters
 (:mod:`repro.experiments.paper_scale`) for faithful reproduction runs.

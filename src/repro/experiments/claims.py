@@ -1,13 +1,15 @@
 """The paper's evaluation as a ledger: one row per claim, judged by code.
 
-Every claim of the evaluation (Figs. 1-17) and of the three ablations is one
+Every claim of the evaluation (Figs. 1-17), of Section V.A's
+friendliness/responsiveness tradeoff and of the ablations is one
 :class:`Claim` in :data:`FIGURES` or :data:`ABLATIONS`, and is stated nowhere
 else: the sentence, a metric read from the figure's result object, the band
 the metric must fall in, the paper's "up to" magnitude where it prints one,
 and the verdict class the row is committed to.
 
 Each figure has two parameter sets: ``default`` (the module defaults,
-``{}``) and ``smoke`` (small enough for the tier-1 suite).  ``python -m repro
+``{}``) and ``smoke`` (small enough for the tier-1 suite; None for the one
+ablation that cannot be shrunk).  ``python -m repro
 claims`` runs the ``default`` pass, prints EXPERIMENTS.md rendered from the
 rows and the figure modules' own tables, and exits 1 if a computed class
 differs from a committed one; ``tests/test_experiments.py`` requires the
@@ -61,7 +63,8 @@ class Figure:
     title: str
     module: str
     entry: str
-    smoke: Dict[str, Any]
+    #: None: too slow to shrink, judged by the ``default`` pass alone.
+    smoke: Optional[Dict[str, Any]]
     claims: Tuple[Claim, ...]
     note: str = ""
     source: str = ""
@@ -274,6 +277,48 @@ ABLATIONS: Tuple[Figure, ...] = (
              "within a few percent across the sweep: on this scenario the "
              "energy/throughput frontier the compensative term should trace is "
              "flat."),
+    Figure(
+        "responsiveness", "Section V.A — TCP-friendliness vs responsiveness "
+                          "(Eq. 3 model, cold start on two 50 ms / 1% paths)",
+        "ablations", "run_responsiveness", {},
+        (Claim("EWTCP (ψ > 1) is not TCP-friendly: Condition 1 fails.",
+               'r.columns["friendly"]["ewtcp"]', hi=0.5),
+         Claim("... and it converges no slower than LIA (settling-time ratio).",
+               'r.columns["settle_s"]["ewtcp"] / r.columns["settle_s"]["lia"]',
+               hi=1.05),
+         Claim("LIA, OLIA, Balia and ecMTCP satisfy Condition 1 ...",
+               '[r.columns["friendly"][a] for a in ("lia", "olia", "balia", "ecmtcp")]',
+               lo=0.5),
+         Claim("... and settle within the 300 s horizon.",
+               '[r.columns["settle_s"][a] for a in ("lia", "olia", "balia", "ecmtcp")]',
+               hi=300),
+         Claim("DTS on clean paths (ε ≈ 2) is at least as responsive as OLIA.",
+               'r.columns["settle_s"]["dts"] / r.columns["settle_s"]["olia"]',
+               hi=1.05)),
+        note="The friendly column is Condition 1 at each model's equilibrium on "
+             "these clean paths. DTS's ε is ≈ 2 there (base RTT = RTT), so at "
+             "this point it fails Condition 1 as EWTCP does: its responsiveness "
+             "is bought the same way, and ε gives it back as queues build."),
+    Figure(
+        "dwc", "Extension — DWC's shared-bottleneck detection vs static coupling",
+        "ablations", "run_dwc", None,
+        (Claim("On two contended disjoint paths DWC pools more than LIA "
+               "(DWC / LIA goodput).",
+               'r.columns["disjoint_bps"]["dwc"] / r.columns["disjoint_bps"]["lia"]',
+               lo=1.05),
+         Claim("... close to uncoupled Reno (DWC / Reno goodput).",
+               'r.columns["disjoint_bps"]["dwc"] / r.columns["disjoint_bps"]["reno"]',
+               lo=0.85),
+         Claim("On a shared bottleneck DWC leaves TCP a far larger share than "
+               "uncoupled Reno subflows do.",
+               'r.columns["shared_tcp_share"]["dwc"]'
+               ' / r.columns["shared_tcp_share"]["reno"]', lo=1.3)),
+        note="Not a claim of this paper: DWC is one of the Section IV "
+             "decompositions, and these rows check the grouping its detector "
+             "exists for. It has no smoke parameters: shorter runs end before "
+             "the detector settles its groups (at 8 or 15 s DWC pools less "
+             "than LIA), so only `python -m repro claims` judges it; "
+             "`tests/test_dwc.py` covers the detector itself."),
 )
 
 LEDGER = FIGURES + ABLATIONS

@@ -225,7 +225,7 @@ def _render_telemetry(records: List[Dict[str, Any]]) -> str:
 
 def _render_bench(doc: Dict[str, Any]) -> str:
     from repro.analysis.report import format_table
-    from repro.bench.results import summary_rows
+    from repro.bench.results import failures, summary_rows
 
     config = doc.get("config", {})
     lines = [f"bench suite '{doc.get('suite')}': {len(doc['cases'])} cases, "
@@ -237,6 +237,7 @@ def _render_bench(doc: Dict[str, Any]) -> str:
                  f"git {manifest.get('git_sha') or '?'}")
     lines.append(format_table(
         ["case", "n", "median ms", "mad ms", "min ms"], summary_rows(doc)))
+    lines += [f"FAILED {name}: {error}" for name, error in failures(doc).items()]
     # Histogram metrics captured per case, with interpolated percentiles.
     hist_rows: List[List[Any]] = []
     for name in sorted(doc["cases"]):

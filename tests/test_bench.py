@@ -149,6 +149,30 @@ def test_run_suite_manages_session_case(fresh_registry):
     assert doc["cases"]["t.own_session"]["metrics"] == {}
 
 
+def test_failing_case_is_recorded_by_name_and_the_suite_goes_on(
+        fresh_registry):
+    @fresh_registry.register("t.a_breaks", suites=("tsuite",))
+    def _breaks(ctx):
+        if ctx.repeat >= 1:
+            raise AssertionError("bound broken")
+
+    @fresh_registry.register("t.b_holds", suites=("tsuite",))
+    def _holds(ctx):
+        pass
+
+    doc = fresh_registry.run_suite("tsuite", repeats=3, warmup=1)
+    broken = doc["cases"]["t.a_breaks"]
+    # The warmup and repeat 0 finished; repeat 1 raised.
+    assert len(broken["samples_s"]) == 1
+    assert "median_s" not in broken
+    assert broken["error"].startswith("AssertionError: bound broken (test_bench.py:")
+    assert "raise AssertionError" in broken["traceback"]
+    assert len(doc["cases"]["t.b_holds"]["samples_s"]) == 3
+    assert results.failures(doc) == {"t.a_breaks": broken["error"]}
+    results.validate(json.loads(json.dumps(doc)))
+    assert results.summary_rows(doc)[0][:3] == ["t.a_breaks", 1, "FAILED"]
+
+
 def test_run_suite_rejects_bad_args(fresh_registry):
     @fresh_registry.register("t.x", suites=("tsuite",))
     def _case(ctx):
@@ -274,6 +298,50 @@ def test_compare_renamed_case_cannot_slip_through():
     assert comparison.exit_code == 1
 
 
+def test_compare_gates_a_failed_case_by_name():
+    base = make_doc({"a": [1.0], "b": [1.0]})
+    cur = make_doc({"a": [1.0], "b": [1.0]})
+    # As run_suite writes it: the error, the samples, no statistics.
+    cur["cases"]["b"] = {"samples_s": [],
+                         "error": "AssertionError: bound broken"}
+    comparison = compare_documents(cur, base)
+    statuses = {c.name: c.status for c in comparison.cases}
+    assert statuses == {"a": "ok", "b": "failed"}
+    assert comparison.exit_code == 1
+    assert "failed: b: AssertionError: bound broken" in render_comparison(comparison)
+    # Failed only in the baseline: nothing to gate on.
+    assert compare_documents(base, cur).exit_code == 0
+    # Failed in the baseline and gone from the current run: missing.
+    del base["cases"]["b"]
+    gone = compare_documents(base, cur)
+    assert [(c.name, c.status) for c in gone.missing] == [("b", "missing")]
+    assert gone.missing[0].baseline_median_s is None
+
+
+def test_overhead_verdict_needs_a_resolved_slowdown():
+    from repro.bench.cases import overhead_verdict
+
+    assert overhead_verdict([1.10] * 24)[:3] == (True, 1.10, 24)
+    # Seven faster pairs leave 17 of 24 slower: p = 0.032, resolved.
+    assert overhead_verdict([1.10] * 17 + [0.9] * 7)[0] is True
+    # Eight leave 16 of 24: p = 0.076, not resolved.
+    assert overhead_verdict([1.10] * 16 + [0.9] * 8)[0] is False
+    # Resolved but within budget.
+    assert overhead_verdict([1.02] * 24)[0] is False
+
+
+def test_paired_ratios_alternate_which_side_runs_first():
+    from repro.bench.cases import paired_ratios
+
+    calls = []
+    ratios = paired_ratios(lambda: calls.append(("base", sum(range(999)))),
+                           lambda: calls.append(("treated", sum(range(999)))),
+                           3)
+    calls = [side for side, _ in calls]
+    assert calls == ["base", "treated", "treated", "base", "base", "treated"]
+    assert len(ratios) == 3
+
+
 def test_compare_improvement_reported_not_gated():
     base = make_doc({"a": [2.0, 2.0, 2.0]})
     cur = make_doc({"a": [1.0, 1.0, 1.0]})
@@ -291,7 +359,8 @@ def test_comparison_to_dict_is_the_ci_contract():
     verdict = comparison_to_dict(compare_documents(cur, base))
     assert verdict["ok"] is False and verdict["exit_code"] == 1
     assert verdict["counts"] == {"cases": 3, "regressions": 1,
-                                 "improvements": 0, "missing": 1, "new": 1}
+                                 "improvements": 0, "missing": 1, "new": 1,
+                                 "failed": 0}
     assert verdict["cases"]["a"]["status"] == "regression"
     assert verdict["cases"]["a"]["ratio"] == pytest.approx(2.0)
     assert verdict["cases"]["b"]["status"] == "new"
@@ -415,6 +484,26 @@ def test_cli_bench_run_and_compare_round_trip(tmp_path, capsys):
     # Unreadable inputs are a usage error, not a crash.
     assert main(["bench", "compare", str(out_path),
                  str(tmp_path / "nope.json")]) == 2
+
+
+def test_cli_bench_run_exits_1_naming_each_failed_case(
+        fresh_registry, tmp_path, capsys):
+    from repro.cli import main
+
+    @fresh_registry.register("t.broken", suites=("tsuite",))
+    def _broken(ctx):
+        raise RuntimeError("workload crashed")
+
+    @fresh_registry.register("t.fine", suites=("tsuite",))
+    def _fine(ctx):
+        pass
+
+    out_path = tmp_path / "BENCH_tsuite.json"
+    assert main(["bench", "run", "--suite", "tsuite", "--repeats", "1",
+                 "--warmup", "0", "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED t.broken: RuntimeError: workload crashed" in err
+    assert set(results.load(out_path)["cases"]) == {"t.broken", "t.fine"}
 
 
 def test_cli_bench_compare_json_flag(tmp_path, capsys):

@@ -11,7 +11,7 @@ from repro.net.scheduler import (
     RoundRobinScheduler,
     create_scheduler,
 )
-from repro.units import mbps, mib, ms
+from repro.units import DEFAULT_MSS, mbps, mib, ms
 from repro.workloads.streaming import attach_streaming_source
 
 
@@ -30,6 +30,23 @@ def asymmetric_net(seed=1):
     return net, routes
 
 
+STREAM_BPS = mbps(5)
+STREAM_S = 15.0
+
+
+def stream_split(scheduler):
+    """Segments acked on the (fast, slow) path after a 5 Mbps app-limited
+    stream has run for 15 s; greedy is the connection's default."""
+    net, routes = asymmetric_net()
+    kwargs = {} if scheduler == "greedy" else {"scheduler": scheduler}
+    conn = net.connection(routes, "lia", total_bytes=None, **kwargs)
+    attach_streaming_source(conn, bitrate_bps=STREAM_BPS)
+    conn.start()
+    net.run(until=STREAM_S)
+    fast, slow = conn.subflows
+    return fast.acked, slow.acked
+
+
 class TestRegistry:
     def test_create_by_name(self):
         assert isinstance(create_scheduler("greedy"), GreedyScheduler)
@@ -43,27 +60,16 @@ class TestRegistry:
 
 class TestMinRtt:
     def test_app_limited_stream_prefers_fast_path(self):
-        net, routes = asymmetric_net()
-        conn = net.connection(routes, "lia", total_bytes=None,
-                              scheduler="minrtt")
-        attach_streaming_source(conn, bitrate_bps=mbps(5))
-        conn.start()
-        net.run(until=15.0)
-        fast, slow = conn.subflows
-        assert fast.acked > 5 * max(slow.acked, 1)
+        fast, slow = stream_split("minrtt")
+        assert fast / (fast + slow) > 0.9
 
     def test_minrtt_concentrates_more_than_greedy(self):
-        def slow_share(scheduler_kwargs):
-            net, routes = asymmetric_net()
-            conn = net.connection(routes, "lia", total_bytes=None,
-                                  **scheduler_kwargs)
-            attach_streaming_source(conn, bitrate_bps=mbps(5))
-            conn.start()
-            net.run(until=15.0)
-            fast, slow = conn.subflows
-            return slow.acked / max(fast.acked + slow.acked, 1)
+        def slow_share(scheduler):
+            fast, slow = stream_split(scheduler)
+            return slow / (fast + slow)
 
-        assert slow_share({"scheduler": "minrtt"}) <= slow_share({})
+        assert slow_share("minrtt") <= slow_share("greedy")
+        assert slow_share("minrtt") < slow_share("roundrobin")
 
     def test_bulk_transfer_still_uses_both_paths(self):
         # Window-limited transfers overflow the fast path's window, so the
@@ -88,15 +94,8 @@ class TestMinRtt:
 
 class TestRoundRobin:
     def test_balances_app_limited_traffic(self):
-        net, routes = asymmetric_net()
-        conn = net.connection(routes, "lia", total_bytes=None,
-                              scheduler="roundrobin")
-        attach_streaming_source(conn, bitrate_bps=mbps(5))
-        conn.start()
-        net.run(until=15.0)
-        fast, slow = conn.subflows
-        ratio = fast.acked / max(slow.acked, 1)
-        assert 0.4 < ratio < 3.0
+        fast, slow = stream_split("roundrobin")
+        assert 0.35 < fast / (fast + slow) < 0.65
 
     def test_bulk_transfer_completes(self):
         net, routes = asymmetric_net()
@@ -108,6 +107,12 @@ class TestRoundRobin:
 
 
 class TestSchedulerTotals:
+    @pytest.mark.parametrize("scheduler", ["greedy", "minrtt", "roundrobin"])
+    def test_app_limited_stream_delivered(self, scheduler):
+        fast, slow = stream_split(scheduler)
+        goodput_bps = (fast + slow) * DEFAULT_MSS * 8 / STREAM_S
+        assert goodput_bps > 0.9 * STREAM_BPS
+
     @pytest.mark.parametrize("scheduler", ["greedy", "minrtt", "roundrobin"])
     def test_no_segments_lost_or_duplicated(self, scheduler):
         net, routes = asymmetric_net(seed=4)
