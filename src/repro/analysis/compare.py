@@ -29,14 +29,15 @@ def crossover_points(
     if not (len(xs) == len(a) == len(b)):
         raise ConfigurationError("xs, a, b must have equal length")
     out: List[Tuple[float, float]] = []
-    for i in range(1, len(xs)):
-        d0 = a[i - 1] - b[i - 1]
+    d0 = 0.0
+    for i in range(len(xs)):
         d1 = a[i] - b[i]
-        if d0 == 0:
-            out.append((xs[i - 1], a[i - 1]))
+        if d1 == 0:  # a touching point, the last x included
+            out.append((xs[i], a[i]))
         elif d0 * d1 < 0:
             t = d0 / (d0 - d1)
             x = xs[i - 1] + t * (xs[i] - xs[i - 1])
             y = a[i - 1] + t * (a[i] - a[i - 1])
             out.append((x, y))
+        d0 = d1
     return out

@@ -27,7 +27,8 @@ def bin_series(
     idx = np.digitize(t, edges) - 1
     centres: List[float] = []
     means: List[float] = []
-    for b in range(len(edges) - 1):
+    # The last edge opens a bin too: it can sit at (or round to) t.max().
+    for b in range(len(edges)):
         mask = idx == b
         if np.any(mask):
             centres.append(float(edges[b] + bin_width / 2))

@@ -532,10 +532,10 @@ def _obs_analyze(args) -> int:
     problems = validate_diagnosis(report)
     for problem in problems:  # pragma: no cover - internal invariant
         print(f"internal: {problem}", file=sys.stderr)
-    unknown = [i["path"] for i in report["inputs"] if i["kind"] == "unknown"]
-    for path in unknown:
-        print(f"warning: {path}: unrecognized input, skipped",
-              file=sys.stderr)
+    for i in report["inputs"]:
+        if i["kind"] in ("unknown", "empty"):
+            print(f"warning: {i['path']}: {i['kind']} input, skipped",
+                  file=sys.stderr)
     print(_render_diagnosis(report))
     if args.out is not None:
         Path(args.out).write_text(

@@ -7,15 +7,15 @@
   fixed-point evaluation;
 - :mod:`repro.core.energy_price` -- the Eq. (6)-(9) energy price;
 - :mod:`repro.core.equilibrium` -- numeric equilibria of the model
-  (``solve_equilibrium``; its hybr fallback is the one place
-  ``scipy.optimize`` loads; ``solve_fluid_equilibrium`` is the
-  root-finder-free network-level route, which imports no scipy);
+  (``solve_equilibrium``, the per-connection stationary point of the
+  trajectory integrator below; ``solve_fluid_equilibrium``, the
+  network-level fixed point);
 - :mod:`repro.core.trajectories` -- direct ODE integration of Eq. (3) /
-  Eq. (9) (``integrate_model`` is the one place ``scipy.integrate``
-  loads) and the responsiveness metric.
+  Eq. (9) (``integrate_model``, fixed-step RK4) and the responsiveness
+  metric.
 
-``dts`` and ``energy_price`` are standard library only, the rest
-closed-form numpy at import; the names below resolve lazily, so
+``dts`` and ``energy_price`` are standard library only, the rest numpy
+and none of it scipy; the names below resolve lazily, so
 ``repro.algorithms`` importing those two loads nothing else.
 """
 

@@ -12,20 +12,16 @@ adapters and the analytic model together.
 
 Two solvers live under this name:
 
-- :func:`solve_equilibrium` here — the per-connection model balance for
-  *given* RTTs and loss rates, returning an :class:`EquilibriumSolution`
-  with convergence diagnostics.  Its damped fixed-point iteration is
-  plain numpy; only the hybr refinement it falls back to when that
-  iteration converges poorly imports ``scipy.optimize``, at that call
-  (once per process), so importing this module never loads scipy;
+- :func:`solve_equilibrium` here — the per-connection stationary point
+  for *given* RTTs and loss rates: the model ODE, run by the integrator
+  that also measures responsiveness
+  (:func:`repro.core.trajectories.integrate_model`) until it stops moving;
 - ``solve_fluid_equilibrium`` (re-exported lazily from
   :mod:`repro.fluidsim.equilibrium`) — the whole-network fixed point
-  where loss and queueing are themselves solved for, the direct
-  alternative to time-stepping a ``FluidSimulation``.  It is the
-  ``scipy.optimize``-free route: its own damped fixed-point / dual
-  price iteration over the fluid tier's path table
-  (:class:`repro.fluidsim.csr.Csr`), no root finder and no
-  ``import scipy``.
+  where loss and queueing are themselves solved for, by damped
+  fixed-point / dual price iteration over the fluid tier's path table.
+
+Neither imports scipy.
 """
 
 from __future__ import annotations
@@ -37,14 +33,16 @@ import numpy as np
 
 from repro._lazy import lazy_exports
 from repro.core.model import CongestionModel, ModelState
+from repro.core.trajectories import constant, integrate_model
 from repro.errors import EquilibriumError
 
-_EPS = 1e-9
+#: Floor on the starting windows and the integrated rates.
+_FLOOR = 1e-3
 
-#: Relative residual below which a solve is declared converged.
+#: Residual below which a solve is declared converged.
 _CONVERGED_RTOL = 1e-4
-#: Relative window movement below which fixed-point iteration stops early.
-_STEP_RTOL = 1e-12
+#: Model time integrated between residual checks, in smallest RTTs.
+_CHUNK_RTTS = 64
 
 
 @dataclass(frozen=True)
@@ -53,11 +51,11 @@ class EquilibriumSolution:
 
     #: The stationary windows/rates as a model state.
     state: ModelState
-    #: Whether the relative residual ended below tolerance.
+    #: Whether the residual ended below tolerance.
     converged: bool
-    #: Fixed-point iterations actually run (before any root refinement).
+    #: Integration chunks of ``_CHUNK_RTTS`` smallest RTTs actually run.
     iterations: int
-    #: Final max |psi/(rtt^2 total^2) - beta p| relative to max |beta p|.
+    #: Final complementarity residual (see :func:`_residual`).
     residual_norm: float
 
     @property
@@ -76,6 +74,21 @@ class EquilibriumSolution:
         return self.state.total_rate
 
 
+def _residual(model: CongestionModel, state: ModelState, loss: np.ndarray) -> float:
+    """max_r |min(share_r^2, -gap_r)|, gap_r = (dx_r/dt) / (beta_r p_r x_r^2).
+
+    A path carrying rate must balance (gap ~ 0).  A path the dynamics
+    starve (OLIA's worse path: both terms scale with x_r^2, so it decays
+    only algebraically) is a boundary equilibrium and needs only gap <= 0;
+    its share enters squared, as in dx/dt, so it counts as starved once
+    below ~sqrt(_CONVERGED_RTOL) of the total.
+    """
+    x = state.x
+    gap = model.rate_derivative(state, loss) / (model.beta(state) * loss * x * x)
+    share = x / np.sum(x)
+    return float(np.max(np.abs(np.minimum(share * share, -gap))))
+
+
 def solve_equilibrium(
     model: CongestionModel,
     rtt: np.ndarray,
@@ -87,10 +100,10 @@ def solve_equilibrium(
 ) -> EquilibriumSolution:
     """Solve for the stationary windows given fixed RTTs and loss rates.
 
-    Uses damped fixed-point iteration on the window form of the balance
-    equation (robust for every decomposition in this package), refined by
-    ``scipy.optimize.root`` when it converges poorly.  Returns an
-    :class:`EquilibriumSolution`; raises
+    Integrates Eq. (3) from ``w0`` (10 segments a path by default) in
+    chunks of ``_CHUNK_RTTS`` smallest RTTs until the complementarity
+    residual falls below tolerance, at most ``max_iter`` chunks.  Returns
+    an :class:`EquilibriumSolution`; raises
     :class:`~repro.errors.EquilibriumError` on empty or mismatched
     inputs and non-positive loss rates.
     """
@@ -104,50 +117,21 @@ def solve_equilibrium(
         raise EquilibriumError("equilibrium requires positive RTTs")
     if np.any(loss <= 0):
         raise EquilibriumError("equilibrium requires positive loss rates")
-    n = len(rtt)
-    w = np.asarray(w0, dtype=float) if w0 is not None else np.full(n, 10.0)
-
-    def residual(w_vec: np.ndarray) -> np.ndarray:
-        w_clamped = np.maximum(w_vec, 1e-3)
-        st = ModelState(w=w_clamped, rtt=rtt, base_rtt=base_rtt)
-        total = np.sum(st.x)
-        lhs = model.psi(st) / (rtt**2 * total * total + _EPS)
-        rhs = model.beta(st) * loss
-        return lhs - rhs
-
-    def residual_norm_of(w_vec: np.ndarray) -> float:
-        st = ModelState(w=np.maximum(w_vec, 1e-3), rtt=rtt, base_rtt=base_rtt)
-        scale = float(np.max(np.abs(model.beta(st) * loss))) + _EPS
-        return float(np.max(np.abs(residual(w_vec)))) / scale
-
-    damping = 0.3
+    w = np.asarray(w0, dtype=float) if w0 is not None else np.full(len(rtt), 10.0)
+    state = ModelState(w=np.maximum(w, _FLOOR), rtt=rtt, base_rtt=base_rtt)
+    norm = _residual(model, state, loss)
+    environment = dict(rtt=constant(rtt), loss=constant(loss),
+                       base_rtt=None if base_rtt is None else constant(base_rtt))
+    chunk = _CHUNK_RTTS * float(np.min(rtt))
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        st = ModelState(w=np.maximum(w, 1e-3), rtt=rtt, base_rtt=base_rtt)
-        total = np.sum(st.x)
-        # Balance: psi/(rtt^2 total^2) = beta p  =>  implied total given w,
-        # then rescale windows toward consistency via the psi ratio.
-        psi = np.maximum(model.psi(st), _EPS)
-        beta = model.beta(st)
-        target_w = np.sqrt(psi / (beta * loss + _EPS)) / (rtt * total + _EPS) * rtt
-        # target_w solves w such that x_r contributes consistently:
-        # w_r = sqrt(psi_r/(beta_r p_r)) / total  (in window units w = x*rtt)
-        w_new = (1 - damping) * w + damping * np.maximum(target_w, 1e-3)
-        step = float(np.max(np.abs(w_new - w))) / (float(np.max(w)) + _EPS)
-        w = w_new
-        if step < _STEP_RTOL:
-            break
-    if residual_norm_of(w) > _CONVERGED_RTOL:
-        # The only scipy use in this module: loaded on the fallback, not at
-        # import, so the closed-form callers of repro.core never pay for it.
-        from scipy import optimize
-
-        sol = optimize.root(residual, w, method="hybr")
-        if sol.success:
-            w = np.maximum(sol.x, 1e-3)
-    norm = residual_norm_of(w)
+    while norm > _CONVERGED_RTOL and iterations < max_iter:
+        iterations += 1
+        x = integrate_model(model, **environment, x0=state.x, duration=chunk,
+                            n_samples=2, x_floor=_FLOOR).rates[:, -1]
+        state = ModelState(w=x * rtt, rtt=rtt, base_rtt=base_rtt)
+        norm = _residual(model, state, loss)
     return EquilibriumSolution(
-        state=ModelState(w=np.maximum(w, 1e-3), rtt=rtt, base_rtt=base_rtt),
+        state=state,
         converged=norm <= _CONVERGED_RTOL,
         iterations=iterations,
         residual_norm=norm,

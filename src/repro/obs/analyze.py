@@ -35,8 +35,10 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.results import BENCH_SCHEMA
 from repro.obs.flight import FLIGHT_SCHEMA
 from repro.obs.manifest import MANIFEST_SCHEMA
+from repro.obs.tail import split_jsonl
 from repro.obs.timeseries import SERIES_SCHEMA
 from repro.obs.tracing import TRACE_SCHEMA
 
@@ -89,48 +91,82 @@ class Finding:
 
 # --------------------------------------------------------------- input sniffing
 
+#: Whole-document artifacts: ``schema`` -> kind.
+_DOCUMENT_KINDS = {
+    TRACE_SCHEMA: "trace-shard",
+    SERIES_SCHEMA: "series",
+    MANIFEST_SCHEMA: "manifest",
+    DIAGNOSIS_SCHEMA: "diagnosis",
+    BENCH_SCHEMA: "bench",
+}
+
+
+def _jsonl_kind(record: Dict[str, Any]) -> str:
+    """The kind of a JSONL artifact whose first record is ``record``."""
+    if record.get("schema") == FLIGHT_SCHEMA:
+        return "flight"
+    if "kind" in record and "name" in record:
+        return "metrics-jsonl"
+    if "seq" in record and "kind" in record and "ts" in record:
+        return "flight"
+    if "type" in record and "ts" in record:
+        return "trace-jsonl"
+    if "event" in record:
+        return "telemetry-jsonl"
+    return "unknown"
+
+
 def classify_input(doc: Any) -> str:
     """The input kind of one loaded document (see :func:`load_input`)."""
     if isinstance(doc, dict):
         if "traceEvents" in doc:
             return "merged-trace"
-        schema = doc.get("schema")
-        if schema == TRACE_SCHEMA:
-            return "trace-shard"
-        if schema == SERIES_SCHEMA:
-            return "series"
-        if schema == MANIFEST_SCHEMA:
-            return "manifest"
-        if schema == DIAGNOSIS_SCHEMA:
-            return "diagnosis"
-    if isinstance(doc, list) and doc and isinstance(doc[0], dict) \
-            and doc[0].get("schema") == FLIGHT_SCHEMA:
-        return "flight"
+        return _DOCUMENT_KINDS.get(doc.get("schema"), "unknown")
+    if isinstance(doc, list) and doc and isinstance(doc[0], dict):
+        return _jsonl_kind(doc[0])
     return "unknown"
 
 
-def load_input(path: "str | Path") -> Tuple[Any, str]:
-    """Load one input file; returns ``(document, kind)``.
+def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
+    """Load one artifact, its kind sniffed from content; returns
+    ``(document, kind, warnings)``.  The one reader ``obs report`` and
+    ``obs analyze`` share.
 
-    JSON documents load whole; JSONL files load as a list of objects
-    (the flight-dump shape: header line + event lines).
+    JSON documents load whole; JSONL files (flight dumps, metrics, trace
+    logs, campaign telemetry) load as a list of records through
+    :func:`~repro.obs.tail.split_jsonl`, so a torn last line — a writer
+    killed mid-dump, or one still appending — is skipped silently and a
+    malformed interior line is skipped with a warning.  An empty file, or
+    one holding only a torn line, is kind ``"empty"``; content no table
+    names is ``"unknown"``.  Raises ValueError when nothing parses.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    doc: Any
-    if stripped.startswith("{") and "\n{" not in text.strip():
+    if not text.strip():
+        return None, "empty", [f"{path}: empty file"]
+    try:
         doc = json.loads(text)
-    else:
-        doc = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                doc.append(json.loads(line))
-        # A single-line JSON object file is still one document.
-        if len(doc) == 1 and classify_input(doc) == "unknown":
-            doc = doc[0]
-    return doc, classify_input(doc)
+    except json.JSONDecodeError:
+        doc = None
+    if isinstance(doc, dict) and (classify_input(doc) != "unknown"
+                                  or _jsonl_kind(doc) == "unknown"):
+        return doc, classify_input(doc), []
+    # Else one object per line (a one-line JSONL file parses whole too).
+    records, bad_lines, partial_tail = split_jsonl(text)
+    warnings = []
+    if bad_lines:
+        shown = ", ".join(str(n) for n in bad_lines[:5])
+        more = f" (+{len(bad_lines) - 5} more)" if len(bad_lines) > 5 else ""
+        warnings.append(f"{path}: skipped {len(bad_lines)} malformed "
+                        f"line(s): {shown}{more}")
+    if not records:
+        if partial_tail and text.lstrip().startswith("{"):
+            # Only a mid-append fragment so far.  Anything that could
+            # never become a JSON object is garbage, not a torn append.
+            return None, "empty", [f"{path}: only a partial line so far "
+                                   f"(writer still appending?)"]
+        raise ValueError(f"{path}: no JSON objects found")
+    return records, classify_input(records), warnings
 
 
 # ------------------------------------------------------------- trace handling
@@ -523,14 +559,14 @@ def analyze(
 def analyze_paths(paths: Sequence["str | Path"]) -> Dict[str, Any]:
     """Load + classify each file, then :func:`analyze` them together.
 
-    Unknown inputs are recorded (kind ``unknown``) but not analyzed, so
-    a glob that caught a stray file degrades to a warning in ``inputs``
-    rather than an error.
+    Unknown and empty inputs are recorded (kind ``unknown`` / ``empty``)
+    but not analyzed, so a glob that caught a stray file degrades to a
+    warning in ``inputs`` rather than an error.
     """
     traces, shards, series, flights, manifests = [], [], [], [], []
     inputs = []
     for path in paths:
-        doc, kind = load_input(path)
+        doc, kind, _warnings = load_input(path)
         inputs.append({"path": str(path), "kind": kind})
         if kind == "merged-trace":
             traces.append(doc)

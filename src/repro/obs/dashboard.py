@@ -14,11 +14,21 @@ grid, a legend for every multi-series chart, and gauge-backed series
 whose last update is older than three sample intervals are greyed as
 stale.  Light and dark palettes are separately specified (not an
 automatic flip) and switch on ``prefers-color-scheme``.
+
+:func:`live_routes` is the one route table behind the page — the
+transport server and ``obs serve`` both mount it.
 """
 
 from __future__ import annotations
 
-__all__ = ["render_dashboard"]
+import asyncio
+import time
+from typing import Any, AsyncIterator, Dict
+
+import repro.obs.prom as prom
+from repro.transport.aio import RawResponse, SseRoute
+
+__all__ = ["live_routes", "render_dashboard"]
 
 
 # Fixed categorical slots (light, dark) — assigned by slot order, never
@@ -452,3 +462,40 @@ def render_dashboard(*, title: str = "repro live telemetry",
             .replace("__INTERVAL_MS__", str(int(interval_ms)))
             .replace("__PALETTE_LIGHT__", ",".join(_PALETTE_LIGHT))
             .replace("__PALETTE_DARK__", ",".join(_PALETTE_DARK)))
+
+
+def live_routes(registry: Any, recorder: Any, flight: Any, *, title: str,
+                interval: float) -> Dict[str, Any]:
+    """``/metrics.prom``, ``/series``, ``/events``, ``/dashboard`` and
+    ``/stream`` over one session's registry, series recorder and flight
+    recorder, for a :class:`~repro.transport.aio.MetricsHttpServer`.
+
+    ``/stream`` sends a frame every ``interval`` (at least 0.1 s): the
+    latest values plus the events recorded since the previous frame, the
+    first replaying the retained ring so a fresh page sees history.
+    """
+    interval_ms = max(int(interval * 1000), 100)
+
+    async def stream() -> AsyncIterator[dict]:
+        last_seq = 0
+        while True:
+            events = flight.events(since=last_seq, limit=250)
+            if events:
+                last_seq = events[-1].seq
+            yield {
+                "t": time.time(),
+                "latest": recorder.last_values(),
+                "events": [e.to_json_dict() for e in events],
+            }
+            await asyncio.sleep(max(interval, 0.1))
+
+    return {
+        "/metrics.prom": lambda: RawResponse(
+            prom.render_registry(registry), content_type=prom.CONTENT_TYPE),
+        "/series": recorder.snapshot,
+        "/events": flight.snapshot,
+        "/dashboard": lambda: RawResponse(
+            render_dashboard(title=title, interval_ms=interval_ms),
+            content_type="text/html; charset=utf-8"),
+        "/stream": SseRoute(stream),
+    }

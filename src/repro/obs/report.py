@@ -13,105 +13,36 @@ subsystem (or campaign telemetry) writes and renders a human summary:
 * ``BENCH_*`` benchmark results — per-case timing stats, histogram
   percentiles, and hot frames.
 
-File kind is sniffed from content, never from the extension.  Empty
-files report kind ``"empty"`` (the CLI warns and moves on), and JSONL
-inputs with malformed lines — a truncated tail from a killed run is the
-common case — keep their parseable records and surface the skip count
-as a warning instead of failing the whole report.  A *partial trailing
-line* (no newline — a concurrent writer caught mid-append, the normal
-state of a live telemetry log the dashboard tailer shares with us) is
-skipped silently via :func:`repro.obs.tail.split_jsonl`, not raised and
-not even warned about.
+Files are read by :func:`repro.obs.analyze.load_input`, the loader
+``obs analyze`` uses too: the kind is sniffed from content, never from
+the extension.  Empty files report kind ``"empty"`` (the CLI warns and
+moves on); JSONL inputs keep their parseable records, a malformed
+interior line becomes a warning, and a torn trailing line (a writer
+killed mid-dump, or a live log caught mid-append) is skipped silently.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.bench.results import BENCH_SCHEMA
-from repro.obs.analyze import DIAGNOSIS_SCHEMA
-from repro.obs.flight import FLIGHT_SCHEMA
-from repro.obs.manifest import MANIFEST_SCHEMA
+from repro.obs.analyze import load_input
 from repro.obs.metrics import percentiles_from_counts
-from repro.obs.tail import split_jsonl
-from repro.obs.timeseries import SERIES_SCHEMA
-from repro.obs.tracing import TRACE_SCHEMA
 
 __all__ = ["describe_file", "render_file"]
 
 
-def _load(path: Path) -> Tuple[str, Any, List[str]]:
-    """Sniff and parse one artifact; returns (kind, parsed, warnings)."""
-    text = path.read_text(encoding="utf-8")
-    if not text.strip():
-        return "empty", None, [f"{path}: empty file"]
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict):
-        if "traceEvents" in doc:
-            return "chrome-trace", doc, []
-        if doc.get("schema") == MANIFEST_SCHEMA:
-            return "manifest", doc, []
-        if doc.get("schema") == BENCH_SCHEMA:
-            return "bench", doc, []
-        if doc.get("schema") == TRACE_SCHEMA:
-            return "trace-shard", doc, []
-        if doc.get("schema") == SERIES_SCHEMA:
-            return "series", doc, []
-        if doc.get("schema") == DIAGNOSIS_SCHEMA:
-            return "diagnosis", doc, []
-        if not _jsonl_kind(doc):
-            raise ValueError(f"{path}: unrecognized JSON document")
-        # else: a one-line JSONL artifact that parsed as a single object;
-        # fall through to the line-by-line path.
-    # JSONL: one object per line.  Tolerate malformed lines (truncated
-    # tails from killed runs) as long as something parses; a partial
-    # *trailing* line is a concurrent append in flight and is skipped
-    # without comment.
-    records, bad_lines, partial_tail = split_jsonl(text)
-    warnings = []
-    if bad_lines:
-        shown = ", ".join(str(n) for n in bad_lines[:5])
-        more = f" (+{len(bad_lines) - 5} more)" if len(bad_lines) > 5 else ""
-        warnings.append(f"{path}: skipped {len(bad_lines)} malformed "
-                        f"line(s): {shown}{more}")
-    if not records:
-        if partial_tail and text.lstrip().startswith("{"):
-            # Only a mid-append fragment so far: report it like an empty
-            # file instead of failing a live tail's first read.  Anything
-            # that could never become a JSON object is garbage, not a
-            # torn append, and still fails below.
-            return "empty", None, [f"{path}: only a partial line so far "
-                                   f"(writer still appending?)"]
-        raise ValueError(f"{path}: no JSON objects found")
-    kind = _jsonl_kind(records[0])
-    if kind is None:
-        raise ValueError(f"{path}: unrecognized JSONL records")
-    return kind, records, warnings
-
-
-def _jsonl_kind(record: Dict[str, Any]) -> Optional[str]:
-    """The JSONL artifact kind a record belongs to, or None."""
-    if record.get("schema") == FLIGHT_SCHEMA:
-        return "flight-jsonl"
-    if "kind" in record and "name" in record:
-        return "metrics-jsonl"
-    if "seq" in record and "kind" in record and "ts" in record:
-        return "flight-jsonl"
-    if "type" in record and "ts" in record:
-        return "trace-jsonl"
-    if "event" in record:
-        return "telemetry-jsonl"
-    return None
+def _load(path: "str | Path") -> Tuple[str, Any, List[str]]:
+    """(kind, parsed, warnings) of a file this module can render."""
+    doc, kind, warnings = load_input(path)
+    if kind == "unknown":
+        raise ValueError(f"{path}: unrecognized content")
+    return kind, doc, warnings
 
 
 def describe_file(path: "str | Path") -> Tuple[str, Any]:
     """(kind, parsed content) for an artifact file."""
-    kind, parsed, _warnings = _load(Path(path))
+    kind, parsed, _warnings = _load(path)
     return kind, parsed
 
 
@@ -346,7 +277,7 @@ def _render_diagnosis(doc: Dict[str, Any]) -> str:
 
 
 _RENDERERS = {
-    "chrome-trace": _render_chrome,
+    "merged-trace": _render_chrome,
     "trace-shard": _render_trace_shard,
     "series": _render_series,
     "diagnosis": _render_diagnosis,
@@ -354,7 +285,7 @@ _RENDERERS = {
     "metrics-jsonl": _render_metrics,
     "manifest": _render_manifest,
     "telemetry-jsonl": _render_telemetry,
-    "flight-jsonl": _render_flight,
+    "flight": _render_flight,
     "bench": _render_bench,
 }
 
@@ -365,7 +296,7 @@ def render_file(path: "str | Path") -> str:
     Empty files render as a one-line notice; recoverable parse issues
     (skipped malformed JSONL lines) are appended as warning lines.
     """
-    kind, parsed, warnings = _load(Path(path))
+    kind, parsed, warnings = _load(path)
     if kind == "empty":
         return f"== {path} (empty)\n  (no content — skipped)"
     out = f"== {path} ({kind})\n" + _RENDERERS[kind](parsed)

@@ -6,9 +6,10 @@ while it runs; this module turns that file into the same live surface
 the transport server exposes: a :class:`TelemetryMonitor` follows the
 log with a :class:`~repro.obs.tail.JsonlTailer`, translates each record
 into registry instruments (counters for run lifecycle, gauges for the
-streaming progress/ETA) and flight events, and an HTTP server reuses
-the exact transport routes — ``/metrics.prom``, ``/series``,
-``/events``, ``/dashboard``, ``/stream``.
+streaming progress/ETA) and flight events, and an HTTP server mounts
+the transport server's own route table
+(:func:`repro.obs.dashboard.live_routes`: ``/metrics.prom``,
+``/series``, ``/events``, ``/dashboard``, ``/stream``).
 
 Kept out of :mod:`repro.obs`'s ``__init__`` on purpose: this module
 imports :mod:`repro.transport.aio`, which (via the server) imports
@@ -19,15 +20,13 @@ lazily.
 from __future__ import annotations
 
 import asyncio
-import time
 from pathlib import Path
-from typing import Any, AsyncIterator, Dict, Optional
+from typing import Any, Dict, Optional
 
 import repro.obs as obs
-import repro.obs.prom as prom
-from repro.obs.dashboard import render_dashboard
+from repro.obs.dashboard import live_routes
 from repro.obs.tail import JsonlTailer
-from repro.transport.aio import MetricsHttpServer, RawResponse, SseRoute
+from repro.transport.aio import MetricsHttpServer
 
 __all__ = ["ObsServeHandle", "TelemetryMonitor", "start_serve"]
 
@@ -135,36 +134,13 @@ async def start_serve(path: "str | Path", *, host: str = "127.0.0.1",
     """Start tailing ``path`` and serving the live routes; returns a
     handle whose ``port`` is bound and whose ``stop()`` tears down."""
     monitor = TelemetryMonitor(path, interval=interval)
-    interval_ms = max(int(interval * 1000), 100)
-
-    async def stream() -> AsyncIterator[dict]:
-        last_seq = 0
-        while True:
-            events = monitor.flight.events(since=last_seq, limit=250)
-            if events:
-                last_seq = events[-1].seq
-            yield {
-                "t": time.time(),
-                "latest": monitor.recorder.last_values(),
-                "events": [e.to_json_dict() for e in events],
-            }
-            await asyncio.sleep(interval)
-
     http = MetricsHttpServer(
         {
             "/metrics": monitor.status,
             "/healthz": lambda: {"status": "ok", "source": str(monitor.path)},
-            "/metrics.prom": lambda: RawResponse(
-                prom.render_registry(monitor.registry),
-                content_type=prom.CONTENT_TYPE),
-            "/series": monitor.recorder.snapshot,
-            "/events": monitor.flight.snapshot,
-            "/dashboard": lambda: RawResponse(
-                render_dashboard(
-                    title=f"repro campaign - {monitor.path.name}",
-                    interval_ms=interval_ms),
-                content_type="text/html; charset=utf-8"),
-            "/stream": SseRoute(stream),
+            **live_routes(monitor.registry, monitor.recorder, monitor.flight,
+                          title=f"repro campaign - {monitor.path.name}",
+                          interval=interval),
         },
         host=host, port=port)
     await http.start()

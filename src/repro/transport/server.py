@@ -30,24 +30,20 @@ the cores.
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import OrderedDict
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import repro.obs as obs
-import repro.obs.prom as prom
 from repro.algorithms import create_controller
 from repro.energy.accounting import TransferEnergyAccount
 from repro.energy.cpu import HostPowerModel, default_wired_host
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.dashboard import render_dashboard
+from repro.obs.dashboard import live_routes
 from repro.transport.aio import (
     Addr,
     DatagramEndpoint,
     LossyTransport,
     MetricsHttpServer,
-    RawResponse,
-    SseRoute,
     open_endpoint,
 )
 from repro.transport.core import PathProfile, SegmentSupply, SenderCore
@@ -510,12 +506,10 @@ class TransportServer:
                     "/metrics": self.metrics_snapshot,
                     "/manifest": self.manifest_snapshot,
                     "/healthz": lambda: {"status": "ok", "ports": self.ports},
-                    "/metrics.prom": self.prom_snapshot,
-                    "/series": self.recorder.snapshot,
-                    "/events": self.flight.snapshot,
-                    "/dashboard": self.dashboard_page,
-                    "/stream": SseRoute(self._stream_frames),
                     "/trace": self.trace_route,
+                    **live_routes(self.session.registry, self.recorder, self.flight,
+                                  title="repro transport - live telemetry",
+                                  interval=self.record_interval),
                 },
                 host=self.host,
                 port=self.metrics_port,
@@ -556,25 +550,6 @@ class TransportServer:
         while True:
             await asyncio.sleep(self.record_interval)
             self.recorder.sample()
-
-    async def _stream_frames(self) -> AsyncIterator[dict]:
-        """The ``/stream`` SSE payloads: latest values + new events.
-
-        The first frame replays the retained event ring so a freshly
-        opened dashboard sees recent history, then each frame carries
-        only events recorded since the previous one.
-        """
-        last_seq = 0
-        while True:
-            events = self.flight.events(since=last_seq, limit=250)
-            if events:
-                last_seq = events[-1].seq
-            yield {
-                "t": time.time(),
-                "latest": self.recorder.last_values(),
-                "events": [e.to_json_dict() for e in events],
-            }
-            await asyncio.sleep(max(self.record_interval, 0.1))
 
     # ------------------------------------------------------------- datagrams
 
@@ -785,19 +760,6 @@ class TransportServer:
             if conn.started_at is not None or cid not in rows:
                 rows[cid] = conn.snapshot()
         return {str(cid): rows[cid] for cid in sorted(rows)}
-
-    def prom_snapshot(self) -> RawResponse:
-        """The ``/metrics.prom`` document: OpenMetrics text exposition."""
-        return RawResponse(prom.render_registry(self.session.registry),
-                           content_type=prom.CONTENT_TYPE)
-
-    def dashboard_page(self) -> RawResponse:
-        """The ``/dashboard`` page (self-contained HTML)."""
-        interval_ms = max(int(self.record_interval * 1000), 100)
-        return RawResponse(
-            render_dashboard(title="repro transport - live telemetry",
-                             interval_ms=interval_ms),
-            content_type="text/html; charset=utf-8")
 
     def trace_shard(self, process_name: str = "repro-serve") -> Optional[dict]:
         """This server's trace shard (``repro.obs.trace/1``), or None

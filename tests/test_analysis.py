@@ -111,6 +111,11 @@ class TestTimeSeries:
         centres, means = bin_series(times, values, 1.0)
         assert means == pytest.approx([2.0, 15.0])
 
+    def test_bin_series_keeps_the_sample_at_the_last_edge(self):
+        # A span that is an exact multiple of the width ends on an edge.
+        assert bin_series([0, 1, 2], [10, 20, 30], 1.0) == (
+            [0.5, 1.5, 2.5], [10.0, 20.0, 30.0])
+
     def test_bin_series_empty(self):
         assert bin_series([], [], 1.0) == ([], [])
 
@@ -164,6 +169,9 @@ class TestCompare:
         points = crossover_points(xs, a, b)
         assert len(points) == 1
         assert points[0][0] == pytest.approx(1.5)
+
+    def test_crossover_on_the_last_x(self):
+        assert crossover_points([0, 1], [1, 0], [0, 0]) == [(1, 0)]
 
     def test_no_crossover(self):
         assert crossover_points([0, 1], [1, 2], [5, 6]) == []

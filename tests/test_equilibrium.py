@@ -94,9 +94,45 @@ class TestSolveEquilibrium:
             decomposition("olia"), rtt=np.array([0.05, 0.07]),
             loss=np.array([0.01, 0.02]),
         )
+        assert sol.converged
         np.testing.assert_array_equal(sol.w, sol.state.w)
         np.testing.assert_array_equal(sol.x, sol.state.x)
         assert sol.total_rate == sol.state.total_rate
+
+    def test_olia_starves_the_worse_path(self):
+        """OLIA's psi = 1 makes both terms of Eq. 3 scale with x_r^2, so
+        only the path with the smaller RTT^2 p balances; the other decays
+        to a boundary equilibrium, which still counts as converged."""
+        sol = solve_equilibrium(
+            decomposition("olia"), rtt=np.array([0.05, 0.07]),
+            loss=np.array([0.01, 0.02]),
+        )
+        assert sol.converged and sol.residual_norm <= 1e-4
+        assert sol.x[1] <= 0.01 * sol.total_rate
+        # All the rate is on the better path, at one Reno window there.
+        assert sol.w[0] == pytest.approx(reno_window(0.01), rel=0.02)
+
+    @pytest.mark.parametrize(
+        "name", ["lia", "olia", "balia", "ecmtcp", "ewtcp", "coupled", "wvegas", "dts"]
+    )
+    @pytest.mark.parametrize("rtt, loss", [
+        ([0.05, 0.05], [0.01, 0.01]),
+        ([0.05, 0.07], [0.01, 0.02]),
+        ([0.04, 0.07], [0.008, 0.015]),
+    ])
+    def test_solved_point_is_stationary(self, name, rtt, loss):
+        """dx_r/dt ~ 0 on every path that carries rate (relative to the
+        path's own decrease term beta_r p_r x_r^2)."""
+        model = decomposition(name)
+        rtt, loss = np.array(rtt), np.array(loss)
+        sol = solve_equilibrium(model, rtt, loss)
+        assert sol.converged
+        st = sol.state
+        drift = model.rate_derivative(st, loss)
+        decrease = model.beta(st) * loss * st.x**2
+        carrying = st.x > 0.02 * st.total_rate
+        assert carrying.any()
+        assert np.all(np.abs(drift[carrying]) <= 1e-3 * decrease[carrying])
 
     def test_residual_small_at_solution(self):
         model = decomposition("balia")

@@ -429,14 +429,20 @@ def test_kernel_and_scipy_share_one_module(first, then):
         "assert (m.T.tocsr() @ np.ones(9)).shape == (7,)\n")
 
 
-def test_solver_and_integrator_load_scipy_at_their_call_sites():
-    """The two functions that use scipy still get it (and only they do)."""
-    loaded = loaded_after(
-        "from repro.core import constant, decomposition, integrate_model\n"
-        "integrate_model(decomposition('lia'), rtt=constant([0.1]),\n"
-        "                loss=constant([0.01]), x0=[10.0], duration=1.0)"
-    )
-    assert "scipy.integrate" in loaded
+def test_solver_and_integrator_load_no_scipy():
+    """The per-connection solver, the model integrator and the
+    responsiveness metric run on numpy alone: no ``scipy*`` module."""
+    assert modules_after(
+        "import numpy as np\n"
+        "from repro.core import (constant, decomposition, integrate_model,\n"
+        "                        responsiveness, solve_equilibrium)\n"
+        "olia, rtt, loss = decomposition('olia'), [0.05, 0.07], [0.01, 0.02]\n"
+        "integrate_model(olia, rtt=constant(rtt), loss=constant(loss),\n"
+        "                x0=[10.0, 10.0], duration=1.0)\n"
+        "responsiveness(olia, rtt=rtt, loss=loss, x0=[1.0, 1.0], duration=5.0)\n"
+        "solve_equilibrium(olia, np.array(rtt), np.array(loss))",
+        "scipy",
+    ) == set()
 
 
 # ------------------------------------------------------------ lazy exports

@@ -310,7 +310,7 @@ def test_fig08_trace_cli_regression(tmp_path, capsys, monkeypatch):
                    str(trace) + ".manifest.json"])
     assert rc == 0
     report = capsys.readouterr().out
-    assert "chrome-trace" in report
+    assert "merged-trace" in report
     assert "metrics-jsonl" in report
     assert "engine.events_processed" in report
     assert "manifest" in report

@@ -70,15 +70,33 @@ def test_classify_inputs():
 def test_load_input_json_and_jsonl(tmp_path):
     p = tmp_path / "shard.json"
     p.write_text(json.dumps({"schema": TRACE_SCHEMA, "events": []}))
-    doc, kind = load_input(p)
-    assert kind == "trace-shard"
+    doc, kind, warnings = load_input(p)
+    assert kind == "trace-shard" and warnings == []
 
     f = tmp_path / "flight.jsonl"
     f.write_text("\n".join(json.dumps(e) for e in _flight(
         [{"ts": 0.1, "kind": "loss", "path": 0}])))
-    doc, kind = load_input(f)
+    doc, kind, warnings = load_input(f)
     assert kind == "flight"
     assert len(doc) == 2
+
+
+def test_torn_flight_dump_is_analyzed_and_reported(tmp_path):
+    """A server killed mid-dump leaves a cut-off last line: both
+    ``obs analyze`` and ``obs report`` read the events before it."""
+    from repro.obs.report import render_file
+
+    dump = tmp_path / "flight.jsonl"
+    lines = [json.dumps(e) for e in _flight(
+        [{"ts": 0.1, "kind": "loss", "path": 0}] * 2)]
+    dump.write_text("\n".join(lines) + "\n" + lines[-1][:17])
+    report = analyze_paths([dump])
+    assert report["inputs"] == [{"path": str(dump), "kind": "flight"}]
+    assert report["summary"]["flight_events"] == 2
+    [finding] = _findings(report, "loss")
+    assert "2" in finding["title"]
+    out = render_file(dump)
+    assert "(flight)" in out and "2 events" in out and "warning" not in out
 
 
 # ---------------------------------------------------------------- detectors
