@@ -70,6 +70,7 @@ engine leaves sawtooth troughs unused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -163,6 +164,7 @@ def solve_fluid_equilibrium(
     queue_ramp: float = 1e-4,
     initial_price: float = 1e-3,
     initial_window: float = 10.0,
+    metrics: Optional[obs.MetricsRegistry] = None,
 ) -> FluidEquilibrium:
     """Solve the network's stationary rate allocation directly.
 
@@ -172,6 +174,8 @@ def solve_fluid_equilibrium(
     :class:`~repro.errors.EquilibriumError` for structurally invalid
     input: an unfinalized or empty network, an unsupported algorithm,
     non-positive solver parameters, or ``initial_window`` below one segment.
+    The ``fluid.equilibrium.*`` instruments go to ``metrics``, else to the
+    ambient registry.
     """
     if net.base_rtt is None:
         raise EquilibriumError("finalize() the FluidNetwork before solving")
@@ -272,7 +276,7 @@ def solve_fluid_equilibrium(
                                minlength=len(net.connections))
     # Why a solve ended where it did: windows pinned at the floor carry no
     # rate, links priced at the ceiling cannot shed their excess.
-    registry = obs.registry_or_new()
+    registry = metrics if metrics is not None else obs.registry_or_new()
     registry.counter("fluid.equilibrium.iterations").inc(iterations)
     registry.gauge("fluid.equilibrium.residual_window").set(res_w)
     registry.gauge("fluid.equilibrium.residual_capacity").set(res_p)

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fluidsim.adapters import FluidAlgorithm, create_fluid_algorithm
+from repro.fluidsim.connections import (ConnectionColumns, ConnectionSequence,
+                                        FluidConnection)
 from repro.fluidsim.csr import Csr
 from repro.net.rand import Pcg64
-from repro.topology.base import DcTopology, PathSpec, path_specs
+from repro.topology.base import DcTopology
 from repro.units import DEFAULT_PACKET_BYTES
 
 
@@ -37,47 +39,12 @@ class Cohort:
     """All subflows sharing one algorithm instance (users contiguous)."""
 
     algorithm: FluidAlgorithm
-    #: Global subflow indices of this cohort, in storage order.
-    ids: np.ndarray
-    #: Offsets of each user's block within ``ids`` (for reduceat).
+    #: The cohort's slice of the per-subflow arrays, in storage order.
+    span: slice
+    #: Offsets of each user's block within ``span`` (for reduceat).
     user_starts: np.ndarray
     #: User index (within the cohort) of each subflow.
     user_of: np.ndarray
-    #: ``ids`` as the slice of the per-subflow arrays it is.
-    span: slice = field(init=False)
-
-    def __post_init__(self):
-        self.span = slice(int(self.ids[0]), int(self.ids[-1]) + 1)
-        if self.span.stop - self.span.start != len(self.ids):
-            raise ConfigurationError(
-                f"cohort {self.algorithm.name!r} is not one contiguous slice of subflows")
-
-
-@dataclass
-class FluidConnection:
-    """One (multipath) connection in the fluid simulator."""
-
-    index: int
-    src: str
-    dst: str
-    algorithm_name: str
-    #: Link ids of the chosen paths, one row per subflow, short rows
-    #: padded with -1 (:meth:`repro.topology.base.DcTopology.path_rows`).
-    path_links: np.ndarray
-    #: Relay hosts of each chosen path.
-    relay_hosts: List[Tuple[str, ...]]
-    algorithm_kwargs: dict = field(default_factory=dict)
-    #: Global subflow indices, filled at finalize().
-    subflow_ids: Sequence[int] = ()
-
-    @property
-    def n_subflows(self) -> int:
-        return len(self.path_links)
-
-    @property
-    def paths(self) -> List[PathSpec]:
-        """The chosen paths as objects, built per access."""
-        return path_specs((self.path_links, self.relay_hosts))
 
 
 class FluidNetwork:
@@ -108,7 +75,7 @@ class FluidNetwork:
         self.is_swsw = topology.link_is_swsw
         self.buffer_bits = np.full(
             topology.n_links, buffer_packets * self.packet_bits, dtype=float)
-        self.connections: List[FluidConnection] = []
+        self._columns = ConnectionColumns(len(topology.hosts))
         self._finalized = False
 
         # Filled by finalize():
@@ -159,6 +126,11 @@ class FluidNetwork:
         net.finalize()
         return net
 
+    @property
+    def connections(self) -> Sequence[FluidConnection]:
+        """The connections in add order, as views built on access."""
+        return ConnectionSequence(self._columns)
+
     def add_connection(
         self,
         src: str,
@@ -170,7 +142,11 @@ class FluidNetwork:
         path_pool: int = 64,
     ) -> FluidConnection:
         """Add a connection using up to ``n_subflows`` distinct paths,
-        sampled ECMP-style from up to ``path_pool`` candidate paths."""
+        sampled ECMP-style from up to ``path_pool`` candidate paths.
+
+        All connections running one algorithm share its instance, so
+        they must agree on ``algorithm_kwargs``.
+        """
         if self._finalized:
             raise ConfigurationError("network already finalized")
         if n_subflows < 1 or path_pool < 1:
@@ -188,17 +164,9 @@ class FluidNetwork:
             src, dst, max(n_subflows, path_pool), pick)
         if not len(links):
             raise ConfigurationError(f"no path between {src} and {dst}")
-        conn = FluidConnection(
-            index=len(self.connections),
-            src=src,
-            dst=dst,
-            algorithm_name=algorithm,
-            path_links=links,
-            relay_hosts=relays,
-            algorithm_kwargs=dict(algorithm_kwargs or {}),
-        )
-        self.connections.append(conn)
-        return conn
+        index = self._columns.append(src, dst, algorithm,
+                                     algorithm_kwargs or {}, links, relays)
+        return FluidConnection(self._columns, index)
 
     def finalize(self) -> None:
         """Freeze the connection set and build all arrays."""
@@ -207,48 +175,26 @@ class FluidNetwork:
         self._finalized = True
         topology = self.topology
         n_hosts = len(topology.hosts)
-        host_ids = {h: i for i, h in enumerate(topology.hosts)}
-
-        # Storage order: grouped by algorithm cohort (in order of first
-        # appearance), users contiguous, a user's subflows contiguous.
-        by_algo: Dict[str, List[FluidConnection]] = {}
-        for conn in self.connections:
-            by_algo.setdefault(conn.algorithm_name, []).append(conn)
-        ordered = [conn for conns in by_algo.values() for conn in conns]
-        counts = np.array([conn.n_subflows for conn in ordered], dtype=np.int64)
-        starts = np.cumsum(counts) - counts
-        n_subflows = int(counts.sum())
-
-        def per_subflow(per_connection: list) -> np.ndarray:
-            return np.repeat(np.array(per_connection, dtype=np.int64), counts)
-
+        cols = self._columns
+        order, counts = cols.freeze()
         # One padded link-id row per subflow; entry -1 of the padded
         # per-link vectors below is the pad's neutral element.
-        width = max((conn.path_links.shape[1] for conn in ordered), default=0)
-        hops = np.full((n_subflows, width), -1, dtype=np.int32)
-        for conn, start in zip(ordered, starts.tolist()):
-            rows = conn.path_links
-            hops[start:start + len(rows), :rows.shape[1]] = rows
-            conn.subflow_ids = range(start, start + len(rows))
+        hops = cols.table
+        n_subflows = len(hops)
 
         self.cohorts = []
-        first_conn = first_sub = 0
-        for algo_name, conns in by_algo.items():
-            kwargs = conns[0].algorithm_kwargs
-            if any(conn.algorithm_kwargs != kwargs for conn in conns):
-                raise ConfigurationError(
-                    f"connections running {algo_name!r} disagree on "
-                    "algorithm_kwargs; one cohort shares one algorithm instance")
-            users = counts[first_conn:first_conn + len(conns)]
-            size = int(users.sum())
+        bounds = np.searchsorted(cols.cohort[order],
+                                 np.arange(len(cols.algorithms) + 1))
+        for (algo_name, (_, kwargs)), lo, hi in zip(
+                cols.algorithms.items(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            users = counts[lo:hi]
+            first = int(cols.starts[order[lo]])
             self.cohorts.append(Cohort(
                 create_fluid_algorithm(algo_name, **kwargs),
-                np.arange(first_sub, first_sub + size, dtype=np.int64),
+                slice(first, first + int(users.sum())),
                 np.cumsum(users) - users,
-                np.repeat(np.arange(len(conns), dtype=np.int64), users),
+                np.repeat(np.arange(hi - lo, dtype=np.int64), users),
             ))
-            first_conn += len(conns)
-            first_sub += size
 
         self.paths = Csr.from_rows(hops, topology.n_links)
         # Hop by hop: the same additions, in the same order, as summing
@@ -259,18 +205,23 @@ class FluidNetwork:
             one_way += delay[hop]
         self.base_rtt = 2.0 * one_way
         self.switch_hops = np.append(self.is_swsw, False)[hops].sum(axis=1)
-        self.subflow_conn = per_subflow([conn.index for conn in ordered])
+        self.subflow_conn = np.repeat(order, counts)
 
         # Host incidence: sender, receiver, and any relays all burn
         # throughput-proportional CPU for this subflow's traffic; only
         # the endpoints hold subflow socket state (the per-subflow
         # overhead of Fig. 1).
-        src_host = per_subflow([host_ids[conn.src] for conn in ordered])
-        dst_host = per_subflow([host_ids[conn.dst] for conn in ordered])
+        host_ids = {h: i for i, h in enumerate(topology.hosts)}
+
+        def per_subflow(names: List[str]) -> np.ndarray:
+            ids = np.array([host_ids[name] for name in names], dtype=np.int64)
+            return np.repeat(ids[order], counts)
+
+        src_host, dst_host = per_subflow(cols.src), per_subflow(cols.dst)
         relays = np.array(
-            [(sid, slot, host_ids[host]) for conn in ordered
-             for sid, path_relays in zip(conn.subflow_ids, conn.relay_hosts)
-             if path_relays for slot, host in enumerate(path_relays, 2)],
+            [(sid, slot, host_ids[host]) for conn, paths in cols.relays.items()
+             for sid, path_relays in enumerate(paths, int(cols.starts[conn]))
+             for slot, host in enumerate(path_relays, 2)],
             dtype=np.int32).reshape(-1, 3)
         touched = np.full(
             (n_subflows, relays[:, 1].max(initial=1) + 1), -1, dtype=np.int32)

@@ -94,7 +94,7 @@ def run_reference(sim: FluidSimulation, duration: float,
 
             # Per-cohort CC updates.
             for cohort in net.cohorts:
-                ids = cohort.ids
+                ids = np.arange(cohort.span.start, cohort.span.stop)
                 st = CohortState(
                     w=sim.w[ids],
                     rtt=sim.rtt[ids],

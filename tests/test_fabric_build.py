@@ -20,7 +20,6 @@ import pytest
 from repro.campaign.spec import build_topology
 from repro.errors import ConfigurationError, RoutingError
 from repro.fluidsim import FluidNetwork
-from repro.fluidsim.network import Cohort
 from repro.topology import BCube, Ec2Cloud, FatTree, Vl2
 from repro.topology.base import path_specs
 from repro.topology.realize import realize
@@ -31,7 +30,7 @@ from tests.test_fluid_csr import _scipy
 DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "fabric_digests.json").read_text())
 
-#: Cohorts interleave in connection order, so ids/user_starts are not
+#: Cohorts interleave in connection order, so spans/user_starts are not
 #: trivially ``arange``.
 ALGORITHMS = ("lia", "dts", "lia", "reno")
 
@@ -76,7 +75,9 @@ def network_digest(net: FluidNetwork) -> str:
         "is_swsw": net.is_swsw,
     }
     for c, cohort in enumerate(net.cohorts):
-        arrays[f"cohort{c}.{cohort.algorithm.name}.ids"] = cohort.ids
+        # Recorded when a cohort held its subflow ids as an int64 array.
+        arrays[f"cohort{c}.{cohort.algorithm.name}.ids"] = np.arange(
+            net.n_subflows, dtype=np.int64)[cohort.span]
         arrays[f"cohort{c}.user_starts"] = cohort.user_starts
         arrays[f"cohort{c}.user_of"] = cohort.user_of
     h = hashlib.sha256()
@@ -248,7 +249,7 @@ def test_unknown_host_is_named_on_every_topology(topo):
                               (topo.hosts[0], topo.switches[0], topo.switches[0])):
         with pytest.raises(ConfigurationError, match=f"'{culprit}' is not a host"):
             net.add_connection(src, dst, "lia", n_subflows=1)
-    assert net.connections == []
+    assert len(net.connections) == 0
 
 
 @pytest.mark.parametrize("kwargs", ({"n_subflows": 0}, {"n_subflows": -2},
@@ -257,7 +258,7 @@ def test_add_connection_rejects_zero_subflows_or_pool(kwargs):
     net = FluidNetwork(FatTree(4))
     with pytest.raises(ConfigurationError, match=">= 1"):
         net.add_connection("h0_0_0", "h3_1_1", "lia", **kwargs)
-    assert net.connections == []
+    assert len(net.connections) == 0
 
 
 def test_user_starts_have_no_empty_blocks():
@@ -281,22 +282,30 @@ def test_cohort_rejects_conflicting_algorithm_kwargs():
                        algorithm_kwargs={"kappa": 0.1})
     net.add_connection("h1_0_1", "h2_1_0", "lia", n_subflows=2)
     assert a.algorithm_kwargs == {"kappa": 0.1}
-    net.add_connection("h1_1_0", "h2_0_0", "dts-ext", n_subflows=2,
-                       algorithm_kwargs={"kappa": 0.5})
     with pytest.raises(ConfigurationError, match="dts-ext.*algorithm_kwargs"):
-        net.finalize()
+        net.add_connection("h1_1_0", "h2_0_0", "dts-ext", n_subflows=2,
+                           algorithm_kwargs={"kappa": 0.5})
+    # Rejected before it was added: the three that agree still build.
+    assert len(net.connections) == 3
+    net.finalize()
+    assert [c.algorithm.name for c in net.cohorts] == ["dts-ext", "lia"]
 
 
 def test_cohort_is_one_slice_of_the_subflow_arrays():
-    """Engine and solver read a cohort through ``span``; ids that are not
-    one contiguous run cannot be built."""
+    """Engine and solver read a cohort through ``span``: the spans tile
+    the subflow arrays in cohort order, and each holds exactly the
+    subflows of its own connections."""
     net = build_network(FatTree(4), 2, 8, seed=1)
     assert len(net.cohorts) == 3
+    stops = [0]
     for cohort in net.cohorts:
-        assert np.array_equal(np.arange(net.n_subflows)[cohort.span], cohort.ids)
-    lia = net.cohorts[0]
-    with pytest.raises(ConfigurationError, match="'lia' is not one contiguous slice"):
-        Cohort(lia.algorithm, lia.ids[::2], lia.user_starts, lia.user_of)
+        assert cohort.span.start == stops[-1] and cohort.span.step is None
+        stops.append(cohort.span.stop)
+        conns = net.subflow_conn[cohort.span]
+        assert {net.connections[c].algorithm_name for c in conns} == {
+            cohort.algorithm.name}
+        assert len(cohort.user_of) == len(conns)
+    assert stops[-1] == net.n_subflows
 
 
 def test_uniform_algorithm_kwargs_reach_the_cohort():

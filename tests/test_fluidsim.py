@@ -215,7 +215,7 @@ class TestFluidNetwork:
         net.add_connection("vm1", "vm2", "reno", n_subflows=1)
         net.finalize()
         assert len(net.cohorts) == 2
-        sizes = sorted(len(c.ids) for c in net.cohorts)
+        sizes = sorted(c.span.stop - c.span.start for c in net.cohorts)
         assert sizes == [1, 4]
 
     def test_ecmp_sampling_varies_paths(self):
