@@ -47,8 +47,7 @@ _FLUID_PARAM_KEYS = ("dtype", "initial_window", "energy_sample_every",
 _SHARDED_PARAM_KEYS = ("shards", "dtype", "path_pool", "initial_window")
 #: Routed to :func:`solve_fluid_equilibrium`; the fluid keys configure
 #: the time-stepped fallback.
-_SOLVER_PARAM_KEYS = ("max_iter", "tol", "damping", "price_gain",
-                      "queue_ramp", "initial_price")
+_SOLVER_PARAM_KEYS = ("max_iter",)
 _PACKET_PARAM_KEYS = ("n_hosts", "eni_bps", "loss_rate", "queue_segments",
                       "rwnd_segments", "total_segments")
 

@@ -15,8 +15,9 @@ Campaign mode (parallel, cached — see docs/USAGE.md):
 
 Observability (docs/OBSERVABILITY.md):
 
-    python -m repro fig08 --trace fig08.trace.json --metrics fig08.metrics.jsonl
-    python -m repro obs report fig08.trace.json fig08.metrics.jsonl
+    python -m repro fig08 --trace fig08.shard.json   # + its .manifest.json
+    python -m repro obs merge-trace fig08.shard.json -o fig08.perfetto.json
+    python -m repro obs report fig08.shard.json fig08.shard.json.manifest.json
     python -m repro obs serve .repro-cache/campaign.log.jsonl   # live dashboard
     python -m repro obs promcheck metrics.prom
 
@@ -30,6 +31,7 @@ Benchmarks + regression gate (docs/BENCHMARKS.md):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib
 import json
@@ -95,16 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--trace", default=None, metavar="FILE",
-        help="record a span/instant trace of the figure runs; '.jsonl' "
-             "writes raw JSONL, anything else Chrome trace_event JSON "
-             "(load in Perfetto / chrome://tracing)")
-    parser.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="write the final metrics-registry snapshot as JSONL")
+        help="record a span/instant trace of the figure runs as a shard "
+             "(repro.obs.trace/1); 'obs merge-trace' turns it into "
+             "Perfetto JSON")
     parser.add_argument(
         "--manifest", default=None, metavar="FILE",
-        help="write a run-provenance manifest (default when --trace or "
-             "--metrics is given: alongside that file)")
+        help="write a run-provenance manifest holding the final metrics "
+             "snapshot (default with --trace: FILE.manifest.json)")
     return parser
 
 
@@ -239,28 +238,23 @@ def _campaign_plumbing(args, run_fn=None, jobs=None):
 
 def _finish_campaign_trace(trace, campaign_name, outcomes) -> None:
     """Write worker shards + the driver shard + the merged timeline."""
-    import json as _json
-
-    from repro.obs.trace_merge import merge_shards
+    from repro.obs.trace_merge import write_merged, write_shard
 
     out_dir = trace["dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    shards = []
+    paths = []
     for outcome in outcomes:
         shard = (outcome.payload or {}).get("trace")
         if not isinstance(shard, dict):
             continue  # cached or failed runs carry no shard
-        shards.append(shard)
-        path = out_dir / f"run-{outcome.spec.content_hash()[:16]}.trace.json"
-        path.write_text(_json.dumps(shard), encoding="utf-8")
-    trace["span"].finish(runs=len(outcomes), shards=len(shards))
-    driver_shard = trace["tracer"].shard_dict(f"campaign-{campaign_name}")
-    (out_dir / "driver.trace.json").write_text(
-        _json.dumps(driver_shard), encoding="utf-8")
-    doc, stats = merge_shards([driver_shard] + shards)
+        paths.append(write_shard(
+            out_dir / f"run-{outcome.spec.content_hash()[:16]}.trace.json",
+            shard))
+    trace["span"].finish(runs=len(outcomes), shards=len(paths))
+    driver = out_dir / "driver.trace.json"
+    trace["tracer"].export_shard(driver, f"campaign-{campaign_name}")
     merged = out_dir / "merged.trace.json"
-    merged.write_text(_json.dumps(doc), encoding="utf-8")
-    print(f"trace: {len(shards)} worker shard(s) + driver -> {merged} "
+    stats = write_merged([driver, *paths], merged)
+    print(f"trace: {len(paths)} worker shard(s) + driver -> {merged} "
           f"({stats.events} events, {stats.orphans} orphans)")
 
 
@@ -420,8 +414,8 @@ def _sweep_main(argv: List[str]) -> int:
 def build_obs_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro obs",
-        description="Inspect observability artifacts: traces, metrics "
-                    "snapshots, run manifests, telemetry logs.",
+        description="Inspect observability artifacts: trace shards, merged "
+                    "traces, run manifests, flight dumps, telemetry logs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser(
@@ -567,41 +561,20 @@ def _obs_main(argv: List[str]) -> int:
     return rc
 
 
-def _run_observed(targets: List[str], runners: Dict[str, Callable[[], None]],
-                  trace: str | None, metrics: str | None,
-                  manifest: str | None) -> None:
-    """Run figures under an ambient obs session and export artifacts."""
+def _write_observed(session, targets: List[str], trace: str | None,
+                    manifest: str | None) -> None:
+    """Write a figure session's trace shard and its manifest (beside the
+    shard unless ``--manifest`` names it)."""
     import hashlib
 
-    import repro.obs as obs
-
-    with obs.session(trace=trace is not None,
-                     label="figures:" + ",".join(targets)) as session:
-        for name in targets:
-            print(f"=== {name} " + "=" * (60 - len(name)))
-            start = time.time()
-            with session.tracer.span(f"figure.{name}"):
-                runners[name]()
-            print(f"--- {name} done in {time.time() - start:.1f}s\n")
-
     if trace is not None:
-        if trace.endswith(".jsonl"):
-            session.tracer.export_jsonl(trace)
-        else:
-            session.tracer.export_chrome(trace)
-        print(f"trace: {trace} ({len(session.tracer.records)} records)")
-    if metrics is not None:
-        n = session.registry.write_jsonl(metrics)
-        print(f"metrics: {metrics} ({n} instruments)")
-    if manifest is None:
-        anchor = trace if trace is not None else metrics
-        if anchor is not None:
-            manifest = anchor + ".manifest.json"
-    if manifest is not None:
-        spec_hash = hashlib.sha256(
-            ("repro.figures:" + ",".join(targets)).encode()).hexdigest()
-        session.manifest(spec_hash=spec_hash).write(manifest)
-        print(f"manifest: {manifest}")
+        n = session.tracer.export_shard(trace, "repro-figures")
+        print(f"trace shard: {trace} ({n} events)")
+    manifest = manifest or f"{trace}.manifest.json"
+    spec_hash = hashlib.sha256(
+        ("repro.figures:" + ",".join(targets)).encode()).hexdigest()
+    session.manifest(spec_hash=spec_hash).write(manifest)
+    print(f"manifest: {manifest}")
 
 
 # ---------------------------------------------------------------------- bench
@@ -944,8 +917,6 @@ def _fetch_main(argv: List[str]) -> int:
     import asyncio
 
     args = build_fetch_parser().parse_args(argv)
-    import json as _json
-
     import repro.obs as obs
     from repro.transport.client import fetch, loopback_selftest
 
@@ -963,14 +934,11 @@ def _fetch_main(argv: List[str]) -> int:
                 trace=args.trace is not None,
             ))
             if args.trace is not None:
-                trace_path = Path(args.trace)
-                trace_path.parent.mkdir(parents=True, exist_ok=True)
-                trace_path.write_text(_json.dumps(result.client_shard),
-                                      encoding="utf-8")
-                server_path = trace_path.with_name(
-                    trace_path.stem + ".server.json")
-                server_path.write_text(_json.dumps(result.server_shard),
-                                       encoding="utf-8")
+                from repro.obs.trace_merge import write_shard
+
+                trace_path = write_shard(args.trace, result.client_shard)
+                server_path = write_shard(trace_path.with_name(
+                    trace_path.stem + ".server.json"), result.server_shard)
                 if args.json != "-":
                     print(f"trace shards: {trace_path} + {server_path}")
             if args.json != "-":  # keep stdout pure JSON for pipelines
@@ -1058,15 +1026,24 @@ def main(argv: List[str] | None = None) -> int:
         print(f"known: {', '.join(sorted(runners))}", file=sys.stderr)
         return 2
 
-    if args.trace or args.metrics or args.manifest:
-        _run_observed(targets, runners, args.trace, args.metrics, args.manifest)
-        return 0
+    import repro.obs as obs
 
-    for name in targets:
-        print(f"=== {name} " + "=" * (60 - len(name)))
-        start = time.time()
-        runners[name]()
-        print(f"--- {name} done in {time.time() - start:.1f}s\n")
+    # An observed run (--trace / --manifest) runs under an ambient session;
+    # a plain one keeps each engine's private registry.
+    observed = args.trace is not None or args.manifest is not None
+    with contextlib.ExitStack() as stack:
+        session = stack.enter_context(obs.session(
+            trace=args.trace is not None,
+            label="figures:" + ",".join(targets))) if observed else None
+        tracer = session.tracer if session is not None else obs.NULL_TRACER
+        for name in targets:
+            print(f"=== {name} " + "=" * (60 - len(name)))
+            start = time.time()
+            with tracer.span(f"figure.{name}"):
+                runners[name]()
+            print(f"--- {name} done in {time.time() - start:.1f}s\n")
+    if session is not None:
+        _write_observed(session, targets, args.trace, args.manifest)
     return 0
 
 

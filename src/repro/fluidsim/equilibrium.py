@@ -23,26 +23,27 @@ and it drops exactly the excess: ``y_l (1 - p_l) = c_l`` whenever
 
 The solver treats the per-link loss probabilities as *prices* and runs a
 damped joint relaxation: windows take multiplicative steps toward their
-balance point (``w <- w * (growth/drain)^damping``) while prices follow a
-multiplicative dual ascent on the delivered-load excess
-(``p <- p * exp(price_gain * (y(1-p) - c)/c)``).  Prices must move every
-iteration: for purely coupled decompositions (DTS) the growth/drain
-ratio is independent of the subflow's own window, so with frozen prices
-the per-subflow split has no restoring force.  Queue state follows the
-prices — a link whose price exceeds ``queue_ramp`` is treated as having
-a full buffer, ramping RTTs smoothly instead of flapping the bottleneck
-set.
+balance point (``w <- w * (growth/drain)^0.4``, :data:`_DAMPING`) while
+prices follow a multiplicative dual ascent on the delivered-load excess
+(``p <- p * exp(1.2 * (y(1-p) - c)/c)``, :data:`_PRICE_GAIN`).  Prices
+must move every iteration: for purely coupled decompositions (DTS) the
+growth/drain ratio is independent of the subflow's own window, so with
+frozen prices the per-subflow split has no restoring force.  Queue state
+follows the prices — a link whose price exceeds :data:`_QUEUE_RAMP` is
+treated as having a full buffer, ramping RTTs smoothly instead of
+flapping the bottleneck set.
 
 The per-subflow step size is sign-adaptive.  Algorithms whose increase
 rule picks a discrete "best path" set (OLIA's epsilon allocation) have a
 *discontinuous* best response: at a fixed step size the iterates can
 enter a period-2 cycle, hopping across the discontinuity forever instead
 of settling on it.  Whenever a subflow's drift direction flips, its step
-is halved (floored well below ``tol`` so residual chatter cannot mask a
-genuine stall); while the direction is consistent the step recovers
-geometrically back up to ``damping``.  Oscillation amplitude then decays
-toward the cycle's center — the equilibrium sitting exactly on the
-discontinuity — while well-behaved subflows keep full-size steps.
+is halved (floored well below the tolerance so residual chatter cannot
+mask a genuine stall); while the direction is consistent the step
+recovers geometrically back up to :data:`_DAMPING`.  Oscillation
+amplitude then decays toward the cycle's center — the equilibrium
+sitting exactly on the discontinuity — while well-behaved subflows keep
+full-size steps.
 
 Convergence is measured by a *rate-weighted* drift norm (how much of the
 aggregate rate allocation one more iteration would move) plus the worst
@@ -82,10 +83,21 @@ from repro.fluidsim.state import CohortState
 
 _EPS = 1e-12
 
+#: Convergence tolerance on ``max(rate drift norm, worst capacity excess)``.
+_TOL = 1e-3
+#: Largest per-subflow exponent of the multiplicative window step.
+_DAMPING = 0.4
+#: Gain of the multiplicative dual ascent on link prices.
+_PRICE_GAIN = 1.2
+#: Price above which a link's buffer is taken as full (queue ramps to it).
+_QUEUE_RAMP = 1e-4
+#: Every link's starting price.
+_INITIAL_PRICE = 1e-3
+
 #: Hard bounds on the multiplicative window step per iteration.
 _RATIO_CLIP = (0.25, 4.0)
 #: Per-subflow step-size adaptation: halve on a drift-direction flip,
-#: recover by 1.1x while consistent.  The floor is far below ``tol`` so
+#: recover by 1.1x while consistent.  The floor is far below ``_TOL`` so
 #: a subflow chattering across a best-path discontinuity at floor step
 #: moves the rate-weighted residual by less than the tolerance.
 _STEP_DOWN = 0.5
@@ -158,11 +170,6 @@ def solve_fluid_equilibrium(
     net: FluidNetwork,
     *,
     max_iter: int = 400,
-    tol: float = 1e-3,
-    damping: float = 0.4,
-    price_gain: float = 1.2,
-    queue_ramp: float = 1e-4,
-    initial_price: float = 1e-3,
     initial_window: float = 10.0,
     metrics: Optional[obs.MetricsRegistry] = None,
 ) -> FluidEquilibrium:
@@ -173,7 +180,7 @@ def solve_fluid_equilibrium(
     to time-stepped integration when it is False).  Raises
     :class:`~repro.errors.EquilibriumError` for structurally invalid
     input: an unfinalized or empty network, an unsupported algorithm,
-    non-positive solver parameters, or ``initial_window`` below one segment.
+    a non-positive ``max_iter``, or ``initial_window`` below one segment.
     The ``fluid.equilibrium.*`` instruments go to ``metrics``, else to the
     ambient registry.
     """
@@ -182,12 +189,8 @@ def solve_fluid_equilibrium(
     n = net.n_subflows
     if n == 0:
         raise EquilibriumError("cannot solve an empty network (no subflows)")
-    for name, value in (("max_iter", max_iter), ("tol", tol),
-                        ("damping", damping), ("price_gain", price_gain),
-                        ("queue_ramp", queue_ramp),
-                        ("initial_price", initial_price)):
-        if value <= 0:
-            raise EquilibriumError(f"{name} must be positive, got {value}")
+    if max_iter <= 0:
+        raise EquilibriumError(f"max_iter must be positive, got {max_iter}")
     if initial_window < 1:
         # The stepper's floor: no rule is ever shown less than one segment.
         raise EquilibriumError(
@@ -211,17 +214,17 @@ def solve_fluid_equilibrium(
     marked = np.zeros(n)
 
     w = np.full(n, float(initial_window))
-    price = np.full(net.n_links, float(initial_price))
+    price = np.full(net.n_links, _INITIAL_PRICE)
     y = np.empty(net.n_links)
     growth = np.empty(n)
     drain = np.empty(n)
-    step = np.full(n, float(damping))
+    step = np.full(n, _DAMPING)
     prev_sign = np.zeros(n)
 
     iterations = 0
     res_w = res_p = np.inf
     for iterations in range(1, max_iter + 1):
-        q_frac = np.minimum(price / queue_ramp, 1.0)
+        q_frac = np.minimum(price / _QUEUE_RAMP, 1.0)
         queue_bits = q_frac * buf
         qdelay = paths @ (queue_bits * inv_cap)
         rtt = base_rtt + qdelay
@@ -246,7 +249,7 @@ def solve_fluid_equilibrium(
         sign = np.sign(log_ratio)
         flip = (sign * prev_sign) < 0
         step = np.where(flip, np.maximum(step * _STEP_DOWN, _STEP_FLOOR),
-                        np.minimum(step * _STEP_UP, damping))
+                        np.minimum(step * _STEP_UP, _DAMPING))
         prev_sign = sign
         w_new = np.clip(w * np.exp(step * log_ratio), 1.0, 1e7)
         # Rate-weighted drift: the fraction of aggregate rate this step
@@ -257,15 +260,15 @@ def solve_fluid_equilibrium(
         paths.rmatvec((w / rtt) * pkt_bits, y)
         excess = (y * (1.0 - price) - cap) * inv_cap
         price = np.clip(
-            price * np.exp(np.clip(price_gain * excess,
+            price * np.exp(np.clip(_PRICE_GAIN * excess,
                                    -_PRICE_STEP_CLIP, _PRICE_STEP_CLIP)),
             _PRICE_FLOOR, _PRICE_CEIL)
-        active = price > queue_ramp
+        active = price > _QUEUE_RAMP
         res_p = float(np.max(np.abs(excess), where=active, initial=0.0))
-        if max(res_w, res_p) < tol and iterations > 10:
+        if max(res_w, res_p) < _TOL and iterations > 10:
             break
 
-    q_frac = np.minimum(price / queue_ramp, 1.0)
+    q_frac = np.minimum(price / _QUEUE_RAMP, 1.0)
     queue_bits = q_frac * buf
     rtt = base_rtt + paths @ (queue_bits * inv_cap)
     x = w / rtt
@@ -293,7 +296,7 @@ def solve_fluid_equilibrium(
         link_utilization=np.minimum(y * inv_cap, 1.0),
         queue_bits=queue_bits,
         connection_goodput_bps=conn_goodput,
-        converged=bool(max(res_w, res_p) < tol),
+        converged=bool(max(res_w, res_p) < _TOL),
         iterations=iterations,
         residual=float(max(res_w, res_p)),
         residual_window=res_w,

@@ -6,10 +6,13 @@ One observability layer for both engines and everything above them:
   :class:`MetricsRegistry`; the schema campaign telemetry and manifests
   consume.
 * :mod:`repro.obs.tracing` — nested spans + instant events, exported as
-  JSONL or Chrome ``trace_event`` JSON (Perfetto-loadable), with an
-  allocation-free disabled path.
+  a trace shard (``repro.obs.trace/1``; ``--trace FILE`` on every
+  command), with an allocation-free disabled path.  Perfetto JSON comes
+  from merging shards (:mod:`repro.obs.trace_merge`, ``obs
+  merge-trace``).
 * :mod:`repro.obs.manifest` — per-run provenance (spec hash, seed, git
-  SHA, toolchain versions, final metrics snapshot).
+  SHA, toolchain versions) and the one written copy of the final
+  metrics snapshot.
 * :mod:`repro.obs.report` — ``python -m repro obs report`` rendering.
 
 The glue is the **ambient session**: probe points deep in the engines
@@ -22,8 +25,8 @@ threading handles through every layer::
 
     with obs.session(trace=True) as s:
         ...build network, run experiment...
-    s.tracer.export_chrome("trace.json")
-    print(s.registry.snapshot())
+    s.tracer.export_shard("run.shard.json")
+    s.manifest().write("run.manifest.json")   # carries registry.snapshot()
 
 With no session active, engines fall back to a private registry (their
 compat counters keep working) and the shared :data:`NULL_TRACER`.

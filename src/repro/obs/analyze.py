@@ -105,12 +105,8 @@ def _jsonl_kind(record: Dict[str, Any]) -> str:
     """The kind of a JSONL artifact whose first record is ``record``."""
     if record.get("schema") == FLIGHT_SCHEMA:
         return "flight"
-    if "kind" in record and "name" in record:
-        return "metrics-jsonl"
     if "seq" in record and "kind" in record and "ts" in record:
         return "flight"
-    if "type" in record and "ts" in record:
-        return "trace-jsonl"
     if "event" in record:
         return "telemetry-jsonl"
     return "unknown"
@@ -132,13 +128,15 @@ def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
     ``(document, kind, warnings)``.  The one reader ``obs report`` and
     ``obs analyze`` share.
 
-    JSON documents load whole; JSONL files (flight dumps, metrics, trace
-    logs, campaign telemetry) load as a list of records through
+    JSON documents load whole; JSONL files (flight dumps, campaign
+    telemetry) load as a list of records through
     :func:`~repro.obs.tail.split_jsonl`, so a torn last line — a writer
     killed mid-dump, or one still appending — is skipped silently and a
-    malformed interior line is skipped with a warning.  An empty file, or
-    one holding only a torn line, is kind ``"empty"``; content no table
-    names is ``"unknown"``.  Raises ValueError when nothing parses.
+    malformed interior line is skipped with a warning.  Both flight forms,
+    a JSONL dump and a saved ``/events`` document, load as one
+    ``[header, *events]`` list.  An empty file, or one holding only a torn
+    line, is kind ``"empty"``; content no table names is ``"unknown"``.
+    Raises ValueError when nothing parses.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -148,9 +146,13 @@ def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
         doc = json.loads(text)
     except json.JSONDecodeError:
         doc = None
-    if isinstance(doc, dict) and (classify_input(doc) != "unknown"
-                                  or _jsonl_kind(doc) == "unknown"):
-        return doc, classify_input(doc), []
+    if isinstance(doc, dict):
+        if doc.get("schema") == FLIGHT_SCHEMA and "events" in doc:
+            # A saved /events document: its header fields wrap the events.
+            header = {k: v for k, v in doc.items() if k != "events"}
+            return [header, *doc["events"]], "flight", []
+        if classify_input(doc) != "unknown" or _jsonl_kind(doc) == "unknown":
+            return doc, classify_input(doc), []
     # Else one object per line (a one-line JSONL file parses whole too).
     records, bad_lines, partial_tail = split_jsonl(text)
     warnings = []
@@ -166,7 +168,10 @@ def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
             return None, "empty", [f"{path}: only a partial line so far "
                                    f"(writer still appending?)"]
         raise ValueError(f"{path}: no JSON objects found")
-    return records, classify_input(records), warnings
+    kind = classify_input(records)
+    if kind == "flight" and "schema" not in records[0]:
+        records.insert(0, {})  # a headerless dump keeps the same shape
+    return records, kind, warnings
 
 
 # ------------------------------------------------------------- trace handling

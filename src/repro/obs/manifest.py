@@ -6,9 +6,10 @@ only reproducible with theirs: which code (git SHA), which toolchain
 (python/numpy versions), which run (spec hash, seed), and what the
 instruments read at the end (final metrics snapshot).  A
 :class:`RunManifest` captures exactly that as one small JSON document,
-written alongside campaign results and ``--trace``/``--metrics`` figure
-runs, and readable back via :meth:`RunManifest.load` or
-``python -m repro obs report``.
+written alongside campaign results and beside a figure run's ``--trace``
+shard (or to ``--manifest FILE``) — the only file a run's metrics
+snapshot is written to — and readable back via :meth:`RunManifest.load`
+or ``python -m repro obs report``.
 """
 
 from __future__ import annotations

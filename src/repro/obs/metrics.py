@@ -27,10 +27,8 @@ and flush into counters at run() boundaries.
 
 from __future__ import annotations
 
-import json
 import time
 from bisect import bisect_left
-from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -349,27 +347,3 @@ class MetricsRegistry:
                 self.gauge(name).set(float(value))
             else:
                 self.counter(name).inc(float(value))
-
-    def write_jsonl(self, path: "str | Path") -> int:
-        """Write one JSON object per instrument; returns the line count.
-
-        Each line carries ``name``, ``kind``, and either ``value``
-        (counter/gauge) or the histogram stats — the format
-        ``python -m repro obs report`` summarizes.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        n = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            for inst in self.instruments():
-                record: Dict[str, Any] = {"name": inst.name, "kind": inst.kind}
-                value = inst.snapshot_value()
-                if isinstance(value, dict):
-                    record.update(value)
-                else:
-                    record["value"] = value
-                if inst.kind == "gauge" and inst.updated_unix is not None:
-                    record["updated_unix"] = inst.updated_unix
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                n += 1
-        return n

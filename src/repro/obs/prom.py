@@ -17,7 +17,7 @@ anything outside ``[a-zA-Z0-9_:]`` is dropped to ``_``) and the original
 name is preserved in the ``# HELP`` line.
 
 :func:`validate_exposition` is a line-level checker for the format —
-used by tests and the CI dashboard-smoke job (via
+used by tests and the CI live-smoke job (via
 ``python -m repro obs promcheck``) so a malformed exposition fails
 loudly rather than silently breaking scrapers; :func:`parse_exposition`
 is the parse-back used to round-trip values in tests.

@@ -3,15 +3,18 @@
 ``python -m repro obs report FILE...`` accepts any artifact this
 subsystem (or campaign telemetry) writes and renders a human summary:
 
-* Chrome ``trace_event`` JSON (``--trace`` output) — per-span-name
+* trace shards (``--trace FILE`` output on every command) and merged
+  Perfetto JSON (``obs merge-trace`` output) — per-span-name
   count/total/mean duration plus instant-event counts;
-* trace JSONL (``Tracer.export_jsonl``) — same summary;
-* metrics JSONL (``--metrics`` output / ``MetricsRegistry.write_jsonl``)
-  — instruments with values and histogram stats;
-* run manifests — provenance fields plus the scalar metrics;
+* run manifests — provenance fields plus the final metrics snapshot;
 * campaign telemetry JSONL logs — event counts and wall-time stats;
-* ``BENCH_*`` benchmark results — per-case timing stats, histogram
-  percentiles, and hot frames.
+* flight-recorder dumps and saved ``/events`` documents;
+* series snapshots and ``obs analyze`` diagnoses;
+* ``BENCH_*`` benchmark results — per-case timing stats, the metrics
+  snapshot of each case, and hot frames.
+
+A registry snapshot renders as one table wherever it appears (manifest
+or bench case): count, value/mean, min, max and histogram p50/p95/p99.
 
 Files are read by :func:`repro.obs.analyze.load_input`, the loader
 ``obs analyze`` uses too: the kind is sniffed from content, never from
@@ -24,26 +27,12 @@ killed mid-dump, or a live log caught mid-append) is skipped silently.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.obs.analyze import load_input
 from repro.obs.metrics import percentiles_from_counts
 
-__all__ = ["describe_file", "render_file"]
-
-
-def _load(path: "str | Path") -> Tuple[str, Any, List[str]]:
-    """(kind, parsed, warnings) of a file this module can render."""
-    doc, kind, warnings = load_input(path)
-    if kind == "unknown":
-        raise ValueError(f"{path}: unrecognized content")
-    return kind, doc, warnings
-
-
-def describe_file(path: "str | Path") -> Tuple[str, Any]:
-    """(kind, parsed content) for an artifact file."""
-    kind, parsed, _warnings = _load(path)
-    return kind, parsed
+__all__ = ["render_file"]
 
 
 # ------------------------------------------------------------------ renderers
@@ -78,15 +67,8 @@ def _render_chrome(doc: Dict[str, Any]) -> str:
     return head + "\n" + _span_rows(spans, instants)
 
 
-def _render_trace_jsonl(records: List[Dict[str, Any]]) -> str:
-    spans = [r for r in records if r.get("type") == "span"]
-    instants = [r for r in records if r.get("type") == "instant"]
-    head = f"trace log: {len(spans)} spans, {len(instants)} instants"
-    return head + "\n" + _span_rows(spans, instants)
-
-
 def _histogram_percentiles(record: Dict[str, Any]) -> List[Any]:
-    """p50/p95/p99 cells for a histogram snapshot/JSONL record."""
+    """p50/p95/p99 cells for a histogram snapshot value."""
     count = record.get("count", 0)
     if not count or "buckets" not in record or "counts" not in record:
         return ["", "", ""]
@@ -95,22 +77,23 @@ def _histogram_percentiles(record: Dict[str, Any]) -> List[Any]:
         record.get("min", 0.0), record.get("max", 0.0), (50, 95, 99))
 
 
-def _render_metrics(records: List[Dict[str, Any]]) -> str:
-    from repro.analysis.report import format_table
+#: Columns of a registry-snapshot table, after the leading name column(s).
+_SNAPSHOT_COLUMNS = ["count", "value/mean", "min", "max", "p50", "p95", "p99"]
 
+
+def _snapshot_rows(snapshot: Dict[str, Any]) -> List[List[Any]]:
+    """One row per instrument of a registry snapshot, in name order;
+    counters and gauges fill only the value column."""
     rows: List[List[Any]] = []
-    for r in records:
-        if r["kind"] == "histogram":
-            rows.append([r["name"], r["kind"], r.get("count", 0),
-                         r.get("mean", 0.0), r.get("min", ""),
-                         r.get("max", ""), *_histogram_percentiles(r)])
+    for name in sorted(snapshot):
+        value = snapshot[name]
+        if isinstance(value, dict):
+            rows.append([name, value.get("count", 0), value.get("mean", 0.0),
+                         value.get("min", ""), value.get("max", ""),
+                         *_histogram_percentiles(value)])
         else:
-            rows.append([r["name"], r["kind"], "", r.get("value", 0),
-                         "", "", "", "", ""])
-    head = f"metrics: {len(records)} instruments"
-    return head + "\n" + format_table(
-        ["name", "kind", "count", "value/mean", "min", "max",
-         "p50", "p95", "p99"], rows)
+            rows.append([name, "", value, "", "", "", "", ""])
+    return rows
 
 
 def _render_manifest(doc: Dict[str, Any]) -> str:
@@ -123,16 +106,9 @@ def _render_manifest(doc: Dict[str, Any]) -> str:
     if doc.get("annotations"):
         for key in sorted(doc["annotations"]):
             lines.append(f"  annotation {key}: {doc['annotations'][key]}")
-    metrics = doc.get("metrics", {})
-    rows: List[List[Any]] = []
-    for name in sorted(metrics):
-        value = metrics[name]
-        if isinstance(value, dict):
-            rows.append([name, value.get("count", 0), value.get("mean", 0.0)])
-        else:
-            rows.append([name, "", value])
+    rows = _snapshot_rows(doc.get("metrics", {}))
     if rows:
-        lines.append(format_table(["metric", "count", "value/mean"], rows))
+        lines.append(format_table(["metric", *_SNAPSHOT_COLUMNS], rows))
     return "\n".join(lines)
 
 
@@ -169,19 +145,12 @@ def _render_bench(doc: Dict[str, Any]) -> str:
     lines.append(format_table(
         ["case", "n", "median ms", "mad ms", "min ms"], summary_rows(doc)))
     lines += [f"FAILED {name}: {error}" for name, error in failures(doc).items()]
-    # Histogram metrics captured per case, with interpolated percentiles.
-    hist_rows: List[List[Any]] = []
-    for name in sorted(doc["cases"]):
-        for metric, value in sorted(
-                doc["cases"][name].get("metrics", {}).items()):
-            if isinstance(value, dict) and "counts" in value:
-                hist_rows.append([name, metric, value.get("count", 0),
-                                  value.get("mean", 0.0),
-                                  *_histogram_percentiles(value)])
-    if hist_rows:
-        lines.append(format_table(
-            ["case", "histogram", "count", "mean", "p50", "p95", "p99"],
-            hist_rows))
+    # The metrics snapshot each case captured, one table for all cases.
+    rows = [[name, *row] for name in sorted(doc["cases"])
+            for row in _snapshot_rows(doc["cases"][name].get("metrics", {}))]
+    if rows:
+        lines.append(format_table(["case", "metric", *_SNAPSHOT_COLUMNS],
+                                  rows))
     # Hot frames from a profiling run, hottest first.
     for name in sorted(doc["cases"]):
         profile = doc["cases"][name].get("profile")
@@ -200,13 +169,13 @@ def _render_bench(doc: Dict[str, Any]) -> str:
 def _render_flight(records: List[Dict[str, Any]]) -> str:
     from repro.analysis.report import format_table
 
-    header = records[0] if records and "schema" in records[0] else {}
-    events = [r for r in records if "seq" in r]
+    header, events = records[0], records[1:]
     counts: Dict[str, int] = {}
     for e in events:
         counts[e.get("kind", "?")] = counts.get(e.get("kind", "?"), 0) + 1
     lines = [f"flight recorder: {len(events)} events"
-             + (f", reason={header.get('reason')}" if header else "")
+             + (f", reason={header.get('reason')}"
+                if header.get("reason") else "")
              + (f", dropped={header.get('dropped')}"
                 if header.get("dropped") else "")]
     lines.append(format_table(
@@ -281,8 +250,6 @@ _RENDERERS = {
     "trace-shard": _render_trace_shard,
     "series": _render_series,
     "diagnosis": _render_diagnosis,
-    "trace-jsonl": _render_trace_jsonl,
-    "metrics-jsonl": _render_metrics,
     "manifest": _render_manifest,
     "telemetry-jsonl": _render_telemetry,
     "flight": _render_flight,
@@ -296,7 +263,9 @@ def render_file(path: "str | Path") -> str:
     Empty files render as a one-line notice; recoverable parse issues
     (skipped malformed JSONL lines) are appended as warning lines.
     """
-    kind, parsed, warnings = _load(path)
+    parsed, kind, warnings = load_input(path)
+    if kind == "unknown":
+        raise ValueError(f"{path}: unrecognized content")
     if kind == "empty":
         return f"== {path} (empty)\n  (no content — skipped)"
     out = f"== {path} ({kind})\n" + _RENDERERS[kind](parsed)

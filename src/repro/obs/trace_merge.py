@@ -19,8 +19,9 @@ they stay visible without faking parentage, or removed entirely with
 ``drop_orphans=True``.  Roots (``parent_span_id`` of None) are never
 orphans.
 
-The output is standard Chrome ``trace_event`` JSON (object form), the
-same shape :meth:`Tracer.to_chrome` emits — ``repro obs report`` and
+The output is standard Chrome ``trace_event`` JSON (object form) — the
+only Perfetto document the repo writes; a single shard (``repro figNN
+--trace FILE``) merges into one too.  ``repro obs report`` and
 https://ui.perfetto.dev load it directly.
 """
 
@@ -32,7 +33,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.tracing import TRACE_SCHEMA
 
-__all__ = ["MergeStats", "load_shard", "merge_shards", "write_merged"]
+__all__ = ["MergeStats", "load_shard", "merge_shards", "write_merged",
+           "write_shard"]
 
 
 class MergeStats:
@@ -69,6 +71,17 @@ def load_shard(path: "str | Path") -> Dict[str, Any]:
     if not isinstance(doc.get("events"), list):
         raise ValueError(f"{path}: shard has no event list")
     return doc
+
+
+def write_shard(path: "str | Path", shard: Dict[str, Any]) -> Path:
+    """Write one shard document (parents created); returns the path.
+    The one shard writer: tracers, the campaign driver and the loopback
+    self-test all go through it, and :func:`load_shard` reads it back."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(shard, fh)
+    return path
 
 
 def _track(name: str) -> str:

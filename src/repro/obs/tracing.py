@@ -1,4 +1,4 @@
-"""Span tracer: nested spans + instant events, JSONL and Chrome exports.
+"""Span tracer: nested spans + instant events, exported as trace shards.
 
 A :class:`Tracer` records two event shapes:
 
@@ -16,22 +16,22 @@ string (:func:`format_traceparent` / :func:`parse_traceparent`, the
 W3C ``00-<trace_id>-<span_id>-01`` shape): the transport client puts
 ``current_traceparent()`` into its HELLO, the server parents its
 connection spans under it, and campaign workers return their spans as a
-**shard** (:meth:`Tracer.shard_dict`, schema ``repro.obs.trace/1``)
-that ``repro obs merge-trace`` stitches into one timeline.
+shard.
 
 Span nesting is **task-local**: the active-span stack lives in a
 :class:`~contextvars.ContextVar`, so concurrent asyncio tasks sharing
 one ambient tracer each see their own depth and parentage — spans
 started in sibling tasks cannot corrupt each other's nesting.
 
-Events export as JSONL (one object per line, for ``jq`` and
-``python -m repro obs report``) and as Chrome ``trace_event`` JSON
-(``{"traceEvents": [...]}``), loadable in ``chrome://tracing`` and
-https://ui.perfetto.dev.  Each event's track (Perfetto "thread") is the
-name's prefix before the first dot — ``sim.run`` and ``sim.dispatch``
-share the ``sim`` track — so one traced run reads as parallel timelines
-of the event engine, the fluid integrator, the MPTCP probes, and the
-energy meter.
+A tracer serializes one way: as a **shard** (:meth:`Tracer.shard_dict`
+/ :meth:`Tracer.export_shard`, schema ``repro.obs.trace/1``), the same
+document on every command that takes ``--trace FILE``.  Perfetto /
+``chrome://tracing`` JSON is made from shards by ``repro obs
+merge-trace`` (:func:`repro.obs.trace_merge.merge_shards`), which gives
+each event's name prefix before the first dot its own track — ``sim.run``
+and ``sim.dispatch`` share the ``sim`` track — so one traced run reads
+as parallel timelines of the event engine, the fluid integrator, the
+MPTCP probes, and the energy meter.
 
 The disabled path matters more than the enabled one: probe points in
 per-event/per-ACK code run unconditionally, so :data:`NULL_TRACER`
@@ -43,7 +43,6 @@ nothing.  Hot layers additionally guard arg construction with
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import time
 from contextvars import ContextVar
@@ -366,27 +365,6 @@ class Tracer:
 
     # ------------------------------------------------------------ exporting
 
-    @staticmethod
-    def _track(name: str) -> str:
-        return name.split(".", 1)[0]
-
-    def _clean_args(self, args: Dict[str, Any]) -> Dict[str, Any]:
-        return {k: _jsonable(v) for k, v in args.items()}
-
-    def export_jsonl(self, path: "str | Path") -> int:
-        """One JSON object per event, in record order; returns line count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in self.records:
-                out = dict(r)
-                out["args"] = self._clean_args(r["args"])
-                out["ts"] = round(r["ts"], 9)
-                if "dur" in out:
-                    out["dur"] = round(out["dur"], 9)
-                fh.write(json.dumps(out, sort_keys=True) + "\n")
-        return len(self.records)
-
     def shard_dict(self, process_name: str = "") -> Dict[str, Any]:
         """This tracer's events as one mergeable trace **shard**.
 
@@ -399,7 +377,7 @@ class Tracer:
         events = []
         for r in self.records:
             out = dict(r)
-            out["args"] = self._clean_args(r["args"])
+            out["args"] = {k: _jsonable(v) for k, v in r["args"].items()}
             out["ts"] = round(r["ts"], 9)
             if "dur" in out:
                 out["dur"] = round(out["dur"], 9)
@@ -416,61 +394,10 @@ class Tracer:
 
     def export_shard(self, path: "str | Path",
                      process_name: str = "") -> int:
-        """Write :meth:`shard_dict` JSON; returns the event count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.shard_dict(process_name), fh)
-        return len(self.records)
+        """Write :meth:`shard_dict` to ``path``; returns the event count."""
+        from repro.obs.trace_merge import write_shard
 
-    def to_chrome(self) -> Dict[str, Any]:
-        """The trace in Chrome ``trace_event`` form (JSON object format).
-
-        Spans become complete ("X") events, instants become thread-scoped
-        instant ("i") events; tracks get thread_name metadata so Perfetto
-        labels them.  Timestamps are microseconds, as the format requires.
-        Span identity rides along in ``args`` (``span_id`` /
-        ``parent_span_id``) so merged views keep their causal links.
-        """
-        pid = os.getpid()
-        tids: Dict[str, int] = {}
-        events: List[Dict[str, Any]] = []
-        for r in self.records:
-            track = self._track(r["name"])
-            tid = tids.setdefault(track, len(tids) + 1)
-            args = self._clean_args(r["args"])
-            if r.get("span_id"):
-                args["span_id"] = r["span_id"]
-            if r.get("parent_span_id"):
-                args["parent_span_id"] = r["parent_span_id"]
-            ev: Dict[str, Any] = {
-                "name": r["name"],
-                "cat": track,
-                "pid": pid,
-                "tid": tid,
-                "ts": round(r["ts"] * 1e6, 3),
-                "args": args,
-            }
-            if r["type"] == "span":
-                ev["ph"] = "X"
-                ev["dur"] = round(r["dur"] * 1e6, 3)
-            else:
-                ev["ph"] = "i"
-                ev["s"] = "t"
-            events.append(ev)
-        meta = [
-            {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-             "args": {"name": track}}
-            for track, tid in sorted(tids.items(), key=lambda kv: kv[1])
-        ]
-        return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
-
-    def export_chrome(self, path: "str | Path") -> int:
-        """Write :meth:`to_chrome` JSON; returns the event count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_chrome(), fh)
+        write_shard(path, self.shard_dict(process_name))
         return len(self.records)
 
 

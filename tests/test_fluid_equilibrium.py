@@ -226,9 +226,7 @@ def test_empty_network_raises():
         solve_fluid_equilibrium(net)
 
 
-@pytest.mark.parametrize("param", ["max_iter", "tol", "damping",
-                                   "price_gain", "queue_ramp",
-                                   "initial_price", "initial_window"])
+@pytest.mark.parametrize("param", ["max_iter", "initial_window"])
 def test_nonpositive_solver_params_raise(param):
     net = _build_net(1, ["lia"], 1)
     with pytest.raises(EquilibriumError, match=param):

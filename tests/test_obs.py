@@ -95,18 +95,16 @@ def test_snapshot_is_json_serializable_and_sorted():
     json.dumps(snap)
 
 
-def test_registry_write_jsonl_round_trip(tmp_path):
-    reg = MetricsRegistry()
-    reg.counter("runs").inc(3)
-    reg.histogram("lat").observe(0.5)
-    path = tmp_path / "m.jsonl"
-    assert reg.write_jsonl(path) == 2
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    by_name = {r["name"]: r for r in records}
-    assert by_name["runs"]["kind"] == "counter"
-    assert by_name["runs"]["value"] == 3
-    assert by_name["lat"]["kind"] == "histogram"
-    assert by_name["lat"]["count"] == 1
+def test_session_manifest_round_trips_the_registry_snapshot(tmp_path):
+    """A run's metrics are written once, as the manifest's snapshot."""
+    with obs.session() as s:
+        s.registry.counter("runs").inc(3)
+        s.registry.histogram("lat").observe(0.5)
+    path = s.manifest().write(tmp_path / "run.manifest.json")
+    metrics = RunManifest.load(path).metrics
+    assert metrics == s.registry.snapshot()
+    assert metrics["runs"] == 3
+    assert metrics["lat"]["count"] == 1
 
 
 # ------------------------------------------------------------------ tracing
@@ -144,13 +142,19 @@ def test_tracer_caps_events():
 
 
 def test_chrome_export_parses_back(tmp_path):
+    """Perfetto JSON is a merge of one shard: it parses back with every
+    span as an ``X`` event, every instant as ``i``, track metadata as
+    ``M``, and the recorded args carried over."""
+    from repro.obs.trace_merge import merge_shards
+
     tr = Tracer()
     with tr.span("sim.run", until=1.0):
         tr.instant("sim.dispatch", queue_depth=5)
         with tr.span("sim.step"):
             pass
+    doc, _ = merge_shards([tr.shard_dict("proc")])
     path = tmp_path / "trace.json"
-    tr.export_chrome(path)
+    path.write_text(json.dumps(doc))
     doc = json.loads(path.read_text())
     assert doc["displayTimeUnit"] == "ms"
     events = doc["traceEvents"]
@@ -160,19 +164,24 @@ def test_chrome_export_parses_back(tmp_path):
     assert {e["name"] for e in complete} == {"sim.run", "sim.step"}
     for e in complete:
         assert e["dur"] >= 0 and e["ts"] >= 0
+    run = next(e for e in complete if e["name"] == "sim.run")
+    assert run["args"]["until"] == 1.0
     instant = next(e for e in events if e["ph"] == "i")
     assert instant["s"] == "t"
     assert instant["args"]["queue_depth"] == 5
+    assert instant["args"]["parent_span_id"] == run["args"]["span_id"]
 
 
-def test_jsonl_export(tmp_path):
+def test_write_shard_round_trips(tmp_path):
+    from repro.obs.trace_merge import load_shard, write_shard
+
     tr = Tracer()
     with tr.span("a"):
         tr.instant("b")
-    path = tmp_path / "t.jsonl"
-    assert tr.export_jsonl(path) == 2
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert {r["type"] for r in records} == {"span", "instant"}
+    shard = tr.shard_dict("p")
+    path = write_shard(tmp_path / "sub" / "t.shard.json", shard)
+    assert load_shard(path) == shard
+    assert {e["type"] for e in shard["events"]} == {"span", "instant"}
 
 
 def test_null_tracer_is_allocation_free():
@@ -276,44 +285,60 @@ def test_campaign_writes_manifest_next_to_cache_entry(tmp_path):
 # ---------------------------------------------------------------------- CLI
 
 def test_fig08_trace_cli_regression(tmp_path, capsys, monkeypatch):
-    """`repro fig08 --trace --metrics` produces loadable artifacts."""
+    """`repro fig08 --trace F` writes a shard and its manifest; `obs
+    merge-trace` turns the shard into Perfetto JSON; `obs report` and
+    `obs analyze` read both."""
     from repro import cli
     from repro.experiments import fig08_trace
+    from repro.obs.trace_merge import load_shard
 
     real_run = fig08_trace.run
     monkeypatch.setattr(fig08_trace, "run",
                         lambda **kw: real_run(duration=3.0, seed=3,
                                               bin_width=1.0))
-    trace = tmp_path / "fig08.trace.json"
-    metrics = tmp_path / "fig08.metrics.jsonl"
-    rc = cli.main(["fig08", "--trace", str(trace), "--metrics", str(metrics)])
+    trace = tmp_path / "fig08.shard.json"
+    rc = cli.main(["fig08", "--trace", str(trace)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "fig08 done" in out
 
-    doc = json.loads(trace.read_text())
-    names = {e["name"] for e in doc["traceEvents"]}
-    assert "figure.fig08" in names
-    assert "sim.run" in names
-    assert "energy.sample" in names
+    shard = load_shard(trace)
+    names = {e["name"] for e in shard["events"]}
+    assert {"figure.fig08", "sim.run", "energy.sample"} <= names
 
-    lines = [json.loads(line) for line in metrics.read_text().splitlines()]
-    by_name = {r["name"]: r for r in lines}
-    assert by_name["engine.events_processed"]["value"] > 0
-    assert by_name["mptcp.acks"]["value"] > 0
-    assert "dts.epsilon" in by_name  # the DTS leg records Eq. (5) epsilons
-
+    # The registry snapshot --metrics used to write lives in the manifest.
     manifest = RunManifest.load(str(trace) + ".manifest.json")
     assert manifest.annotations["seed"] == 3   # fig08 annotates its params
+    assert manifest.metrics["engine.events_processed"] > 0
+    assert manifest.metrics["mptcp.acks"] > 0
+    assert "dts.epsilon" in manifest.metrics  # the DTS leg's Eq. (5) epsilons
 
-    rc = cli.main(["obs", "report", str(trace), str(metrics),
+    perfetto = tmp_path / "fig08.perfetto.json"
+    assert cli.main(["obs", "merge-trace", str(trace), "-o", str(perfetto)]) == 0
+    doc = json.loads(perfetto.read_text())
+    drawn = [e for e in doc["traceEvents"] if e["ph"] in ("X", "i")]
+    assert len(drawn) == len(shard["events"])
+    capsys.readouterr()
+
+    rc = cli.main(["obs", "report", str(trace), str(perfetto),
                    str(trace) + ".manifest.json"])
     assert rc == 0
     report = capsys.readouterr().out
+    assert "trace-shard" in report
     assert "merged-trace" in report
-    assert "metrics-jsonl" in report
     assert "engine.events_processed" in report
     assert "manifest" in report
+    assert cli.main(["obs", "analyze", str(trace), str(perfetto)]) == 0
+    diagnosis = capsys.readouterr().out
+    assert f"{2 * len(shard['events'])} trace events" in diagnosis
+
+
+def test_fig_metrics_flag_is_gone(capsys):
+    from repro import cli
+
+    with pytest.raises(SystemExit):
+        cli.main(["fig08", "--metrics", "m.jsonl"])
+    assert "--metrics" in capsys.readouterr().err
 
 
 def test_obs_report_rejects_garbage(tmp_path, capsys):
@@ -330,10 +355,8 @@ def test_obs_report_skips_empty_file_and_renders_rest(tmp_path, capsys):
 
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
-    reg = MetricsRegistry()
-    reg.counter("ok.runs").inc(2)
-    good = tmp_path / "good.jsonl"
-    reg.write_jsonl(good)
+    good = RunManifest.capture(label="t", metrics={"ok.runs": 2}).write(
+        tmp_path / "good.manifest.json")
 
     assert cli.main(["obs", "report", str(empty), str(good)]) == 0
     out = capsys.readouterr().out
@@ -350,18 +373,18 @@ def test_obs_report_tolerates_truncated_jsonl(tmp_path, capsys):
     """
     from repro import cli
 
-    reg = MetricsRegistry()
-    reg.counter("runs").inc(5)
-    reg.gauge("depth").set(3)
     path = tmp_path / "trunc.jsonl"
-    reg.write_jsonl(path)
+    path.write_text(
+        json.dumps({"ts": 1.0, "event": "run_started"}) + "\n"
+        + json.dumps({"ts": 2.0, "event": "run_completed", "wall_s": 1.0})
+        + "\n")
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("garbage\n")  # a real malformed line
-        fh.write('{"name": "cut-off", "kind": "coun')  # truncated mid-write
+        fh.write('{"ts": 3.0, "event": "run_sta')  # truncated mid-write
 
     assert cli.main(["obs", "report", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "runs" in out and "depth" in out
+    assert "run_started" in out and "run_completed" in out
     assert "skipped 1 malformed line" in out  # garbage, not the torn tail
 
 
@@ -417,11 +440,18 @@ def test_obs_report_metrics_table_shows_percentiles(tmp_path, capsys):
     hist = reg.histogram("lat", buckets=geometric_buckets(0.001, 8.0))
     for v in (0.01, 0.02, 0.04, 0.3, 2.0):
         hist.observe(v)
-    path = tmp_path / "m.jsonl"
-    reg.write_jsonl(path)
+    path = RunManifest.capture(label="t", metrics=reg.snapshot()).write(
+        tmp_path / "m.manifest.json")
     assert cli.main(["obs", "report", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "p50" in out and "p95" in out and "p99" in out
+    header = next(line for line in out.splitlines() if "p50" in line)
+    assert header.split() == ["metric", "count", "value/mean", "min", "max",
+                              "p50", "p95", "p99"]
+    row = next(line for line in out.splitlines()
+               if line.split()[:1] == ["lat"])
+    cells = [float(c) for c in row.split()[1:]]
+    assert cells[0] == 5 and cells[2:4] == [0.01, 2.0]
+    assert cells[4:] == pytest.approx(hist.percentiles(50, 95, 99), abs=5e-4)
 
 
 def test_manifest_captures_cpu_count():

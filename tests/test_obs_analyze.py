@@ -99,6 +99,38 @@ def test_torn_flight_dump_is_analyzed_and_reported(tmp_path):
     assert "(flight)" in out and "2 events" in out and "warning" not in out
 
 
+def test_saved_events_document_reads_like_the_dump(tmp_path):
+    """A saved ``/events`` document (one JSON object wrapping the events)
+    and the JSONL dump of the same recorder read the same events."""
+    from repro.obs import FlightRecorder
+    from repro.obs.report import render_file
+
+    fr = FlightRecorder()
+    fr.record("loss", conn=1, path=0)
+    fr.record("rto", conn=1, path=0)
+    fr.record("conn_done", conn=1)
+    saved = tmp_path / "events.json"
+    saved.write_text(json.dumps(fr.snapshot()))
+    dump = fr.dump(tmp_path / "flight.jsonl")
+
+    for path in (saved, dump):
+        records, kind, _ = load_input(path)
+        assert kind == "flight"
+        assert [r["kind"] for r in records[1:]] == ["loss", "rto", "conn_done"]
+        assert records[0]["schema"] == FLIGHT_SCHEMA
+        assert analyze_paths([path])["summary"]["flight_events"] == 3
+        assert "flight recorder: 3 events" in render_file(path)
+
+
+def test_headerless_flight_records_keep_every_event(tmp_path):
+    path = tmp_path / "flight.jsonl"
+    path.write_text("\n".join(json.dumps(e) for e in _flight(
+        [{"ts": 0.1, "kind": "loss", "path": 0}] * 2)[1:]) + "\n")
+    records, kind, _ = load_input(path)
+    assert kind == "flight" and records[0] == {}
+    assert analyze_paths([path])["summary"]["flight_events"] == 2
+
+
 # ---------------------------------------------------------------- detectors
 
 def test_loss_detector_from_trace_and_flight():

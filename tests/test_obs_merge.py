@@ -89,17 +89,3 @@ def test_merge_matches_single_process_result():
     assert got["cwnd"] == whole["cwnd"]
     assert got["lat"]["counts"] == whole["lat"]["counts"]
     assert got["lat"]["sum"] == pytest.approx(whole["lat"]["sum"])
-
-
-def test_gauge_updated_unix_survives_jsonl(tmp_path):
-    import json
-
-    reg = MetricsRegistry()
-    reg.gauge("g").set(1.0)
-    reg.counter("c").inc()
-    path = tmp_path / "metrics.jsonl"
-    reg.write_jsonl(path)
-    records = {r["name"]: r for r in
-               (json.loads(line) for line in path.read_text().splitlines())}
-    assert records["g"]["updated_unix"] > 0
-    assert "updated_unix" not in records["c"]

@@ -126,6 +126,9 @@ def test_snapshot_carries_schema_kind_and_gauge_staleness(monkeypatch):
     # The gauge's last-set time surfaces so dashboards can grey it.
     assert entry["updated_unix"] == pytest.approx(100.0)
     assert len(entry["points"]) == 2
+    # Only gauges carry the stamp; a counter's rate series does not.
+    assert doc["series"]["c.rate"]["kind"] == "counter"
+    assert "updated_unix" not in doc["series"]["c.rate"]
 
 
 def test_recorder_merge_snapshot_interleaves_foreign_points():
