@@ -435,3 +435,22 @@ def test_write_merged_round_trip(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["otherData"]["merged_shards"] == 2
     assert stats.as_dict()["processes"] == ["client-proc", "server-proc"]
+
+
+def test_campaign_trace_dir_holds_shards_and_their_merge(tmp_path, capsys):
+    """`campaign --trace DIR` writes one shard per run plus the driver's,
+    and a merged timeline of exactly those files."""
+    from repro import cli
+
+    out = tmp_path / "tr"
+    assert cli.main(["campaign", "fig12", "--jobs", "1", "--subflows", "1",
+                     "--seeds", "1", "--duration", "0.4", "--dt", "0.01",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--trace", str(out)]) == 0
+    runs = sorted(out.glob("run-*.trace.json"))
+    assert runs
+    driver = load_shard(out / "driver.trace.json")
+    assert all(load_shard(p)["trace_id"] == driver["trace_id"] for p in runs)
+    merged = json.loads((out / "merged.trace.json").read_text())
+    assert merged["otherData"]["merged_shards"] == len(runs) + 1
+    assert merged["otherData"]["orphans"] == 0

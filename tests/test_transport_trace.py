@@ -118,3 +118,21 @@ def test_untraced_selftest_has_no_shards():
     assert r.server_shard is None
     d = r.to_dict()
     assert "client_shard" not in d and "server_shard" not in d
+
+
+def test_selftest_cli_writes_both_shards(tmp_path, capsys):
+    """`fetch --selftest --trace F` writes the client shard to F and the
+    server shard beside it; both load as shards and merge orphan-free."""
+    from repro import cli
+    from repro.obs.trace_merge import load_shard
+
+    path = tmp_path / "fetch.shard.json"
+    assert cli.main(["fetch", "--selftest", "--subflows", "2",
+                     "--bytes", "65536", "--timeout", "60",
+                     "--trace", str(path)]) == 0
+    client = load_shard(path)
+    server = load_shard(tmp_path / "fetch.shard.server.json")
+    assert (client["process_name"], server["process_name"]) == (
+        "loopback-fetch", "loopback-serve")
+    _, stats = merge_shards([client, server])
+    assert stats.orphans == 0
