@@ -72,14 +72,29 @@ KNOWN_WORKLOADS = ("permutation",)
 KNOWN_ENGINES = ("fluid", "fluid-equilibrium", "packet-batch")
 
 
+#: ``((name, link_delay), fabric)`` of the last :func:`build_topology` call.
+_last_fabric: Optional[tuple] = None
+
+
 def build_topology(name: str, link_delay: float = ms(1)):
-    """Construct the canonical topology instance for a spec's name.
+    """The canonical topology instance for a spec's name.
 
     This is the single source of truth for what ``topology="bcube"``
     etc. mean — the experiment modules delegate here so a cached result
     and a freshly simulated one are guaranteed to describe the same
-    network.
+    network.  The fabric is sealed and shared: the same arguments return
+    the same instance while they are the last ones asked for, so a sweep's
+    consecutive runs build their fabric once.
     """
+    global _last_fabric
+    key = (name, link_delay)
+    if _last_fabric is None or _last_fabric[0] != key:
+        _last_fabric = None  # drop the old fabric before building the next
+        _last_fabric = key, _build_topology(name, link_delay).seal()
+    return _last_fabric[1]
+
+
+def _build_topology(name: str, link_delay: float):
     from repro.topology import BCube, FatTree, Vl2, fattree24, fattree32
 
     if name == "bcube":

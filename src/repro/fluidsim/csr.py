@@ -1,12 +1,14 @@
-"""The fluid tier's sparse matrix: three plain arrays and two compiled loops.
+"""The fluid tier's sparse matrix: three arrays and two compiled loops.
 
 Everything the fluid tier does with its path table ``A`` is ``A u`` and
 ``A^T x`` (DESIGN.md §9), and all of scipy that serves is two C++ routines
 of ``scipy.sparse._sparsetools`` — ``csr_matvec`` and ``csc_matvec``, the
 loops scipy's own ``@`` dispatches to, run on the same three arrays.
-:class:`Csr` owns the arrays in scipy's canonical form and calls those
+:class:`Csr` holds the arrays in scipy's canonical form and calls those
 routines, taken from the extension *file*, so a fluid process runs them
-without paying for ``import scipy.sparse`` (DESIGN.md §8).
+without paying for ``import scipy.sparse`` (DESIGN.md §8).  A 0/1 matrix
+stores no values of its own: its ``data`` is a read-only view of one
+process-wide ones vector (:func:`unit_values`).
 """
 
 from __future__ import annotations
@@ -66,6 +68,20 @@ def _load_kernels():
     return module.csr_matvec, module.csc_matvec
 
 
+_ones = np.ones(0)
+_ones.flags.writeable = False
+
+
+def unit_values(n: int) -> np.ndarray:
+    """``n`` float64 ones as a read-only view of the one ones vector every
+    0/1 matrix shares, regrown to the largest ``n`` asked for so far."""
+    global _ones
+    if len(_ones) < n:
+        _ones = np.ones(n)
+        _ones.flags.writeable = False
+    return _ones[:n]
+
+
 #: ``csr_matvec(n_rows, n_cols, indptr, indices, data, x, y)``: ``y += A x``
 #: for A in CSR; ``csc_matvec`` takes the same arguments for A in CSC, so
 #: handed a CSR's arrays with the shape swapped it adds ``A^T x`` into ``y``.
@@ -75,7 +91,9 @@ csr_matvec, csc_matvec = _load_kernels()
 @dataclass(frozen=True, eq=False)
 class Csr:
     """A CSR matrix as scipy stores a canonical one: rows in order, column
-    indices ascending within a row and never repeated, ``int32`` indices."""
+    indices ascending within a row and never repeated, ``int32`` indices.
+    ``data`` may be read-only: products only read it, and a weighted
+    matrix is built with ``dataclasses.replace(m, data=...)``."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -88,7 +106,8 @@ class Csr:
         ``table[i]``; ``-1`` pads short rows, and an id repeated within a row
         is one entry holding the repeat count — ``csr_matrix((ones, (rows,
         cols)))`` after ``sum_duplicates()``, array for array.  Rows arrive
-        in order, so sorting inside each row is the whole build."""
+        in order, so sorting inside each row is the whole build.  Without a
+        repeat, ``data`` is :func:`unit_values`' shared view."""
         table = np.asarray(table)
         n_rows = len(table)
         if max(n_rows, n_cols, table.size) > _INT32_MAX:
@@ -102,10 +121,15 @@ class Csr:
         indptr = np.zeros(n_rows + 1, dtype=np.int32)
         np.cumsum(first.sum(axis=1), out=indptr[1:])
         indices = ids[first].astype(np.int32, copy=False)
-        data = np.ones(len(indices))
-        if len(indices) != n_ids:  # some row repeats an id: entries hold run lengths
-            data[:] = np.diff(np.flatnonzero(first[ids >= 0]), append=n_ids)
+        if len(indices) == n_ids:
+            data = unit_values(n_ids)
+        else:  # some row repeats an id: entries hold run lengths
+            data = np.diff(np.flatnonzero(first[ids >= 0]), append=n_ids).astype(float)
         return cls(indptr, indices, data, (n_rows, n_cols))
+
+    def pattern(self) -> "Csr":
+        """The same entries, each 1.0: repeat counts read as one."""
+        return Csr(self.indptr, self.indices, unit_values(len(self.indices)), self.shape)
 
     def matvec(self, x: np.ndarray, out: np.ndarray,
                data: Optional[np.ndarray] = None) -> None:

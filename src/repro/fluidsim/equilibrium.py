@@ -51,6 +51,14 @@ capacity-excess on priced links; near-floored subflows carrying no
 traffic drift harmlessly toward ``w = 1`` without holding the solve
 hostage.
 
+The solve iterates in a fixed workspace, as the stepper's ``_StepBuffers``
+do: its subflow and link vectors and the per-cohort state views are made
+once per call, and every iteration writes into them with ``out=``, so
+the loop allocates no subflow-length array of its own; only the
+adapters' temporaries remain.  The ufuncs and their order are those of
+the plain expressions the comments spell out, so the result is bit for
+bit what allocating them gave (``tests/data/solver_digests.json``).
+
 Supported algorithms are exactly those whose dynamics are per-ACK
 increase + multiplicative decrease (reno, ewtcp, coupled, lia, olia,
 balia, ecmtcp, dts).  Algorithms with extra ``rate_adjustment`` dynamics
@@ -210,71 +218,124 @@ def solve_fluid_equilibrium(
     pkt_bits = net.packet_bits
     base_rtt = net.base_rtt
     inv_cap = 1.0 / cap
-    # ecn_marked is only read by ECN algorithms, all unsupported here.
-    marked = np.zeros(n)
 
+    # The workspace: every iteration writes into these with ``out=``, the
+    # same ufuncs in the same order as the expressions in the comments.
     w = np.full(n, float(initial_window))
-    price = np.full(net.n_links, _INITIAL_PRICE)
-    y = np.empty(net.n_links)
-    growth = np.empty(n)
-    drain = np.empty(n)
     step = np.full(n, _DAMPING)
     prev_sign = np.zeros(n)
+    rtt, p_path, x, qdelay = (np.empty(n) for _ in range(4))
+    eff_rate, growth, drain, scratch = (np.empty(n) for _ in range(4))
+    flip = np.empty(n, dtype=bool)
+    price = np.full(net.n_links, _INITIAL_PRICE)
+    # Two link vectors do double duty: ``y`` stages the per-link delays
+    # before the load lands in it and the price step after, and settle()
+    # rewrites ``queue_bits`` before it is read again, so the iteration's
+    # ``excess`` lives there.
+    queue_bits, y = np.empty(net.n_links), np.empty(net.n_links)
+    excess = queue_bits
+    active = np.empty(net.n_links, dtype=bool)
+    # ecn_marked is only read by ECN algorithms, all unsupported here.
+    marked = np.broadcast_to(0.0, (n,))
+    states = [(cohort, CohortState(
+        w=w[cohort.span], rtt=rtt[cohort.span], base_rtt=base_rtt[cohort.span],
+        loss=p_path[cohort.span], queueing=qdelay[cohort.span],
+        switch_hops=net.switch_hops[cohort.span], ecn_marked=marked[cohort.span],
+        user_starts=cohort.user_starts, user_of=cohort.user_of,
+        x=x[cohort.span])) for cohort in net.cohorts]
+
+    def settle() -> None:
+        """Queues, RTTs, path prices and rates at the current prices and
+        windows."""
+        # queue_bits = min(price / ramp, 1) * buf
+        np.divide(price, _QUEUE_RAMP, out=queue_bits)
+        np.minimum(queue_bits, 1.0, out=queue_bits)
+        np.multiply(queue_bits, buf, out=queue_bits)
+        # rtt = base_rtt + paths @ (queue_bits * inv_cap)
+        np.multiply(queue_bits, inv_cap, out=y)
+        paths.matvec(y, qdelay)
+        np.add(base_rtt, qdelay, out=rtt)
+        # p_path = min(paths @ price, 0.5); x = w / rtt
+        paths.matvec(price, p_path)
+        np.minimum(p_path, 0.5, out=p_path)
+        np.divide(w, rtt, out=x)
 
     iterations = 0
     res_w = res_p = np.inf
     for iterations in range(1, max_iter + 1):
-        q_frac = np.minimum(price / _QUEUE_RAMP, 1.0)
-        queue_bits = q_frac * buf
-        qdelay = paths @ (queue_bits * inv_cap)
-        rtt = base_rtt + qdelay
-        p_path = np.minimum(paths @ price, 0.5)
-        x = w / rtt
-        lam = p_path * x
-        eff_rate = lam / (1.0 + lam * rtt)
-        for cohort in net.cohorts:
+        settle()
+        # eff_rate = lam / (1 + lam * rtt), lam = p_path * x
+        np.multiply(p_path, x, out=eff_rate)
+        np.multiply(eff_rate, rtt, out=scratch)
+        np.add(1.0, scratch, out=scratch)
+        np.divide(eff_rate, scratch, out=eff_rate)
+        for cohort, st in states:
             sl = cohort.span
-            st = CohortState(
-                w=w[sl], rtt=rtt[sl], base_rtt=base_rtt[sl],
-                loss=p_path[sl], queueing=qdelay[sl],
-                switch_hops=net.switch_hops[sl], ecn_marked=marked[sl],
-                user_starts=cohort.user_starts, user_of=cohort.user_of,
-                x=x[sl])
             increase = cohort.algorithm.per_ack_increase(st)
             factor = cohort.algorithm.loss_decrease_factor(st)
-            growth[sl] = increase * st.x_pkts
-            drain[sl] = eff_rate[sl] * (1.0 - factor) * w[sl]
-        log_ratio = np.log(
-            np.clip((growth + _EPS) / (drain + _EPS), *_RATIO_CLIP))
-        sign = np.sign(log_ratio)
-        flip = (sign * prev_sign) < 0
-        step = np.where(flip, np.maximum(step * _STEP_DOWN, _STEP_FLOOR),
-                        np.minimum(step * _STEP_UP, _DAMPING))
-        prev_sign = sign
-        w_new = np.clip(w * np.exp(step * log_ratio), 1.0, 1e7)
+            np.multiply(increase, st.x_pkts, out=growth[sl])
+            # drain = eff_rate * (1 - factor) * w
+            np.subtract(1.0, factor, out=drain[sl])
+            np.multiply(eff_rate[sl], drain[sl], out=drain[sl])
+            np.multiply(drain[sl], w[sl], out=drain[sl])
+        # log_ratio = log(clip((growth + eps) / (drain + eps)))
+        np.add(growth, _EPS, out=growth)
+        np.add(drain, _EPS, out=drain)
+        np.divide(growth, drain, out=scratch)
+        np.clip(scratch, *_RATIO_CLIP, out=scratch)
+        log_ratio = np.log(scratch, out=scratch)
+        # A drift-direction flip halves the step, a kept one regrows it.
+        sign = np.sign(log_ratio, out=growth)
+        np.multiply(sign, prev_sign, out=drain)
+        np.less(drain, 0, out=flip)
+        np.multiply(step, _STEP_DOWN, out=drain)
+        np.maximum(drain, _STEP_FLOOR, out=drain)
+        np.multiply(step, _STEP_UP, out=step)
+        np.minimum(step, _DAMPING, out=step)
+        np.copyto(step, drain, where=flip)
+        np.copyto(prev_sign, sign)
+        # w_new = clip(w * exp(step * log_ratio), 1, 1e7)
+        np.multiply(step, log_ratio, out=scratch)
+        np.exp(scratch, out=scratch)
+        np.multiply(w, scratch, out=scratch)
+        w_new = np.clip(scratch, 1.0, 1e7, out=scratch)
         # Rate-weighted drift: the fraction of aggregate rate this step
         # still moved.  Floor-bound subflows carry no rate and converge
         # in rate terms long before their windows settle at exactly 1.
-        res_w = float(np.sum(np.abs(w_new - w) / rtt) / (np.sum(x) + _EPS))
-        w = w_new
-        paths.rmatvec((w / rtt) * pkt_bits, y)
-        excess = (y * (1.0 - price) - cap) * inv_cap
-        price = np.clip(
-            price * np.exp(np.clip(_PRICE_GAIN * excess,
-                                   -_PRICE_STEP_CLIP, _PRICE_STEP_CLIP)),
-            _PRICE_FLOOR, _PRICE_CEIL)
-        active = price > _QUEUE_RAMP
-        res_p = float(np.max(np.abs(excess), where=active, initial=0.0))
+        np.subtract(w_new, w, out=drain)
+        np.abs(drain, out=drain)
+        np.divide(drain, rtt, out=drain)
+        res_w = float(np.sum(drain) / (np.sum(x) + _EPS))
+        np.copyto(w, w_new)
+        # y = paths.T @ ((w / rtt) * pkt_bits)
+        np.divide(w, rtt, out=scratch)
+        np.multiply(scratch, pkt_bits, out=scratch)
+        paths.rmatvec(scratch, y)
+        # excess = (y * (1 - price) - cap) * inv_cap
+        np.subtract(1.0, price, out=excess)
+        np.multiply(y, excess, out=excess)
+        np.subtract(excess, cap, out=excess)
+        np.multiply(excess, inv_cap, out=excess)
+        # price = clip(price * exp(clip(gain * excess)), floor, ceiling)
+        np.multiply(_PRICE_GAIN, excess, out=y)
+        np.clip(y, -_PRICE_STEP_CLIP, _PRICE_STEP_CLIP, out=y)
+        np.exp(y, out=y)
+        np.multiply(price, y, out=price)
+        np.clip(price, _PRICE_FLOOR, _PRICE_CEIL, out=price)
+        np.greater(price, _QUEUE_RAMP, out=active)
+        np.abs(excess, out=excess)
+        res_p = float(np.max(excess, where=active, initial=0.0))
         if max(res_w, res_p) < _TOL and iterations > 10:
             break
 
-    q_frac = np.minimum(price / _QUEUE_RAMP, 1.0)
-    queue_bits = q_frac * buf
-    rtt = base_rtt + paths @ (queue_bits * inv_cap)
-    x = w / rtt
-    p_path = np.minimum(paths @ price, 0.5)
-    paths.rmatvec(x * pkt_bits, y)
-    goodput_sub = x * pkt_bits * (1.0 - p_path)
+    settle()
+    # y = paths.T @ (x * pkt_bits); goodput = x * pkt_bits * (1 - p_path)
+    np.multiply(x, pkt_bits, out=scratch)
+    paths.rmatvec(scratch, y)
+    goodput_sub = np.subtract(1.0, p_path, out=drain)
+    np.multiply(scratch, goodput_sub, out=goodput_sub)
+    utilization = np.multiply(y, inv_cap, out=y)
+    np.minimum(utilization, 1.0, out=utilization)
     conn_goodput = np.bincount(net.subflow_conn, weights=goodput_sub,
                                minlength=len(net.connections))
     # Why a solve ended where it did: windows pinned at the floor carry no
@@ -293,7 +354,7 @@ def solve_fluid_equilibrium(
         x_pkts=x,
         p_path=p_path,
         link_price=price,
-        link_utilization=np.minimum(y * inv_cap, 1.0),
+        link_utilization=utilization,
         queue_bits=queue_bits,
         connection_goodput_bps=conn_goodput,
         converged=bool(max(res_w, res_p) < _TOL),

@@ -227,9 +227,8 @@ class FluidNetwork:
             (n_subflows, relays[:, 1].max(initial=1) + 1), -1, dtype=np.int32)
         touched[:, 0], touched[:, 1] = src_host, dst_host
         touched[relays[:, 0], relays[:, 1]] = relays[:, 2]
-        self.hosts = Csr.from_rows(touched, n_hosts)
         # A host a path touches twice still counts once.
-        self.hosts.data.fill(1.0)
+        self.hosts = Csr.from_rows(touched, n_hosts).pattern()
         self.host_subflow_count = np.bincount(
             self.hosts.indices, minlength=n_hosts).astype(float)
         self.host_endpoint_count = (

@@ -5,14 +5,18 @@ directly; small instances can also be realized on the packet engine for
 cross-validation. Links are *directed*: every physical cable contributes
 two entries, numbered in the order they were added.
 
-**Arrays** (a fresh copy per read, one entry per directed link):
-``link_capacity_bps``, ``link_delay_s``, ``link_is_swsw``, ``link_src``
-(node ids: host ``i`` is ``i``, switch ``j`` is ``~j``),
-``switch_egress_ports()``, and the link-id matrix ``path_rows()``
-returns. **Views**, built on demand for small-fabric users (reports,
-:mod:`repro.topology.realize`): ``links`` makes one :class:`LinkSpec`
-per access, ``link_id()`` indexes the table by name on its first call,
-``paths()`` wraps ``path_rows()`` in :class:`PathSpec` objects.
+**Arrays**, one entry per directed link: ``link_capacity_bps`` and
+``link_delay_s`` are read-only views of one stored float64 column each
+(every network built on the fabric shares them); ``link_is_swsw``,
+``link_src`` (node ids: host ``i`` is ``i``, switch ``j`` is ``~j``),
+``switch_egress_ports()`` and the link-id matrix ``path_rows()`` returns
+are fresh per call. **Views**, built on demand for small-fabric users
+(reports, :mod:`repro.topology.realize`): ``links`` makes one
+:class:`LinkSpec` per access, ``link_id()`` indexes the table by name on
+its first call, ``paths()`` wraps ``path_rows()`` in :class:`PathSpec`
+objects. A sealed fabric (:meth:`~DcTopology.seal`), which is what
+``repro.campaign.build_topology`` hands out and shares, refuses new nodes
+and links.
 """
 
 from __future__ import annotations
@@ -116,15 +120,32 @@ class DcTopology(ABC):
         self._kind: Sequence[int] = []
         #: (src name, dst name) -> link id; built by the first link_id().
         self._link_index: Optional[Dict[Tuple[str, str], int]] = None
+        #: Float columns as stored arrays, made on first read; a new link
+        #: drops them.
+        self._float_columns: Dict[str, np.ndarray] = {}
+        self._sealed = False
 
     # ----------------------------------------------------------- construction
 
+    def seal(self) -> "DcTopology":
+        """Refuse any further node or link, so one instance can be shared:
+        no caller can change the fabric another one reads."""
+        self._sealed = True
+        return self
+
+    def _check_open(self) -> None:
+        if self._sealed:
+            raise ConfigurationError(
+                f"this {type(self).__name__} is sealed (shared); build a new one to extend it")
+
     def add_host(self, name: str) -> str:
+        self._check_open()
         self._node_id[name] = len(self.hosts)
         self.hosts.append(name)
         return name
 
     def add_switch(self, name: str) -> str:
+        self._check_open()
         self._node_id[name] = ~len(self.switches)
         self.switches.append(name)
         return name
@@ -133,6 +154,7 @@ class DcTopology(ABC):
         self, a: str, b: str, capacity_bps: float, delay_s: float, kind_ab: str, kind_ba: str
     ) -> Tuple[int, int]:
         """Add both directions of a cable; returns their link indices."""
+        self._check_open()
         i_ab = self._add_directed(a, b, capacity_bps, delay_s, kind_ab)
         i_ba = self._add_directed(b, a, capacity_bps, delay_s, kind_ba)
         return i_ab, i_ba
@@ -148,6 +170,7 @@ class DcTopology(ABC):
         for name in (src, dst):
             if name not in self._node_id:
                 raise RoutingError(f"link {src}->{dst} names unknown node {name!r}")
+        self._float_columns.clear()
         index[(src, dst)] = idx = len(self._src)
         self._src.append(self._node_id[src])
         self._dst.append(self._node_id[dst])
@@ -176,11 +199,21 @@ class DcTopology(ABC):
 
     @property
     def link_capacity_bps(self) -> np.ndarray:
-        return np.array(self._capacity, dtype=float)
+        return self._read_only("_capacity")
 
     @property
     def link_delay_s(self) -> np.ndarray:
-        return np.array(self._delay, dtype=float)
+        return self._read_only("_delay")
+
+    def _read_only(self, name: str) -> np.ndarray:
+        """A read-only view of float column ``name``: the column itself when
+        a fabric assigned it as a float64 array, else one array made from
+        the list on first read."""
+        column = self._float_columns.get(name)
+        if column is None:
+            column = self._float_columns[name] = np.asarray(getattr(self, name), dtype=float)
+            column.flags.writeable = False  # so no view can be made writeable
+        return column.view()
 
     @property
     def link_is_swsw(self) -> np.ndarray:

@@ -67,12 +67,12 @@ class FatTree(DcTopology):
         row = np.arange(half)[None, :, None]
         col = np.arange(half)[None, None, :]
         # [pod, edge, 0: host cables | 1: agg cables, j, up | down]
-        low = np.empty((k, half, 2, half, 2), dtype=np.int64)
+        low = np.empty((k, half, 2, half, 2), dtype=np.int32)
         low[:, :, 0, :, 0] = pod * half * half + row * half + col
         low[:, :, 0, :, 1] = low[:, :, 1, :, 0] = ~(half * half + pod * k + row)
         low[:, :, 1, :, 1] = ~(half * half + pod * k + half + col)
         # [pod, agg, core of the agg's group, up | down]
-        high = np.empty((k, half, half, 2), dtype=np.int64)
+        high = np.empty((k, half, half, 2), dtype=np.int32)
         high[..., 0] = ~(half * half + pod * k + half + row)
         high[..., 1] = ~(row * half + col)
 
@@ -81,7 +81,8 @@ class FatTree(DcTopology):
 
         self._src = src = per_pod(low, high)
         self._dst = dst = per_pod(low[..., ::-1], high[..., ::-1])
-        self._kind = np.where(src >= 0, _UP, np.where(dst >= 0, _DOWN, _SWSW))
+        self._kind = np.where(src >= 0, _UP,
+                              np.where(dst >= 0, _DOWN, _SWSW)).astype(np.int8)
         self._capacity = np.full(len(src), float(link_bps))
         self._delay = np.full(len(src), float(link_delay))
 

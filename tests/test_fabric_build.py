@@ -352,10 +352,51 @@ def test_link_views_round_trip(topo):
     assert topo.switch_egress_ports().tolist() == want
 
 
-def test_link_arrays_are_copies():
-    ft = FatTree(4)
-    ft.link_capacity_bps[:] = 0.0
-    assert ft.link_capacity_bps.min() == mbps(100)
+@pytest.mark.parametrize("topo", (FatTree(4), BCube(3, 1)), ids=lambda t: type(t).__name__)
+def test_link_arrays_are_read_only(topo):
+    for read in (lambda: topo.link_capacity_bps, lambda: topo.link_delay_s):
+        before = read().copy()
+        with pytest.raises(ValueError, match="read-only"):
+            read()[:] = 0.0
+        with pytest.raises(ValueError):  # a view cannot be made writeable
+            read().flags.writeable = True
+        np.testing.assert_array_equal(read(), before)
+        assert read().dtype == np.float64
+    assert topo.link_capacity_bps.min() == mbps(100)
+    # One stored column: the network shares it instead of copying it.
+    net = FluidNetwork(topo)
+    assert np.shares_memory(net.capacity, topo.link_capacity_bps)
+    assert np.shares_memory(net.link_delay, topo.link_delay_s)
+
+
+def test_a_new_link_refreshes_the_float_columns():
+    topo = Ec2Cloud(n_hosts=2)
+    n, delays = topo.n_links, topo.link_delay_s
+    topo.add_switch("extra")
+    topo.add_duplex_link("vm0", "extra", mbps(7), ms(3), "host-sw", "sw-host")
+    assert len(topo.link_capacity_bps) == len(topo.link_delay_s) == n + 2
+    assert topo.link_capacity_bps[-1] == mbps(7) and topo.link_delay_s[-2] == ms(3)
+    assert len(delays) == n  # a view read before the link is unchanged
+
+
+def test_build_topology_shares_one_sealed_fabric():
+    fabric = build_topology("bcube")
+    assert build_topology("bcube") is fabric
+    assert build_topology("bcube", ms(1)) is fabric
+    assert build_topology("bcube", link_delay=ms(1)) is fabric
+    other = build_topology("bcube", link_delay=ms(2))
+    assert other is not fabric and other.link_delay_s[0] == ms(2)
+    assert build_topology("vl2") is not build_topology("bcube")
+    for add in (lambda t: t.add_duplex_link(t.hosts[0], t.hosts[1], mbps(1), ms(1),
+                                            "host-host", "host-host"),
+                lambda t: t.add_host("extra"), lambda t: t.add_switch("extra")):
+        with pytest.raises(ConfigurationError, match="sealed"):
+            add(fabric)
+    assert len(fabric.hosts) == 64 and "extra" not in fabric.switches
+    # The fabric it describes is the one a fresh build makes.
+    fresh = BCube(4, 2, link_delay=ms(1))
+    assert fabric.n_links == fresh.n_links
+    np.testing.assert_array_equal(fabric.link_delay_s, fresh.link_delay_s)
 
 
 def test_add_duplex_link_rejects_unknown_node_and_kind():

@@ -13,6 +13,8 @@ the two routing matrices a second kernel used to exist for (dense,
 non-unit weights), and cover the block reader in isolation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -200,7 +202,9 @@ def _tiny_dense_net() -> FluidNetwork:
 def _weighted_net() -> FluidNetwork:
     """A stored routing weight forced to 2.0 (a path repeating a link)."""
     net = _build_net(1, ["lia", "dctcp"], 2)
-    net.paths.data[0] = 2.0
+    data = net.paths.data.copy()
+    data[0] = 2.0
+    net.paths = dataclasses.replace(net.paths, data=data)
     return net
 
 
