@@ -10,7 +10,7 @@ the hierarchical fabrics do not.
 Run:  python examples/datacenter_energy.py
 """
 
-from repro.analysis.report import format_grouped
+from repro.analysis.report import format_table
 from repro.fluidsim import FluidNetwork, FluidSimulation
 from repro.topology import BCube, FatTree, Vl2
 from repro.units import ms
@@ -31,15 +31,15 @@ def main() -> None:
                                   link_delay=ms(1)),
         "bcube(4,2)": lambda: BCube(4, 2, link_delay=ms(1)),
     }
-    series = {}
+    counts = (1, 2, 4, 8)
+    columns = []
     for name, factory in factories.items():
-        series[name] = {
-            n: round(energy_per_gb(factory(), n)) for n in (1, 2, 4, 8)
-        }
+        columns.append([round(energy_per_gb(factory(), n)) for n in counts])
         print(f"done: {name}")
     print()
     print("energy overhead (J per delivered GB) vs subflow count:")
-    print(format_grouped("subflows", series))
+    print(format_table(["subflows", *factories],
+                       list(zip(counts, *columns))))
 
 
 if __name__ == "__main__":

@@ -5,33 +5,29 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.analysis.compare import crossover_points, relative_saving
+    from repro.analysis.compare import relative_saving
     from repro.analysis.fairness import friendliness_ratio, jain_index, share_summary
-    from repro.analysis.report import format_series, format_table
-    from repro.analysis.stats import BoxStats, box_stats, summarize
-    from repro.analysis.timeseries import bin_series, moving_average
+    from repro.analysis.report import format_table
+    from repro.analysis.stats import BoxStats, box_stats
+    from repro.analysis.timeseries import bin_series
 
 # Resolved on first access (PEP 562): ``repro fetch`` prints its table
 # through ``report`` (stdlib) without loading the numpy reductions beside it.
 __getattr__, __dir__ = lazy_exports(globals(), {
-    "repro.analysis.compare": ("crossover_points", "relative_saving"),
+    "repro.analysis.compare": ("relative_saving",),
     "repro.analysis.fairness": ("friendliness_ratio", "jain_index", "share_summary"),
-    "repro.analysis.report": ("format_series", "format_table"),
-    "repro.analysis.stats": ("BoxStats", "box_stats", "summarize"),
-    "repro.analysis.timeseries": ("bin_series", "moving_average"),
+    "repro.analysis.report": ("format_table",),
+    "repro.analysis.stats": ("BoxStats", "box_stats"),
+    "repro.analysis.timeseries": ("bin_series",),
 })
 
 __all__ = [
     "BoxStats",
     "bin_series",
     "box_stats",
-    "crossover_points",
-    "format_series",
     "friendliness_ratio",
     "jain_index",
     "share_summary",
     "format_table",
-    "moving_average",
     "relative_saving",
-    "summarize",
 ]

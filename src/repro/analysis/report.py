@@ -7,9 +7,7 @@ claims ledger embeds those tables in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
-
-Number = Union[int, float]
+from typing import Sequence
 
 
 def _fmt(value, width: int) -> str:
@@ -33,20 +31,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     ]
     return "\n".join([head, sep, *body])
 
-
-def format_series(name: str, xs: Sequence[Number], ys: Sequence[Number]) -> str:
-    """A one-series 'figure': x/y pairs as two columns."""
-    return format_table([f"{name}.x", f"{name}.y"], list(zip(xs, ys)))
-
-
-def format_grouped(
-    group_key: str,
-    series: Dict[str, Dict[Number, Number]],
-) -> str:
-    """Multiple named series sharing an x axis, one column per series."""
-    xs = sorted({x for s in series.values() for x in s})
-    headers = [group_key, *series.keys()]
-    rows: List[List] = []
-    for x in xs:
-        rows.append([x, *[series[name].get(x, float("nan")) for name in series]])
-    return format_table(headers, rows)

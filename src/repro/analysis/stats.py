@@ -8,15 +8,15 @@ outside is an outlier.
 
 Standard library only, and bit-equal to the numpy expressions the module
 used before the packet figures left the numpy tier (``np.percentile``'s
-default linear method, ``np.mean``, ``np.median``, ``np.std``) on finite
-samples: ``tests/test_analysis.py`` compares them field by field.
+default linear method and ``np.mean``) on finite samples:
+``tests/test_analysis.py`` compares them field by field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -116,19 +116,3 @@ def box_stats(samples: Sequence[float]) -> BoxStats:
         n=len(data),
     )
 
-
-def summarize(samples: Sequence[float]) -> Dict[str, float]:
-    """Flat dict summary (mean/median/std/min/max) for report tables."""
-    data = _samples(samples, "summarize")
-    mean = _mean(data)
-    ordered = sorted(data)
-    n = len(data)
-    return {
-        "mean": mean,
-        # np.median: the mean of the middle value, or of the two middle ones.
-        "median": _mean(ordered[(n - 1) // 2:n // 2 + 1]),
-        "std": math.sqrt(_mean([(v - mean) * (v - mean) for v in data])),
-        "min": ordered[0],
-        "max": ordered[-1],
-        "n": n,
-    }

@@ -35,15 +35,3 @@ def bin_series(
             means.append(float(np.mean(v[mask])))
     return centres, means
 
-
-def moving_average(values: Sequence[float], window: int) -> List[float]:
-    """Centered-start moving average (shorter warm-up windows included)."""
-    if window <= 0:
-        raise ConfigurationError(f"window must be positive, got {window}")
-    v = np.asarray(values, dtype=float)
-    out: List[float] = []
-    csum = np.concatenate([[0.0], np.cumsum(v)])
-    for i in range(len(v)):
-        lo = max(0, i - window + 1)
-        out.append(float((csum[i + 1] - csum[lo]) / (i + 1 - lo)))
-    return out

@@ -1,31 +1,11 @@
-"""Command-line interface: regenerate the paper's figures.
+"""Command-line interface: ``python -m repro FIGURE ...`` or
+``python -m repro COMMAND ...``.
 
-Usage::
-
-    python -m repro list                 # show available figures
-    python -m repro fig09                # regenerate one figure
-    python -m repro fig12 fig13 fig14    # several in sequence
-    python -m repro all                  # everything (several minutes)
-    python -m repro claims               # judge every claim; prints EXPERIMENTS.md
-
-Campaign mode (parallel, cached — see docs/USAGE.md):
-
-    python -m repro campaign fig12 fig13 fig14 --jobs 4
-    python -m repro sweep --topologies bcube vl2 --subflows 1 2 4 8 --jobs 4
-
-Observability (docs/OBSERVABILITY.md):
-
-    python -m repro fig08 --trace fig08.shard.json   # + its .manifest.json
-    python -m repro obs merge-trace fig08.shard.json -o fig08.perfetto.json
-    python -m repro obs report fig08.shard.json fig08.shard.json.manifest.json
-    python -m repro obs serve .repro-cache/campaign.log.jsonl   # live dashboard
-    python -m repro obs promcheck metrics.prom
-
-Benchmarks + regression gate (docs/BENCHMARKS.md):
-
-    python -m repro bench run --suite tier1 --repeats 3
-    python -m repro bench compare BENCH_tier1.json baselines/BENCH_tier1.json
-    python -m repro bench profile --case engine.packet_transfer
+``python -m repro fig09 fig17`` (or ``all``) regenerates figures.  Every
+other command is one entry of :data:`COMMANDS`, the table that dispatch,
+``python -m repro list`` and ``--help`` all read.  Handlers import what
+they run, so ``import repro.cli`` and every ``--help`` load neither numpy
+nor scipy (DESIGN.md §8).  docs/USAGE.md has worked examples.
 """
 
 from __future__ import annotations
@@ -38,10 +18,83 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro import __version__
+from repro.errors import ConfigurationError
+from repro.units import ms
 
+
+class Command(NamedTuple):
+    """One ``repro`` command.
+
+    ``arguments`` adds its flags to a parser and ``handler`` runs the
+    parsed namespace, returning the exit code.  An exception in
+    ``usage_errors`` means bad input: its message goes to stderr and the
+    exit code is 2.  A command with ``subcommands`` dispatches on its next
+    word instead.
+    """
+
+    help: str
+    handler: Optional[Callable[[argparse.Namespace], int]] = None
+    arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None
+    usage_errors: Tuple[type, ...] = ()
+    subcommands: Optional[Dict[str, "Command"]] = None
+    description: Optional[str] = None
+
+
+#: What a command that reads files or specs treats as bad input.
+_BAD_SPEC = (ConfigurationError, ValueError)
+_BAD_FILE = (OSError, ValueError)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _milliseconds(text: str) -> float:
+    """A flag given in milliseconds, as seconds."""
+    return ms(float(text))
+
+
+def _builder_kwargs(args: argparse.Namespace, **flags: str) -> Dict[str, Any]:
+    """Keyword arguments for the flags the user set: ``flags`` maps a
+    keyword to an ``args`` dest.  A flag left at its ``None`` default is
+    omitted, so the callee's own default holds."""
+    return {keyword: getattr(args, dest) for keyword, dest in flags.items()
+            if getattr(args, dest) is not None}
+
+
+def _reject(args: argparse.Namespace, dests: Iterable[str], why: str) -> None:
+    """Raise if the user set any flag in ``dests``."""
+    given = [f"--{dest.replace('_', '-')}" for dest in dests
+             if getattr(args, dest) is not None]
+    if given:
+        raise ConfigurationError(f"{', '.join(given)}: {why}")
+
+
+def _add_json_out(parser: argparse.ArgumentParser, *flags: str, what: str) -> None:
+    parser.add_argument(*flags, dest="json_out", metavar="FILE",
+                        help=f"also write {what} as JSON to FILE, or '-' to "
+                             "print only the JSON")
+
+
+def _write_json(document: dict, path: Optional[str], label: str) -> None:
+    """Write ``document`` to ``path`` and say so, or print it for ``-``."""
+    if path is None:
+        return
+    blob = json.dumps(document, indent=2, sort_keys=True, default=str)
+    if path == "-":
+        print(blob)
+    else:
+        Path(path).write_text(blob + "\n", encoding="utf-8")
+        print(f"{label}: {path}")
+
+
+# -------------------------------------------------------------------- figures
 
 def _run_figure(module: str, entry: str) -> None:
     mod = importlib.import_module(f"repro.experiments.{module}")
@@ -55,6 +108,180 @@ def _figure_runners() -> Dict[str, Callable[[], None]]:
 
     return {fig.id: functools.partial(_run_figure, fig.module, fig.entry)
             for fig in FIGURES}
+
+
+def _figure_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("targets", nargs="+", metavar="FIGURE",
+                        help="figure ids (fig01 ... fig17) or 'all'")
+    parser.add_argument(
+        "--trace", default=None, metavar="FILE",
+        help="record a span/instant trace of the figure runs as a shard "
+             "(repro.obs.trace/1); 'obs merge-trace' turns it into "
+             "Perfetto JSON")
+    parser.add_argument(
+        "--manifest", default=None, metavar="FILE",
+        help="write a run-provenance manifest holding the final metrics "
+             "snapshot (default with --trace: FILE.manifest.json)")
+
+
+def _write_observed(session, targets: List[str], trace: str | None,
+                    manifest: str | None) -> None:
+    """Write a figure session's trace shard and its manifest (beside the
+    shard unless ``--manifest`` names it)."""
+    import hashlib
+
+    if trace is not None:
+        n = session.tracer.export_shard(trace, "repro-figures")
+        print(f"trace shard: {trace} ({n} events)")
+    manifest = manifest or f"{trace}.manifest.json"
+    spec_hash = hashlib.sha256(
+        ("repro.figures:" + ",".join(targets)).encode()).hexdigest()
+    session.manifest(spec_hash=spec_hash).write(manifest)
+    print(f"manifest: {manifest}")
+
+
+def _figures(args) -> int:
+    runners = _figure_runners()
+    targets = sorted(runners) if "all" in args.targets else args.targets
+    unknown = [t for t in targets if t not in runners]
+    if unknown:
+        print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
+        print(f"known: {', '.join(sorted(runners))}", file=sys.stderr)
+        return 2
+
+    import repro.obs as obs
+
+    # An observed run (--trace / --manifest) runs under an ambient session;
+    # a plain one keeps each engine's private registry.
+    observed = args.trace is not None or args.manifest is not None
+    with contextlib.ExitStack() as stack:
+        session = stack.enter_context(obs.session(
+            trace=args.trace is not None,
+            label="figures:" + ",".join(targets))) if observed else None
+        tracer = session.tracer if session is not None else obs.NULL_TRACER
+        for name in targets:
+            print(f"=== {name} " + "=" * (60 - len(name)))
+            start = time.time()
+            with tracer.span(f"figure.{name}"):
+                runners[name]()
+            print(f"--- {name} done in {time.time() - start:.1f}s\n")
+    if session is not None:
+        _write_observed(session, targets, args.trace, args.manifest)
+    return 0
+
+
+def _list(args) -> int:
+    print("available figures:")
+    for name in sorted(_figure_runners()):
+        print(f"  {name}")
+    print(_command_summary())
+    return 0
+
+
+def _claims(args) -> int:
+    from repro.experiments import claims
+
+    return claims.main()
+
+
+# ------------------------------------------------------------------ campaign
+
+def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                        help="worker processes (default: %(default)s, "
+                             "in-process)")
+    parser.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
+                        help="result cache directory (default: %(default)s)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="skip the result cache entirely")
+    parser.add_argument("--log", default=None, metavar="PATH",
+                        help="JSONL telemetry log "
+                             "(default: <cache-dir>/campaign.log.jsonl)")
+    parser.add_argument("--run-timeout", type=float, default=None, metavar="S",
+                        help="max seconds to wait for any single run")
+    parser.add_argument("--trace", default=None, metavar="DIR", dest="trace_dir",
+                        help="distributed tracing: write per-run worker "
+                             "trace shards, the driver shard, and a merged "
+                             "Perfetto JSON into DIR")
+    knobs = parser.add_argument_group(
+        "run knobs", "A knob left unset keeps the campaign builder's "
+        "default: repro.campaign.subflow_sweep_campaign, or "
+        "ec2_sweep_campaign for 'sweep --engine packet-batch'.")
+    knobs.add_argument("--duration", type=float,
+                       help="simulated seconds per run")
+    knobs.add_argument("--dt", type=float,
+                       help="integration step in seconds (packet-batch: "
+                            "the tick)")
+    knobs.add_argument("--seeds", type=int, nargs="+",
+                       help="seeds averaged per point")
+    knobs.add_argument("--subflows", type=int, nargs="+",
+                       help="subflow counts swept")
+
+
+def _campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("figures", nargs="+", metavar="FIGURE",
+                        help="campaignable figures: fig12 fig13 fig14")
+    parser.add_argument("--paper-scale", action="store_true",
+                        help="the paper's full htsim parameters "
+                             "(repro.experiments.paper_scale.FIG12_14; "
+                             "hours)")
+    _add_campaign_options(parser)
+
+
+#: The default topology of a fluid sweep.
+_SWEEP_TOPOLOGIES = ["bcube"]
+
+#: Sweep flags only some engines read: (reader, engines, dests).  Any
+#: other engine rejects them instead of dropping them.
+_ENGINE_ONLY = (
+    ("the fluid engines", ("fluid", "fluid-equilibrium"),
+     ("topologies", "link_delay_ms", "dtype")),
+    ("the time-stepped fluid engine", ("fluid",), ("shards", "path_pool")),
+    ("the packet-batch engine", ("packet-batch",), ("hosts", "loss_rate")),
+)
+
+
+def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--topologies", nargs="+", metavar="TOPO",
+                        help="fluid engines: bcube, fattree, vl2, ... "
+                             f"(default: {' '.join(_SWEEP_TOPOLOGIES)})")
+    parser.add_argument("--algorithm", default="lia",
+                        help="congestion-control algorithm "
+                             "(default: %(default)s)")
+    parser.add_argument("--link-delay-ms", type=_milliseconds, metavar="MS",
+                        help="fluid engines: per-link one-way delay in ms "
+                             "(default: subflow_sweep_campaign's)")
+    parser.add_argument("--engine", default="fluid",
+                        choices=("fluid", "fluid-equilibrium", "packet-batch"),
+                        help="simulation engine (default: %(default)s). "
+                             "'fluid-equilibrium' solves each network's "
+                             "stationary state directly instead of "
+                             "integrating to it (falls back to time-stepping "
+                             "for wvegas/dctcp/dts-ext). 'packet-batch', "
+                             "the vectorized struct-of-arrays packet "
+                             "engine, runs the EC2/Fig.10 scenario instead "
+                             "of the named topologies")
+    parser.add_argument("--hosts", type=_positive_int, metavar="N",
+                        help="packet-batch: EC2 hosts per run "
+                             "(default: ec2_sweep_campaign's)")
+    parser.add_argument("--loss-rate", type=float, metavar="P",
+                        help="packet-batch: per-segment loss on each ENI "
+                             "path (default: ec2_sweep_campaign's)")
+    parser.add_argument("--shards", type=_positive_int, metavar="S",
+                        help="fluid engine only: step S independent replicas "
+                             "of each topology (merged exactly) instead of "
+                             "one; --jobs then parallelizes the shards of "
+                             "each run rather than the runs")
+    parser.add_argument("--dtype", choices=("auto", "float32", "float64"),
+                        help="fluid step-loop precision (default: the fluid "
+                             "engine's; 'auto' picks float32 for very large "
+                             "subflow populations)")
+    parser.add_argument("--path-pool", type=_positive_int, metavar="K",
+                        help="ECMP paths sampled per connection on sharded "
+                             "fluid runs (default: run_sharded's; lower it "
+                             "to speed up building k=24/k=32 fabrics)")
+    _add_campaign_options(parser)
 
 
 def _print_packet_sweep(group_name, counts, seeds, group) -> None:
@@ -74,166 +301,6 @@ def _print_packet_sweep(group_name, counts, seeds, group) -> None:
         ])
     print(format_table(
         ["subflows", "goodput (Mbps)", "loss events", "retransmits"], rows))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Regenerate figures from 'On Energy-Efficient Congestion "
-            "Control for Multipath TCP' (ICDCS 2017)."
-        ),
-        epilog=(
-            "Parallel, cached campaigns: 'python -m repro campaign --help' "
-            "and 'python -m repro sweep --help'."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "targets",
-        nargs="+",
-        metavar="FIGURE",
-        help="figure ids (fig01 ... fig17), 'list', or 'all'",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="record a span/instant trace of the figure runs as a shard "
-             "(repro.obs.trace/1); 'obs merge-trace' turns it into "
-             "Perfetto JSON")
-    parser.add_argument(
-        "--manifest", default=None, metavar="FILE",
-        help="write a run-provenance manifest holding the final metrics "
-             "snapshot (default with --trace: FILE.manifest.json)")
-    return parser
-
-
-# ------------------------------------------------------------------ campaign
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                        help="worker processes (default: 1, in-process)")
-    parser.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
-                        help="result cache directory (default: .repro-cache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="skip the result cache entirely")
-    parser.add_argument("--log", default=None, metavar="PATH",
-                        help="JSONL telemetry log "
-                             "(default: <cache-dir>/campaign.log.jsonl)")
-    parser.add_argument("--run-timeout", type=float, default=None, metavar="S",
-                        help="max seconds to wait for any single run")
-    parser.add_argument("--duration", type=float, default=None,
-                        help="simulated seconds per run (default: 30)")
-    parser.add_argument("--dt", type=float, default=None,
-                        help="integration step (default: 0.004)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=None,
-                        help="seeds averaged per point (default: 1 2)")
-    parser.add_argument("--subflows", type=int, nargs="+", default=None,
-                        help="subflow counts swept (default: 1 2 4 8)")
-    parser.add_argument("--trace", default=None, metavar="DIR", dest="trace_dir",
-                        help="distributed tracing: write per-run worker "
-                             "trace shards, the driver shard, and a merged "
-                             "Perfetto JSON into DIR")
-
-
-def build_campaign_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro campaign",
-        description=(
-            "Run figure sweeps as a parallel, cached campaign. A second "
-            "invocation reuses every cached point (see the JSONL log)."
-        ),
-    )
-    parser.add_argument("figures", nargs="+", metavar="FIGURE",
-                        help="campaignable figures: fig12 fig13 fig14")
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="the paper's full htsim parameters "
-                             "(8 counts x 10 seeds x 1000 s — hours)")
-    _add_campaign_options(parser)
-    return parser
-
-
-def build_sweep_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep",
-        description="Run an ad-hoc subflow sweep campaign on named topologies.",
-    )
-    parser.add_argument("--topologies", nargs="+", default=["bcube"],
-                        metavar="TOPO", help="bcube, fattree, vl2")
-    parser.add_argument("--algorithm", default="lia",
-                        help="congestion-control algorithm (default: lia)")
-    parser.add_argument("--link-delay-ms", type=float, default=1.0,
-                        help="per-link one-way delay in ms (default: 1)")
-    parser.add_argument("--engine", default="fluid",
-                        choices=("fluid", "fluid-equilibrium", "packet-batch"),
-                        help="simulation engine (default: fluid). "
-                             "'fluid-equilibrium' solves each network's "
-                             "stationary state directly instead of "
-                             "integrating to it (falls back to time-stepping "
-                             "for wvegas/dctcp/dts-ext). 'packet-batch', "
-                             "the vectorized struct-of-arrays packet "
-                             "engine, runs the EC2/Fig.10 scenario instead "
-                             "of the named topologies")
-    parser.add_argument("--hosts", type=_positive_int, default=40, metavar="N",
-                        help="EC2 hosts per packet-engine run (default: 40)")
-    parser.add_argument("--loss-rate", type=float, default=1e-3, metavar="P",
-                        help="per-segment loss on each ENI path "
-                             "(packet engine only; default: 1e-3)")
-    parser.add_argument("--shards", type=_positive_int, default=None,
-                        metavar="S",
-                        help="fluid engine only: step S independent replicas "
-                             "of each topology (merged exactly) instead of "
-                             "one; --jobs then parallelizes the shards of "
-                             "each run rather than the runs")
-    parser.add_argument("--dtype", default=None,
-                        choices=("auto", "float32", "float64"),
-                        help="fluid step-loop precision (default: auto — "
-                             "float32 for very large subflow populations)")
-    parser.add_argument("--path-pool", type=_positive_int, default=None,
-                        metavar="K",
-                        help="ECMP paths sampled per connection on sharded "
-                             "fluid runs (default: 64; lower it to speed up "
-                             "building k=24/k=32 fabrics)")
-    _add_campaign_options(parser)
-    return parser
-
-
-def _campaign_plumbing(args, run_fn=None, jobs=None):
-    """Shared cache/telemetry/executor wiring for campaign and sweep.
-
-    ``run_fn``/``jobs`` override the executor's worker function and
-    fan-out width — the sharded-fluid path runs specs serially and
-    spends ``--jobs`` inside each run instead.
-    """
-    import repro.obs as obs
-    from repro.campaign import CampaignExecutor, CampaignTelemetry, ResultCache
-
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    log_path = args.log
-    if log_path is None:
-        log_path = str(Path(args.cache_dir) / "campaign.log.jsonl")
-    telemetry = CampaignTelemetry(log_path=log_path)
-    trace = None
-    if getattr(args, "trace_dir", None) is not None:
-        # The driver tracer owns the root span every worker shard
-        # parents under; _finish_campaign_trace() closes and writes it.
-        tracer = obs.Tracer()
-        span = tracer.start_span("campaign.driver", jobs=args.jobs)
-        trace = {"tracer": tracer, "span": span, "dir": Path(args.trace_dir)}
-    executor_kwargs = {} if run_fn is None else {"run_fn": run_fn}
-    executor = CampaignExecutor(
-        jobs=args.jobs if jobs is None else jobs,
-        cache=cache, telemetry=telemetry,
-        run_timeout=args.run_timeout,
-        trace_parent=trace["span"].traceparent if trace else None,
-        **executor_kwargs)
-    return cache, telemetry, executor, log_path, trace
 
 
 def _finish_campaign_trace(trace, campaign_name, outcomes) -> None:
@@ -258,10 +325,48 @@ def _finish_campaign_trace(trace, campaign_name, outcomes) -> None:
           f"({stats.events} events, {stats.orphans} orphans)")
 
 
-def _run_campaign_specs(campaign, executor, telemetry, log_path,
-                        trace=None) -> int:
-    """Execute a CampaignSpec and print per-topology tables + a summary."""
+def _group_outcomes(campaign, outcomes):
+    """Yield (topology, counts, seeds, outcome-slice) per swept topology.
+
+    Campaign builders order runs topology-major, then subflow count,
+    then seed, so each topology owns one contiguous slice.
+    """
+    def distinct(field):
+        return list(dict.fromkeys(getattr(run, field) for run in campaign.runs))
+
+    counts, seeds = distinct("n_subflows"), distinct("seed")
+    per_topo = len(counts) * len(seeds)
+    for t, topo in enumerate(distinct("topology")):
+        yield topo, counts, seeds, outcomes[t * per_topo:(t + 1) * per_topo]
+
+
+def _execute_campaign(args, campaign, **executor_kwargs) -> int:
+    """Run a CampaignSpec through the cache, telemetry log and executor
+    the flags name; print per-topology tables and a summary.
+
+    ``executor_kwargs`` override the executor's ``jobs``/``run_fn`` — the
+    sharded-fluid path runs specs serially and spends ``--jobs`` inside
+    each run instead.
+    """
+    import repro.obs as obs
+    from repro.campaign import CampaignExecutor, CampaignTelemetry, ResultCache
     from repro.experiments.fig12_14_subflows import sweep_result_from_outcomes, table
+
+    log_path = args.log or str(Path(args.cache_dir) / "campaign.log.jsonl")
+    telemetry = CampaignTelemetry(log_path=log_path)
+    trace = None
+    if args.trace_dir is not None:
+        # The driver tracer owns the root span every worker shard
+        # parents under; _finish_campaign_trace() closes and writes it.
+        tracer = obs.Tracer()
+        span = tracer.start_span("campaign.driver", jobs=args.jobs)
+        trace = {"tracer": tracer, "span": span, "dir": Path(args.trace_dir)}
+    executor_kwargs.setdefault("jobs", args.jobs)
+    executor = CampaignExecutor(
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
+        telemetry=telemetry, run_timeout=args.run_timeout,
+        trace_parent=trace["span"].traceparent if trace else None,
+        **executor_kwargs)
 
     start = time.time()
     outcomes = executor.run(campaign.runs, campaign_name=campaign.name)
@@ -282,186 +387,99 @@ def _run_campaign_specs(campaign, executor, telemetry, log_path,
                                                    group)))
         print()
 
-    summary = telemetry.summary()
-    hits = summary.get("cache_hits", 0)
+    hits = telemetry.summary().get("cache_hits", 0)
     print(f"campaign '{campaign.name}': {len(outcomes)} runs, "
           f"{hits} cache hits, {len(failed)} failed, {wall:.2f}s wall")
     print(f"telemetry log: {log_path}")
     return 1 if failed else 0
 
 
-def _group_outcomes(campaign, outcomes):
-    """Yield (topology, counts, seeds, outcome-slice) per swept topology.
-
-    Campaign builders order runs topology-major, then subflow count,
-    then seed, so each topology owns one contiguous slice.
-    """
-    topo_order: List[str] = []
-    counts_set: List[int] = []
-    seeds_set: List[int] = []
-    for run in campaign.runs:
-        if run.topology not in topo_order:
-            topo_order.append(run.topology)
-        if run.n_subflows not in counts_set:
-            counts_set.append(run.n_subflows)
-        if run.seed not in seeds_set:
-            seeds_set.append(run.seed)
-    per_topo = len(counts_set) * len(seeds_set)
-    for t, topo in enumerate(topo_order):
-        yield topo, counts_set, seeds_set, outcomes[t * per_topo:(t + 1) * per_topo]
-
-
-def _campaign_main(argv: List[str]) -> int:
-    args = build_campaign_parser().parse_args(argv)
+def _campaign(args) -> int:
     from repro.campaign import figure_campaign
     from repro.campaign.spec import FIGURE_TOPOLOGIES
-    from repro.errors import ConfigurationError
 
     unknown = [f for f in args.figures if f not in FIGURE_TOPOLOGIES]
     if unknown:
-        print(f"not campaignable: {', '.join(unknown)} "
-              f"(campaignable: {', '.join(sorted(FIGURE_TOPOLOGIES))})",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            f"not campaignable: {', '.join(unknown)} "
+            f"(campaignable: {', '.join(sorted(FIGURE_TOPOLOGIES))})")
+    knobs = {"subflow_counts": "subflows", "seeds": "seeds",
+             "duration": "duration", "dt": "dt"}
+    if args.paper_scale:
+        _reject(args, knobs.values(),
+                "cannot be combined with --paper-scale, which sets them")
+        from repro.experiments import paper_scale
 
-    try:
-        if args.paper_scale:
-            from repro.experiments import paper_scale
-            campaign = paper_scale.fig12_14_campaign(args.figures)
-        else:
-            overrides = {}
-            if args.subflows is not None:
-                overrides["subflow_counts"] = args.subflows
-            if args.seeds is not None:
-                overrides["seeds"] = args.seeds
-            if args.duration is not None:
-                overrides["duration"] = args.duration
-            if args.dt is not None:
-                overrides["dt"] = args.dt
-            campaign = figure_campaign(args.figures, **overrides)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    _, telemetry, executor, log_path, trace = _campaign_plumbing(args)
-    return _run_campaign_specs(campaign, executor, telemetry, log_path, trace)
+        campaign = paper_scale.fig12_14_campaign(args.figures)
+    else:
+        campaign = figure_campaign(args.figures,
+                                   **_builder_kwargs(args, **knobs))
+    return _execute_campaign(args, campaign)
 
 
-def _sweep_main(argv: List[str]) -> int:
-    args = build_sweep_parser().parse_args(argv)
+def _sweep(args) -> int:
     from repro.campaign import ec2_sweep_campaign, subflow_sweep_campaign
-    from repro.errors import ConfigurationError
-    from repro.units import ms
 
-    try:
-        if args.engine == "packet-batch":
-            kwargs = {"algorithm": args.algorithm,
-                      "n_hosts": args.hosts, "loss_rate": args.loss_rate}
-            if args.subflows is not None:
-                kwargs["subflow_counts"] = args.subflows
-            if args.seeds is not None:
-                kwargs["seeds"] = args.seeds
-            if args.duration is not None:
-                kwargs["duration"] = args.duration
-            if args.dt is not None:
-                kwargs["tick"] = args.dt
-            campaign = ec2_sweep_campaign(**kwargs)
-        else:
-            params = {}
-            if args.shards is not None:
-                if args.engine != "fluid":
-                    raise ConfigurationError(
-                        "--shards applies to the time-stepped fluid engine "
-                        f"only, not {args.engine!r}")
-                params["shards"] = args.shards
-                if args.path_pool is not None:
-                    params["path_pool"] = args.path_pool
-                if args.dtype is not None:
-                    params["dtype"] = args.dtype
-            elif args.dtype is not None:
-                params["dtype"] = args.dtype
-            kwargs = {"algorithm": args.algorithm, "engine": args.engine,
-                      "link_delay": ms(args.link_delay_ms), "params": params}
-            if args.subflows is not None:
-                kwargs["subflow_counts"] = args.subflows
-            if args.seeds is not None:
-                kwargs["seeds"] = args.seeds
-            if args.duration is not None:
-                kwargs["duration"] = args.duration
-            if args.dt is not None:
-                kwargs["dt"] = args.dt
-            campaign = subflow_sweep_campaign(args.topologies, **kwargs)
-    except (ConfigurationError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    for reader, engines, dests in _ENGINE_ONLY:
+        if args.engine not in engines:
+            _reject(args, dests, f"for {reader} only, not {args.engine!r}")
+    if args.shards is None:
+        _reject(args, ["path_pool"], "for sharded runs only (add --shards)")
+    knobs = _builder_kwargs(args, subflow_counts="subflows", seeds="seeds",
+                            duration="duration")
+    if args.engine == "packet-batch":
+        campaign = ec2_sweep_campaign(
+            algorithm=args.algorithm, **knobs,
+            **_builder_kwargs(args, tick="dt", n_hosts="hosts",
+                              loss_rate="loss_rate"))
+    else:
+        campaign = subflow_sweep_campaign(
+            args.topologies or _SWEEP_TOPOLOGIES, algorithm=args.algorithm,
+            engine=args.engine, **knobs,
+            params=_builder_kwargs(args, shards="shards",
+                                   path_pool="path_pool", dtype="dtype"),
+            **_builder_kwargs(args, dt="dt", link_delay="link_delay_ms"))
 
     # Sharded fluid runs spend --jobs *inside* each run (one process per
     # shard) and run the specs themselves serially; shard_jobs rides in
     # via functools.partial so it never touches spec content hashes.
-    run_fn = jobs = None
     if args.shards is not None and args.jobs > 1:
         from repro.campaign.executor import execute_run
-        run_fn = functools.partial(execute_run, shard_jobs=args.jobs)
-        jobs = 1
 
-    _, telemetry, executor, log_path, trace = _campaign_plumbing(
-        args, run_fn=run_fn, jobs=jobs)
-    return _run_campaign_specs(campaign, executor, telemetry, log_path, trace)
+        return _execute_campaign(
+            args, campaign, jobs=1,
+            run_fn=functools.partial(execute_run, shard_jobs=args.jobs))
+    return _execute_campaign(args, campaign)
 
 
 # ------------------------------------------------------------------------ obs
 
-def build_obs_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro obs",
-        description="Inspect observability artifacts: trace shards, merged "
-                    "traces, run manifests, flight dumps, telemetry logs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    report = sub.add_parser(
-        "report", help="summarize artifact files (kind is sniffed)")
-    report.add_argument("files", nargs="+", metavar="FILE")
+def _obs_report(args) -> int:
+    from repro.obs.report import render_file
 
-    serve = sub.add_parser(
-        "serve", help="tail a campaign telemetry JSONL into a live "
-                      "dashboard (/dashboard, /metrics.prom, /series)")
-    serve.add_argument("log", metavar="JSONL",
-                       help="telemetry log to follow (e.g. "
-                            ".repro-cache/campaign.log.jsonl); may not "
-                            "exist yet")
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=9400, metavar="P",
-                       help="HTTP port (default: 9400, 0 = ephemeral)")
-    serve.add_argument("--interval", type=float, default=1.0, metavar="S",
-                       help="poll/sample cadence in seconds (default: 1)")
+    rc = 0
+    for path in args.files:
+        try:
+            print(render_file(path))
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            rc = 2
+    return rc
 
-    promcheck = sub.add_parser(
-        "promcheck", help="validate a Prometheus text exposition (file "
-                          "or '-' for stdin)")
-    promcheck.add_argument("file", metavar="FILE")
 
-    merge = sub.add_parser(
-        "merge-trace", help="stitch per-process trace shards "
-                            "(repro.obs.trace/1) into one Perfetto JSON")
-    merge.add_argument("shards", nargs="+", metavar="SHARD",
-                       help="shard files from traced processes")
-    merge.add_argument("-o", "--out", required=True, metavar="FILE",
-                       help="merged Chrome trace_event JSON output path")
-    merge.add_argument("--drop-orphans", action="store_true",
-                       help="drop events whose parent span is in no shard "
-                            "(default: quarantine them on an '(orphans)' "
-                            "track)")
-
-    analyze = sub.add_parser(
-        "analyze", help="diagnose merged traces / shards / series "
-                        "snapshots / flight dumps into a structured report")
-    analyze.add_argument("files", nargs="+", metavar="FILE",
-                         help="inputs (kinds are sniffed from content)")
-    analyze.add_argument("-o", "--out", default=None, metavar="FILE",
-                         help="also write the diagnosis JSON "
-                              "(repro.obs.diagnosis/1) to FILE")
-    return parser
+def _obs_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("log", metavar="JSONL",
+                        help="telemetry log to follow (e.g. "
+                             ".repro-cache/campaign.log.jsonl); may not "
+                             "exist yet")
+    parser.add_argument("--host", default="127.0.0.1",
+                        help="bind address (default: %(default)s)")
+    parser.add_argument("--port", type=int, default=9400, metavar="P",
+                        help="HTTP port (default: %(default)s, "
+                             "0 = ephemeral)")
+    parser.add_argument("--interval", type=float, default=1.0, metavar="S",
+                        help="poll/sample cadence in seconds "
+                             "(default: %(default)s)")
 
 
 def _obs_serve(args) -> int:
@@ -480,14 +498,8 @@ def _obs_serve(args) -> int:
 def _obs_promcheck(args) -> int:
     from repro.obs.prom import validate_exposition
 
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(args.file).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    text = (sys.stdin.read() if args.file == "-"
+            else Path(args.file).read_text(encoding="utf-8"))
     problems = validate_exposition(text)
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -498,15 +510,21 @@ def _obs_promcheck(args) -> int:
     return 1 if problems else 0
 
 
+def _obs_merge_trace_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("shards", nargs="+", metavar="SHARD",
+                        help="shard files from traced processes")
+    parser.add_argument("-o", "--out", required=True, metavar="FILE",
+                        help="merged Chrome trace_event JSON output path")
+    parser.add_argument("--drop-orphans", action="store_true",
+                        help="drop events whose parent span is in no shard "
+                             "(default: quarantine them on an '(orphans)' "
+                             "track)")
+
+
 def _obs_merge_trace(args) -> int:
     from repro.obs.trace_merge import write_merged
 
-    try:
-        stats = write_merged(args.shards, args.out,
-                             drop_orphans=args.drop_orphans)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    stats = write_merged(args.shards, args.out, drop_orphans=args.drop_orphans)
     print(f"merged {stats.shards} shard(s) -> {args.out}: "
           f"{stats.events} events on {len(stats.processes)} process "
           f"track(s) ({', '.join(stats.processes)}), "
@@ -514,15 +532,18 @@ def _obs_merge_trace(args) -> int:
     return 0
 
 
+def _obs_analyze_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("files", nargs="+", metavar="FILE",
+                        help="inputs (kinds are sniffed from content)")
+    _add_json_out(parser, "-o", "--out",
+                  what="the diagnosis (repro.obs.diagnosis/1)")
+
+
 def _obs_analyze(args) -> int:
     from repro.obs.analyze import analyze_paths, validate_diagnosis
     from repro.obs.report import _render_diagnosis
 
-    try:
-        report = analyze_paths(args.files)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = analyze_paths(args.files)
     problems = validate_diagnosis(report)
     for problem in problems:  # pragma: no cover - internal invariant
         print(f"internal: {problem}", file=sys.stderr)
@@ -530,136 +551,54 @@ def _obs_analyze(args) -> int:
         if i["kind"] in ("unknown", "empty"):
             print(f"warning: {i['path']}: {i['kind']} input, skipped",
                   file=sys.stderr)
-    print(_render_diagnosis(report))
-    if args.out is not None:
-        Path(args.out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        print(f"diagnosis: {args.out}")
+    if args.json_out != "-":
+        print(_render_diagnosis(report))
+    _write_json(report, args.json_out, "diagnosis")
     return 2 if problems else 0
-
-
-def _obs_main(argv: List[str]) -> int:
-    args = build_obs_parser().parse_args(argv)
-    if args.command == "serve":
-        return _obs_serve(args)
-    if args.command == "promcheck":
-        return _obs_promcheck(args)
-    if args.command == "merge-trace":
-        return _obs_merge_trace(args)
-    if args.command == "analyze":
-        return _obs_analyze(args)
-    from repro.obs.report import render_file
-
-    rc = 0
-    for path in args.files:
-        try:
-            print(render_file(path))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            rc = 2
-    return rc
-
-
-def _write_observed(session, targets: List[str], trace: str | None,
-                    manifest: str | None) -> None:
-    """Write a figure session's trace shard and its manifest (beside the
-    shard unless ``--manifest`` names it)."""
-    import hashlib
-
-    if trace is not None:
-        n = session.tracer.export_shard(trace, "repro-figures")
-        print(f"trace shard: {trace} ({n} events)")
-    manifest = manifest or f"{trace}.manifest.json"
-    spec_hash = hashlib.sha256(
-        ("repro.figures:" + ",".join(targets)).encode()).hexdigest()
-    session.manifest(spec_hash=spec_hash).write(manifest)
-    print(f"manifest: {manifest}")
 
 
 # ---------------------------------------------------------------------- bench
 
-def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Run benchmark suites, gate regressions against a "
-                    "baseline, and profile hot cases (docs/BENCHMARKS.md).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _bench_selection(parser: argparse.ArgumentParser, repeats: int) -> None:
+    parser.add_argument("--suite", default="tier1", metavar="NAME",
+                        help="case suite to run (default: %(default)s)")
+    parser.add_argument("--case", action="append", default=None,
+                        metavar="SUBSTR", dest="cases",
+                        help="only cases whose name contains SUBSTR "
+                             "(repeatable)")
+    parser.add_argument("--repeats", type=_positive_int, default=repeats,
+                        metavar="N",
+                        help="timed repeats per case (default: %(default)s)")
+    parser.add_argument("--warmup", type=int, default=1, metavar="N",
+                        help="untimed warmup iterations (default: %(default)s)")
+    parser.add_argument("--seed", type=int, default=1234,
+                        help="pinned RNG seed (default: %(default)s)")
+    parser.add_argument("--out", default=None, metavar="FILE",
+                        help="result JSON path (default: BENCH_<suite>.json)")
 
-    def add_selection(p, default_repeats):
-        p.add_argument("--suite", default="tier1", metavar="NAME",
-                       help="case suite to run (default: tier1)")
-        p.add_argument("--case", action="append", default=None,
-                       metavar="SUBSTR", dest="cases",
-                       help="only cases whose name contains SUBSTR "
-                            "(repeatable)")
-        p.add_argument("--repeats", type=_positive_int,
-                       default=default_repeats, metavar="N",
-                       help=f"timed repeats per case "
-                            f"(default: {default_repeats})")
-        p.add_argument("--warmup", type=int, default=1, metavar="N",
-                       help="untimed warmup iterations (default: 1)")
-        p.add_argument("--seed", type=int, default=1234,
-                       help="pinned RNG seed (default: 1234)")
-        p.add_argument("--out", default=None, metavar="FILE",
-                       help="result JSON path "
-                            "(default: BENCH_<suite>.json)")
 
-    run_p = sub.add_parser("run", help="run a suite, write BENCH_<suite>.json")
-    add_selection(run_p, default_repeats=3)
-
-    prof_p = sub.add_parser(
-        "profile",
-        help="run a suite with cProfile + sampled stacks attached")
-    add_selection(prof_p, default_repeats=1)
-    prof_p.add_argument("--profile-dir", default=None, metavar="DIR",
+def _bench_profile_arguments(parser: argparse.ArgumentParser) -> None:
+    _bench_selection(parser, repeats=1)
+    parser.add_argument("--profile-dir", default=None, metavar="DIR",
                         help="collapsed-stack output directory "
                              "(default: bench-profiles-<suite>)")
-    prof_p.add_argument("--interval", type=float, default=0.002, metavar="S",
-                        help="sampling interval in seconds (default: 0.002)")
-
-    cmp_p = sub.add_parser(
-        "compare", help="gate a result file against a baseline")
-    cmp_p.add_argument("current", help="BENCH_*.json from the run under test")
-    cmp_p.add_argument("baseline", help="committed baseline BENCH_*.json")
-    cmp_p.add_argument("--tolerance", type=float, default=0.10, metavar="T",
-                       help="relative slowdown budget (default: 0.10)")
-    cmp_p.add_argument("--mad-k", type=float, default=3.0, metavar="K",
-                       help="baseline-MAD multiples added to the "
-                            "threshold (default: 3)")
-    cmp_p.add_argument("--allow-missing", action="store_true",
-                       help="do not fail when a baseline case is absent "
-                            "from the current run")
-    cmp_p.add_argument("--json", metavar="PATH", dest="json_out",
-                       help="also write the machine-readable verdict "
-                            "(the CI contract, see docs/USAGE.md) to PATH, "
-                            "or '-' for stdout instead of the table")
-
-    list_p = sub.add_parser("list", help="list registered cases and suites")
-    list_p.add_argument("--suite", default=None, metavar="NAME",
-                        help="restrict to one suite")
-    return parser
+    parser.add_argument("--interval", type=float, default=0.002, metavar="S",
+                        help="sampling interval in seconds "
+                             "(default: %(default)s)")
 
 
-def _bench_run(args, profile: bool) -> int:
+def _bench_run(args) -> int:
     from repro.analysis.report import format_table
     from repro.bench import results as bench_results
     from repro.bench import run_suite
 
-    kwargs = {}
-    if profile:
-        kwargs.update(profile=True,
-                      profile_dir=args.profile_dir,
-                      profile_interval=args.interval)
-    try:
-        doc = run_suite(args.suite, repeats=args.repeats, warmup=args.warmup,
-                        seed=args.seed, patterns=args.cases,
-                        progress=lambda msg: print(msg, file=sys.stderr),
-                        **kwargs)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    profile = args.command == "profile"
+    kwargs = dict(profile=True, profile_dir=args.profile_dir,
+                  profile_interval=args.interval) if profile else {}
+    doc = run_suite(args.suite, repeats=args.repeats, warmup=args.warmup,
+                    seed=args.seed, patterns=args.cases,
+                    progress=lambda msg: print(msg, file=sys.stderr),
+                    **kwargs)
     out = args.out or bench_results.default_output_name(args.suite)
     bench_results.write(doc, out)
     print(format_table(["case", "n", "median ms", "mad ms", "min ms"],
@@ -679,36 +618,32 @@ def _bench_run(args, profile: bool) -> int:
     return 1 if failed else 0
 
 
-def _bench_compare(args) -> int:
-    import json as _json
+def _bench_compare_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("current", help="BENCH_*.json from the run under test")
+    parser.add_argument("baseline", help="committed baseline BENCH_*.json")
+    parser.add_argument("--tolerance", type=float, default=0.10, metavar="T",
+                        help="relative slowdown budget (default: %(default)s)")
+    parser.add_argument("--mad-k", type=float, default=3.0, metavar="K",
+                        help="baseline-MAD multiples added to the "
+                             "threshold (default: %(default)s)")
+    parser.add_argument("--allow-missing", action="store_true",
+                        help="do not fail when a baseline case is absent "
+                             "from the current run")
+    _add_json_out(parser, "--json", what="the verdict (the CI contract, "
+                                         "see docs/USAGE.md)")
 
-    from repro.bench import (
-        compare_documents,
-        comparison_to_dict,
-        render_comparison,
-    )
+
+def _bench_compare(args) -> int:
+    from repro.bench import compare_documents, comparison_to_dict, render_comparison
     from repro.bench import results as bench_results
 
-    try:
-        current = bench_results.load(args.current)
-        baseline = bench_results.load(args.baseline)
-        comparison = compare_documents(
-            current, baseline, tolerance=args.tolerance, mad_k=args.mad_k,
-            allow_missing=args.allow_missing)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    json_out = getattr(args, "json_out", None)
-    if json_out == "-":
-        print(_json.dumps(comparison_to_dict(comparison), indent=2,
-                          sort_keys=True))
-    else:
+    comparison = compare_documents(
+        bench_results.load(args.current), bench_results.load(args.baseline),
+        tolerance=args.tolerance, mad_k=args.mad_k,
+        allow_missing=args.allow_missing)
+    if args.json_out != "-":
         print(render_comparison(comparison))
-        if json_out:
-            Path(json_out).write_text(
-                _json.dumps(comparison_to_dict(comparison), indent=2,
-                            sort_keys=True) + "\n")
-            print(f"json verdict: {json_out}")
+    _write_json(comparison_to_dict(comparison), args.json_out, "json verdict")
     return comparison.exit_code
 
 
@@ -727,138 +662,62 @@ def _bench_list(args) -> int:
     return 0
 
 
-def _bench_main(argv: List[str]) -> int:
-    args = build_bench_parser().parse_args(argv)
-    if args.command == "run":
-        return _bench_run(args, profile=False)
-    if args.command == "profile":
-        return _bench_run(args, profile=True)
-    if args.command == "compare":
-        return _bench_compare(args)
-    return _bench_list(args)
-
-
 # ------------------------------------------------------------------ transport
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Serve bulk transfers over N real UDP subflow sockets "
-                    "(docs/TRANSPORT.md). Clients pick the congestion "
-                    "controller per connection.",
-    )
+def _add_transport_options(parser: argparse.ArgumentParser) -> None:
+    """The flags ``serve`` and ``fetch`` share."""
     parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address (default: 127.0.0.1)")
+                        help="server address: serve binds it, fetch sends "
+                             "to it (default: %(default)s)")
     parser.add_argument("--port", type=int, default=9300, metavar="BASE",
-                        help="first UDP port; one port per subflow path "
-                             "(default: 9300, 0 = ephemeral)")
-    parser.add_argument("--ports", type=_positive_int, default=4, metavar="N",
-                        help="number of subflow ports to bind (default: 4)")
-    parser.add_argument("--loss", type=float, default=0.0, metavar="P",
-                        help="inject outbound datagram loss with "
-                             "probability P (testing; default: 0)")
+                        help="the server's first UDP port, one per subflow "
+                             "path (default: %(default)s; serve: 0 = "
+                             "ephemeral)")
+    parser.add_argument("--loss", type=float, metavar="P",
+                        help="inject datagram loss with probability P: serve "
+                             "drops outbound DATA, fetch drops ACKs, fetch "
+                             "--selftest drops forward-path DATA (default: 0; "
+                             "with --selftest, loopback_selftest's 0.02)")
     parser.add_argument("--loss-seed", type=int, default=None,
-                        help="seed for the loss shim")
+                        help="seed for the loss shim (default: %(default)s)")
     parser.add_argument("--metrics-port", type=int, default=None, metavar="P",
-                        help="serve /metrics, /manifest, /healthz on this "
-                             "HTTP port (0 = ephemeral)")
+                        help="serve /metrics on this HTTP port (serve: also "
+                             "/manifest, /healthz and the dashboard; "
+                             "0 = ephemeral)")
+    parser.add_argument("--trace", default=None, metavar="FILE",
+                        help="record a trace shard (repro.obs.trace/1) to "
+                             "FILE. serve writes it on shutdown and serves "
+                             "it live at /trace; fetch sends its traceparent "
+                             "in the HELLO, so a traced server's spans join "
+                             "the same trace (--selftest also writes FILE's "
+                             "sibling '<stem>.server.json' with the serve "
+                             "shard)")
+
+
+def _serve_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_transport_options(parser)
+    parser.add_argument("--ports", type=_positive_int, default=4, metavar="N",
+                        help="number of subflow ports to bind "
+                             "(default: %(default)s)")
     parser.add_argument("--once", action="store_true",
                         help="exit after the first connection completes")
     parser.add_argument("--idle-timeout", type=float, default=30.0,
                         metavar="S", help="drop silent connections after S "
-                                          "seconds (default: 30)")
+                                          "seconds (default: %(default)s)")
     parser.add_argument("--record-interval", type=float, default=0.5,
                         metavar="S",
                         help="live series sampling cadence for /series, "
-                             "/stream and /dashboard (default: 0.5; "
+                             "/stream and /dashboard (default: %(default)s; "
                              "0 disables recording)")
     parser.add_argument("--flight-dump", default=None, metavar="FILE",
                         help="flight-recorder dump path (written on "
                              "SIGUSR1, on anomaly thresholds, and at "
                              "shutdown)")
-    parser.add_argument("--trace", default=None, metavar="FILE",
-                        help="record connection/subflow spans; the shard "
-                             "(repro.obs.trace/1) is written to FILE on "
-                             "shutdown and served live at /trace")
-    return parser
 
 
-def build_fetch_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro fetch",
-        description="Fetch a bulk transfer from 'repro serve' over N UDP "
-                    "subflows, or run the in-process loopback self-test.",
-    )
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="server address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=9300, metavar="BASE",
-                        help="server's first UDP port (default: 9300)")
-    parser.add_argument("--subflows", type=_positive_int, default=2,
-                        metavar="N", help="UDP subflows to open (default: 2)")
-    parser.add_argument("--controller", default="dts",
-                        help="congestion controller the server should run "
-                             "for this connection (default: dts)")
-    parser.add_argument("--bytes", type=_positive_int,
-                        default=4 * 1024 * 1024, metavar="B",
-                        help="transfer size (default: 4 MiB)")
-    parser.add_argument("--payload", type=_positive_int, default=1200,
-                        metavar="B", help="payload bytes per segment "
-                                          "(default: 1200)")
-    parser.add_argument("--timeout", type=float, default=120.0, metavar="S",
-                        help="overall fetch timeout (default: 120)")
-    parser.add_argument("--loss", type=float, default=0.0, metavar="P",
-                        help="inject loss (self-test: forward path; "
-                             "fetch: ACK path) with probability P")
-    parser.add_argument("--loss-seed", type=int, default=42,
-                        help="seed for the loss shim (default: 42)")
-    parser.add_argument("--metrics-port", type=int, default=None, metavar="P",
-                        help="expose client /metrics on this HTTP port")
-    parser.add_argument("--selftest", action="store_true",
-                        help="run server + fetch in-process over loopback "
-                             "(CI smoke mode; --host/--port ignored)")
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="write the result document as JSON "
-                             "('-' for stdout)")
-    parser.add_argument("--trace", default=None, metavar="FILE",
-                        help="record a client trace shard to FILE; the "
-                             "traceparent rides the HELLO so a traced "
-                             "server's spans join the same trace "
-                             "(selftest: also writes FILE's sibling "
-                             "'<stem>.server.json' with the serve shard)")
-    return parser
-
-
-def _print_fetch_result(result) -> None:
-    from repro.analysis.report import format_table
-
-    print(f"controller={result.controller} subflows={result.n_subflows} "
-          f"bytes={result.bytes_received} elapsed={result.elapsed_s:.3f}s "
-          f"goodput={result.goodput_bps / 1e6:.2f} Mbps "
-          f"bad_datagrams={result.bad_datagrams}")
-    print(format_table(
-        ["path", "port", "segments", "dup", "bytes"],
-        [[s.path_id, s.port, s.segments_in_order, s.duplicates,
-          s.bytes_received] for s in result.subflows],
-    ))
-
-
-def _emit_json(document: dict, path: "str | None") -> None:
-    import json as _json
-
-    if path is None:
-        return
-    blob = _json.dumps(document, indent=2, sort_keys=True, default=str)
-    if path == "-":
-        print(blob)
-    else:
-        Path(path).write_text(blob + "\n")
-        print(f"json: {path}")
-
-
-def _serve_main(argv: List[str]) -> int:
+def _serve(args) -> int:
     import asyncio
 
-    args = build_serve_parser().parse_args(argv)
     from repro.transport.server import TransportServer
 
     async def run() -> int:
@@ -866,13 +725,13 @@ def _serve_main(argv: List[str]) -> int:
             host=args.host,
             base_port=args.port,
             n_ports=args.ports,
-            loss_rate=args.loss,
             loss_seed=args.loss_seed,
             metrics_port=args.metrics_port,
             idle_timeout=args.idle_timeout,
             record_interval=args.record_interval,
             flight_dump_path=args.flight_dump,
             trace=args.trace is not None,
+            **_builder_kwargs(args, loss_rate="loss"),
         )
         if args.flight_dump is not None:
             server.flight.install_signal_handler()
@@ -913,138 +772,220 @@ def _serve_main(argv: List[str]) -> int:
         return 0
 
 
-def _fetch_main(argv: List[str]) -> int:
+def _fetch_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_transport_options(parser)
+    parser.set_defaults(loss_seed=42)
+    parser.add_argument("--subflows", type=_positive_int, default=2,
+                        metavar="N",
+                        help="UDP subflows to open (default: %(default)s)")
+    parser.add_argument("--controller", default="dts",
+                        help="congestion controller the server should run "
+                             "for this connection (default: %(default)s)")
+    parser.add_argument("--bytes", type=_positive_int,
+                        default=4 * 1024 * 1024, metavar="B",
+                        help="transfer size (default: %(default)s)")
+    parser.add_argument("--payload", type=_positive_int, default=1200,
+                        metavar="B", help="payload bytes per segment "
+                                          "(default: %(default)s)")
+    parser.add_argument("--timeout", type=float, default=120.0, metavar="S",
+                        help="overall fetch timeout (default: %(default)s)")
+    parser.add_argument("--selftest", action="store_true",
+                        help="run server + fetch in-process over loopback "
+                             "(CI smoke mode; --host/--port ignored)")
+    _add_json_out(parser, "--json", what="the result document")
+
+
+def _print_fetch_result(result) -> None:
+    from repro.analysis.report import format_table
+
+    print(f"controller={result.controller} subflows={result.n_subflows} "
+          f"bytes={result.bytes_received} elapsed={result.elapsed_s:.3f}s "
+          f"goodput={result.goodput_bps / 1e6:.2f} Mbps "
+          f"bad_datagrams={result.bad_datagrams}")
+    print(format_table(
+        ["path", "port", "segments", "dup", "bytes"],
+        [[s.path_id, s.port, s.segments_in_order, s.duplicates,
+          s.bytes_received] for s in result.subflows],
+    ))
+
+
+def _fetch(args) -> int:
     import asyncio
 
-    args = build_fetch_parser().parse_args(argv)
     import repro.obs as obs
     from repro.transport.client import fetch, loopback_selftest
 
+    show = args.json_out != "-"  # keep stdout pure JSON for pipelines
+    common = dict(controller=args.controller, total_bytes=args.bytes,
+                  payload_bytes=args.payload, loss_seed=args.loss_seed,
+                  timeout=args.timeout, metrics_port=args.metrics_port,
+                  **_builder_kwargs(args, loss_rate="loss"))
+    tracer = None
     try:
         if args.selftest:
             result = asyncio.run(loopback_selftest(
-                controller=args.controller,
-                subflows=args.subflows,
-                total_bytes=args.bytes,
-                payload_bytes=args.payload,
-                loss_rate=args.loss if args.loss > 0 else 0.02,
-                loss_seed=args.loss_seed,
-                timeout=args.timeout,
-                metrics_port=args.metrics_port,
-                trace=args.trace is not None,
-            ))
-            if args.trace is not None:
-                from repro.obs.trace_merge import write_shard
-
-                trace_path = write_shard(args.trace, result.client_shard)
-                server_path = write_shard(trace_path.with_name(
-                    trace_path.stem + ".server.json"), result.server_shard)
-                if args.json != "-":
-                    print(f"trace shards: {trace_path} + {server_path}")
-            if args.json != "-":  # keep stdout pure JSON for pipelines
-                _print_fetch_result(result.fetch)
-                conn_snaps = result.server_metrics.get("connections", {})
-                for snap in conn_snaps.values():
-                    print(f"server energy: {snap['energy_j']:.2f} J, "
-                          f"mean power {snap['mean_power_w']:.2f} W, "
-                          f"retransmitted "
-                          f"{sum(s['retransmitted'] for s in snap['subflows'])}")
-            _emit_json(result.to_dict(), args.json)
-            return 0 if result.fetch.bytes_received >= args.bytes else 1
-        ports = [args.port + i for i in range(args.subflows)]
-        tracer = obs.Tracer() if args.trace is not None else None
-        result = asyncio.run(fetch(
-            args.host,
-            ports,
-            controller=args.controller,
-            total_bytes=args.bytes,
-            payload_bytes=args.payload,
-            loss_rate=args.loss,
-            loss_seed=args.loss_seed,
-            timeout=args.timeout,
-            metrics_port=args.metrics_port,
-            tracer=tracer,
-        ))
-        if tracer is not None:
-            n = tracer.export_shard(args.trace, "repro-fetch")
-            if args.json != "-":
-                print(f"trace shard: {args.trace} ({n} events)")
-        if args.json != "-":  # keep stdout pure JSON for pipelines
-            _print_fetch_result(result)
-        _emit_json(result.to_dict(), args.json)
-        return 0 if result.bytes_received >= args.bytes else 1
+                subflows=args.subflows, trace=args.trace is not None,
+                **common))
+            fetched = result.fetch
+        else:
+            tracer = obs.Tracer() if args.trace is not None else None
+            result = fetched = asyncio.run(fetch(
+                args.host, [args.port + i for i in range(args.subflows)],
+                tracer=tracer, **common))
     except (ConnectionError, asyncio.TimeoutError) as exc:
         print(f"fetch failed: {exc}", file=sys.stderr)
         return 1
+    if args.trace is not None and args.selftest:
+        from repro.obs.trace_merge import write_shard
+
+        trace_path = write_shard(args.trace, result.client_shard)
+        server_path = write_shard(trace_path.with_name(
+            trace_path.stem + ".server.json"), result.server_shard)
+        if show:
+            print(f"trace shards: {trace_path} + {server_path}")
+    elif tracer is not None:
+        n = tracer.export_shard(args.trace, "repro-fetch")
+        if show:
+            print(f"trace shard: {args.trace} ({n} events)")
+    if show:
+        _print_fetch_result(fetched)
+        if args.selftest:
+            for snap in result.server_metrics.get("connections", {}).values():
+                print(f"server energy: {snap['energy_j']:.2f} J, "
+                      f"mean power {snap['mean_power_w']:.2f} W, "
+                      f"retransmitted "
+                      f"{sum(s['retransmitted'] for s in snap['subflows'])}")
+    _write_json(result.to_dict(), args.json_out, "json")
+    return 0 if fetched.bytes_received >= args.bytes else 1
 
 
-# ----------------------------------------------------------------------- main
+# ------------------------------------------------------------- command table
+
+#: The figure runner: what ``python -m repro`` runs when its first word
+#: names no command.
+_FIGURES = Command(
+    "regenerate figures", _figures, _figure_arguments,
+    description="Regenerate figures from 'On Energy-Efficient Congestion "
+                "Control for Multipath TCP' (ICDCS 2017).")
+
+COMMANDS: Dict[str, Command] = {
+    "list": Command("list the figures and commands", _list),
+    "claims": Command(
+        "judge the claims ledger; prints EXPERIMENTS.md", _claims,
+        description="Run every figure at its defaults, judge the claims "
+                    "ledger and print EXPERIMENTS.md; exit 1 if a verdict "
+                    "class differs from its committed one."),
+    "campaign": Command(
+        "run Figs. 12-14 as a parallel, cached campaign", _campaign,
+        _campaign_arguments, _BAD_SPEC,
+        description="Run figure sweeps as a parallel, cached campaign. A "
+                    "second invocation reuses every cached point (see the "
+                    "JSONL log)."),
+    "sweep": Command(
+        "run an ad-hoc subflow sweep campaign on named topologies", _sweep,
+        _sweep_arguments, _BAD_SPEC),
+    "obs": Command(
+        "inspect observability artifacts (docs/OBSERVABILITY.md)",
+        subcommands={
+            "report": Command(
+                "summarize artifact files (kind is sniffed)", _obs_report,
+                lambda p: p.add_argument("files", nargs="+", metavar="FILE")),
+            "serve": Command(
+                "tail a campaign telemetry JSONL into a live dashboard "
+                "(/dashboard, /metrics.prom, /series)", _obs_serve,
+                _obs_serve_arguments),
+            "promcheck": Command(
+                "validate a Prometheus text exposition (file or '-' for "
+                "stdin)", _obs_promcheck,
+                lambda p: p.add_argument("file", metavar="FILE"), (OSError,)),
+            "merge-trace": Command(
+                "stitch per-process trace shards (repro.obs.trace/1) into "
+                "one Perfetto JSON", _obs_merge_trace,
+                _obs_merge_trace_arguments, _BAD_FILE),
+            "analyze": Command(
+                "diagnose merged traces / shards / series snapshots / "
+                "flight dumps into a structured report", _obs_analyze,
+                _obs_analyze_arguments, _BAD_FILE),
+        }),
+    "bench": Command(
+        "run benchmark suites, gate regressions, profile "
+        "(docs/BENCHMARKS.md)",
+        subcommands={
+            "run": Command("run a suite, write BENCH_<suite>.json", _bench_run,
+                           functools.partial(_bench_selection, repeats=3),
+                           (ValueError,)),
+            "profile": Command(
+                "run a suite with cProfile + sampled stacks attached",
+                _bench_run, _bench_profile_arguments, (ValueError,)),
+            "compare": Command("gate a result file against a baseline",
+                               _bench_compare, _bench_compare_arguments,
+                               _BAD_FILE),
+            "list": Command(
+                "list registered cases and suites", _bench_list,
+                lambda p: p.add_argument("--suite", metavar="NAME",
+                                         help="restrict to one suite")),
+        }),
+    "serve": Command(
+        "serve bulk transfers over real UDP subflows (docs/TRANSPORT.md)",
+        _serve, _serve_arguments,
+        description="Serve bulk transfers over N real UDP subflow sockets "
+                    "(docs/TRANSPORT.md). Clients pick the congestion "
+                    "controller per connection."),
+    "fetch": Command(
+        "fetch from 'repro serve', or run the loopback self-test", _fetch,
+        _fetch_arguments,
+        description="Fetch a bulk transfer from 'repro serve' over N UDP "
+                    "subflows, or run the in-process loopback self-test."),
+}
+
+
+def _command_summary() -> str:
+    lines = ["commands (python -m repro COMMAND --help):"]
+    for name, command in COMMANDS.items():
+        subs = f" [{' | '.join(command.subcommands)}]" if command.subcommands else ""
+        lines.append(f"  {name:<9} {command.help}{subs}")
+    return "\n".join(lines)
+
+
+def _configure(parser: argparse.ArgumentParser,
+               command: Command) -> argparse.ArgumentParser:
+    parser.set_defaults(handler=command.handler,
+                        usage_errors=command.usage_errors)
+    if command.arguments is not None:
+        command.arguments(parser)
+    if command.subcommands:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, child in command.subcommands.items():
+            _configure(sub.add_parser(
+                name, help=child.help,
+                description=child.description or child.help), child)
+    return parser
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` in :data:`COMMANDS`, or with ``None`` the
+    figure runner's, whose ``--help`` lists the commands."""
+    if command is None:
+        return _configure(argparse.ArgumentParser(
+            prog="repro", description=_FIGURES.description,
+            epilog=_command_summary(),
+            formatter_class=argparse.RawDescriptionHelpFormatter), _FIGURES)
+    entry = COMMANDS[command]
+    return _configure(argparse.ArgumentParser(
+        prog=f"repro {command}",
+        description=entry.description or entry.help), entry)
+
 
 def main(argv: List[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "campaign":
-        return _campaign_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        return _sweep_main(argv[1:])
-    if argv and argv[0] == "obs":
-        return _obs_main(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "fetch":
-        return _fetch_main(argv[1:])
-    if argv and argv[0] == "claims":
-        argparse.ArgumentParser(
-            prog="repro claims",
-            description="Run every figure at its defaults, judge the claims "
-                        "ledger and print EXPERIMENTS.md; exit 1 if a verdict "
-                        "class differs from its committed one.",
-        ).parse_args(argv[1:])
-        from repro.experiments import claims
-
-        return claims.main()
-
-    args = build_parser().parse_args(argv)
-    runners = _figure_runners()
-
-    if "list" in args.targets:
-        print("available figures:")
-        for name in sorted(runners):
-            print(f"  {name}")
-        print("subcommands: claims (paper-vs-measured ledger, prints "
-              "EXPERIMENTS.md), campaign, sweep (parallel cached runs), "
-              "obs (artifact reports), bench (benchmarks + regression "
-              "gate), serve, fetch (real UDP transport); see --help")
-        return 0
-
-    targets = sorted(runners) if "all" in args.targets else args.targets
-    unknown = [t for t in targets if t not in runners]
-    if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"known: {', '.join(sorted(runners))}", file=sys.stderr)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv[1:] if command else argv)
+    try:
+        return args.handler(args)
+    except args.usage_errors as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    import repro.obs as obs
-
-    # An observed run (--trace / --manifest) runs under an ambient session;
-    # a plain one keeps each engine's private registry.
-    observed = args.trace is not None or args.manifest is not None
-    with contextlib.ExitStack() as stack:
-        session = stack.enter_context(obs.session(
-            trace=args.trace is not None,
-            label="figures:" + ",".join(targets))) if observed else None
-        tracer = session.tracer if session is not None else obs.NULL_TRACER
-        for name in targets:
-            print(f"=== {name} " + "=" * (60 - len(name)))
-            start = time.time()
-            with tracer.span(f"figure.{name}"):
-                runners[name]()
-            print(f"--- {name} done in {time.time() - start:.1f}s\n")
-    if session is not None:
-        _write_observed(session, targets, args.trace, args.manifest)
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

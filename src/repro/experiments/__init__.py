@@ -1,8 +1,8 @@
 """One experiment module per figure of the paper's evaluation.
 
-Every module exposes ``run(...)`` returning a structured result object,
-``table(result)`` rendering the figure's rows as an ASCII table, and
-``main()`` printing ``table(run())``. The paper's claims are rows of
+Every module exposes ``run(...)`` returning a structured result object
+and ``table(result)`` rendering the figure's rows as an ASCII table;
+``python -m repro figNN`` prints ``table(run())``. The paper's claims are rows of
 :mod:`repro.experiments.claims`, which judges them on these results
 (``python -m repro claims`` renders EXPERIMENTS.md); the ablations of
 Eq. 5's slope, Algorithm 1's Taylor form and Eq. 7's kappa, Section V.A's

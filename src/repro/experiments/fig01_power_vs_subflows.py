@@ -89,11 +89,3 @@ def table(result: Fig01Result) -> str:
     return format_table(
         ["configuration", "total subflows", "mean power (W)", "goodput (Mbps)"], rows
     )
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -119,11 +119,3 @@ def table(result: Fig02Result) -> str:
         ["configuration", "wifi (Mbps)", "lte (Mbps)", "power (W)", "energy (J)"],
         rows,
     )
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

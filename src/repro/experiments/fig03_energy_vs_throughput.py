@@ -103,11 +103,3 @@ def table(result: Fig03Result) -> str:
             ["bandwidth (Mbps)", "goodput (Mbps)", "power (W)", "energy (J)"], rows
         ), ""]
     return "\n".join(parts)
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

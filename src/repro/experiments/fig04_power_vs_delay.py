@@ -78,11 +78,3 @@ def table(result: Fig04Result) -> str:
     return format_table(
         ["path delay (ms)", "goodput (Mbps)", "power (W)", "energy (J)"], rows
     )
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -124,11 +124,3 @@ def table(result: Fig06Result) -> str:
          "outliers", "goodput (Mbps)"],
         rows,
     )
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -101,11 +101,3 @@ def table(result: Fig07Result) -> str:
         [[r.algorithm, r.goodput_bps / 1e6, r.completion_time, r.energy_j,
           r.loss_events, r.retransmissions] for r in result.rows],
     )
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -98,11 +98,3 @@ def table(result: Fig08Result) -> str:
         f"mean goodput: lia={lia.mean_goodput_bps/1e6:.1f} Mbps, "
         f"dts={dts.mean_goodput_bps/1e6:.1f} Mbps",
     ])
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

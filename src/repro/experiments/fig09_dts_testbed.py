@@ -103,11 +103,3 @@ def table(result: Fig09Result) -> str:
         f"max {100*result.max_saving:.1f}%  "
         f"goodput ratio {result.mean_goodput_ratio:.3f}",
     ])
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

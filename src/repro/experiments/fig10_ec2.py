@@ -84,11 +84,3 @@ def table(result: Fig10Result) -> str:
         f"vs DCTCP: {100*result.saving_vs('dctcp', 'dts'):.1f}%  "
         f"LIA-vs-DTS gap: {100*result.saving_vs('lia', 'dts'):.1f}%",
     ])
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

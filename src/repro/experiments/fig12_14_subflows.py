@@ -140,12 +140,3 @@ def table(result: SubflowSweepResult) -> str:
         [[p.n_subflows, p.energy_per_gb, p.aggregate_goodput_bps / 1e9]
          for p in result.points],
     )
-
-
-def main() -> None:
-    for runner in (run_fig12, run_fig13, run_fig14):
-        print(table(runner()))
-
-
-if __name__ == "__main__":
-    main()

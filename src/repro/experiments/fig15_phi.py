@@ -108,11 +108,3 @@ def table(result: Fig15Result) -> str:
           r.switch_energy_j, r.loss_events] for r in result.rows],
     )] + [f"{topo}: dts-ext saving vs lia = {100*result.saving(topo):.1f}%"
           for topo in ("fattree", "vl2")])
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

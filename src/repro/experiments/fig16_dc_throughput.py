@@ -45,11 +45,3 @@ def table(result: Fig16Result) -> str:
         [format_table(["topology", "algorithm", "goodput (Gbps)"], rows)]
         + [f"{topo}: dts/lia throughput ratio = {result.throughput_ratio(topo):.3f}"
            for topo in ("fattree", "vl2")])
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

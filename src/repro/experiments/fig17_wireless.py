@@ -151,11 +151,3 @@ def table(result: Fig17Result) -> str:
         f"best seed {100*result.best_case_saving():.1f}%  "
         f"throughput ratio: {result.throughput_ratio():.3f}",
     ])
-
-
-def main() -> None:
-    print(table(run()))
-
-
-if __name__ == "__main__":
-    main()

@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import (
-    bin_series,
-    box_stats,
-    crossover_points,
-    format_series,
-    format_table,
-    moving_average,
-    relative_saving,
-    summarize,
-)
-from repro.analysis.report import format_grouped
+from repro.analysis import bin_series, box_stats, format_table, relative_saving
 from repro.errors import ConfigurationError
 
 
@@ -89,19 +79,6 @@ class TestBoxStats:
                 assert got.hex() == float(value).hex(), name
         assert stats.outliers == np.sort(outliers).tolist()
         assert stats.n == data.size
-        assert summarize(samples) == {
-            "mean": float(np.mean(data)), "median": float(np.median(data)),
-            "std": float(np.std(data)), "min": float(np.min(data)),
-            "max": float(np.max(data)), "n": int(data.size)}
-
-    def test_summarize(self):
-        summary = summarize([1.0, 2.0, 3.0])
-        assert summary["mean"] == pytest.approx(2.0)
-        assert summary["n"] == 3
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            summarize([])
 
 
 class TestTimeSeries:
@@ -125,30 +102,11 @@ class TestTimeSeries:
         with pytest.raises(ConfigurationError):
             bin_series([1], [1], 0.0)
 
-    def test_moving_average(self):
-        assert moving_average([2, 4, 6], window=2) == pytest.approx([2, 3, 5])
-
-    def test_moving_average_window_one_is_identity(self):
-        assert moving_average([5, 7, 9], window=1) == pytest.approx([5, 7, 9])
-
-    def test_moving_average_validation(self):
-        with pytest.raises(ConfigurationError):
-            moving_average([1], window=0)
-
 
 class TestReports:
     def test_format_table_contains_headers_and_rows(self):
         text = format_table(["name", "value"], [["alpha", 1.5], ["beta", 2.0]])
         assert "name" in text and "alpha" in text and "1.500" in text
-
-    def test_format_series(self):
-        text = format_series("fig", [1, 2], [10.0, 20.0])
-        assert "fig.x" in text and "20.000" in text
-
-    def test_format_grouped(self):
-        text = format_grouped("n", {"lia": {1: 5.0}, "dts": {1: 4.0, 2: 3.0}})
-        assert "lia" in text and "dts" in text
-        assert "nan" in text  # missing lia@2 shown as NaN
 
 
 class TestCompare:
@@ -161,21 +119,3 @@ class TestCompare:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ConfigurationError):
             relative_saving(0.0, 10.0)
-
-    def test_crossover_detection(self):
-        xs = [0, 1, 2, 3]
-        a = [0, 1, 2, 3]
-        b = [3, 2, 1, 0]
-        points = crossover_points(xs, a, b)
-        assert len(points) == 1
-        assert points[0][0] == pytest.approx(1.5)
-
-    def test_crossover_on_the_last_x(self):
-        assert crossover_points([0, 1], [1, 0], [0, 0]) == [(1, 0)]
-
-    def test_no_crossover(self):
-        assert crossover_points([0, 1], [1, 2], [5, 6]) == []
-
-    def test_crossover_validation(self):
-        with pytest.raises(ConfigurationError):
-            crossover_points([0], [1, 2], [3, 4])
