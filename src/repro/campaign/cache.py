@@ -65,12 +65,12 @@ class ResultCache:
         """
         path = self.path_for(spec)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except OSError:
             self.stats.misses += 1
             return None
         try:
-            entry = json.loads(raw)
+            entry = json.loads(raw.decode("utf-8"))
             if not isinstance(entry, dict):
                 raise ValueError("cache entry is not an object")
             if entry["schema_version"] != SCHEMA_VERSION:
@@ -79,7 +79,8 @@ class ResultCache:
                 raise ValueError("spec hash mismatch")
             payload = entry["payload"]
         except (ValueError, KeyError, TypeError):
-            # Unreadable or stale: a miss, plus an invalidation marker.
+            # Unreadable (UnicodeDecodeError is a ValueError) or stale: a
+            # miss, plus an invalidation marker.
             self.stats.misses += 1
             self.stats.invalidations += 1
             return None

@@ -38,18 +38,18 @@ from repro.campaign.spec import SCHEMA_VERSION, RunSpec, build_topology
 from repro.campaign.telemetry import CampaignTelemetry
 from repro.errors import ConfigurationError
 
-#: ``spec.params`` keys each engine accepts.  Everything else the engines
-#: take (seed, dt, duration, subflow count, the metrics registry, ...) is
-#: a RunSpec field or the executor's to supply, so any other key is a
-#: typo or a knob that no longer exists.
-_FLUID_PARAM_KEYS = ("dtype", "initial_window", "energy_sample_every",
-                     "ecn_threshold_packets")
-_SHARDED_PARAM_KEYS = ("shards", "dtype", "path_pool", "initial_window")
-#: Routed to :func:`solve_fluid_equilibrium`; the fluid keys configure
-#: the time-stepped fallback.
-_SOLVER_PARAM_KEYS = ("max_iter",)
-_PACKET_PARAM_KEYS = ("n_hosts", "eni_bps", "loss_rate", "queue_segments",
-                      "rwnd_segments", "total_segments")
+#: ``spec.params`` keys each engine accepts: the ones the CLI and the
+#: campaign builders set.  Everything else the engines take (seed, dt,
+#: duration, subflow count, the metrics registry, ...) is a RunSpec field
+#: or the executor's to supply, so any other key is a typo or a knob that
+#: no longer exists.  ``fluid-equilibrium`` takes the fluid keys for its
+#: time-stepped fallback.
+_FLUID_PARAM_KEYS = ("dtype",)
+_SHARDED_PARAM_KEYS = ("shards", "dtype", "path_pool")
+_PACKET_PARAM_KEYS = ("n_hosts", "loss_rate")
+
+#: Resubmissions a failed run gets before it is reported failed.
+_RETRIES = 1
 
 #: What a runner returns: the deterministic ``metrics`` and the ``obs``
 #: section (registry snapshot and anything else wall-clock dependent).
@@ -134,7 +134,6 @@ def _run_packet(spec: RunSpec, params: Dict[str, Any]) -> RunnerResult:
 
     registry = obs.MetricsRegistry()
     scenario = ec2_scenario(
-        n_hosts=int(params.pop("n_hosts", 40)),
         n_subflows=spec.n_subflows,
         algorithm=spec.algorithm,
         link_delay=spec.link_delay,
@@ -171,11 +170,10 @@ def _run_equilibrium(spec: RunSpec, params: Dict[str, Any]) -> RunnerResult:
     from repro.fluidsim import (PowerEvaluator, fluid_metrics,
                                 solve_fluid_equilibrium)
 
-    solver_kwargs = {k: params.pop(k) for k in _SOLVER_PARAM_KEYS if k in params}
     registry = obs.MetricsRegistry()
     net = _permutation_network(spec)
     try:
-        eq = solve_fluid_equilibrium(net, metrics=registry, **solver_kwargs)
+        eq = solve_fluid_equilibrium(net, metrics=registry)
         fallback_reason = None if eq.converged else (
             f"solver stalled at residual {eq.residual:.3g} "
             f"after {eq.iterations} iterations")
@@ -238,8 +236,7 @@ def _run_sharded_fluid(spec: RunSpec, params: Dict[str, Any],
 #: keys it accepts).
 _RUNNERS = {
     "fluid": (_run_fluid, _FLUID_PARAM_KEYS),
-    "fluid-equilibrium": (_run_equilibrium,
-                          _SOLVER_PARAM_KEYS + _FLUID_PARAM_KEYS),
+    "fluid-equilibrium": (_run_equilibrium, _FLUID_PARAM_KEYS),
     "packet-batch": (_run_packet, _PACKET_PARAM_KEYS),
 }
 
@@ -295,19 +292,15 @@ class CampaignExecutor:
         cache: Optional[ResultCache] = None,
         telemetry: Optional[CampaignTelemetry] = None,
         run_timeout: Optional[float] = None,
-        retries: int = 1,
         run_fn: Callable[[RunSpec], Dict[str, Any]] = execute_run,
         trace_parent: Optional[str] = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = jobs
         self.cache = cache
         self.telemetry = telemetry
         self.run_timeout = run_timeout
-        self.retries = retries
         self.run_fn = run_fn
         #: When set (a ``traceparent`` string), every executed run is
         #: wrapped by :func:`_traced_run` and its payload carries a
@@ -434,7 +427,7 @@ class CampaignExecutor:
                 return RunOutcome(spec, payload, wall_s=time.perf_counter() - t0,
                                   attempts=attempts)
             except Exception as exc:  # noqa: BLE001 - a run may fail arbitrarily
-                if attempts > self.retries:
+                if attempts > _RETRIES:
                     return RunOutcome(spec, None, wall_s=time.perf_counter() - t0,
                                       error=f"{type(exc).__name__}: {exc}",
                                       attempts=attempts)
@@ -442,10 +435,10 @@ class CampaignExecutor:
     def _run_pooled(self, specs: Sequence[RunSpec], pending: List[int],
                     outcomes: List[Optional[RunOutcome]],
                     tel: CampaignTelemetry,
-                    emit_progress: Callable[[], None] = lambda: None) -> None:
+                    emit_progress: Callable[[], None]) -> None:
         """Fan out over a process pool, collecting results in spec order.
 
-        Each pending index gets up to ``1 + retries`` submissions of its
+        Each pending index gets up to ``1 + _RETRIES`` submissions of its
         own.  A worker that dies hard breaks the pool for every future
         in it, and which run killed it cannot be told from here, so a
         break of the shared pool charges nobody: from then on each
@@ -488,7 +481,7 @@ class CampaignExecutor:
                             error = f"timed out after {self.run_timeout}s"
                         else:
                             error = f"{type(exc).__name__}: {exc}"
-                        if attempts > self.retries:
+                        if attempts > _RETRIES:
                             outcomes[i] = RunOutcome(
                                 spec=specs[i], payload=None,
                                 wall_s=time.perf_counter() - starts[i],

@@ -38,7 +38,7 @@ except ImportError:
 #: v2: payloads carry an "obs" metrics-registry snapshot and engine
 #: counters are derived from it.
 #: v3: the fluid engine clamps the trailing energy-integration window
-#: (runs whose step count is not a multiple of ``energy_sample_every``
+#: (runs whose step count is not a multiple of the energy sampling cadence
 #: previously overcounted energy), so cached energies may differ.
 #: v4: the fluid adapters call the per-ACK controllers' increase rules, so
 #: ewtcp / olia / balia / dts fluid results moved in the last ulp.  Bumped
@@ -124,8 +124,9 @@ class RunSpec:
     dt: float = 0.004
     link_delay: float = ms(1)
     engine: str = "fluid"
-    #: Free-form engine parameters (must be JSON-serializable); reserved
-    #: for knobs like ``initial_window`` without a schema change.
+    #: Free-form engine parameters (must be JSON-serializable): the few
+    #: engine knobs a caller sets, such as ``dtype`` or ``shards``.  The
+    #: executor names the keys each engine accepts.
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

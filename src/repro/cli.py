@@ -68,6 +68,13 @@ def _builder_kwargs(args: argparse.Namespace, **flags: str) -> Dict[str, Any]:
             if getattr(args, dest) is not None}
 
 
+def _owned_default(owner: Any, keyword: str) -> str:
+    """``(default: <owner>'s, <value>)``, help for a flag whose default
+    the builder ``owner`` states: read off its keyword defaults."""
+    fn = owner.__init__ if isinstance(owner, type) else owner
+    return f"(default: {owner.__name__}'s, {fn.__kwdefaults__[keyword]})"
+
+
 def _reject(args: argparse.Namespace, dests: Iterable[str], why: str) -> None:
     """Raise if the user set any flag in ``dests``."""
     given = [f"--{dest.replace('_', '-')}" for dest in dests
@@ -695,20 +702,22 @@ def _add_transport_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _serve_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.transport.server import TransportServer
+
     _add_transport_options(parser)
     parser.add_argument("--ports", type=_positive_int, default=4, metavar="N",
-                        help="number of subflow ports to bind "
-                             "(default: %(default)s)")
+                        help="number of subflow ports to bind (default: "
+                             "%(default)s; TransportServer's 2 is for "
+                             "in-process callers)")
     parser.add_argument("--once", action="store_true",
                         help="exit after the first connection completes")
-    parser.add_argument("--idle-timeout", type=float, default=30.0,
-                        metavar="S", help="drop silent connections after S "
-                                          "seconds (default: %(default)s)")
-    parser.add_argument("--record-interval", type=float, default=0.5,
-                        metavar="S",
+    parser.add_argument("--idle-timeout", type=float, metavar="S",
+                        help="drop silent connections after S seconds "
+                        + _owned_default(TransportServer, "idle_timeout"))
+    parser.add_argument("--record-interval", type=float, metavar="S",
                         help="live series sampling cadence for /series, "
-                             "/stream and /dashboard (default: %(default)s; "
-                             "0 disables recording)")
+                             "/stream and /dashboard; 0 disables recording "
+                        + _owned_default(TransportServer, "record_interval"))
     parser.add_argument("--flight-dump", default=None, metavar="FILE",
                         help="flight-recorder dump path (written on "
                              "SIGUSR1, on anomaly thresholds, and at "
@@ -727,11 +736,11 @@ def _serve(args) -> int:
             n_ports=args.ports,
             loss_seed=args.loss_seed,
             metrics_port=args.metrics_port,
-            idle_timeout=args.idle_timeout,
-            record_interval=args.record_interval,
             flight_dump_path=args.flight_dump,
             trace=args.trace is not None,
-            **_builder_kwargs(args, loss_rate="loss"),
+            **_builder_kwargs(args, loss_rate="loss",
+                              idle_timeout="idle_timeout",
+                              record_interval="record_interval"),
         )
         if args.flight_dump is not None:
             server.flight.install_signal_handler()
@@ -773,22 +782,24 @@ def _serve(args) -> int:
 
 
 def _fetch_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.transport.client import fetch, loopback_selftest
+
     _add_transport_options(parser)
     parser.set_defaults(loss_seed=42)
-    parser.add_argument("--subflows", type=_positive_int, default=2,
-                        metavar="N",
-                        help="UDP subflows to open (default: %(default)s)")
-    parser.add_argument("--controller", default="dts",
+    parser.add_argument("--subflows", type=_positive_int, metavar="N",
+                        help="UDP subflows to open "
+                        + _owned_default(loopback_selftest, "subflows"))
+    parser.add_argument("--controller",
                         help="congestion controller the server should run "
-                             "for this connection (default: %(default)s)")
-    parser.add_argument("--bytes", type=_positive_int,
-                        default=4 * 1024 * 1024, metavar="B",
-                        help="transfer size (default: %(default)s)")
-    parser.add_argument("--payload", type=_positive_int, default=1200,
-                        metavar="B", help="payload bytes per segment "
-                                          "(default: %(default)s)")
-    parser.add_argument("--timeout", type=float, default=120.0, metavar="S",
-                        help="overall fetch timeout (default: %(default)s)")
+                             "for this connection "
+                        + _owned_default(fetch, "controller"))
+    parser.add_argument("--bytes", type=_positive_int, metavar="B",
+                        help="transfer size " + _owned_default(fetch, "total_bytes"))
+    parser.add_argument("--payload", type=_positive_int, metavar="B",
+                        help="payload bytes per segment "
+                        + _owned_default(fetch, "payload_bytes"))
+    parser.add_argument("--timeout", type=float, metavar="S",
+                        help="overall fetch timeout " + _owned_default(fetch, "timeout"))
     parser.add_argument("--selftest", action="store_true",
                         help="run server + fetch in-process over loopback "
                              "(CI smoke mode; --host/--port ignored)")
@@ -816,21 +827,24 @@ def _fetch(args) -> int:
     from repro.transport.client import fetch, loopback_selftest
 
     show = args.json_out != "-"  # keep stdout pure JSON for pipelines
-    common = dict(controller=args.controller, total_bytes=args.bytes,
-                  payload_bytes=args.payload, loss_seed=args.loss_seed,
-                  timeout=args.timeout, metrics_port=args.metrics_port,
-                  **_builder_kwargs(args, loss_rate="loss"))
+    common = dict(loss_seed=args.loss_seed, metrics_port=args.metrics_port,
+                  **_builder_kwargs(args, controller="controller",
+                                    total_bytes="bytes",
+                                    payload_bytes="payload", timeout="timeout",
+                                    loss_rate="loss"))
     tracer = None
     try:
         if args.selftest:
             result = asyncio.run(loopback_selftest(
-                subflows=args.subflows, trace=args.trace is not None,
-                **common))
+                trace=args.trace is not None,
+                **_builder_kwargs(args, subflows="subflows"), **common))
             fetched = result.fetch
         else:
             tracer = obs.Tracer() if args.trace is not None else None
+            n_subflows = (loopback_selftest.__kwdefaults__["subflows"]
+                          if args.subflows is None else args.subflows)
             result = fetched = asyncio.run(fetch(
-                args.host, [args.port + i for i in range(args.subflows)],
+                args.host, [args.port + i for i in range(n_subflows)],
                 tracer=tracer, **common))
     except (ConnectionError, asyncio.TimeoutError) as exc:
         print(f"fetch failed: {exc}", file=sys.stderr)
@@ -856,7 +870,8 @@ def _fetch(args) -> int:
                       f"retransmitted "
                       f"{sum(s['retransmitted'] for s in snap['subflows'])}")
     _write_json(result.to_dict(), args.json_out, "json")
-    return 0 if fetched.bytes_received >= args.bytes else 1
+    requested = fetched.total_segments * fetched.payload_bytes
+    return 0 if fetched.bytes_received >= requested else 1
 
 
 # ------------------------------------------------------------- command table

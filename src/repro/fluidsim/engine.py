@@ -60,6 +60,13 @@ _EPS = 1e-12
 #: Steps of loss uniforms prefetched per RNG block.
 _RNG_BLOCK_STEPS = 64
 
+#: Energy and the obs probes are sampled once per this many steps; each
+#: sample stands in for the steps up to the next one.
+_ENERGY_SAMPLE_EVERY = 10
+
+#: A link marks ECN once its queue holds this fraction of its buffer.
+_ECN_THRESHOLD_FRACTION = 0.3
+
 #: Valid values of the ``dtype`` knob.
 _DTYPE_MODES = ("auto", "float32", "float64")
 #: ``dtype="auto"`` switches to float32 at this many subflows — the
@@ -288,11 +295,8 @@ class FluidSimulation:
         *,
         dt: float = 0.005,
         seed: Optional[int] = None,
-        host_power: Optional[HostPowerModel] = None,
         switch_power: Optional[SwitchPowerModel] = None,
-        ecn_threshold_packets: Optional[int] = None,
         initial_window: float = 10.0,
-        energy_sample_every: int = 10,
         metrics: Optional["obs.MetricsRegistry"] = None,
         tracer=None,
         dtype: str = "auto",
@@ -324,9 +328,7 @@ class FluidSimulation:
         self._rate_norm_hist = self.metrics.histogram(
             "fluid.rate_norm_bps", obs.geometric_buckets(1e3, 1e13, 10.0))
         self._prev_w: Optional[np.ndarray] = None
-        self.host_power = host_power if host_power is not None else default_wired_host()
         self.switch_power = switch_power if switch_power is not None else SwitchPowerModel()
-        self.energy_sample_every = max(1, energy_sample_every)
 
         n = network.n_subflows
         #: Resolved compute dtype for the step-loop state and work arrays.
@@ -352,13 +354,11 @@ class FluidSimulation:
         #: into one registry share it).
         self._clock_steps = 0
         self.ecn_threshold_bits = (
-            ecn_threshold_packets * network.packet_bits
-            if ecn_threshold_packets is not None
-            else 0.3 * float(network.buffer_bits[0])
-        )
+            _ECN_THRESHOLD_FRACTION * float(network.buffer_bits[0]))
         #: Shared host/switch power arithmetic (also used standalone by
         #: the equilibrium executor).
-        self.power = PowerEvaluator(network, self.host_power, self.switch_power)
+        self.power = PowerEvaluator(network, default_wired_host(),
+                                    self.switch_power)
 
     # ------------------------------------------------------------------ run
 
@@ -472,7 +472,7 @@ class FluidSimulation:
                                  n_steps=n_steps, n_subflows=n)
         probe_span.__enter__()
         steps_done = 0
-        ese = self.energy_sample_every
+        ese = _ENERGY_SAMPLE_EVERY
         try:
             for step in range(n_steps):
                 now = (first + step + 1) * dt

@@ -93,6 +93,11 @@ _EPS = 1e-12
 
 #: Convergence tolerance on ``max(rate drift norm, worst capacity excess)``.
 _TOL = 1e-3
+#: Iteration budget; a solve still above ``_TOL`` after it is returned
+#: unconverged (the campaign executor then steps the network instead).
+_MAX_ITER = 400
+#: Every subflow's starting window, segments: the stepper's default.
+_INITIAL_WINDOW = 10.0
 #: Largest per-subflow exponent of the multiplicative window step.
 _DAMPING = 0.4
 #: Gain of the multiplicative dual ascent on link prices.
@@ -153,7 +158,7 @@ class FluidEquilibrium:
     queue_bits: np.ndarray
     #: Delivered goodput per connection, bits/second.
     connection_goodput_bps: np.ndarray
-    #: Whether the residual dropped below tolerance within max_iter.
+    #: Whether the residual dropped below tolerance within ``_MAX_ITER``.
     converged: bool
     #: Relaxation iterations actually run.
     iterations: int
@@ -177,8 +182,6 @@ class FluidEquilibrium:
 def solve_fluid_equilibrium(
     net: FluidNetwork,
     *,
-    max_iter: int = 400,
-    initial_window: float = 10.0,
     metrics: Optional[obs.MetricsRegistry] = None,
 ) -> FluidEquilibrium:
     """Solve the network's stationary rate allocation directly.
@@ -187,8 +190,7 @@ def solve_fluid_equilibrium(
     converged — check ``.converged`` (the campaign executor falls back
     to time-stepped integration when it is False).  Raises
     :class:`~repro.errors.EquilibriumError` for structurally invalid
-    input: an unfinalized or empty network, an unsupported algorithm,
-    a non-positive ``max_iter``, or ``initial_window`` below one segment.
+    input: an unfinalized or empty network, or an unsupported algorithm.
     The ``fluid.equilibrium.*`` instruments go to ``metrics``, else to the
     ambient registry.
     """
@@ -197,12 +199,6 @@ def solve_fluid_equilibrium(
     n = net.n_subflows
     if n == 0:
         raise EquilibriumError("cannot solve an empty network (no subflows)")
-    if max_iter <= 0:
-        raise EquilibriumError(f"max_iter must be positive, got {max_iter}")
-    if initial_window < 1:
-        # The stepper's floor: no rule is ever shown less than one segment.
-        raise EquilibriumError(
-            f"initial_window must be >= 1 segment, got {initial_window}")
     unsupported = sorted(
         cohort.algorithm.name for cohort in net.cohorts
         if not equilibrium_supported(cohort.algorithm)
@@ -221,7 +217,7 @@ def solve_fluid_equilibrium(
 
     # The workspace: every iteration writes into these with ``out=``, the
     # same ufuncs in the same order as the expressions in the comments.
-    w = np.full(n, float(initial_window))
+    w = np.full(n, _INITIAL_WINDOW)
     step = np.full(n, _DAMPING)
     prev_sign = np.zeros(n)
     rtt, p_path, x, qdelay = (np.empty(n) for _ in range(4))
@@ -262,7 +258,7 @@ def solve_fluid_equilibrium(
 
     iterations = 0
     res_w = res_p = np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         settle()
         # eff_rate = lam / (1 + lam * rtt), lam = p_path * x
         np.multiply(p_path, x, out=eff_rate)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +35,6 @@ from repro.errors import ConfigurationError
 from repro.fluidsim.engine import FluidSimulation, fluid_metrics, run_metrics
 from repro.fluidsim.network import FluidNetwork
 from repro.units import ms
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 #: Multiplier folding the shard index into the base seed.  Prime and
 #: far larger than any realistic shard count, so shard streams of one
@@ -148,7 +145,6 @@ def make_shard_specs(
     link_delay: float = ms(1),
     dtype: str = "auto",
     path_pool: int = 64,
-    initial_window: float = 10.0,
 ) -> List[ShardSpec]:
     """The shard specs of one sharded run, shard order."""
     if n_shards < 1:
@@ -158,7 +154,7 @@ def make_shard_specs(
             topology=topology, algorithm=algorithm, n_subflows=n_subflows,
             duration=duration, dt=dt, seed=seed, shard_index=i,
             n_shards=n_shards, link_delay=link_delay, dtype=dtype,
-            path_pool=path_pool, initial_window=initial_window)
+            path_pool=path_pool)
         for i in range(n_shards)
     ]
 
@@ -202,20 +198,17 @@ def run_sharded(
     *,
     n_shards: int,
     jobs: int = 1,
-    pool: Optional[ProcessPoolExecutor] = None,
     **spec_kwargs,
 ) -> ShardedResult:
     """Step ``n_shards`` replicas of ``topology`` and merge the results.
 
-    ``jobs > 1`` fans the shards out over a process pool (or the caller's
-    ``pool``); ``jobs=1`` steps them serially in this process.  Both
-    produce byte-identical merged results — each shard is deterministic
-    in its spec and the merge runs in shard order.
+    ``jobs > 1`` fans the shards out over a process pool; ``jobs=1``
+    steps them serially in this process.  Both produce byte-identical
+    merged results — each shard is deterministic in its spec and the
+    merge runs in shard order.
     """
     specs = make_shard_specs(topology, n_shards=n_shards, **spec_kwargs)
-    if pool is not None:
-        payloads = list(pool.map(simulate_shard, specs))
-    elif jobs > 1:
+    if jobs > 1:
         # Local: only a pooled run pays for the executor machinery (DESIGN §8).
         from concurrent.futures import ProcessPoolExecutor
 

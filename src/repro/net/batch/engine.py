@@ -120,6 +120,11 @@ _FIELDS = (
 _SYNCED_SUBFLOW = [f for f in _FIELDS if f[1] and f[4]]
 _SYNCED_CONN = [f for f in _FIELDS if not f[1] and f[4]]
 
+#: Compaction trigger: pack the arrays once at least this many rows, and
+#: at least this fraction of them, have drained their supply.
+_COMPACT_MIN_ROWS = 64
+_COMPACT_FRACTION = 0.25
+
 #: ``BatchEngine.counters`` keys.  The last three split ``fallback_rounds``
 #: by cause (first match wins, in this order) and sum to it.
 _COUNTERS = (
@@ -137,8 +142,6 @@ class BatchEngine:
         scenario: BatchScenario,
         *,
         record: bool = False,
-        compact_fraction: float = 0.25,
-        compact_min_rows: int = 64,
         metrics: Optional["obs.MetricsRegistry"] = None,
     ):
         self.scenario = scenario
@@ -146,8 +149,6 @@ class BatchEngine:
         self.record = record
         self.trajectory: List[tuple] = []
         self.clock = model._Clock()
-        self.compact_fraction = compact_fraction
-        self.compact_min_rows = compact_min_rows
         #: This engine's event counts, one increment site each; ``run()``
         #: adds what it counted to the registry as ``batch.<name>``.
         self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
@@ -426,7 +427,7 @@ class BatchEngine:
             return
         drained = ~(self.active_a & self.slot_exists_a).any(axis=1)
         n_drained = int(drained.sum())
-        if n_drained < max(self.compact_min_rows, int(n_rows * self.compact_fraction)):
+        if n_drained < max(_COMPACT_MIN_ROWS, int(n_rows * _COMPACT_FRACTION)):
             return
         keep = ~drained
         for row in np.flatnonzero(drained):

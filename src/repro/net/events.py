@@ -16,9 +16,13 @@ from repro.net.rand import Pcg64
 #: per-event cost at a decrement-and-test even while tracing is enabled.
 _PROBE_EVERY = 1024
 
-#: Compaction trigger floor: never rebuild a heap smaller than this, the
-#: filter+heapify cost would exceed what the stubs ever cost to drain.
+#: Heap compaction triggers: rebuild the event heap (dropping cancelled
+#: stubs) once at least ``_COMPACT_MIN_STUBS`` stubs are pending *and*
+#: they exceed ``_COMPACT_FRACTION`` of the heap.  The floor keeps small
+#: heaps whole: their filter+heapify would cost more than the stubs ever
+#: cost to drain.
 _COMPACT_MIN_STUBS = 512
+_COMPACT_FRACTION = 0.5
 
 _INF = float("inf")
 
@@ -68,18 +72,12 @@ class Simulator:
         no-op tracer outside a session).
     pool_debug:
         Enable the double-release / leak bookkeeping of :attr:`pool`.
-    compact_min_stubs / compact_fraction:
-        Heap compaction triggers: rebuild the event heap (dropping
-        cancelled stubs) once at least ``compact_min_stubs`` stubs are
-        pending *and* they exceed ``compact_fraction`` of the heap.
     """
 
     def __init__(self, seed: Optional[int] = None, *,
                  metrics: Optional["obs.MetricsRegistry"] = None,
                  tracer=None,
-                 pool_debug: bool = False,
-                 compact_min_stubs: int = _COMPACT_MIN_STUBS,
-                 compact_fraction: float = 0.5):
+                 pool_debug: bool = False):
         self.now: float = 0.0
         #: The simulation's one random generator (the stream of
         #: ``numpy.random.default_rng(seed)``; see :mod:`repro.net.rand`).
@@ -90,8 +88,6 @@ class Simulator:
         self._heap: list = []
         self._counter = itertools.count()
         self._cancelled_pending = 0
-        self._compact_min_stubs = compact_min_stubs
-        self._compact_fraction = compact_fraction
         self.metrics = metrics if metrics is not None else obs.registry_or_new()
         self.tracer = tracer if tracer is not None else obs.current_tracer()
         self._events_counter = self.metrics.counter("engine.events_processed")
@@ -180,7 +176,7 @@ class Simulator:
             :class:`SimulationError` when exceeded.
 
         Cancelled events are skipped when popped; when enough cancelled
-        stubs accumulate (see ``compact_min_stubs`` / ``compact_fraction``)
+        stubs accumulate (see ``_COMPACT_MIN_STUBS`` / ``_COMPACT_FRACTION``)
         the heap is rebuilt without them. Compaction preserves the
         (time, tie-break) order of every live event exactly, so it is
         invisible to the simulation.
@@ -192,8 +188,8 @@ class Simulator:
         traced = tracer.enabled
         until_f = _INF if until is None else until
         budget = _INF if max_events is None else max_events
-        min_stubs = self._compact_min_stubs
-        fraction = self._compact_fraction
+        min_stubs = _COMPACT_MIN_STUBS
+        fraction = _COMPACT_FRACTION
         probe_left = _PROBE_EVERY
         wall_start = time.perf_counter()
         try:

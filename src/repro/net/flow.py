@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.events import Simulator
 
 __all__ = [
+    "DELACK_TIMEOUT",
     "MIN_RTO",
     "MAX_RTO",
     "INITIAL_RTO",
@@ -51,6 +52,9 @@ __all__ = [
 
 _INF = float("inf")
 
+#: Longest a delayed ACK waits for a second in-order segment, seconds.
+DELACK_TIMEOUT = 0.04
+
 
 class TcpReceiver:
     """Receiving endpoint of one subflow: reorders and sends cumulative ACKs.
@@ -59,7 +63,7 @@ class TcpReceiver:
     adds the DES concerns — packet pools, ACK transmission, and delayed
     ACKs. With ``delayed_acks`` every second in-order segment is
     acknowledged (RFC 1122 style, with a timer flushing a pending ACK after
-    ``delack_timeout``); out-of-order data, ECN marks and reordering are
+    :data:`DELACK_TIMEOUT`); out-of-order data, ECN marks and reordering are
     always acknowledged immediately, as real stacks do, so loss recovery
     and DCTCP are unaffected.
     """
@@ -72,7 +76,6 @@ class TcpReceiver:
         sender: "TcpSender",
         *,
         delayed_acks: bool = False,
-        delack_timeout: float = 0.04,
     ):
         self.sim = sim
         self.flow_id = flow_id
@@ -84,7 +87,6 @@ class TcpReceiver:
         self.packets_received = 0
         self.bytes_received = 0
         self.delayed_acks = delayed_acks
-        self.delack_timeout = delack_timeout
         self._pending_since: Optional[float] = None
         self._pending_echo = 0.0
         self._delack_event = None
@@ -107,7 +109,7 @@ class TcpReceiver:
             self._pending_since = self.sim.now
             self._pending_echo = packet.sent_time
             self._delack_event = self.sim.schedule(
-                self.delack_timeout, self._flush_delayed
+                DELACK_TIMEOUT, self._flush_delayed
             )
 
     def _flush_delayed(self) -> None:
@@ -154,7 +156,6 @@ class TcpSender(SenderState):
         supply: SegmentSupply,
         *,
         mss: int = DEFAULT_MSS,
-        packet_bytes: int = DEFAULT_PACKET_BYTES,
         initial_cwnd: float = 2.0,
         rcv_buffer_segments: Optional[int] = None,
         ecn_capable: bool = False,
@@ -162,7 +163,7 @@ class TcpSender(SenderState):
     ):
         super().__init__(
             mss=mss,
-            packet_bytes=packet_bytes,
+            packet_bytes=DEFAULT_PACKET_BYTES,
             ecn_capable=ecn_capable,
             cwnd=float(initial_cwnd),
             initial_cwnd=float(initial_cwnd),

@@ -24,13 +24,17 @@ from repro.net.mptcp import MptcpConnection
 from repro.net.node import Host, Node, Switch
 from repro.net.routing import Route
 
+#: Simulated seconds :meth:`Network.run_until_complete` runs between
+#: looks at its connections' completion flags.
+_CHECK_INTERVAL = 0.5
+
 
 class Network:
     """Owns a simulator, the topology graph, and the connections on it."""
 
     def __init__(self, seed: Optional[int] = None, **sim_kwargs):
         """``sim_kwargs`` pass through to :class:`Simulator` (``metrics``,
-        ``tracer``, ``pool_debug``, the compaction thresholds)."""
+        ``tracer``, ``pool_debug``)."""
         self.sim = Simulator(seed, **sim_kwargs)
         self.hosts: List[Host] = []
         self.switches: List[Switch] = []
@@ -48,9 +52,9 @@ class Network:
         self.hosts.append(host)
         return host
 
-    def add_switch(self, name: str, *, layer: str = "") -> Switch:
-        """Create and register a switch, optionally tagged with its layer."""
-        switch = Switch(name, layer=layer)
+    def add_switch(self, name: str) -> Switch:
+        """Create and register a switch."""
+        switch = Switch(name)
         self._register(switch)
         self.switches.append(switch)
         return switch
@@ -170,7 +174,7 @@ class Network:
 
     def run_until_complete(
         self, connections: Optional[Sequence[MptcpConnection]] = None, *,
-        timeout: float = 3600.0, check_interval: float = 0.5,
+        timeout: float = 3600.0,
     ) -> float:
         """Run until every listed finite connection completes; returns the time.
 
@@ -183,7 +187,7 @@ class Network:
         while self.sim.now < deadline:
             if all(c.completed for c in conns):
                 return self.sim.now
-            self.sim.run(until=min(self.sim.now + check_interval, deadline))
+            self.sim.run(until=min(self.sim.now + _CHECK_INTERVAL, deadline))
             if self.sim.pending() == 0:
                 break
         return self.sim.now

@@ -35,10 +35,3 @@ class Host(Node):
 
 class Switch(Node):
     """A switch/router: forwards packets and burns port power."""
-
-    def __init__(self, name: str, *, layer: str = ""):
-        super().__init__(name)
-        #: Optional layer tag ("edge"/"agg"/"core"/"tor"/"int") used by the
-        #: hierarchical-topology energy price (Section V.C distinguishes
-        #: switch-to-switch links L').
-        self.layer = layer

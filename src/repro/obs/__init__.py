@@ -97,42 +97,32 @@ __all__ = [
 class ObsSession:
     """One observed run: a registry, a tracer, and run annotations."""
 
-    def __init__(self, *, trace: bool = False, label: str = "",
-                 registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, *, trace: bool = False, label: str = ""):
         self.label = label
-        self.registry = registry if registry is not None else MetricsRegistry()
-        if tracer is not None:
-            self.tracer = tracer
-        else:
-            self.tracer = Tracer() if trace else NULL_TRACER
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer() if trace else NULL_TRACER
         self.annotations: Dict[str, Any] = {}
         #: Live-telemetry attachments; None until attached (see
         #: :meth:`attach_series` / :meth:`attach_flight`).
         self.series: Optional[SeriesRecorder] = None
         self.flight: Optional[FlightRecorder] = None
 
-    def attach_series(self, recorder: Optional[SeriesRecorder] = None,
-                      **kwargs: Any) -> SeriesRecorder:
-        """Attach (or get-or-create) this session's series recorder.
+    def attach_series(self, **kwargs: Any) -> SeriesRecorder:
+        """Get-or-create this session's series recorder.
 
-        Without an explicit ``recorder``, one is built over this
-        session's registry with ``kwargs`` forwarded to
-        :class:`SeriesRecorder`; an already-attached recorder is
-        returned as-is so layers can share one without coordination.
+        The first call builds one over this session's registry with
+        ``kwargs`` forwarded to :class:`SeriesRecorder`; an
+        already-attached recorder is returned as-is so layers can share
+        one without coordination.
         """
-        if recorder is not None:
-            self.series = recorder
-        elif self.series is None:
+        if self.series is None:
             self.series = SeriesRecorder(self.registry, **kwargs)
         return self.series
 
-    def attach_flight(self, recorder: Optional[FlightRecorder] = None,
-                      **kwargs: Any) -> FlightRecorder:
-        """Attach (or get-or-create) this session's flight recorder."""
-        if recorder is not None:
-            self.flight = recorder
-        elif self.flight is None:
+    def attach_flight(self, **kwargs: Any) -> FlightRecorder:
+        """Get-or-create this session's flight recorder (``kwargs`` go
+        to :class:`FlightRecorder` on the first call)."""
+        if self.flight is None:
             self.flight = FlightRecorder(**kwargs)
         return self.flight
 

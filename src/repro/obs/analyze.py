@@ -136,15 +136,16 @@ def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
     a JSONL dump and a saved ``/events`` document, load as one
     ``[header, *events]`` list.  An empty file, or one holding only a torn
     line, is kind ``"empty"``; content no table names is ``"unknown"``.
+    A line that is not UTF-8 is malformed like one that is not JSON.
     Raises ValueError when nothing parses.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if not text.strip():
+    data = path.read_bytes()
+    if not data.strip():
         return None, "empty", [f"{path}: empty file"]
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError:  # not one UTF-8 JSON document
         doc = None
     if isinstance(doc, dict):
         if doc.get("schema") == FLIGHT_SCHEMA and "events" in doc:
@@ -154,7 +155,7 @@ def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
         if classify_input(doc) != "unknown" or _jsonl_kind(doc) == "unknown":
             return doc, classify_input(doc), []
     # Else one object per line (a one-line JSONL file parses whole too).
-    records, bad_lines, partial_tail = split_jsonl(text)
+    records, bad_lines, partial_tail = split_jsonl(data)
     warnings = []
     if bad_lines:
         shown = ", ".join(str(n) for n in bad_lines[:5])
@@ -162,7 +163,7 @@ def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
         warnings.append(f"{path}: skipped {len(bad_lines)} malformed "
                         f"line(s): {shown}{more}")
     if not records:
-        if partial_tail and text.lstrip().startswith("{"):
+        if partial_tail and data.lstrip().startswith(b"{"):
             # Only a mid-append fragment so far.  Anything that could
             # never become a JSON object is garbage, not a torn append.
             return None, "empty", [f"{path}: only a partial line so far "

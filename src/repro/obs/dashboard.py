@@ -127,9 +127,9 @@ td.fields { color: var(--ink-2); font-family: ui-monospace, monospace;
 </div>
 <script>
 "use strict";
-const STREAM_PATH = "__STREAM_PATH__";
-const SERIES_PATH = "__SERIES_PATH__";
-const EVENTS_PATH = "__EVENTS_PATH__";
+const STREAM_PATH = "/stream";
+const SERIES_PATH = "/series";
+const EVENTS_PATH = "/events";
 const INTERVAL_MS = __INTERVAL_MS__;
 const MAX_POINTS = 600;
 const MAX_SERIES_PER_CHART = 8;
@@ -448,17 +448,11 @@ window.addEventListener("resize", redraw);
 """
 
 
-def render_dashboard(*, title: str = "repro live telemetry",
-                     stream_path: str = "/stream",
-                     series_path: str = "/series",
-                     events_path: str = "/events",
-                     interval_ms: int = 1000) -> str:
-    """Render the dashboard HTML (one self-contained page)."""
+def render_dashboard(*, title: str, interval_ms: int) -> str:
+    """Render the dashboard HTML (one self-contained page) for the
+    routes :func:`live_routes` mounts."""
     return (_PAGE
             .replace("__TITLE__", title)
-            .replace("__STREAM_PATH__", stream_path)
-            .replace("__SERIES_PATH__", series_path)
-            .replace("__EVENTS_PATH__", events_path)
             .replace("__INTERVAL_MS__", str(int(interval_ms)))
             .replace("__PALETTE_LIGHT__", ",".join(_PALETTE_LIGHT))
             .replace("__PALETTE_DARK__", ",".join(_PALETTE_DARK)))

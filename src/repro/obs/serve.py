@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import repro.obs as obs
 from repro.obs.dashboard import live_routes
@@ -49,15 +49,13 @@ class TelemetryMonitor:
     campaign throughput exactly like transport cwnd.
     """
 
-    def __init__(self, path: "str | Path", *, interval: float = 1.0,
-                 capacity: int = 512, flight_capacity: int = 2048):
+    def __init__(self, path: "str | Path", *, interval: float = 1.0):
         self.path = Path(path)
         self.tailer = JsonlTailer(self.path)
         self.session = obs.ObsSession(label=f"obs-serve:{self.path.name}")
         self.registry = self.session.registry
-        self.recorder = self.session.attach_series(
-            interval=interval, capacity=capacity)
-        self.flight = self.session.attach_flight(capacity=flight_capacity)
+        self.recorder = self.session.attach_series(interval=interval)
+        self.flight = self.session.attach_flight()
         self.records_seen = 0
         self._c_completed = self.registry.counter("campaign.runs_completed")
         self._c_cache_hits = self.registry.counter("campaign.cache_hits")
@@ -154,20 +152,15 @@ async def start_serve(path: "str | Path", *, host: str = "127.0.0.1",
     return ObsServeHandle(monitor, http, task)
 
 
-async def serve_forever(path: "str | Path", *, host: str = "127.0.0.1",
-                        port: int = 0, interval: float = 1.0,
-                        announce=print,
-                        stop_event: Optional[asyncio.Event] = None) -> None:
-    """The CLI driver: serve until cancelled (or ``stop_event`` fires)."""
+async def serve_forever(path: "str | Path", *, host: str, port: int,
+                        interval: float) -> None:
+    """The CLI driver: serve until cancelled."""
     handle = await start_serve(path, host=host, port=port, interval=interval)
-    announce(f"tailing {path}")
-    announce(f"dashboard: http://{host}:{handle.port}/dashboard")
-    announce(f"prometheus: http://{host}:{handle.port}/metrics.prom")
+    print(f"tailing {path}")
+    print(f"dashboard: http://{host}:{handle.port}/dashboard")
+    print(f"prometheus: http://{host}:{handle.port}/metrics.prom")
     try:
-        if stop_event is not None:
-            await stop_event.wait()
-        else:  # pragma: no cover - interactive path
-            while True:
-                await asyncio.sleep(3600)
+        while True:  # pragma: no cover - interactive path
+            await asyncio.sleep(3600)
     finally:
         await handle.stop()

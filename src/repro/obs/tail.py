@@ -7,7 +7,7 @@ that lands mid-append sees a partial last line — that is normal
 operation, not corruption, and must be skipped silently rather than
 raised (or even warned about).
 
-* :func:`split_jsonl` — one-shot tolerant parse of a whole text:
+* :func:`split_jsonl` — one-shot tolerant parse of a whole file's bytes:
   returns the parsed records, the 1-based numbers of genuinely
   malformed *interior* lines, and whether a partial trailing line
   (no terminating newline, unparseable) was skipped.
@@ -15,19 +15,32 @@ raised (or even warned about).
   poll` returns the records appended since the last poll, holding any
   incomplete trailing line in a carry buffer until its newline arrives.
   Rotation/truncation (the file shrank) resets the follower to the top.
+
+Both read bytes and decode each line on its own, so a line that is not
+UTF-8 is one malformed line, like a line that is not JSON.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["JsonlTailer", "split_jsonl"]
 
 
-def split_jsonl(text: str) -> Tuple[List[Dict[str, Any]], List[int], bool]:
-    """Parse JSONL text tolerantly.
+def _json_object(line: bytes) -> Optional[Dict[str, Any]]:
+    """The JSON object ``line`` holds, or None: not UTF-8, not JSON, or
+    not an object."""
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def split_jsonl(data: bytes) -> Tuple[List[Dict[str, Any]], List[int], bool]:
+    """Parse JSONL bytes tolerantly.
 
     Returns ``(records, bad_line_numbers, partial_tail)`` where
     ``records`` keeps every line that parsed to a JSON object,
@@ -40,16 +53,13 @@ def split_jsonl(text: str) -> Tuple[List[Dict[str, Any]], List[int], bool]:
     records: List[Dict[str, Any]] = []
     bad_lines: List[int] = []
     partial_tail = False
-    complete_tail = text.endswith(("\n", "\r"))
-    lines = text.splitlines()
+    complete_tail = data.endswith((b"\n", b"\r"))
+    lines = data.splitlines()
     for i, line in enumerate(lines):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            record = None
-        if isinstance(record, dict):
+        record = _json_object(line)
+        if record is not None:
             records.append(record)
         elif i == len(lines) - 1 and not complete_tail:
             partial_tail = True
@@ -97,14 +107,10 @@ class JsonlTailer:
         for line in lines:
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+            record = _json_object(line)
+            if record is None:
                 self.bad_lines += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
             else:
-                self.bad_lines += 1
+                records.append(record)
         self.records_read += len(records)
         return records

@@ -29,7 +29,7 @@ and the campaign monitor share one wiring idiom.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import (
     Counter,
@@ -47,6 +47,13 @@ SERIES_SCHEMA = "repro.obs.series/1"
 #: Default ring capacity: at the default 1 s cadence this is ~8.5 minutes
 #: of live history per series, a few KB each.
 DEFAULT_CAPACITY = 512
+
+#: The percentiles each histogram is sampled as (``<name>.p50`` ...).
+_PERCENTILES = (50.0, 95.0, 99.0)
+#: (series-name suffix, source kind) of every ring an instrument can be
+#: sampled into.
+_SAMPLED_AS = (("", "gauge"), (".rate", "counter")) + tuple(
+    (f".p{p:g}", "histogram") for p in _PERCENTILES)
 
 
 class TimeSeries:
@@ -137,7 +144,6 @@ class SeriesRecorder:
         *,
         interval: float = 1.0,
         capacity: int = DEFAULT_CAPACITY,
-        percentiles: Sequence[float] = (50.0, 95.0, 99.0),
         clock=time.time,
     ):
         if interval < 0:
@@ -145,11 +151,6 @@ class SeriesRecorder:
         self.registry = registry
         self.interval = interval
         self.capacity = capacity
-        self.percentiles = tuple(percentiles)
-        #: (series-name suffix, source kind) of every ring an instrument
-        #: can be sampled into.
-        self._sampled_as = (("", "gauge"), (".rate", "counter")) + tuple(
-            (f".p{p:g}", "histogram") for p in self.percentiles)
         self.clock = clock
         self.series: Dict[str, TimeSeries] = {}
         self.samples_taken = 0
@@ -198,8 +199,8 @@ class SeriesRecorder:
             elif isinstance(inst, Histogram):
                 values = percentiles_from_counts(
                     inst.buckets, inst.counts, inst.minimum, inst.maximum,
-                    self.percentiles)
-                for p, value in zip(self.percentiles, values):
+                    _PERCENTILES)
+                for p, value in zip(_PERCENTILES, values):
                     self._ring(f"{inst.name}.p{p:g}", "histogram").append(
                         now, value)
                     written += 1
@@ -214,7 +215,7 @@ class SeriesRecorder:
         counterpart of :meth:`MetricsRegistry.remove`: without it a
         removed instrument's rings outlive it at their last value."""
         dropped = 0
-        for suffix, kind in self._sampled_as:
+        for suffix, kind in _SAMPLED_AS:
             series = name + suffix
             if self._kinds.get(series) == kind:
                 del self.series[series], self._kinds[series]

@@ -28,6 +28,7 @@ from repro.transport.aio import (
     open_endpoint,
 )
 from repro.transport.core import ReceiverCore
+from repro.transport.server import DEFAULT_PAYLOAD_BYTES, TransportServer
 from repro.transport.wire import (
     AckSegment,
     ByeSegment,
@@ -268,7 +269,7 @@ async def fetch(
     *,
     controller: str = "dts",
     total_bytes: int = 4 * 1024 * 1024,
-    payload_bytes: int = 1200,
+    payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
     conn_id: int = 0,
     loss_rate: float = 0.0,
     loss_seed: Optional[int] = None,
@@ -360,15 +361,12 @@ class SelftestResult:
 
 async def loopback_selftest(
     *,
-    controller: str = "dts",
     subflows: int = 2,
-    total_bytes: int = 4 * 1024 * 1024,
-    payload_bytes: int = 1200,
     loss_rate: float = 0.02,
     loss_seed: Optional[int] = 42,
-    timeout: float = 120.0,
     metrics_port: Optional[int] = None,
     trace: bool = False,
+    **fetch_kwargs,
 ) -> SelftestResult:
     """Server + fetch in one event loop over loopback, with injected loss.
 
@@ -376,10 +374,10 @@ async def loopback_selftest(
     the hard direction for a sender, exercising fast retransmit, SACK
     hole-filling and RTOs for real.  With ``trace=True`` both sides run
     real tracers (distinct, as in separate processes) and the result
-    carries both shards for ``repro obs merge-trace``.
+    carries both shards for ``repro obs merge-trace``.  ``fetch_kwargs``
+    (``controller``, ``total_bytes``, ``payload_bytes``, ``timeout``) go
+    to :func:`fetch`, whose defaults they keep when omitted.
     """
-    from repro.transport.server import TransportServer
-
     client_tracer: "obs.Tracer | obs.NullTracer" = \
         obs.Tracer() if trace else obs.NULL_TRACER
     server = TransportServer(
@@ -393,15 +391,8 @@ async def loopback_selftest(
     )
     ports = await server.start()
     try:
-        result = await fetch(
-            "127.0.0.1",
-            ports,
-            controller=controller,
-            total_bytes=total_bytes,
-            payload_bytes=payload_bytes,
-            timeout=timeout,
-            tracer=client_tracer,
-        )
+        result = await fetch("127.0.0.1", ports, tracer=client_tracer,
+                             **fetch_kwargs)
         # Wait for the server to see the final ACK and retire the
         # connection: closing energy sample, serve-side spans finished.
         try:

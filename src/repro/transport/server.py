@@ -39,6 +39,8 @@ from repro.energy.accounting import TransferEnergyAccount
 from repro.energy.cpu import HostPowerModel, default_wired_host
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.dashboard import live_routes
+from repro.obs.flight import DEFAULT_CAPACITY as FLIGHT_CAPACITY
+from repro.obs.timeseries import DEFAULT_CAPACITY as SERIES_CAPACITY
 from repro.transport.aio import (
     Addr,
     DatagramEndpoint,
@@ -423,8 +425,7 @@ class TransportServer:
         host_model: Optional[HostPowerModel] = None,
         idle_timeout: float = IDLE_TIMEOUT,
         record_interval: float = 0.5,
-        series_capacity: int = 512,
-        flight_capacity: int = 2048,
+        flight_capacity: int = FLIGHT_CAPACITY,
         flight_dump_path: Optional[str] = None,
         trace: bool = False,
     ):
@@ -449,8 +450,9 @@ class TransportServer:
         self.completed_connections = 0
         self.session = obs.ObsSession(label="transport-serve", trace=trace)
         self.tracer = self.session.tracer
+        # Read at construction, so a test can shrink the rings.
         self.recorder = self.session.attach_series(
-            interval=record_interval, capacity=series_capacity)
+            interval=record_interval, capacity=SERIES_CAPACITY)
         self.flight = self.session.attach_flight(
             capacity=flight_capacity, dump_path=flight_dump_path)
         registry = self.session.registry

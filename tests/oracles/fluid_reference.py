@@ -19,7 +19,8 @@ from typing import List
 import numpy as np
 from scipy import sparse
 
-from repro.fluidsim.engine import _EPS, FluidSimulation, SimulationResult
+from repro.fluidsim.engine import (_ENERGY_SAMPLE_EVERY, _EPS, FluidSimulation,
+                                   SimulationResult)
 from repro.fluidsim.state import CohortState
 
 
@@ -127,11 +128,11 @@ def run_reference(sim: FluidSimulation, duration: float,
             steps_done += 1
 
             # Energy + obs probes (sampled every few steps for speed).
-            if step % sim.energy_sample_every == 0:
+            if step % _ENERGY_SAMPLE_EVERY == 0:
                 # Clamp the final window: the sample stands in for the
                 # remaining steps, which may be fewer than a full
                 # sampling interval.
-                window = min(sim.energy_sample_every, n_steps - step)
+                window = min(_ENERGY_SAMPLE_EVERY, n_steps - step)
                 host_p = sim.power.host_power_now(x_bps, sim.rtt)
                 switch_p = sim.power.switch_power_now(util)
                 host_energy += host_p * dt * window

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+import repro.net.batch.engine as engine_mod
 from repro.errors import ConfigurationError
 from repro.net.batch import (
     MAX_VECTOR_BURST,
@@ -97,7 +98,7 @@ def test_all_connections_lossy_step():
         "expected RTO backoff growth under total loss"
 
 
-def test_midrun_completion_shrinks_arrays():
+def test_midrun_completion_shrinks_arrays(monkeypatch):
     """Finite transfers that complete mid-run trigger compaction: their
     rows are archived and the live arrays shrink, without disturbing the
     surviving connections' trajectories or results."""
@@ -108,8 +109,9 @@ def test_midrun_completion_shrinks_arrays():
     scenario = BatchScenario(connections=(quick, quick, quick, slow),
                              duration=0.6, tick=1e-3, seed=4)
     oracle = OracleEngine(scenario, record=True).run()
-    batch = BatchEngine(scenario, record=True,
-                        compact_min_rows=1, compact_fraction=0.0).run()
+    monkeypatch.setattr(engine_mod, "_COMPACT_MIN_ROWS", 1)
+    monkeypatch.setattr(engine_mod, "_COMPACT_FRACTION", 0.0)
+    batch = BatchEngine(scenario, record=True).run()
     assert batch.counters["compactions"] > 0
     assert oracle.trajectory == batch.trajectory
     assert oracle.final_state() == batch.final_state()

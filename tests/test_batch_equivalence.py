@@ -12,10 +12,12 @@ floats), never approximate.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.net.batch.engine as engine_mod
 from repro.algorithms import algorithm_names
 from repro.net.batch import (
     VECTOR_ALGORITHMS,
@@ -58,8 +60,9 @@ def _build_scenario(path_data, conn_data, duration, tick, seed):
 
 def _assert_engines_equivalent(scenario):
     oracle = OracleEngine(scenario, record=True).run()
-    batch = BatchEngine(scenario, record=True,
-                        compact_min_rows=2, compact_fraction=0.0).run()
+    with mock.patch.multiple(engine_mod, _COMPACT_MIN_ROWS=2,
+                             _COMPACT_FRACTION=0.0):
+        batch = BatchEngine(scenario, record=True).run()
     # State trajectories: every (tick, gid, slot) record, bit for bit.
     assert len(oracle.trajectory) == len(batch.trajectory)
     for i, (a, b) in enumerate(zip(oracle.trajectory, batch.trajectory)):

@@ -21,6 +21,7 @@ from repro.campaign import (
     throughput_from_snapshot,
 )
 from repro.campaign import cache as cache_mod
+from repro.campaign import executor as executor_mod
 from repro.campaign import spec as spec_mod
 from repro.errors import ConfigurationError
 
@@ -188,7 +189,10 @@ def test_cache_corrupted_file_is_a_miss(tmp_path):
     path.write_text(json.dumps({"schema_version": spec_mod.SCHEMA_VERSION}),
                     encoding="utf-8")
     assert cache.get(spec) is None          # missing keys
-    assert cache.stats.invalidations == 3
+
+    path.write_bytes(b'{"schema_version": 4, "pay\xff\xfe')
+    assert cache.get(spec) is None          # not UTF-8
+    assert cache.stats.invalidations == 4
 
     cache.put(spec, _payload(spec))         # writable again after corruption
     assert cache.get(spec) is not None
@@ -285,7 +289,7 @@ def test_a_run_that_kills_its_worker_fails_alone():
     specs = [RunSpec(seed=seed, **FAST) for seed in (1, 2, 3, 4)]
     with obs.session() as session:
         flight = session.attach_flight()
-        outcomes = CampaignExecutor(jobs=2, retries=1,
+        outcomes = CampaignExecutor(jobs=2,
                                     run_fn=_worker_killing_run).run(specs)
     assert [o.ok for o in outcomes] == [True, False, True, True]
     assert [o.attempts for o in outcomes] == [1, 2, 1, 1]
@@ -299,10 +303,11 @@ def _sleepy_run(spec):
     return {"spec_hash": spec.content_hash(), "metrics": {}, "wall_s": 10.0}
 
 
-def test_run_timeout_reports_failure():
+def test_run_timeout_reports_failure(monkeypatch):
+    monkeypatch.setattr(executor_mod, "_RETRIES", 0)
     spec = RunSpec(seed=1, **FAST)
-    outcomes = CampaignExecutor(jobs=2, run_fn=_sleepy_run, run_timeout=0.3,
-                                retries=0).run([spec])
+    outcomes = CampaignExecutor(jobs=2, run_fn=_sleepy_run,
+                                run_timeout=0.3).run([spec])
     assert not outcomes[0].ok
     assert "timed out" in outcomes[0].error
 
@@ -415,6 +420,15 @@ ENGINE_POINTS = {
     "fast_path",     # a knob an older spec may still carry
     "metrics",       # supplied by the executor
     "seed",          # a RunSpec field, not a param
+    # Retired knobs: module constants of their engines now.
+    "energy_sample_every",
+    "ecn_threshold_packets",
+    "initial_window",
+    "max_iter",
+    "eni_bps",
+    "queue_segments",
+    "rwnd_segments",
+    "total_segments",
 ])
 def test_execute_run_rejects_params_the_engine_does_not_take(engine, key):
     spec = RunSpec(params={key: None}, **ENGINE_POINTS[engine])
@@ -436,7 +450,7 @@ def test_accepted_params_are_parameters_the_engines_have():
     import inspect
 
     from repro.campaign import executor
-    from repro.fluidsim import FluidSimulation, solve_fluid_equilibrium
+    from repro.fluidsim import FluidSimulation
     from repro.fluidsim.sharding import make_shard_specs
     from repro.net.batch import ec2_scenario
 
@@ -444,17 +458,14 @@ def test_accepted_params_are_parameters_the_engines_have():
         return set(inspect.signature(fn).parameters)
 
     assert set(executor._FLUID_PARAM_KEYS) <= parameters(FluidSimulation.__init__)
-    assert set(executor._SOLVER_PARAM_KEYS) <= parameters(solve_fluid_equilibrium)
     assert set(executor._PACKET_PARAM_KEYS) <= parameters(ec2_scenario)
     assert (set(executor._SHARDED_PARAM_KEYS) - {"shards"}
             <= parameters(make_shard_specs))
     # ... and every one of them is accepted end to end.
     for engine, params in [
-        ("fluid", {"initial_window": 4.0, "energy_sample_every": 5,
-                   "ecn_threshold_packets": 20, "dtype": "float64"}),
-        ("fluid-equilibrium", {"max_iter": 50, "initial_window": 4.0}),
-        ("packet-batch", {"n_hosts": 2, "queue_segments": 8,
-                          "rwnd_segments": 32.0, "total_segments": 50}),
+        ("fluid", {"dtype": "float64"}),
+        ("fluid-equilibrium", {"dtype": "float64"}),
+        ("packet-batch", {"n_hosts": 2, "loss_rate": 1e-3}),
     ]:
         payload = execute_run(RunSpec(params=params, **ENGINE_POINTS[engine]))
         assert payload["metrics"]["aggregate_goodput_bps"] > 0

@@ -158,6 +158,8 @@ def test_selftest_loss_defaults_to_2_percent_and_honours_0(
         seen.update(kwargs)
         raise ConnectionError("no transfer in this test")
 
+    # The fetch parser reads the builder's defaults for its help text.
+    no_transfer.__kwdefaults__ = client.loopback_selftest.__kwdefaults__
     defaults = {k: p.default for k, p in
                 inspect.signature(client.loopback_selftest).parameters.items()}
     monkeypatch.setattr(client, "loopback_selftest", no_transfer)
@@ -214,12 +216,21 @@ def _repro_command_lines(path: str, fenced: bool):
         logical, start = "", 0
 
 
+#: The documents whose shell blocks show ``python -m repro`` lines, each
+#: with the fewest lines its scan must find (DESIGN.md shows its command
+#: lines inline, none in a shell block).
+_DOC_FLOORS = {"docs/USAGE.md": 20, "README.md": 4, "docs/BENCHMARKS.md": 9,
+               "docs/OBSERVABILITY.md": 4, "docs/TRANSPORT.md": 3,
+               "DESIGN.md": 0}
+
+
 @pytest.mark.parametrize("argv", [
     *_repro_command_lines(".github/workflows/ci.yml", fenced=False),
-    *_repro_command_lines("docs/USAGE.md", fenced=True),
+    *(line for doc in _DOC_FLOORS
+      for line in _repro_command_lines(doc, fenced=True)),
 ])
 def test_documented_command_lines_parse(argv):
-    """Each command line CI runs or USAGE.md shows parses with today's
+    """Each command line CI runs or a document shows parses with today's
     flags, so a dropped or renamed flag fails here, not in a live job."""
     from repro.cli import _figure_runners
 
@@ -233,7 +244,9 @@ def test_documented_command_lines_parse(argv):
 
 
 def test_the_command_line_scan_finds_both_files():
+    """CI's lines and each document's, every file above its floor."""
     ci = list(_repro_command_lines(".github/workflows/ci.yml", fenced=False))
-    usage = list(_repro_command_lines("docs/USAGE.md", fenced=True))
-    assert len(ci) >= 20 and len(usage) >= 20
+    assert len(ci) >= 20
     assert ["claims"] in [p.values[0] for p in ci]
+    for doc, floor in _DOC_FLOORS.items():
+        assert len(list(_repro_command_lines(doc, fenced=True))) >= floor, doc

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.net.events as events_mod
 import repro.net.mptcp as mptcp_mod
 from repro._uniforms import _SCALAR_BELOW, CHUNK, fill_random
 from repro.net.events import Simulator
@@ -81,18 +82,20 @@ program_strategy = st.lists(
 def test_compaction_preserves_execution_order(program):
     """Aggressive heap compaction dispatches the exact event sequence the
     never-compacting simulator does, including (time, tie-break) order."""
-    baseline = _run_program(
-        Simulator(seed=1, compact_min_stubs=NEVER_COMPACT), program)
-    compacted_sim = Simulator(seed=1, compact_min_stubs=1,
-                              compact_fraction=0.0)
-    compacted = _run_program(compacted_sim, program)
+    with mock.patch.object(events_mod, "_COMPACT_MIN_STUBS", NEVER_COMPACT):
+        baseline = _run_program(Simulator(seed=1), program)
+    with mock.patch.multiple(events_mod, _COMPACT_MIN_STUBS=1,
+                             _COMPACT_FRACTION=0.0):
+        compacted = _run_program(Simulator(seed=1), program)
     assert compacted == baseline
 
 
-def test_compaction_actually_triggers_and_preserves_order():
+def test_compaction_actually_triggers_and_preserves_order(monkeypatch):
     """A cancel-heavy workload crosses the compaction threshold (so the
     property above is not vacuous) and still dispatches in order."""
-    sim = Simulator(seed=1, compact_min_stubs=8, compact_fraction=0.25)
+    monkeypatch.setattr(events_mod, "_COMPACT_MIN_STUBS", 8)
+    monkeypatch.setattr(events_mod, "_COMPACT_FRACTION", 0.25)
+    sim = Simulator(seed=1)
     fired = []
     # Enough live events to reach the probe cadence (checks fire once per
     # 1024 dispatches) with cancelled stubs still dominating the heap.
@@ -107,8 +110,10 @@ def test_compaction_actually_triggers_and_preserves_order():
     assert fired == [i for i in range(50_000) if i % 10 == 0] + ["last"]
 
 
-def test_cancelled_stub_accounting_survives_compaction():
-    sim = Simulator(seed=1, compact_min_stubs=4, compact_fraction=0.1)
+def test_cancelled_stub_accounting_survives_compaction(monkeypatch):
+    monkeypatch.setattr(events_mod, "_COMPACT_MIN_STUBS", 4)
+    monkeypatch.setattr(events_mod, "_COMPACT_FRACTION", 0.1)
+    sim = Simulator(seed=1)
     handles = [sim.schedule(1.0, lambda: None) for _ in range(64)]
     for h in handles:
         h.cancel()
@@ -267,12 +272,11 @@ def _transfer_outcome(seed, loss, queue, *, reference: bool):
     ``reference`` runs it with no pooling, no compaction and the per-ACK
     timer.
     """
+    net = Network(seed=seed)
     if reference:
-        net = Network(seed=seed, compact_min_stubs=NEVER_COMPACT)
         net.sim.pool.enabled = False
         sender_cls = PerAckRtoSender
     else:
-        net = Network(seed=seed)
         sender_cls = TcpSender
     a, b = net.add_host("a"), net.add_host("b")
     s = net.add_switch("s")
@@ -286,7 +290,9 @@ def _transfer_outcome(seed, loss, queue, *, reference: bool):
                                   delayed_acks=bool(seed % 2))
     assert type(conn.subflows[0]) is sender_cls
     conn.start()
-    net.run_until_complete([conn], timeout=600)
+    min_stubs = NEVER_COMPACT if reference else events_mod._COMPACT_MIN_STUBS
+    with mock.patch.object(events_mod, "_COMPACT_MIN_STUBS", min_stubs):
+        net.run_until_complete([conn], timeout=600)
     sf = conn.subflows[0]
     return {
         "completed": conn.completed,

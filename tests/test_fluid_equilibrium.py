@@ -27,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.fluidsim.engine as engine_mod
+import repro.fluidsim.equilibrium as equilibrium_mod
 import repro.obs as obs
 from repro.errors import ConfigurationError, EquilibriumError, ModelError
 from repro.fluidsim import (
@@ -173,11 +174,11 @@ def test_known_stall_is_reported_and_bounded():
     assert rel < _tolerance(algos), f"{rel:.1%}"  # 5.9%
 
 
-def test_non_converged_solve_returns_result_not_raise():
+def test_non_converged_solve_returns_result_not_raise(monkeypatch):
     """Starving the iteration budget must yield a diagnosable result
     (the campaign executor's fallback trigger), never an exception."""
-    eq = solve_fluid_equilibrium(_build_net(5, ["lia", "lia"], 2),
-                                 max_iter=3)
+    monkeypatch.setattr(equilibrium_mod, "_MAX_ITER", 3)
+    eq = solve_fluid_equilibrium(_build_net(5, ["lia", "lia"], 2))
     assert not eq.converged
     assert eq.iterations == 3
     assert eq.residual >= 1e-3
@@ -242,19 +243,6 @@ def test_empty_network_raises():
         solve_fluid_equilibrium(net)
 
 
-@pytest.mark.parametrize("param", ["max_iter", "initial_window"])
-def test_nonpositive_solver_params_raise(param):
-    net = _build_net(1, ["lia"], 1)
-    with pytest.raises(EquilibriumError, match=param):
-        solve_fluid_equilibrium(net, **{param: 0})
-
-
-def test_sub_segment_initial_window_raises():
-    net = _build_net(1, ["lia"], 1)
-    with pytest.raises(EquilibriumError, match="initial_window must be >= 1"):
-        solve_fluid_equilibrium(net, initial_window=0.5)
-
-
 def test_no_rule_is_ever_shown_less_than_a_segment_or_no_rate(monkeypatch):
     """The stepper floors ``w`` at 1 every step and the solver clips to
     ``[1, 1e7]``, so a per-ACK rule never sees ``w < 1`` nor
@@ -281,7 +269,8 @@ def test_no_rule_is_ever_shown_less_than_a_segment_or_no_rate(monkeypatch):
                               initial_window=1.0).run(3.0)
     assert stepped.loss_events.sum() > 0
     calls = seen["calls"]
-    solve_fluid_equilibrium(_build_net(3, SUPPORTED * 3, 2), initial_window=1.0)
+    monkeypatch.setattr(equilibrium_mod, "_INITIAL_WINDOW", 1.0)
+    solve_fluid_equilibrium(_build_net(3, SUPPORTED * 3, 2))
     assert 0 < calls < seen["calls"]
     assert seen["min_w"] >= 1.0
     assert seen["min_total_x"] > 0.0

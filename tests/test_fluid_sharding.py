@@ -10,7 +10,6 @@ the same determinism contract.
 
 import dataclasses
 import json
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -132,13 +131,6 @@ def test_serial_and_pooled_sharded_runs_are_identical():
     # Two replicas of the same fabric: exactly twice one shard's subflows.
     one = simulate_shard(make_shard_specs("bcube", n_shards=2, **FAST)[0])
     assert serial.n_subflows == 2 * one["n_subflows_total"]
-
-
-def test_run_sharded_accepts_caller_pool():
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        pooled = run_sharded("bcube", n_shards=2, pool=pool, **FAST)
-    serial = run_sharded("bcube", n_shards=2, jobs=1, **FAST)
-    assert _strip_wall(serial) == _strip_wall(pooled)
 
 
 def test_shards_are_isolated_from_ambient_obs_session():

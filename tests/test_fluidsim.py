@@ -438,7 +438,7 @@ class TestFluidEngine:
         net.add_connection("a", "b", "reno", n_subflows=1)
         net.finalize()
         dt = 0.002
-        sim = FluidSimulation(net, dt=dt, seed=1, energy_sample_every=10)
+        sim = FluidSimulation(net, dt=dt, seed=1)
         res = (run_reference(sim, 15 * dt, np.random.default_rng(1)) if reference
                else sim.run(15 * dt))
         assert len(res.sample_power_w) == 2
@@ -449,12 +449,12 @@ class TestFluidEngine:
 
     def test_energy_unchanged_when_steps_divide_evenly(self):
         # Sanity guard for figure byte-stability: the clamp is a no-op
-        # when n_steps is a multiple of energy_sample_every.
+        # when n_steps is a multiple of the sampling cadence.
         net = FluidNetwork(tiny_topology())
         net.add_connection("a", "b", "reno", n_subflows=1)
         net.finalize()
         dt = 0.002
-        sim = FluidSimulation(net, dt=dt, seed=1, energy_sample_every=10)
+        sim = FluidSimulation(net, dt=dt, seed=1)
         res = sim.run(20 * dt)
         expected = sum(p * dt * 10 for p in res.sample_power_w)
         assert res.total_energy_j == pytest.approx(expected, rel=1e-12)

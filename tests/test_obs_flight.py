@@ -118,5 +118,3 @@ def test_attach_flight_is_get_or_create():
     s = obs.ObsSession()
     first = s.attach_flight(capacity=16)
     assert s.attach_flight() is first
-    explicit = FlightRecorder(capacity=4)
-    assert s.attach_flight(explicit) is explicit

@@ -21,10 +21,12 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.fluidsim.equilibrium as equilibrium_mod
 from repro.campaign.spec import build_topology
 from repro.fluidsim import FluidNetwork, solve_fluid_equilibrium
 from repro.topology import FatTree
@@ -43,11 +45,12 @@ def _topology(name: str):
     return FatTree(4, link_delay=ms(1)) if name == "fattree4" else build_topology(name)
 
 
-def _stall_network(name: str) -> "tuple[FluidNetwork, dict]":
+def _stall_network(name: str) -> "tuple[FluidNetwork, int]":
+    """The case's network and the solver's iteration budget for it."""
     if name == "budget":
         net = FluidNetwork.permutation(_topology("fattree4"), "lia",
                                        n_subflows=2, seed=5)
-        return net, {"max_iter": 3}
+        return net, 3
     if name == "ceiling":
         from tests.test_fluidsim import tiny_topology
 
@@ -55,18 +58,19 @@ def _stall_network(name: str) -> "tuple[FluidNetwork, dict]":
         for _ in range(200):
             net.add_connection("a", "b", "reno", n_subflows=1)
         net.finalize()
-        return net, {}
+        return net, equilibrium_mod._MAX_ITER
     from tests.test_fluid_equilibrium import _build_net
 
-    return _build_net(1386, ["olia", "reno", "reno"], 2), {}
+    return _build_net(1386, ["olia", "reno", "reno"], 2), equilibrium_mod._MAX_ITER
 
 
 def solve(key: str):
     """The :class:`FluidEquilibrium` of case ``key``."""
     parts = key.split("/")
     if parts[0] == "stall":
-        net, kwargs = _stall_network(parts[1])
-        return solve_fluid_equilibrium(net, **kwargs)
+        net, max_iter = _stall_network(parts[1])
+        with mock.patch.object(equilibrium_mod, "_MAX_ITER", max_iter):
+            return solve_fluid_equilibrium(net)
     fabric, algorithm, subflows = parts
     net = FluidNetwork.permutation(_topology(fabric), algorithm,
                                    n_subflows=int(subflows[1:]), seed=1)

@@ -67,16 +67,16 @@ async def _vanishing_client(ports, conn_id: int) -> None:
         transport.close()
 
 
-def test_churn_costs_one_row_per_finished_connection(small_rings):
+def test_churn_costs_one_row_per_finished_connection(small_rings, monkeypatch):
     async def run():
         errors = []
         asyncio.get_running_loop().set_exception_handler(
             lambda loop, context: errors.append(context))
         # The server's other rings (flight events, series points) made
         # small enough to be full before the first measurement.
+        monkeypatch.setattr(server_mod, "SERIES_CAPACITY", 16)
         server = TransportServer(n_ports=2, idle_timeout=0.3,
-                                 record_interval=0.02, series_capacity=16,
-                                 flight_capacity=128)
+                                 record_interval=0.02, flight_capacity=128)
         ports = await server.start()
         idle_instruments = len(server.session.registry)
         tracemalloc.start()
