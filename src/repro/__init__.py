@@ -50,7 +50,7 @@ from repro.errors import (
     RoutingError,
     SimulationError,
 )
-from repro.units import gb, gbps, kib, mb, mbps, mib, ms, us
+from repro.units import gb, gbps, kib, mb, mbps, mib, ms
 
 if TYPE_CHECKING:
     from repro.algorithms import algorithm_names, create_controller
@@ -86,5 +86,4 @@ __all__ = [
     "mbps",
     "mib",
     "ms",
-    "us",
 ]

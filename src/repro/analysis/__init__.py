@@ -6,7 +6,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.analysis.compare import relative_saving
-    from repro.analysis.fairness import friendliness_ratio, jain_index, share_summary
+    from repro.analysis.fairness import jain_index
     from repro.analysis.report import format_table
     from repro.analysis.stats import BoxStats, box_stats
     from repro.analysis.timeseries import bin_series
@@ -15,7 +15,7 @@ if TYPE_CHECKING:
 # through ``report`` (stdlib) without loading the numpy reductions beside it.
 __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.analysis.compare": ("relative_saving",),
-    "repro.analysis.fairness": ("friendliness_ratio", "jain_index", "share_summary"),
+    "repro.analysis.fairness": ("jain_index",),
     "repro.analysis.report": ("format_table",),
     "repro.analysis.stats": ("BoxStats", "box_stats"),
     "repro.analysis.timeseries": ("bin_series",),
@@ -25,9 +25,7 @@ __all__ = [
     "BoxStats",
     "bin_series",
     "box_stats",
-    "friendliness_ratio",
     "jain_index",
-    "share_summary",
     "format_table",
     "relative_saving",
 ]

@@ -1,12 +1,12 @@
-"""Fairness metrics: Jain's index and bandwidth-share summaries.
+"""Fairness metric: Jain's index.
 
 TCP-friendliness — Condition 1 of the paper — is ultimately a fairness
-statement; these metrics quantify it for simulation outcomes.
+statement; this metric quantifies it for simulation outcomes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,22 +28,3 @@ def jain_index(allocations: Sequence[float]) -> float:
         return 1.0  # nobody got anything: vacuously fair
     return total * total / (len(x) * float(np.sum(x * x)))
 
-
-def share_summary(allocations: Dict[str, float]) -> Dict[str, float]:
-    """Per-name fraction of the total allocation."""
-    total = sum(allocations.values())
-    if total <= 0:
-        raise ConfigurationError("total allocation must be positive")
-    return {name: value / total for name, value in allocations.items()}
-
-
-def friendliness_ratio(mptcp_bps: float, tcp_mean_bps: float) -> float:
-    """MPTCP aggregate over the mean competing-TCP goodput.
-
-    RFC 6356's goals bound this near the number of *bottlenecks* MPTCP
-    spans (not the number of subflows); an uncoupled bundle of n subflows
-    on one bottleneck drives it toward n.
-    """
-    if tcp_mean_bps <= 0:
-        raise ConfigurationError("tcp goodput must be positive")
-    return mptcp_bps / tcp_mean_bps

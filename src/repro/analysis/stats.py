@@ -36,11 +36,6 @@ class BoxStats:
     mean: float
     n: int
 
-    @property
-    def iqr(self) -> float:
-        """Interquartile range Q3 - Q1."""
-        return self.q3 - self.q1
-
 
 def _pairwise_sum(data: Sequence[float], start: int, stop: int) -> float:
     """``np.add.reduce`` over ``data[start:stop]``, in numpy's order: eight

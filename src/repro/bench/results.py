@@ -97,6 +97,9 @@ def validate(doc: Any) -> Dict[str, Any]:
     for key in ("suite", "config", "manifest", "cases"):
         if key not in doc:
             raise ValueError(f"bench document missing {key!r}")
+    for key in ("config", "manifest"):
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"bench {key!r} must be an object")
     if not isinstance(doc["cases"], dict):
         raise ValueError("bench 'cases' must be an object keyed by case name")
     for name, case in doc["cases"].items():
@@ -113,6 +116,13 @@ def validate(doc: Any) -> Dict[str, Any]:
                 or not all(isinstance(s, (int, float)) for s in samples)):
             raise ValueError(f"case {name!r} samples_s must be a non-empty "
                              f"list of numbers")
+        for key in () if failed else _CASE_REQUIRED[1:]:
+            if not isinstance(case[key], (int, float)):
+                raise ValueError(f"case {name!r} {key} must be a number")
+        if not isinstance(case.get("metrics", {}), dict):
+            raise ValueError(f"case {name!r} metrics must be an object")
+        if not isinstance(case.get("profile") or {}, dict):
+            raise ValueError(f"case {name!r} profile must be an object")
     return doc
 
 

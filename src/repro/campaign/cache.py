@@ -112,21 +112,6 @@ class ResultCache:
         self.stats.writes += 1
         return path
 
-    def clear(self) -> int:
-        """Delete every cached entry (and sidecar manifests); returns how
-        many *entries* were removed."""
-        removed = 0
-        if not self.cache_dir.is_dir():
-            return 0
-        for entry in self.cache_dir.glob("*/*.json"):
-            try:
-                entry.unlink()
-                if not entry.name.endswith(".manifest.json"):
-                    removed += 1
-            except OSError:
-                pass
-        return removed
-
     def size(self) -> int:
         """Number of entries currently on disk (manifests excluded)."""
         if not self.cache_dir.is_dir():

@@ -128,11 +128,6 @@ def epsilon_taylor(
     return ceiling * num / (100.0 + num)
 
 
-def epsilon_series(base_rtt: float, rtts, config: DtsFactorConfig = DtsFactorConfig()):
-    """Evaluate the factor over an iterable of RTTs (convenience for plots)."""
-    return [config.epsilon(base_rtt, r) for r in rtts]
-
-
 def taylor_absolute_error(ratio: float, *, slope: float = 10.0, center: float = 0.5) -> float:
     """|taylor - exact| at a given baseRTT/RTT ratio (both with ceiling 2)."""
     if not 0.0 < ratio <= 1.0:

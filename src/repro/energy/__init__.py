@@ -18,11 +18,7 @@ of Huang et al. MobiSys'12 (:mod:`repro.energy.nic`,
 (:mod:`repro.energy.accounting`).
 """
 
-from repro.energy.accounting import (
-    ConnectionEnergyMeter,
-    integrate_power,
-    transfer_energy,
-)
+from repro.energy.accounting import ConnectionEnergyMeter, transfer_energy
 from repro.energy.cpu import (
     HostPowerModel,
     PathPowerModel,
@@ -48,7 +44,6 @@ __all__ = [
     "WirelessPathPower",
     "default_wired_host",
     "default_wireless_host",
-    "integrate_power",
     "nexus5",
     "transfer_energy",
 ]

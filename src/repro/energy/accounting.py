@@ -23,17 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.mptcp import MptcpConnection
 
 
-def integrate_power(times: Sequence[float], powers: Sequence[float]) -> float:
-    """Trapezoidal integral of a power time series, in joules."""
-    if len(times) != len(powers):
-        raise ConfigurationError("times and powers must have equal length")
-    energy = 0.0
-    for i in range(1, len(times)):
-        dt = times[i] - times[i - 1]
-        energy += 0.5 * (powers[i] + powers[i - 1]) * dt
-    return energy
-
-
 def transfer_energy(
     data_bytes: float,
     host_model: HostPowerModel,

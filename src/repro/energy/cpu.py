@@ -138,10 +138,6 @@ class HostPowerModel:
         per_path = sum(self.path_model.power(tau, rtt) for tau, rtt in paths)
         return self.idle_w + per_path + self.subflow_overhead_w * max(0, n - 1)
 
-    def single_path_power(self, throughput_bps: float, rtt: float) -> float:
-        """Convenience for regular TCP: one path, one subflow."""
-        return self.power([(throughput_bps, rtt)])
-
 
 def default_wired_host() -> HostPowerModel:
     """The i7-3770-class wired host used by Figs. 1, 3(a), 4, 6."""

@@ -48,8 +48,3 @@ class SwitchPowerModel:
         if duration < 0:
             raise ConfigurationError(f"negative duration {duration}")
         return self.power(port_utilizations) * duration
-
-
-def fast_switch() -> SwitchPowerModel:
-    """A VL2-style switch with faster (hungrier) inter-switch ports."""
-    return SwitchPowerModel(chassis_w=60.0, port_idle_w=1.0, port_max_w=3.0)

@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.report import format_table
-from repro.campaign import CampaignExecutor, CampaignTelemetry, ResultCache, RunSpec
+from repro.campaign import (
+    CampaignExecutor,
+    CampaignTelemetry,
+    ResultCache,
+    subflow_sweep_campaign,
+)
 from repro.errors import SimulationError
 from repro.units import ms
 
@@ -77,15 +82,12 @@ def run_sweep(
     counts = subflow_counts if subflow_counts is not None else [1, 2, 4, 8]
     seed_list = seeds if seeds is not None else [1, 2]
 
-    specs = [
-        RunSpec(algorithm=algorithm, topology=topology_name, n_subflows=nsub,
-                seed=seed, duration=duration, dt=dt, link_delay=link_delay)
-        for nsub in counts
-        for seed in seed_list
-    ]
+    campaign = subflow_sweep_campaign(
+        [topology_name], subflow_counts=counts, seeds=seed_list,
+        algorithm=algorithm, duration=duration, dt=dt, link_delay=link_delay)
     executor = CampaignExecutor(jobs=jobs, cache=cache, telemetry=telemetry,
                                 run_timeout=run_timeout)
-    outcomes = executor.run(specs, campaign_name=f"sweep-{topology_name}")
+    outcomes = executor.run(campaign.runs, campaign_name=campaign.name)
     return sweep_result_from_outcomes(topology_name, counts, seed_list, outcomes)
 
 

@@ -163,10 +163,3 @@ class Csr:
         out.fill(0)
         kernel(n_out, n_in, self.indptr, indices, data, x, out)
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim != 1:
-            raise ValueError(f"{self.shape} @ {x.shape}: only vectors are supported")
-        out = np.empty(self.shape[0], dtype=np.result_type(self.data, x))
-        self.matvec(x, out)
-        return out

@@ -374,14 +374,6 @@ class FluidSimulation:
         ``engine.wall_time_s`` counter)."""
         return float(self._wall_counter.value)
 
-    @property
-    def steps_per_second(self) -> float:
-        """Integration throughput over the steps run so far."""
-        wall = self._wall_counter.value
-        if wall <= 0:
-            return 0.0
-        return self._steps_counter.value / wall
-
     def _build_cohort_views(self, b: _StepBuffers):
         """Per-cohort :class:`CohortState`\\ s viewing the engine buffers.
 

@@ -174,10 +174,6 @@ class FluidEquilibrium:
         """Sum of connection goodputs, bits/second."""
         return float(np.sum(self.connection_goodput_bps))
 
-    @property
-    def n_subflows(self) -> int:
-        return len(self.w)
-
 
 def solve_fluid_equilibrium(
     net: FluidNetwork,

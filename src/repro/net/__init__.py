@@ -30,15 +30,8 @@ if TYPE_CHECKING:
     from repro.net.network import Network
     from repro.net.node import Host, Node, Switch
     from repro.net.packet import Packet, PacketPool
-    from repro.net.queues import DropTailQueue, EcnConfig, REDQueue
+    from repro.net.queues import DropTailQueue, EcnConfig
     from repro.net.routing import Route
-    from repro.net.scheduler import (
-        GreedyScheduler,
-        MinRttScheduler,
-        RoundRobinScheduler,
-        create_scheduler,
-    )
-    from repro.net.trace import FlowTracer, TraceEvent
 
 # Resolved on first access (PEP 562): the scalar DES, the batch engine and
 # ``repro.net.flow``'s users each load only their own modules.
@@ -54,12 +47,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.net.network": ("Network",),
     "repro.net.node": ("Host", "Node", "Switch"),
     "repro.net.packet": ("Packet", "PacketPool"),
-    "repro.net.queues": ("DropTailQueue", "EcnConfig", "REDQueue"),
+    "repro.net.queues": ("DropTailQueue", "EcnConfig"),
     "repro.net.routing": ("Route",),
-    "repro.net.scheduler": (
-        "GreedyScheduler", "MinRttScheduler", "RoundRobinScheduler", "create_scheduler",
-    ),
-    "repro.net.trace": ("FlowTracer", "TraceEvent"),
 })
 
 __all__ = [
@@ -73,12 +62,6 @@ __all__ = [
     "EcnConfig",
     "EventHandle",
     "FlowMonitor",
-    "FlowTracer",
-    "GreedyScheduler",
-    "MinRttScheduler",
-    "RoundRobinScheduler",
-    "TraceEvent",
-    "create_scheduler",
     "Host",
     "Link",
     "LinkMonitor",
@@ -88,7 +71,6 @@ __all__ = [
     "Packet",
     "PacketPool",
     "PeriodicSampler",
-    "REDQueue",
     "Route",
     "Simulator",
     "Switch",

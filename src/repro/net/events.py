@@ -112,14 +112,6 @@ class Simulator:
         return float(self._wall_counter.value)
 
     @property
-    def events_per_second(self) -> float:
-        """Event-processing throughput over all run() calls so far."""
-        wall = self._wall_counter.value
-        if wall <= 0:
-            return 0.0
-        return self._events_counter.value / wall
-
-    @property
     def heap_compactions(self) -> int:
         """Number of cancelled-stub heap rebuilds so far."""
         return int(self._compactions_counter.value)
@@ -154,14 +146,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(self._heap,
                        (self.now + delay, next(self._counter), None, callback, args))
-
-    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no cancellation handle."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time:.6f}, already at {self.now:.6f}"
-            )
-        heapq.heappush(self._heap, (time, next(self._counter), None, callback, args))
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events in time order.

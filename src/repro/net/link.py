@@ -134,9 +134,3 @@ class Link:
         else:
             packet.sink.receive(packet)
             self._pool.release(packet)
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of capacity used over ``elapsed`` seconds of simulation."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, bytes_to_bits(self.bytes_sent) / (self.rate_bps * elapsed))

@@ -8,7 +8,7 @@ per-ACK increase rule couples the windows (Section IV's model, Eq. 3).
 Data scheduling uses a pull model: whenever a subflow has window space it
 pulls the next segment from the connection's shared
 :class:`~repro.net.flow.SegmentSupply`. This matches the paper's workloads
-(bulk transfers and long-lived flows), where the scheduler is not the
+(bulk transfers and long-lived flows), where segment placement is not the
 bottleneck and congestion control alone determines per-path rates.
 """
 
@@ -129,7 +129,6 @@ class MptcpConnection:
         mss: int = DEFAULT_MSS,
         initial_cwnd: float = 2.0,
         rcv_buffer_bytes: Optional[int] = None,
-        scheduler: Optional[str] = None,
         delayed_acks: bool = False,
         name: str = "",
     ):
@@ -142,12 +141,6 @@ class MptcpConnection:
         if total_bytes is not None:
             total_segments = max(1, -(-total_bytes // mss))  # ceil division
         self.supply = SegmentSupply(total_segments)
-        self.scheduler = None
-        if scheduler is not None:
-            from repro.net.scheduler import create_scheduler
-
-            self.scheduler = create_scheduler(scheduler)
-            self.supply.scheduler = self.scheduler
         rcv_segments = None
         if rcv_buffer_bytes is not None:
             rcv_segments = max(1, rcv_buffer_bytes // mss)
@@ -168,8 +161,6 @@ class MptcpConnection:
             sender.subflow_index = len(self.subflows)
             self.subflows.append(sender)
         controller.attach(self.subflows)
-        if self.scheduler is not None:
-            self.scheduler.attach(self.subflows)
         self.probe: Optional[ConnectionProbe] = None
         session = obs.active_session()
         if session is not None:
@@ -193,11 +184,6 @@ class MptcpConnection:
     def completion_time(self) -> Optional[float]:
         """Absolute time the last segment was acknowledged, if finished."""
         return self.supply.completion_time
-
-    @property
-    def acked_bytes(self) -> int:
-        """Bytes acknowledged across all subflows."""
-        return self.supply.acked * self.subflows[0].mss
 
     def start(self, at: float = 0.0) -> None:
         """Start all subflows at absolute time ``at``."""
@@ -256,10 +242,6 @@ class MptcpConnection:
         if elapsed <= 0:
             return 0.0
         return self.supply.acked * self.subflows[0].mss * 8 / elapsed
-
-    def subflow_goodputs_bps(self) -> List[float]:
-        """Per-subflow goodput in bits/second."""
-        return [sf.goodput_bps() for sf in self.subflows]
 
     def total_loss_events(self) -> int:
         """Fast-retransmit plus timeout events across subflows."""

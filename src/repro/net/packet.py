@@ -104,35 +104,6 @@ class Packet:
             is_retransmit=is_retransmit,
         )
 
-    @classmethod
-    def ack(
-        cls,
-        flow_id: int,
-        ack_seq: int,
-        route: Sequence["Link"],
-        sink,
-        now: float,
-        *,
-        echo_time: float,
-        ecn_echo: bool = False,
-        sack_seq: int = -1,
-    ) -> "Packet":
-        """Build a cumulative ACK echoing the data packet's send time."""
-        pkt = cls(
-            flow_id,
-            -1,
-            ACK_BYTES,
-            route,
-            sink,
-            is_ack=True,
-            ack_seq=ack_seq,
-            sent_time=now,
-            echo_time=echo_time,
-        )
-        pkt.ecn_echo = ecn_echo
-        pkt.sack_seq = sack_seq
-        return pkt
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ACK" if self.is_ack else "DATA"
         num = self.ack_seq if self.is_ack else self.seq
@@ -152,9 +123,9 @@ class PacketPool:
 
     * a sink must not retain a pooled packet past its ``receive()`` call
       (copy the fields instead) — the built-in sinks never do;
-    * packets built directly via ``Packet(...)`` / ``Packet.data`` /
-      ``Packet.ack`` are never recycled (``pooled`` stays False), so
-      external code keeps full ownership of its own packets.
+    * packets built directly via ``Packet(...)`` / ``Packet.data`` are
+      never recycled (``pooled`` stays False), so external code keeps
+      full ownership of its own packets.
 
     With ``debug=True`` the pool verifies the lifecycle: releasing a
     packet twice raises, and :meth:`assert_drained` checks that every
@@ -235,7 +206,8 @@ class PacketPool:
         ecn_echo: bool = False,
         sack_seq: int = -1,
     ) -> Packet:
-        """Pooled equivalent of :meth:`Packet.ack`."""
+        """A cumulative ACK echoing the data packet's send time, from
+        the free list when one is there."""
         free = self._free
         if free:
             self.reuses += 1

@@ -1,7 +1,7 @@
 """The repo's random generator: PCG64 on the standard library.
 
 Every engine draws from one :class:`Pcg64` per run: the packet DES's
-per-packet loss, RED and workload arrival draws, the fluid engine's loss
+per-packet loss and workload arrival draws, the fluid engine's loss
 uniforms, the batch engine's and its oracle's burst uniforms, and the
 fluid networks' host pairing and ECMP path picks. Every figure in the repo
 is pinned to seeds recorded when that generator was
@@ -162,7 +162,7 @@ class Pcg64:
 
     def random(self) -> float:
         """One uniform draw in [0, 1): the top 53 bits of one output. This
-        is the per-packet loss/RED hot path, so :meth:`_next64` is written
+        is the per-packet loss hot path, so :meth:`_next64` is written
         out here (with the ``>> 11`` folded into the rotation's shift)."""
         state = self._state = (self._state * MULT + self._inc) & _M128
         x = (state >> 64 ^ state) & _M64

@@ -66,10 +66,6 @@ class Route:
             1 for l in self.forward if isinstance(l.src, Switch) and isinstance(l.dst, Switch)
         )
 
-    def reversed(self) -> "Route":
-        """The same route seen from the other endpoint."""
-        return Route(self.reverse, self.forward)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = [self.forward[0].src.name] + [l.dst.name for l in self.forward]
         return "<Route " + "->".join(names) + ">"

@@ -81,7 +81,6 @@ __all__ = [
     "active_session",
     "annotate",
     "current_tracer",
-    "end_session",
     "format_traceparent",
     "geometric_buckets",
     "git_sha",
@@ -90,7 +89,6 @@ __all__ = [
     "record_event",
     "registry_or_new",
     "session",
-    "start_session",
 ]
 
 
@@ -150,23 +148,6 @@ class ObsSession:
 #: in a single context the variable behaves like a global.
 _active: "ContextVar[Optional[ObsSession]]" = ContextVar(
     "repro_obs_active_session", default=None)
-
-
-def start_session(**kwargs: Any) -> ObsSession:
-    """Install a new ambient session (error if one is already active
-    in the current context)."""
-    if _active.get() is not None:
-        raise RuntimeError("an obs session is already active")
-    s = ObsSession(**kwargs)
-    _active.set(s)
-    return s
-
-
-def end_session() -> Optional[ObsSession]:
-    """Deactivate and return the ambient session (None if none active)."""
-    s = _active.get()
-    _active.set(None)
-    return s
 
 
 @contextmanager

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.results import BENCH_SCHEMA
+from repro.bench.results import validate as validate_bench
 from repro.obs.flight import FLIGHT_SCHEMA
 from repro.obs.manifest import MANIFEST_SCHEMA
 from repro.obs.tail import split_jsonl
@@ -137,7 +138,9 @@ def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
     ``[header, *events]`` list.  An empty file, or one holding only a torn
     line, is kind ``"empty"``; content no table names is ``"unknown"``.
     A line that is not UTF-8 is malformed like one that is not JSON.
-    Raises ValueError when nothing parses.
+    Raises ValueError when nothing parses, and when a field the kind's
+    renderer or detectors read is missing or mistyped (naming the file
+    and the field).
     """
     path = Path(path)
     data = path.read_bytes()
@@ -151,9 +154,11 @@ def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
         if doc.get("schema") == FLIGHT_SCHEMA and "events" in doc:
             # A saved /events document: its header fields wrap the events.
             header = {k: v for k, v in doc.items() if k != "events"}
-            return [header, *doc["events"]], "flight", []
-        if classify_input(doc) != "unknown" or _jsonl_kind(doc) == "unknown":
-            return doc, classify_input(doc), []
+            records = [header, *_expect(path, "events", doc["events"], list)]
+            return _check_fields(path, "flight", records), "flight", []
+        kind = classify_input(doc)
+        if kind != "unknown" or _jsonl_kind(doc) == "unknown":
+            return _check_fields(path, kind, doc), kind, []
     # Else one object per line (a one-line JSONL file parses whole too).
     records, bad_lines, partial_tail = split_jsonl(data)
     warnings = []
@@ -172,7 +177,104 @@ def load_input(path: "str | Path") -> Tuple[Any, str, List[str]]:
     kind = classify_input(records)
     if kind == "flight" and "schema" not in records[0]:
         records.insert(0, {})  # a headerless dump keeps the same shape
-    return records, kind, warnings
+    return _check_fields(path, kind, records), kind, warnings
+
+
+# ---------------------------------------------------------------- field checks
+
+_NUMBER = (int, float)
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+               _NUMBER: "a number", (dict, type(None)): "an object or null",
+               (*_NUMBER, type(None)): "a number or null"}
+
+
+def _expect(path: Path, where: str, value: Any, types) -> Any:
+    """``value`` when it is one of ``types``; else ValueError naming the
+    file and the field."""
+    if not isinstance(value, types):
+        raise ValueError(f"{path}: {where} must be {_TYPE_NAMES[types]}, "
+                         f"got {json.dumps(value)[:40]}")
+    return value
+
+
+def _optional(path: Path, where: str, record: Dict[str, Any], key: str,
+              types) -> None:
+    """Check ``record[key]`` when the key is present (null is a value)."""
+    if key in record:
+        _expect(path, f"{where}.{key}" if where else key, record[key], types)
+
+
+def _check_trace_events(path: Path, where: str, events: Any, type_key: str,
+                        span: str, instant: str) -> None:
+    for i, ev in enumerate(_expect(path, where, events, list)):
+        at = f"{where}[{i}]"
+        _expect(path, at, ev, dict)
+        _optional(path, at, ev, "ts", _NUMBER)
+        if ev.get(type_key) in (span, instant):
+            _expect(path, f"{at}.name", ev.get("name"), str)
+            _optional(path, at, ev, "args", (dict, type(None)))
+        if ev.get(type_key) == span:
+            _optional(path, at, ev, "dur", _NUMBER)
+
+
+def _check_fields(path: Path, kind: str, doc: Any) -> Any:
+    """``doc`` when every field that :mod:`repro.obs.report`'s renderer
+    and this module's detectors read for ``kind`` has its type; else
+    ValueError naming the file and the field."""
+    if kind == "merged-trace":
+        _check_trace_events(path, "traceEvents", doc["traceEvents"], "ph",
+                            "X", "i")
+    elif kind == "trace-shard":
+        _optional(path, "", doc, "trace_id", str)
+        _check_trace_events(path, "events", doc.get("events", []), "type",
+                            "span", "instant")
+    elif kind == "series":
+        series = _expect(path, "series", doc.get("series", {}), dict)
+        for name, entry in series.items():
+            at = f"series[{name!r}]"
+            _expect(path, at, entry, dict)
+            _optional(path, at, entry, "updated_unix",
+                      (*_NUMBER, type(None)))
+            for j, point in enumerate(_expect(
+                    path, f"{at}.points", entry.get("points", []), list)):
+                if not (isinstance(point, list) and len(point) == 2
+                        and all(isinstance(x, _NUMBER) for x in point)):
+                    raise ValueError(f"{path}: {at}.points[{j}] must be a "
+                                     f"[t, value] pair of numbers")
+    elif kind == "flight":
+        for i, record in enumerate(doc):
+            at = f"record {i}"
+            _expect(path, at, record, dict)
+            _optional(path, at, record, "ts", _NUMBER)
+            _optional(path, at, record, "kind", str)
+    elif kind == "telemetry-jsonl":
+        for i, record in enumerate(doc):
+            at = f"record {i}"
+            _expect(path, f"{at}.event", record.get("event"), str)
+            _optional(path, at, record, "wall_s", _NUMBER)
+    elif kind == "bench":
+        try:
+            validate_bench(doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    elif kind == "manifest":
+        _optional(path, "", doc, "metrics", dict)
+        _optional(path, "", doc, "annotations", (dict, type(None)))
+        if doc.get("annotations"):
+            _optional(path, "annotations", doc["annotations"], "connections",
+                      (dict, type(None)))
+    elif kind == "diagnosis":
+        problems = validate_diagnosis(doc)
+        if problems:
+            raise ValueError(f"{path}: {problems[0]}")
+        _expect(path, "summary", doc["summary"], dict)
+        _expect(path, "inputs", doc["inputs"], list)
+        _expect(path, "controllers", doc["controllers"], dict)
+        for i, p in enumerate(_expect(path, "critical_paths",
+                                      doc["critical_paths"], list)):
+            _expect(path, f"critical_paths[{i}]", p, dict)
+            _optional(path, f"critical_paths[{i}]", p, "total_us", _NUMBER)
+    return doc
 
 
 # ------------------------------------------------------------- trace handling

@@ -8,10 +8,6 @@ production paths, and writes them out as JSONL only when something asks:
 
 * an explicit :meth:`~FlightRecorder.dump` (the ``/events`` surface's
   big sibling, and the ``--flight-dump`` serve flag);
-* an **anomaly threshold** — the first time a kind's count crosses its
-  configured threshold, the recorder dumps itself once automatically;
-* a **crash** — :meth:`~FlightRecorder.dump_on_crash` wraps a run and
-  dumps before re-raising;
 * a **signal** — :meth:`~FlightRecorder.install_signal_handler` arms a
   SIGUSR-style dump request for long-running serves.
 
@@ -24,9 +20,8 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 __all__ = ["FLIGHT_SCHEMA", "FlightEvent", "FlightRecorder"]
 
@@ -66,26 +61,23 @@ class FlightRecorder:
         *,
         clock=time.time,
         dump_path: "str | Path | None" = None,
-        dump_thresholds: Optional[Dict[str, int]] = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.clock = clock
         self.dump_path = Path(dump_path) if dump_path is not None else None
-        self.dump_thresholds = dict(dump_thresholds or {})
         self.counts: Dict[str, int] = {}
         self.recorded = 0
         self.dropped = 0
         self.dumps = 0
         self._events: Deque[FlightEvent] = deque(maxlen=capacity)
         self._next_seq = 1
-        self._tripped: set = set()
 
     # ------------------------------------------------------------- recording
 
     def record(self, kind: str, **fields: Any) -> FlightEvent:
-        """Append one event; may auto-dump on an anomaly threshold."""
+        """Append one event, evicting the oldest when the ring is full."""
         event = FlightEvent(self._next_seq, self.clock(), kind, fields)
         self._next_seq += 1
         if len(self._events) == self.capacity:
@@ -93,15 +85,6 @@ class FlightRecorder:
         self._events.append(event)
         self.recorded += 1
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        threshold = self.dump_thresholds.get(kind)
-        if (threshold is not None and kind not in self._tripped
-                and self.counts[kind] >= threshold):
-            self._tripped.add(kind)
-            if self.dump_path is not None:
-                try:
-                    self.dump(reason=f"threshold:{kind}")
-                except OSError:
-                    pass  # a full disk must not take the serve down
         return event
 
     # --------------------------------------------------------------- reading
@@ -152,18 +135,6 @@ class FlightRecorder:
                                     default=str) + "\n")
         self.dumps += 1
         return target
-
-    @contextmanager
-    def dump_on_crash(self, path: "str | Path | None" = None) -> Iterator[None]:
-        """Dump the ring if the wrapped block raises, then re-raise."""
-        try:
-            yield
-        except BaseException:
-            try:
-                self.dump(path, reason="crash")
-            except (OSError, ValueError):
-                pass
-            raise
 
     def install_signal_handler(self, signum: Optional[int] = None) -> bool:
         """Dump on a signal (default SIGUSR1); False when unsupported.

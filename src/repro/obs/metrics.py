@@ -187,20 +187,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentiles(self, *ps: float) -> List[float]:
-        """Interpolated percentile estimates, one per requested ``p``.
-
-        Estimates come from the bucket bounds (see
-        :func:`percentiles_from_counts`), so precision is bucket-width
-        limited; an empty histogram reports 0.0 everywhere.
-        """
-        return percentiles_from_counts(self.buckets, self.counts,
-                                       self.minimum, self.maximum, ps)
-
-    def percentile(self, p: float) -> float:
-        """A single interpolated percentile estimate."""
-        return self.percentiles(p)[0]
-
     def snapshot_value(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "count": self.count,

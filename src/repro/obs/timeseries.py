@@ -16,10 +16,7 @@ by.  Two pieces:
   histograms record interpolated **percentiles** (``<name>.p50`` /
   ``.p95`` / ``.p99``).
 
-Snapshots are JSON-serializable (the ``/series`` route body) and merge
-across processes: a recorder can absorb another recorder's snapshot —
-e.g. campaign workers shipping series back to the parent — with points
-interleaved by timestamp and the capacity bound re-applied.
+Snapshots are JSON-serializable (the ``/series`` route body).
 
 A recorder is attached to the ambient :class:`~repro.obs.ObsSession`
 via :meth:`repro.obs.ObsSession.attach_series`, so transport servers
@@ -29,7 +26,7 @@ and the campaign monitor share one wiring idiom.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (
     Counter,
@@ -102,24 +99,6 @@ class TimeSeries:
         order = [(self._head + i) % self.capacity for i in range(self._size)]
         return [(self._t[i], self._v[i]) for i in order]
 
-    def replace(self, points: Iterable[Tuple[float, float]]) -> None:
-        """Reset the ring to ``points`` (oldest first), keeping the
-        newest ``capacity`` of them."""
-        pts = list(points)
-        overflow = max(len(pts) - self.capacity, 0)
-        self.dropped += overflow
-        pts = pts[overflow:]
-        self._t = [float(t) for t, _ in pts]
-        self._v = [float(v) for _, v in pts]
-        self._head = 0
-        self._size = len(pts)
-
-    def merge_points(self, points: Iterable[Tuple[float, float]]) -> None:
-        """Interleave foreign points by timestamp (cross-process merge)."""
-        merged = sorted(self.points() + [(float(t), float(v))
-                                         for t, v in points])
-        self.replace(merged)
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable state: the retained points plus bookkeeping."""
         return {
@@ -132,10 +111,10 @@ class TimeSeries:
 class SeriesRecorder:
     """Samples a registry's instruments into named time-series rings.
 
-    ``interval`` is the sampling cadence honoured by
-    :meth:`maybe_sample`; :meth:`sample` always records.  ``clock``
-    defaults to wall time so points line up across processes and on the
-    dashboard's time axis.
+    ``interval`` is the cadence the caller's sampling loop keeps
+    (reported as ``interval_s``); :meth:`sample` always records.
+    ``clock`` defaults to wall time so points line up across processes
+    and on the dashboard's time axis.
     """
 
     def __init__(
@@ -155,8 +134,7 @@ class SeriesRecorder:
         self.series: Dict[str, TimeSeries] = {}
         self.samples_taken = 0
         #: series name -> source instrument kind ("counter" rate,
-        #: "gauge" value, "histogram" percentile) or "merged" for
-        #: foreign series absorbed via :meth:`merge_snapshot`.
+        #: "gauge" value, "histogram" percentile).
         self._kinds: Dict[str, str] = {}
         self._prev_counters: Dict[str, float] = {}
         self._prev_t: Optional[float] = None
@@ -170,14 +148,6 @@ class SeriesRecorder:
             self.series[name] = ring
             self._kinds[name] = kind
         return ring
-
-    def maybe_sample(self, now: Optional[float] = None) -> bool:
-        """Record one sample iff a full interval elapsed since the last."""
-        now = self.clock() if now is None else now
-        if self._prev_t is not None and now - self._prev_t < self.interval:
-            return False
-        self.sample(now)
-        return True
 
     def sample(self, now: Optional[float] = None) -> int:
         """Record one sample of every instrument; returns points written."""
@@ -244,7 +214,7 @@ class SeriesRecorder:
         series: Dict[str, Any] = {}
         for name in sorted(self.series):
             entry = self.series[name].snapshot()
-            kind = self._kinds.get(name, "merged")
+            kind = self._kinds[name]
             entry["kind"] = kind
             if kind == "gauge":
                 inst = self.registry.get(name)
@@ -258,29 +228,3 @@ class SeriesRecorder:
             "samples_taken": self.samples_taken,
             "series": series,
         }
-
-    # --------------------------------------------------------------- merging
-
-    def merge_snapshot(self, snapshot: Dict[str, Any]) -> int:
-        """Absorb another recorder's snapshot (cross-process merge).
-
-        Points interleave by timestamp; unknown series are created with
-        this recorder's capacity.  Returns the number of points merged.
-        """
-        if snapshot.get("schema") not in (None, SERIES_SCHEMA):
-            raise ValueError(
-                f"cannot merge series snapshot with schema "
-                f"{snapshot.get('schema')!r} (expected {SERIES_SCHEMA})")
-        merged = 0
-        for name, entry in snapshot.get("series", {}).items():
-            points = [(float(t), float(v)) for t, v in entry.get("points", [])]
-            if not points:
-                continue
-            ring = self.series.get(name)
-            if ring is None:
-                ring = TimeSeries(name, self.capacity)
-                self.series[name] = ring
-                self._kinds[name] = entry.get("kind", "merged")
-            ring.merge_points(points)
-            merged += len(points)
-        return merged

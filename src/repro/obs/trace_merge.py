@@ -48,16 +48,6 @@ class MergeStats:
         self.trace_ids: List[str] = []
         self.processes: List[str] = []
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "shards": self.shards,
-            "events": self.events,
-            "orphans": self.orphans,
-            "dropped_events": self.dropped_events,
-            "trace_ids": self.trace_ids,
-            "processes": self.processes,
-        }
-
 
 def load_shard(path: "str | Path") -> Dict[str, Any]:
     """Read and validate one shard file (``repro.obs.trace/1``)."""

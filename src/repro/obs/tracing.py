@@ -68,6 +68,11 @@ MONOTONIC_CLOCK = time.perf_counter
 #: Schema tag on exported trace shards (one process's slice of a trace).
 TRACE_SCHEMA = "repro.obs.trace/1"
 
+#: Ceiling on the events one tracer retains; extra events are dropped
+#: (counted in :attr:`Tracer.dropped`) so a runaway trace cannot exhaust
+#: memory.
+MAX_EVENTS = 1_000_000
+
 #: The active-span stack of the current task/context.  One module-level
 #: ContextVar (per-instance ContextVars leak); entries are live _Span
 #: objects, possibly from different tracers, innermost last.
@@ -252,13 +257,8 @@ class Tracer:
 
     Parameters
     ----------
-    max_events:
-        Ceiling on retained events; extra events are dropped (counted in
-        :attr:`dropped`) so a runaway trace cannot exhaust memory.
     clock:
         Monotonic seconds source; injectable for tests.
-    trace_id:
-        Explicit 32-hex trace id; fresh random by default.
     parent:
         A traceparent string from a remote caller: the tracer joins that
         trace (inherits its trace id) and parents its root spans under
@@ -267,14 +267,12 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, *, max_events: int = 1_000_000, clock=MONOTONIC_CLOCK,
-                 trace_id: Optional[str] = None, parent: Optional[str] = None):
+    def __init__(self, *, clock=MONOTONIC_CLOCK, parent: Optional[str] = None):
         self._clock = clock
         self._epoch = clock()
         #: Wall-clock instant of the epoch — the cross-process alignment
         #: anchor carried by shards (event ts are epoch-relative).
         self.epoch_unix = time.time()
-        self.max_events = max_events
         self.records: List[Dict[str, Any]] = []
         self.dropped = 0
         self._remote_parent: Optional[str] = None
@@ -282,7 +280,7 @@ class Tracer:
         if parsed is not None:
             self.trace_id, self._remote_parent = parsed
         else:
-            self.trace_id = trace_id if trace_id is not None else new_trace_id()
+            self.trace_id = new_trace_id()
         # Span ids are a per-tracer random prefix + counter: unique across
         # processes with high probability, far cheaper than fresh urandom
         # per span (the <5% transport-overhead budget).
@@ -355,7 +353,7 @@ class Tracer:
         return None
 
     def _record(self, record: Dict[str, Any]) -> None:
-        if len(self.records) >= self.max_events:
+        if len(self.records) >= MAX_EVENTS:
             self.dropped += 1
             return
         self.records.append(record)

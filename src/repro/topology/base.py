@@ -288,10 +288,3 @@ class DcTopology(ABC):
     def paths(self, src_host: str, dst_host: str, max_paths: int) -> List[PathSpec]:
         """Up to ``max_paths`` distinct forward paths between two hosts."""
         return path_specs(self.path_rows(src_host, dst_host, max_paths))
-
-    def describe(self) -> str:
-        """One-line summary used by experiment reports."""
-        return (
-            f"{type(self).__name__}: {len(self.hosts)} hosts, "
-            f"{len(self.switches)} switches, {self.n_links} directed links"
-        )

@@ -33,11 +33,10 @@ is_retransmit=...)``      and transmits it, the sans-IO host appends a
                           deadline policy (when these are called) is here
 ========================  ==================================================
 
-Transitions dispatch internal steps through the host's bound methods
-(``s._handle_new_ack(...)`` rather than the module function) so per-instance
-instrumentation — :class:`~repro.net.trace.FlowTracer` wraps exactly those
-methods — keeps working on both hosts; :class:`SenderState` carries those
-eleven hops once for both.
+Transitions call each other as module functions.  The few steps a host
+or a test replaces — ``_send_available``, ``_hystart_check``,
+``_hole_is_lost``, ``_compute_pipe``, ``_on_rto`` — go through bound
+methods that :class:`SenderState` states once for both hosts.
 
 Nothing in this module imports the simulator, asyncio, or sockets; the
 only dependencies are error types and unit constants.
@@ -76,20 +75,11 @@ class SegmentSupply:
         self.acked = 0
         self.completion_time: Optional[float] = None
         self.on_complete: Optional[Callable[[float], None]] = None
-        #: Optional subflow scheduler (see :mod:`repro.net.scheduler`);
-        #: None means greedy first-come-first-served pulls.
-        self.scheduler = None
 
-    def take(self, sender=None) -> bool:
-        """Grant one new segment to ``sender``, if any remain and the
-        scheduler (when present) does not prefer another subflow."""
+    def take(self) -> bool:
+        """Grant one new segment to whichever subflow asks, if any remain."""
         if self.total is not None and self.assigned >= self.total:
             return False
-        if self.scheduler is not None and sender is not None:
-            if not self.scheduler.grants(sender):
-                return False
-            if self.total is not None and self.assigned >= self.total:
-                return False  # a poked subflow consumed the remainder
         self.assigned += 1
         return True
 
@@ -199,36 +189,12 @@ class SenderState:
             return self._pipe_cache
         return self.high_water - self.acked - len(self._sacked)
 
-    @property
-    def done(self) -> bool:
-        """True once the shared transfer has fully completed."""
-        return self.supply.completed  # type: ignore[attr-defined]
-
     # --------------------------------------------- transition dispatchers
     # Bound-method hops to the transition functions below, stated once for
-    # both hosts: a per-instance wrapper (FlowTracer-style instrumentation)
-    # on either one intercepts every internal step.
+    # both hosts: the steps a host subclass or a test overrides.
 
     def _send_available(self) -> None:
         send_available(self)
-
-    def _next_hole(self) -> int:
-        return next_hole(self)
-
-    def _handle_new_ack(self, ack_seq: int) -> None:
-        handle_new_ack(self, ack_seq)
-
-    def _handle_dup_ack(self) -> None:
-        handle_dup_ack(self)
-
-    def _enter_fast_recovery(self) -> None:
-        enter_fast_recovery(self)
-
-    def _exit_recovery(self) -> None:
-        exit_recovery(self)
-
-    def _grow_window(self, newly_acked: int) -> None:
-        grow_window(self, newly_acked)
 
     def _hystart_check(self) -> None:
         hystart_check(self)
@@ -329,7 +295,7 @@ def send_available(s) -> None:
         # in_recovery cannot flip inside the loop (no ACKs arrive
         # while we send), so the hole/new-data split hoists out.
         while s._pipe_cache < window:
-            hole = s._next_hole()
+            hole = next_hole(s)
             if hole >= 0:
                 s._retransmitted_holes.add(hole)
                 s._retx_outstanding.add(hole)
@@ -337,7 +303,7 @@ def send_available(s) -> None:
                 s._pipe_cache += 1
                 sent_any = True
                 continue
-            if supply.completed or not supply.take(s):
+            if supply.completed or not supply.take():
                 break
             s._send_segment(s.next_seq, is_retransmit=False)
             s.next_seq += 1
@@ -347,7 +313,7 @@ def send_available(s) -> None:
     else:
         inflight = s.high_water - s.acked - len(s._sacked)
         while inflight < window:
-            if supply.completed or not supply.take(s):
+            if supply.completed or not supply.take():
                 break
             s._send_segment(s.next_seq, is_retransmit=False)
             s.next_seq += 1
@@ -375,9 +341,9 @@ def process_ack(s, ack_seq: int, sack_seq: int, ecn_echo: bool,
         if sack_seq > s._max_sacked:
             s._max_sacked = sack_seq
     if ack_seq > s.acked:
-        s._handle_new_ack(ack_seq)
+        handle_new_ack(s, ack_seq)
     elif ack_seq == s.acked and s.high_water > s.acked:
-        s._handle_dup_ack()
+        handle_dup_ack(s)
     if s.in_recovery:
         s._pipe_cache = s._compute_pipe()
     s._send_available()
@@ -428,14 +394,14 @@ def handle_new_ack(s, ack_seq: int) -> None:
     s.supply.note_acked(newly, s.now())
     if s.in_recovery:
         if s.acked >= s.recover_point:
-            s._exit_recovery()
-            s._grow_window(newly)
+            exit_recovery(s)
+            grow_window(s, newly)
         elif s._rto_recovery:
             # Post-RTO the window regrows from 1 via slow start even
             # while holes are being refilled, as Linux does.
-            s._grow_window(newly)
+            grow_window(s, newly)
     else:
-        s._grow_window(newly)
+        grow_window(s, newly)
     if s.probe is not None:
         s.probe.on_ack(s)
     if s.inflight > 0:
@@ -492,7 +458,7 @@ def handle_dup_ack(s) -> None:
     """Count a duplicate ACK; the third opens fast recovery."""
     s.dup_acks += 1
     if s.dup_acks == 3 and not s.in_recovery:
-        s._enter_fast_recovery()
+        enter_fast_recovery(s)
 
 
 def enter_fast_recovery(s) -> None:
@@ -749,10 +715,6 @@ class SenderCore(SenderState):
             self.rto_deadline = _INF
             self._on_rto()
         return self.rto_deadline
-
-    def pull(self) -> None:
-        """Re-fill the window (e.g. after the supply gained data)."""
-        self._send_available()
 
 
 

@@ -27,11 +27,6 @@ ACK_BYTES = 40
 BITS_PER_BYTE = 8
 
 
-def kbps(value: float) -> float:
-    """Kilobits per second to bits per second."""
-    return value * 1e3
-
-
 def mbps(value: float) -> float:
     """Megabits per second to bits per second."""
     return value * 1e6
@@ -45,11 +40,6 @@ def gbps(value: float) -> float:
 def to_mbps(bits_per_second: float) -> float:
     """Bits per second to megabits per second."""
     return bits_per_second / 1e6
-
-
-def us(value: float) -> float:
-    """Microseconds to seconds."""
-    return value * 1e-6
 
 
 def ms(value: float) -> float:
@@ -72,11 +62,6 @@ def mib(value: float) -> int:
     return int(value * 1024 * 1024)
 
 
-def gib(value: float) -> int:
-    """Gibibytes to bytes."""
-    return int(value * 1024 * 1024 * 1024)
-
-
 def mb(value: float) -> int:
     """Decimal megabytes to bytes."""
     return int(value * 1e6)
@@ -92,30 +77,6 @@ def bytes_to_bits(n_bytes: float) -> float:
     return n_bytes * BITS_PER_BYTE
 
 
-def bits_to_bytes(n_bits: float) -> float:
-    """Bits to bytes."""
-    return n_bits / BITS_PER_BYTE
-
-
-def transmission_time(n_bytes: float, rate_bps: float) -> float:
-    """Time in seconds to serialize ``n_bytes`` onto a ``rate_bps`` link."""
-    if rate_bps <= 0:
-        raise ValueError(f"link rate must be positive, got {rate_bps}")
-    return bytes_to_bits(n_bytes) / rate_bps
-
-
-def watts_to_milliwatts(watts: float) -> float:
-    """Watts to milliwatts."""
-    return watts * 1e3
-
-
 def milliwatts(value: float) -> float:
     """Milliwatts to watts."""
     return value * 1e-3
-
-
-def joules_per_gb(energy_joules: float, data_bytes: float) -> float:
-    """Energy overhead in joules per decimal gigabyte transferred."""
-    if data_bytes <= 0:
-        return float("inf")
-    return energy_joules / (data_bytes / 1e9)

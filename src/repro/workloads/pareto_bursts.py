@@ -74,11 +74,6 @@ class ParetoBurstSource:
         self.bursts_generated = 0
         self.packets_sent = 0
 
-    @property
-    def in_burst(self) -> bool:
-        """Whether the source is currently in an ON period."""
-        return self._on
-
     def start(self, at: float = 0.0) -> None:
         """Schedule the first OFF->ON transition."""
         if self._started:

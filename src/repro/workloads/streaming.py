@@ -58,16 +58,14 @@ class StreamingSupply(SegmentSupply):
         greedy supply with this throttled one.
         """
         self._senders = list(connection.subflows)
-        # Inherit the connection's subflow scheduler, if any.
-        self.scheduler = connection.supply.scheduler
         connection.supply = self
         for sender in self._senders:
             sender.supply = self
 
-    def take(self, sender=None) -> bool:
+    def take(self) -> bool:
         if self._tokens < 1.0:
             return False
-        if not super().take(sender):
+        if not super().take():
             return False
         self._tokens -= 1.0
         return True

@@ -32,10 +32,6 @@ class TestBoxStats:
         with pytest.raises(ConfigurationError):
             box_stats([])
 
-    def test_iqr(self):
-        stats = box_stats(range(1, 101))
-        assert stats.iqr == pytest.approx(stats.q3 - stats.q1)
-
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1,
                     max_size=200))
     def test_property_invariants(self, data):

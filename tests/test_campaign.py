@@ -198,16 +198,6 @@ def test_cache_corrupted_file_is_a_miss(tmp_path):
     assert cache.get(spec) is not None
 
 
-def test_cache_clear(tmp_path):
-    cache = ResultCache(tmp_path)
-    for seed in (1, 2, 3):
-        spec = RunSpec(seed=seed, **FAST)
-        cache.put(spec, _payload(spec))
-    assert cache.size() == 3
-    assert cache.clear() == 3
-    assert cache.size() == 0
-
-
 # ------------------------------------------------------------------- executor
 
 def _specs(n_seeds=2):
@@ -374,9 +364,8 @@ def test_throughput_from_snapshot_reads_engine_counters():
     sim.run()
     assert sim.events_processed == 50
     assert sim.wall_time_s > 0
-    assert sim.events_per_second > 0
     stats = throughput_from_snapshot(registry.snapshot(), sim.wall_time_s)
-    assert stats == {"events_per_s": pytest.approx(sim.events_per_second)}
+    assert stats == {"events_per_s": pytest.approx(50 / sim.wall_time_s)}
 
     from repro.campaign.spec import build_topology
     registry = obs.MetricsRegistry()
@@ -387,9 +376,8 @@ def test_throughput_from_snapshot_reads_engine_counters():
     fsim = FluidSimulation(net, dt=0.01, seed=1, metrics=registry)
     fsim.run(0.2)
     assert fsim.steps_taken == 20
-    assert fsim.steps_per_second > 0
     stats = throughput_from_snapshot(registry.snapshot(), fsim.wall_time_s)
-    assert stats == {"steps_per_s": pytest.approx(fsim.steps_per_second)}
+    assert stats == {"steps_per_s": pytest.approx(20 / fsim.wall_time_s)}
     assert throughput_from_snapshot(registry.snapshot(), 0.0) == {}
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repro.core.dts import (
     DtsFactorConfig,
     epsilon_exact,
-    epsilon_series,
     epsilon_taylor,
     rtt_ratio,
     taylor_absolute_error,
@@ -47,7 +46,7 @@ class TestExactEpsilon:
         assert epsilon_exact(0.01, 1.0) < 0.02
 
     def test_monotone_in_ratio(self):
-        values = epsilon_series(1.0, [10.0, 5.0, 2.0, 1.25, 1.0])
+        values = [DtsFactorConfig().epsilon(1.0, r) for r in (10.0, 5.0, 2.0, 1.25, 1.0)]
         assert values == sorted(values)
 
     def test_bounded_by_ceiling(self):

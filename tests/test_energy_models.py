@@ -4,11 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro import _scalar
-from repro.energy.accounting import (
-    TransferEnergyAccount,
-    integrate_power,
-    transfer_energy,
-)
+from repro.energy.accounting import TransferEnergyAccount, transfer_energy
 from repro.energy.cpu import (
     HostPowerModel,
     WiredPathPower,
@@ -18,7 +14,7 @@ from repro.energy.cpu import (
 )
 from repro.energy.mobile import nexus5
 from repro.energy.nic import LteRadio, WifiRadio
-from repro.energy.switch import SwitchPowerModel, fast_switch
+from repro.energy.switch import SwitchPowerModel
 from repro.errors import ConfigurationError
 from repro.units import mb, mbps
 
@@ -26,8 +22,8 @@ from repro.units import mb, mbps
 class TestWiredCalibration:
     def test_fifteen_percent_rise_200_to_1000(self):
         host = default_wired_host()
-        p200 = host.single_path_power(mbps(200), 0.02)
-        p1000 = host.single_path_power(mbps(1000), 0.02)
+        p200 = host.power([(mbps(200), 0.02)])
+        p1000 = host.power([(mbps(1000), 0.02)])
         assert (p1000 - p200) / p200 == pytest.approx(0.15, abs=0.01)
 
     def test_nonlinear_concave(self):
@@ -108,7 +104,7 @@ class TestHostModel:
 
     def test_mptcp_exceeds_tcp_at_same_aggregate(self):
         host = default_wired_host()
-        tcp = host.single_path_power(mbps(100), 0.02)
+        tcp = host.power([(mbps(100), 0.02)])
         mptcp = host.power([(mbps(50), 0.02), (mbps(50), 0.02)], n_subflows=2)
         assert mptcp > tcp
 
@@ -203,23 +199,7 @@ class TestSwitch:
         with pytest.raises(ConfigurationError):
             SwitchPowerModel(port_idle_w=2.0, port_max_w=1.0)
 
-    def test_fast_switch_hungrier(self):
-        assert fast_switch().power([1.0]) > SwitchPowerModel().power([1.0])
-
-
 class TestAccounting:
-    def test_integrate_power_trapezoid(self):
-        # Constant 10 W over 2 s = 20 J.
-        assert integrate_power([0, 1, 2], [10, 10, 10]) == pytest.approx(20.0)
-
-    def test_integrate_power_ramp(self):
-        # Linear 0 -> 10 W over 2 s = 10 J.
-        assert integrate_power([0, 2], [0, 10]) == pytest.approx(10.0)
-
-    def test_integrate_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            integrate_power([0, 1], [1.0])
-
     def test_transfer_energy_eq2(self):
         host = HostPowerModel(path_model=WiredPathPower(), idle_w=10,
                               subflow_overhead_w=0)
@@ -240,6 +220,14 @@ class TestAccounting:
         slow = transfer_energy(mb(100), host, [(mbps(100), 0.02), (mbps(100), 0.02)])
         fast = transfer_energy(mb(100), host, [(mbps(500), 0.02), (mbps(500), 0.02)])
         assert fast < slow
+
+
+def trapezoid(times, powers):
+    """Trapezoidal integral of a power series, summed left to right."""
+    energy = 0.0
+    for i in range(1, len(times)):
+        energy += 0.5 * (powers[i] + powers[i - 1]) * (times[i] - times[i - 1])
+    return energy
 
 
 class TestTransferEnergyAccount:
@@ -263,7 +251,7 @@ class TestTransferEnergyAccount:
             (10.9, [(mbps(733), 0.0007), (mbps(512), 0.0011)]),
         ]
         account, times, powers = self._feed(samples)
-        assert account.energy_j == integrate_power(times, powers)
+        assert account.energy_j == trapezoid(times, powers)
         assert account.mean_power_w == sum(powers) / len(powers)
         assert account.samples == 5
 

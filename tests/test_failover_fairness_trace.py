@@ -1,13 +1,12 @@
-"""Link-failure resilience, fairness metrics, and flow-tracer tests."""
+"""Link-failure resilience and fairness-metric tests."""
 
 import pytest
 
-from repro.analysis.fairness import friendliness_ratio, jain_index, share_summary
+from repro.analysis.fairness import jain_index
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.queues import DropTailQueue
-from repro.net.trace import FlowTracer
-from repro.units import mbps, mib, ms
+from repro.units import mbps, ms
 
 
 def two_path_net(seed=1):
@@ -103,20 +102,6 @@ class TestFairnessMetrics:
     def test_jain_all_zero_is_fair(self):
         assert jain_index([0, 0]) == 1.0
 
-    def test_share_summary(self):
-        shares = share_summary({"a": 30.0, "b": 70.0})
-        assert shares["a"] == pytest.approx(0.3)
-        assert shares["b"] == pytest.approx(0.7)
-
-    def test_share_summary_zero_total_rejected(self):
-        with pytest.raises(ConfigurationError):
-            share_summary({"a": 0.0})
-
-    def test_friendliness_ratio(self):
-        assert friendliness_ratio(mbps(90), mbps(45)) == pytest.approx(2.0)
-        with pytest.raises(ConfigurationError):
-            friendliness_ratio(1.0, 0.0)
-
     def test_simulated_fairness_on_shared_link(self):
         net = Network(seed=3)
         a, b = net.add_host("a"), net.add_host("b")
@@ -131,49 +116,3 @@ class TestFairnessMetrics:
         net.run(until=30.0)
         goodputs = [c.aggregate_goodput_bps(elapsed=25.0) for c in conns]
         assert jain_index(goodputs) > 0.85
-
-
-class TestFlowTracer:
-    def test_records_sends_and_acks(self):
-        net, routes, _ = two_path_net()
-        conn = net.connection(routes, "lia", total_bytes=500_000)
-        tracer = FlowTracer(conn)
-        conn.start()
-        net.run_until_complete([conn], timeout=60)
-        assert tracer.count("send") >= conn.supply.total
-        assert tracer.count("ack") > 0
-        assert tracer.first("send").time <= tracer.first("ack").time
-
-    def test_records_loss_and_recovery_cycle(self):
-        net = Network(seed=5)
-        a, b = net.add_host("a"), net.add_host("b")
-        net.link(a, b, rate_bps=mbps(50), delay=ms(10),
-                 queue_factory=lambda: DropTailQueue(limit_packets=15))
-        conn = net.tcp_connection(net.route([a, b]), total_bytes=mib(2))
-        tracer = FlowTracer(conn)
-        conn.start()
-        net.run_until_complete([conn], timeout=60)
-        assert tracer.count("loss") > 0
-        assert tracer.count("recovery-exit") >= 1
-        assert tracer.count("retransmit") > 0
-        first_loss = tracer.first("loss")
-        first_exit = tracer.first("recovery-exit")
-        assert first_loss.time < first_exit.time
-
-    def test_bounded_ring(self):
-        net, routes, _ = two_path_net()
-        conn = net.connection(routes, "lia", total_bytes=500_000)
-        tracer = FlowTracer(conn, max_events=100)
-        conn.start()
-        net.run_until_complete([conn], timeout=60)
-        assert len(tracer.events) == 100
-
-    def test_summary_counts(self):
-        net, routes, _ = two_path_net()
-        conn = net.connection(routes, "lia", total_bytes=200_000)
-        tracer = FlowTracer(conn)
-        conn.start()
-        net.run_until_complete([conn], timeout=60)
-        summary = tracer.summary()
-        assert summary["send"] == tracer.count("send")
-        assert sum(summary.values()) == len(tracer.events)

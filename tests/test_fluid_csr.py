@@ -148,10 +148,6 @@ def test_products_equal_scipys_bit_for_bit(case, seed, unit_weights):
     rng = np.random.default_rng(seed)
     if not unit_weights:
         m = dataclasses.replace(m, data=rng.uniform(0.1, 3.0, len(m.data)))
-    x = rng.uniform(-1e6, 1e6, shape[1])
-    # float64, and a float32 vector against the float64 matrix (upcast).
-    _same_bits(m @ x, _scipy(m) @ x)
-    _same_bits(m @ x.astype(np.float32), _scipy(m) @ x.astype(np.float32))
     _check_both_products(m, rng)
 
 
@@ -213,8 +209,6 @@ def test_matvec_checks_the_lengths_the_kernel_does_not():
         m.rmatvec(np.ones(3), np.empty(2))
     with pytest.raises(ValueError, match="got 2 inputs, 3 outputs, 1 values"):
         m.rmatvec(np.ones(2), np.empty(3), np.ones(1))
-    with pytest.raises(ValueError, match="only vectors"):
-        m @ np.ones((3, 1))
     # An output too narrow for the operands is the kernel's own error.
     for product, n_in, n_out in ((m.matvec, 3, 2), (m.rmatvec, 2, 3)):
         with pytest.raises(ValueError, match="Output dtype"):

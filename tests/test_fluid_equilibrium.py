@@ -146,7 +146,6 @@ def test_equilibrium_state_is_self_consistent():
                        minlength=len(net.connections))
     np.testing.assert_allclose(eq.connection_goodput_bps, want, rtol=1e-12)
     assert eq.aggregate_goodput_bps == pytest.approx(np.sum(want))
-    assert eq.n_subflows == net.n_subflows
 
 
 def test_solver_reports_convergence_diagnostics():

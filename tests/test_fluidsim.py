@@ -503,7 +503,7 @@ class TestPowerEvaluator:
         flat = PowerEvaluator(net, HostPowerModel(path_model=Flat()), SwitchPowerModel())
         assert flat.host_power_now(x, rtts) - flat.host_static_w == pytest.approx(
             len(net.hosts.indices))
-        assert HostPowerModel(path_model=Step()).single_path_power(mbps(5), 0.02) > 20
+        assert HostPowerModel(path_model=Step()).power([(mbps(5), 0.02)]) > 20
         step = PowerEvaluator(net, HostPowerModel(path_model=Step()), SwitchPowerModel())
         with pytest.raises(ConfigurationError, match="Step.*cannot take arrays"):
             step.host_power_now(x, rtts)

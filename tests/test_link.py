@@ -71,21 +71,6 @@ def test_bytes_and_packets_counted():
     assert link.bytes_sent == 4 * 1500
 
 
-def test_utilization():
-    sim, link = one_link()
-    sink = Recorder()
-    send(sim, link, sink, n=10)
-    sim.run()
-    elapsed = sim.now
-    expected = 10 * 1500 * 8 / (mbps(100) * elapsed)
-    assert link.utilization(elapsed) == pytest.approx(expected)
-
-
-def test_utilization_zero_elapsed():
-    _, link = one_link()
-    assert link.utilization(0) == 0.0
-
-
 def test_random_loss_drops_packets():
     sim, link = one_link(seed=1, loss_rate=0.5)
     link.queue.limit = 1000

@@ -92,24 +92,6 @@ def test_mean_rtt_between_path_rtts():
     assert 0.005 < mean < 0.2
 
 
-def test_acked_bytes():
-    net, routes = two_path_net()
-    conn = net.connection(routes, "lia", total_bytes=mib(1))
-    conn.start()
-    net.run_until_complete([conn], timeout=60)
-    assert conn.acked_bytes >= mib(1)
-
-
-def test_subflow_goodputs_sum_to_aggregate():
-    net, routes = two_path_net()
-    conn = net.connection(routes, "lia", total_bytes=mib(4))
-    conn.start()
-    net.run_until_complete([conn], timeout=60)
-    per_path = conn.subflow_goodputs_bps()
-    # Each subflow goodput uses its own start; sums are approximate.
-    assert sum(per_path) == pytest.approx(conn.aggregate_goodput_bps(), rel=0.1)
-
-
 def test_asymmetric_delays_shift_traffic_to_fast_path():
     net, routes = two_path_net(delay1=ms(5), delay2=ms(80))
     conn = net.connection(routes, "lia", total_bytes=mb(12))

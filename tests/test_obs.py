@@ -133,8 +133,9 @@ def test_span_records_args_and_survives_exceptions():
     assert rec["name"] == "job" and rec["args"] == {"attempt": 2}
 
 
-def test_tracer_caps_events():
-    tr = Tracer(max_events=3)
+def test_tracer_caps_events(monkeypatch):
+    monkeypatch.setattr(obs.tracing, "MAX_EVENTS", 3)
+    tr = Tracer()
     for i in range(10):
         tr.instant("e", i=i)
     assert len(tr.records) == 3
@@ -215,7 +216,8 @@ def test_session_is_ambient_and_scoped():
         assert obs.current_tracer() is s.tracer
         assert s.tracer.enabled
         with pytest.raises(RuntimeError):
-            obs.start_session()
+            with obs.session():
+                pass
     assert obs.active_session() is None
     assert obs.current_tracer() is NULL_TRACER
 
@@ -349,6 +351,28 @@ def test_obs_report_rejects_garbage(tmp_path, capsys):
     assert cli.main(["obs", "report", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["report", "analyze"])
+@pytest.mark.parametrize("doc", [
+    {"schema": "repro.obs.series/1", "series": None},
+    {"schema": "repro.obs.trace/1",
+     "events": [{"type": "span", "ts": 1, "dur": None, "span_id": "a"}]},
+    {"schema": "repro.obs.flight/1", "events": None},
+    {"schema": "repro.bench/1"},
+], ids=["series-null", "span-unnamed", "flight-events-null", "bench-no-cases"])
+def test_obs_rejects_schema_tagged_document_missing_a_field(
+        tmp_path, capsys, command, doc):
+    """A tagged document whose fields the renderer or the detectors read
+    are missing or null is one ``error:`` line naming the file, exit 2."""
+    from repro import cli
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["obs", command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_obs_report_skips_empty_file_and_renders_rest(tmp_path, capsys):
     """An empty artifact is skipped with a notice; other files still render."""
     from repro import cli
@@ -390,35 +414,43 @@ def test_obs_report_tolerates_truncated_jsonl(tmp_path, capsys):
 
 # -------------------------------------------------------------- percentiles
 
+def _pcts(h, *ps):
+    """A live histogram's interpolated percentiles, read as the series
+    recorder samples them."""
+    from repro.obs.metrics import percentiles_from_counts
+
+    return percentiles_from_counts(h.buckets, h.counts, h.minimum, h.maximum, ps)
+
+
 def test_histogram_percentiles_interpolate_within_buckets():
     h = Histogram("h", buckets=(10.0, 20.0, 30.0))
     for v in (10.0, 12.0, 14.0, 16.0, 18.0,    # second bucket (10, 20]
               22.0, 24.0, 26.0, 28.0, 30.0):   # third bucket (20, 30]
         h.observe(v)
-    p50, p95 = h.percentiles(50, 95)
+    p50, p95 = _pcts(h, 50, 95)
     # Half the mass sits in (10, 20], so p50 lands at that bucket's top.
     assert 18.0 <= p50 <= 21.0
     assert 28.0 <= p95 <= 30.0
-    assert h.percentile(0) == pytest.approx(10.0)   # clamped to observed min
-    assert h.percentile(100) == pytest.approx(30.0)  # ... and max
+    assert _pcts(h, 0)[0] == pytest.approx(10.0)   # clamped to observed min
+    assert _pcts(h, 100)[0] == pytest.approx(30.0)  # ... and max
 
 
 def test_histogram_percentiles_clamp_single_bucket_to_min_max():
     h = Histogram("h", buckets=(1000.0,))
     for v in (5.0, 6.0, 7.0):
         h.observe(v)
-    p50 = h.percentile(50)
+    p50 = _pcts(h, 50)[0]
     assert 5.0 <= p50 <= 7.0  # not dragged to the 1000.0 bucket bound
 
 
 def test_histogram_percentiles_empty_and_invalid():
     h = Histogram("h")
-    assert h.percentiles(50, 99) == [0.0, 0.0]
+    assert _pcts(h, 50, 99) == [0.0, 0.0]
     h.observe(1.0)
     with pytest.raises(ValueError):
-        h.percentile(101)
+        _pcts(h, 101)
     with pytest.raises(ValueError):
-        h.percentile(-1)
+        _pcts(h, -1)
 
 
 def test_percentiles_from_snapshot_record_match_live_histogram():
@@ -430,7 +462,7 @@ def test_percentiles_from_snapshot_record_match_live_histogram():
     snap = h.snapshot_value()
     from_snapshot = percentiles_from_counts(
         snap["buckets"], snap["counts"], snap["min"], snap["max"], (50, 95))
-    assert from_snapshot == h.percentiles(50, 95)
+    assert from_snapshot == _pcts(h, 50, 95)
 
 
 def test_obs_report_metrics_table_shows_percentiles(tmp_path, capsys):
@@ -451,7 +483,7 @@ def test_obs_report_metrics_table_shows_percentiles(tmp_path, capsys):
                if line.split()[:1] == ["lat"])
     cells = [float(c) for c in row.split()[1:]]
     assert cells[0] == 5 and cells[2:4] == [0.01, 2.0]
-    assert cells[4:] == pytest.approx(hist.percentiles(50, 95, 99), abs=5e-4)
+    assert cells[4:] == pytest.approx(_pcts(hist, 50, 95, 99), abs=5e-4)
 
 
 def test_manifest_captures_cpu_count():

@@ -75,31 +75,6 @@ def test_dump_without_path_raises():
         FlightRecorder().dump()
 
 
-def test_threshold_auto_dumps_exactly_once(tmp_path):
-    path = tmp_path / "auto.jsonl"
-    fr = FlightRecorder(clock=FakeClock(), dump_path=path,
-                        dump_thresholds={"rto": 2})
-    fr.record("rto")
-    assert not path.exists()
-    fr.record("rto")
-    assert path.exists()
-    first = path.read_text()
-    fr.record("rto")  # already tripped: no second dump
-    assert path.read_text() == first
-    assert fr.dumps == 1
-
-
-def test_dump_on_crash_dumps_and_reraises(tmp_path):
-    path = tmp_path / "crash.jsonl"
-    fr = FlightRecorder(clock=FakeClock())
-    with pytest.raises(RuntimeError):
-        with fr.dump_on_crash(path):
-            fr.record("loss")
-            raise RuntimeError("boom")
-    header = json.loads(path.read_text().splitlines()[0])
-    assert header["reason"] == "crash"
-
-
 def test_record_event_is_noop_without_session():
     assert obs.record_event("loss", path=0) is None
 

@@ -44,24 +44,6 @@ def test_ring_rejects_zero_capacity():
         TimeSeries("s", capacity=0)
 
 
-def test_merge_points_interleaves_by_timestamp():
-    ts = TimeSeries("s", capacity=10)
-    ts.append(1.0, 1.0)
-    ts.append(3.0, 3.0)
-    ts.merge_points([(2.0, 2.0), (4.0, 4.0)])
-    assert [t for t, _ in ts.points()] == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_merge_points_respects_capacity():
-    ts = TimeSeries("s", capacity=3)
-    ts.append(5.0, 5.0)
-    ts.merge_points([(float(i), float(i)) for i in range(5)])
-    pts = ts.points()
-    assert len(pts) == 3
-    # The newest three survive the merge.
-    assert [t for t, _ in pts] == [3.0, 4.0, 5.0]
-
-
 # ------------------------------------------------------------ SeriesRecorder
 
 def test_counter_needs_two_samples_for_a_rate():
@@ -93,19 +75,6 @@ def test_gauge_records_value_and_histogram_records_percentiles():
         assert f"lat.{p}" in rec.series
 
 
-def test_maybe_sample_honours_interval():
-    clock = FakeClock()
-    reg = MetricsRegistry()
-    reg.gauge("g").set(1.0)
-    rec = SeriesRecorder(reg, interval=1.0, clock=clock)
-    assert rec.maybe_sample() is True
-    clock.advance(0.4)
-    assert rec.maybe_sample() is False
-    clock.advance(0.7)
-    assert rec.maybe_sample() is True
-    assert rec.samples_taken == 2
-
-
 def test_snapshot_carries_schema_kind_and_gauge_staleness(monkeypatch):
     from repro.obs.metrics import Gauge
 
@@ -129,30 +98,6 @@ def test_snapshot_carries_schema_kind_and_gauge_staleness(monkeypatch):
     # Only gauges carry the stamp; a counter's rate series does not.
     assert doc["series"]["c.rate"]["kind"] == "counter"
     assert "updated_unix" not in doc["series"]["c.rate"]
-
-
-def test_recorder_merge_snapshot_interleaves_foreign_points():
-    clock = FakeClock()
-    reg_a = MetricsRegistry()
-    reg_a.gauge("x").set(1.0)
-    rec_a = SeriesRecorder(reg_a, clock=clock)
-    rec_a.sample()
-
-    reg_b = MetricsRegistry()
-    reg_b.gauge("x").set(9.0)
-    clock_b = FakeClock(99.0)
-    rec_b = SeriesRecorder(reg_b, clock=clock_b)
-    rec_b.sample()
-
-    merged = rec_a.merge_snapshot(rec_b.snapshot())
-    assert merged == 1
-    assert [t for t, _ in rec_a.series["x"].points()] == [99.0, 100.0]
-
-
-def test_recorder_merge_rejects_foreign_schema():
-    rec = SeriesRecorder(MetricsRegistry())
-    with pytest.raises(ValueError):
-        rec.merge_snapshot({"schema": "something/else", "series": {}})
 
 
 def test_last_values_returns_newest_point_per_series():

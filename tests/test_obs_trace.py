@@ -19,6 +19,7 @@ import json
 
 import pytest
 
+from repro.obs import tracing
 from repro.obs.tracing import (
     NULL_TRACER,
     TRACE_SCHEMA,
@@ -278,8 +279,9 @@ def test_load_shard_rejects_non_shards(tmp_path):
         load_shard(path)
 
 
-def test_max_events_drops_and_counts():
-    tracer = Tracer(max_events=2)
+def test_max_events_drops_and_counts(monkeypatch):
+    monkeypatch.setattr(tracing, "MAX_EVENTS", 2)
+    tracer = Tracer()
     for i in range(5):
         tracer.instant("e", i=i)
     assert len(tracer.records) == 2
@@ -434,7 +436,7 @@ def test_write_merged_round_trip(tmp_path):
     assert stats.events == len(sa["events"]) + len(sb["events"])
     doc = json.loads(out.read_text())
     assert doc["otherData"]["merged_shards"] == 2
-    assert stats.as_dict()["processes"] == ["client-proc", "server-proc"]
+    assert stats.processes == ["client-proc", "server-proc"]
 
 
 def test_campaign_trace_dir_holds_shards_and_their_merge(tmp_path, capsys):

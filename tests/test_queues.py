@@ -1,11 +1,10 @@
-"""Queue-discipline tests: DropTail (with ECN) and RED."""
+"""Queue-discipline tests: DropTail (with ECN)."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
-from repro.net.queues import DropTailQueue, EcnConfig, REDQueue
+from repro.net.queues import DropTailQueue, EcnConfig
 
 
 def make_packet(seq=0, ecn=False):
@@ -68,62 +67,3 @@ class TestDropTail:
     def test_ecn_threshold_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             EcnConfig(threshold=0)
-
-
-class TestRed:
-    def rng(self):
-        return np.random.default_rng(0)
-
-    def test_requires_rng(self):
-        with pytest.raises(ConfigurationError):
-            REDQueue(rng=None)
-
-    def test_invalid_thresholds(self):
-        with pytest.raises(ConfigurationError):
-            REDQueue(limit_packets=10, min_th=8, max_th=5, rng=self.rng())
-
-    def test_no_early_drop_when_empty(self):
-        q = REDQueue(limit_packets=100, min_th=5, max_th=15, rng=self.rng())
-        assert all(q.push(make_packet(seq=i)) for i in range(5))
-        assert q.drops == 0
-
-    def test_hard_drop_at_limit(self):
-        q = REDQueue(limit_packets=3, min_th=1, max_th=3, max_p=0.0,
-                     rng=self.rng())
-        for i in range(3):
-            q.push(make_packet(seq=i))
-        assert not q.push(make_packet(seq=99))
-        assert q.drops == 1
-
-    def test_average_tracks_occupancy(self):
-        q = REDQueue(limit_packets=100, min_th=50, max_th=90, weight=0.5,
-                     rng=self.rng())
-        for i in range(20):
-            q.push(make_packet(seq=i))
-        assert q.average_occupancy > 0
-
-    def test_early_drops_between_thresholds(self):
-        q = REDQueue(limit_packets=1000, min_th=1, max_th=5, max_p=1.0,
-                     weight=1.0, rng=self.rng())
-        results = [q.push(make_packet(seq=i)) for i in range(200)]
-        assert q.drops > 0
-        assert not all(results)
-
-    def test_ecn_marks_instead_of_dropping(self):
-        q = REDQueue(limit_packets=1000, min_th=1, max_th=5, max_p=1.0,
-                     weight=1.0, ecn=True, rng=self.rng())
-        pkts = [make_packet(seq=i, ecn=True) for i in range(200)]
-        for p in pkts:
-            q.push(p)
-        assert q.marks > 0
-        assert q.drops == 0
-
-    def test_fifo_order(self):
-        q = REDQueue(limit_packets=100, min_th=50, max_th=90, rng=self.rng())
-        for i in range(3):
-            q.push(make_packet(seq=i))
-        assert [q.pop().seq for _ in range(3)] == [0, 1, 2]
-
-    def test_pop_empty_returns_none(self):
-        q = REDQueue(limit_packets=10, min_th=2, max_th=8, rng=self.rng())
-        assert q.pop() is None

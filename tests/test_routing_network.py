@@ -78,11 +78,6 @@ class TestRoute:
     def test_switch_hops_counts_sw_sw_only(self, net):
         assert net.route(["a", "s1", "s2", "b"]).switch_hops() == 1
 
-    def test_reversed_swaps_endpoints(self, net):
-        route = net.route(["a", "s1", "s2", "b"])
-        back = route.reversed()
-        assert back.src.name == "b" and back.dst.name == "a"
-
     def test_discontiguous_route_rejected(self, net):
         route = net.route(["a", "s1", "s2", "b"])
         with pytest.raises(RoutingError):

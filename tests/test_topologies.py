@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError, RoutingError
 from repro.topology import BCube, Ec2Cloud, FatTree, Vl2
 from repro.topology.base import DcTopology, LinkSpec, PathSpec
-from repro.units import gbps, mbps
+from repro.units import mbps
 
 
 def validate_paths(topo, paths, src, dst):
@@ -213,8 +213,3 @@ class TestBaseHelpers:
                  LinkSpec("s", "t", mbps(10), 0.002, "sw-sw"),
                  LinkSpec("t", "b", mbps(10), 0.003, "sw-host")]
         assert PathSpec((0, 1, 2)).switch_hops(links) == 1
-
-    def test_describe_mentions_counts(self):
-        ft = FatTree(4)
-        text = ft.describe()
-        assert "16 hosts" in text and "20 switches" in text

@@ -415,7 +415,6 @@ def test_sender_core_happy_path_lockstep():
     clock[0] = 0.15
     core.on_ack(6, echo_time=0.1)
     assert supply.completed
-    assert core.done
     assert core.rto_deadline == float("inf")
 
 

@@ -1,14 +1,8 @@
 """Unit-helper tests."""
 
-import math
-
 import pytest
 
 from repro import units
-
-
-def test_kbps():
-    assert units.kbps(5) == 5e3
 
 
 def test_mbps():
@@ -21,10 +15,6 @@ def test_gbps():
 
 def test_to_mbps_roundtrip():
     assert units.to_mbps(units.mbps(42)) == pytest.approx(42)
-
-
-def test_us():
-    assert units.us(500) == pytest.approx(5e-4)
 
 
 def test_ms():
@@ -43,10 +33,6 @@ def test_mib():
     assert units.mib(1) == 1048576
 
 
-def test_gib():
-    assert units.gib(1) == 1073741824
-
-
 def test_mb():
     assert units.mb(16) == 16_000_000
 
@@ -57,37 +43,6 @@ def test_gb():
 
 def test_bytes_to_bits():
     assert units.bytes_to_bits(1500) == 12000
-
-
-def test_bits_to_bytes():
-    assert units.bits_to_bytes(12000) == 1500
-
-
-def test_transmission_time():
-    # 1500 bytes at 100 Mbps = 120 microseconds.
-    assert units.transmission_time(1500, units.mbps(100)) == pytest.approx(120e-6)
-
-
-def test_transmission_time_rejects_zero_rate():
-    with pytest.raises(ValueError):
-        units.transmission_time(1500, 0)
-
-
-def test_transmission_time_rejects_negative_rate():
-    with pytest.raises(ValueError):
-        units.transmission_time(1500, -1)
-
-
-def test_watts_milliwatts_roundtrip():
-    assert units.milliwatts(units.watts_to_milliwatts(1.5)) == pytest.approx(1.5)
-
-
-def test_joules_per_gb():
-    assert units.joules_per_gb(500.0, 2e9) == pytest.approx(250.0)
-
-
-def test_joules_per_gb_zero_data_is_infinite():
-    assert math.isinf(units.joules_per_gb(500.0, 0))
 
 
 def test_default_mss_smaller_than_packet():

@@ -12,7 +12,6 @@ from repro.workloads import (
     NullSink,
     ParetoBurstSource,
     random_permutation_pairs,
-    staggered_bulk_transfers,
 )
 
 
@@ -122,24 +121,3 @@ class TestPermutation:
         assert len({d for _, d in pairs}) == n
         # The engines' stdlib generator pairs exactly as numpy's does.
         assert random_permutation_pairs(hosts, Pcg64(seed)) == pairs
-
-
-class TestBulk:
-    def test_staggered_start_and_completion(self):
-        net = Network(seed=2)
-        a, b = net.add_host("a"), net.add_host("b")
-        s = net.add_switch("s")
-        net.link(a, s, rate_bps=mbps(100), delay=ms(2))
-        net.link(s, b, rate_bps=mbps(100), delay=ms(2))
-        route = net.route([a, s, b])
-        conns = [net.tcp_connection(route, total_bytes=200_000) for _ in range(3)]
-        transfer_set = staggered_bulk_transfers(net, conns)
-        net.run_until_complete(conns, timeout=30)
-        assert transfer_set.all_completed
-        assert transfer_set.makespan() is not None
-        assert len(transfer_set.goodputs_bps()) == 3
-
-    def test_negative_jitter_rejected(self):
-        net = Network()
-        with pytest.raises(ConfigurationError):
-            staggered_bulk_transfers(net, [], jitter=-1)
