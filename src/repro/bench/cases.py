@@ -293,14 +293,18 @@ def _engine_fluid_k24_build(ctx: BenchContext):
     # 8 subflows each, except the few same-edge pairs (one path).
     assert 27_000 <= net.n_subflows <= 8 * 3456
     retained_kib, peak_kib = (size // 1024 for size in ctx.k24_footprint)
-    # 5,489 / 7,196 measured; 6,548 / 8,254 with a ones vector per matrix and
-    # int64 fat-tree columns; an object per connection: 8,661 / 11,071; two
+    # 4,937 / 6,569 measured; 5,489 / 7,196 with a buffer column, an
+    # is_swsw mask and int64 egress ports per network and int64 index
+    # columns; 6,548 / 8,254 with a ones vector per matrix and int64
+    # fat-tree columns; an object per connection: 8,661 / 11,071; two
     # routing matrices sorted globally: 10,566 / 17,080.
-    assert retained_kib < 5_600 and peak_kib < 7_300, (retained_kib, peak_kib)
-    # 4,591 measured (21.3 subflow vectors); 5,776 when every iteration
-    # allocated its temporaries.
+    assert retained_kib < 5_050 and peak_kib < 6_700, (retained_kib, peak_kib)
+    # 4,187 measured (the fabric's 1/capacity made on this first read,
+    # int8 signs, a broadcast halving factor); 4,591 with a float64 sign
+    # vector, a 1/capacity and a 0.5-filled factor per cohort per
+    # iteration; 5,776 when every iteration allocated its temporaries.
     solve_peak_kib = ctx.k24_solve_peak // 1024
-    assert solve_peak_kib < 4_700, solve_peak_kib
+    assert solve_peak_kib < 4_300, solve_peak_kib
     registry = obs.registry_or_new()
     registry.gauge("bench.fluid_k24_build.retained_kib").set(retained_kib)
     registry.gauge("bench.fluid_k24_build.peak_kib").set(peak_kib)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import AlgorithmError, ConfigurationError
-from repro.units import ms
+from repro.units import ms, whole_steps
 
 try:
     from _sha2 import sha256  # Python 3.12+
@@ -166,6 +166,8 @@ class RunSpec:
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(
                     f"{name} must be positive and finite, got {value}")
+        if self.engine in ("fluid", "fluid-equilibrium"):
+            whole_steps(self.duration, self.dt)  # the stepper's clock
 
     # -------------------------------------------------------- serialization
 

@@ -85,9 +85,12 @@ class FluidAlgorithm:
         return PER_ACK[self.name](st)
 
     def loss_decrease_factor(self, st: CohortState) -> np.ndarray:
-        """Multiplicative factor applied to w on a loss event (default 1/2)."""
+        """Multiplicative factor applied to w on a loss event (default 1/2,
+        one read-only value broadcast over the cohort)."""
         decrease = _DECREASE.get(self.name)
-        return np.full_like(st.w, 0.5) if decrease is None else decrease(st)
+        if decrease is None:
+            return np.broadcast_to(st.w.dtype.type(0.5), st.w.shape)
+        return decrease(st)
 
     def rate_adjustment(self, st: CohortState, dt: float) -> np.ndarray:
         """Additional dw for this step (default none)."""

@@ -54,6 +54,7 @@ from repro.fluidsim.adapters import FluidAlgorithm
 from repro.fluidsim.network import FluidNetwork
 from repro.fluidsim.state import CohortState
 from repro.net.rand import Pcg64
+from repro.units import whole_steps
 
 _EPS = 1e-12
 
@@ -260,8 +261,10 @@ class _StepBuffers:
         self.lossy = np.empty(n_links, dtype=bool)
         self.mark_bool = np.empty(n_links, dtype=bool)
         #: buffer_bits * 0.999 hoisted out of the loop (the product is
-        #: deterministic, so precomputing preserves bit-identity).
-        self.full_threshold = (net.buffer_bits * 0.999).astype(dtype)
+        #: deterministic, so precomputing preserves bit-identity); one
+        #: value broadcast, as the buffer is.
+        self.full_threshold = np.broadcast_to(
+            (net.buffer_bits[:1] * 0.999).astype(dtype), (n_links,))
         # Seeded-head bincount fold replacing np.add.at on delivered_bits:
         # the fold input lists each connection's current total first, then
         # every subflow's delivery in storage order, so each bin
@@ -411,15 +414,17 @@ class FluidSimulation:
     def run(self, duration: float) -> SimulationResult:
         """Integrate for ``duration`` seconds and return the results.
 
+        ``duration`` must be a whole number of ``dt`` steps
+        (:func:`~repro.units.whole_steps`), the time the run covers.
         Successive calls continue one trajectory; each result covers the
         call it is returned from.
         """
         if not (math.isfinite(duration) and duration > 0):
             raise ConfigurationError(
                 f"duration must be positive and finite, got {duration}")
+        n_steps = whole_steps(duration, self.dt)
         wall_start = time.perf_counter()
         net = self.net
-        n_steps = max(1, int(round(duration / self.dt)))
         dt = self.dt
         pkt_bits = net.packet_bits
         # All step-loop constants in the resolved compute dtype (the

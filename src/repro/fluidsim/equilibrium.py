@@ -209,13 +209,14 @@ def solve_fluid_equilibrium(
     buf = net.buffer_bits
     pkt_bits = net.packet_bits
     base_rtt = net.base_rtt
-    inv_cap = 1.0 / cap
+    inv_cap = net.topology.link_inv_capacity
 
     # The workspace: every iteration writes into these with ``out=``, the
     # same ufuncs in the same order as the expressions in the comments.
     w = np.full(n, _INITIAL_WINDOW)
     step = np.full(n, _DAMPING)
-    prev_sign = np.zeros(n)
+    # The last drift direction, -1/0/1: exact in one byte.
+    prev_sign = np.zeros(n, dtype=np.int8)
     rtt, p_path, x, qdelay = (np.empty(n) for _ in range(4))
     eff_rate, growth, drain, scratch = (np.empty(n) for _ in range(4))
     flip = np.empty(n, dtype=bool)
@@ -285,7 +286,7 @@ def solve_fluid_equilibrium(
         np.multiply(step, _STEP_UP, out=step)
         np.minimum(step, _DAMPING, out=step)
         np.copyto(step, drain, where=flip)
-        np.copyto(prev_sign, sign)
+        np.copyto(prev_sign, sign, casting="unsafe")
         # w_new = clip(w * exp(step * log_ratio), 1, 1e7)
         np.multiply(step, log_ratio, out=scratch)
         np.exp(scratch, out=scratch)

@@ -24,7 +24,10 @@ class ComputeArrays:
     :meth:`FluidNetwork.compute_arrays` hands these to the engine so a
     float32 simulation reads half-width copies of the invariant arrays
     (and of the path table's values) instead of paying an upcast on
-    every operation.
+    every operation.  In float64 every field is a view: ``capacity`` and
+    ``inv_capacity`` of the fabric's read-only arrays, ``buffer_bits`` the
+    network's zero-stride broadcast, ``base_rtt`` and ``paths_data`` the
+    network's own arrays.
     """
 
     base_rtt: np.ndarray
@@ -70,11 +73,14 @@ class FluidNetwork:
         self._path_rng = Pcg64(path_seed)
         self.packet_bytes = packet_bytes
         self.packet_bits = packet_bytes * 8
+        # Views of the fabric's read-only link arrays, shared by every
+        # network built on it; the one per-link fact a network adds is its
+        # buffer, a single value broadcast (zero stride, read-only).
         self.capacity = topology.link_capacity_bps
         self.link_delay = topology.link_delay_s
         self.is_swsw = topology.link_is_swsw
-        self.buffer_bits = np.full(
-            topology.n_links, buffer_packets * self.packet_bits, dtype=float)
+        self.buffer_bits = np.broadcast_to(
+            np.float64(buffer_packets * self.packet_bits), (topology.n_links,))
         self._columns = ConnectionColumns(len(topology.hosts))
         self._finalized = False
 
@@ -193,7 +199,7 @@ class FluidNetwork:
                 create_fluid_algorithm(algo_name, **kwargs),
                 slice(first, first + int(users.sum())),
                 np.cumsum(users) - users,
-                np.repeat(np.arange(hi - lo, dtype=np.int64), users),
+                np.repeat(np.arange(hi - lo, dtype=np.int32), users),
             ))
 
         self.paths = Csr.from_rows(hops, topology.n_links)
@@ -204,8 +210,9 @@ class FluidNetwork:
         for hop in hops.T:
             one_way += delay[hop]
         self.base_rtt = 2.0 * one_way
-        self.switch_hops = np.append(self.is_swsw, False)[hops].sum(axis=1)
-        self.subflow_conn = np.repeat(order, counts)
+        self.switch_hops = np.append(self.is_swsw, False)[hops].sum(
+            axis=1, dtype=np.int32)
+        self.subflow_conn = np.repeat(order.astype(np.int32), counts)
 
         # Host incidence: sender, receiver, and any relays all burn
         # throughput-proportional CPU for this subflow's traffic; only
@@ -250,9 +257,10 @@ class FluidNetwork:
     def compute_arrays(self, dtype) -> "ComputeArrays":
         """The step-loop constants in ``dtype``, cached per dtype.
 
-        ``float64`` returns views of the canonical arrays (no copies);
-        ``float32`` materializes half-width copies once so every
-        simulation sharing this network reuses them.  Requires
+        ``float64`` returns views only (:class:`ComputeArrays` says of
+        what), no copies; ``float32`` materializes half-width copies once
+        so every simulation sharing this network reuses them, keeping
+        ``buffer_bits`` a zero-stride broadcast.  Requires
         :meth:`finalize`.
         """
         if self.base_rtt is None:
@@ -264,7 +272,8 @@ class FluidNetwork:
                 return array.astype(dtype, copy=False)
             cached = self._compute_cache[dtype] = ComputeArrays(
                 base_rtt=cast(self.base_rtt), capacity=cast(self.capacity),
-                inv_capacity=cast(1.0 / self.capacity),
-                buffer_bits=cast(self.buffer_bits),
+                inv_capacity=cast(self.topology.link_inv_capacity),
+                buffer_bits=np.broadcast_to(cast(self.buffer_bits[:1]),
+                                            self.buffer_bits.shape),
                 paths_data=cast(self.paths.data))
         return cached

@@ -34,7 +34,7 @@ import repro.obs as obs
 from repro.errors import ConfigurationError
 from repro.fluidsim.engine import FluidSimulation, fluid_metrics, run_metrics
 from repro.fluidsim.network import FluidNetwork
-from repro.units import ms
+from repro.units import ms, whole_steps
 
 #: Multiplier folding the shard index into the base seed.  Prime and
 #: far larger than any realistic shard count, so shard streams of one
@@ -149,6 +149,7 @@ def make_shard_specs(
     """The shard specs of one sharded run, shard order."""
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
+    whole_steps(duration, dt)  # before any shard builds its replica
     return [
         ShardSpec(
             topology=topology, algorithm=algorithm, n_subflows=n_subflows,

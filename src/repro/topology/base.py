@@ -5,12 +5,13 @@ directly; small instances can also be realized on the packet engine for
 cross-validation. Links are *directed*: every physical cable contributes
 two entries, numbered in the order they were added.
 
-**Arrays**, one entry per directed link: ``link_capacity_bps`` and
-``link_delay_s`` are read-only views of one stored float64 column each
-(every network built on the fabric shares them); ``link_is_swsw``,
-``link_src`` (node ids: host ``i`` is ``i``, switch ``j`` is ``~j``),
-``switch_egress_ports()`` and the link-id matrix ``path_rows()`` returns
-are fresh per call. **Views**, built on demand for small-fabric users
+**Arrays**, one entry per directed link: ``link_capacity_bps``,
+``link_delay_s``, ``link_inv_capacity`` and the ``link_is_swsw`` mask,
+plus the int32 ``switch_egress_ports()``, are read-only views of one
+array each, made on first read and dropped by a new link (every network
+built on the fabric shares them); ``link_src`` (node ids: host ``i`` is
+``i``, switch ``j`` is ``~j``) and the link-id matrix ``path_rows()``
+returns are fresh per call. **Views**, built on demand for small-fabric users
 (reports, :mod:`repro.topology.realize`): ``links`` makes one
 :class:`LinkSpec` per access, ``link_id()`` indexes the table by name on
 its first call, ``paths()`` wraps ``path_rows()`` in :class:`PathSpec`
@@ -120,9 +121,9 @@ class DcTopology(ABC):
         self._kind: Sequence[int] = []
         #: (src name, dst name) -> link id; built by the first link_id().
         self._link_index: Optional[Dict[Tuple[str, str], int]] = None
-        #: Float columns as stored arrays, made on first read; a new link
-        #: drops them.
-        self._float_columns: Dict[str, np.ndarray] = {}
+        #: Read-only per-link arrays (the float columns and what derives
+        #: from the table alone), made on first read; a new link drops them.
+        self._link_arrays: Dict[str, np.ndarray] = {}
         self._sealed = False
 
     # ----------------------------------------------------------- construction
@@ -170,7 +171,7 @@ class DcTopology(ABC):
         for name in (src, dst):
             if name not in self._node_id:
                 raise RoutingError(f"link {src}->{dst} names unknown node {name!r}")
-        self._float_columns.clear()
+        self._link_arrays.clear()
         index[(src, dst)] = idx = len(self._src)
         self._src.append(self._node_id[src])
         self._dst.append(self._node_id[dst])
@@ -199,33 +200,42 @@ class DcTopology(ABC):
 
     @property
     def link_capacity_bps(self) -> np.ndarray:
-        return self._read_only("_capacity")
+        return self._read_only("_capacity", lambda: np.asarray(self._capacity, dtype=float))
 
     @property
     def link_delay_s(self) -> np.ndarray:
-        return self._read_only("_delay")
+        return self._read_only("_delay", lambda: np.asarray(self._delay, dtype=float))
 
-    def _read_only(self, name: str) -> np.ndarray:
-        """A read-only view of float column ``name``: the column itself when
-        a fabric assigned it as a float64 array, else one array made from
-        the list on first read."""
-        column = self._float_columns.get(name)
-        if column is None:
-            column = self._float_columns[name] = np.asarray(getattr(self, name), dtype=float)
-            column.flags.writeable = False  # so no view can be made writeable
-        return column.view()
+    @property
+    def link_inv_capacity(self) -> np.ndarray:
+        """``1 / link_capacity_bps``, what the queueing-delay and
+        utilization products multiply by."""
+        return self._read_only("inv_capacity", lambda: 1.0 / self.link_capacity_bps)
 
     @property
     def link_is_swsw(self) -> np.ndarray:
         """True on the switch-to-switch links (the L' set of Eq. 6)."""
-        return np.array(self._kind, dtype=np.int8) == _SWSW
+        return self._read_only(
+            "is_swsw", lambda: np.asarray(self._kind, dtype=np.int8) == _SWSW)
 
     def switch_egress_ports(self) -> np.ndarray:
         """Ids of the links that leave a switch, grouped by switch in
-        :attr:`switches` order, by link id within a switch."""
-        src = self.link_src
-        ports = np.flatnonzero(src < 0)
-        return ports[np.argsort(~src[ports], kind="stable")]
+        :attr:`switches` order, by link id within a switch (int32)."""
+        def ports() -> np.ndarray:
+            src = np.asarray(self._src, dtype=np.int32)
+            ports = np.flatnonzero(src < 0).astype(np.int32)
+            return ports[np.argsort(~src[ports], kind="stable")]
+        return self._read_only("switch_egress", ports)
+
+    def _read_only(self, name: str, make: Callable[[], np.ndarray]) -> np.ndarray:
+        """A read-only view of the per-link array ``name``, made by
+        ``make()`` on first read; a float column a fabric assigned as a
+        float64 array is stored as it is."""
+        array = self._link_arrays.get(name)
+        if array is None:
+            array = self._link_arrays[name] = make()
+            array.flags.writeable = False  # so no view can be made writeable
+        return array.view()
 
     def node_name(self, node_id: int) -> str:
         return self.hosts[node_id] if node_id >= 0 else self.switches[~node_id]

@@ -14,6 +14,10 @@ calling code; write ``mbps(100)`` rather than ``100 * 1e6``.
 
 from __future__ import annotations
 
+import math
+
+from repro.errors import ConfigurationError
+
 #: Default Ethernet-style maximum segment size, in bytes (payload of a
 #: 1500-byte MTU frame minus 40 bytes of TCP/IP headers).
 DEFAULT_MSS = 1460
@@ -50,6 +54,23 @@ def ms(value: float) -> float:
 def to_ms(seconds: float) -> float:
     """Seconds to milliseconds."""
     return seconds * 1e3
+
+
+def whole_steps(duration: float, dt: float) -> int:
+    """How many fixed ``dt`` steps make up ``duration`` seconds.
+
+    A fixed-step run covers ``steps * dt`` seconds, so a ``duration`` that
+    is not a whole number (>= 1) of steps, at relative tolerance 1e-9,
+    raises :class:`~repro.errors.ConfigurationError`: totals divided by a
+    time the run did not simulate would be wrong by the difference.
+    """
+    ratio = duration / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or not math.isclose(ratio, steps, rel_tol=1e-9):
+        raise ConfigurationError(
+            f"duration {duration} s is not a whole number of dt {dt} s steps "
+            f"({ratio:.6g}); pick a duration that dt divides")
+    return steps
 
 
 def kib(value: float) -> int:

@@ -51,6 +51,9 @@ def build(fabric: str) -> FluidNetwork:
 
 
 def digest(net: FluidNetwork) -> str:
+    """sha256 over every array and view; the index columns stored
+    narrower than the int64 they were recorded at are hashed widened
+    back, so the digest pins their values, not a width."""
     h = hashlib.sha256()
 
     def put(name, value):
@@ -65,12 +68,12 @@ def digest(net: FluidNetwork) -> str:
         put(f"paths.{name}", getattr(net.paths, name))
         put(f"hosts.{name}", getattr(net.hosts, name))
     put("base_rtt", net.base_rtt)
-    put("switch_hops", net.switch_hops)
-    put("subflow_conn", net.subflow_conn)
+    put("switch_hops", net.switch_hops.astype(np.int64))
+    put("subflow_conn", net.subflow_conn.astype(np.int64))
     for cohort in net.cohorts:
         put("cohort", (cohort.algorithm.name, cohort.span.start, cohort.span.stop))
         put("user_starts", cohort.user_starts)
-        put("user_of", cohort.user_of)
+        put("user_of", cohort.user_of.astype(np.int64))
     put("n_connections", len(net.connections))
     for conn in net.connections:
         put("connection", (conn.index, conn.src, conn.dst, conn.algorithm_name,

@@ -52,6 +52,8 @@ def network_digest(net: FluidNetwork) -> str:
     ``routing``, its transpose and a host-major ``host_incidence``; the
     path table is ``routing_t`` itself, and scipy's transposes of
     ``net.paths`` / ``net.hosts`` must be the other two, array for array.
+    Index columns stored narrower than the int64 they were recorded at
+    are hashed widened back: the digest pins their values, not a width.
     """
     routing, host_incidence = _scipy(net.paths).T.tocsr(), _scipy(net.hosts).T.tocsr()
     arrays = {
@@ -62,14 +64,14 @@ def network_digest(net: FluidNetwork) -> str:
         "routing_t.indices": net.paths.indices,
         "routing_t.data": net.paths.data,
         "base_rtt": net.base_rtt,
-        "switch_hops": net.switch_hops,
-        "subflow_conn": net.subflow_conn,
+        "switch_hops": net.switch_hops.astype(np.int64),
+        "subflow_conn": net.subflow_conn.astype(np.int64),
         "host_incidence.indptr": host_incidence.indptr,
         "host_incidence.indices": host_incidence.indices,
         "host_incidence.data": host_incidence.data,
         "host_subflow_count": net.host_subflow_count,
         "host_endpoint_count": net.host_endpoint_count,
-        "switch_egress": net.switch_egress,
+        "switch_egress": net.switch_egress.astype(np.int64),
         "capacity": net.capacity,
         "link_delay": net.link_delay,
         "is_swsw": net.is_swsw,
@@ -79,7 +81,7 @@ def network_digest(net: FluidNetwork) -> str:
         arrays[f"cohort{c}.{cohort.algorithm.name}.ids"] = np.arange(
             net.n_subflows, dtype=np.int64)[cohort.span]
         arrays[f"cohort{c}.user_starts"] = cohort.user_starts
-        arrays[f"cohort{c}.user_of"] = cohort.user_of
+        arrays[f"cohort{c}.user_of"] = cohort.user_of.astype(np.int64)
     h = hashlib.sha256()
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
@@ -376,6 +378,58 @@ def test_a_new_link_refreshes_the_float_columns():
     assert len(topo.link_capacity_bps) == len(topo.link_delay_s) == n + 2
     assert topo.link_capacity_bps[-1] == mbps(7) and topo.link_delay_s[-2] == ms(3)
     assert len(delays) == n  # a view read before the link is unchanged
+
+
+def _fabric_arrays(net: FluidNetwork):
+    """The per-link arrays a network reads off its fabric, by name."""
+    return {"inv_capacity": net.compute_arrays(np.float64).inv_capacity,
+            "is_swsw": net.is_swsw, "switch_egress": net.switch_egress}
+
+
+def test_networks_on_one_sealed_fabric_share_its_link_arrays():
+    fabric = build_topology("fattree")
+    one, two = (FluidNetwork.permutation(fabric, "lia", n_subflows=2, seed=seed)
+                for seed in (1, 2))
+    shared = _fabric_arrays(two)
+    for name, array in _fabric_arrays(one).items():
+        assert np.shares_memory(array, shared[name]), name
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
+        with pytest.raises(ValueError):  # a view cannot be made writeable
+            array.flags.writeable = True
+    np.testing.assert_array_equal(shared["inv_capacity"], 1.0 / fabric.link_capacity_bps)
+    assert shared["switch_egress"].dtype == np.int32
+    # What the connections define is held at its width, a constant once.
+    assert one.buffer_bits.strides == (0,) and not one.buffer_bits.flags.writeable
+    assert one.buffer_bits[0] == 100 * one.packet_bits
+    for column in (one.subflow_conn, one.switch_hops,
+                   *(cohort.user_of for cohort in one.cohorts)):
+        assert column.dtype == np.int32
+    # float64 compute arrays are the arrays themselves, not copies.
+    ca = one.compute_arrays(np.float64)
+    for array, owner in ((ca.capacity, fabric.link_capacity_bps),
+                         (ca.buffer_bits, one.buffer_bits),
+                         (ca.base_rtt, one.base_rtt), (ca.paths_data, one.paths.data)):
+        assert np.shares_memory(array, owner)
+    assert ca.buffer_bits.strides == (0,)
+    assert one.compute_arrays(np.float32).buffer_bits.strides == (0,)
+
+
+def test_a_new_link_refreshes_the_derived_link_arrays():
+    topo = Ec2Cloud(n_hosts=2)
+    n, inv_before, egress_before = (topo.n_links, topo.link_inv_capacity,
+                                    topo.switch_egress_ports())
+    n_ports = len(egress_before)
+    topo.add_switch("extra")
+    topo.add_duplex_link("subnet0", "extra", mbps(8), ms(3), "sw-sw", "sw-sw")
+    inv, mask, egress = (topo.link_inv_capacity, topo.link_is_swsw,
+                         topo.switch_egress_ports())
+    assert len(inv) == len(mask) == n + 2
+    assert inv[-1] == 1.0 / mbps(8) and mask[-2:].all() and not mask[:-2].any()
+    # subnet0's ports gain the new link; "extra" is the last switch.
+    assert len(egress) == n_ports + 2 and egress[-1] == n + 1 and n in egress
+    # Views read before the link are unchanged.
+    assert len(inv_before) == n and len(egress_before) == n_ports
 
 
 def test_build_topology_shares_one_sealed_fabric():

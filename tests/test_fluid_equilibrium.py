@@ -24,7 +24,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.fluidsim.engine as engine_mod
 import repro.fluidsim.equilibrium as equilibrium_mod
@@ -67,18 +67,28 @@ def _build_net(pair_seed: int, algo_picks, n_subflows: int) -> FluidNetwork:
     return net
 
 
+#: Seconds the engine integrates before the measured window.  The
+#: window-coupled algorithms climb slowly: three ``coupled`` connections
+#: and a ``dts`` one (seed 7618, 2 subflows) take ~12 s to settle, and an
+#: 8 s mean from t=0 sits 19% below their stationary rate.
+_WARMUP = 16.0
+
+
 def _engine_aggregate(net: FluidNetwork, *, reference: bool = False,
                       horizon: float = 8.0) -> float:
     """Long-horizon time-stepped aggregate goodput (the solver's oracle),
     from the engine or from the straight-line reference loop.
 
-    The run includes the short initial transient, which at this horizon
-    perturbs the mean by well under the comparison tolerances.
+    The engine first runs :data:`_WARMUP` seconds and reports the mean of
+    the ``horizon`` after it, so the oracle is the stationary rate the
+    solver computes.  The reference loop's run includes its transient.
     """
     sim = FluidSimulation(net, dt=0.004, seed=1)
-    result = (run_reference(sim, horizon, np.random.default_rng(1)) if reference
-              else sim.run(horizon))
-    return result.aggregate_goodput_bps
+    if reference:
+        return run_reference(sim, horizon,
+                             np.random.default_rng(1)).aggregate_goodput_bps
+    sim.run(_WARMUP)
+    return sim.run(horizon).aggregate_goodput_bps
 
 
 def _tolerance(algo_picks) -> float:
@@ -101,6 +111,8 @@ def _tolerance(algo_picks) -> float:
     algo_picks=st.lists(st.sampled_from(SUPPORTED), min_size=1, max_size=4),
     n_subflows=st.integers(1, 4),
 )
+@example(pair_seed=7618, algo_picks=["coupled", "coupled", "coupled", "dts"],
+         n_subflows=2)
 def test_solver_matches_time_stepped_engine(pair_seed, algo_picks,
                                             n_subflows):
     """Random topology/algorithm/seed draws: the direct solve and a
@@ -170,7 +182,7 @@ def test_known_stall_is_reported_and_bounded():
     assert eq.residual <= 0.01  # 0.0067
     engine = _engine_aggregate(_build_net(1386, algos, 2))
     rel = abs(eq.aggregate_goodput_bps - engine) / engine
-    assert rel < _tolerance(algos), f"{rel:.1%}"  # 5.9%
+    assert rel < _tolerance(algos), f"{rel:.1%}"  # 0.03%
 
 
 def test_non_converged_solve_returns_result_not_raise(monkeypatch):

@@ -56,6 +56,9 @@ def test_shard_seeds_are_distinct_and_deterministic():
 def test_make_shard_specs_validates_count():
     with pytest.raises(ConfigurationError, match="n_shards"):
         make_shard_specs("bcube", n_shards=0, **FAST)
+    # A duration dt does not divide fails before any replica is built.
+    with pytest.raises(ConfigurationError, match="whole number of dt"):
+        make_shard_specs("bcube", n_shards=2, **{**FAST, "duration": 0.1, "dt": 0.06})
 
 
 def test_shard_spec_is_frozen_and_orderable():

@@ -24,7 +24,7 @@ from repro.fluidsim.adapters import PER_ACK
 from repro.fluidsim.state import CohortState
 from repro.topology import Ec2Cloud, FatTree
 from repro.topology.base import DcTopology
-from repro.units import mbps, ms
+from repro.units import mbps, ms, whole_steps
 from tests.oracles.fluid_reference import run_reference
 
 
@@ -387,6 +387,31 @@ class TestFluidEngine:
         with pytest.raises(ConfigurationError, match="duration"):
             sim.run(duration)
         assert sim.steps_taken == 0
+
+    @pytest.mark.parametrize("duration, dt", [(0.1, 0.5), (0.1, 0.06), (0.1, 0.04)])
+    def test_a_partial_step_is_rejected(self, duration, dt):
+        """Goodput was delivered bits over the requested duration, but
+        round(duration / dt) steps covered another time."""
+        net = FluidNetwork(tiny_topology())
+        net.add_connection("a", "b", "lia", n_subflows=1)
+        net.finalize()
+        sim = FluidSimulation(net, dt=dt, seed=1)
+        with pytest.raises(ConfigurationError, match="whole number of dt"):
+            sim.run(duration)
+        assert sim.steps_taken == 0
+
+    @pytest.mark.parametrize("duration, dt", [(6.0, 0.004), (30.0, 0.004),
+                                              (1000.0, 0.02), (0.5, 0.004),
+                                              (0.4, 0.004), (1.0, 0.01)])
+    def test_whole_steps_are_accepted(self, duration, dt):
+        assert whole_steps(duration, dt) == round(duration / dt)
+        if duration <= 1.0:
+            net = FluidNetwork(tiny_topology())
+            net.add_connection("a", "b", "lia", n_subflows=1)
+            net.finalize()
+            sim = FluidSimulation(net, dt=dt, seed=1)
+            assert sim.run(duration).duration == duration
+            assert sim.steps_taken == round(duration / dt)
 
     def test_each_run_call_reports_its_own_interval(self):
         # delivered_bits / loss_events accumulate over the sim's life; a
