@@ -2,10 +2,16 @@
 
 A package ``__init__`` that re-exports names eagerly makes every importer
 of any submodule pay for all of them (``import repro.transport.wire`` used
-to load the batch engine and scipy).  With :func:`lazy_exports` the
-re-exported name resolves on first attribute access and is then cached in
-the package namespace, so start-up cost follows use (DESIGN.md, "Start-up
-cost and import tiers").
+to load the batch engine and scipy; the scalar DES loaded all twelve
+controllers, the flight recorder and the wire format).  With
+:func:`lazy_exports` the re-exported name resolves on first attribute
+access and is then cached in the package namespace, so within a tier a
+process loads a submodule only when it first uses it (DESIGN.md §8,
+"Start-up cost and import tiers").  Every re-exporting package in
+``repro`` but the numpy-tier ``campaign`` and ``fluidsim`` uses it;
+``repro.obs`` keeps ``metrics`` and ``tracing`` eager, because every
+engine probe reads them, and ``repro.algorithms.create_controller``
+imports a controller's module with its first instance.
 """
 
 from __future__ import annotations

@@ -22,40 +22,65 @@ needs ``sqrt`` or ``minimum`` takes its namespace ``xp``: ``numpy`` from
 an engine, :mod:`repro._scalar` from ``on_ack``), which is what lets a
 ``repro serve`` process run without numpy (DESIGN.md §8).
 
-Use :func:`create_controller` to instantiate by name.
+Use :func:`create_controller` to instantiate by name: it imports the
+controller's module with its first instance, so a process loads only the
+controllers it runs (the classes and rules below resolve on first access
+too).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import sys
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.algorithms.balia import BaliaController, balia_increase
+from repro._lazy import lazy_exports
 from repro.algorithms.base import MIN_CWND, CongestionController
-from repro.algorithms.coupled import CoupledController, coupled_increase
-from repro.algorithms.dctcp import DctcpController
-from repro.algorithms.dts import DtsController, ExtendedDtsController, dts_increase
-from repro.algorithms.dwc import DwcController
-from repro.algorithms.ecmtcp import EcmtcpController, ecmtcp_increase
-from repro.algorithms.ewtcp import EwtcpController, ewtcp_increase
-from repro.algorithms.lia import LiaController, lia_increase
-from repro.algorithms.olia import OliaController, olia_increase
-from repro.algorithms.reno import RenoController, reno_increase
-from repro.algorithms.wvegas import WvegasController
 from repro.errors import AlgorithmError
 
-_REGISTRY: Dict[str, Callable[..., CongestionController]] = {
-    "reno": RenoController,
-    "ewtcp": EwtcpController,
-    "coupled": CoupledController,
-    "lia": LiaController,
-    "olia": OliaController,
-    "balia": BaliaController,
-    "ecmtcp": EcmtcpController,
-    "wvegas": WvegasController,
-    "dctcp": DctcpController,
-    "dts": DtsController,
-    "dts-ext": ExtendedDtsController,
-    "dwc": DwcController,
+if TYPE_CHECKING:
+    from repro.algorithms.balia import BaliaController, balia_increase
+    from repro.algorithms.coupled import CoupledController, coupled_increase
+    from repro.algorithms.dctcp import DctcpController
+    from repro.algorithms.dts import DtsController, ExtendedDtsController, dts_increase
+    from repro.algorithms.dwc import DwcController
+    from repro.algorithms.ecmtcp import EcmtcpController, ecmtcp_increase
+    from repro.algorithms.ewtcp import EwtcpController, ewtcp_increase
+    from repro.algorithms.lia import LiaController, lia_increase
+    from repro.algorithms.olia import OliaController, olia_increase
+    from repro.algorithms.reno import RenoController, reno_increase
+    from repro.algorithms.wvegas import WvegasController
+
+# Resolved on first access (PEP 562): a process loads the controllers it
+# runs, not all twelve (DESIGN.md §8).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.algorithms.balia": ("BaliaController", "balia_increase"),
+    "repro.algorithms.coupled": ("CoupledController", "coupled_increase"),
+    "repro.algorithms.dctcp": ("DctcpController",),
+    "repro.algorithms.dts": ("DtsController", "ExtendedDtsController", "dts_increase"),
+    "repro.algorithms.dwc": ("DwcController",),
+    "repro.algorithms.ecmtcp": ("EcmtcpController", "ecmtcp_increase"),
+    "repro.algorithms.ewtcp": ("EwtcpController", "ewtcp_increase"),
+    "repro.algorithms.lia": ("LiaController", "lia_increase"),
+    "repro.algorithms.olia": ("OliaController", "olia_increase"),
+    "repro.algorithms.reno": ("RenoController", "reno_increase"),
+    "repro.algorithms.wvegas": ("WvegasController",),
+})
+
+#: Registry name -> controller class, read through the exports above, so
+#: a controller's module is imported with its first instance.
+_REGISTRY: Dict[str, str] = {
+    "reno": "RenoController",
+    "ewtcp": "EwtcpController",
+    "coupled": "CoupledController",
+    "lia": "LiaController",
+    "olia": "OliaController",
+    "balia": "BaliaController",
+    "ecmtcp": "EcmtcpController",
+    "wvegas": "WvegasController",
+    "dctcp": "DctcpController",
+    "dts": "DtsController",
+    "dts-ext": "ExtendedDtsController",
+    "dwc": "DwcController",
 }
 
 #: Registry names with no fluid adapter: DWC's congestion grouping is
@@ -96,7 +121,7 @@ def create_controller(name: str, **kwargs) -> CongestionController:
     Extra keyword arguments are forwarded to the controller constructor,
     e.g. ``create_controller("dts-ext", kappa=1e-4)``.
     """
-    return _REGISTRY[resolve_algorithm(name)](**kwargs)
+    return getattr(sys.modules[__name__], _REGISTRY[resolve_algorithm(name)])(**kwargs)
 
 
 __all__ = [

@@ -314,8 +314,9 @@ def _engine_fluid_k24_build(ctx: BenchContext):
 def _cold_import(statement: str, absent: "tuple[str, ...]"):
     """``statement`` in a fresh interpreter on this source tree.  The
     child asserts that none of the modules in ``absent`` got loaded
-    (DESIGN.md §8) and reports (modules loaded, peak resident set in
-    KiB)."""
+    (DESIGN.md §8) and reports (modules loaded, ``repro`` modules loaded,
+    peak resident set in KiB).  The first count depends on the host's
+    site-packages; the second only on this tree."""
     import os
     import subprocess
     import sys
@@ -335,7 +336,8 @@ def _cold_import(statement: str, absent: "tuple[str, ...]"):
         "                         open('/proc/self/status').read()).group(1))\n"
         "except (OSError, AttributeError):\n"
         "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "print(json.dumps([len(sys.modules), peak]))\n")
+        "own = sum(m == 'repro' or m.startswith('repro.') for m in sys.modules)\n"
+        "print(json.dumps([len(sys.modules), own, peak]))\n")
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -349,7 +351,7 @@ def fluid_cold_import():
     """``import repro.fluidsim`` in a fresh interpreter — what every
     campaign worker, shard worker and ``python -m repro fig10..16`` pays
     before its first step; neither ``scipy`` nor ``scipy.sparse`` may get
-    loaded.  Returns (modules loaded, peak resident set in KiB)."""
+    loaded.  Returns :func:`_cold_import`'s triple."""
     return _cold_import("import repro.fluidsim", ("scipy", "scipy.sparse"))
 
 
@@ -357,11 +359,12 @@ def fluid_cold_import():
           description="fresh interpreter: start-up + `import repro.fluidsim` "
                       "(no scipy.sparse; module count and peak RSS recorded)")
 def _engine_fluid_cold_import(ctx: BenchContext):
-    modules, maxrss_kib = fluid_cold_import()
+    modules, own, maxrss_kib = fluid_cold_import()
     # numpy + the fluid tier is ~250 modules; scipy.sparse alone adds ~350.
     assert modules < 400, f"{modules} modules after import repro.fluidsim"
     registry = obs.registry_or_new()
     registry.gauge("bench.fluid_cold_import.modules").set(modules)
+    registry.gauge("bench.fluid_cold_import.repro_modules").set(own)
     registry.gauge("bench.fluid_cold_import.maxrss_kib").set(maxrss_kib)
 
 
@@ -369,7 +372,7 @@ def des_cold_import():
     """The two packet-figure modules the e2e benchmark runs, imported in a
     fresh interpreter — what every ``python -m repro fig01..09 / fig17``
     pays before its first event; numpy may not get loaded.  Returns
-    (modules loaded, peak resident set in KiB)."""
+    :func:`_cold_import`'s triple."""
     return _cold_import(
         "from repro.experiments import fig06_shared_bottleneck, fig17_wireless",
         ("numpy",))
@@ -380,11 +383,16 @@ def des_cold_import():
                       "experiment modules (no numpy; module count and peak "
                       "RSS recorded)")
 def _engine_des_cold_import(ctx: BenchContext):
-    modules, maxrss_kib = des_cold_import()
+    modules, own, maxrss_kib = des_cold_import()
     # The scalar DES and its stdlib imports are ~180 modules; numpy adds ~100.
     assert modules < 240, f"{modules} modules after importing fig06 + fig17"
+    # 40 measured: no controller is loaded before a figure constructs one,
+    # nor the recorders, the manifest, the wire format or the radio and
+    # switch models; 61 when each package loaded all of its submodules.
+    assert own <= 40, f"{own} repro modules after importing fig06 + fig17"
     registry = obs.registry_or_new()
     registry.gauge("bench.des_cold_import.modules").set(modules)
+    registry.gauge("bench.des_cold_import.repro_modules").set(own)
     registry.gauge("bench.des_cold_import.maxrss_kib").set(maxrss_kib)
 
 
@@ -392,8 +400,8 @@ def array_cold_run():
     """A small stepped fluid run and a small packet-batch run, each
     through ``execute_run`` (so its spec is hashed), in a fresh interpreter
     — what a campaign worker pays; neither ``numpy.random`` nor OpenSSL's
-    ``_hashlib`` may get loaded.  Returns (modules loaded, peak resident
-    set in KiB)."""
+    ``_hashlib`` may get loaded.  Returns :func:`_cold_import`'s
+    triple."""
     return _cold_import(
         "from repro.campaign import RunSpec, execute_run\n"
         "execute_run(RunSpec(engine='fluid', topology='bcube', n_subflows=2,\n"
@@ -409,12 +417,13 @@ def array_cold_run():
                       "run (no numpy.random, no OpenSSL; module count and "
                       "peak RSS recorded)")
 def _engine_array_cold_run(ctx: BenchContext):
-    modules, maxrss_kib = array_cold_run()
+    modules, own, maxrss_kib = array_cold_run()
     # Both engines and the campaign layer are ~320 modules; numpy.random
     # and hashlib with OpenSSL add ~20.
     assert modules < 330, f"{modules} modules after a fluid + a batch run"
     registry = obs.registry_or_new()
     registry.gauge("bench.array_cold_run.modules").set(modules)
+    registry.gauge("bench.array_cold_run.repro_modules").set(own)
     registry.gauge("bench.array_cold_run.maxrss_kib").set(maxrss_kib)
 
 
@@ -672,7 +681,7 @@ def _transport_connection_churn(ctx: BenchContext):
 def transport_cold_import():
     """``import repro.transport.server`` in a fresh interpreter — what a
     ``repro serve`` process costs before its first HELLO; numpy may not
-    get loaded.  Returns (modules loaded, peak resident set in KiB)."""
+    get loaded.  Returns :func:`_cold_import`'s triple."""
     return _cold_import("import repro.transport.server", ("numpy",))
 
 
@@ -681,12 +690,17 @@ def transport_cold_import():
                       "repro.transport.server` (no numpy; module count and "
                       "peak RSS recorded)")
 def _transport_cold_import(ctx: BenchContext):
-    modules, maxrss_kib = transport_cold_import()
+    modules, own, maxrss_kib = transport_cold_import()
     # asyncio + the stdlib tier is ~200 modules; numpy alone adds ~100.
     assert modules < 260, (
         f"{modules} modules after import repro.transport.server")
+    # 22 measured: the dashboard and Prometheus exposition load with the
+    # metrics endpoint, a controller with its first connection; 42 when
+    # every controller, radio model and the manifest loaded at import.
+    assert own <= 22, f"{own} repro modules after import repro.transport.server"
     registry = obs.registry_or_new()
     registry.gauge("bench.transport_cold_import.modules").set(modules)
+    registry.gauge("bench.transport_cold_import.repro_modules").set(own)
     registry.gauge("bench.transport_cold_import.maxrss_kib").set(maxrss_kib)
 
 

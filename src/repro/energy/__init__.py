@@ -18,18 +18,36 @@ of Huang et al. MobiSys'12 (:mod:`repro.energy.nic`,
 (:mod:`repro.energy.accounting`).
 """
 
-from repro.energy.accounting import ConnectionEnergyMeter, transfer_energy
-from repro.energy.cpu import (
-    HostPowerModel,
-    PathPowerModel,
-    WiredPathPower,
-    WirelessPathPower,
-    default_wired_host,
-    default_wireless_host,
-)
-from repro.energy.mobile import MobileDeviceModel, nexus5
-from repro.energy.nic import LteRadio, RadioModel, WifiRadio
-from repro.energy.switch import SwitchPowerModel
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.energy.accounting import ConnectionEnergyMeter, transfer_energy
+    from repro.energy.cpu import (
+        HostPowerModel,
+        PathPowerModel,
+        WiredPathPower,
+        WirelessPathPower,
+        default_wired_host,
+        default_wireless_host,
+    )
+    from repro.energy.mobile import MobileDeviceModel, nexus5
+    from repro.energy.nic import LteRadio, RadioModel, WifiRadio
+    from repro.energy.switch import SwitchPowerModel
+
+# Resolved on first access (PEP 562): a wired run loads no radio or
+# switch model, a fluid run no connection meter.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.energy.accounting": ("ConnectionEnergyMeter", "transfer_energy"),
+    "repro.energy.cpu": (
+        "HostPowerModel", "PathPowerModel", "WiredPathPower", "WirelessPathPower",
+        "default_wired_host", "default_wireless_host",
+    ),
+    "repro.energy.mobile": ("MobileDeviceModel", "nexus5"),
+    "repro.energy.nic": ("LteRadio", "RadioModel", "WifiRadio"),
+    "repro.energy.switch": ("SwitchPowerModel",),
+})
 
 __all__ = [
     "ConnectionEnergyMeter",

@@ -398,7 +398,6 @@ class FluidSimulation:
                 switch_hops=net.switch_hops[sl],
                 ecn_marked=b.marked_path[sl],
                 user_starts=cohort.user_starts,
-                user_of=cohort.user_of,
                 x=b.x_pkts[sl],
             )
             # Algorithms still on the base-class rate_adjustment return

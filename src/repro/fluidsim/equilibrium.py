@@ -234,7 +234,7 @@ def solve_fluid_equilibrium(
         w=w[cohort.span], rtt=rtt[cohort.span], base_rtt=base_rtt[cohort.span],
         loss=p_path[cohort.span], queueing=qdelay[cohort.span],
         switch_hops=net.switch_hops[cohort.span], ecn_marked=marked[cohort.span],
-        user_starts=cohort.user_starts, user_of=cohort.user_of,
+        user_starts=cohort.user_starts,
         x=x[cohort.span])) for cohort in net.cohorts]
 
     def settle() -> None:

@@ -3,7 +3,9 @@
 Subflows belonging to one congestion-control *cohort* (all connections
 running the same algorithm) are stored contiguously, grouped by user
 (connection), so per-user aggregates — sum of rates, max window, etc. —
-are single ``np.maximum.reduceat`` / ``np.add.reduceat`` calls.
+are single ``np.maximum.reduceat`` / ``np.add.reduceat`` calls, and a
+per-user value goes back to subflow shape by ``np.repeat`` over the block
+sizes, with no gather.
 
 State arrays are **read-only** from the algorithms' point of view: the
 engine hands out *views* into its persistent buffers and reuses one
@@ -40,15 +42,15 @@ class CohortState:
     ecn_marked: np.ndarray
     #: Start offset of each user's subflow block (for reduceat).
     user_starts: np.ndarray
-    #: User index of every subflow (0..n_users-1, non-decreasing).
-    user_of: np.ndarray
     #: Optional precomputed rates w/rtt: the engine already divides the
     #: full vectors once per step, so cohort views can reuse that result
     #: instead of re-dividing per cohort.
     x: Optional[np.ndarray] = None
-    #: Cached :meth:`user_count` result — purely structural (depends only
-    #: on the grouping arrays), so safe to cache per instance even when
-    #: the instance is reused across steps.
+    #: Cached subflows per user and :meth:`user_count` result — purely
+    #: structural (they depend only on the grouping arrays), so safe to
+    #: cache per instance even when the instance is reused across steps.
+    _user_sizes: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False)
     _user_count: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False)
 
@@ -61,24 +63,27 @@ class CohortState:
 
     # ----------------------------------------------------- user reductions
 
+    def _broadcast(self, per_user: np.ndarray) -> np.ndarray:
+        """One value per user, repeated over that user's subflow block."""
+        if self._user_sizes is None:
+            self._user_sizes = np.diff(self.user_starts, append=len(self.w))
+        return np.repeat(per_user, self._user_sizes)
+
     def user_sum(self, v: np.ndarray) -> np.ndarray:
         """Per-user sums, broadcast back to subflow shape."""
-        sums = np.add.reduceat(v, self.user_starts)
-        return sums[self.user_of]
+        return self._broadcast(np.add.reduceat(v, self.user_starts))
 
     def user_max(self, v: np.ndarray) -> np.ndarray:
         """Per-user maxima, broadcast back to subflow shape."""
-        maxes = np.maximum.reduceat(v, self.user_starts)
-        return maxes[self.user_of]
+        return self._broadcast(np.maximum.reduceat(v, self.user_starts))
 
     def user_min(self, v: np.ndarray) -> np.ndarray:
         """Per-user minima, broadcast back to subflow shape."""
-        mins = np.minimum.reduceat(v, self.user_starts)
-        return mins[self.user_of]
+        return self._broadcast(np.minimum.reduceat(v, self.user_starts))
 
     def user_count(self) -> np.ndarray:
         """Per-user subflow counts |s|, broadcast back to subflow shape."""
         if self._user_count is None:
             counts = np.add.reduceat(np.ones_like(self.w), self.user_starts)
-            self._user_count = counts[self.user_of]
+            self._user_count = self._broadcast(counts)
         return self._user_count

@@ -13,7 +13,13 @@ One observability layer for both engines and everything above them:
 * :mod:`repro.obs.manifest` — per-run provenance (spec hash, seed, git
   SHA, toolchain versions) and the one written copy of the final
   metrics snapshot.
+* :mod:`repro.obs.timeseries` / :mod:`repro.obs.flight` — the live
+  series and flight recorders a session attaches.
 * :mod:`repro.obs.report` — ``python -m repro obs report`` rendering.
+
+Only ``metrics`` and ``tracing`` load with the package, because every
+engine probe reads them; the recorders and the manifest load on first
+use (DESIGN.md §8).
 
 The glue is the **ambient session**: probe points deep in the engines
 (:class:`repro.net.events.Simulator`, the fluid integrator, MPTCP
@@ -38,10 +44,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional
 
-from repro.obs.flight import FlightEvent, FlightRecorder
-from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest, git_sha
+from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -49,7 +54,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     geometric_buckets,
 )
-from repro.obs.timeseries import SeriesRecorder, TimeSeries
 from repro.obs.tracing import (
     NULL_TRACER,
     TRACE_SCHEMA,
@@ -60,6 +64,20 @@ from repro.obs.tracing import (
     new_trace_id,
     parse_traceparent,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.flight import FlightEvent, FlightRecorder
+    from repro.obs.manifest import MANIFEST_SCHEMA, RunManifest, git_sha
+    from repro.obs.timeseries import SeriesRecorder, TimeSeries
+
+# Every engine probe reads the registry and the tracer; the recorders and
+# the manifest resolve on first access (PEP 562), so a run that attaches
+# none of them does not load them (or ``subprocess`` and ``platform``).
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.flight": ("FlightEvent", "FlightRecorder"),
+    "repro.obs.manifest": ("MANIFEST_SCHEMA", "RunManifest", "git_sha"),
+    "repro.obs.timeseries": ("SeriesRecorder", "TimeSeries"),
+})
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -114,6 +132,8 @@ class ObsSession:
         one without coordination.
         """
         if self.series is None:
+            from repro.obs.timeseries import SeriesRecorder
+
             self.series = SeriesRecorder(self.registry, **kwargs)
         return self.series
 
@@ -121,6 +141,8 @@ class ObsSession:
         """Get-or-create this session's flight recorder (``kwargs`` go
         to :class:`FlightRecorder` on the first call)."""
         if self.flight is None:
+            from repro.obs.flight import FlightRecorder
+
             self.flight = FlightRecorder(**kwargs)
         return self.flight
 
@@ -131,6 +153,8 @@ class ObsSession:
     def manifest(self, *, label: Optional[str] = None,
                  spec_hash: Optional[str] = None) -> RunManifest:
         """A :class:`RunManifest` of this session's final state."""
+        from repro.obs.manifest import RunManifest
+
         return RunManifest.capture(
             label=self.label if label is None else label,
             spec_hash=spec_hash,

@@ -38,7 +38,6 @@ from repro.algorithms import create_controller
 from repro.energy.accounting import TransferEnergyAccount
 from repro.energy.cpu import HostPowerModel, default_wired_host
 from repro.errors import ConfigurationError, ReproError
-from repro.obs.dashboard import live_routes
 from repro.obs.flight import DEFAULT_CAPACITY as FLIGHT_CAPACITY
 from repro.obs.timeseries import DEFAULT_CAPACITY as SERIES_CAPACITY
 from repro.transport.aio import (
@@ -498,6 +497,8 @@ class TransportServer:
             self._endpoints.append(endpoint)
             self.ports.append(endpoint.local_port())
         if self.metrics_port is not None:
+            from repro.obs.dashboard import live_routes
+
             # A process's first manifest probes its environment (git,
             # platform, the installed numpy; ~30 ms, then cached): paid
             # here, before a connection exists, not by the first

@@ -105,7 +105,6 @@ def run_reference(sim: FluidSimulation, duration: float,
                     switch_hops=net.switch_hops[ids],
                     ecn_marked=marked_path[ids],
                     user_starts=cohort.user_starts,
-                    user_of=cohort.user_of,
                 )
                 increase = cohort.algorithm.per_ack_increase(st)
                 dw = increase * st.x_pkts * dt

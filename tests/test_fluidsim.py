@@ -32,10 +32,6 @@ def cohort_state(w, rtt, base=None, user_starts=(0,), loss=None, queueing=None,
                  hops=None, marked=None):
     n = len(w)
     starts = np.asarray(user_starts, dtype=np.int64)
-    user_of = np.zeros(n, dtype=np.int64)
-    for u, s in enumerate(starts):
-        end = starts[u + 1] if u + 1 < len(starts) else n
-        user_of[s:end] = u
     return CohortState(
         w=np.asarray(w, float),
         rtt=np.asarray(rtt, float),
@@ -45,7 +41,6 @@ def cohort_state(w, rtt, base=None, user_starts=(0,), loss=None, queueing=None,
         switch_hops=np.asarray(hops if hops is not None else np.zeros(n), float),
         ecn_marked=np.asarray(marked if marked is not None else np.zeros(n), float),
         user_starts=starts,
-        user_of=user_of,
     )
 
 

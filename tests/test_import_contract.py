@@ -12,9 +12,14 @@ numpy; the packet rows run the scalar DES (two measurement figures, a lossy
 two-route transfer under Pareto bursts, ``box_stats``) and find none
 either; the array rows run each array engine and a pooled campaign plus its
 report, and find neither ``numpy.random`` nor OpenSSL (``hashlib``).  The
-second half checks the PEP 562 lazy exports of ``repro``,
-``repro.core``, ``repro.net``, ``repro.topology``, ``repro.workloads`` and
-``repro.analysis`` behave like the eager re-exports they replaced.
+census rows check that within a tier a package loads a submodule only on
+first use (no recorder, wire format, radio model or unused controller in a
+packet-DES process).  The second half checks the PEP 562 lazy exports of
+``repro``, ``repro.core``, ``repro.net``, ``repro.topology``,
+``repro.workloads``, ``repro.analysis``, ``repro.obs``, ``repro.energy``,
+``repro.transport`` and ``repro.algorithms`` behave like the eager
+re-exports they replaced, and that the controller registry finds each
+controller by name.
 """
 
 from __future__ import annotations
@@ -404,12 +409,52 @@ def test_manifest_reads_the_numpy_version_without_importing_numpy(first):
 
 
 def test_fluid_tier_loads_no_packet_engine():
-    """Of ``repro.net`` a fluid process keeps two leaves (the sampler base
-    class ``repro.energy`` subclasses, the stdlib generator every engine
-    draws from), not the packet engine."""
+    """Of ``repro.net`` a fluid process keeps one leaf (the stdlib
+    generator every engine draws from), not the packet engine."""
     assert modules_after(
         "import repro.fluidsim", "repro.net", "repro.transport",
-    ) == {"repro.net", "repro.net.monitor", "repro.net.rand", "repro.net._ziggurat"}
+    ) == {"repro.net", "repro.net.rand", "repro.net._ziggurat"}
+
+
+_DES_FIGURES = "from repro.experiments import fig06_shared_bottleneck, fig17_wireless"
+#: Loaded by no packet-DES figure: the recorders and the manifest (with
+#: ``subprocess`` and ``platform``), the wire format, the radio and switch
+#: models.
+_NOT_IN_THE_DES = (
+    "repro.obs.flight", "repro.obs.manifest", "repro.obs.timeseries",
+    "repro.transport.wire", "repro.energy.nic", "repro.energy.mobile",
+    "repro.energy.switch", "subprocess", "platform",
+)
+_CONTROLLER_MODULES = ("repro.algorithms.balia", "repro.algorithms.coupled",
+                       "repro.algorithms.dctcp", "repro.algorithms.dts",
+                       "repro.algorithms.dwc", "repro.algorithms.ecmtcp",
+                       "repro.algorithms.ewtcp", "repro.algorithms.lia",
+                       "repro.algorithms.olia", "repro.algorithms.reno",
+                       "repro.algorithms.wvegas")
+
+
+@pytest.fixture(scope="module")
+def des_figures_modules() -> set:
+    return modules_after(_DES_FIGURES, *_NOT_IN_THE_DES, *_CONTROLLER_MODULES)
+
+
+@pytest.mark.parametrize("module", _NOT_IN_THE_DES + _CONTROLLER_MODULES)
+def test_des_figures_import_loads_no_unused_module(module, des_figures_modules):
+    assert module not in des_figures_modules
+
+
+def test_des_figure_run_loads_only_the_controllers_it_constructs():
+    """Fig. 6 runs LIA, OLIA, Balia and ecMTCP beside single-path Reno;
+    no other controller module is loaded, and neither are the recorders
+    or the wire format."""
+    loaded = modules_after(
+        "from repro.experiments import fig06_shared_bottleneck as fig06\n"
+        "assert fig06.run(user_counts=[2], transfer_bytes=262144).cells",
+        "repro.algorithms", *_NOT_IN_THE_DES)
+    assert loaded == {"repro.algorithms", "repro.algorithms.base",
+                      "repro.algorithms.reno", "repro.algorithms.lia",
+                      "repro.algorithms.olia", "repro.algorithms.balia",
+                      "repro.algorithms.ecmtcp"}
 
 
 @pytest.mark.parametrize("first, then", [
@@ -447,8 +492,20 @@ def test_solver_and_integrator_load_no_scipy():
 
 # ------------------------------------------------------------ lazy exports
 
-LAZY_PACKAGES = ["repro", "repro.core", "repro.net", "repro.topology",
-                 "repro.workloads", "repro.analysis"]
+#: Each lazy package with one of its lazily exported names.
+LAZY_NAMES = {
+    "repro": "Network",
+    "repro.core": "phi",
+    "repro.net": "Network",
+    "repro.topology": "BCube",
+    "repro.workloads": "ParetoBurstSource",
+    "repro.analysis": "box_stats",
+    "repro.obs": "RunManifest",
+    "repro.energy": "nexus5",
+    "repro.transport": "decode",
+    "repro.algorithms": "LiaController",
+}
+LAZY_PACKAGES = list(LAZY_NAMES)
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
@@ -483,15 +540,46 @@ def test_misspelt_attribute_names_the_package(package):
         exec(f"from {package} import Netwrok")
 
 
-def test_resolved_name_is_cached_in_the_package_namespace(monkeypatch):
-    import repro.core
-
-    vars(repro.core).pop("phi", None)
-    first = repro.core.phi
-    assert vars(repro.core)["phi"] is first
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_resolved_name_is_cached_in_the_package_namespace(package, monkeypatch):
+    module = importlib.import_module(package)
+    name = LAZY_NAMES[package]
+    monkeypatch.delitem(vars(module), name, raising=False)
+    first = getattr(module, name)
+    assert vars(module)[name] is first
 
     def no_reentry(name):  # pragma: no cover - called only on failure
         raise AssertionError(f"__getattr__ re-entered for {name!r}")
 
-    monkeypatch.setattr(repro.core, "__getattr__", no_reentry)
-    assert repro.core.phi is first
+    monkeypatch.setattr(module, "__getattr__", no_reentry)
+    assert getattr(module, name) is first
+
+
+#: Every name and alias :func:`create_controller` accepts, with the class
+#: it builds.
+_CONTROLLER_CLASSES = {
+    "reno": "RenoController", "tcp": "RenoController", "newreno": "RenoController",
+    "ewtcp": "EwtcpController", "coupled": "CoupledController",
+    "lia": "LiaController", "mptcp": "LiaController", "olia": "OliaController",
+    "balia": "BaliaController", "ecmtcp": "EcmtcpController",
+    "wvegas": "WvegasController", "dctcp": "DctcpController",
+    "dts": "DtsController", "dts-ext": "ExtendedDtsController",
+    "dts_ext": "ExtendedDtsController", "edts": "ExtendedDtsController",
+    "extended-dts": "ExtendedDtsController", "dwc": "DwcController",
+}
+
+
+def test_create_controller_finds_each_class_by_name():
+    import repro.algorithms as cc
+    from repro.errors import AlgorithmError
+
+    assert set(cc.algorithm_names()) <= set(_CONTROLLER_CLASSES)
+    for name, cls in _CONTROLLER_CLASSES.items():
+        for spelling in (name, f" {name.upper()} "):
+            assert type(cc.create_controller(spelling)) is getattr(cc, cls), spelling
+    assert cc.create_controller("dts-ext", kappa=1e-4).price_config.kappa == 1e-4
+    with pytest.raises(AlgorithmError) as info:
+        cc.create_controller("Cubic")
+    assert str(info.value) == (
+        "unknown algorithm 'Cubic'; known: balia, coupled, dctcp, dts, dts-ext, "
+        "dwc, ecmtcp, ewtcp, lia, olia, reno, wvegas")
