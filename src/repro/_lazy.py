@@ -8,10 +8,10 @@ controllers, the flight recorder and the wire format).  With
 access and is then cached in the package namespace, so within a tier a
 process loads a submodule only when it first uses it (DESIGN.md §8,
 "Start-up cost and import tiers").  Every re-exporting package in
-``repro`` but the numpy-tier ``campaign`` and ``fluidsim`` uses it;
-``repro.obs`` keeps ``metrics`` and ``tracing`` eager, because every
-engine probe reads them, and ``repro.algorithms.create_controller``
-imports a controller's module with its first instance.
+``repro`` uses it; ``repro.obs`` keeps ``metrics`` and ``tracing`` eager,
+because every engine probe reads them, and
+``repro.algorithms.create_controller`` imports a controller's module with
+its first instance.
 """
 
 from __future__ import annotations

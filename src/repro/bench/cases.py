@@ -347,21 +347,30 @@ def _cold_import(statement: str, absent: "tuple[str, ...]"):
     return tuple(json.loads(proc.stdout))
 
 
+#: The fluid tier's network, stepping engine and solver, named through
+#: the package surface (each name loads its own module).
+_FLUID_ENGINE = ("from repro.fluidsim import FluidNetwork, FluidSimulation, "
+                 "solve_fluid_equilibrium")
+
+
 def fluid_cold_import():
-    """``import repro.fluidsim`` in a fresh interpreter — what every
-    campaign worker, shard worker and ``python -m repro fig10..16`` pays
-    before its first step; neither ``scipy`` nor ``scipy.sparse`` may get
-    loaded.  Returns :func:`_cold_import`'s triple."""
-    return _cold_import("import repro.fluidsim", ("scipy", "scipy.sparse"))
+    """The fluid network, stepping engine and solver imported in a fresh
+    interpreter — what every campaign worker, shard worker and ``python -m
+    repro fig10..16`` pays before its first step; neither ``scipy`` nor
+    ``scipy.sparse`` may get loaded.  Returns :func:`_cold_import`'s
+    triple."""
+    return _cold_import(_FLUID_ENGINE, ("scipy", "scipy.sparse"))
 
 
 @register("engine.fluid_cold_import", suites=("tier1", "engine"),
-          description="fresh interpreter: start-up + `import repro.fluidsim` "
-                      "(no scipy.sparse; module count and peak RSS recorded)")
+          description="fresh interpreter: start-up + FluidNetwork, "
+                      "FluidSimulation and solve_fluid_equilibrium from "
+                      "repro.fluidsim (no scipy.sparse; module count and "
+                      "peak RSS recorded)")
 def _engine_fluid_cold_import(ctx: BenchContext):
     modules, own, maxrss_kib = fluid_cold_import()
     # numpy + the fluid tier is ~250 modules; scipy.sparse alone adds ~350.
-    assert modules < 400, f"{modules} modules after import repro.fluidsim"
+    assert modules < 400, f"{modules} modules after {_FLUID_ENGINE}"
     registry = obs.registry_or_new()
     registry.gauge("bench.fluid_cold_import.modules").set(modules)
     registry.gauge("bench.fluid_cold_import.repro_modules").set(own)
@@ -399,9 +408,10 @@ def _engine_des_cold_import(ctx: BenchContext):
 def array_cold_run():
     """A small stepped fluid run and a small packet-batch run, each
     through ``execute_run`` (so its spec is hashed), in a fresh interpreter
-    — what a campaign worker pays; neither ``numpy.random`` nor OpenSSL's
-    ``_hashlib`` may get loaded.  Returns :func:`_cold_import`'s
-    triple."""
+    — what a campaign worker or an in-process ``sweep`` pays; neither
+    ``numpy.random`` nor OpenSSL's ``_hashlib`` may get loaded, nor the
+    process pool an in-process run never starts.  Returns
+    :func:`_cold_import`'s triple."""
     return _cold_import(
         "from repro.campaign import RunSpec, execute_run\n"
         "execute_run(RunSpec(engine='fluid', topology='bcube', n_subflows=2,\n"
@@ -409,18 +419,23 @@ def array_cold_run():
         "execute_run(RunSpec(engine='packet-batch', topology='ec2',\n"
         "                    algorithm='dts', n_subflows=2, duration=0.2,\n"
         "                    dt=0.002, params={'n_hosts': 8, 'loss_rate': 1e-2}))",
-        ("numpy.random", "_hashlib"))
+        ("numpy.random", "_hashlib", "concurrent.futures", "multiprocessing"))
 
 
 @register("engine.array_cold_run", suites=("tier1", "engine"),
           description="fresh interpreter: a small fluid run + a small batch "
-                      "run (no numpy.random, no OpenSSL; module count and "
-                      "peak RSS recorded)")
+                      "run (no numpy.random, no OpenSSL, no process pool; "
+                      "module count and peak RSS recorded)")
 def _engine_array_cold_run(ctx: BenchContext):
     modules, own, maxrss_kib = array_cold_run()
-    # Both engines and the campaign layer are ~320 modules; numpy.random
-    # and hashlib with OpenSSL add ~20.
+    # Both engines and the campaign layer are ~270 modules; the process
+    # pool adds ~35, numpy.random and hashlib with OpenSSL ~20 more.
     assert modules < 330, f"{modules} modules after a fluid + a batch run"
+    # 46 measured: the spec, the runner and the two engines, with one
+    # fabric's module; 52 when the campaign and fluidsim packages loaded
+    # every submodule (cache, telemetry, solver, shard pool) and every
+    # fabric was imported to build one.
+    assert own <= 46, f"{own} repro modules after a fluid + a batch run"
     registry = obs.registry_or_new()
     registry.gauge("bench.array_cold_run.modules").set(modules)
     registry.gauge("bench.array_cold_run.repro_modules").set(own)

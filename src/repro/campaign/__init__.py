@@ -20,18 +20,36 @@ From the command line::
     python -m repro sweep --topologies bcube --subflows 1 2 4 8 --jobs 4
 """
 
-from repro.campaign.cache import CacheStats, ResultCache
-from repro.campaign.executor import CampaignExecutor, RunOutcome, execute_run
-from repro.campaign.spec import (
-    SCHEMA_VERSION,
-    CampaignSpec,
-    RunSpec,
-    build_topology,
-    ec2_sweep_campaign,
-    figure_campaign,
-    subflow_sweep_campaign,
-)
-from repro.campaign.telemetry import CampaignTelemetry, throughput_from_snapshot
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.campaign.cache import CacheStats, ResultCache
+    from repro.campaign.executor import CampaignExecutor, RunOutcome, execute_run
+    from repro.campaign.spec import (
+        SCHEMA_VERSION,
+        CampaignSpec,
+        RunSpec,
+        build_topology,
+        ec2_sweep_campaign,
+        figure_campaign,
+        subflow_sweep_campaign,
+    )
+    from repro.campaign.telemetry import CampaignTelemetry, throughput_from_snapshot
+
+# Resolved on first access (PEP 562): a process that builds specs loads no
+# numpy, and one that runs a spec in-process loads neither the cache nor
+# the telemetry writer.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.campaign.cache": ("CacheStats", "ResultCache"),
+    "repro.campaign.executor": ("CampaignExecutor", "RunOutcome", "execute_run"),
+    "repro.campaign.spec": (
+        "SCHEMA_VERSION", "CampaignSpec", "RunSpec", "build_topology",
+        "ec2_sweep_campaign", "figure_campaign", "subflow_sweep_campaign",
+    ),
+    "repro.campaign.telemetry": ("CampaignTelemetry", "throughput_from_snapshot"),
+})
 
 __all__ = [
     "SCHEMA_VERSION",

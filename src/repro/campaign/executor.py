@@ -16,7 +16,14 @@ Design points:
   that dies hard costs only the run that killed it: the other runs of
   the broken pool are re-executed without being charged an attempt.
 * **Timeouts** — ``run_timeout`` bounds how long the collector waits
-  for any single run's result.
+  for any single run's result.  A run that outlives it is charged an
+  attempt and its pool's workers are killed (a hung run would otherwise
+  hold a worker, and the interpreter, forever); the other uncollected
+  runs of that pool move to a fresh one uncharged.  An in-process run
+  cannot be stopped, so ``jobs=1`` takes no timeout.
+* **Start-up** — the process pool is imported with the first pooled
+  run and the telemetry writer only when the caller passes none, so an
+  in-process run loads neither (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -24,19 +31,20 @@ from __future__ import annotations
 import functools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 import repro.obs as obs
-from repro.campaign.cache import ResultCache
 from repro.campaign.spec import SCHEMA_VERSION, RunSpec, build_topology
-from repro.campaign.telemetry import CampaignTelemetry
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.campaign.cache import ResultCache
+    from repro.campaign.telemetry import CampaignTelemetry
 
 #: ``spec.params`` keys each engine accepts: the ones the CLI and the
 #: campaign builders set.  Everything else the engines take (seed, dt,
@@ -297,6 +305,9 @@ class CampaignExecutor:
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if jobs == 1 and run_timeout is not None:
+            raise ConfigurationError(
+                "run_timeout needs jobs >= 2: an in-process run cannot be stopped")
         self.jobs = jobs
         self.cache = cache
         self.telemetry = telemetry
@@ -312,7 +323,11 @@ class CampaignExecutor:
     def run(self, specs: Sequence[RunSpec],
             campaign_name: str = "campaign") -> List[RunOutcome]:
         """Execute every spec; returns outcomes ordered like ``specs``."""
-        tel = self.telemetry or CampaignTelemetry()
+        tel = self.telemetry
+        if tel is None:
+            from repro.campaign.telemetry import CampaignTelemetry
+
+            tel = CampaignTelemetry()
         parsed = obs.parse_traceparent(self.trace_parent)
         tel.campaign_started(campaign_name, n_runs=len(specs), jobs=self.jobs,
                              trace_id=parsed[0] if parsed else None)
@@ -444,7 +459,13 @@ class CampaignExecutor:
         break of the shared pool charges nobody: from then on each
         uncollected run is executed in a single-worker pool of its own,
         where a break can only be that run's doing and is charged to it.
+        A run that times out is charged; the pool it ran in is ended, and
+        the shared pool's unfinished runs are resubmitted to a fresh one.
         """
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+
         run_fn = self._effective_run_fn()
         pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
         shared = True
@@ -454,14 +475,14 @@ class CampaignExecutor:
                 tel.run_started(specs[i])
                 futures[i] = pool.submit(run_fn, specs[i])
             starts = {i: time.perf_counter() for i in pending}
-            for i in pending:
+            for n, i in enumerate(pending):
                 attempts = 1
                 fut, in_shared = futures[i], True
                 while True:
                     try:
                         if fut is None:
                             if not shared:
-                                pool.shutdown(wait=False, cancel_futures=True)
+                                _end_pool(pool)
                                 pool = ProcessPoolExecutor(max_workers=1)
                             in_shared = shared
                             fut = pool.submit(run_fn, specs[i])
@@ -477,8 +498,15 @@ class CampaignExecutor:
                             shared, fut = False, None
                             continue
                         if isinstance(exc, FuturesTimeoutError):
-                            fut.cancel()
                             error = f"timed out after {self.run_timeout}s"
+                            moved = [j for j in pending[n + 1:]
+                                     if shared and not futures[j].done()]
+                            _end_pool(pool)
+                            if shared:
+                                pool = ProcessPoolExecutor(
+                                    max_workers=min(self.jobs, len(moved) + 1))
+                                for j in moved:
+                                    futures[j] = pool.submit(run_fn, specs[j])
                         else:
                             error = f"{type(exc).__name__}: {exc}"
                         if attempts > _RETRIES:
@@ -491,4 +519,17 @@ class CampaignExecutor:
                         attempts += 1
                         fut = None
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            _end_pool(pool)
+
+
+def _end_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down with its workers killed and reaped, so none
+    outlives the campaign, whatever it was running.
+
+    ``ProcessPoolExecutor`` has no public handle on a running call before
+    Python 3.14, hence ``_processes``; killing a worker breaks the pool,
+    which fails the calls it still held with ``BrokenProcessPool``.
+    """
+    for process in list((pool._processes or {}).values()):
+        process.kill()
+    pool.shutdown(wait=True, cancel_futures=True)

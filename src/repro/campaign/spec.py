@@ -95,17 +95,26 @@ def build_topology(name: str, link_delay: float = ms(1)):
 
 
 def _build_topology(name: str, link_delay: float):
-    from repro.topology import BCube, FatTree, Vl2, fattree24, fattree32
-
+    """Build the named fabric, importing only its own module."""
     if name == "bcube":
+        from repro.topology.bcube import BCube
+
         return BCube(4, 2, link_delay=link_delay)
     if name == "fattree":
+        from repro.topology.fattree import FatTree
+
         return FatTree(8, link_delay=link_delay)
     if name == "fattree24":
+        from repro.topology.fattree import fattree24
+
         return fattree24(link_delay=link_delay)
     if name == "fattree32":
+        from repro.topology.fattree import fattree32
+
         return fattree32(link_delay=link_delay)
     if name == "vl2":
+        from repro.topology.vl2 import Vl2
+
         return Vl2(link_delay=link_delay)
     raise ConfigurationError(
         f"cannot build topology {name!r} (can build: {', '.join(_FLUID_TOPOLOGIES)})")

@@ -206,7 +206,8 @@ def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
                         help="JSONL telemetry log "
                              "(default: <cache-dir>/campaign.log.jsonl)")
     parser.add_argument("--run-timeout", type=float, default=None, metavar="S",
-                        help="max seconds to wait for any single run")
+                        help="max seconds to wait for any single run "
+                             "(pooled runs only: --jobs 2 or more)")
     parser.add_argument("--trace", default=None, metavar="DIR", dest="trace_dir",
                         help="distributed tracing: write per-run worker "
                              "trace shards, the driver shard, and a merged "
@@ -359,6 +360,11 @@ def _execute_campaign(args, campaign, **executor_kwargs) -> int:
     from repro.campaign import CampaignExecutor, CampaignTelemetry, ResultCache
     from repro.experiments.fig12_14_subflows import sweep_result_from_outcomes, table
 
+    executor_kwargs.setdefault("jobs", args.jobs)
+    if executor_kwargs["jobs"] == 1:
+        _reject(args, ["run_timeout"],
+                "runs execute in-process (--jobs 1, or --shards), and an "
+                "in-process run cannot be stopped")
     log_path = args.log or str(Path(args.cache_dir) / "campaign.log.jsonl")
     telemetry = CampaignTelemetry(log_path=log_path)
     trace = None
@@ -368,7 +374,6 @@ def _execute_campaign(args, campaign, **executor_kwargs) -> int:
         tracer = obs.Tracer()
         span = tracer.start_span("campaign.driver", jobs=args.jobs)
         trace = {"tracer": tracer, "span": span, "dir": Path(args.trace_dir)}
-    executor_kwargs.setdefault("jobs", args.jobs)
     executor = CampaignExecutor(
         cache=None if args.no_cache else ResultCache(args.cache_dir),
         telemetry=telemetry, run_timeout=args.run_timeout,

@@ -25,17 +25,15 @@ host — the closest BCube shape to the paper's quoted counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.report import format_table
-from repro.campaign import (
-    CampaignExecutor,
-    CampaignTelemetry,
-    ResultCache,
-    subflow_sweep_campaign,
-)
+from repro.campaign import subflow_sweep_campaign
 from repro.errors import SimulationError
 from repro.units import ms
+
+if TYPE_CHECKING:
+    from repro.campaign import CampaignTelemetry, ResultCache
 
 
 @dataclass
@@ -79,6 +77,8 @@ def run_sweep(
     worker processes and ``cache``/``telemetry`` plug in the campaign
     result store and JSONL run log.
     """
+    from repro.campaign import CampaignExecutor
+
     counts = subflow_counts if subflow_counts is not None else [1, 2, 4, 8]
     seed_list = seeds if seeds is not None else [1, 2]
 

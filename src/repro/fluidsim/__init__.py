@@ -20,30 +20,61 @@ Two scale levers sit alongside the stepping engine:
 - :mod:`repro.fluidsim.sharding` steps many independently-seeded
   replicas of a topology across a process pool and merges them exactly,
   growing subflow populations past what one process holds comfortably.
+
+Each name resolves on first use (DESIGN.md §8): a stepped run loads the
+network, the adapters and the engine, never the solver or the shard
+pool, and ``import repro.fluidsim`` alone loads none of them.
 """
 
-from repro.fluidsim.adapters import FluidAlgorithm, create_fluid_algorithm, fluid_algorithm_names
-from repro.fluidsim.engine import (
-    FluidSimulation,
-    PowerEvaluator,
-    SimulationResult,
-    fluid_metrics,
-    run_metrics,
-)
-from repro.fluidsim.equilibrium import (
-    FluidEquilibrium,
-    equilibrium_supported,
-    solve_fluid_equilibrium,
-)
-from repro.fluidsim.network import FluidConnection, FluidNetwork
-from repro.fluidsim.sharding import (
-    ShardedResult,
-    ShardSpec,
-    make_shard_specs,
-    merge_shard_payloads,
-    run_sharded,
-    simulate_shard,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.fluidsim.adapters import (
+        FluidAlgorithm,
+        create_fluid_algorithm,
+        fluid_algorithm_names,
+    )
+    from repro.fluidsim.engine import (
+        FluidSimulation,
+        PowerEvaluator,
+        SimulationResult,
+        fluid_metrics,
+        run_metrics,
+    )
+    from repro.fluidsim.equilibrium import (
+        FluidEquilibrium,
+        equilibrium_supported,
+        solve_fluid_equilibrium,
+    )
+    from repro.fluidsim.network import FluidConnection, FluidNetwork
+    from repro.fluidsim.sharding import (
+        ShardedResult,
+        ShardSpec,
+        make_shard_specs,
+        merge_shard_payloads,
+        run_sharded,
+        simulate_shard,
+    )
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.fluidsim.adapters": (
+        "FluidAlgorithm", "create_fluid_algorithm", "fluid_algorithm_names",
+    ),
+    "repro.fluidsim.engine": (
+        "FluidSimulation", "PowerEvaluator", "SimulationResult",
+        "fluid_metrics", "run_metrics",
+    ),
+    "repro.fluidsim.equilibrium": (
+        "FluidEquilibrium", "equilibrium_supported", "solve_fluid_equilibrium",
+    ),
+    "repro.fluidsim.network": ("FluidConnection", "FluidNetwork"),
+    "repro.fluidsim.sharding": (
+        "ShardedResult", "ShardSpec", "make_shard_specs",
+        "merge_shard_payloads", "run_sharded", "simulate_shard",
+    ),
+})
 
 __all__ = [
     "FluidAlgorithm",

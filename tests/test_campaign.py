@@ -341,6 +341,44 @@ def test_run_timeout_reports_failure(monkeypatch):
     assert "timed out" in outcomes[0].error
 
 
+_HUNG_CAMPAIGN = """
+import multiprocessing, time
+from repro.campaign import CampaignExecutor, RunSpec
+
+def run(spec):
+    if spec.seed == 1:
+        time.sleep(60.0)
+    return {"spec_hash": spec.content_hash(), "metrics": {"seed": spec.seed},
+            "wall_s": 0.0}
+
+specs = [RunSpec(seed=seed, topology="bcube", duration=0.4, dt=0.01)
+         for seed in (1, 2, 3)]
+outcomes = CampaignExecutor(jobs=2, run_fn=run, run_timeout=0.3).run(specs)
+assert multiprocessing.active_children() == [], multiprocessing.active_children()
+assert [o.ok for o in outcomes] == [False, True, True], outcomes
+assert [o.attempts for o in outcomes] == [2, 1, 1], outcomes
+assert "timed out" in outcomes[0].error
+"""
+
+
+def test_a_timed_out_run_leaves_no_child_behind():
+    """A hung run is killed with its pool: once ``run()`` returns no
+    child is alive, so the interpreter exits long before the hung call
+    would have returned, and its pool-mates are not charged."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _HUNG_CAMPAIGN], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_an_in_process_run_takes_no_timeout():
+    with pytest.raises(ConfigurationError, match="in-process run cannot be stopped"):
+        CampaignExecutor(jobs=1, run_timeout=5.0)
+
+
 def _counting_run(spec):
     counter = Path(spec.params["counter"])
     counter.write_text(str(int(counter.read_text() or "0") + 1)

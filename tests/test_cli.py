@@ -107,6 +107,10 @@ def test_list_and_help_name_every_command(capsys):
     (["campaign", "fig12", "--paper-scale", "--subflows", "1"], "--subflows"),
     (["campaign", "fig12", "--paper-scale", "--duration", "1"], "--duration"),
     (["campaign", "fig12", "--paper-scale", "--dt", "0.01"], "--dt"),
+    # Runs at --jobs 1, and sharded runs, execute in-process.
+    (["campaign", "fig12", "--run-timeout", "5"], "--run-timeout"),
+    (["sweep", "--shards", "2", "--jobs", "2", "--run-timeout", "5"],
+     "--run-timeout"),
 ])
 def test_a_flag_the_run_would_not_read_exits_2(argv, flag, tmp_path, capsys):
     assert main([*argv, "--cache-dir", str(tmp_path)]) == 2

@@ -276,13 +276,13 @@ def test_without_the_file_the_ordinary_import_gives_the_same_function(body):
 
 @pytest.mark.parametrize("find_spec_too", [False, True])
 def test_without_scipy_the_import_error_is_scipys_own(find_spec_too):
-    """scipy stays a declared dependency: with it unimportable,
-    ``import repro.fluidsim`` fails as any ``import scipy`` would."""
+    """scipy stays a declared dependency: with it unimportable, importing
+    the fluid network fails as any ``import scipy`` would."""
     patch = _FAKE_FIND_SPEC.format(body="raise ValueError('scipy.__spec__ is None')")
     run_fresh((patch if find_spec_too else "import sys") + textwrap.dedent("""
         sys.modules["scipy"] = None
         try:
-            import repro.fluidsim
+            from repro.fluidsim import FluidNetwork
         except ImportError as exc:
             assert "scipy" in str(exc), exc
         else:

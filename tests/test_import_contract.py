@@ -14,12 +14,14 @@ either; the array rows run each array engine and a pooled campaign plus its
 report, and find neither ``numpy.random`` nor OpenSSL (``hashlib``).  The
 census rows check that within a tier a package loads a submodule only on
 first use (no recorder, wire format, radio model or unused controller in a
-packet-DES process).  The second half checks the PEP 562 lazy exports of
-``repro``, ``repro.core``, ``repro.net``, ``repro.topology``,
-``repro.workloads``, ``repro.analysis``, ``repro.obs``, ``repro.energy``,
-``repro.transport`` and ``repro.algorithms`` behave like the eager
-re-exports they replaced, and that the controller registry finds each
-controller by name.
+packet-DES process; no process pool, result cache, telemetry writer, other
+engine or other fabric in an in-process run).  The second half checks the
+PEP 562 lazy exports of ``repro``, ``repro.core``, ``repro.net``,
+``repro.topology``, ``repro.workloads``, ``repro.analysis``, ``repro.obs``,
+``repro.energy``, ``repro.transport``, ``repro.algorithms``,
+``repro.campaign`` and ``repro.fluidsim`` behave like the eager re-exports
+they replaced, and that the controller registry finds each controller by
+name.
 """
 
 from __future__ import annotations
@@ -103,6 +105,9 @@ STDLIB_TIER = [
     "import repro.core.energy_price",
     "import repro.analysis",
     "import repro.workloads.permutation",
+    # Specs are built, hashed and checked without numpy; the executor
+    # loads it with the first run.
+    "from repro.campaign import RunSpec",
     _cli("--help"),
     _cli("--version"),
     _cli("list"),
@@ -127,7 +132,7 @@ NUMPY_TIER = [
 #: The fluid tier at work, not just imported.
 _FAST_SPEC = "topology='bcube', n_subflows=2, duration=0.2, dt=0.01"
 FLUID_RUNS = [
-    pytest.param("import repro.fluidsim", id="import repro.fluidsim"),
+    pytest.param("from repro.fluidsim import FluidNetwork", id="import repro.fluidsim"),
     pytest.param(
         "from repro.campaign import RunSpec, execute_run\n"
         f"assert execute_run(RunSpec(engine='fluid', {_FAST_SPEC}))"
@@ -282,23 +287,23 @@ with contextlib.redirect_stdout(io.StringIO()):
                            '--cache-dir', str(cache)]) == 0
     assert repro.cli.main(['obs', 'report', str(cache / 'campaign.log.jsonl')]) == 0
 """
+_STEPPED_FLUID_RUN = (
+    "from repro.campaign import RunSpec, execute_run\n"
+    f"assert execute_run(RunSpec(engine='fluid', {_ARRAY_SPEC}))"
+    "['metrics']['loss_events'] >= 0")
+_PACKET_BATCH_RUN = (
+    "from repro.campaign import RunSpec, execute_run\n"
+    "assert execute_run(RunSpec(engine='packet-batch', topology='ec2',\n"
+    "    algorithm='dts', n_subflows=2, duration=0.2, dt=0.002,\n"
+    "    params={'n_hosts': 8, 'loss_rate': 1e-2}))['metrics']")
 ARRAY_RUNS = [
-    pytest.param(
-        "from repro.campaign import RunSpec, execute_run\n"
-        f"assert execute_run(RunSpec(engine='fluid', {_ARRAY_SPEC}))"
-        "['metrics']['loss_events'] >= 0",
-        id="stepped fluid execute_run"),
+    pytest.param(_STEPPED_FLUID_RUN, id="stepped fluid execute_run"),
     pytest.param(
         "from repro.campaign import RunSpec, execute_run\n"
         f"assert execute_run(RunSpec(engine='fluid-equilibrium', {_ARRAY_SPEC}))"
         "['metrics']['steps_taken'] == 0",
         id="fluid-equilibrium execute_run"),
-    pytest.param(
-        "from repro.campaign import RunSpec, execute_run\n"
-        "assert execute_run(RunSpec(engine='packet-batch', topology='ec2',\n"
-        "    algorithm='dts', n_subflows=2, duration=0.2, dt=0.002,\n"
-        "    params={'n_hosts': 8, 'loss_rate': 1e-2}))['metrics']",
-        id="packet-batch execute_run"),
+    pytest.param(_PACKET_BATCH_RUN, id="packet-batch execute_run"),
     pytest.param(_CAMPAIGN_AND_REPORT, id="campaign fig12 --jobs 2, obs report"),
 ]
 #: ``numpy.random`` pulls ``secrets`` -> ``hmac`` -> ``hashlib``, which maps
@@ -412,8 +417,28 @@ def test_fluid_tier_loads_no_packet_engine():
     """Of ``repro.net`` a fluid process keeps one leaf (the stdlib
     generator every engine draws from), not the packet engine."""
     assert modules_after(
-        "import repro.fluidsim", "repro.net", "repro.transport",
+        "from repro.fluidsim import FluidNetwork", "repro.net", "repro.transport",
     ) == {"repro.net", "repro.net.rand", "repro.net._ziggurat"}
+
+
+#: Loaded by no in-process run: the process pool, the result cache and the
+#: telemetry writer.
+_NOT_INLINE = ("concurrent.futures", "multiprocessing",
+               "repro.campaign.cache", "repro.campaign.telemetry")
+
+
+@pytest.mark.parametrize("statement, absent", [
+    pytest.param(_PACKET_BATCH_RUN, _NOT_INLINE + ("repro.fluidsim",),
+                 id="packet-batch execute_run: no pool, no fluid tier"),
+    pytest.param(_STEPPED_FLUID_RUN, _NOT_INLINE + (
+        "repro.fluidsim.equilibrium", "repro.fluidsim.sharding",
+        "repro.topology.fattree", "repro.topology.vl2"),
+                 id="BCube fluid execute_run: no solver, shard pool or other fabric"),
+])
+def test_an_inline_run_loads_only_its_engine(statement, absent):
+    """One spec run in-process loads the spec, the runner and that
+    engine with its one fabric, and nothing a pooled campaign adds."""
+    assert modules_after(statement, *absent) == set()
 
 
 _DES_FIGURES = "from repro.experiments import fig06_shared_bottleneck, fig17_wireless"
@@ -504,6 +529,8 @@ LAZY_NAMES = {
     "repro.energy": "nexus5",
     "repro.transport": "decode",
     "repro.algorithms": "LiaController",
+    "repro.campaign": "execute_run",
+    "repro.fluidsim": "FluidSimulation",
 }
 LAZY_PACKAGES = list(LAZY_NAMES)
 
