@@ -454,13 +454,18 @@ class CampaignExecutor:
         """Fan out over a process pool, collecting results in spec order.
 
         Each pending index gets up to ``1 + _RETRIES`` submissions of its
-        own.  A worker that dies hard breaks the pool for every future
-        in it, and which run killed it cannot be told from here, so a
-        break of the shared pool charges nobody: from then on each
-        uncollected run is executed in a single-worker pool of its own,
-        where a break can only be that run's doing and is charged to it.
-        A run that times out is charged; the pool it ran in is ended, and
-        the shared pool's unfinished runs are resubmitted to a fresh one.
+        own.  The first goes to the shared pool; every later one (a
+        retry, or a re-run after the shared pool broke) to a
+        single-worker pool that starts at once and ends with it, so its
+        ``run_timeout`` counts only its own run and not the shared
+        pool's queue (while it runs the campaign has ``jobs + 1``
+        workers).  A worker that dies hard breaks the pool for every
+        future in it, and which run killed it cannot be told from here,
+        so a break of the shared pool charges nobody; a break of a run's
+        own pool can only be that run's doing and is charged to it.  A
+        run that times out is charged; if it ran in the shared pool, that
+        pool is ended and its unfinished runs are resubmitted to a fresh
+        one.
         """
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -468,7 +473,6 @@ class CampaignExecutor:
 
         run_fn = self._effective_run_fn()
         pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
-        shared = True
         try:
             futures = {}
             for i in pending:
@@ -477,47 +481,51 @@ class CampaignExecutor:
             starts = {i: time.perf_counter() for i in pending}
             for n, i in enumerate(pending):
                 attempts = 1
-                fut, in_shared = futures[i], True
+                fut = futures[i]
                 while True:
+                    in_shared = fut is not None
+                    if not in_shared:
+                        own = ProcessPoolExecutor(max_workers=1)
+                        fut = own.submit(run_fn, specs[i])
+                    failure: Optional[Exception] = None
                     try:
-                        if fut is None:
-                            if not shared:
-                                _end_pool(pool)
-                                pool = ProcessPoolExecutor(max_workers=1)
-                            in_shared = shared
-                            fut = pool.submit(run_fn, specs[i])
                         payload = fut.result(timeout=self.run_timeout)
+                    except Exception as exc:  # noqa: BLE001
+                        failure = exc
+                    finally:
+                        if not in_shared:
+                            _end_pool(own)
+                    if failure is None:
                         outcomes[i] = RunOutcome(
                             spec=specs[i], payload=payload,
                             wall_s=time.perf_counter() - starts[i],
                             attempts=attempts)
                         emit_progress()
                         break
-                    except Exception as exc:  # noqa: BLE001
-                        if isinstance(exc, BrokenProcessPool) and in_shared:
-                            shared, fut = False, None
-                            continue
-                        if isinstance(exc, FuturesTimeoutError):
-                            error = f"timed out after {self.run_timeout}s"
-                            moved = [j for j in pending[n + 1:]
-                                     if shared and not futures[j].done()]
-                            _end_pool(pool)
-                            if shared:
-                                pool = ProcessPoolExecutor(
-                                    max_workers=min(self.jobs, len(moved) + 1))
-                                for j in moved:
-                                    futures[j] = pool.submit(run_fn, specs[j])
-                        else:
-                            error = f"{type(exc).__name__}: {exc}"
-                        if attempts > _RETRIES:
-                            outcomes[i] = RunOutcome(
-                                spec=specs[i], payload=None,
-                                wall_s=time.perf_counter() - starts[i],
-                                error=error, attempts=attempts)
-                            emit_progress()
-                            break
-                        attempts += 1
+                    if isinstance(failure, BrokenProcessPool) and in_shared:
                         fut = None
+                        continue
+                    if isinstance(failure, FuturesTimeoutError):
+                        error = f"timed out after {self.run_timeout}s"
+                        if in_shared:
+                            moved = [j for j in pending[n + 1:]
+                                     if not futures[j].done()]
+                            _end_pool(pool)
+                            pool = ProcessPoolExecutor(
+                                max_workers=min(self.jobs, len(moved) + 1))
+                            for j in moved:
+                                futures[j] = pool.submit(run_fn, specs[j])
+                    else:
+                        error = f"{type(failure).__name__}: {failure}"
+                    if attempts > _RETRIES:
+                        outcomes[i] = RunOutcome(
+                            spec=specs[i], payload=None,
+                            wall_s=time.perf_counter() - starts[i],
+                            error=error, attempts=attempts)
+                        emit_progress()
+                        break
+                    attempts += 1
+                    fut = None
         finally:
             _end_pool(pool)
 

@@ -75,13 +75,31 @@ VECTOR_ALGORITHMS = ("dts", "lia")
 MAX_VECTOR_BURST = 1024
 
 
+#: A subflow's ``eps_memo`` between rounds: nothing cached.
+_NO_EPS = (None, None, 0.0)
+
+
 class _NpSigmoidDts(DtsController):
     """DTS with Eq. (5) evaluated over ``np`` (see module docstring)."""
 
     def epsilon(self, sf) -> float:
+        """Eq. (5), evaluated once per round.
+
+        ``transport.core.grow_window`` asks on every ACK of a round, and
+        neither ``base_rtt`` nor the RTT moves within one, so the subflow
+        keeps its last ``(base_rtt, rtt, eps)`` and a repeat returns the
+        same float the call would.  :func:`scalar_round` drops it with
+        the round, so no cached value outlives the ACKs it served.
+        """
         rtt = sf.latest_rtt if sf.latest_rtt is not None else sf.rtt
+        base = sf.base_rtt
+        memo = sf.eps_memo
+        if memo[0] == base and memo[1] == rtt:
+            return memo[2]
         f = self.factor
-        return float(dts_factor(np, sf.base_rtt, rtt, f.slope, f.center, f.ceiling))
+        eps = float(dts_factor(np, base, rtt, f.slope, f.center, f.ceiling))
+        sf.eps_memo = (base, rtt, eps)
+        return eps
 
 
 class _NpSigmoidDtsExt(ExtendedDtsController):
@@ -171,6 +189,7 @@ class SubflowPort:
         "timeouts",
         "loss_events",
         "rounds",
+        "eps_memo",
     )
 
     def __init__(self, path: "BatchPath", spec: "BatchConnection", slot: int,
@@ -203,6 +222,8 @@ class SubflowPort:
         self.timeouts = 0
         self.loss_events = 0
         self.rounds = 0
+        #: ``(base_rtt, rtt, eps)`` of this round's Eq. (5) evaluation.
+        self.eps_memo: tuple = _NO_EPS
 
     @property
     def rtt(self) -> float:
@@ -316,6 +337,7 @@ def scalar_round(sub, conn, u: np.ndarray, now_tick: int, tick: float) -> None:
     ):
         conn.completion_tick = now_tick
     tcore.grow_window(sub, n_clean)
+    sub.eps_memo = _NO_EPS
     if n_lost == 0:
         penalty = 0.0
     elif n_lost == n:

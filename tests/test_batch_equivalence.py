@@ -12,12 +12,14 @@ floats), never approximate.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.net.batch.engine as engine_mod
+import repro.net.batch.model as model
 from repro.algorithms import algorithm_names
 from repro.net.batch import (
     VECTOR_ALGORITHMS,
@@ -102,6 +104,12 @@ conn_strategy = st.tuples(
     tick=st.sampled_from([5e-4, 1e-3, 4e-3]),
     seed=st.integers(0, 10_000),
 )
+# DTS and extended DTS share one Eq. (5) evaluation; a memo that only one
+# of the two classes carries breaks the other.
+@example(path_data=[(0.004, 48.0, 0.02, 8), (0.012, 16.0, 0.001, 16),
+                    (0.002, 96.0, 0.1, 4)],
+         conn_data=[("dts", 2, None, 4, 32), ("dts-ext", 3, 400, 8, 24)],
+         duration=0.3, tick=1e-3, seed=7)
 def test_batch_engine_bit_identical_to_oracle(path_data, conn_data,
                                               duration, tick, seed):
     """Random controller mixes, path shapes, loss rates, and transfer
@@ -168,3 +176,36 @@ def test_scalar_resident_controllers_match():
     assert batch.counters["fallback_rounds.scalar_controller"] > 0
     assert batch.counters["fallback_rounds.loss"] > 0
     assert batch.counters["compactions"] > 0
+
+
+def test_eq5_is_evaluated_at_most_once_per_scalar_round(monkeypatch):
+    """``grow_window`` asks for epsilon on every ACK, but base RTT and RTT
+    are fixed within a round, so a scalar round of a DTS or extended DTS
+    subflow evaluates Eq. (5) at most once, in both engines."""
+    current = []
+    calls: Counter = Counter()
+    scalar_round, dts_factor = model.scalar_round, model.dts_factor
+
+    def counted_round(sub, conn, u, now_tick, tick):
+        # The engines' clocks tell the oracle's rounds from the engine's.
+        current.append((id(sub.sim), conn.gid, sub.subflow_index, now_tick))
+        scalar_round(sub, conn, u, now_tick, tick)
+        current.pop()
+
+    def counted_factor(*args):
+        calls[current[-1] if current else None] += 1
+        return dts_factor(*args)
+
+    monkeypatch.setattr(model, "scalar_round", counted_round)
+    monkeypatch.setattr(model, "dts_factor", counted_factor)
+    paths = (BatchPath(base_rtt=0.004, rate_bps=32e6, loss_rate=0.01,
+                       queue_segments=8),
+             BatchPath(base_rtt=0.011, rate_bps=12e6, loss_rate=0.03,
+                       queue_segments=20))
+    conns = tuple(BatchConnection(paths=paths, algorithm=algo, initial_cwnd=8.0)
+                  for algo in ("dts", "dts-ext", "dts", "dts-ext"))
+    scenario = BatchScenario(connections=conns, duration=0.5, tick=1e-3, seed=3)
+    _oracle, batch = _assert_engines_equivalent(scenario)
+    assert None not in calls
+    assert calls and max(calls.values()) == 1
+    assert batch.counters["fallback_rounds.loss"] > 0

@@ -341,6 +341,30 @@ def test_run_timeout_reports_failure(monkeypatch):
     assert "timed out" in outcomes[0].error
 
 
+def _fails_once_then_slow_run(spec):
+    """Seed 1's first attempt fails at once; every other attempt takes
+    0.5 s."""
+    flag = spec.params.get("flag")
+    if flag is not None and not Path(flag).exists():
+        Path(flag).touch()
+        raise RuntimeError("first attempt fails")
+    time.sleep(0.5)
+    return {"spec_hash": spec.content_hash(), "metrics": {"seed": spec.seed},
+            "wall_s": 0.5}
+
+
+def test_a_retry_is_timed_from_its_own_start(tmp_path):
+    """A retry is not charged the time the campaign's other runs hold
+    the workers: queued behind seven 0.5 s runs at two jobs it would end
+    at ~2 s, long after its 1.2 s timeout, although it runs for 0.5 s."""
+    specs = [RunSpec(seed=1, params={"flag": str(tmp_path / "flag")}, **FAST)]
+    specs += [RunSpec(seed=seed, **FAST) for seed in range(2, 9)]
+    outcomes = CampaignExecutor(jobs=2, run_fn=_fails_once_then_slow_run,
+                                run_timeout=1.2).run(specs)
+    assert [o.error for o in outcomes] == [None] * 8
+    assert [o.attempts for o in outcomes] == [2] + [1] * 7
+
+
 _HUNG_CAMPAIGN = """
 import multiprocessing, time
 from repro.campaign import CampaignExecutor, RunSpec

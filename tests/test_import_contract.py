@@ -108,6 +108,9 @@ STDLIB_TIER = [
     # Specs are built, hashed and checked without numpy; the executor
     # loads it with the first run.
     "from repro.campaign import RunSpec",
+    # A batch run is declared without numpy; the engine loads with its
+    # first use.
+    "from repro.net.batch import BatchScenario, ec2_scenario; ec2_scenario()",
     _cli("--help"),
     _cli("--version"),
     _cli("list"),
@@ -118,7 +121,7 @@ NUMPY_TIER = [
     _resolve_all("repro.net"),
     _resolve_all("repro.core"),
     "import repro.topology, repro.workloads",
-    "import repro.net.batch",
+    pytest.param("from repro.net.batch import BatchEngine", id="import repro.net.batch"),
     "import repro.campaign",
     # Stdlib-tier since ISSUE 24 (PACKET_RUNS holds that); `<=` still passes.
     "import repro.experiments.fig06_shared_bottleneck",
@@ -522,6 +525,7 @@ LAZY_NAMES = {
     "repro": "Network",
     "repro.core": "phi",
     "repro.net": "Network",
+    "repro.net.batch": "BatchEngine",
     "repro.topology": "BCube",
     "repro.workloads": "ParetoBurstSource",
     "repro.analysis": "box_stats",
